@@ -1,12 +1,14 @@
 """AES block cipher (FIPS 197) implemented from scratch.
 
-Two execution paths are provided:
-
-- a scalar path (:meth:`AES.encrypt_block` / :meth:`AES.decrypt_block`)
-  used for single blocks and for cross-checking, and
-- a numpy-vectorised path (:meth:`AES.encrypt_blocks`) that runs all
-  rounds over an ``(n, 16)`` batch of blocks at once, which is what makes
-  CTR-mode bulk encryption of model files practical in pure Python.
+Encryption is one numpy-vectorised path, :meth:`AES.encrypt_blocks`, over an
+``(n, 16)`` batch of blocks; :meth:`AES.encrypt_block` is that path with
+``n = 1``.  Each middle round is the classic T-table formulation: SubBytes,
+ShiftRows and MixColumns fused into one gather from four 256-entry ``uint32``
+tables plus an XOR fold, four numpy calls a round whatever the batch size.
+That is what makes CTR-mode bulk encryption of model files, and the
+fixed cost of a 64-byte stream frame, practical in pure Python.
+:meth:`AES.decrypt_block` (single block, used for cross-checking only; GCM
+never decrypts a block) keeps the textbook byte-wise inverse rounds.
 
 Supported key sizes are 128, 192, and 256 bits.
 """
@@ -79,6 +81,40 @@ _SHIFT_ROWS = np.array(
 )
 _INV_SHIFT_ROWS = np.argsort(_SHIFT_ROWS)
 
+_WORD = np.dtype("<u4")  # one state column; byte r of the word is row r
+
+
+def _build_round_tables() -> np.ndarray:
+    """The eight 256-entry round tables, concatenated: entry ``256 * t + x``.
+
+    A state column is one little-endian ``uint32`` (byte ``r`` of the word is
+    row ``r``).  Tables 0-3 are the T-tables: ``T_r[x]`` is the MixColumns
+    column that ``SubBytes(x)`` sitting in row ``r`` contributes, so a middle
+    round's output column is ``T_0[a0] ^ T_1[a1] ^ T_2[a2] ^ T_3[a3]`` with
+    ``a_r`` the ShiftRows-selected input bytes.  Tables 4-7 are the last
+    round's (no MixColumns): ``SubBytes(x)`` placed in byte ``r``.
+    """
+    s = _SBOX_NP.astype(np.uint32)
+    s2 = _MUL_TABLES[2][_SBOX_NP].astype(np.uint32)
+    s3 = _MUL_TABLES[3][_SBOX_NP].astype(np.uint32)
+    zero = np.zeros(256, dtype=np.uint32)
+    rows = [
+        (s2, s, s, s3), (s3, s2, s, s), (s, s3, s2, s), (s, s, s3, s2),
+        (s, zero, zero, zero), (zero, s, zero, zero), (zero, zero, s, zero), (zero, zero, zero, s),
+    ]
+    return np.concatenate(
+        [b0 | (b1 << 8) | (b2 << 16) | (b3 << 24) for b0, b1, b2, b3 in rows]
+    ).astype(_WORD)
+
+
+_ROUND_TABLES = _build_round_tables()
+# index offsets selecting table r (middle rounds) / 4 + r (last round) per state row
+_MIDDLE_ROUND = (np.arange(4, dtype=np.intp) * 256).reshape(4, 1, 1)
+_LAST_ROUND = _MIDDLE_ROUND + 1024
+# Blocks per pass: bounds the scratch arrays (~200 bytes per block) however
+# large the batch, and keeps them inside the L2 cache.
+_TILE = 4096
+
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8]
 
 
@@ -113,18 +149,17 @@ class AES:
             raise InvalidKey("AES key must be bytes")
         if len(key) not in (16, 24, 32):
             raise InvalidKey(f"AES key must be 16/24/32 bytes, got {len(key)}")
-        self._round_keys = _expand_key(bytes(key))
-        self._round_keys_np = np.stack(
-            [np.frombuffer(rk, dtype=np.uint8) for rk in self._round_keys]
-        )
+        self._round_keys_np = np.frombuffer(
+            b"".join(_expand_key(bytes(key))), dtype=np.uint8
+        ).reshape(-1, _BLOCK_SIZE)
+        # round keys as column words, shaped to broadcast over (.., 4, n) states
+        self._round_key_words = self._round_keys_np.view(_WORD).reshape(-1, 4, 1)
         self.key_size = len(key)
 
     @property
     def rounds(self) -> int:
         """Number of AES rounds for this key size (10, 12, or 14)."""
-        return len(self._round_keys) - 1
-
-    # -- scalar path --------------------------------------------------------
+        return len(self._round_keys_np) - 1
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt a single 16-byte block."""
@@ -151,36 +186,48 @@ class AES:
         state ^= self._round_keys_np[0]
         return state.tobytes()
 
-    # -- vectorised path -----------------------------------------------------
-
     def encrypt_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Encrypt an ``(n, 16)`` uint8 array of blocks in one batch."""
         if blocks.ndim != 2 or blocks.shape[1] != _BLOCK_SIZE:
             raise ValueError("blocks must have shape (n, 16)")
-        state = blocks.astype(np.uint8, copy=True)
-        state ^= self._round_keys_np[0]
+        words = np.ascontiguousarray(blocks, dtype=np.uint8).view(_WORD)
+        out = np.empty_like(words)
+        for start in range(0, len(words), _TILE):
+            self._encrypt_tile(words[start : start + _TILE], out[start : start + _TILE])
+        return out.view(np.uint8)
+
+    def _encrypt_tile(self, words: np.ndarray, out: np.ndarray) -> None:
+        """All rounds over ``(n, 4)`` column words, written to ``out``.
+
+        The state lives transposed and doubled, ``state[d, c, i]`` = column
+        ``c`` of block ``i`` for both ``d``, so that ShiftRows is a strided
+        *view*: byte ``r`` of column ``c + r`` sits ``r * (4n + 1) + c * 4n``
+        bytes in, and the doubling is what lets ``c + r`` run past 3 without a
+        modulo.  A round is then: widen those bytes to table indices, gather,
+        XOR-fold the four rows, add the round key (writing both copies).
+        Every step runs along the contiguous block axis.
+        """
+        n = len(words)
+        round_keys = self._round_key_words
+        state = np.empty((2, 4, n), dtype=_WORD)
+        shifted = np.ndarray(
+            (4, 4, n), dtype=np.uint8, buffer=state, strides=(4 * n + 1, 4 * n, 4)
+        )
+        index = np.empty((4, 4, n), dtype=np.intp)
+        gathered = np.empty((4, 4, n), dtype=_WORD)
+        column = np.empty((4, n), dtype=_WORD)
+        # every index is < 2048 by construction; "wrap" only skips the bounds pass
+        lookup = _ROUND_TABLES.take
+        np.bitwise_xor(words.T, round_keys[0], out=state)
         for rnd in range(1, self.rounds):
-            state = _SBOX_NP[state]
-            state = state[:, _SHIFT_ROWS]
-            state = _mix_columns(state)
-            state ^= self._round_keys_np[rnd]
-        state = _SBOX_NP[state]
-        state = state[:, _SHIFT_ROWS]
-        state ^= self._round_keys_np[-1]
-        return state
-
-
-def _mix_columns(state: np.ndarray) -> np.ndarray:
-    """Apply MixColumns to an (n, 16) state batch."""
-    s = state.reshape(-1, 4, 4)  # (n, column, row)
-    a0, a1, a2, a3 = s[:, :, 0], s[:, :, 1], s[:, :, 2], s[:, :, 3]
-    m2, m3 = _MUL_TABLES[2], _MUL_TABLES[3]
-    out = np.empty_like(s)
-    out[:, :, 0] = m2[a0] ^ m3[a1] ^ a2 ^ a3
-    out[:, :, 1] = a0 ^ m2[a1] ^ m3[a2] ^ a3
-    out[:, :, 2] = a0 ^ a1 ^ m2[a2] ^ m3[a3]
-    out[:, :, 3] = m3[a0] ^ a1 ^ a2 ^ m2[a3]
-    return out.reshape(-1, 16)
+            np.add(shifted, _MIDDLE_ROUND, out=index)
+            lookup(index, out=gathered, mode="wrap")
+            np.bitwise_xor.reduce(gathered, axis=0, out=column)
+            np.bitwise_xor(column, round_keys[rnd], out=state)
+        np.add(shifted, _LAST_ROUND, out=index)
+        lookup(index, out=gathered, mode="wrap")
+        np.bitwise_xor.reduce(gathered, axis=0, out=column)
+        np.bitwise_xor(column, round_keys[-1], out=out.T)
 
 
 def _inv_mix_columns(state: np.ndarray) -> np.ndarray:

@@ -1,13 +1,23 @@
 """AES-GCM authenticated encryption (NIST SP 800-38D) from scratch.
 
-The CTR keystream is produced with the numpy-vectorised AES batch path,
-and GHASH uses Shoup's 8-bit tables so the per-block field multiplication
-is sixteen table lookups on Python integers.  Correctness is pinned by the
-NIST GCM test vectors in the test suite.
+Both halves of a call are a fixed number of numpy steps.  The CTR keystream
+and ``E_K(J0)`` (the tag mask) come out of *one* batch through the T-table AES
+path: ``J0`` rides as block 0 of the counter blocks.  GHASH is evaluated as a
+polynomial in ``H`` by a log-depth tree instead of block by block: aad,
+ciphertext and the length block are laid out as one ``(m, 16)`` array and
+folded pairwise, level ``l`` multiplying every left element by ``H^(2^l)`` in
+one vectorised gather from that power's Shoup 8-bit table (``log2 m`` steps of
+four numpy calls, not ``m`` x 16 lookups).  The tree is capped at chunks of
+256 blocks; longer inputs run it across all their chunks at once and fold the
+chunk digests with ``H^256``, so a cipher never holds more than
+:data:`GHASH_TABLE_CAP_BYTES` of tables whatever it is asked to seal.
+Correctness is pinned by the NIST GCM test vectors and by known-answer
+vectors captured from the previous (block-serial) implementation.
 """
 
 from __future__ import annotations
 
+import hmac
 import struct
 import threading
 from collections import OrderedDict
@@ -15,12 +25,29 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.crypto.aes import AES
-from repro.crypto.keys import random_bytes
-from repro.errors import InvalidTag
+from repro.crypto.keys import SymmetricKey, random_bytes
+from repro.errors import InvalidKey, InvalidTag
 
 _R = 0xE1000000000000000000000000000000
 NONCE_SIZE = 12
 TAG_SIZE = 16
+
+_CHUNK_LEVELS = 8  # the GHASH tree spans chunks of 2^8 = 256 blocks (4 KiB)
+_CHUNK_BLOCKS = 1 << _CHUNK_LEVELS
+# Blocks folded per pass over a long input: bounds the tree's scratch arrays
+# (~200 bytes per block) however large the message.
+_GHASH_TILE = 16 * _CHUNK_BLOCKS
+_TABLE_BYTES = 16 * 256 * 16
+#: Most GHASH table memory one cipher can ever hold: the tables for
+#: ``H^1, H^2, ..., H^128`` (the tree levels) and ``H^256`` (the chunk fold),
+#: 64 KiB each.  Tables are built on first need, so a cipher that only ever
+#: sees short messages holds fewer.
+GHASH_TABLE_CAP_BYTES = (_CHUNK_LEVELS + 1) * _TABLE_BYTES
+
+_LANE = np.dtype("V16")  # one 128-bit field element, moved as an opaque unit
+# table row of byte value b at block position j is 256 * j + b
+_POSITION = (np.arange(16, dtype=np.intp) * 256).reshape(16, 1)
+_ONE = 0x80  # the field's multiplicative identity is the block 80 00 .. 00
 
 
 def _gf_mult(x: int, y: int) -> int:
@@ -37,55 +64,52 @@ def _gf_mult(x: int, y: int) -> int:
     return z
 
 
-def _build_ghash_tables(h: int) -> list[list[int]]:
-    """Shoup 8-bit tables: ``tables[j][b] = (b << 8j) * H`` in GF(2^128)."""
-    tables: list[list[int]] = []
-    for j in range(16):
-        table = [0] * 256
-        # Fill the single-bit entries with true field multiplications, then
-        # extend to all byte values by linearity (XOR of bit contributions).
-        for k in range(8):
-            table[1 << k] = _gf_mult((1 << k) << (8 * j), h)
-        for b in range(1, 256):
-            low = b & (-b)
-            if b != low:
-                table[b] = table[b ^ low] ^ table[low]
-        tables.append(table)
-    return tables
+def _shoup_table(power: bytes) -> np.ndarray:
+    """Shoup 8-bit table for multiplying by the field element ``power``.
+
+    Row ``256 * j + b`` is ``(b at byte j of an otherwise zero block) * power``.
+    The 128 single-bit rows are ``power * x^i`` (a shift-and-reduce chain);
+    every other row is an XOR of those by linearity, filled by doubling:
+    rows ``2^k .. 2^(k+1) - 1`` are rows ``0 .. 2^k - 1`` plus bit ``k``'s row.
+    """
+    shifted = []
+    v = int.from_bytes(power, "big")
+    for _ in range(128):
+        shifted.append(v.to_bytes(16, "big"))
+        v = (v >> 1) ^ _R if v & 1 else v >> 1
+    # bit k of byte j carries x^(8j + 7 - k)
+    bit_rows = np.frombuffer(b"".join(shifted), dtype=np.uint64).reshape(16, 8, 1, 2)
+    table = np.zeros((16, 256, 2), dtype=np.uint64)
+    for k in range(8):
+        half = 1 << k
+        np.bitwise_xor(table[:, :half], bit_rows[:, 7 - k], out=table[:, half : 2 * half])
+    return table.view(_LANE).reshape(16 * 256)
 
 
-class _Ghash:
-    """Incremental GHASH accumulator keyed by ``H = AES_K(0^128)``."""
+def _multiply(elements: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Multiply each row of ``elements`` (``(k, 2)`` uint64) by ``table``'s constant.
 
-    def __init__(self, tables: list[list[int]]) -> None:
-        self._tables = tables
-        self._y = 0
-        self._buffer = b""
+    One lookup per byte position, gathered position-major so the XOR fold
+    over the sixteen partial products runs along the contiguous element axis.
+    """
+    index = np.add(elements.view(np.uint8).T, _POSITION, order="C")
+    partial = table[index].view(np.uint64)
+    return np.bitwise_xor.reduce(partial, axis=0).reshape(-1, 2)
 
-    def update(self, data: bytes) -> None:
-        data = self._buffer + data
-        full = len(data) - (len(data) % 16)
-        self._buffer = data[full:]
-        y = self._y
-        tables = self._tables
-        for offset in range(0, full, 16):
-            y ^= int.from_bytes(data[offset : offset + 16], "big")
-            acc = 0
-            for j in range(16):
-                acc ^= tables[j][(y >> (8 * j)) & 0xFF]
-            y = acc
-        self._y = y
 
-    def update_padded(self, data: bytes) -> None:
-        """Absorb ``data`` zero-padded to a 16-byte boundary."""
-        self.update(data)
-        if self._buffer:
-            self.update(b"\x00" * (16 - len(self._buffer)))
+def _key_material(key) -> bytes:
+    """The raw bytes of ``key``; anything but bytes-like / ``SymmetricKey`` is refused.
 
-    def digest(self) -> int:
-        if self._buffer:
-            raise ValueError("GHASH input not block aligned")
-        return self._y
+    ``bytes(16)`` is sixteen zero bytes, so converting blindly would turn a
+    stray integer into a working cipher under the all-zero key.
+    """
+    if isinstance(key, SymmetricKey):
+        return key.material
+    if isinstance(key, (bytes, bytearray, memoryview)):
+        return bytes(key)
+    raise InvalidKey(
+        f"AES-GCM key must be bytes-like or a SymmetricKey, not {type(key).__name__}"
+    )
 
 
 class AESGCM:
@@ -97,78 +121,130 @@ class AESGCM:
         16, 24, or 32 bytes of AES key material (or a
         :class:`~repro.crypto.keys.SymmetricKey`).
 
-    Constructing an ``AESGCM`` is the expensive step: it runs the AES
-    key-schedule expansion and builds Shoup's 8-bit GHASH tables (16
-    tables x 256 entries).  On the hot path, prefer
-    :meth:`AESGCM.derive`, which returns a cached
-    :class:`SessionCipher` wrapping that state so repeat requests under
-    the same key skip the rebuild; per-call construction is deprecated
-    there (cold-path and one-shot uses are fine).
+    Constructing an ``AESGCM`` runs the AES key-schedule expansion and
+    derives ``H``.  The GHASH tables (64 KiB per power of ``H``, at most
+    :data:`GHASH_TABLE_CAP_BYTES`) are built the first time a message is
+    long enough to need them and then kept, so on the hot path prefer
+    :meth:`AESGCM.derive`: it returns a cached :class:`SessionCipher`
+    wrapping that state, and repeat requests under the same key skip the
+    rebuild; per-call construction is deprecated there (cold-path and
+    one-shot uses are fine).
     """
 
     def __init__(self, key) -> None:
-        material = bytes(key)
-        self._aes = AES(material)
-        h = int.from_bytes(self._aes.encrypt_block(b"\x00" * 16), "big")
-        self._ghash_tables = _build_ghash_tables(h)
+        self._aes = AES(_key_material(key))
+        self._h = self._aes.encrypt_block(b"\x00" * 16)
+        # _tables[l] multiplies by H^(2^l).  Only ever replaced by a longer
+        # tuple, under _grow_lock; readers take whichever tuple they see.
+        self._tables: tuple[np.ndarray, ...] = ()
+        self._grow_lock = threading.Lock()
 
-    # -- keystream -----------------------------------------------------------
+    @property
+    def table_bytes(self) -> int:
+        """GHASH table memory this cipher holds now (at most the cap)."""
+        return sum(table.nbytes for table in self._tables)
 
-    def _counter_blocks(self, j0: bytes, count: int) -> np.ndarray:
-        prefix = np.frombuffer(j0[:12], dtype=np.uint8)
-        start = struct.unpack(">I", j0[12:])[0]
-        counters = (np.arange(count, dtype=np.uint64) + start + 1) % (1 << 32)
-        blocks = np.empty((count, 16), dtype=np.uint8)
-        blocks[:, :12] = prefix
-        blocks[:, 12:] = (
-            counters.astype(">u4").view(np.uint8).reshape(count, 4)
-        )
-        return blocks
+    def _power_tables(self, count: int) -> tuple[np.ndarray, ...]:
+        """Tables for ``H^(2^0) .. H^(2^(count-1))``, built on first need."""
+        tables = self._tables
+        if len(tables) >= count:
+            return tables
+        with self._grow_lock:
+            tables = self._tables
+            while len(tables) < count:
+                if tables:
+                    top = tables[-1]
+                    one_times_power = top[_ONE : _ONE + 1].view(np.uint64).reshape(1, 2)
+                    power = _multiply(one_times_power, top).tobytes()  # squared
+                else:
+                    power = self._h
+                tables += (_shoup_table(power),)
+            self._tables = tables
+        return tables
 
-    def _ctr_xor(self, j0: bytes, data: bytes) -> bytes:
-        if not data:
-            return b""
-        nblocks = (len(data) + 15) // 16
-        keystream = self._aes.encrypt_blocks(self._counter_blocks(j0, nblocks))
-        ks = keystream.reshape(-1)[: len(data)]
-        buf = np.frombuffer(data, dtype=np.uint8)
-        return (buf ^ ks).tobytes()
+    # -- GHASH -----------------------------------------------------------------
 
-    def _tag(self, j0: bytes, ciphertext: bytes, aad: bytes) -> bytes:
-        ghash = _Ghash(self._ghash_tables)
-        ghash.update_padded(aad)
-        ghash.update_padded(ciphertext)
-        ghash.update(struct.pack(">QQ", len(aad) * 8, len(ciphertext) * 8))
-        s = ghash.digest().to_bytes(16, "big")
-        ek_j0 = self._aes.encrypt_block(j0)
-        return bytes(a ^ b for a, b in zip(s, ek_j0))
+    def _ghash(self, aad: bytes, ciphertext: bytes) -> np.ndarray:
+        """``GHASH_H(aad, ciphertext)`` as a ``(1, 2)`` uint64 array.
+
+        ``GHASH = X_1 H^m ^ ... ^ X_m H``: append a zero block so the last
+        real block meets ``H^1`` and the whole sum is one polynomial whose
+        final coefficient meets ``H^0``; pad with zero blocks *in front* (they
+        add nothing) up to a power of two, or past 256 blocks a whole number
+        of chunks; then ``(a, b) -> a * H^(2^l) ^ b`` over neighbours halves
+        the array per level, and the chunk digests left over fold by Horner.
+        """
+        blocks = -(-len(aad) // 16) - (-len(ciphertext) // 16) + 2
+        levels = min((blocks - 1).bit_length(), _CHUNK_LEVELS)
+        chunk = 1 << levels
+        padded = -(-blocks // chunk) * chunk
+        # a second chunk is what brings in the fold table, H^256
+        tables = self._power_tables(levels + (padded > chunk))
+        laid_out = b"".join((
+            bytes(16 * (padded - blocks)),
+            aad, bytes(-len(aad) % 16),
+            ciphertext, bytes(-len(ciphertext) % 16),
+            struct.pack(">QQ", 8 * len(aad), 8 * len(ciphertext)),
+            bytes(16),
+        ))
+        elements = np.frombuffer(laid_out, dtype=np.uint64).reshape(padded, 2)
+        digest = None
+        for start in range(0, padded, _GHASH_TILE):
+            level = elements[start : start + _GHASH_TILE]
+            for table in tables[:levels]:
+                folded = _multiply(level[0::2], table)
+                folded ^= level[1::2]
+                level = folded
+            for chunk in range(len(level)):
+                chunk_digest = level[chunk : chunk + 1]
+                digest = (
+                    chunk_digest if digest is None
+                    else _multiply(digest, tables[_CHUNK_LEVELS]) ^ chunk_digest
+                )
+        return digest
+
+    # -- keystream -------------------------------------------------------------
 
     def _j0(self, nonce: bytes) -> bytes:
         if len(nonce) == NONCE_SIZE:
             return nonce + b"\x00\x00\x00\x01"
-        ghash = _Ghash(self._ghash_tables)
-        ghash.update_padded(nonce)
-        ghash.update(struct.pack(">QQ", 0, len(nonce) * 8))
-        return ghash.digest().to_bytes(16, "big")
+        return self._ghash(b"", nonce).tobytes()
+
+    def _keystream(self, j0: bytes, length: int) -> np.ndarray:
+        """``E_K(J0), E_K(J0 + 1), ...`` as ``(1 + ceil(length / 16), 16)`` bytes.
+
+        Row 0 masks the tag; rows 1.. are the CTR keystream for ``length``
+        bytes.  One AES batch for both.
+        """
+        count = 1 + -(-length // 16)
+        first = int.from_bytes(j0[12:], "big")
+        blocks = np.empty((count, 4), dtype=">u4")
+        blocks[:, :3] = np.frombuffer(j0, dtype=">u4", count=3)
+        # the narrowing store keeps the low 32 bits: the counter wraps mod 2^32
+        blocks[:, 3] = np.arange(first, first + count, dtype=np.uint64)
+        return self._aes.encrypt_blocks(blocks.view(np.uint8))
 
     # -- public AEAD API -----------------------------------------------------
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt ``plaintext``; returns ``ciphertext || 16-byte tag``."""
-        j0 = self._j0(nonce)
-        ciphertext = self._ctr_xor(j0, plaintext)
-        return ciphertext + self._tag(j0, ciphertext, aad)
+        keystream = self._keystream(self._j0(nonce), len(plaintext))
+        ciphertext = _xor_stream(plaintext, keystream)
+        tag = self._ghash(aad, ciphertext)
+        tag ^= keystream[0].view(np.uint64)
+        return ciphertext + tag.tobytes()
 
     def decrypt(self, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt ``ciphertext || tag``; raises :class:`InvalidTag`."""
         if len(ciphertext) < TAG_SIZE:
             raise InvalidTag("ciphertext shorter than the authentication tag")
         body, tag = ciphertext[:-TAG_SIZE], ciphertext[-TAG_SIZE:]
-        j0 = self._j0(nonce)
-        expected = self._tag(j0, body, aad)
-        if not _constant_time_eq(tag, expected):
+        keystream = self._keystream(self._j0(nonce), len(body))
+        expected = self._ghash(aad, body)
+        expected ^= keystream[0].view(np.uint64)
+        if not hmac.compare_digest(tag, expected.tobytes()):
             raise InvalidTag("AES-GCM tag mismatch")
-        return self._ctr_xor(j0, body)
+        return _xor_stream(body, keystream)
 
     # -- sealed-blob convenience ----------------------------------------------
 
@@ -189,12 +265,20 @@ class AESGCM:
     def derive(cls, key) -> "SessionCipher":
         """A cached :class:`SessionCipher` for ``key``.
 
-        The first derivation per key pays the key-schedule + GHASH
-        table build; later calls return the same immutable context from
-        a bounded process-wide LRU.  Sharing is sound because
-        :class:`AESGCM` is stateless after construction (every
-        ``seal``/``open`` draws a fresh nonce), so one context can
-        serve any number of threads and sessions.
+        The first derivation per key pays the key schedule, and the first
+        messages under it the GHASH table builds; later calls return the
+        same context from a bounded process-wide LRU.  Sharing is sound
+        because an :class:`AESGCM` holds no per-message state (every
+        ``seal``/``open`` draws a fresh nonce and works in its own scratch
+        arrays) and its table tuple only ever grows, under a lock, so one
+        context can serve any number of threads and sessions.
+
+        Memory: a context holds at most :data:`GHASH_TABLE_CAP_BYTES`
+        (576 KiB) of tables however long the messages it seals, so the
+        cache is bounded by ``SESSION_CACHE_CAPACITY`` x cap = 128 x
+        576 KiB = 72 MiB, reached only if every cached key has sealed a
+        message over 4 KiB (a context that has only seen 64-byte stream
+        frames holds 192 KiB).
 
         Invalidation: the cache is keyed on the key *material*, so a
         rotated or re-granted key derives a new context automatically;
@@ -202,13 +286,13 @@ class AESGCM:
         rotation, key-shard failover) call :func:`evict_session` /
         :func:`clear_session_cache`.
         """
-        material = bytes(key)
+        material = _key_material(key)
         with _SESSION_LOCK:
             cached = _SESSION_CACHE.get(material)
             if cached is not None:
                 _SESSION_CACHE.move_to_end(material)
                 return cached
-        # build outside the lock: table construction is the slow part
+        # build outside the lock: the key schedule is the slow part
         cipher = SessionCipher(cls(material))
         with _SESSION_LOCK:
             existing = _SESSION_CACHE.get(material)
@@ -225,8 +309,9 @@ class SessionCipher:
 
     Obtained from :meth:`AESGCM.derive`; carries the expanded key
     schedule and GHASH tables across a hot session so only the first
-    request under a key pays their construction.  Immutable and
-    thread-safe.  ``seal``/``unseal`` are the random-nonce blob API the
+    requests under a key pay their construction.  Thread-safe: the only
+    state that ever changes is the table tuple, which grows under a lock.
+    ``seal``/``unseal`` are the random-nonce blob API the
     hot path uses; ``encrypt``/``decrypt`` expose the explicit-nonce
     primitives for callers that manage nonces themselves.
     """
@@ -267,7 +352,7 @@ def evict_session(key) -> bool:
     immediately instead of aging out of the LRU.  Returns whether an
     entry was present.
     """
-    material = bytes(key)
+    material = _key_material(key)
     with _SESSION_LOCK:
         return _SESSION_CACHE.pop(material, None) is not None
 
@@ -286,10 +371,7 @@ def session_cache_size() -> int:
         return len(_SESSION_CACHE)
 
 
-def _constant_time_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    diff = 0
-    for x, y in zip(a, b):
-        diff |= x ^ y
-    return diff == 0
+def _xor_stream(data: bytes, keystream: np.ndarray) -> bytes:
+    """``data`` XOR the CTR rows (1..) of a :meth:`AESGCM._keystream` batch."""
+    stream = keystream.reshape(-1)[16 : 16 + len(data)]
+    return (np.frombuffer(data, dtype=np.uint8) ^ stream).tobytes()

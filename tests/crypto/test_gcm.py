@@ -1,12 +1,28 @@
 """AES-GCM: NIST vectors, authentication, AAD binding, seal/open."""
 
+import sys
+import threading
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.gcm import AESGCM, NONCE_SIZE, TAG_SIZE
+from repro.crypto.gcm import (
+    _CHUNK_LEVELS,
+    AESGCM,
+    GHASH_TABLE_CAP_BYTES,
+    NONCE_SIZE,
+    SESSION_CACHE_CAPACITY,
+    TAG_SIZE,
+    _gf_mult,
+    SessionCipher,
+    _multiply,
+    evict_session,
+    session_cache_size,
+)
 from repro.crypto.keys import SymmetricKey
-from repro.errors import InvalidTag
+from repro.errors import InvalidKey, InvalidTag
 
 # NIST GCM test vectors (McGrew & Viega test cases 1-4, AES-128).
 NIST_CASES = [
@@ -168,3 +184,107 @@ def test_large_payload_roundtrip():
     cipher = AESGCM(b"k" * 16)
     payload = bytes(range(256)) * 2048  # 512 KiB
     assert cipher.open(cipher.seal(payload)) == payload
+
+
+# -- key validation ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [16, 32, 16.0, None, "k" * 16, [0] * 16])
+def test_non_bytes_key_is_refused_not_zero_filled(bad):
+    """``bytes(16)`` is sixteen zero bytes: an int must never become a key."""
+    cached = session_cache_size()
+    with pytest.raises(InvalidKey):
+        AESGCM(bad)
+    with pytest.raises(InvalidKey):
+        AESGCM.derive(bad)
+    with pytest.raises(InvalidKey):
+        evict_session(bad)
+    assert session_cache_size() == cached
+
+
+def test_bytes_like_keys_are_accepted():
+    wire = AESGCM(b"k" * 16).encrypt(b"n" * 12, b"payload")
+    for key in (bytearray(b"k" * 16), memoryview(b"k" * 16), SymmetricKey(b"k" * 16)):
+        assert AESGCM(key).decrypt(b"n" * 12, wire) == b"payload"
+
+
+# -- the GHASH tables --------------------------------------------------------
+
+
+def test_table_multiply_matches_bitwise_reference():
+    """Shoup tables, and the squared powers grown from them, against SP 800-38D Alg. 1."""
+    cipher = AESGCM(b"k" * 16)
+    h = int.from_bytes(cipher._h, "big")
+    rng = np.random.default_rng(7)
+    raw = rng.integers(0, 256, size=(9, 16), dtype=np.uint8)
+    power = h
+    for table in cipher._power_tables(_CHUNK_LEVELS + 1):
+        products = _multiply(raw.view(np.uint64), table).view(np.uint8)
+        for element, product in zip(raw, products):
+            expected = _gf_mult(int.from_bytes(element.tobytes(), "big"), power)
+            assert product.tobytes() == expected.to_bytes(16, "big")
+        power = _gf_mult(power, power)
+
+
+def test_table_memory_is_capped_whatever_the_message_size():
+    cipher = AESGCM(b"k" * 16)
+    assert cipher.table_bytes == 0  # nothing is built until a message needs it
+    cipher.open(cipher.seal(b"x" * 64, aad=b"frame"), aad=b"frame")
+    small = cipher.table_bytes
+    assert 0 < small < GHASH_TABLE_CAP_BYTES
+    cipher.open(cipher.seal(bytes(1 << 20)))
+    assert cipher.table_bytes == GHASH_TABLE_CAP_BYTES == 9 * 64 * 1024
+    cipher.open(cipher.seal(bytes((1 << 20) + 4096 + 5)))
+    cipher.seal(b"x" * 64)
+    assert cipher.table_bytes == GHASH_TABLE_CAP_BYTES
+
+
+def test_session_cache_memory_bound_is_documented():
+    doc = " ".join(AESGCM.derive.__doc__.split())
+    total_mib = SESSION_CACHE_CAPACITY * GHASH_TABLE_CAP_BYTES // (1 << 20)
+    cap_kib = GHASH_TABLE_CAP_BYTES // 1024
+    assert f"{SESSION_CACHE_CAPACITY} x {cap_kib} KiB = {total_mib} MiB" in doc
+
+
+# -- one context shared by many threads ----------------------------------------
+
+
+def test_shared_session_cipher_is_thread_safe():
+    """Mixed-size seal/open through one fresh context: its tables grow under the race."""
+    session = SessionCipher(AESGCM(b"shared-key-16byt"))
+    sizes = (64, 100, 3072, 4096, 5000, 65536)
+    workers, rounds = 8, 6
+    errors = []
+    start = threading.Barrier(workers)
+
+    def work(seed):
+        try:
+            rng = np.random.default_rng(seed)
+            start.wait(timeout=30)
+            for step in range(rounds):
+                size = sizes[(seed + step) % len(sizes)]
+                payload = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+                aad = b"worker-%d" % seed
+                blob = session.seal(payload, aad)
+                assert session.unseal(blob, aad) == payload
+                with pytest.raises(InvalidTag):
+                    session.unseal(blob, aad + b"!")
+        except BaseException as exc:  # noqa: BLE001 - reported on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    # every thread's ciphertext opens under an independently built cipher
+    assert session._gcm.table_bytes == GHASH_TABLE_CAP_BYTES
+    check = AESGCM(b"shared-key-16byt")
+    assert check.open(session.seal(b"after the race", b"aad"), b"aad") == b"after the race"
