@@ -10,11 +10,11 @@ comparing against the one-endpoint-per-model baseline.
 Run with:  python examples/trace_replay.py
 """
 
-from repro.core.fnpacker import FnPool
 from repro.core.packer_service import FnPackerService
 from repro.core.costs import CostModel
 from repro.core.simbridge import servable_map
 from repro.mlrt.zoo import profile
+from repro.routing import FnPool
 from repro.serverless.controller import PlatformConfig
 from repro.serverless.platform import ServerlessPlatform
 from repro.serverless.storage import NFS

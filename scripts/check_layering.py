@@ -23,6 +23,10 @@ Single-file modules pinned the same way:
   ``repro.errors`` only -- every enclave boundary and the HTTP tier
   frame through it, so it must never grow a dependency on the
   runtime, the crypto stack, or numpy.
+- ``repro.core.futures``: the ``Future`` protocol, the outcome cell
+  and the derived-handle base.  Stdlib + ``repro.errors`` only -- every
+  tier's handle (scheduler, gateway, session, service client) is built
+  on it, so it can depend on none of them.
 - ``repro.scenarios.spec`` / ``.store`` / ``.compare`` / ``.table`` /
   ``.registry``: the scenario read side.  Stdlib + ``repro.errors`` +
   each other -- everything that *executes* a spec belongs in
@@ -67,6 +71,8 @@ PACKAGES = {
 #: single-file module (dotted, relative to repro) -> allowed prefixes
 MODULES = {
     "core.wire": ("repro.errors",),
+    # the outcome cell every handle is built on: no runtime, no crypto
+    "core.futures": ("repro.errors",),
     # the scenario read side: loadable without numpy or either twin
     "scenarios.spec": ("repro.errors",),
     "scenarios.table": (),

@@ -13,13 +13,6 @@ from repro.core.deployment import (
     SessionStream,
     UserSession,
 )
-from repro.core.fnpacker import (
-    AllInOneRouter,
-    FnPackerRouter,
-    FnPool,
-    OneToOneRouter,
-    Router,
-)
 from repro.core.futures import Future
 from repro.core.gateway import (
     GatewayConfig,
@@ -65,6 +58,13 @@ from repro.core.stages import (
     SemirtCacheState,
     Stage,
     plan_invocation,
+)
+from repro.routing import (
+    AllInOneRouter,
+    FnPackerRouter,
+    FnPool,
+    OneToOneRouter,
+    Router,
 )
 
 __all__ = [

@@ -338,17 +338,25 @@ class UserClient(_Principal):
             )
 
     def decrypt_frame(
-        self, model_id: str, enclave: EnclaveMeasurement, frame: bytes
+        self,
+        model_id: str,
+        enclave: EnclaveMeasurement,
+        frame: bytes,
+        expected_index: Optional[int] = None,
     ) -> dict:
         """Authenticate and decrypt one sealed token frame.
 
-        Returns ``{"token": int, "index": int, "done": bool}``; the
-        index lets the client detect a host that drops, reorders or
-        replays frames.
+        Returns ``{"token": int, "index": int, "done": bool}``.  The
+        index is sealed with the token: pass the position this frame
+        should have as ``expected_index`` and a host (or relay) that
+        dropped, reordered or replayed frames raises
+        :class:`~repro.errors.InvocationError` instead of yielding a
+        silently wrong sequence -- the one frame check both stream
+        consumers (in-process and HTTP) run.
         """
         with maybe_span(self.tracer, "decrypt_frame", model_id=model_id):
             try:
-                return wire.loads(
+                payload = wire.loads(
                     self._request_cipher(model_id, enclave).unseal(
                         frame, aad=FRAME_AAD + model_id.encode()
                     )
@@ -357,6 +365,12 @@ class UserClient(_Principal):
                 raise InvocationError(
                     "token frame does not authenticate under the request key"
                 ) from exc
+            if expected_index is not None and payload["index"] != expected_index:
+                raise InvocationError(
+                    f"stream frame out of order: expected index {expected_index}, "
+                    f"got {payload['index']} (dropped, reordered or replayed frame)"
+                )
+            return payload
 
     def decrypt_response(
         self, model_id: str, enclave: EnclaveMeasurement, enc_response: bytes

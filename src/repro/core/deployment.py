@@ -22,8 +22,8 @@ The surface is the **session API**::
 Every ``session.infer`` call produces a full span tree on
 ``env.tracer`` -- the first (cold) call covers all nine Figure-4 serving
 stages, from sandbox/enclave start through result encryption.
-:meth:`UserSession.infer_many` pipelines requests through the SeMIRT
-TCS-slot scheduler (``docs/concurrency.md``), keeping up to
+:meth:`UserSession.infer_many` is a sliding window over
+:meth:`UserSession.submit` (``docs/concurrency.md``), keeping up to
 ``tcs_count`` requests in flight.
 
 This is the object the examples and integration tests build on.  It is
@@ -33,12 +33,12 @@ in :mod:`repro.core.simbridge`.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.client import OwnerClient, UserClient
+from repro.core.futures import DerivedHandle, DerivedStream, gather_windowed
 from repro.core.gateway import GatewayConfig, InferenceGateway
 from repro.core.keyservice import KEYSERVICE_CONFIG, KeyServiceHost
 from repro.core.semirt import (
@@ -49,7 +49,7 @@ from repro.core.semirt import (
     expected_semirt_measurement,
 )
 from repro.core.stages import Stage
-from repro.errors import InvocationError, QueueFull, SeSeMIError
+from repro.errors import SeSeMIError
 from repro.faults.injector import maybe_wire
 from repro.faults.resilience import (
     CircuitBreaker,
@@ -307,16 +307,15 @@ class UserSession:
         resilience layer; cancellation and retries belong to the caller
         (the HTTP service tier builds exactly that on top).
         """
-        injector = self._env.injector
         enc_request = maybe_wire(
-            injector,
+            self._env.injector,
             "user->semirt",
             self.user.encrypt_request(self.model_id, self.measurement, x),
         )
-        submission = self._gateway.submit(
-            enc_request, self.user.principal_id, self.model_id
+        return SessionFuture(
+            self,
+            self._gateway.submit(enc_request, self.user.principal_id, self.model_id),
         )
-        return SessionFuture(self, submission)
 
     def stream(
         self, prompt: Sequence[int], max_new_tokens: int
@@ -333,135 +332,78 @@ class UserSession:
         streams do not run under the resilience layer; a mid-decode
         failure raises from the iterator.
         """
-        injector = self._env.injector
         enc_request = maybe_wire(
-            injector,
+            self._env.injector,
             "user->semirt",
             self.user.encrypt_stream_request(
                 self.model_id, self.measurement, prompt, max_new_tokens
             ),
         )
-        handle = self._gateway.open_stream(
-            enc_request, self.user.principal_id, self.model_id
+        return SessionStream(
+            self,
+            self._gateway.open_stream(
+                enc_request, self.user.principal_id, self.model_id
+            ),
         )
-        return SessionStream(self, handle)
 
     def infer_many(
         self, xs: Sequence[np.ndarray], window: Optional[int] = None
     ) -> List[np.ndarray]:
         """Serve a batch, keeping up to ``window`` requests in flight.
 
-        Each input is encrypted and :meth:`SemirtHost.submit`-ted to the
-        TCS-slot scheduler; results are collected oldest-first so at most
-        ``window`` futures (default: the enclave's ``tcs_count``) are
-        outstanding.  When the host's scheduler has the batch
-        accumulator armed, the default window widens to keep at least
-        two full batches in flight -- the session *feeds* the batch
-        window instead of racing it, so a leader always finds followers
-        queued behind it.  On :class:`~repro.errors.QueueFull` the
-        oldest in-flight future is drained and the submit retried, so
-        the batch absorbs its own backpressure.  Outputs come back in
-        input order.
+        A sliding window over :meth:`submit`
+        (:func:`~repro.core.futures.gather_windowed`): every input is
+        routed and admitted through the gateway like any other request,
+        results are collected oldest-first, and outputs come back in
+        input order.  The default window comes from the host that
+        admitted the first request: its ``tcs_count``, widened to two
+        full batches when its scheduler has the batch accumulator armed
+        -- the session *feeds* the batch window instead of racing it, so
+        a leader always finds followers queued behind it.  On
+        :class:`~repro.errors.QueueFull` the oldest in-flight future is
+        drained and the submit retried, so the batch absorbs its own
+        backpressure.
 
         The batch runs under one ``request_batch`` root span; the
         per-request ECALL spans (carrying ``tcs_slot`` / ``queue_wait``)
         parent under it from the scheduler workers.  Unlike
         :meth:`infer`, the batch path does **not** run under the
         resilience layer -- a mid-batch failure re-raises from the
-        failing :meth:`~repro.core.semirt.InferenceFuture.result`.
+        failing :meth:`SessionFuture.result`.
         """
-        tracer = self._env.tracer
-        injector = self._env.injector
         with maybe_span(
-            tracer,
+            self._env.tracer,
             "request_batch",
             model_id=self.model_id,
             user_id=self.user.principal_id,
             node_id=self.node_id,
             count=len(xs),
         ) as root:
-            if self._gateway.endpoint_count > 1:
-                return self._infer_many_routed(xs, root)
-            semirt, cold = self._gateway.ensure_host()
-            if window is None:
-                tcs_count = semirt.enclave.config.tcs_count
-                policy = semirt.batch_policy
-                # the policy derives the window (two full clamped
-                # batches, floored at tcs_count), so tuning max_batch
-                # can never silently starve the accumulator
-                window = (
-                    policy.feed_window(tcs_count)
-                    if policy is not None
-                    else tcs_count
-                )
-            window = max(1, window)
-            results: List[Optional[np.ndarray]] = [None] * len(xs)
-            in_flight: deque = deque()  # (input index, future)
 
-            def collect_oldest() -> None:
-                idx, future = in_flight.popleft()
-                enc_response = maybe_wire(
-                    injector, "semirt->user", future.result()
-                )
-                results[idx] = self.user.decrypt_response(
-                    self.model_id, self.measurement, enc_response
-                )
+            def window_for(first: SessionFuture) -> int:
+                admitted = first.inner  # the gateway's view of request 0
+                width = window
+                if width is None:
+                    # the policy derives the window (two full clamped
+                    # batches, floored at tcs_count), so tuning max_batch
+                    # can never silently starve the accumulator
+                    tcs_count = admitted.host.enclave.config.tcs_count
+                    policy = admitted.host.batch_policy
+                    width = (
+                        policy.feed_window(tcs_count)
+                        if policy is not None
+                        else tcs_count
+                    )
+                width = max(1, width)
+                if root is not None:
+                    root.set_attributes(
+                        flavor="cold" if admitted.decision.cold else "batch",
+                        enclave_id=self.measurement.value,
+                        window=width,
+                    )
+                return width
 
-            for idx, x in enumerate(xs):
-                enc_request = maybe_wire(
-                    injector,
-                    "user->semirt",
-                    self.user.encrypt_request(self.model_id, self.measurement, x),
-                )
-                while len(in_flight) >= window:
-                    collect_oldest()
-                while True:
-                    try:
-                        future = semirt.submit(
-                            enc_request, self.user.principal_id, self.model_id
-                        )
-                        break
-                    except QueueFull:
-                        if not in_flight:
-                            raise
-                        collect_oldest()
-                in_flight.append((idx, future))
-            while in_flight:
-                collect_oldest()
-            if root is not None:
-                root.set_attributes(
-                    flavor="cold" if cold else "batch",
-                    enclave_id=self.measurement.value,
-                    window=window,
-                )
-        return results
-
-    def _infer_many_routed(
-        self, xs: Sequence[np.ndarray], root
-    ) -> List[np.ndarray]:
-        """Batch serving over a shared fleet: route every item."""
-        injector = self._env.injector
-        results: List[np.ndarray] = []
-        for x in xs:
-            enc_request = maybe_wire(
-                injector,
-                "user->semirt",
-                self.user.encrypt_request(self.model_id, self.measurement, x),
-            )
-            reply = self._gateway.dispatch(
-                enc_request, self.user.principal_id, self.model_id
-            )
-            enc_response = maybe_wire(injector, "semirt->user", reply.output)
-            results.append(
-                self.user.decrypt_response(
-                    self.model_id, self.measurement, enc_response
-                )
-            )
-        if root is not None:
-            root.set_attributes(
-                flavor="routed", enclave_id=self.measurement.value, window=1
-            )
-        return results
+            return gather_windowed(self.submit, xs, window_for)
 
     def _attempt(self, x: np.ndarray, root) -> np.ndarray:
         """One serving attempt: encrypt, dispatch through the gateway, decrypt."""
@@ -548,131 +490,55 @@ class UserSession:
         self.close()
 
 
-class SessionFuture:
+class SessionFuture(DerivedHandle):
     """An async session request: resolves to the **decrypted** output.
 
-    Returned by :meth:`UserSession.submit`.  Wraps the gateway's
-    :class:`~repro.core.gateway.GatewaySubmission` and adds the
-    client-side half of the protocol -- response-wire fault injection
-    and AEAD decryption -- so ``future.result()`` hands back the same
-    plaintext array :meth:`UserSession.infer` would.
+    Returned by :meth:`UserSession.submit`.  A
+    :class:`~repro.core.futures.DerivedHandle` over the gateway's
+    :class:`~repro.core.gateway.GatewaySubmission` (``inner``) whose map
+    is the client-side half of the protocol -- response-wire fault
+    injection and AEAD decryption -- so ``future.result()`` hands back
+    the same plaintext array :meth:`UserSession.infer` would.
     """
 
-    def __init__(self, session: UserSession, submission) -> None:
+    def __init__(self, session: UserSession, inner) -> None:
+        super().__init__(inner)
         self._session = session
-        #: the underlying :class:`~repro.core.gateway.GatewaySubmission`
-        self.submission = submission
 
-    @property
-    def ticket(self) -> Optional[int]:
-        """The endpoint-assigned observability id."""
-        return self.submission.ticket
-
-    def done(self) -> bool:
-        """True once the outcome is sealed (successfully or not)."""
-        return self.submission.done()
-
-    def cancelled(self) -> bool:
-        """True when cancellation was requested and won."""
-        return self.submission.cancelled()
-
-    def cancel(self) -> bool:
-        """Cancel the request (releases its enclave execution context)."""
-        return self.submission.cancel()
-
-    def result(self, timeout_s: Optional[float] = None) -> np.ndarray:
-        """Block for the decrypted output; re-raises the serving failure.
-
-        ``timeout_s`` follows the repo-wide wait rule (seconds,
-        ``None`` = wait forever, :class:`~repro.errors.DeadlineExceeded`
-        on expiry; docs/service.md).
-        """
+    def _map(self, enc_response: bytes) -> np.ndarray:
         session = self._session
-        enc_response = maybe_wire(
-            session._env.injector,
-            "semirt->user",
-            self.submission.result(timeout_s=timeout_s),
-        )
         return session.user.decrypt_response(
-            session.model_id, session.measurement, enc_response
+            session.model_id,
+            session.measurement,
+            maybe_wire(session._env.injector, "semirt->user", enc_response),
         )
 
 
-class SessionStream:
+class SessionStream(DerivedStream):
     """An async session stream: yields the **decrypted** token sequence.
 
-    Returned by :meth:`UserSession.stream`.  Wraps the gateway's stream
-    handle and adds the client half of the streaming protocol: per-frame
-    wire fault injection, AEAD frame authentication, and frame-index
-    verification -- a host that drops, reorders or replays sealed frames
-    surfaces as :class:`~repro.errors.InvocationError` here, not as a
-    silently wrong sequence.  Satisfies the
-    :class:`~repro.core.futures.Future` protocol (``result()`` returns
-    the full token list).
+    Returned by :meth:`UserSession.stream`.  A
+    :class:`~repro.core.futures.DerivedStream` over the gateway's stream
+    of sealed frames (``inner``) whose per-item map is the client half
+    of the streaming protocol: per-frame wire fault injection, AEAD
+    frame authentication, and frame-index verification -- a host that
+    drops, reorders or replays sealed frames surfaces as
+    :class:`~repro.errors.InvocationError` here, not as a silently
+    wrong sequence.  ``result()`` returns the full token list.
     """
 
-    def __init__(self, session: UserSession, handle) -> None:
+    def __init__(self, session: UserSession, inner) -> None:
+        super().__init__(inner)
         self._session = session
-        #: the underlying gateway/host stream of sealed frames
-        self.handle = handle
 
-    @property
-    def ticket(self) -> Optional[int]:
-        """The endpoint-assigned observability id."""
-        return self.handle.ticket
-
-    def done(self) -> bool:
-        """True once the stream has drained, failed, or been cancelled."""
-        return self.handle.done()
-
-    def cancelled(self) -> bool:
-        """True when cancellation was requested and won."""
-        return self.handle.cancelled()
-
-    def cancel(self) -> bool:
-        """Cancel the stream (releases its enclave KV/stream context)."""
-        return self.handle.cancel()
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Seconds from submission to the first token frame."""
-        return self.handle.ttft_s
-
-    @property
-    def tokens_per_s(self) -> Optional[float]:
-        """Decode throughput over the frames delivered so far."""
-        return self.handle.tokens_per_s
-
-    def _decode_frame(self, frame: bytes, expected_index: int) -> dict:
+    def _map_item(self, frame: bytes, index: int) -> int:
         session = self._session
-        frame = maybe_wire(session._env.injector, "semirt->user", frame)
-        payload = session.user.decrypt_frame(
-            session.model_id, session.measurement, frame
-        )
-        if payload["index"] != expected_index:
-            raise InvocationError(
-                f"stream frame out of order: expected index {expected_index}, "
-                f"got {payload['index']} (dropped, reordered or replayed frame)"
-            )
-        return payload
-
-    def __iter__(self):
-        """Yield decrypted token ids in decode order."""
-        for index, frame in enumerate(self.handle):
-            yield self._decode_frame(frame, index)["token"]
-
-    def result(self, timeout_s: Optional[float] = None) -> List[int]:
-        """Block for the full decrypted token sequence.
-
-        ``timeout_s`` follows the repo-wide wait rule (seconds,
-        ``None`` = wait forever, :class:`~repro.errors.DeadlineExceeded`
-        on expiry; docs/service.md).
-        """
-        frames = self.handle.result(timeout_s=timeout_s)
-        return [
-            self._decode_frame(frame, index)["token"]
-            for index, frame in enumerate(frames)
-        ]
+        return session.user.decrypt_frame(
+            session.model_id,
+            session.measurement,
+            maybe_wire(session._env.injector, "semirt->user", frame),
+            expected_index=index,
+        )["token"]
 
 
 class SeSeMIEnvironment:

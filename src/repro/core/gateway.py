@@ -59,12 +59,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.semirt import InferenceFuture, InferenceStream, SemirtHost
+from repro.core.futures import DerivedHandle, DerivedStream
+from repro.core.semirt import SemirtHost
 from repro.errors import (
     DeadlineExceeded,
     EnclaveError,
     QueueFull,
-    RequestCancelled,
     RoutingError,
     TransportError,
 )
@@ -182,7 +182,7 @@ class InferenceGateway:
         self._idle = threading.Condition(self._lock)
         self._launch_lock = threading.Lock()
         #: <uid, model_id> -> endpoint hints, fed only by endpoints whose
-        #: scheduler runs the batch accumulator (see dispatch)
+        #: scheduler runs the batch accumulator (see _admit)
         self._affinity = BatchAffinity()
 
     # -- fleet wiring -----------------------------------------------------------
@@ -244,11 +244,6 @@ class InferenceGateway:
             self._breakers[endpoint] = breaker
         return breaker
 
-    def _pressure_armed(self) -> bool:
-        return self._pressure is not None or (
-            self.warm_pool is not None and self.warm_pool.reactive is not None
-        )
-
     def _observe_pressure(self, saw_pressure: bool) -> bool:
         """One backpressure observation; ``True`` means grow the fleet.
 
@@ -299,6 +294,11 @@ class InferenceGateway:
     ) -> GatewayReply:
         """Route one encrypted request to an endpoint and serve it.
 
+        The blocking composition of :meth:`submit`: the same admission
+        walk, then the wait (inside the ``route`` span).  An endpoint
+        that dies *mid-serve* is excluded and the request re-admitted,
+        up to ``max_redispatch`` times across the whole dispatch.
+
         Raises whatever the serving attempt raised once rerouting and
         redispatching are exhausted; :class:`QueueFull` means the whole
         fleet is saturated (backpressure -- the caller should shed or
@@ -306,17 +306,132 @@ class InferenceGateway:
         """
         exclude: Set[str] = set()
         decision = RouteDecision(endpoint="")
+        while True:
+            handle = self._admit(
+                GatewaySubmission, enc_request, user_id, model_id, exclude, decision
+            )
+            try:
+                with self._route_span(handle, "dispatch"):
+                    output = handle.result(timeout_s)
+            except DeadlineExceeded as exc:
+                # the caller gave up on a request nobody else holds: its
+                # slot is released and the endpoint charged a failure
+                handle._settle_once(exc)
+                raise
+            except (EnclaveError, TransportError):
+                if (
+                    not self.config.redispatch_on_crash
+                    or decision.redispatches >= self.config.max_redispatch
+                ):
+                    raise
+                decision.redispatches += 1
+                exclude.add(handle.endpoint)
+                continue
+            return GatewayReply(output=output, decision=decision, host=handle.host)
+
+    def submit(
+        self, enc_request: bytes, user_id: str, model_id: str
+    ) -> "GatewaySubmission":
+        """Admit one encrypted request and return a polling handle.
+
+        The async face of :meth:`dispatch`: the admission-time routing
+        walk (affinity hint, breaker exclusion, ``QueueFull`` reroute,
+        crash redispatch) runs here, but instead of blocking for the
+        output the gateway returns a :class:`GatewaySubmission` over the
+        endpoint's :class:`InferenceFuture`.  Rerouting is
+        **admission-time only** -- once the request sits in an
+        endpoint's queue, a later endpoint death surfaces through the
+        handle rather than being silently redispatched (the service
+        tier owns that retry decision).
+
+        Raises :class:`QueueFull` when the whole fleet is saturated,
+        exactly like :meth:`dispatch`.
+        """
+        handle = self._admit(
+            GatewaySubmission, enc_request, user_id, model_id,
+            set(), RouteDecision(endpoint=""),
+        )
+        with self._route_span(handle, "admit"):
+            pass  # admission-time decision span; serving runs async
+        return handle
+
+    def open_stream(
+        self, enc_request: bytes, user_id: str, model_id: str
+    ) -> "GatewayStream":
+        """Admit one autoregressive stream and return its frame handle.
+
+        The streaming face of :meth:`submit`: the identical admission
+        walk routes the sealed prompt, and the affinity hint doubles as
+        **stream-affinity routing** -- later streams for the same
+        ``<uid, model_id>`` pair are offered to the endpoint already
+        decoding that pair, which is what lets the endpoint's continuous
+        batcher merge them into its running group.  Rerouting is
+        admission-time only; once decoding starts, a mid-stream endpoint
+        death surfaces through the stream's iterator.
+        """
+        handle = self._admit(
+            GatewayStream, enc_request, user_id, model_id,
+            set(), RouteDecision(endpoint=""),
+        )
+        with self._route_span(handle, "stream"):
+            pass
+        return handle
+
+    def _route_span(self, handle: "GatewaySubmission", phase: str):
+        """The ``route`` span of one admission: the decision as attributes."""
+        decision = handle.decision
+        return maybe_span(
+            self.tracer,
+            "route",
+            endpoint=handle.endpoint,
+            model_id=handle.model_id,
+            exclusive=decision.exclusive,
+            reroutes=decision.reroutes,
+            redispatches=decision.redispatches,
+            cold=decision.cold,
+            cold_start_s=decision.cold_start_s,
+            temperature=decision.temperature,
+            batch_affinity=decision.batch_affinity,
+            warm_hint=decision.warm_hint,
+            phase=phase,
+        )
+
+    def _admit(
+        self,
+        handle_type,
+        enc_request: bytes,
+        user_id: str,
+        model_id: str,
+        exclude: Set[str],
+        decision: RouteDecision,
+    ):
+        """The one admission-time routing walk.
+
+        Picks an endpoint (batch-affinity hint, warm-pool hint, then the
+        router), launches its host if needed, enqueues the request there
+        (``handle_type`` selects ``host.submit`` vs ``host.open_stream``)
+        and returns the ``handle_type`` over the endpoint's handle.
+        ``exclude`` and ``decision`` are the caller's: :meth:`dispatch`
+        shares them across re-admissions so a crashed endpoint stays
+        excluded and the redispatch budget is global.
+
+        Backpressure is observed **once per admission** -- ``True`` when
+        any endpoint's queue was full on the way, ``False`` otherwise --
+        so sustained pressure scales the fleet out and an idle admission
+        resets the count.  Raises :class:`QueueFull` when the whole
+        fleet is saturated.
+        """
         saw_pressure = False
         pressure_observed = False
         warm_hint_tried = False
         grew_for_empty = False
         last_queue_full: Optional[QueueFull] = None
-        #: one shot at the batch-affinity hint per dispatch -- if the
+        #: one shot at the batch-affinity hint per admission -- if the
         #: remembered endpoint cannot take the request, the ordinary
         #: router decides and the hint is not retried
         affinity_hint = self._affinity.lookup(user_id, model_id)
         # Bounded walk: every iteration either excludes an endpoint,
-        # consumes a redispatch, or returns.
+        # consumes a redispatch, grows the fleet once, or returns.
         for _ in range(4 * (self.config.max_redispatch + self.pool.endpoint_count + 2)):
             decision.batch_affinity = False
             decision.warm_hint = False
@@ -343,17 +458,13 @@ class InferenceGateway:
                     )
             except RoutingError:
                 if last_queue_full is not None:
-                    # the whole fleet is saturated: one pressure
-                    # observation per dispatch, spawning only under
+                    # the whole fleet is saturated: spawn only under
                     # *sustained* backpressure.
-                    grew = False
-                    if self._pressure_armed() and not pressure_observed:
+                    if not pressure_observed:
                         pressure_observed = True
-                        if self._observe_pressure(True):
-                            grew = self._grow_fleet()
-                    if grew:
-                        last_queue_full = None
-                        continue
+                        if self._observe_pressure(True) and self._grow_fleet():
+                            last_queue_full = None
+                            continue
                     raise last_queue_full
                 endpoint = self._relaunch_candidate(exclude)
                 if endpoint is None:
@@ -382,16 +493,19 @@ class InferenceGateway:
             decision.cold = cold
             decision.cold_start_s = launch_s
             try:
-                ticket = host.submit(enc_request, user_id, model_id)
+                if handle_type is GatewayStream:
+                    inner = host.open_stream(enc_request, user_id, model_id)
+                else:
+                    inner = host.submit(enc_request, user_id, model_id)
             except QueueFull as exc:
                 saw_pressure = True
                 last_queue_full = exc
                 exclude.add(endpoint)
                 decision.reroutes += 1
                 continue
-            except (EnclaveError, TransportError) as exc:
+            except (EnclaveError, TransportError):
                 # the endpoint died at admission (e.g. an injected
-                # crash): nothing was dispatched, so only health and
+                # crash): nothing was enqueued, so only health and
                 # breaker state change.
                 self._note_endpoint_death(endpoint, breaker)
                 if (
@@ -401,7 +515,7 @@ class InferenceGateway:
                     decision.redispatches += 1
                     exclude.add(endpoint)
                     continue
-                raise exc
+                raise
             now = self._now()
             self.router.on_dispatch(endpoint, model_id, now)
             if self.warm_pool is not None:
@@ -411,232 +525,49 @@ class InferenceGateway:
             with self._lock:
                 self._in_flight += 1
             decision.exclusive = self._is_exclusive(endpoint, model_id)
-            try:
-                with maybe_span(
-                    self.tracer,
-                    "route",
-                    endpoint=endpoint,
-                    model_id=model_id,
-                    exclusive=decision.exclusive,
-                    reroutes=decision.reroutes,
-                    redispatches=decision.redispatches,
-                    cold=decision.cold,
-                    cold_start_s=decision.cold_start_s,
-                    temperature=decision.temperature,
-                    batch_affinity=decision.batch_affinity,
-                    warm_hint=decision.warm_hint,
-                ):
-                    output = ticket.result(timeout_s=timeout_s)
-            except Exception as exc:
-                self._finish(endpoint, model_id, ok=False)
-                if not host.enclave.alive:
-                    self._note_endpoint_death(endpoint, breaker)
-                elif breaker is not None:
-                    breaker.on_failure()
-                if (
-                    isinstance(exc, (EnclaveError, TransportError))
-                    and not isinstance(exc, QueueFull)
-                    and self.config.redispatch_on_crash
-                    and decision.redispatches < self.config.max_redispatch
-                ):
-                    decision.redispatches += 1
-                    exclude.add(endpoint)
-                    continue
-                raise
-            self._finish(endpoint, model_id, ok=True)
-            if breaker is not None:
-                breaker.on_success()
             if getattr(host, "batch_policy", None) is not None:
                 # only accumulator-armed endpoints benefit from keeping
-                # the pair's traffic together; plain endpoints keep the
-                # router's packing decision unbiased
+                # the pair's traffic together.  Remember at *admission*:
+                # followers submitted while this request is still queued
+                # are exactly the ones the accumulator can merge with it
+                # -- and for streams, the ones its continuous batcher
+                # can absorb mid-decode
                 self._affinity.remember(user_id, model_id, endpoint)
-            if self._pressure_armed() and not pressure_observed:
-                if self._observe_pressure(saw_pressure):
-                    self._grow_fleet()
-            return GatewayReply(output=output, decision=decision, host=host)
+            if not pressure_observed and self._observe_pressure(saw_pressure):
+                self._grow_fleet()
+            return handle_type(self, inner, endpoint, model_id, decision, host)
         raise RoutingError(
-            f"dispatch for {model_id!r} exhausted rerouting in pool "
+            f"admission for {model_id!r} exhausted rerouting in pool "
             f"{self.pool.name!r}"
         )
 
-    def submit(
-        self, enc_request: bytes, user_id: str, model_id: str
-    ) -> "GatewaySubmission":
-        """Admit one encrypted request and return a polling handle.
+    def _settle(
+        self,
+        handle: "GatewaySubmission",
+        error: Optional[BaseException],
+        cancelled: bool,
+    ) -> None:
+        """Close the books on one admitted request (runs exactly once).
 
-        The async face of :meth:`dispatch`: the same admission-time
-        routing walk (affinity hint, breaker exclusion, ``QueueFull``
-        reroute, crash redispatch) runs here, but instead of blocking
-        for the output the gateway returns a :class:`GatewaySubmission`
-        wrapping the endpoint's :class:`InferenceFuture`.  Rerouting is
-        **admission-time only** -- once the request sits in an
-        endpoint's queue, a later endpoint death surfaces through the
-        future rather than being silently redispatched (the service
-        tier owns that retry decision).
-
-        Raises :class:`QueueFull` when the whole fleet is saturated,
-        exactly like :meth:`dispatch`.
+        The settle hook of every gateway handle: releases the in-flight
+        slot, tells the router (and warm pool) how the dispatch ended,
+        and charges the endpoint's breaker -- or marks the endpoint dead
+        when its enclave did not survive.  A cancel is not an endpoint
+        failure: the router sees a completion and the breaker is left
+        untouched.
         """
-        handle, endpoint, decision, host, breaker = self._admit(
-            user_id,
-            model_id,
-            lambda host: host.submit(enc_request, user_id, model_id),
-            phase="admit",
-        )
-        return GatewaySubmission(
-            self, handle, endpoint, model_id, decision, host, breaker
-        )
-
-    def open_stream(
-        self, enc_request: bytes, user_id: str, model_id: str
-    ) -> "GatewayStream":
-        """Admit one autoregressive stream and return its frame handle.
-
-        The streaming face of :meth:`submit`: the identical admission
-        walk routes the sealed prompt, and the affinity hint doubles as
-        **stream-affinity routing** -- later streams for the same
-        ``<uid, model_id>`` pair are offered to the endpoint already
-        decoding that pair, which is what lets the endpoint's continuous
-        batcher merge them into its running group.  Rerouting is
-        admission-time only; once decoding starts, a mid-stream endpoint
-        death surfaces through the stream's iterator.
-        """
-        handle, endpoint, decision, host, breaker = self._admit(
-            user_id,
-            model_id,
-            lambda host: host.open_stream(enc_request, user_id, model_id),
-            phase="stream",
-        )
-        return GatewayStream(
-            self, handle, endpoint, model_id, decision, host, breaker
-        )
-
-    def _admit(self, user_id: str, model_id: str, admit, phase: str):
-        """The shared admission-time routing walk of submit/open_stream.
-
-        ``admit(host)`` performs the endpoint-local admission (enqueue a
-        future or open a stream) and its result is returned along with
-        the routing decision.  Raises :class:`QueueFull` when the whole
-        fleet is saturated.
-        """
-        exclude: Set[str] = set()
-        decision = RouteDecision(endpoint="")
-        pressure_observed = False
-        warm_hint_tried = False
-        grew_for_empty = False
-        last_queue_full: Optional[QueueFull] = None
-        affinity_hint = self._affinity.lookup(user_id, model_id)
-        for _ in range(4 * (self.config.max_redispatch + self.pool.endpoint_count + 2)):
-            decision.batch_affinity = False
-            decision.warm_hint = False
-            endpoint = None
-            if affinity_hint is not None:
-                hinted, affinity_hint = affinity_hint, None
-                if hinted not in exclude and any(
-                    name == hinted for name, _ in self.router.endpoints()
-                ):
-                    endpoint = hinted
-                    decision.batch_affinity = True
-            if endpoint is None and not warm_hint_tried:
-                warm_hint_tried = True
-                warm = self._warm_suggestion(model_id, exclude)
-                if warm is not None:
-                    endpoint = warm
-                    decision.warm_hint = True
-            try:
-                if endpoint is None:
-                    endpoint = self.router.route(
-                        model_id, self._now(), frozenset(exclude)
-                    )
-            except RoutingError:
-                if last_queue_full is not None:
-                    grew = False
-                    if self._pressure_armed() and not pressure_observed:
-                        pressure_observed = True
-                        if self._observe_pressure(True):
-                            grew = self._grow_fleet()
-                    if grew:
-                        last_queue_full = None
-                        continue
-                    raise last_queue_full
-                endpoint = self._relaunch_candidate(exclude)
-                if endpoint is None:
-                    if (
-                        self.warm_pool is not None
-                        and not grew_for_empty
-                        and not exclude
-                        and self._grow_fleet()
-                    ):
-                        grew_for_empty = True
-                        continue
-                    raise
-            breaker = self._breaker(endpoint)
-            if breaker is not None and breaker.state == "open":
-                exclude.add(endpoint)
-                decision.reroutes += 1
-                continue
-            try:
-                host, cold, launch_s = self._ensure_host(endpoint, exclude)
-            except _Reroute:
-                decision.reroutes += 1
-                continue
-            decision.endpoint = endpoint
-            decision.cold = cold
-            decision.cold_start_s = launch_s
-            try:
-                handle = admit(host)
-            except QueueFull as exc:
-                last_queue_full = exc
-                exclude.add(endpoint)
-                decision.reroutes += 1
-                continue
-            except (EnclaveError, TransportError) as exc:
-                self._note_endpoint_death(endpoint, breaker)
-                if (
-                    self.config.redispatch_on_crash
-                    and decision.redispatches < self.config.max_redispatch
-                ):
-                    decision.redispatches += 1
-                    exclude.add(endpoint)
-                    continue
-                raise exc
-            now = self._now()
-            self.router.on_dispatch(endpoint, model_id, now)
-            if self.warm_pool is not None:
-                decision.temperature = self.warm_pool.on_dispatch(
-                    endpoint, model_id, now, launched=cold
-                )
-            with self._lock:
-                self._in_flight += 1
-            decision.exclusive = self._is_exclusive(endpoint, model_id)
-            with maybe_span(
-                self.tracer,
-                "route",
-                endpoint=endpoint,
-                model_id=model_id,
-                exclusive=decision.exclusive,
-                reroutes=decision.reroutes,
-                redispatches=decision.redispatches,
-                cold=decision.cold,
-                cold_start_s=decision.cold_start_s,
-                temperature=decision.temperature,
-                batch_affinity=decision.batch_affinity,
-                warm_hint=decision.warm_hint,
-                phase=phase,
-            ):
-                pass  # admission-time decision span; serving runs async
-            if getattr(host, "batch_policy", None) is not None:
-                # remember at *admission*: followers submitted while this
-                # request is still queued are exactly the ones the
-                # accumulator can merge with it -- and for streams, the
-                # ones its continuous batcher can absorb mid-decode
-                self._affinity.remember(user_id, model_id, endpoint)
-            return handle, endpoint, decision, host, breaker
-        raise RoutingError(
-            f"{phase} for {model_id!r} exhausted rerouting in pool "
-            f"{self.pool.name!r}"
-        )
+        ok = cancelled or error is None
+        self._finish(handle.endpoint, handle.model_id, ok=ok)
+        if cancelled:
+            return
+        breaker = self._breaker(handle.endpoint)
+        if ok:
+            if breaker is not None:
+                breaker.on_success()
+        elif not handle.host.enclave.alive:
+            self._note_endpoint_death(handle.endpoint, breaker)
+        elif breaker is not None:
+            breaker.on_failure()
 
     def _finish(self, endpoint: str, model_id: str, ok: bool) -> None:
         now = self._now()
@@ -663,8 +594,8 @@ class InferenceGateway:
         """The live host for ``endpoint`` (default: the sole/first one).
 
         Launches it cold when missing or dead; returns ``(host, cold)``.
-        This is the direct-access path ``UserSession.infer_many`` uses
-        to pipeline a batch onto one endpoint's TCS-slot scheduler.
+        Requests never take this path -- it exists for callers that
+        pre-launch or introspect an endpoint (benchmark warm-up).
         """
         if endpoint is None:
             endpoint = self.router.endpoints()[0][0]
@@ -898,253 +829,55 @@ class InferenceGateway:
         self.close()
 
 
-class GatewaySubmission:
+class _Routed:
+    """What the gateway adds to a derived handle: the route and the settle."""
+
+    def __init__(
+        self,
+        gateway: InferenceGateway,
+        inner,
+        endpoint: str,
+        model_id: str,
+        decision: RouteDecision,
+        host: SemirtHost,
+    ) -> None:
+        super().__init__(inner)
+        self._gateway = gateway
+        self.endpoint = endpoint
+        self.model_id = model_id
+        self.decision = decision
+        self.host = host
+
+    def _on_settle(self, error: Optional[BaseException], cancelled: bool) -> None:
+        self._gateway._settle(self, error, cancelled)
+
+
+class GatewaySubmission(_Routed, DerivedHandle):
     """An admitted async request: poll, wait, or cancel.
 
-    Returned by :meth:`InferenceGateway.submit`.  Wraps the endpoint's
-    :class:`~repro.core.semirt.InferenceFuture` and settles the
-    gateway's routing state (in-flight count, router completion,
-    breaker, endpoint-death marking) **exactly once**, whichever of
-    :meth:`result` / :meth:`cancel` resolves it first -- so the async
+    Returned by :meth:`InferenceGateway.submit`.  A
+    :class:`~repro.core.futures.DerivedHandle` over the endpoint's
+    :class:`~repro.core.semirt.InferenceFuture` (``inner``) carrying the
+    routing outcome (``endpoint``, ``decision``, ``host``); whichever of
+    :meth:`result` / :meth:`cancel` first observes the outcome settles
+    the gateway's routing state (in-flight count, router completion,
+    breaker, endpoint-death marking) **exactly once** -- so the async
     surface keeps the same fleet accounting as the blocking one.
     """
 
-    def __init__(
-        self,
-        gateway: InferenceGateway,
-        future: InferenceFuture,
-        endpoint: str,
-        model_id: str,
-        decision: RouteDecision,
-        host: SemirtHost,
-        breaker: Optional[CircuitBreaker],
-    ) -> None:
-        self._gateway = gateway
-        self.future = future
-        self.endpoint = endpoint
-        self.model_id = model_id
-        self.decision = decision
-        self.host = host
-        self._breaker = breaker
-        self._settled = False
-        self._settle_lock = threading.Lock()
 
-    @property
-    def ticket(self) -> Optional[int]:
-        """The endpoint-assigned observability id (service request ids)."""
-        return self.future.ticket
-
-    def done(self) -> bool:
-        """True once the outcome is sealed (successfully or not)."""
-        return self.future.done()
-
-    def wait(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until the outcome is sealed; ``False`` on timeout.
-
-        Non-consuming (see :meth:`InferenceFuture.wait`): settle still
-        happens in :meth:`result`/:meth:`cancel`.
-        """
-        return self.future.wait(timeout_s)
-
-    def cancelled(self) -> bool:
-        """True when cancellation was requested and won."""
-        return self.future.cancelled()
-
-    def cancel(self) -> bool:
-        """Cancel the request; ``False`` once the outcome is sealed.
-
-        On ``True`` the endpoint scheduler guarantees the request's
-        enclave execution context is released (``EC_CLEAR_EXEC_CTX``)
-        before :class:`~repro.errors.RequestCancelled` surfaces from
-        :meth:`result`.  A cancel is not an endpoint failure: the
-        router sees a completion and the breaker is left untouched.
-        """
-        ok = self.future.cancel()
-        if ok:
-            self._settle(ok=True, touch_breaker=False)
-        return ok
-
-    def result(self, timeout_s: Optional[float] = None) -> bytes:
-        """Block for the sealed output; re-raises the serving failure.
-
-        A ``timeout_s`` expiry raises
-        :class:`~repro.errors.DeadlineExceeded` *without* settling the
-        submission -- the request is still in flight and can be polled
-        again or cancelled (the repo-wide wait rule, docs/service.md).
-        """
-        try:
-            output = self.future.result(timeout_s)
-        except RequestCancelled:
-            self._settle(ok=True, touch_breaker=False)
-            raise
-        except DeadlineExceeded:
-            if not self.future.done():
-                raise  # poll timeout: still in flight, nothing settles
-            self._settle(ok=False)
-            raise
-        except Exception:
-            self._settle(ok=False)
-            raise
-        self._settle(ok=True)
-        return output
-
-    def _settle(self, ok: bool, touch_breaker: bool = True) -> None:
-        with self._settle_lock:
-            if self._settled:
-                return
-            self._settled = True
-        gateway = self._gateway
-        gateway._finish(self.endpoint, self.model_id, ok=ok)
-        if not touch_breaker:
-            return
-        if ok:
-            if self._breaker is not None:
-                self._breaker.on_success()
-        elif not self.host.enclave.alive:
-            gateway._note_endpoint_death(self.endpoint, self._breaker)
-        elif self._breaker is not None:
-            self._breaker.on_failure()
-
-
-class GatewayStream:
+class GatewayStream(_Routed, DerivedStream):
     """An admitted autoregressive stream: iterate frames, wait, or cancel.
 
-    Returned by :meth:`InferenceGateway.open_stream`.  Wraps the
-    endpoint's :class:`~repro.core.semirt.InferenceStream` and settles
-    the gateway's routing state exactly once, the same accounting rule
-    as :class:`GatewaySubmission`: whichever of iterator exhaustion /
-    :meth:`result` / :meth:`cancel` resolves the stream first marks the
-    dispatch complete (or the endpoint dead).  Satisfies the
-    :class:`~repro.core.futures.Future` protocol -- ``result()`` blocks
-    for the full sealed frame sequence.
+    Returned by :meth:`InferenceGateway.open_stream`.  A
+    :class:`~repro.core.futures.DerivedStream` over the endpoint's
+    :class:`~repro.core.semirt.InferenceStream` with the same routing
+    attributes and the same exactly-once settle as
+    :class:`GatewaySubmission`: iterator exhaustion, :meth:`result` or
+    :meth:`cancel`, whichever resolves the stream first, marks the
+    dispatch complete (or the endpoint dead).  ``result()`` blocks for
+    the full sealed frame sequence.
     """
-
-    def __init__(
-        self,
-        gateway: InferenceGateway,
-        stream: InferenceStream,
-        endpoint: str,
-        model_id: str,
-        decision: RouteDecision,
-        host: SemirtHost,
-        breaker: Optional[CircuitBreaker],
-    ) -> None:
-        self._gateway = gateway
-        self.stream = stream
-        self.endpoint = endpoint
-        self.model_id = model_id
-        self.decision = decision
-        self.host = host
-        self._breaker = breaker
-        self._settled = False
-        self._settle_lock = threading.Lock()
-
-    @property
-    def ticket(self) -> Optional[int]:
-        """The endpoint-assigned observability id (service request ids)."""
-        return self.stream.ticket
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Admission-to-first-frame latency, once the first frame landed."""
-        return self.stream.ttft_s
-
-    @property
-    def tokens_per_s(self) -> Optional[float]:
-        """Decode throughput over the frames delivered so far."""
-        return self.stream.tokens_per_s
-
-    @property
-    def token_count(self) -> int:
-        return self.stream.token_count
-
-    def done(self) -> bool:
-        """True once the stream is terminal (finished, failed, cancelled)."""
-        return self.stream.done()
-
-    def wait(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until the stream is terminal; ``False`` on timeout."""
-        return self.stream.wait(timeout_s)
-
-    def cancelled(self) -> bool:
-        """True when cancellation was requested and won."""
-        return self.stream.cancelled()
-
-    def cancel(self) -> bool:
-        """Cancel the stream; ``False`` once it is already terminal.
-
-        The endpoint's continuous batcher drops the member at the next
-        decode step and closes its enclave stream context
-        (``EC_STREAM_CLOSE``), releasing the KV cache.  A cancel is not
-        an endpoint failure: the router sees a completion and the
-        breaker is left untouched.
-        """
-        ok = self.stream.cancel()
-        if ok:
-            self._settle(ok=True, touch_breaker=False)
-        return ok
-
-    def __iter__(self):
-        """Yield sealed token frames as the endpoint decodes them.
-
-        Exhaustion settles the dispatch as a success; a mid-stream
-        failure settles it as an endpoint failure and re-raises.
-        """
-        frames = iter(self.stream)
-        while True:
-            try:
-                frame = next(frames)
-            except StopIteration:
-                self._settle(ok=True)
-                return
-            except RequestCancelled:
-                self._settle(ok=True, touch_breaker=False)
-                raise
-            except Exception:
-                self._settle(ok=False)
-                raise
-            yield frame
-
-    def result(self, timeout_s: Optional[float] = None) -> List[bytes]:
-        """Block for the full frame sequence; re-raises the failure.
-
-        A ``timeout_s`` expiry raises
-        :class:`~repro.errors.DeadlineExceeded` *without* settling --
-        the stream is still decoding and can be polled again or
-        cancelled (the repo-wide wait rule, docs/service.md).
-        """
-        try:
-            frames = self.stream.result(timeout_s)
-        except RequestCancelled:
-            self._settle(ok=True, touch_breaker=False)
-            raise
-        except DeadlineExceeded:
-            if not self.stream.done():
-                raise  # poll timeout: still decoding, nothing settles
-            self._settle(ok=False)
-            raise
-        except Exception:
-            self._settle(ok=False)
-            raise
-        self._settle(ok=True)
-        return frames
-
-    def _settle(self, ok: bool, touch_breaker: bool = True) -> None:
-        with self._settle_lock:
-            if self._settled:
-                return
-            self._settled = True
-        gateway = self._gateway
-        gateway._finish(self.endpoint, self.model_id, ok=ok)
-        if not touch_breaker:
-            return
-        if ok:
-            if self._breaker is not None:
-                self._breaker.on_success()
-        elif not self.host.enclave.alive:
-            gateway._note_endpoint_death(self.endpoint, self._breaker)
-        elif self._breaker is not None:
-            self._breaker.on_failure()
 
 
 class _Reroute(Exception):

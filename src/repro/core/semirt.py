@@ -63,6 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batching import BatchPolicy
+from repro.core.futures import OutcomeCell
 from repro.core.stages import InvocationPlan, SemirtCacheState, Stage, plan_invocation
 from repro.core import wire
 from repro.core.wire import WireError
@@ -70,7 +71,6 @@ from repro.crypto.gcm import AESGCM, SessionCipher
 from repro.errors import (
     AccessDenied,
     CryptoError,
-    DeadlineExceeded,
     EnclaveError,
     FaultInjected,
     InvocationError,
@@ -984,126 +984,55 @@ class SemirtEnclaveCode(EnclaveCode):
         return wire.loads(channel.recv(reply_cipher))
 
 
-class InferenceFuture:
+class _Admitted(OutcomeCell):
+    """The outcome cell plus what the scheduler knows about one request."""
+
+    def __init__(self, enc_request: bytes, uid: str, model_id: str) -> None:
+        super().__init__()
+        self.uid = uid
+        self.model_id = model_id
+        self._enc_request = enc_request
+        #: host-assigned monotonic id for observability (span attributes,
+        #: service-tier request ids) -- **not** a result handle
+        self.ticket: Optional[int] = None
+        #: ambient span at submit time; the worker re-parents under it
+        self._parent = None
+        #: the TCS slot that served this request (set by the worker)
+        self.tcs_slot: Optional[int] = None
+        #: seconds spent in the admission queue (set by the worker)
+        self.queue_wait: Optional[float] = None
+
+
+class InferenceFuture(_Admitted):
     """A submitted request's handle: resolves to the sealed output.
 
-    Returned immediately by :meth:`SemirtHost.submit`; :meth:`result`
-    blocks until the TCS scheduler has served the request (or failed
-    it, in which case the worker's exception re-raises here).
+    Returned immediately by :meth:`SemirtHost.submit`.  It *is* the
+    :class:`~repro.core.futures.OutcomeCell` (``result`` / ``done`` /
+    ``wait`` / ``cancel`` / ``cancelled``) plus the request's metadata:
+    :meth:`result` blocks until the TCS scheduler has served the request
+    (or failed it, in which case the worker's exception re-raises).
 
     :meth:`cancel` asks the scheduler to drop the request.  A request
     cancelled before its output was delivered resolves to
     :class:`~repro.errors.RequestCancelled`, and the scheduler releases
     its enclave execution context (``EC_CLEAR_EXEC_CTX``) before the
     error surfaces -- a cancelled request never leaks a context slot.
-    Once :meth:`done` is true the outcome is sealed and :meth:`cancel`
-    returns ``False``.
-
-    ``ticket`` is a host-assigned monotonic id kept for observability
-    (span attributes, service-tier request ids); it is **not** a result
-    handle -- resolve the future itself.
     """
 
-    def __init__(self, enc_request: bytes, uid: str, model_id: str) -> None:
-        self.uid = uid
-        self.model_id = model_id
-        self._enc_request = enc_request
-        self._done = threading.Event()
-        self._output: Optional[bytes] = None
-        self._error: Optional[BaseException] = None
-        self._state_lock = threading.Lock()
-        self._cancelled = False
-        #: monotonic id for observability (set by :meth:`SemirtHost.submit`)
-        self.ticket: Optional[int] = None
-        #: ambient span at submit time; the worker re-parents under it
-        self._parent = None
-        self._enqueued_at = time.monotonic()
-        #: the TCS slot that served this request (set by the worker)
-        self.tcs_slot: Optional[int] = None
-        #: seconds spent in the admission queue (set by the worker)
-        self.queue_wait: Optional[float] = None
-
-    def done(self) -> bool:
-        """True once the request has completed (successfully or not)."""
-        return self._done.is_set()
-
-    def cancelled(self) -> bool:
-        """True when cancellation was requested (and not lost to a result)."""
-        with self._state_lock:
-            return self._cancelled
-
-    def cancel(self) -> bool:
-        """Request cancellation; ``False`` when the outcome is already sealed.
-
-        Returning ``True`` guarantees :meth:`result` raises
-        :class:`~repro.errors.RequestCancelled` and the request's enclave
-        execution context has been (or will be, before the error
-        surfaces) cleared via ``EC_CLEAR_EXEC_CTX``.
-        """
-        with self._state_lock:
-            if self._done.is_set():
-                return False
-            self._cancelled = True
-            return True
-
-    def wait(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until the outcome is sealed; ``False`` on timeout.
-
-        Unlike :meth:`result` this neither consumes nor re-raises --
-        the service tier long-polls with it before deciding whether to
-        deliver the output or replay a terminal error.
-        """
-        return self._done.wait(timeout_s)
-
-    def result(self, timeout_s: Optional[float] = None) -> bytes:
-        """Block for the sealed output; re-raises the worker's failure.
-
-        ``timeout_s`` follows the repo-wide rule (docs/service.md):
-        every user-facing wait takes ``timeout_s``, seconds, ``None``
-        meaning wait forever, :class:`~repro.errors.DeadlineExceeded`
-        on expiry.
-        """
-        if not self._done.wait(timeout_s):
-            raise DeadlineExceeded(
-                f"request for model {self.model_id!r} not served within {timeout_s}s"
-            )
-        if self._error is not None:
-            raise self._error
-        assert self._output is not None
-        return self._output
-
-    def _cancel_requested(self) -> bool:
-        with self._state_lock:
-            return self._cancelled
-
-    def _complete(self, output: bytes) -> None:
-        with self._state_lock:
-            if self._cancelled:
-                # cancel() already promised RequestCancelled; the serving
-                # worker cleared the execution context on its way here
-                self._error = RequestCancelled(
-                    f"request for model {self.model_id!r} was cancelled"
-                )
-            else:
-                self._output = output
-            self._done.set()
-
-    def _fail(self, error: BaseException) -> None:
-        with self._state_lock:
-            self._error = error
-            self._done.set()
+    def _what(self) -> str:
+        return f"request for model {self.model_id!r}"
 
 
-class InferenceStream:
+class InferenceStream(_Admitted):
     """A live autoregressive stream: sealed token frames as they decode.
 
-    Returned immediately by :meth:`SemirtHost.open_stream`.  Iterating
-    yields sealed frames in order as the decode loop emits them (the
-    consumer decrypts each with
-    :meth:`~repro.core.client.UserClient.decrypt_frame`);
-    :meth:`result` blocks for the complete frame sequence, which makes a
-    stream satisfy the :class:`~repro.core.futures.Future` protocol --
-    the one-shot view of a streaming request.
+    Returned immediately by :meth:`SemirtHost.open_stream`.  The same
+    :class:`~repro.core.futures.OutcomeCell` as :class:`InferenceFuture`,
+    used as a stream: iterating yields sealed frames in order as the
+    decode loop pushes them (the consumer decrypts each with
+    :meth:`~repro.core.client.UserClient.decrypt_frame`) and
+    :meth:`result` blocks for the complete frame sequence -- the
+    one-shot view of a streaming request.
 
     :meth:`cancel` stops generation between decode steps: the group
     leader closes the enclave stream context (``EC_STREAM_CLOSE``
@@ -1114,153 +1043,37 @@ class InferenceStream:
     arrival times -- the observability the streaming benchmark reports.
     """
 
-    def __init__(self, enc_request: bytes, uid: str, model_id: str) -> None:
-        self.uid = uid
-        self.model_id = model_id
-        self._enc_request = enc_request
-        self._cv = threading.Condition()
-        self._frames: List[bytes] = []
-        self._finished = False
-        self._error: Optional[BaseException] = None
-        self._cancelled = False
-        #: monotonic id for observability (set by :meth:`SemirtHost.open_stream`)
-        self.ticket: Optional[int] = None
-        #: ambient span at submit time; the leader re-parents under it
-        self._parent = None
-        self._enqueued_at = time.monotonic()
-        #: the TCS slot whose leader admitted this stream
-        self.tcs_slot: Optional[int] = None
-        #: seconds spent in the admission queue (set by the worker)
-        self.queue_wait: Optional[float] = None
-        self._first_frame_at: Optional[float] = None
-        self._last_frame_at: Optional[float] = None
-
-    # -- the Future protocol -------------------------------------------------------
-
-    def done(self) -> bool:
-        """True once the stream has drained, failed, or been cancelled."""
-        with self._cv:
-            return self._terminal()
-
-    def cancelled(self) -> bool:
-        """True when cancellation was requested (and not lost to completion)."""
-        with self._cv:
-            return self._cancelled
-
-    def cancel(self) -> bool:
-        """Request cancellation; ``False`` when the stream already ended.
-
-        Returning ``True`` guarantees iteration/:meth:`result` raises
-        :class:`~repro.errors.RequestCancelled` and the stream's enclave
-        context (KV cache included) has been -- or will be, before the
-        error surfaces -- released via ``EC_STREAM_CLOSE``.
-        """
-        with self._cv:
-            if self._terminal():
-                return False
-            self._cancelled = True
-            return True
-
-    def wait(self, timeout_s: Optional[float] = None) -> bool:
-        """Block until the stream is terminal; ``False`` on timeout."""
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        with self._cv:
-            while not self._terminal():
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._cv.wait(remaining)
-            return True
+    def _what(self) -> str:
+        return f"stream for model {self.model_id!r}"
 
     def result(self, timeout_s: Optional[float] = None) -> List[bytes]:
-        """Block for the full sealed-frame sequence; re-raise any failure.
-
-        The ``Future`` view of a stream: where ``InferenceFuture.result``
-        returns one sealed output, this returns the ordered list of
-        sealed token frames.  ``timeout_s`` follows the repo-wide rule
-        (:class:`~repro.errors.DeadlineExceeded` on expiry).
-        """
-        if not self.wait(timeout_s):
-            raise DeadlineExceeded(
-                f"stream for model {self.model_id!r} not drained within {timeout_s}s"
-            )
-        with self._cv:
-            if self._error is not None:
-                raise self._error
-            return list(self._frames)
-
-    # -- streaming consumption -----------------------------------------------------
+        """Block for the full sealed-frame sequence; re-raise any failure."""
+        super().result(timeout_s)
+        return list(self._items)
 
     def __iter__(self):
         """Yield sealed frames in decode order, blocking between steps."""
-        index = 0
-        while True:
-            with self._cv:
-                while index >= len(self._frames) and not self._terminal():
-                    self._cv.wait()
-                if index < len(self._frames):
-                    frame = self._frames[index]
-                elif self._error is not None:
-                    raise self._error
-                else:
-                    return
-            index += 1
-            yield frame
+        return self.items()
 
     @property
     def token_count(self) -> int:
         """Frames delivered so far (grows while the stream decodes)."""
-        with self._cv:
-            return len(self._frames)
+        return len(self._items)
 
     @property
     def ttft_s(self) -> Optional[float]:
         """Seconds from submission to the first frame (None before it)."""
-        with self._cv:
-            if self._first_frame_at is None:
-                return None
-            return self._first_frame_at - self._enqueued_at
+        first = self._first_at
+        return None if first is None else first - self.created_at
 
     @property
     def tokens_per_s(self) -> Optional[float]:
         """Decode throughput over the frames delivered so far."""
         with self._cv:
-            if self._first_frame_at is None or self._last_frame_at is None:
-                return None
-            elapsed = self._last_frame_at - self._enqueued_at
-            if elapsed <= 0:
-                return None
-            return len(self._frames) / elapsed
-
-    # -- scheduler side ------------------------------------------------------------
-
-    def _terminal(self) -> bool:
-        return self._finished or self._error is not None
-
-    def _cancel_requested(self) -> bool:
-        with self._cv:
-            return self._cancelled
-
-    def _push(self, frame: bytes) -> None:
-        with self._cv:
-            now = time.monotonic()
-            if self._first_frame_at is None:
-                self._first_frame_at = now
-            self._last_frame_at = now
-            self._frames.append(frame)
-            self._cv.notify_all()
-
-    def _finish(self) -> None:
-        with self._cv:
-            if not self._terminal():
-                self._finished = True
-            self._cv.notify_all()
-
-    def _fail(self, error: BaseException) -> None:
-        with self._cv:
-            if not self._terminal():
-                self._error = error
-            self._cv.notify_all()
+            count, last = len(self._items), self._last_at
+        if last is None or last <= self.created_at:
+            return None
+        return count / (last - self.created_at)
 
 
 class _FormingBatch:
@@ -1312,10 +1125,10 @@ class SemirtHost:
     request hits.  Everything it relays is ciphertext.
 
     Requests are served by the **TCS-slot scheduler**: one worker thread
-    per TCS, fed from a bounded admission queue.  :meth:`submit` /
-    :meth:`result` are the asynchronous entry points (how ``infer_many``
-    keeps a multi-TCS enclave full); :meth:`infer` is the blocking
-    composition.
+    per TCS, fed from a bounded admission queue.  :meth:`submit` and
+    :meth:`open_stream` are the asynchronous entry points (how
+    ``infer_many`` keeps a multi-TCS enclave full); :meth:`infer` is the
+    blocking composition.
     """
 
     def __init__(
@@ -1465,14 +1278,10 @@ class SemirtHost:
                 return
             future = item
             future.tcs_slot = slot
-            future.queue_wait = time.monotonic() - future._enqueued_at
-            if future._cancel_requested():
+            future.queue_wait = time.monotonic() - future.created_at
+            if future.cancel_requested():
                 # never reached the enclave: no context to clear
-                future._fail(
-                    RequestCancelled(
-                        f"request for model {future.model_id!r} was cancelled"
-                    )
-                )
+                future.set_cancelled()
                 continue
             if isinstance(future, InferenceStream):
                 self._handle_stream(future, slot)
@@ -1486,9 +1295,9 @@ class SemirtHost:
         try:
             output = self._serve(future, slot)
         except BaseException as exc:  # noqa: BLE001 - relayed to the waiter
-            future._fail(exc)
+            future.set_error(exc)
         else:
-            future._complete(output)
+            future.set_result(output)
 
     # -- the batch accumulator (armed by SchedulerConfig.batch) --------------------
 
@@ -1561,12 +1370,8 @@ class SemirtHost:
             members = list(batch.members)
         live: List[InferenceFuture] = []
         for member in members:
-            if member._cancel_requested():
-                member._fail(
-                    RequestCancelled(
-                        f"request for model {member.model_id!r} was cancelled"
-                    )
-                )
+            if member.cancel_requested():
+                member.set_cancelled()
             else:
                 live.append(member)
         if not live:
@@ -1580,13 +1385,13 @@ class SemirtHost:
             # the leader dies mid-batch: followers must never hang
             self.destroy()
             for member in live:
-                member._fail(FaultInjected("semirt enclave crashed mid-batch ECALL"))
+                member.set_error(FaultInjected("semirt enclave crashed mid-batch ECALL"))
             return
         try:
             self._reserve_contexts(len(live))
         except BaseException as exc:  # noqa: BLE001 - relayed to the waiters
             for member in live:
-                member._fail(exc)
+                member.set_error(exc)
             return
         try:
             self._serve_batch(live, slot)
@@ -1594,7 +1399,7 @@ class SemirtHost:
             self._release_contexts(len(live))
             if not self.enclave.alive:
                 for member in live:
-                    member._fail(exc)
+                    member.set_error(exc)
                 return
             # the batch ECALL failed but the enclave survived (e.g. one
             # member's payload refused to authenticate): re-dispatch the
@@ -1648,16 +1453,12 @@ class SemirtHost:
             for member, handle in zip(members, handles):
                 member.tcs_slot = slot
                 try:
-                    if member._cancel_requested():
+                    if member.cancel_requested():
                         with maybe_span(
                             self.tracer, "ecall:EC_CLEAR_EXEC_CTX", tcs_slot=slot
                         ):
                             self.enclave.ecall("EC_CLEAR_EXEC_CTX", handle)
-                        member._fail(
-                            RequestCancelled(
-                                f"request for model {member.model_id!r} was cancelled"
-                            )
-                        )
+                        member.set_cancelled()
                         continue
                     with maybe_span(
                         self.tracer, "ecall:EC_GET_OUTPUT", tcs_slot=slot
@@ -1668,9 +1469,9 @@ class SemirtHost:
                     ):
                         self.enclave.ecall("EC_CLEAR_EXEC_CTX", handle)
                 except BaseException as exc:  # noqa: BLE001 - this member only
-                    member._fail(exc)
+                    member.set_error(exc)
                 else:
-                    member._complete(output)
+                    member.set_result(output)
         self._note_served(leader.uid, leader.model_id)
 
     def _reserve_contexts(self, n: int, timeout_s: float = 30.0) -> None:
@@ -1791,14 +1592,14 @@ class SemirtHost:
             # leads a fresh group for it
             for stream in stranded:
                 if not self.enclave.alive:
-                    stream._fail(
+                    stream.set_error(
                         EnclaveError(f"{self.enclave.enclave_id} is destroyed")
                     )
                     continue
                 try:
                     self._queue.put_nowait(stream)
                 except queue_module.Full:
-                    stream._fail(
+                    stream.set_error(
                         QueueFull(
                             "admission queue full while re-queuing a stream joiner"
                         )
@@ -1809,13 +1610,9 @@ class SemirtHost:
     ) -> None:
         """Open one stream in-enclave (prefill) and push its first frame."""
         stream.tcs_slot = slot
-        if stream._cancel_requested():
+        if stream.cancel_requested():
             # never reached the enclave: no stream context to close
-            stream._fail(
-                RequestCancelled(
-                    f"stream for model {stream.model_id!r} was cancelled"
-                )
-            )
+            stream.set_cancelled()
             return
         attach = (
             self.tracer.attach(stream._parent)
@@ -1844,11 +1641,11 @@ class SemirtHost:
                     # the whole prompt), whatever the group size
                     self._pace(started, started_cpu)
             except BaseException as exc:  # noqa: BLE001 - this stream only
-                stream._fail(exc)
+                stream.set_error(exc)
                 return
-        stream._push(frame)
+        stream.push(frame)
         if done:
-            stream._finish()
+            stream.set_result()
         else:
             with self._batch_cv:
                 group.members.append((ticket, stream))
@@ -1858,7 +1655,7 @@ class SemirtHost:
         """Release cancelled members' enclave contexts, then drop them."""
         live: List[Tuple[int, InferenceStream]] = []
         for ticket, stream in group.members:
-            if not stream._cancel_requested():
+            if not stream.cancel_requested():
                 live.append((ticket, stream))
                 continue
             try:
@@ -1868,11 +1665,7 @@ class SemirtHost:
                     self.enclave.ecall("EC_STREAM_CLOSE", ticket)
             except BaseException:  # noqa: BLE001 - enclave died; context gone with it
                 pass
-            stream._fail(
-                RequestCancelled(
-                    f"stream for model {stream.model_id!r} was cancelled"
-                )
-            )
+            stream.set_cancelled()
         with self._batch_cv:
             group.members = live
 
@@ -1907,9 +1700,9 @@ class SemirtHost:
                 self._pace(started, started_cpu, size=size)
         live: List[Tuple[int, InferenceStream]] = []
         for (ticket, stream), (frame, done) in zip(members, results):
-            stream._push(frame)
+            stream.push(frame)
             if done:
-                stream._finish()
+                stream.set_result()
             else:
                 live.append((ticket, stream))
         with self._batch_cv:
@@ -1924,9 +1717,9 @@ class SemirtHost:
             members, group.members = group.members, []
             joiners, group.joiners = group.joiners, []
         for _, stream in members:
-            stream._fail(error)
+            stream.set_error(error)
         for stream in joiners:
-            stream._fail(error)
+            stream.set_error(error)
 
     # -- the single-request ECALL cycle ---------------------------------------------
 
@@ -1956,7 +1749,7 @@ class SemirtHost:
                         future.model_id,
                     )
                     self._pace(started, started_cpu)
-                if future._cancel_requested():
+                if future.cancel_requested():
                     # cancelled after the context was created: clear it
                     # before RequestCancelled surfaces (the cancel() API
                     # contract), never fetching the output
@@ -2018,27 +1811,7 @@ class SemirtHost:
         :class:`~repro.errors.FaultInjected` when the attached fault
         injector crashes the enclave at this site.
         """
-        if self._injector is not None and self._injector.crash_enclave("semirt"):
-            # the instance dies mid-ECALL: all warm/hot state (model,
-            # key cache, runtimes, KeyService channels) is gone and the
-            # next request must take the cold path on a fresh enclave
-            self.destroy()
-            raise FaultInjected("semirt enclave crashed mid-ECALL")
-        if not self.enclave.alive:
-            raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
-        self._ensure_workers()
-        future = InferenceFuture(enc_request, uid, model_id)
-        future.ticket = next(self._ticket_ids)
-        if self.tracer is not None:
-            future._parent = self.tracer.current_span()
-        try:
-            self._queue.put_nowait(future)
-        except queue_module.Full:
-            raise QueueFull(
-                f"admission queue full ({self.scheduler.queue_depth} waiting); "
-                "drain results or raise SchedulerConfig.queue_depth"
-            ) from None
-        return future
+        return self._enqueue(InferenceFuture(enc_request, uid, model_id))
 
     def open_stream(
         self, enc_request: bytes, uid: str, model_id: str
@@ -2053,42 +1826,30 @@ class SemirtHost:
         decode.  Backpressure (:class:`~repro.errors.QueueFull`) and the
         ``semirt`` crash fault site behave exactly as for :meth:`submit`.
         """
+        return self._enqueue(InferenceStream(enc_request, uid, model_id))
+
+    def _enqueue(self, handle):
+        """The one admission path: stamp the handle, hand it to a worker."""
         if self._injector is not None and self._injector.crash_enclave("semirt"):
+            # the instance dies mid-ECALL: all warm/hot state (model,
+            # key cache, runtimes, KeyService channels) is gone and the
+            # next request must take the cold path on a fresh enclave
             self.destroy()
             raise FaultInjected("semirt enclave crashed mid-ECALL")
         if not self.enclave.alive:
             raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
         self._ensure_workers()
-        stream = InferenceStream(enc_request, uid, model_id)
-        stream.ticket = next(self._ticket_ids)
+        handle.ticket = next(self._ticket_ids)
         if self.tracer is not None:
-            stream._parent = self.tracer.current_span()
+            handle._parent = self.tracer.current_span()
         try:
-            self._queue.put_nowait(stream)
+            self._queue.put_nowait(handle)
         except queue_module.Full:
             raise QueueFull(
                 f"admission queue full ({self.scheduler.queue_depth} waiting); "
                 "drain results or raise SchedulerConfig.queue_depth"
             ) from None
-        return stream
-
-    def result(
-        self,
-        future: InferenceFuture,
-        timeout_s: Optional[float] = None,
-    ) -> bytes:
-        """Block for a submitted request's sealed output.
-
-        Convenience composition over the :class:`InferenceFuture`
-        returned by :meth:`submit` (the raw int-ticket surface of the
-        pre-futures API is gone -- futures are the only handle).
-        """
-        if not isinstance(future, InferenceFuture):
-            raise InvocationError(
-                "SemirtHost.result takes the InferenceFuture returned by "
-                "submit(); the raw int-ticket surface was removed"
-            )
-        return future.result(timeout_s)
+        return handle
 
     def infer(self, enc_request: bytes, uid: str, model_id: str) -> bytes:
         """Serve one request synchronously: submit + result."""
@@ -2126,7 +1887,7 @@ class SemirtHost:
                 item = self._queue.get_nowait()
             except queue_module.Empty:
                 break
-            item._fail(
+            item.set_error(
                 EnclaveError(f"{self.enclave.enclave_id} is destroyed")
             )
         for _ in workers:

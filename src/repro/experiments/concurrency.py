@@ -134,7 +134,7 @@ def _queue_sweep(
             except QueueFull:
                 rejected += 1
         for ticket in tickets:
-            host.result(ticket)
+            ticket.result()
         host.destroy()
         rows.append(
             {

@@ -28,7 +28,6 @@ import socket
 import struct
 import threading
 import time
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Union
 from urllib.parse import urlencode, urlsplit
 
@@ -36,10 +35,9 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.client import UserClient
+from repro.core.futures import gather_windowed
 from repro.errors import (
     DeadlineExceeded,
-    InvocationError,
-    QueueFull,
     SeSeMIError,
     TransportError,
     from_wire,
@@ -481,33 +479,12 @@ class RemoteSession:
         session feeds the batch window exactly like the in-process one.
         ``QueueFull`` (service shed *or* fleet saturation) drains the
         oldest in-flight future and retries -- the batch absorbs its
-        own backpressure.
+        own backpressure
+        (:func:`~repro.core.futures.gather_windowed`).
         """
         if window is None:
             window = self.handle.feed_window
-        window = max(1, window)
-        results: List[Optional[np.ndarray]] = [None] * len(xs)
-        in_flight: deque = deque()  # (input index, RemoteFuture)
-
-        def collect_oldest() -> None:
-            idx, future = in_flight.popleft()
-            results[idx] = future.result()
-
-        for idx, x in enumerate(xs):
-            while len(in_flight) >= window:
-                collect_oldest()
-            while True:
-                try:
-                    future = self.submit(x)
-                    break
-                except QueueFull:
-                    if not in_flight:
-                        raise
-                    collect_oldest()
-            in_flight.append((idx, future))
-        while in_flight:
-            collect_oldest()
-        return results
+        return gather_windowed(self.submit, xs, lambda _first: window)
 
     def _span_headers(self, span) -> Optional[Dict[str, str]]:
         if span is None:
@@ -630,7 +607,6 @@ class RemoteStream:
         self._response = response
         self._opened_at = time.monotonic()
         self._tokens: List[int] = []
-        self._index = 0
         self._finished = False
         self._cancelled = False
         self._error: Optional[BaseException] = None
@@ -746,20 +722,16 @@ class RemoteStream:
             frame = self._read_exact(length)
             session = self._session
             payload = session.user.decrypt_frame(
-                session.model_id, session.measurement, frame
+                session.model_id,
+                session.measurement,
+                frame,
+                expected_index=len(self._tokens),
             )
-            if payload["index"] != self._index:
-                raise InvocationError(
-                    f"stream frame out of order: expected index "
-                    f"{self._index}, got {payload['index']} (dropped, "
-                    f"reordered or replayed frame)"
-                )
             now = time.monotonic()
             if self._first_at is None:
                 self._first_at = now
             self._last_at = now
             self._tokens.append(payload["token"])
-            self._index += 1
             if payload["done"]:
                 self._drain_terminator()
                 self._finished = True

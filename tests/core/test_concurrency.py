@@ -300,7 +300,7 @@ def test_submit_backpressure_raises_queue_full(tiny_model):
         host.submit(enc, user.principal_id, "bp-model")
     release.set()
     for ticket in (first, second):
-        assert isinstance(host.result(ticket, timeout_s=30), bytes)
+        assert isinstance(ticket.result(timeout_s=30), bytes)
     host.destroy()
 
 

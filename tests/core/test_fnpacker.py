@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.fnpacker import (
+from repro.errors import ConfigError, RoutingError
+from repro.routing import (
     AllInOneRouter,
     FnPackerRouter,
     FnPool,
     OneToOneRouter,
 )
-from repro.errors import ConfigError, RoutingError
 
 MODELS = ("m0", "m1", "m2")
 

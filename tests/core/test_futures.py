@@ -1,22 +1,26 @@
-"""The Future protocol: one contract, every asynchronous handle.
+"""The Future protocol: one contract, one cell, every local handle.
 
-Runs the structural check (``isinstance(x, Future)``) and the behaviour
-contract -- ``result()`` repeatability, ``done()`` as a terminal check,
-``cancel()`` returning ``False`` once terminal, ``DeadlineExceeded`` on
-expiry -- against live handles from every tier that produces one: the
-TCS scheduler (:class:`InferenceFuture`, :class:`InferenceStream`), the
-gateway (:class:`GatewaySubmission`, :class:`GatewayStream`), and the
-session tier (:class:`SessionFuture`, :class:`SessionStream`).  The
-service tier's :class:`RemoteFuture`/:class:`RemoteStream` are checked
-structurally here (their live behaviour needs an HTTP world; see
-``tests/service``).
+Every local tier's handle is the same :class:`OutcomeCell` reached
+through zero, one or two :class:`DerivedHandle` layers: the TCS
+scheduler (:class:`InferenceFuture`, :class:`InferenceStream`), the
+gateway (:class:`GatewaySubmission`, :class:`GatewayStream`) and the
+session tier (:class:`SessionFuture`, :class:`SessionStream`).  One
+parametrised contract runs against all six; the deadline and
+cancellation cases then walk every tier on a paced host, where "still
+in flight" is deterministic.  The service tier's
+:class:`RemoteFuture`/:class:`RemoteStream` are checked structurally
+here (their live behaviour needs an HTTP world; see ``tests/service``).
 """
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro.core import Future
 from repro.core.deployment import SeSeMIEnvironment, SessionFuture, SessionStream
+from repro.core.futures import DerivedHandle, OutcomeCell
 from repro.core.gateway import GatewayStream, GatewaySubmission
 from repro.core.semirt import (
     InferenceFuture,
@@ -29,53 +33,76 @@ from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 
 MODEL_ID = "m"
+PROMPT = [1, 2, 3]
+HANDLES = (
+    InferenceFuture,
+    InferenceStream,
+    GatewaySubmission,
+    GatewayStream,
+    SessionFuture,
+    SessionStream,
+)
 
 
-@pytest.fixture()
-def world():
-    """One 2-TCS tinylm host plus an open session over it."""
+def _world(tcs_count, scheduler):
+    """One tinylm host plus an open session attached to it."""
     env = SeSeMIEnvironment()
     model = build_tinylm(seed=7)
-    config = default_semirt_config(tcs_count=2)
+    config = default_semirt_config(tcs_count=tcs_count)
     env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
-    host = env.launch_semirt(
-        "tvm", config=config, scheduler=SchedulerConfig(queue_depth=16)
-    )
-    session = env.session("user", MODEL_ID, config=config, semirt=host)
-    with session:
+    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
+    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
         yield env, model, host, session
     host.destroy()
 
 
-def _x(model):
-    return np.zeros(model.input_spec.shape, dtype=np.float32)
+@pytest.fixture()
+def world():
+    yield from _world(2, SchedulerConfig(queue_depth=16))
 
 
-def _handles(env, model, host, session):
-    """One live handle of every local tier, freshly submitted."""
-    enc = env.user("user").encrypt_request(
-        MODEL_ID, host.measurement, _x(model)
-    )
-    enc_stream = env.user("user").encrypt_stream_request(
-        MODEL_ID, host.measurement, [1, 2, 3], 4
-    )
-    uid = env.user("user").principal_id
-    return {
-        InferenceFuture: host.submit(enc, uid, MODEL_ID),
-        InferenceStream: host.open_stream(enc_stream, uid, MODEL_ID),
-        GatewaySubmission: session.gateway.submit(enc, uid, MODEL_ID),
-        GatewayStream: session.gateway.open_stream(enc_stream, uid, MODEL_ID),
-        SessionFuture: session.submit(_x(model)),
-        SessionStream: session.stream([1, 2, 3], 4),
-    }
+@pytest.fixture()
+def slow_world():
+    """A paced solo host: nothing finishes within a millisecond, so a
+    1 ms deadline always expires and an immediate cancel is always
+    accepted."""
+    yield from _world(1, SchedulerConfig(queue_depth=16, paced_service_s=0.05))
 
 
-def test_every_handle_satisfies_the_protocol(world):
-    handles = _handles(*world)
-    for cls, handle in handles.items():
-        assert isinstance(handle, cls)
-        assert isinstance(handle, Future), cls.__name__
-        handle.result(timeout_s=30)
+def _open(cls, world, new_tokens=4):
+    """One live handle of type ``cls``, freshly submitted."""
+    env, model, host, session = world
+    user = env.user("user")
+    x = np.zeros(model.input_spec.shape, dtype=np.float32)
+    if cls is SessionFuture:
+        return session.submit(x)
+    if cls is SessionStream:
+        return session.stream(PROMPT, new_tokens)
+    target = host if cls in (InferenceFuture, InferenceStream) else session.gateway
+    if cls in (InferenceStream, GatewayStream):
+        enc = user.encrypt_stream_request(
+            MODEL_ID, host.measurement, PROMPT, new_tokens
+        )
+        return target.open_stream(enc, user.principal_id, MODEL_ID)
+    enc = user.encrypt_request(MODEL_ID, host.measurement, x)
+    return target.submit(enc, user.principal_id, MODEL_ID)
+
+
+def _same(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("cls", HANDLES, ids=lambda cls: cls.__name__)
+def test_every_handle_satisfies_the_protocol(world, cls):
+    handle = _open(cls, world)
+    assert isinstance(handle, cls)
+    assert isinstance(handle, Future)
+    first = handle.result(timeout_s=30)
+    assert handle.done()
+    assert _same(first, handle.result(timeout_s=30))  # the outcome is sealed
+    assert handle.cancel() is False  # too late: already terminal
+    assert not handle.cancelled()
+    assert world[3].gateway.in_flight == 0
 
 
 def test_remote_handles_satisfy_the_protocol_structurally():
@@ -86,57 +113,106 @@ def test_remote_handles_satisfy_the_protocol_structurally():
             assert callable(getattr(cls, method)), f"{cls.__name__}.{method}"
 
 
-def test_result_is_repeatable_and_done_is_terminal(world):
-    env, model, host, session = world
-    for handle in _handles(env, model, host, session).values():
-        first = handle.result(timeout_s=30)
-        assert handle.done()
-        second = handle.result(timeout_s=30)  # the outcome is sealed
-        if isinstance(first, np.ndarray):
-            assert np.array_equal(first, second)
-        else:
-            assert first == second
-        assert handle.cancel() is False  # too late: already terminal
-
-
 def test_stream_results_agree_with_the_reference(world):
     env, model, host, session = world
-    want = DecoderSession(model).generate([1, 2, 3], 4)
-    assert session.stream([1, 2, 3], 4).result(timeout_s=30) == want
-    frames = session.gateway.open_stream(
-        env.user("user").encrypt_stream_request(
-            MODEL_ID, host.measurement, [1, 2, 3], 4
-        ),
-        env.user("user").principal_id,
-        MODEL_ID,
-    ).result(timeout_s=30)
+    want = DecoderSession(model).generate(PROMPT, 4)
+    assert _open(SessionStream, world).result(timeout_s=30) == want
+    frames = _open(GatewayStream, world).result(timeout_s=30)
     assert len(frames) == 4  # sealed frames; decryption is the session's job
 
 
-def test_timeout_raises_without_sealing_the_outcome(world):
-    env, model, host, session = world
-    # a paced solo host makes the deadline deterministic: nothing can
-    # finish in 1ms, and the handle must still resolve afterwards
-    config = default_semirt_config(tcs_count=1)
-    env.deploy(model, "m-slow", owner="owner", config=config).grant("user")
-    slow = env.launch_semirt(
-        "tvm",
-        config=config,
-        scheduler=SchedulerConfig(queue_depth=4, paced_service_s=0.2),
-    )
-    enc = env.user("user").encrypt_request("m-slow", slow.measurement, _x(model))
-    future = slow.submit(enc, env.user("user").principal_id, "m-slow")
-    with pytest.raises(DeadlineExceeded):
-        future.result(timeout_s=0.001)
-    assert not future.done()  # expiry is the caller's problem, not the handle's
-    future.result(timeout_s=30)
-    slow.destroy()
+def test_timeout_raises_without_sealing_the_outcome(slow_world):
+    """A poll timeout is the caller's problem, not the handle's -- at
+    every tier: nothing settles, and the handle still resolves."""
+    gateway = slow_world[3].gateway
+    for cls in HANDLES:
+        handle = _open(cls, slow_world, new_tokens=2)
+        routed = cls not in (InferenceFuture, InferenceStream)
+        with pytest.raises(DeadlineExceeded):
+            handle.result(timeout_s=0.001)
+        assert not handle.done(), cls.__name__
+        assert gateway.in_flight == (1 if routed else 0), cls.__name__
+        handle.result(timeout_s=30)
+        assert handle.done() and gateway.in_flight == 0, cls.__name__
 
 
-def test_cancelled_handles_raise_request_cancelled(world):
-    env, model, host, session = world
-    stream = session.stream([1, 2, 3], 256)
-    assert stream.cancel() is True
+def test_cancelled_handles_raise_request_cancelled(slow_world):
+    """An accepted cancel at any tier surfaces as RequestCancelled with
+    every resource the request held already released."""
+    env, model, host, session = slow_world
+    for cls in HANDLES:
+        handle = _open(cls, slow_world, new_tokens=256)
+        assert handle.cancel() is True, cls.__name__
+        with pytest.raises(RequestCancelled):
+            handle.result(timeout_s=30)
+        assert handle.done() and handle.cancelled(), cls.__name__
+        assert handle.cancel() is False, cls.__name__
+        assert session.gateway.in_flight == 0, cls.__name__
+        assert host.code.pending_outputs == 0, cls.__name__
+        assert host.code.open_streams == 0, cls.__name__
+
+
+# -- the cell and the derived base, directly ----------------------------------------
+
+
+def test_an_accepted_cancel_is_a_promise_even_if_the_work_finishes():
+    cell = OutcomeCell()
+    cell.push(b"frame-0")
+    assert cell.cancel() is True
+    cell.set_result(b"too late")  # the producer raced past the cancel
+    assert cell.cancel() is False
     with pytest.raises(RequestCancelled):
-        stream.result(timeout_s=30)
-    assert stream.done() and stream.cancelled()
+        cell.result(timeout_s=0)
+    delivered = []
+    with pytest.raises(RequestCancelled):
+        for item in cell.items():
+            delivered.append(item)
+    assert delivered == [b"frame-0"]  # items pushed before the end still arrive
+
+
+def test_the_first_terminal_transition_wins():
+    cell = OutcomeCell()
+    cell.set_error(ValueError("first"))
+    cell.set_result(b"second")
+    cell.set_cancelled()
+    with pytest.raises(ValueError, match="first"):
+        cell.result(timeout_s=0)
+    assert cell.done() and not cell.cancelled()
+
+
+def test_racing_consumers_settle_a_derived_handle_exactly_once():
+    """result() and cancel() from many threads, a producer sealing the
+    cell underneath them: the settle hook runs once per handle."""
+
+    class Counted(DerivedHandle):
+        def __init__(self, inner):
+            super().__init__(inner)
+            self.settles = []
+
+        def _on_settle(self, error, cancelled):
+            self.settles.append(cancelled)
+
+    def consume(handle):
+        handle.cancel()
+        try:
+            handle.result(timeout_s=10)
+        except RequestCancelled:
+            pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        handles = [Counted(OutcomeCell()) for _ in range(100)]
+        for handle in handles:
+            threads = [
+                threading.Thread(target=consume, args=(handle,)) for _ in range(6)
+            ]
+            threads.append(threading.Thread(target=handle.inner.set_result, args=(b"y",)))
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(handle.settles) for handle in handles] == [1] * len(handles)

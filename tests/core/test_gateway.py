@@ -9,7 +9,7 @@ admission, crashes mid-serve -- and asserts the routing consequence.
 import pytest
 
 from repro.core.gateway import GatewayConfig, InferenceGateway
-from repro.errors import EnclaveError, QueueFull, RoutingError
+from repro.errors import DeadlineExceeded, EnclaveError, QueueFull, RoutingError
 from repro.faults.resilience import BreakerPolicy
 from repro.obs.span import LogicalClock
 from repro.obs.tracer import Tracer
@@ -24,8 +24,14 @@ class _FakeEnclave:
 
 
 class _FakeTicket:
+    """An already-resolved endpoint handle (the stubs serve instantly);
+    a scripted ``DeadlineExceeded`` stands for one still in flight."""
+
     def __init__(self, outcome):
         self._outcome = outcome
+
+    def done(self):
+        return not isinstance(self._outcome, DeadlineExceeded)
 
     def result(self, timeout_s=None):
         if isinstance(self._outcome, Exception):
@@ -60,6 +66,13 @@ class _FakeHost:
                 self.enclave.alive = False
             return _FakeTicket(exc)
         return _FakeTicket(step)
+
+    def open_stream(self, enc_request, uid, model_id):
+        """Same script as ``submit``; the reply is a one-frame stream."""
+        ticket = self.submit(enc_request, uid, model_id)
+        if not isinstance(ticket._outcome, Exception):
+            ticket._outcome = [ticket._outcome]
+        return ticket
 
     def destroy(self):
         self.enclave.alive = False
@@ -172,6 +185,37 @@ def test_sustained_pressure_scales_out():
     assert gw.endpoint_count == 3
 
 
+@pytest.mark.parametrize("entry", ["dispatch", "submit", "open_stream"])
+def test_every_entry_point_observes_pressure_once_per_admission(entry):
+    """One walk behind all three: the scale-out tracker cannot drift.
+
+    Scripted: the whole fleet is full, then ep0 is full and ep1 serves,
+    then the fleet is idle.  Partial pressure must count (the second
+    request is the second *consecutive* pressured admission and spawns
+    p-ep2) and an idle admission must leave the count reset.
+    """
+    gw = make_gateway(
+        {"p-ep0": [QueueFull("full")] * 2, "p-ep1": [QueueFull("full")]},
+        scale_out=ScaleOutPolicy(threshold=2, max_endpoints=3),
+    )
+
+    def serve(payload):
+        if entry == "dispatch":
+            return gw.dispatch(payload, "u", "m0").output
+        return getattr(gw, entry)(payload, "u", "m0").result()
+
+    seen = []
+    with pytest.raises(QueueFull):
+        serve(b"a")
+    seen.append((gw._pressure.consecutive, gw.endpoint_count))
+    for payload in (b"b", b"c"):
+        assert serve(payload) in (payload, [payload])
+        seen.append((gw._pressure.consecutive, gw.endpoint_count))
+    assert seen == [(1, 2), (0, 3), (0, 3)]
+    assert gw.host("p-ep0").submits == 2 and gw.host("p-ep1").submits >= 2
+    assert gw.in_flight == 0
+
+
 def test_breaker_opens_and_excludes_endpoint():
     gw = make_gateway(
         {"p-ep0": [("result", ValueError("bad")), ("result", ValueError("bad"))]},
@@ -185,6 +229,20 @@ def test_breaker_opens_and_excludes_endpoint():
     reply = gw.dispatch(b"y", "u", "m0")
     assert reply.decision.endpoint == "p-ep1"
     assert reply.decision.reroutes == 1
+
+
+def test_dispatch_timeout_releases_the_slot_and_charges_the_endpoint():
+    """Nobody else holds a dispatched request: when the caller's wait
+    expires the slot is released and the endpoint takes the failure."""
+    gw = make_gateway(
+        {"p-ep0": [("result", DeadlineExceeded("still serving"))]},
+        breaker=BreakerPolicy(failure_threshold=1, cooldown_s=1000.0),
+    )
+    with pytest.raises(DeadlineExceeded):
+        gw.dispatch(b"x", "u", "m0", timeout_s=0.001)
+    assert gw.in_flight == 0
+    assert gw.host("p-ep0").submits == 1  # a timeout is not redispatched
+    assert gw.dispatch(b"y", "u", "m0").decision.endpoint == "p-ep1"
 
 
 def test_drain_then_retire_destroys_owned_host():

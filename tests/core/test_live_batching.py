@@ -264,9 +264,9 @@ def test_int_ticket_surface_is_gone(tiny_model, tiny_input):
     expected = tiny_model.run_reference(tiny_input).ravel()
     future = host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
     assert isinstance(future.ticket, int)  # observability id only
-    with pytest.raises(InvocationError, match="int-ticket surface was removed"):
-        host.result(future.ticket, timeout_s=1)
-    # the future itself (directly or via the host composition) resolves
-    plain = _decrypt(env, host, "user", host.result(future, timeout_s=30))
+    # ... and the host-side ``result(ticket)`` composition went with it:
+    # the future itself is the only handle
+    assert not hasattr(host, "result")
+    plain = _decrypt(env, host, "user", future.result(timeout_s=30))
     assert np.allclose(plain, expected, atol=1e-5)
     host.destroy()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fnpacker import FnPool
+from repro.routing import FnPool
 from repro.core.packer_service import FnPackerService, make_router
 from repro.core.simbridge import servable_map
 from repro.errors import ConfigError, RoutingError

@@ -8,12 +8,14 @@ between decode steps), the :class:`InferenceStream` cancellation
 contract, and the leader-crash fault site (``semirt:batch``).
 """
 
+import io
+import struct
 import time
 
 import pytest
 
 from repro.core.batching import BatchPolicy
-from repro.core.deployment import SeSeMIEnvironment
+from repro.core.deployment import SeSeMIEnvironment, SessionStream
 from repro.core.semirt import (
     MAX_STREAM_TOKENS,
     IsolationSettings,
@@ -30,6 +32,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
+from repro.service.client import RemoteStream
 
 MODEL_ID = "lm-model"
 
@@ -68,14 +71,12 @@ def _seal(env, host, name, prompt, max_new):
 
 def _tokens(env, host, name, frames):
     """Decrypt sealed frames and enforce the index ordering client-side."""
-    out = []
-    for index, frame in enumerate(frames):
-        payload = env.user(name).decrypt_frame(
-            MODEL_ID, host.measurement, frame
-        )
-        assert payload["index"] == index
-        out.append(payload["token"])
-    return out
+    return [
+        env.user(name).decrypt_frame(
+            MODEL_ID, host.measurement, frame, expected_index=index
+        )["token"]
+        for index, frame in enumerate(frames)
+    ]
 
 
 def _wait_for(condition, timeout_s=10.0):
@@ -361,4 +362,58 @@ def test_session_stream_yields_decrypted_tokens_incrementally():
         assert list(stream) == want  # iterating decrypts frame by frame
         assert stream.result(timeout_s=30) == want  # the Future view
         assert stream.done()
+    host.destroy()
+
+
+class _Relay:
+    """An untrusted hop between enclave and consumer: hands over whatever
+    sealed frames it likes, as both transports present them."""
+
+    sock = None
+
+    def __init__(self, frames):
+        self._frames = frames
+        self._body = io.BytesIO(
+            b"".join(struct.pack(">I", len(frame)) + frame for frame in frames)
+        )
+
+    def __iter__(self):  # the in-process gateway stream
+        return iter(self._frames)
+
+    def read(self, n=-1):  # the chunked HTTP response body
+        return self._body.read(n)
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("consumer", ["session", "http"])
+@pytest.mark.parametrize("tamper", ["reorder", "replay", "drop"])
+def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
+    """Frames authenticate individually, so only the in-seal index can
+    catch a relay that reorders, replays or drops them -- and both
+    consumers run the one ``decrypt_frame(expected_index=)`` check."""
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=1)
+    frames = host.open_stream(
+        _seal(env, host, "user", [2, 7, 1], 4), _uid(env, "user"), MODEL_ID
+    ).result(timeout_s=30)
+    want = _tokens(env, host, "user", frames)
+    tampered = {
+        "reorder": [frames[0], frames[2], frames[1], frames[3]],
+        "replay": [frames[0], frames[1], frames[1], frames[2]],
+        "drop": [frames[0], frames[1], frames[3]],
+    }[tamper]
+    session = env.session("user", MODEL_ID, semirt=host, config=host.enclave.config)
+    relay = _Relay(tampered)
+    if consumer == "session":
+        stream = SessionStream(session, relay)
+    else:
+        stream = RemoteStream(session, relay, relay)
+    delivered = []
+    with pytest.raises(InvocationError, match="out of order"):
+        for token in stream:
+            delivered.append(token)
+    # everything before the tamper point arrived intact, nothing after
+    assert delivered == want[: 1 if tamper == "reorder" else 2]
     host.destroy()

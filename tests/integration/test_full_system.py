@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.fnpacker import FnPool
+from repro.routing import FnPool
 from repro.core.keyfleet import KeyServiceFleet
 from repro.core.packer_service import FnPackerService
 from repro.core.simbridge import servable_map

@@ -82,7 +82,7 @@ def test_conservation_under_random_workloads(
 )
 def test_fnpacker_service_conservation(arrival_gaps, tail):
     """FnPackerService bookkeeping balances for any arrival pattern."""
-    from repro.core.fnpacker import FnPool
+    from repro.routing import FnPool
     from repro.core.packer_service import FnPackerService
 
     model_ids = tuple(f"m{i}" for i in range(tail))

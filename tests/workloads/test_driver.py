@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fnpacker import AllInOneRouter, FnPool
+from repro.routing import AllInOneRouter, FnPool
 from repro.experiments.common import make_testbed
 from repro.serverless.action import ActionSpec, round_memory_budget
 from repro.serverless.container import ActionRuntime
