@@ -18,7 +18,7 @@ Run with:  python examples/healthcare_ehr.py
 import numpy as np
 
 from repro import SeSeMIEnvironment
-from repro.core.semirt import IsolationSettings
+from repro.core.semirt_enclave import IsolationSettings
 from repro.errors import AccessDenied
 from repro.mlrt import build_densenet
 

@@ -27,6 +27,15 @@ Single-file modules pinned the same way:
   and the derived-handle base.  Stdlib + ``repro.errors`` only -- every
   tier's handle (scheduler, gateway, session, service client) is built
   on it, so it can depend on none of them.
+- ``repro.core.semirt_enclave``: the trusted half of SeMIRT.  The
+  rule is the trust boundary: **the trusted module imports nothing
+  that runs outside the enclave** -- stdlib, numpy, ``repro.errors``,
+  ``repro.core.wire``, ``repro.core.stages``, ``repro.crypto``,
+  ``repro.mlrt``, ``repro.sgx`` and ``repro.obs`` only; never the host
+  (``repro.core.semirt``), its futures, the batch policy, the fault
+  injector, the gateway, or either twin's platform code.  What the
+  untrusted host can reach by importing it is exactly what an ECALL
+  transport would have to carry.
 - ``repro.scenarios.spec`` / ``.store`` / ``.compare`` / ``.table`` /
   ``.registry``: the scenario read side.  Stdlib + ``repro.errors`` +
   each other -- everything that *executes* a spec belongs in
@@ -73,6 +82,16 @@ MODULES = {
     "core.wire": ("repro.errors",),
     # the outcome cell every handle is built on: no runtime, no crypto
     "core.futures": ("repro.errors",),
+    # the enclave program: nothing that runs outside the enclave
+    "core.semirt_enclave": (
+        "repro.errors",
+        "repro.core.wire",
+        "repro.core.stages",
+        "repro.crypto",
+        "repro.mlrt",
+        "repro.sgx",
+        "repro.obs",
+    ),
     # the scenario read side: loadable without numpy or either twin
     "scenarios.spec": ("repro.errors",),
     "scenarios.table": (),

@@ -33,10 +33,12 @@ from repro.core.packer_service import FnPackerService, make_router
 from repro.core.semirt import (
     InferenceFuture,
     InferenceStream,
-    IsolationSettings,
     SchedulerConfig,
-    SemirtEnclaveCode,
     SemirtHost,
+)
+from repro.core.semirt_enclave import (
+    IsolationSettings,
+    SemirtEnclaveCode,
     default_semirt_config,
     expected_semirt_measurement,
 )

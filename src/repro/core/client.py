@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core import wire
-from repro.core.semirt import FRAME_AAD, REQUEST_AAD, RESPONSE_AAD, STREAM_AAD
+from repro.core.semirt_enclave import FRAME_AAD, REQUEST_AAD, RESPONSE_AAD, STREAM_AAD
 from repro.crypto.gcm import AESGCM, SessionCipher, evict_session
 from repro.crypto.keys import SymmetricKey
 from repro.errors import AccessDenied, InvocationError, SeSeMIError

@@ -41,10 +41,9 @@ from repro.core.client import OwnerClient, UserClient
 from repro.core.futures import DerivedHandle, DerivedStream, gather_windowed
 from repro.core.gateway import GatewayConfig, InferenceGateway
 from repro.core.keyservice import KEYSERVICE_CONFIG, KeyServiceHost
-from repro.core.semirt import (
+from repro.core.semirt import SchedulerConfig, SemirtHost
+from repro.core.semirt_enclave import (
     IsolationSettings,
-    SchedulerConfig,
-    SemirtHost,
     default_semirt_config,
     expected_semirt_measurement,
 )

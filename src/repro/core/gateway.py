@@ -66,6 +66,7 @@ from repro.errors import (
     EnclaveError,
     QueueFull,
     RoutingError,
+    SeSeMIError,
     TransportError,
 )
 from repro.faults.resilience import BreakerPolicy, CircuitBreaker
@@ -802,13 +803,29 @@ class InferenceGateway:
         calling this drops the matching memoised provisioning verdicts
         on every live host, so no enclave keeps serving the pair from
         its memo.  Returns how many entries were dropped fleet-wide.
+        Every endpoint is tried even when one fails; those whose memo
+        may still hold the pair are then reported in one
+        :class:`~repro.errors.SeSeMIError` (``.unreached``, ``.dropped``).
+        A host that died has no memo left to reach and is not a failure.
         """
         with self._lock:
-            hosts = list(self._hosts.values())
+            hosts = dict(self._hosts)
         dropped = 0
-        for host in hosts:
-            if host.enclave.alive:
+        unreached = {}
+        for endpoint, host in hosts.items():
+            try:
                 dropped += host.invalidate_keys(uid, model_id)
+            except Exception as exc:  # noqa: BLE001 - reported after the sweep
+                if host.enclave.alive:
+                    unreached[endpoint] = exc
+        if unreached:
+            error = SeSeMIError(
+                f"key invalidation did not reach {sorted(unreached)} "
+                f"({dropped} entries dropped elsewhere)"
+            )
+            #: endpoint -> what its push raised, and the partial count
+            error.unreached, error.dropped = unreached, dropped
+            raise error from next(iter(unreached.values()))
         return dropped
 
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """The nine model-serving stages (Figure 4) and invocation-path planning.
 
 Both SeMIRT implementations -- the functional enclave code in
-:mod:`repro.core.semirt` and the simulation actor in
+:mod:`repro.core.semirt_enclave` and the simulation actor in
 :mod:`repro.core.simbridge` -- share :func:`plan_invocation`, so the
 cold/warm/hot semantics of Algorithm 2 exist in exactly one place.
 """

@@ -33,7 +33,8 @@ import numpy as np
 
 from repro.core.batching import BatchPolicy
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import SchedulerConfig, default_semirt_config
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.mlrt.zoo import build_mobilenet
 
 MODEL_ID = "batch-model"

@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.client import OwnerClient, UserClient
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.keyfleet import FailoverEndpoint, KeyServiceFleet
-from repro.core.semirt import IsolationSettings
+from repro.core.semirt_enclave import IsolationSettings
 from repro.crypto.hashes import sha256
 from repro.crypto.keys import SymmetricKey
 from repro.errors import ReproError

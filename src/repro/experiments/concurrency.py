@@ -31,7 +31,8 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import SchedulerConfig, default_semirt_config
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import QueueFull
 from repro.mlrt.zoo import build_mobilenet
 

@@ -34,7 +34,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import SchedulerConfig, default_semirt_config
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.mlrt.zoo import build_mobilenet
 from repro.routing import FnPool
 

@@ -37,7 +37,8 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import REQUEST_AAD, RESPONSE_AAD, SchedulerConfig
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import REQUEST_AAD, RESPONSE_AAD
 from repro.crypto.gcm import AESGCM
 from repro.crypto.keys import SymmetricKey
 

@@ -33,7 +33,8 @@ import numpy as np
 from repro.errors import from_wire
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.gateway import GatewayConfig
-from repro.core.semirt import SchedulerConfig, default_semirt_config
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.mlrt.zoo import build_mobilenet
 from repro.routing import FnPool
 from repro.service import (

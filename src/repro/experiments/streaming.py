@@ -35,7 +35,8 @@ from typing import Dict, List, Optional
 
 from repro.core.batching import BatchPolicy
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import SchedulerConfig, default_semirt_config
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 

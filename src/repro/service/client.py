@@ -35,9 +35,10 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.client import UserClient
-from repro.core.futures import gather_windowed
+from repro.core.futures import OutcomeCell, gather_windowed
 from repro.errors import (
     DeadlineExceeded,
+    ReproError,
     SeSeMIError,
     TransportError,
     from_wire,
@@ -376,42 +377,21 @@ class RemoteSession:
         ``timeout_s`` is the repo-wide wait keyword (seconds; the
         server clamps it to its configured maximum -- docs/service.md).
         """
-        tracer = self._env.tracer
-        with maybe_span(
-            tracer,
-            "request",
-            model_id=self.model_id,
-            user_id=self.user.principal_id,
-            transport="http",
-        ) as root:
-            enc_request = self.user.encrypt_request(
-                self.model_id, self.measurement, x
-            )
-            payload = {
-                "model_id": self.model_id,
-                "uid": self.user.principal_id,
-                "enc_request": enc_request,
-            }
-            if timeout_s is not None:
-                payload["timeout_s"] = float(timeout_s)
-            status, reply, headers = self._client.request(
-                "POST", "/v1/infer", payload,
-                headers=self._span_headers(root),
-                codec=wire.BINARY,
-            )
-            self._join_trace(root, headers)
-            if status >= 400:
-                raise from_wire(reply, status)
-            return self.user.decrypt_response(
-                self.model_id, self.measurement, reply["enc_response"]
-            )
+        extra = {} if timeout_s is None else {"timeout_s": float(timeout_s)}
+        return self._post("request", "/v1/infer", x, self._decrypt, **extra)
 
     def submit(self, x: np.ndarray) -> "RemoteFuture":
         """Admit ``x`` asynchronously; sheds raise ``QueueFull`` here."""
-        tracer = self._env.tracer
+        return self._post(
+            "submit", "/v1/submit", x,
+            lambda reply: RemoteFuture(self, reply["req_id"]),
+        )
+
+    def _post(self, span_name: str, path: str, x: np.ndarray, finish, **extra):
+        """Seal ``x`` and POST it under one client span; ``finish`` the reply."""
         with maybe_span(
-            tracer,
-            "submit",
+            self._env.tracer,
+            span_name,
             model_id=self.model_id,
             user_id=self.user.principal_id,
             transport="http",
@@ -420,11 +400,12 @@ class RemoteSession:
                 self.model_id, self.measurement, x
             )
             status, reply, headers = self._client.request(
-                "POST", "/v1/submit",
+                "POST", path,
                 {
                     "model_id": self.model_id,
                     "uid": self.user.principal_id,
                     "enc_request": enc_request,
+                    **extra,
                 },
                 headers=self._span_headers(root),
                 codec=wire.BINARY,
@@ -432,7 +413,12 @@ class RemoteSession:
             self._join_trace(root, headers)
             if status >= 400:
                 raise from_wire(reply, status)
-            return RemoteFuture(self, reply["req_id"])
+            return finish(reply)
+
+    def _decrypt(self, reply: dict) -> np.ndarray:
+        return self.user.decrypt_response(
+            self.model_id, self.measurement, reply["enc_response"]
+        )
 
     def stream(
         self, prompt: Sequence[int], max_new_tokens: int
@@ -509,77 +495,78 @@ class RemoteSession:
         self.close()
 
 
-class RemoteFuture:
-    """A submitted request's client handle, polled over HTTP.
+class RemoteFuture(OutcomeCell):
+    """A submitted request's client handle: the outcome cell, fed over HTTP.
 
-    Mirrors :class:`~repro.core.deployment.SessionFuture`:
-    ``result()`` long-polls ``GET /v1/results/{id}`` and decrypts,
-    ``cancel()`` DELETEs (releasing the enclave execution context
-    server-side), and after a cancel every poll re-raises the sticky
-    409 :class:`~repro.errors.RequestCancelled`.
+    The same :class:`~repro.core.futures.Future` contract as
+    :class:`~repro.core.deployment.SessionFuture` because it *is* the
+    cell, with the consuming thread as producer: :meth:`wait` long-polls
+    ``GET /v1/results/{id}`` and seals the decrypted output (200) or the
+    server's error (4xx/5xx); :meth:`cancel` seals the cancellation an
+    accepted ``DELETE`` promises (the enclave execution context is
+    released server-side).  Once sealed every call answers from the
+    cell: ``result()`` is repeatable and nothing costs a round trip.
     """
 
     _POLL_CHUNK_S = 5.0
 
     def __init__(self, session: RemoteSession, req_id: str) -> None:
+        super().__init__()
         self._session = session
         self.req_id = req_id
+        self._path = f"/v1/results/{req_id}"
+        #: held by the one thread currently polling: the server hands the
+        #: output out once (sticky 410 after), so polls must not overlap
+        self._poller = threading.Lock()
 
-    @property
-    def _path(self) -> str:
-        return f"/v1/results/{self.req_id}"
+    def _what(self) -> str:
+        return f"request {self.req_id}"
 
     def done(self) -> bool:
-        """Poll without consuming; terminal errors also count as done."""
-        status, reply, _ = self._session._client.request(
-            "GET", self._path, query={"peek": "1"}
-        )
-        if status >= 400:
-            return True  # sealed: cancelled, failed, or consumed
-        return bool(reply.get("done"))
+        """Terminal yet?  One non-blocking poll while the answer is unknown."""
+        return self.wait(0.0)
 
     def cancel(self) -> bool:
         """DELETE the request; ``True`` when the server cancelled it."""
-        reply = self._session._client.call("DELETE", self._path)
-        return bool(reply.get("cancelled"))
+        if not self._done:
+            reply = self._session._client.call("DELETE", self._path)
+            if reply.get("cancelled"):
+                super().cancel()
+                self.set_cancelled()
+        return self._cancelled
 
-    def cancelled(self) -> bool:
-        """True when the request reached the sticky cancelled state."""
-        status, reply, _ = self._session._client.request(
-            "GET", self._path, query={"peek": "1"}
-        )
-        return status == 409
-
-    def result(self, timeout_s: Optional[float] = None) -> np.ndarray:
-        """Long-poll for the output, decrypt, return the plaintext array.
-
-        ``timeout_s`` follows the repo-wide wait rule (seconds,
-        ``None`` = wait forever, DeadlineExceeded on expiry).
-        """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        session = self._session
-        while True:
+    def wait(self, timeout_s: Optional[float] = None) -> bool:
+        """Long-poll until sealed; ``False`` on timeout (``0`` = one poll)."""
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        while not self._done:
             chunk = self._POLL_CHUNK_S
             if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceeded(
-                        f"request {self.req_id} not served within {timeout_s}s"
-                    )
-                chunk = min(chunk, remaining)
-            status, reply, _ = session._client.request(
-                "GET", self._path, query={"timeout_s": f"{chunk:.3f}"},
-                codec=wire.BINARY,
-            )
-            if status == 202:
-                continue  # still in flight; poll again
+                chunk = min(chunk, max(0.0, deadline - time.monotonic()))
+            if self._poller.acquire(blocking=False):
+                try:
+                    self._poll(chunk)
+                finally:
+                    self._poller.release()
+            else:  # another thread is the producer right now
+                super().wait(chunk)
+            if chunk == 0.0:
+                break
+        return self._done
+
+    def _poll(self, chunk_s: float) -> None:
+        """One ``GET``; seals the cell unless the server answers 202."""
+        status, reply, _ = self._session._client.request(
+            "GET", self._path, query={"timeout_s": f"{chunk_s:.3f}"},
+            codec=wire.BINARY,
+        )
+        if status == 202:
+            return  # still in flight
+        try:
             if status >= 400:
                 raise from_wire(reply, status)
-            return session.user.decrypt_response(
-                session.model_id, session.measurement, reply["enc_response"]
-            )
+            self.set_result(self._session._decrypt(reply))
+        except ReproError as exc:
+            self.set_error(exc)
 
 
 class RemoteStream:

@@ -56,7 +56,8 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from repro.core import wire
 from repro.core.deployment import ModelHandle, SeSeMIEnvironment
 from repro.core.gateway import GatewaySubmission, InferenceGateway
-from repro.core.semirt import SchedulerConfig, default_semirt_config
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import (
     InvocationError,
     ReproError,

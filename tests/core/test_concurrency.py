@@ -16,11 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import (
-    IsolationSettings,
-    SchedulerConfig,
-    default_semirt_config,
-)
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import IsolationSettings, default_semirt_config
 from repro.errors import (
     EnclaveError,
     QueueFull,

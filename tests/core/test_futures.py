@@ -5,11 +5,13 @@ through zero, one or two :class:`DerivedHandle` layers: the TCS
 scheduler (:class:`InferenceFuture`, :class:`InferenceStream`), the
 gateway (:class:`GatewaySubmission`, :class:`GatewayStream`) and the
 session tier (:class:`SessionFuture`, :class:`SessionStream`).  One
-parametrised contract runs against all six; the deadline and
-cancellation cases then walk every tier on a paced host, where "still
-in flight" is deterministic.  The service tier's
-:class:`RemoteFuture`/:class:`RemoteStream` are checked structurally
-here (their live behaviour needs an HTTP world; see ``tests/service``).
+parametrised contract runs against all six -- and against the service
+tier's :class:`RemoteFuture`, the same cell fed by an HTTP long-poll --
+and the deadline and cancellation cases then walk every local tier on a
+paced host, where "still in flight" is deterministic
+(``tests/service/test_remote_cancel.py`` walks them over HTTP).
+:class:`RemoteStream` still owns its state machine and is only checked
+structurally here.
 """
 
 import sys
@@ -22,15 +24,13 @@ from repro.core import Future
 from repro.core.deployment import SeSeMIEnvironment, SessionFuture, SessionStream
 from repro.core.futures import DerivedHandle, OutcomeCell
 from repro.core.gateway import GatewayStream, GatewaySubmission
-from repro.core.semirt import (
-    InferenceFuture,
-    InferenceStream,
-    SchedulerConfig,
-    default_semirt_config,
-)
+from repro.core.semirt import InferenceFuture, InferenceStream, SchedulerConfig
+from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import DeadlineExceeded, RequestCancelled
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
+from repro.service.client import RemoteFuture, RemoteStream
+from tests.service.conftest import launch_world
 
 MODEL_ID = "m"
 PROMPT = [1, 2, 3]
@@ -92,9 +92,24 @@ def _same(a, b):
     return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
 
-@pytest.mark.parametrize("cls", HANDLES, ids=lambda cls: cls.__name__)
-def test_every_handle_satisfies_the_protocol(world, cls):
-    handle = _open(cls, world)
+@pytest.fixture(scope="module")
+def remote_world():
+    """The same stack behind the HTTP service tier."""
+    remote = launch_world(tcs_count=2)
+    yield remote
+    remote.close()
+
+
+@pytest.mark.parametrize(
+    "cls", HANDLES + (RemoteFuture,), ids=lambda cls: cls.__name__
+)
+def test_every_handle_satisfies_the_protocol(request, cls):
+    if cls is RemoteFuture:
+        remote = request.getfixturevalue("remote_world")
+        handle, gateway = remote.session.submit(remote.x), remote.service.gateway
+    else:
+        world = request.getfixturevalue("world")
+        handle, gateway = _open(cls, world), world[3].gateway
     assert isinstance(handle, cls)
     assert isinstance(handle, Future)
     first = handle.result(timeout_s=30)
@@ -102,15 +117,41 @@ def test_every_handle_satisfies_the_protocol(world, cls):
     assert _same(first, handle.result(timeout_s=30))  # the outcome is sealed
     assert handle.cancel() is False  # too late: already terminal
     assert not handle.cancelled()
-    assert world[3].gateway.in_flight == 0
+    assert gateway.in_flight == 0
+
+
+def test_a_sealed_remote_handle_answers_without_a_round_trip(remote_world):
+    """Once the long-poll sealed the cell the handle never goes back to
+    the server -- whose reply would be the sticky 410 by now."""
+    future = remote_world.session.submit(remote_world.x)
+    want = remote_world.model.run_reference(remote_world.x).ravel()
+    assert np.allclose(future.result(timeout_s=30), want, atol=1e-5)
+    before = remote_world.remote.stats()["service"]["requests"]["results"]
+    assert np.allclose(future.result(timeout_s=30), want, atol=1e-5)
+    assert future.done() and not future.cancelled()
+    assert future.cancel() is False
+    assert remote_world.remote.stats()["service"]["requests"]["results"] == before
+
+
+def test_two_threads_polling_one_remote_handle_agree(remote_world):
+    """The server hands a result out once; the polling thread is the
+    cell's producer and everyone else is its consumer."""
+    future = remote_world.session.submit(remote_world.x)
+    seen = []
+    threads = [
+        threading.Thread(target=lambda: seen.append(future.result(timeout_s=30)))
+        for _ in range(4)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert len(seen) == 4 and all(np.array_equal(seen[0], y) for y in seen)
 
 
 def test_remote_handles_satisfy_the_protocol_structurally():
-    from repro.service.client import RemoteFuture, RemoteStream
-
-    for cls in (RemoteFuture, RemoteStream):
-        for method in ("result", "done", "cancel", "cancelled"):
-            assert callable(getattr(cls, method)), f"{cls.__name__}.{method}"
+    for method in ("result", "done", "cancel", "cancelled"):
+        assert callable(getattr(RemoteStream, method)), method
 
 
 def test_stream_results_agree_with_the_reference(world):

@@ -9,7 +9,13 @@ admission, crashes mid-serve -- and asserts the routing consequence.
 import pytest
 
 from repro.core.gateway import GatewayConfig, InferenceGateway
-from repro.errors import DeadlineExceeded, EnclaveError, QueueFull, RoutingError
+from repro.errors import (
+    DeadlineExceeded,
+    EnclaveError,
+    QueueFull,
+    RoutingError,
+    SeSeMIError,
+)
 from repro.faults.resilience import BreakerPolicy
 from repro.obs.span import LogicalClock
 from repro.obs.tracer import Tracer
@@ -73,6 +79,14 @@ class _FakeHost:
         if not isinstance(ticket._outcome, Exception):
             ticket._outcome = [ticket._outcome]
         return ticket
+
+    def invalidate_keys(self, uid=None, model_id=None):
+        step = self.plan.pop(0) if self.plan else 1
+        if isinstance(step, Exception):
+            if isinstance(step, EnclaveError):
+                self.enclave.alive = False
+            raise step
+        return step
 
     def destroy(self):
         self.enclave.alive = False
@@ -281,3 +295,22 @@ def test_route_spans_carry_decision_attributes():
     assert attrs["reroutes"] == 1 and attrs["cold"]
     assert "exclusive" in attrs and "model_id" in attrs
     assert spans[1].attributes["reroutes"] == 0
+
+
+def test_invalidate_keys_reaches_every_endpoint_and_reports_the_rest():
+    """One failing host must not shield the hosts after it: the sweep
+    visits every endpoint, a host that died under it is not a failure
+    (its memo died with it), and what could not be reached is reported."""
+    gw = make_gateway({}, num_endpoints=3)
+    names = [name for name, _ in gw.router.endpoints()]
+    hosts = [gw._launch(name)[0] for name in names]
+    hosts[0].plan = [DeadlineExceeded("no slot"), 2]
+    hosts[1].plan = [EnclaveError("destroyed")]  # a destroy racing the sweep
+    hosts[2].plan = [3, 4]
+    with pytest.raises(SeSeMIError, match="did not reach") as caught:
+        gw.invalidate_keys(uid="u")
+    assert list(caught.value.unreached) == [names[0]]
+    assert caught.value.dropped == 3  # the host after both failures was reached
+    assert hosts[2].plan == [4]
+    hosts[1].enclave.alive = True
+    assert gw.invalidate_keys(uid="u") == 2 + 1 + 4

@@ -12,11 +12,15 @@ recovery must each drop exactly the stale state -- and a request under
 fresh keys must always succeed afterwards.
 """
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.keyfleet import KeyServiceFleet
+from repro.core import semirt as semirt_module
 from repro.core.semirt import SchedulerConfig
 from repro.core.stages import Stage
 from repro.crypto.gcm import (
@@ -27,7 +31,7 @@ from repro.crypto.gcm import (
     session_cache_size,
 )
 from repro.crypto.keys import SymmetricKey
-from repro.errors import InvocationError, ReproError
+from repro.errors import DeadlineExceeded, EnclaveError, InvocationError, ReproError
 from repro.sgx.attestation import AttestationService
 
 
@@ -189,6 +193,78 @@ def test_ec_invalidate_keys_is_scoped(world, tiny_model):
     assert semirt.invalidate_keys() >= 1
     infer_on(user, semirt, "kc-model", x)
     assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
+
+
+def test_invalidate_keys_waits_for_a_slot_on_a_busy_enclave(world, tiny_model):
+    """The revocation push is a control item on the scheduler queue: with
+    one hot client saturating the default 1-TCS host, every push still
+    lands (the caller's thread used to enter the enclave itself and lose
+    the only TCS to the request in flight -- ``TcsExhausted``)."""
+    _, _, user, semirt = world
+    x = make_input(tiny_model)
+    infer_on(user, semirt, "kc-model", x)  # memoise the pair
+    enc = user.encrypt_request("kc-model", semirt.measurement, x)
+    stop = threading.Event()
+    served, raised = [], []
+
+    def hot_client():  # sealed once: the loop is enclave time, back to back
+        try:
+            while not stop.is_set():
+                semirt.infer(enc, user.principal_id, "kc-model")
+                served.append(1)
+        except Exception as exc:  # pragma: no cover - the failure mode
+            raised.append(exc)
+
+    client = threading.Thread(target=hot_client)
+    client.start()
+    try:
+        dropped = 0
+        for _ in range(200):
+            try:
+                dropped += semirt.invalidate_keys(uid=user.principal_id)
+            except Exception as exc:  # the parent raised TcsExhausted here
+                raised.append(exc)
+            time.sleep(0.001)  # let the client back in: pushes land mid-request
+    finally:
+        stop.set()
+        client.join(timeout=30)
+    assert raised == []
+    assert served and dropped >= 1  # both really ran, and entries really went
+    # the memoised pair really is gone: push, then the next request refetches
+    infer_on(user, semirt, "kc-model", x)
+    assert semirt.invalidate_keys(uid=user.principal_id) == 1
+    infer_on(user, semirt, "kc-model", x)
+    assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
+
+
+def test_invalidate_keys_is_bounded_and_typed(world, tiny_model, monkeypatch):
+    """No wait without a bound: a slot that never comes ends in
+    ``DeadlineExceeded``; a destroyed enclave in ``EnclaveError``."""
+    _, _, user, semirt = world
+    infer_on(user, semirt, "kc-model", make_input(tiny_model))
+    monkeypatch.setattr(semirt_module, "_WAIT_BOUND_S", 0.2)
+    release = threading.Event()
+    held = threading.Event()
+    real_load = semirt.enclave._ocall_handlers["OC_LOAD_MODEL"]
+
+    def stuck_load(model_id):  # an ECALL parked in an OCALL holds the only slot
+        held.set()
+        release.wait(10)
+        return real_load(model_id)
+
+    semirt.enclave.register_ocall("OC_LOAD_MODEL", stuck_load)
+    semirt.code._model_id = None  # force a reload through the stuck OCALL
+    enc = user.encrypt_request("kc-model", semirt.measurement, make_input(tiny_model))
+    busy = semirt.submit(enc, user.principal_id, "kc-model")
+    assert held.wait(10)
+    with pytest.raises(DeadlineExceeded):
+        semirt.invalidate_keys()
+    release.set()
+    busy.result(timeout_s=30)
+    assert semirt.invalidate_keys() >= 0  # served again once the slot is back
+    semirt.destroy()
+    with pytest.raises(EnclaveError):
+        semirt.invalidate_keys()
 
 
 def test_gateway_invalidate_broadcasts_to_live_hosts(world, tiny_model):

@@ -14,11 +14,8 @@ import pytest
 
 from repro.core.batching import BatchPolicy
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import (
-    IsolationSettings,
-    SchedulerConfig,
-    default_semirt_config,
-)
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import IsolationSettings, default_semirt_config
 from repro.errors import (
     EnclaveError,
     FaultInjected,

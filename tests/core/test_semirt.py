@@ -1,10 +1,12 @@
 """SeMIRT enclave runtime: paths, ECALL surface, isolation builds."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import (
+from repro.core.semirt_enclave import (
     IsolationSettings,
     default_semirt_config,
     expected_semirt_measurement,
@@ -205,3 +207,73 @@ class TestStrongIsolation:
         x = make_input(tiny_model, seed=9)
         out = run_infer(user, semirt, "pinned", x)
         assert np.allclose(out, tiny_model.run_reference(x).ravel(), atol=1e-5)
+
+
+# -- EC_MODEL_INF is EC_MODEL_INF_BATCH of one ----------------------------------
+
+
+def _solo_host(tiny_model, isolation=None, tcs_count=2):
+    env = SeSeMIEnvironment()
+    config = default_semirt_config(tcs_count=tcs_count)
+    env.deploy(
+        tiny_model, "eq", owner="owner", config=config, isolation=isolation
+    ).grant("user")
+    host = env.launch_semirt("tvm", config=config, isolation=isolation)
+    return env.user("user"), host
+
+
+def test_single_and_size_one_batch_are_the_same_call(tiny_model):
+    """Ticket and context accounting, plaintext, capacity refusal: the
+    two entry points are indistinguishable for one request."""
+    user, host = _solo_host(tiny_model)
+    uid, x = user.principal_id, make_input(tiny_model, seed=3)
+    seal = partial(user.encrypt_request, "eq", host.measurement, x)
+    want = tiny_model.run_reference(x).ravel()
+
+    single = host.enclave.ecall("EC_MODEL_INF", seal(), uid, "eq")
+    assert host.code.pending_outputs == 1
+    (batched,) = host.enclave.ecall("EC_MODEL_INF_BATCH", [seal()], uid, "eq")
+    assert host.code.pending_outputs == 2
+    assert batched == single + 1  # one ticket counter, one table
+    for ticket in (single, batched):
+        plain = user.decrypt_response(
+            "eq", host.measurement, host.enclave.ecall("EC_GET_OUTPUT", ticket)
+        )
+        assert np.allclose(plain, want, atol=1e-5)
+
+    # the table (tcs_count=2) is full: both refuse alike, committing nothing
+    for name, payload in (("EC_MODEL_INF", seal()), ("EC_MODEL_INF_BATCH", [seal()])):
+        with pytest.raises(EnclaveError, match="execution contexts"):
+            host.enclave.ecall(name, payload, uid, "eq")
+    assert host.code.pending_outputs == 2
+    for ticket in (single, batched):
+        host.enclave.ecall("EC_CLEAR_EXEC_CTX", ticket)
+    assert host.code.pending_outputs == 0
+    host.destroy()
+
+
+def test_batch_log_rows_are_for_real_batches_only(tiny_model):
+    user, host = _solo_host(tiny_model)
+    uid, x = user.principal_id, make_input(tiny_model)
+    seal = partial(user.encrypt_request, "eq", host.measurement, x)
+    single = host.enclave.ecall("EC_MODEL_INF", seal(), uid, "eq")
+    host.enclave.ecall("EC_CLEAR_EXEC_CTX", single)
+    for ticket in host.enclave.ecall("EC_MODEL_INF_BATCH", [seal()], uid, "eq"):
+        host.enclave.ecall("EC_CLEAR_EXEC_CTX", ticket)
+    assert host.code.batch_log == []
+    for ticket in host.enclave.ecall("EC_MODEL_INF_BATCH", [seal(), seal()], uid, "eq"):
+        host.enclave.ecall("EC_CLEAR_EXEC_CTX", ticket)
+    assert host.code.batch_log == [(uid, "eq", 2)]
+    host.destroy()
+
+
+def test_sequential_build_accepts_a_batch_of_one_and_refuses_two(tiny_model):
+    user, host = _solo_host(tiny_model, IsolationSettings.strong(), tcs_count=1)
+    uid, x = user.principal_id, make_input(tiny_model)
+    seal = partial(user.encrypt_request, "eq", host.measurement, x)
+    (ticket,) = host.enclave.ecall("EC_MODEL_INF_BATCH", [seal()], uid, "eq")
+    host.enclave.ecall("EC_CLEAR_EXEC_CTX", ticket)
+    with pytest.raises(InvocationError, match="sequential"):
+        host.enclave.ecall("EC_MODEL_INF_BATCH", [seal(), seal()], uid, "eq")
+    assert host.code.pending_outputs == 0
+    host.destroy()

@@ -16,10 +16,10 @@ import pytest
 
 from repro.core.batching import BatchPolicy
 from repro.core.deployment import SeSeMIEnvironment, SessionStream
-from repro.core.semirt import (
+from repro.core.semirt import SchedulerConfig
+from repro.core.semirt_enclave import (
     MAX_STREAM_TOKENS,
     IsolationSettings,
-    SchedulerConfig,
     default_semirt_config,
 )
 from repro.errors import (

@@ -47,7 +47,8 @@ def test_quantized_model_through_the_secure_path():
 def test_sharded_fleet_serves_independent_owners(tiny_model, tiny_input):
     """Two owners on different shards run isolated deployments."""
     from repro.core.client import OwnerClient, UserClient
-    from repro.core.semirt import SemirtHost, default_semirt_config
+    from repro.core.semirt import SemirtHost
+    from repro.core.semirt_enclave import default_semirt_config
     from repro.serverless.storage import BlobStore
     from repro.sgx.attestation import AttestationService
     from repro.sgx.platform import SGX2, SgxPlatform
@@ -116,7 +117,7 @@ def test_fnpacker_cluster_with_telemetry():
 
 def test_strong_isolation_plus_revocation(tiny_model, tiny_input):
     """The strictest build still enforces (and survives) revocation."""
-    from repro.core.semirt import IsolationSettings
+    from repro.core.semirt_enclave import IsolationSettings
 
     env = SeSeMIEnvironment()
     owner = env.connect_owner()

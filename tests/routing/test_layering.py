@@ -42,3 +42,28 @@ def test_gate_catches_a_faults_import(tmp_path):
     (tmp_path / "guard.py").write_text("import repro.faults.resilience\n")
     checker = _load_checker()
     assert any("repro.faults" in v for v in checker.check(tmp_path))
+
+
+def test_enclave_module_is_pinned_to_the_trust_boundary(tmp_path):
+    """``core.semirt_enclave`` may import nothing that runs outside the
+    enclave: a host import inside it is reported, its real imports pass."""
+    checker = _load_checker()
+    allowed = checker.MODULES["core.semirt_enclave"]
+    assert set(allowed) == {
+        "repro.errors", "repro.core.wire", "repro.core.stages",
+        "repro.crypto", "repro.mlrt", "repro.sgx", "repro.obs",
+    }
+    bad = tmp_path / "semirt_enclave.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "import repro.core.wire as wire\n"
+        "from repro.crypto.gcm import AESGCM\n"
+        "from repro.core.semirt import SemirtHost\n"
+        "def f():\n    from repro.faults.injector import maybe_wire\n"
+    )
+    violations = checker.check_module(bad, "core.semirt_enclave", allowed)
+    assert len(violations) == 2
+    assert "repro.core.semirt'" in violations[0]
+    assert "repro.faults.injector" in violations[1]
+    real = checker.SRC_REPRO / "core" / "semirt_enclave.py"
+    assert checker.check_module(real, "core.semirt_enclave", allowed) == []

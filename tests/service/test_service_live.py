@@ -52,9 +52,11 @@ def test_submit_then_poll_consumes_exactly_once(world):
     y = future.result(timeout_s=30)
     assert np.allclose(y, expected(world), atol=1e-5)
     assert future.done()
-    # the result was consumed: every further poll replays a sticky 410
+    # the server handed the output out once: a raw poll replays a sticky 410
     with pytest.raises(ReproError, match="already fetched"):
-        future.result(timeout_s=5)
+        world.remote.client.call("GET", f"/v1/results/{future.req_id}")
+    # ... while the handle sealed the outcome and keeps answering from it
+    assert np.array_equal(future.result(timeout_s=5), y)
     assert future.cancel() is False
 
 
