@@ -2,7 +2,7 @@
 """Merge per-job benchmark JSON artifacts into one trajectory file.
 
 CI jobs each upload one benchmark result (``BENCH_service.json``,
-``BENCH_warmpool.json``, ``concurrency-bench.json``, ...).  The
+``BENCH_warmpool.json``, ``BENCH_scenario.json``, ...).  The
 ``bench-trajectory`` job downloads them all and runs::
 
     python scripts/merge_bench.py --root artifacts --out BENCH_trajectory.json
@@ -46,16 +46,10 @@ def find_bench_files(root: Path) -> List[Path]:
 
 
 def _key(path: Path) -> str:
-    """A stable benchmark key from a file name.
-
-    ``BENCH_service.json`` -> ``service``; ``gateway-bench.json`` ->
-    ``gateway`` -- the naming both generations of CI jobs use.
-    """
+    """The benchmark key of a file: ``BENCH_service.json`` -> ``service``."""
     stem = path.stem
     if stem.startswith("BENCH_"):
         stem = stem[len("BENCH_"):]
-    if stem.endswith("-bench"):
-        stem = stem[: -len("-bench")]
     return stem
 
 

@@ -1,41 +1,40 @@
-"""Command-line interface: list, run, and trace the paper's experiments.
+"""Command-line interface: run, trace and report the repo's measurements.
 
 Usage::
 
-    python -m repro list                 # show available experiments
-    python -m repro run fig9             # print one experiment's table
+    python -m repro list                 # every measurement `run` knows
+    python -m repro run fig9             # print one measurement's table
     python -m repro run table2 fig10     # several at once
-    python -m repro run fig8 --json      # raw result as JSON
-    python -m repro run fig12 --seed 7   # seed the global RNGs first
+    python -m repro run fig8 --json      # the raw result dict, sorted keys
+    python -m repro run service --json   # a gated harness: exit 1 on FAIL
     python -m repro trace fig8           # dump a chrome://tracing file
     python -m repro report [PATH]        # regenerate EXPERIMENTS.md
+    python -m repro serve --port 8080    # boot the live HTTP service tier
 
     python -m repro scenario list        # registered specs + stored runs
     python -m repro scenario run NAME    # execute + persist one scenario
     python -m repro scenario compare A B # diff two stored runs
     python -m repro scenario report      # markdown summary of the store
 
-Experiments self-register through the :func:`experiment` decorator into
-the :data:`EXPERIMENTS` registry; trace sources register through
-:func:`trace_source` into :data:`TRACES`.
-
-The benchmark subcommands (``chaos``, ``warmpool``, ...) share their
-common flags (``--json``, ``--seed``, ``--requests``, ``--paced-ms``)
-through argparse parent parsers built by the ``_*_parent`` helpers, and
-every subparser binds its handler with ``set_defaults(handler=...)`` --
-adding a command means adding one parser and one handler, not another
-arm of an if-chain.
+``repro run NAME`` is the one way this CLI executes a measurement.
+:data:`EXPERIMENTS` is a literal table: a name maps to a description,
+the harness module (its ``run()`` / ``format_report()``) and the fixed
+keyword arguments the CLI runs it with -- every other knob is a keyword
+of that module's ``run()``.  A gated harness returns ``pass`` and ``run``
+exits 1 when it is false: the exit code is the gate, CI adds no check
+of its own.  Seeded, parameterised *deterministic* runs are ``repro
+scenario run NAME --seed N --set PATH=VALUE``.  :data:`TRACES` is the
+same kind of table for ``repro trace``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from types import ModuleType
+from typing import Callable, Dict, List, Tuple
 
 from repro.experiments import (
     batching,
@@ -59,233 +58,65 @@ from repro.experiments import (
     warmpool,
 )
 
-
-@dataclass(frozen=True)
-class Experiment:
-    """One registered experiment: a raw runner plus a renderer.
-
-    Iterating yields ``(description, report_runner)`` so older code that
-    tuple-unpacked the registry values keeps working.
-    """
-
-    name: str
-    description: str
-    run: Callable[[], dict]
-    render: Callable[[dict], str]
-
-    def report(self) -> str:
-        """Run the experiment and render its paper-style table."""
-        return self.render(self.run())
-
-    def __iter__(self):
-        """Back-compat view as the old ``(description, runner)`` pair."""
-        yield self.description
-        yield self.report
-
-
-#: experiment name -> :class:`Experiment` (populated by :func:`experiment`)
-EXPERIMENTS: Dict[str, Experiment] = {}
-
-#: trace source name -> (description, callable returning finished spans)
-TRACES: Dict[str, tuple] = {}
-
-
-def experiment(name: str, description: str, render: Callable[[dict], str]):
-    """Register a function returning an experiment's raw result dict."""
-
-    def register(run: Callable[[], dict]) -> Callable[[], dict]:
-        EXPERIMENTS[name] = Experiment(name, description, run, render)
-        return run
-
-    return register
-
-
-def trace_source(name: str, description: str):
-    """Register a function returning a finished-span list to export."""
-
-    def register(collect: Callable[[], list]) -> Callable[[], list]:
-        TRACES[name] = (description, collect)
-        return collect
-
-    return register
-
-
-# -- registry ---------------------------------------------------------------------
-
-experiment(
-    "table1", "Table I: evaluation models and buffer sizes", table1.format_report
-)(table1.run)
-experiment(
-    "fig8", "Figure 8: cold-invocation stage breakdown", fig8.format_report
-)(fig8.run)
-experiment(
-    "fig9", "Figure 9: cold/warm/hot vs untrusted paths", fig9.format_report
-)(fig9.run)
-experiment(
-    "fig10", "Figure 10: enclave memory saving vs concurrency", fig10.format_report
-)(fig10.run)
-experiment(
-    "fig11", "Figure 11: latency vs concurrency (CPU / EPC bound)",
-    fig11.format_report,
-)(fig11.run)
+#: name -> (description, module exposing ``run``/``format_report``, the
+#: fixed keyword arguments ``repro run`` passes to ``run``)
+EXPERIMENTS: Dict[str, Tuple[str, ModuleType, dict]] = {
+    "table1": ("Table I: evaluation models and buffer sizes", table1, {}),
+    "fig8": ("Figure 8: cold-invocation stage breakdown", fig8, {}),
+    "fig9": ("Figure 9: cold/warm/hot vs untrusted paths", fig9, {}),
+    "fig10": ("Figure 10: enclave memory saving vs concurrency", fig10, {}),
+    "fig11": (
+        "Figure 11: latency vs concurrency (CPU / EPC bound)", fig11, {},
+    ),
+    "fig12": (
+        "Figure 12: single-node rate sweeps (quick grid)", fig12,
+        {"quick": True},
+    ),
+    "fig13": (
+        "Figures 13/14: multi-node MMPP latency and GB-s cost", fig13,
+        {"duration_s": 240.0},
+    ),
+    "table2": ("Table II: strong-isolation overhead", table2, {}),
+    "table34": ("Tables III/IV: FnPacker vs baselines", table34, {}),
+    "fig15": (
+        "Figures 15/16: enclave launch + attestation overhead", fig15, {},
+    ),
+    "fig17": ("Figures 17/18: breakdown with vs without SGX", fig17, {}),
+    "chaos": (
+        "Chaos sweep: fault rate vs availability/p99 (quick grid)", chaos,
+        {"quick": True},
+    ),
+    "concurrency": (
+        "TCS scheduler: 1- vs 4-TCS hot-path throughput + queue-depth sweep",
+        concurrency, {},
+    ),
+    "batching": (
+        "Live micro-batching: hot-path throughput at batch 4 vs 1 (4-TCS host)",
+        batching, {},
+    ),
+    "gateway": (
+        "Routed throughput: one gateway, 1 vs 3 live SeMIRT endpoints",
+        gateway, {},
+    ),
+    "service": (
+        "HTTP service tier: fast 429 sheds + flat admitted p99 under saturation",
+        service, {},
+    ),
+    "warmpool": (
+        "Warm-pool policies: cold-start ratios, scale-to-zero, pre-warming",
+        warmpool, {},
+    ),
+    "hotpath": (
+        "Hot-path overhead: binary codec + session/key caches vs the seed path",
+        hotpath, {},
+    ),
+    "streaming": (
+        "Streaming decode: continuous batching vs per-request, TTFT + tokens/sec",
+        streaming, {},
+    ),
+}
 
 
-@experiment(
-    "fig12", "Figure 12: single-node rate sweeps (quick grid)", fig12.format_report
-)
-def _run_fig12() -> dict:
-    """Figure 12 on the quick parameter grid."""
-    return fig12.run(quick=True)
-
-
-@experiment(
-    "fig13", "Figures 13/14: multi-node MMPP latency and GB-s cost",
-    fig13.format_report,
-)
-def _run_fig13() -> dict:
-    """Figures 13/14 with the shortened duration the CLI uses."""
-    return fig13.run(duration_s=240.0)
-
-
-experiment(
-    "table2", "Table II: strong-isolation overhead", table2.format_report
-)(table2.run)
-experiment(
-    "table34", "Tables III/IV: FnPacker vs baselines", table34.format_report
-)(table34.run)
-experiment(
-    "fig15", "Figures 15/16: enclave launch + attestation overhead",
-    fig15.format_report,
-)(fig15.run)
-experiment(
-    "fig17", "Figures 17/18: breakdown with vs without SGX", fig17.format_report
-)(fig17.run)
-
-
-@experiment(
-    "chaos", "Chaos sweep: fault rate vs availability/p99 (quick grid)",
-    chaos.format_report,
-)
-def _run_chaos() -> dict:
-    """The chaos sweep on the quick grid (CI-friendly)."""
-    return chaos.run(quick=True)
-
-
-@experiment(
-    "concurrency",
-    "TCS scheduler: 1- vs 4-TCS hot-path throughput + queue-depth sweep",
-    concurrency.format_report,
-)
-def _run_concurrency() -> dict:
-    """The wall-clock concurrency benchmark with its default knobs."""
-    return concurrency.run()
-
-
-@experiment(
-    "batching",
-    "Live micro-batching: hot-path throughput at batch 4 vs 1 (4-TCS host)",
-    batching.format_report,
-)
-def _run_batching() -> dict:
-    """The live micro-batching benchmark with its default knobs."""
-    return batching.run()
-
-
-@experiment(
-    "gateway",
-    "Routed throughput: one gateway, 1 vs 3 live SeMIRT endpoints",
-    gateway.format_report,
-)
-def _run_gateway() -> dict:
-    """The routed-throughput benchmark with its default knobs."""
-    return gateway.run()
-
-
-@experiment(
-    "service",
-    "HTTP service tier: fast 429 sheds + flat admitted p99 under saturation",
-    service.format_report,
-)
-def _run_service() -> dict:
-    """The service-tier saturation benchmark with its default knobs."""
-    return service.run()
-
-
-@experiment(
-    "warmpool",
-    "Warm-pool policies: cold-start ratios, scale-to-zero, pre-warming",
-    warmpool.format_report,
-)
-def _run_warmpool() -> dict:
-    """The warm-pool policy sweep with its default knobs."""
-    return warmpool.run()
-
-
-@experiment(
-    "hotpath",
-    "Hot-path overhead: binary codec + session/key caches vs the seed path",
-    hotpath.format_report,
-)
-def _run_hotpath() -> dict:
-    """The hot-path per-request overhead benchmark with its default knobs."""
-    return hotpath.run()
-
-
-@experiment(
-    "streaming",
-    "Streaming decode: continuous batching vs per-request, TTFT + tokens/sec",
-    streaming.format_report,
-)
-def _run_streaming() -> dict:
-    """The streaming continuous-batching benchmark with its default knobs."""
-    return streaming.run()
-
-
-@trace_source("fig8", "one cold SeSeMI request on the simulated testbed")
-def _trace_fig8() -> list:
-    """Span dump of one virtual-time cold request (MBNET on TVM)."""
-    spans, _ = fig8.traced_cold_request("MBNET", "tvm")
-    return spans
-
-
-@trace_source("fig17", "one cold request on the untrusted runtime")
-def _trace_fig17() -> list:
-    """Span dump of the non-SGX comparison path of Figures 17/18."""
-    spans, _ = fig8.traced_cold_request("MBNET", "tvm", system="Untrusted")
-    return spans
-
-
-@trace_source("chaos", "one resilient chaos run with an injected shard outage")
-def _trace_chaos() -> list:
-    """Span dump of one deterministic chaos run (logical-clock time)."""
-    return chaos.collect_trace()
-
-
-@trace_source("concurrency", "a paced 4-TCS batch with overlapping ECALL spans")
-def _trace_concurrency() -> list:
-    """Span dump of one small multi-TCS batch (wall time)."""
-    return concurrency.collect_trace()
-
-
-@trace_source("batching", "a busy-paced burst served through EC_MODEL_INF_BATCH")
-def _trace_batching() -> list:
-    """Span dump of one small batched burst (wall time)."""
-    return batching.collect_trace()
-
-
-@trace_source("gateway", "a routed multi-model batch over two live endpoints")
-def _trace_gateway() -> list:
-    """Span dump of one routed batch (route spans included, wall time)."""
-    return gateway.collect_trace()
-
-
-@trace_source("service", "two HTTP inferences: client and server trees joined")
-def _trace_service() -> list:
-    """Span dump of one service round trip (client -> ECALL, wall time)."""
-    return service.collect_trace()
-
-
-@trace_source("session", "a functional cold+hot inference via the session API")
 def _trace_session() -> list:
     """Span dump of two real inferences (cold then hot) in wall time."""
     import numpy as np
@@ -303,17 +134,44 @@ def _trace_session() -> list:
     return env.tracer.finished_spans()
 
 
+#: name -> (description, callable returning the finished spans to export)
+TRACES: Dict[str, Tuple[str, Callable[[], list]]] = {
+    "fig8": (
+        "one cold SeSeMI request on the simulated testbed",
+        lambda: fig8.traced_cold_request("MBNET", "tvm")[0],
+    ),
+    "fig17": (
+        "one cold request on the untrusted runtime",
+        lambda: fig8.traced_cold_request("MBNET", "tvm", system="Untrusted")[0],
+    ),
+    "chaos": (
+        "one resilient chaos run with an injected shard outage",
+        chaos.collect_trace,
+    ),
+    "concurrency": (
+        "a paced 4-TCS batch with overlapping ECALL spans",
+        concurrency.collect_trace,
+    ),
+    "batching": (
+        "a busy-paced burst served through EC_MODEL_INF_BATCH",
+        batching.collect_trace,
+    ),
+    "gateway": (
+        "a routed multi-model batch over two live endpoints",
+        gateway.collect_trace,
+    ),
+    "service": (
+        "two HTTP inferences: client and server trees joined",
+        service.collect_trace,
+    ),
+    "session": (
+        "a functional cold+hot inference via the session API",
+        _trace_session,
+    ),
+}
+
+
 # -- commands ---------------------------------------------------------------------
-
-
-def _seed_rngs(seed: Optional[int]) -> None:
-    """Seed the global RNGs the experiments draw from."""
-    if seed is None:
-        return
-    import numpy as np
-
-    random.seed(seed)
-    np.random.seed(seed)
 
 
 def _json_default(value):
@@ -324,43 +182,42 @@ def _json_default(value):
         return str(value)
 
 
-def _emit(result: dict, as_json: bool, render: Callable[[dict], str]) -> None:
-    """Print a benchmark result: sorted JSON or its paper-style table."""
-    if as_json:
-        print(json.dumps(result, indent=2, sort_keys=True, default=_json_default))
-    else:
-        print(render(result))
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     del args
     width = max(len(name) for name in EXPERIMENTS)
-    for name, entry in EXPERIMENTS.items():
-        print(f"  {name:<{width}}  {entry.description}")
+    for name, (description, _module, _kwargs) in EXPERIMENTS.items():
+        print(f"  {name:<{width}}  {description}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Run the named measurements; exit 1 if a gated one reports FAIL."""
     names: List[str] = args.names
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print("run `python -m repro list` to see what exists", file=sys.stderr)
         return 2
-    _seed_rngs(args.seed)
-    collected: Dict[str, dict] = {}
+    if args.json and len(names) > 1:
+        print("--json prints one bare result: name one experiment",
+              file=sys.stderr)
+        return 2
+    passed = True
     for name in names:
-        entry = EXPERIMENTS[name]
-        if args.json:
-            collected[name] = entry.run()
-            continue
-        print(f"=== {name}: {entry.description} ===")
+        description, module, kwargs = EXPERIMENTS[name]
+        if not args.json:
+            print(f"=== {name}: {description} ===")
         started = time.time()
-        print(entry.report())
-        print(f"[{name} finished in {time.time() - started:.1f}s]\n")
-    if args.json:
-        print(json.dumps(collected, indent=2, default=_json_default))
-    return 0
+        result = module.run(**kwargs)
+        if args.json:
+            print(json.dumps(
+                result, indent=2, sort_keys=True, default=_json_default
+            ))
+        else:
+            print(module.format_report(result))
+            print(f"[{name} finished in {time.time() - started:.1f}s]\n")
+        passed = passed and result.get("pass", True)
+    return 0 if passed else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -381,37 +238,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"wrote {len(spans)} spans ({description}) to {path} "
         f"in {time.time() - started:.1f}s -- open with chrome://tracing"
     )
-    return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    """Run the chaos sweep with explicit knobs (``repro chaos``)."""
-    result = chaos.run(seed=args.seed, requests=args.requests, quick=args.quick)
-    _emit(result, args.json, chaos.format_report)
-    return 0
-
-
-def _cmd_concurrency(args: argparse.Namespace) -> int:
-    """Run the TCS-scheduler benchmark (``repro concurrency``)."""
-    result = concurrency.run(requests=args.requests, paced_ms=args.paced_ms)
-    _emit(result, args.json, concurrency.format_report)
-    return 0
-
-
-def _cmd_batching(args: argparse.Namespace) -> int:
-    """Run the live micro-batching benchmark (``repro batching``)."""
-    result = batching.run(
-        requests=args.requests, paced_ms=args.paced_ms,
-        max_batch=args.max_batch,
-    )
-    _emit(result, args.json, batching.format_report)
-    return 0
-
-
-def _cmd_gateway(args: argparse.Namespace) -> int:
-    """Run the routed-throughput benchmark (``repro gateway``)."""
-    result = gateway.run(requests=args.requests, paced_ms=args.paced_ms)
-    _emit(result, args.json, gateway.format_report)
     return 0
 
 
@@ -445,37 +271,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         svc.gateway.close()
     return 0
-
-
-def _cmd_warmpool(args: argparse.Namespace) -> int:
-    """Run the warm-pool sweep (``repro warmpool``); exit 1 on gate fail."""
-    result = warmpool.run(duration_s=args.duration, keep_alive_s=args.keep_alive)
-    _emit(result, args.json, warmpool.format_report)
-    return 0 if result["pass"] else 1
-
-
-def _cmd_hotpath(args: argparse.Namespace) -> int:
-    """Run the hot-path benchmark (``repro hotpath``); exit 1 on gate fail."""
-    result = hotpath.run(requests=args.requests)
-    _emit(result, args.json, hotpath.format_report)
-    return 0 if result["speedup"] >= result["gate"] else 1
-
-
-def _cmd_streaming(args: argparse.Namespace) -> int:
-    """Run the streaming benchmark (``repro streaming``); exit 1 on gate fail."""
-    result = streaming.run(streams=args.streams, tokens=args.tokens)
-    _emit(result, args.json, streaming.format_report)
-    return 0 if result["pass"] else 1
-
-
-def _cmd_service(args: argparse.Namespace) -> int:
-    """Run the saturation benchmark (``repro service``); exit 1 on gate fail."""
-    result = service.run(
-        duration_s=args.duration, paced_ms=args.paced_ms,
-        saturated_clients=args.clients,
-    )
-    _emit(result, args.json, service.format_report)
-    return 0 if result["pass"] else 1
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -640,53 +435,6 @@ def _cmd_scenario_report(args: argparse.Namespace) -> int:
 # -- parser assembly ---------------------------------------------------------------
 
 
-def _json_parent(help_text: str = "emit the raw result dict as JSON"):
-    """A reusable ``--json`` flag (the parent-parser idiom)."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--json", action="store_true", help=help_text)
-    return parent
-
-
-def _seed_parent(default: Optional[int], help_text: str):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--seed", type=int, default=default, help=help_text)
-    return parent
-
-
-def _requests_parent(default: int, help_text: str):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--requests", type=int, default=default, help=help_text)
-    return parent
-
-
-def _paced_parent(
-    default: float,
-    help_text: str = "per-request service-time floor in ms (0 disables pacing)",
-):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--paced-ms", type=float, default=default, help=help_text
-    )
-    return parent
-
-
-def _duration_parent(default: float, help_text: str):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--duration", type=float, default=default, help=help_text
-    )
-    return parent
-
-
-def _keep_alive_parent(default: Optional[float], help_text: str):
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--keep-alive", type=float, default=default, metavar="SECONDS",
-        help=help_text,
-    )
-    return parent
-
-
 def _add_scenario_parsers(sub) -> None:
     """The ``repro scenario`` command group (run/list/compare/report)."""
     scenario_parser = sub.add_parser(
@@ -702,13 +450,15 @@ def _add_scenario_parsers(sub) -> None:
         help="run-store directory (default: runs/)",
     )
     run_parser = scen_sub.add_parser(
-        "run",
-        parents=[store_parent,
-                 _json_parent("print the persisted manifest as JSON")],
+        "run", parents=[store_parent],
         help="execute one scenario and persist its manifest",
     )
     run_parser.add_argument(
         "name", help="registered scenario name, or a path to a spec JSON file"
+    )
+    run_parser.add_argument(
+        "--json", action="store_true",
+        help="print the persisted manifest as JSON",
     )
     run_parser.add_argument(
         "--seed", type=int, default=None,
@@ -733,13 +483,15 @@ def _add_scenario_parsers(sub) -> None:
     )
     list_parser.set_defaults(handler=_cmd_scenario_list)
     compare_parser = scen_sub.add_parser(
-        "compare",
-        parents=[store_parent,
-                 _json_parent("emit the structured diff as JSON")],
+        "compare", parents=[store_parent],
         help="diff two stored runs (spec fields, then metrics)",
     )
     compare_parser.add_argument("run_a", help="first stored run ID")
     compare_parser.add_argument("run_b", help="second stored run ID")
+    compare_parser.add_argument(
+        "--json", action="store_true",
+        help="emit the structured diff as JSON",
+    )
     compare_parser.add_argument(
         "--changed-only", action="store_true",
         help="hide metrics with zero delta",
@@ -755,8 +507,8 @@ def _add_scenario_parsers(sub) -> None:
     report_parser.set_defaults(handler=_cmd_scenario_report)
 
 
-def main(argv=None) -> int:
-    """CLI entry point; returns a process exit code."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole ``repro`` argument parser (``main`` and the docs test use it)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SeSeMI reproduction: run the paper's experiments.",
@@ -766,13 +518,13 @@ def main(argv=None) -> int:
     list_parser.set_defaults(handler=_cmd_list)
     run_parser = sub.add_parser(
         "run",
-        parents=[
-            _json_parent("emit raw result dicts as JSON instead of tables"),
-            _seed_parent(None, "seed the global RNGs before running"),
-        ],
-        help="run one or more experiments",
+        help="run one or more experiments (exit 1 if a gated one fails)",
     )
     run_parser.add_argument("names", nargs="+", help="experiment names")
+    run_parser.add_argument(
+        "--json", action="store_true",
+        help="print the one named experiment's raw result dict as JSON",
+    )
     run_parser.set_defaults(handler=_cmd_run)
     trace_parser = sub.add_parser(
         "trace", help="run a traced workload and dump a chrome://tracing file"
@@ -782,70 +534,12 @@ def main(argv=None) -> int:
         "--out", default=None, help="output path (default: trace-<name>.json)"
     )
     trace_parser.set_defaults(handler=_cmd_trace)
-    chaos_parser = sub.add_parser(
-        "chaos",
-        parents=[
-            _seed_parent(
-                2025,
-                "fault-plan seed (same seed => identical schedule and numbers)",
-            ),
-            _requests_parent(40, "requests per run"),
-            _json_parent(
-                "emit the raw result as sorted JSON (byte-stable per seed)"
-            ),
-        ],
-        help="run the deterministic fault-injection sweep",
-    )
-    chaos_parser.add_argument(
-        "--quick", action="store_true",
-        help="small sweep grid and request count (CI smoke)",
-    )
-    chaos_parser.set_defaults(handler=_cmd_chaos)
-    conc_parser = sub.add_parser(
-        "concurrency",
-        parents=[
-            _requests_parent(24, "batch size per throughput run"),
-            _paced_parent(50.0),
-            _json_parent(),
-        ],
-        help="run the TCS-scheduler throughput benchmark",
-    )
-    conc_parser.set_defaults(handler=_cmd_concurrency)
-    batch_parser = sub.add_parser(
-        "batching",
-        parents=[
-            _requests_parent(24, "burst size per throughput run"),
-            _paced_parent(80.0, "per-request busy service-time floor in ms"),
-            _json_parent(),
-        ],
-        help="run the live micro-batching throughput benchmark",
-    )
-    batch_parser.add_argument(
-        "--max-batch", type=int, default=4,
-        help="batch bound for the batched run (clamped to the TCS count)",
-    )
-    batch_parser.set_defaults(handler=_cmd_batching)
-    gw_parser = sub.add_parser(
-        "gateway",
-        parents=[
-            _requests_parent(24, "requests per fleet width"),
-            _paced_parent(150.0),
-            _json_parent(),
-        ],
-        help="run the routed-throughput gateway benchmark",
-    )
-    gw_parser.set_defaults(handler=_cmd_gateway)
+    report_parser = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
+    report_parser.add_argument("path", nargs="?", default="EXPERIMENTS.md")
+    report_parser.set_defaults(handler=_cmd_report)
+    _add_scenario_parsers(sub)
     serve_parser = sub.add_parser(
-        "serve",
-        parents=[
-            _paced_parent(0.0),
-            _keep_alive_parent(
-                None,
-                "arm the warm pool: retire endpoints idle this long "
-                "(default: warm pool off)",
-            ),
-        ],
-        help="boot the HTTP service tier over a live gateway",
+        "serve", help="boot the HTTP service tier over a live gateway"
     )
     serve_parser.add_argument(
         "--host", default="127.0.0.1", help="bind address"
@@ -861,8 +555,17 @@ def main(argv=None) -> int:
         "--endpoints", type=int, default=1, help="endpoints in the pool"
     )
     serve_parser.add_argument(
+        "--paced-ms", type=float, default=0.0,
+        help="per-request service-time floor in ms (0 disables pacing)",
+    )
+    serve_parser.add_argument(
         "--max-inflight", type=int, default=None,
         help="admission bound (default: fleet TCS capacity)",
+    )
+    serve_parser.add_argument(
+        "--keep-alive", type=float, default=None, metavar="SECONDS",
+        help="arm the warm pool: retire endpoints idle this long "
+             "(default: warm pool off)",
     )
     serve_parser.add_argument(
         "--min-warm", type=int, default=1,
@@ -877,74 +580,10 @@ def main(argv=None) -> int:
         help="launch endpoints ahead of predicted demand (EWMA rates)",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
-    service_parser = sub.add_parser(
-        "service",
-        parents=[
-            _duration_parent(3.0, "seconds per load phase"),
-            _paced_parent(200.0, "per-request service-time floor in ms"),
-            _json_parent(
-                "emit the raw result dict (the BENCH_service.json artifact)"
-            ),
-        ],
-        help="run the service-tier saturation benchmark",
-    )
-    service_parser.add_argument(
-        "--clients", type=int, default=8,
-        help="closed-loop clients in the saturated phase",
-    )
-    service_parser.set_defaults(handler=_cmd_service)
-    warmpool_parser = sub.add_parser(
-        "warmpool",
-        parents=[
-            _duration_parent(240.0, "seconds of workload per policy run"),
-            _keep_alive_parent(
-                30.0, "keep-alive for the managed policies (seconds)"
-            ),
-            _json_parent(
-                "emit the raw result dict (the BENCH_warmpool.json artifact)"
-            ),
-        ],
-        help="run the warm-pool cold-start policy sweep",
-    )
-    warmpool_parser.set_defaults(handler=_cmd_warmpool)
-    hotpath_parser = sub.add_parser(
-        "hotpath",
-        parents=[
-            _requests_parent(
-                60, "timed requests per lane (two users alternating)"
-            ),
-            _json_parent(
-                "emit the raw result dict (the BENCH_hotpath.json artifact)"
-            ),
-        ],
-        help="run the hot-path per-request overhead benchmark",
-    )
-    hotpath_parser.set_defaults(handler=_cmd_hotpath)
-    streaming_parser = sub.add_parser(
-        "streaming",
-        parents=[
-            _json_parent(
-                "emit the raw result dict (the BENCH_streaming.json artifact)"
-            ),
-        ],
-        help="run the streaming continuous-batching decode benchmark",
-    )
-    streaming_parser.add_argument(
-        "--streams", type=int, default=4,
-        help="concurrent streams per lane (one user, one model)",
-    )
-    streaming_parser.add_argument(
-        "--tokens", type=int, default=32,
-        help="tokens decoded per stream",
-    )
-    streaming_parser.set_defaults(handler=_cmd_streaming)
-    report_parser = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
-    report_parser.add_argument("path", nargs="?", default="EXPERIMENTS.md")
-    report_parser.set_defaults(handler=_cmd_report)
-    _add_scenario_parsers(sub)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    """CLI entry point; returns a process exit code."""
+    args = build_parser().parse_args(argv)
     return args.handler(args)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

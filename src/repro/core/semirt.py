@@ -515,10 +515,15 @@ class SemirtHost:
         if batched and self._injector is not None and self._injector.crash_enclave(
             "semirt:batch"
         ):
-            # the leader dies mid-batch: followers must never hang
-            self.destroy()
-            for member in live:
-                member.set_error(FaultInjected("semirt enclave crashed mid-batch ECALL"))
+            # the leader dies mid-batch: followers must never hang,
+            # whatever teardown itself does
+            try:
+                self.destroy()
+            finally:
+                for member in live:
+                    member.set_error(
+                        FaultInjected("semirt enclave crashed mid-batch ECALL")
+                    )
             return
         try:
             self._serve_members(live, slot)
@@ -831,7 +836,7 @@ class SemirtHost:
         compute-bound regime micro-batching is for.  Otherwise the floor
         is wall time spent sleeping, releasing the GIL so paced singles
         overlap across TCS slots (the core-rich regime
-        ``repro concurrency`` measures).
+        ``repro run concurrency`` measures).
         """
         floor = self.scheduler.paced_service_s
         if floor is None:
@@ -936,7 +941,10 @@ class SemirtHost:
         Queued-but-unserved tickets fail with
         :class:`~repro.errors.EnclaveError`; tickets already inside an
         ECALL run to completion against the dying enclave and fail (or
-        finish) on their own.
+        finish) on their own.  Safe to call again, also concurrently
+        (two crashing batch leaders, a crash racing the owner's
+        teardown): only the first caller retires the workers; a later
+        one still fails whatever tickets it finds queued.
         """
         self.enclave.destroy()
         with self._batch_cv:
@@ -946,14 +954,20 @@ class SemirtHost:
         with self._workers_lock:
             workers, self._workers = self._workers, []
         # fail whatever is still queued *before* posting the shutdown
-        # sentinels, so a worker never exits with live tickets behind it
+        # sentinels, so a worker never exits with live tickets behind it;
+        # a sentinel found here is owed to a worker an earlier destroy()
+        # retired, so it goes back in
+        sentinels = len(workers)
         while True:
             try:
                 item = self._queue.get_nowait()
             except queue_module.Empty:
                 break
-            item.set_error(
-                EnclaveError(f"{self.enclave.enclave_id} is destroyed")
-            )
-        for _ in workers:
+            if item is _SHUTDOWN:
+                sentinels += 1
+            else:
+                item.set_error(
+                    EnclaveError(f"{self.enclave.enclave_id} is destroyed")
+                )
+        for _ in range(sentinels):
             self._queue.put(_SHUTDOWN)

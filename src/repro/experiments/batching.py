@@ -17,63 +17,66 @@ floor for the whole batch.  (With the GIL as the stand-in single core,
 the functional twin reproduces the regime faithfully.)  A sleep-paced
 host, by contrast, overlaps singles perfectly across slots and has
 nothing for batching to amortise -- that regime is what
-``repro concurrency`` measures.
+``repro run concurrency`` measures.
 
 The batching win is verified from the trace itself: the run reports the
 ``ecall:EC_MODEL_INF_BATCH`` spans' ``batch_size`` distribution and the
-total ``amortised_s`` they claim, alongside the measured speedup.
+total ``amortised_s`` they claim, alongside the measured speedup, which
+``run()`` gates at :data:`SPEEDUP_GATE` (``repro run batching`` exits 1
+below it).
 """
 
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.batching import BatchPolicy
-from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt import SchedulerConfig
-from repro.core.semirt_enclave import default_semirt_config
+from repro.experiments.common import format_gates, live_host
 from repro.mlrt.zoo import build_mobilenet
 
 MODEL_ID = "batch-model"
+
+#: ``repro run batching`` (and so the CI ``bench`` job) fails below this
+#: batched-vs-unbatched throughput ratio; typical runs measure 1.6-1.8x
+#: (docs/performance.md), the floor leaves room for a shared runner
+SPEEDUP_GATE = 1.3
 
 
 def _throughput_run(
     policy: Optional[BatchPolicy],
     requests: int,
     paced_s: float,
-    tcs_count: int,
-    model_seed: int,
-) -> dict:
-    """Serve one hot burst on a fresh host, batched or not."""
-    env = SeSeMIEnvironment()
+    tcs_count: int = 4,
+    model_seed: int = 7,
+) -> Tuple[dict, list]:
+    """Serve one hot burst on a fresh host, batched or not.
+
+    Returns the throughput row and the spans of the timed burst (what
+    ``repro trace batching`` dumps).
+    """
     model = build_mobilenet(seed=model_seed)
-    config = default_semirt_config(tcs_count=tcs_count)
-    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
     scheduler = SchedulerConfig(
         queue_depth=max(16, requests),
         paced_service_s=paced_s,
         paced_busy=True,
         batch=policy,
     )
-    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
-        session.infer(x)  # cold start: load + key fetch, off the clock
-        env.tracer.clear()
+    with live_host(model, MODEL_ID, scheduler, tcs_count=tcs_count) as live:
+        live.session.infer(x)  # cold start: load + key fetch, off the clock
+        live.env.tracer.clear()
         started = time.perf_counter()
-        session.infer_many([x] * requests)
+        live.session.infer_many([x] * requests)
         elapsed = time.perf_counter() - started
+        spans = live.env.tracer.finished_spans()
         batch_spans = [
-            s for s in env.tracer.finished_spans()
-            if s.name == "ecall:EC_MODEL_INF_BATCH"
+            s for s in spans if s.name == "ecall:EC_MODEL_INF_BATCH"
         ]
-        single_spans = [
-            s for s in env.tracer.finished_spans()
-            if s.name == "ecall:EC_MODEL_INF"
-        ]
+        single_spans = [s for s in spans if s.name == "ecall:EC_MODEL_INF"]
         sizes: List[int] = sorted(
             s.attributes["batch_size"] for s in batch_spans
         )
@@ -89,8 +92,7 @@ def _throughput_run(
                 s.attributes.get("amortised_s") or 0.0 for s in batch_spans
             ),
         }
-    host.destroy()
-    return result
+    return result, spans
 
 
 def run(
@@ -105,15 +107,17 @@ def run(
 
     Both runs use the same 4-TCS build and the same busy pacing floor;
     only ``SchedulerConfig.batch`` differs.  Returns the two rows plus
-    ``speedup`` (batched over unbatched) -- the acceptance target is
-    >= 1.5x at batch 4.
+    ``speedup`` (batched over unbatched), gated at
+    :data:`SPEEDUP_GATE`.
     """
     paced_s = paced_ms / 1e3
-    unbatched = _throughput_run(None, requests, paced_s, tcs_count, model_seed)
+    unbatched, _ = _throughput_run(None, requests, paced_s, tcs_count, model_seed)
     policy = BatchPolicy(
         batch_window_s=window_ms / 1e3, max_batch=max_batch, alpha=0.6
     )
-    batched = _throughput_run(policy, requests, paced_s, tcs_count, model_seed)
+    batched, _ = _throughput_run(policy, requests, paced_s, tcs_count, model_seed)
+    speedup = batched["throughput_rps"] / unbatched["throughput_rps"]
+    gates = {"batching_pays": speedup >= SPEEDUP_GATE}
     return {
         "requests": requests,
         "paced_ms": paced_ms,
@@ -121,12 +125,15 @@ def run(
         "window_ms": window_ms,
         "unbatched": unbatched,
         "batched": batched,
-        "speedup": batched["throughput_rps"] / unbatched["throughput_rps"],
+        "speedup": speedup,
+        "gate": SPEEDUP_GATE,
+        "gates": gates,
+        "pass": all(gates.values()),
     }
 
 
 def format_report(result: dict) -> str:
-    """Render the two rows plus the speedup line."""
+    """Render the two rows, the speedup line and the gate verdict."""
     lines = [
         f"live hot-path micro-batching, {result['requests']} requests, "
         f"busy-paced to {result['paced_ms']:.0f} ms/request, "
@@ -143,27 +150,13 @@ def format_report(result: dict) -> str:
         )
     lines.append(
         f"speedup (batch {result['batched']['max_batch']} vs 1): "
-        f"{result['speedup']:.2f}x"
+        f"{result['speedup']:.2f}x (gate >= {result['gate']:.1f}x)"
     )
+    lines.append(format_gates(result))
     return "\n".join(lines)
 
 
 def collect_trace(requests: int = 8, paced_ms: float = 80.0) -> list:
     """Spans of one small batched burst (for ``repro trace batching``)."""
-    env = SeSeMIEnvironment()
-    model = build_mobilenet()
-    config = default_semirt_config(tcs_count=4)
-    scheduler = SchedulerConfig(
-        queue_depth=max(16, requests),
-        paced_service_s=paced_ms / 1e3,
-        paced_busy=True,
-        batch=BatchPolicy(batch_window_s=0.05, max_batch=4),
-    )
-    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
-    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
-    x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
-        session.infer(x)
-        session.infer_many([x] * requests)
-    host.destroy()
-    return env.tracer.finished_spans()
+    policy = BatchPolicy(batch_window_s=0.05, max_batch=4)
+    return _throughput_run(policy, requests, paced_ms / 1e3)[1]

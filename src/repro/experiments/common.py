@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.costs import CostModel
+from repro.core.deployment import SeSeMIEnvironment, UserSession
+from repro.core.semirt import SchedulerConfig, SemirtHost
+from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import RoutingError
 from repro.routing import Router
 from repro.scenarios.table import _fmt, format_table  # noqa: F401 (re-export)
@@ -172,3 +176,54 @@ def make_driver(bed: Testbed, router: Optional[Router] = None,
 
 # format_table/_fmt live in repro.scenarios.table (stdlib-only, shared with
 # the scenario compare/report CLI); re-exported above for the experiments.
+
+
+# -- the live (wall-clock) harnesses ----------------------------------------------
+
+
+class LiveHost(NamedTuple):
+    """One live lane's world (what :func:`live_host` yields)."""
+
+    env: SeSeMIEnvironment
+    host: SemirtHost
+    #: the first granted user's session, attached to ``host``
+    session: UserSession
+
+
+@contextmanager
+def live_host(
+    model,
+    model_id: str,
+    scheduler: SchedulerConfig,
+    *,
+    tcs_count: int = 1,
+    users: Sequence[str] = ("user",),
+) -> Iterator[LiveHost]:
+    """One lane's world on the functional twin, torn down on the way out.
+
+    A fresh environment with ``model`` deployed and granted to ``users``,
+    one ``tcs_count``-TCS SeMIRT host launched under ``scheduler``, and
+    the first user's session attached to it.  The host is destroyed even
+    when the lane raises, so a failed lane never leaks its scheduler
+    workers into the next one.
+    """
+    env = SeSeMIEnvironment()
+    config = default_semirt_config(tcs_count=tcs_count)
+    handle = env.deploy(model, model_id, owner="owner", config=config)
+    for user in users:
+        handle.grant(user)
+    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
+    try:
+        with env.session(users[0], model_id, config=config, semirt=host) as session:
+            yield LiveHost(env, host, session)
+    finally:
+        host.destroy()
+
+
+def format_gates(result: dict) -> str:
+    """The verdict line of a gated harness: each gate, then PASS/FAIL."""
+    verdicts = ", ".join(
+        f"{name}={'ok' if ok else 'FAIL'}"
+        for name, ok in result["gates"].items()
+    )
+    return f"gates: {verdicts} -> {'PASS' if result['pass'] else 'FAIL'}"

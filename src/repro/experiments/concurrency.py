@@ -26,14 +26,13 @@ distinct ``tcs_slot`` attributes that served them.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt import SchedulerConfig
-from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import QueueFull
+from repro.experiments.common import live_host
 from repro.mlrt.zoo import build_mobilenet
 
 MODEL_ID = "conc-model"
@@ -59,28 +58,26 @@ def _throughput_run(
     tcs_count: int,
     requests: int,
     paced_s: Optional[float],
-    model_seed: int,
-) -> dict:
-    """Serve one paced batch on a fresh ``tcs_count``-TCS enclave."""
-    env = SeSeMIEnvironment()
+    model_seed: int = 7,
+) -> Tuple[dict, list]:
+    """Serve one paced batch on a fresh ``tcs_count``-TCS enclave.
+
+    Returns the throughput row and the spans of the timed batch (what
+    ``repro trace concurrency`` dumps).
+    """
     model = build_mobilenet(seed=model_seed)
-    config = default_semirt_config(tcs_count=tcs_count)
-    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
     scheduler = SchedulerConfig(
         queue_depth=max(16, requests), paced_service_s=paced_s
     )
-    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
-        session.infer(x)  # cold start: load + key fetch, off the clock
-        env.tracer.clear()
+    with live_host(model, MODEL_ID, scheduler, tcs_count=tcs_count) as live:
+        live.session.infer(x)  # cold start: load + key fetch, off the clock
+        live.env.tracer.clear()
         started = time.perf_counter()
-        session.infer_many([x] * requests)
+        live.session.infer_many([x] * requests)
         elapsed = time.perf_counter() - started
-        inf_spans = [
-            s for s in env.tracer.finished_spans()
-            if s.name == "ecall:EC_MODEL_INF"
-        ]
+        spans = live.env.tracer.finished_spans()
+        inf_spans = [s for s in spans if s.name == "ecall:EC_MODEL_INF"]
         waits = [
             s.attributes["queue_wait"]
             for s in inf_spans
@@ -99,8 +96,7 @@ def _throughput_run(
                 1e3 * sum(waits) / len(waits) if waits else 0.0
             ),
         }
-    host.destroy()
-    return result
+    return result, spans
 
 
 def _queue_sweep(
@@ -110,33 +106,25 @@ def _queue_sweep(
     model_seed: int,
 ) -> List[dict]:
     """Burst-submit against bounded queues, counting rejections."""
-    env = SeSeMIEnvironment()
     model = build_mobilenet(seed=model_seed)
-    config = default_semirt_config(tcs_count=tcs_count)
-    handle = env.deploy(model, MODEL_ID, owner="owner", config=config)
-    handle.grant("user")
-    user = env.user("user")
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    enc = user.encrypt_request(MODEL_ID, handle.measurement, x)
     rows = []
     for depth in queue_depths:
-        host = env.launch_semirt(
-            "tvm",
-            config=config,
-            scheduler=SchedulerConfig(queue_depth=depth, paced_service_s=paced_s),
-        )
-        host.infer(enc, user.principal_id, MODEL_ID)  # cold start off the burst
-        burst = 2 * (depth + tcs_count) + 4
-        accepted, rejected, tickets = 0, 0, []
-        for _ in range(burst):
-            try:
-                tickets.append(host.submit(enc, user.principal_id, MODEL_ID))
-                accepted += 1
-            except QueueFull:
-                rejected += 1
-        for ticket in tickets:
-            ticket.result()
-        host.destroy()
+        scheduler = SchedulerConfig(queue_depth=depth, paced_service_s=paced_s)
+        with live_host(model, MODEL_ID, scheduler, tcs_count=tcs_count) as live:
+            host, user = live.host, live.env.user("user")
+            enc = user.encrypt_request(MODEL_ID, host.measurement, x)
+            host.infer(enc, user.principal_id, MODEL_ID)  # cold start off the burst
+            burst = 2 * (depth + tcs_count) + 4
+            accepted, rejected, tickets = 0, 0, []
+            for _ in range(burst):
+                try:
+                    tickets.append(host.submit(enc, user.principal_id, MODEL_ID))
+                    accepted += 1
+                except QueueFull:
+                    rejected += 1
+            for ticket in tickets:
+                ticket.result()
         rows.append(
             {
                 "queue_depth": depth,
@@ -163,7 +151,7 @@ def run(
     """
     paced_s = paced_ms / 1e3 if paced_ms > 0 else None
     throughput = [
-        _throughput_run(tcs, requests, paced_s, model_seed)
+        _throughput_run(tcs, requests, paced_s, model_seed)[0]
         for tcs in tcs_counts
     ]
     speedup = (
@@ -212,17 +200,4 @@ def format_report(result: dict) -> str:
 
 def collect_trace(requests: int = 8, paced_ms: float = 50.0) -> list:
     """Spans of one small 4-TCS batch (for ``repro trace concurrency``)."""
-    env = SeSeMIEnvironment()
-    model = build_mobilenet()
-    config = default_semirt_config(tcs_count=4)
-    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
-    scheduler = SchedulerConfig(
-        queue_depth=requests, paced_service_s=paced_ms / 1e3
-    )
-    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
-    x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
-        session.infer(x)
-        session.infer_many([x] * requests)
-    host.destroy()
-    return env.tracer.finished_spans()
+    return _throughput_run(4, requests, paced_ms / 1e3)[1]

@@ -27,8 +27,9 @@ under an exclusive assignment, and how many were rerouted.
 
 from __future__ import annotations
 
-import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from typing import List, Optional
 
 import numpy as np
@@ -42,9 +43,14 @@ from repro.routing import FnPool
 MODEL_IDS = ("gw-m0", "gw-m1", "gw-m2")
 
 
-def _build_world(num_endpoints: int, requests: int, paced_s: Optional[float],
-                 model_seed: int):
-    """A deployed environment plus one gateway session per model."""
+@contextmanager
+def _world(num_endpoints: int, requests: int, paced_s: Optional[float],
+           model_seed: int):
+    """A deployed environment plus one gateway session per model.
+
+    Yields ``(env, gateway, sessions, x)`` and closes the gateway (every
+    endpoint it launched) on the way out, also when the lane raises.
+    """
     env = SeSeMIEnvironment()
     model = build_mobilenet(seed=model_seed)
     config = default_semirt_config(tcs_count=1)
@@ -66,60 +72,48 @@ def _build_world(num_endpoints: int, requests: int, paced_s: Optional[float],
         for model_id in MODEL_IDS
     ]
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    return env, gateway, sessions, x
+    try:
+        yield env, gateway, sessions, x
+    finally:
+        gateway.close()
 
 
-def _drive(sessions, x, requests: int, client_width: int) -> List[Exception]:
+def _drive(sessions, x, requests: int, client_width: int) -> List[BaseException]:
     """Serve ``requests`` round-robin over the models, ``client_width`` wide."""
-    indices = iter(range(requests))
-    guard = threading.Lock()
-    errors: List[Exception] = []
-
-    def worker() -> None:
-        while True:
-            with guard:
-                index = next(indices, None)
-            if index is None:
-                return
-            try:
-                sessions[index % len(sessions)].infer(x)
-            except Exception as exc:  # pragma: no cover - reported by caller
-                errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=worker) for _ in range(client_width)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return errors
+    with ThreadPoolExecutor(max_workers=client_width) as clients:
+        served = [
+            clients.submit(sessions[index % len(sessions)].infer, x)
+            for index in range(requests)
+        ]
+    errors = [handle.exception() for handle in served]
+    return [error for error in errors if error is not None]
 
 
 def _routed_run(num_endpoints: int, requests: int, paced_s: Optional[float],
                 client_width: int, model_seed: int) -> dict:
     """One timed batch through a fresh ``num_endpoints``-wide gateway."""
-    env, gateway, sessions, x = _build_world(
-        num_endpoints, requests, paced_s, model_seed
-    )
-    # Pre-launch every endpoint off the clock.  Pending counts only rise
-    # at dispatch (after admission), so concurrent *cold* first requests
-    # would all route to endpoint 0 while its enclave is still starting,
-    # and the fleet would never spread.
-    for endpoint, _ in gateway.router.endpoints():
-        gateway.ensure_host(endpoint)
-    # Concurrent warm-up over live hosts: overlapping first requests
-    # spread the models across the fleet and prefetch their keys.
-    errors = _drive(sessions, x, len(sessions), client_width=len(sessions))
-    env.tracer.clear()
-    started = time.perf_counter()
-    errors += _drive(sessions, x, requests, client_width)
-    elapsed = time.perf_counter() - started
-    if errors:
-        raise errors[0]
+    with _world(num_endpoints, requests, paced_s, model_seed) as (
+        env, gateway, sessions, x,
+    ):
+        # Pre-launch every endpoint off the clock.  Pending counts only rise
+        # at dispatch (after admission), so concurrent *cold* first requests
+        # would all route to endpoint 0 while its enclave is still starting,
+        # and the fleet would never spread.
+        for endpoint, _ in gateway.router.endpoints():
+            gateway.ensure_host(endpoint)
+        # Concurrent warm-up over live hosts: overlapping first requests
+        # spread the models across the fleet and prefetch their keys.
+        errors = _drive(sessions, x, len(sessions), client_width=len(sessions))
+        env.tracer.clear()
+        started = time.perf_counter()
+        errors += _drive(sessions, x, requests, client_width)
+        elapsed = time.perf_counter() - started
+        if errors:
+            raise errors[0]
     route_spans = [
         s for s in env.tracer.finished_spans() if s.name == "route"
     ]
-    row = {
+    return {
         "endpoints": num_endpoints,
         "requests": requests,
         "elapsed_s": elapsed,
@@ -132,8 +126,6 @@ def _routed_run(num_endpoints: int, requests: int, paced_s: Optional[float],
         ),
         "reroutes": sum(s.attributes["reroutes"] for s in route_spans),
     }
-    gateway.close()
-    return row
 
 
 def run(
@@ -194,11 +186,10 @@ def format_report(result: dict) -> str:
 
 def collect_trace(requests: int = 9, paced_ms: float = 50.0) -> list:
     """Spans of one routed batch on two endpoints (``repro trace gateway``)."""
-    env, gateway, sessions, x = _build_world(
-        2, requests, paced_ms / 1e3, model_seed=7
-    )
-    errors = _drive(sessions, x, requests, client_width=4)
-    if errors:
-        raise errors[0]
-    gateway.close()
+    with _world(2, requests, paced_ms / 1e3, model_seed=7) as (
+        env, _gateway, sessions, x,
+    ):
+        errors = _drive(sessions, x, requests, client_width=4)
+        if errors:
+            raise errors[0]
     return env.tracer.finished_spans()

@@ -20,8 +20,8 @@ canonical-JSON request frames, a fresh :class:`AESGCM` per client call,
 and a single-entry key cache (the paper's single-pair semantics), which
 thrashes on every user switch.  The fast lane is the shipped default.
 Both lanes serve the same model, the same inputs, and real crypto end
-to end; ``speedup`` is legacy p50 over fast p50 and the CI
-``hotpath-bench`` job gates it at :data:`SPEEDUP_GATE`.
+to end; ``speedup`` is legacy p50 over fast p50 and ``run()`` gates it
+at :data:`SPEEDUP_GATE` (``repro run hotpath`` exits 1 below it).
 
 Micro-sections decompose the win: codec encode+decode p50 (JSON vs
 binary on a representative sealed-request payload) and seal p50 (fresh
@@ -31,20 +31,21 @@ construction vs derived session cipher).
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 import numpy as np
 
 from repro.core import wire
-from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt import SchedulerConfig
 from repro.core.semirt_enclave import REQUEST_AAD, RESPONSE_AAD
 from repro.crypto.gcm import AESGCM
 from repro.crypto.keys import SymmetricKey
+from repro.experiments.common import format_gates, live_host
+from repro.mlrt.zoo import build_mobilenet
 
 MODEL_ID = "hotpath-model"
 
-#: CI floor for the end-to-end single-request p50 improvement
+#: floor for the end-to-end single-request p50 improvement
 SPEEDUP_GATE = 1.4
 
 
@@ -73,26 +74,22 @@ def _lane(
     serve: Callable,
 ) -> dict:
     """Serve one alternating-user burst on a fresh host; p50/p95 per request."""
-    from repro.mlrt.zoo import build_mobilenet
-
-    env = SeSeMIEnvironment()
     model = build_mobilenet(seed=model_seed)
-    handle = env.deploy(model, MODEL_ID, owner="owner")
-    users = [env.connect_user("user-a"), env.connect_user("user-b")]
-    for user in users:
-        handle.grant(user)
-    host = env.launch_semirt("tvm", scheduler=scheduler)
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
-    # Warm-up off the clock: cold start, model load, first key fetches.
-    for user in users:
-        serve(user, host, x)
-    latencies: List[float] = []
-    for index in range(requests):
-        user = users[index % 2]
-        started = time.perf_counter()
-        serve(user, host, x)
-        latencies.append(time.perf_counter() - started)
-    host.destroy()
+    with live_host(
+        model, MODEL_ID, scheduler, users=("user-a", "user-b")
+    ) as live:
+        host = live.host
+        users = [live.env.user("user-a"), live.env.user("user-b")]
+        # Warm-up off the clock: cold start, model load, first key fetches.
+        for user in users:
+            serve(user, host, x)
+        latencies: List[float] = []
+        for index in range(requests):
+            user = users[index % 2]
+            started = time.perf_counter()
+            serve(user, host, x)
+            latencies.append(time.perf_counter() - started)
     return {
         "requests": requests,
         "p50_ms": _p50(latencies) * 1e3,
@@ -160,31 +157,31 @@ def run(
     model_seed: int = 7,
     micro_payload: int = 4096,
     micro_rounds: int = 200,
-    fast_scheduler: Optional[SchedulerConfig] = None,
 ) -> dict:
     """End-to-end legacy vs fast lanes plus the codec/crypto micro-sections.
 
-    Returns the two lane rows, ``speedup`` (legacy p50 over fast p50;
-    the CI gate is :data:`SPEEDUP_GATE`), and the micro decompositions.
-    ``fast_scheduler`` overrides the fast lane's scheduler so scenario
-    specs can size the key memo or arm micro-batching; the legacy lane
-    always runs the seed's single-entry configuration.
+    Returns the two lane rows, ``speedup`` (legacy p50 over fast p50,
+    gated at :data:`SPEEDUP_GATE`), and the micro decompositions.  The
+    fast lane runs the shipped default scheduler; the legacy lane the
+    seed's single-entry key cache.
     """
     legacy = _lane(
         SchedulerConfig(key_cache_entries=1), requests, model_seed,
         _legacy_serve,
     )
-    fast = _lane(
-        fast_scheduler or SchedulerConfig(), requests, model_seed, _fast_serve
-    )
+    fast = _lane(SchedulerConfig(), requests, model_seed, _fast_serve)
+    speedup = legacy["p50_ms"] / fast["p50_ms"]
+    gates = {"hot_path_faster": speedup >= SPEEDUP_GATE}
     return {
         "requests": requests,
         "legacy": legacy,
         "fast": fast,
-        "speedup": legacy["p50_ms"] / fast["p50_ms"],
+        "speedup": speedup,
         "gate": SPEEDUP_GATE,
         "codec_micro": _codec_micro(micro_payload, micro_rounds),
         "crypto_micro": _crypto_micro(micro_payload, micro_rounds),
+        "gates": gates,
+        "pass": all(gates.values()),
     }
 
 
@@ -217,4 +214,5 @@ def format_report(result: dict) -> str:
         f"crypto micro (seal): fresh {crypto['fresh_p50_us']:.0f}us -> "
         f"derived {crypto['derived_p50_us']:.0f}us ({crypto['speedup']:.1f}x)"
     )
+    lines.append(format_gates(result))
     return "\n".join(lines)

@@ -1,12 +1,9 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
-Run with:  python -m repro.experiments.report [output-path]
+Run with:  python -m repro report [output-path]
 """
 
 from __future__ import annotations
-
-import sys
-import time
 
 from repro.experiments import (
     fig8,
@@ -24,7 +21,7 @@ from repro.experiments import (
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
-Generated by `python -m repro.experiments.report`.  Every table and
+Generated by `python -m repro report`.  Every table and
 figure of the paper's evaluation (Section VI + appendix) is regenerated
 by a benchmark under `benchmarks/`; this file records the measured
 values next to the paper's published ones.
@@ -179,17 +176,3 @@ def build_report(mmpp_duration_s: float = 240.0) -> str:
         "| Figures 17/18 | conclusion reproduced |\n"
     )
     return "".join(parts)
-
-
-def main() -> None:
-    """Command-line entry: write the report to the given path."""
-    output = sys.argv[1] if len(sys.argv) > 1 else "EXPERIMENTS.md"
-    started = time.time()
-    report = build_report()
-    with open(output, "w") as handle:
-        handle.write(report)
-    print(f"wrote {output} in {time.time() - started:.1f}s")
-
-
-if __name__ == "__main__":
-    main()

@@ -16,7 +16,7 @@ raises aggregate decode throughput without wrecking time-to-first-token:
 
 Pacing is **busy** (:attr:`SchedulerConfig.paced_busy`), the
 compute-bound regime where amortisation pays (same rationale as
-``repro batching``).  Every decoded sequence is verified token-for-token
+``repro run batching``).  Every decoded sequence is verified token-for-token
 against an out-of-enclave :class:`~repro.mlrt.decoder.DecoderSession`
 reference, so the speedup is measured on provably correct output.
 
@@ -25,7 +25,7 @@ host-side from stream admission to the first sealed frame), and the
 ``ecall:EC_STREAM_STEP`` span evidence (step count and batch-size
 histogram).  The acceptance gate is grouped >= :data:`SPEEDUP_GATE` x
 solo tokens/sec with the grouped TTFT max under
-:data:`TTFT_CEILING_S` (``repro streaming`` exits 1 on either miss).
+:data:`TTFT_CEILING_S` (``repro run streaming`` exits 1 on either miss).
 """
 
 from __future__ import annotations
@@ -34,15 +34,14 @@ import time
 from typing import Dict, List, Optional
 
 from repro.core.batching import BatchPolicy
-from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt import SchedulerConfig
-from repro.core.semirt_enclave import default_semirt_config
+from repro.experiments.common import format_gates, live_host
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 
 MODEL_ID = "stream-model"
 
-#: the CI ``streaming-bench`` job fails below this grouped-vs-solo ratio
+#: ``repro run streaming`` fails below this grouped-vs-solo ratio
 SPEEDUP_GATE = 1.5
 
 #: ... or above this grouped-lane time-to-first-token (seconds).  The
@@ -67,30 +66,27 @@ def _lane(
     model_seed: int,
 ) -> dict:
     """Decode ``streams`` concurrent streams on a fresh host."""
-    env = SeSeMIEnvironment()
     model = build_tinylm(seed=model_seed)
-    config = default_semirt_config(tcs_count=tcs_count)
-    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
     scheduler = SchedulerConfig(
         queue_depth=max(16, streams),
         paced_service_s=paced_s,
         paced_busy=True,
         batch=policy,
     )
-    host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
     prompts = _prompts(streams)
     refs = [DecoderSession(model).generate(p, tokens) for p in prompts]
-    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
+    with live_host(model, MODEL_ID, scheduler, tcs_count=tcs_count) as live:
+        session = live.session
         # cold start off the clock: model load + key provisioning
         session.stream(prompts[0], 1).result()
-        env.tracer.clear()
+        live.env.tracer.clear()
         started = time.perf_counter()
         handles = [session.stream(p, tokens) for p in prompts]
         sequences = [h.result() for h in handles]
         elapsed = time.perf_counter() - started
         verified = sequences == refs
         step_spans = [
-            s for s in env.tracer.finished_spans()
+            s for s in live.env.tracer.finished_spans()
             if s.name == "ecall:EC_STREAM_STEP"
         ]
         sizes: Dict[str, int] = {}
@@ -112,7 +108,6 @@ def _lane(
             "step_sizes": sizes,
             "verified": verified,
         }
-    host.destroy()
     return row
 
 
@@ -132,7 +127,8 @@ def run(
     only ``SchedulerConfig.batch`` differs.  ``max_batch`` 0 sizes the
     group to ``streams``.  Returns the two rows plus ``speedup``
     (grouped over solo aggregate tokens/sec) and the grouped lane's
-    ``ttft_max_s`` -- the two numbers the CI gate checks.
+    ``ttft_max_s`` -- the two numbers ``gates`` checks, beside the
+    token-for-token verification.
     """
     max_batch = max_batch or streams
     paced_s = paced_ms / 1e3
@@ -143,6 +139,11 @@ def run(
     grouped = _lane(policy, streams, tokens, paced_s, tcs_count, model_seed)
     speedup = grouped["tokens_per_s"] / solo["tokens_per_s"]
     verified = solo["verified"] and grouped["verified"]
+    gates = {
+        "throughput_gain": speedup >= SPEEDUP_GATE,
+        "ttft_bounded": grouped["ttft_max_s"] <= TTFT_CEILING_S,
+        "sequences_verified": verified,
+    }
     return {
         "streams": streams,
         "tokens_per_stream": tokens,
@@ -156,11 +157,8 @@ def run(
         "verified": verified,
         "gate": SPEEDUP_GATE,
         "ttft_ceiling_s": TTFT_CEILING_S,
-        "pass": (
-            speedup >= SPEEDUP_GATE
-            and grouped["ttft_max_s"] <= TTFT_CEILING_S
-            and verified
-        ),
+        "gates": gates,
+        "pass": all(gates.values()),
     }
 
 
@@ -192,4 +190,5 @@ def format_report(result: dict) -> str:
         f"(ceiling {result['ttft_ceiling_s'] * 1e3:.0f} ms), sequences "
         f"{'verified' if result['verified'] else 'MISMATCHED'}"
     )
+    lines.append(format_gates(result))
     return "\n".join(lines)

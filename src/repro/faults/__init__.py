@@ -13,7 +13,7 @@ Two halves of one subsystem:
   (:class:`repro.core.keyfleet.FailoverEndpoint`) and SeMIRT cold-path
   relaunch in :class:`repro.core.deployment.UserSession`.
 
-``python -m repro chaos`` sweeps fault rate against availability and
+``python -m repro run chaos`` sweeps fault rate against availability and
 tail latency on this machinery; see ``docs/faults.md``.
 """
 

@@ -22,7 +22,6 @@ from repro.scenarios.registry import (
     chaos_spec,
     fig13_latency_spec,
     get_scenario,
-    hotpath_spec,
     named_scenarios,
     scenario_names,
     table34_spec,
@@ -30,7 +29,6 @@ from repro.scenarios.registry import (
     warmpool_poisson_spec,
 )
 from repro.scenarios.runner import (
-    DETERMINISTIC_EXECUTORS,
     ScenarioResult,
     build_arrivals,
     run_scenario,
@@ -48,7 +46,6 @@ from repro.scenarios.store import RunRecord, RunStore, current_git_sha
 from repro.scenarios.table import format_table
 
 __all__ = [
-    "DETERMINISTIC_EXECUTORS",
     "EXECUTORS",
     "WORKLOAD_SHAPES",
     "FaultSpec",
@@ -68,7 +65,6 @@ __all__ = [
     "format_store_report",
     "format_table",
     "get_scenario",
-    "hotpath_spec",
     "metric_diff",
     "named_scenarios",
     "run_scenario",

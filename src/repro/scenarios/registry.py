@@ -177,45 +177,6 @@ def warmpool_mmpp_spec(
     )
 
 
-def hotpath_spec(requests: int = 60, model_seed: int = 7) -> ScenarioSpec:
-    """The live hot-path benchmark: legacy vs fast lanes, two users."""
-    return ScenarioSpec(
-        name="hotpath-2user",
-        executor="hotpath",
-        seed=model_seed,
-        workload=WorkloadSpec(
-            shape="requests", requests=requests, duration_s=1.0
-        ),
-        notes="Wall-clock per-request overhead, legacy vs fast lanes.",
-    )
-
-
-def stream_chat_spec(
-    streams: int = 4, tokens: int = 24, model_seed: int = 7
-) -> ScenarioSpec:
-    """The live streaming benchmark: continuous batching vs per-request.
-
-    ``workload.requests`` carries the stream count and
-    ``workload.horizon_s`` the per-stream token budget (the streaming
-    executor's field mapping -- no new spec fields, so every existing
-    spec's canonical bytes stay put).
-    """
-    return ScenarioSpec(
-        name="stream-chat",
-        executor="streaming",
-        seed=model_seed,
-        workload=WorkloadSpec(
-            shape="requests",
-            requests=streams,
-            duration_s=1.0,
-            horizon_s=float(tokens),
-        ),
-        fleet=FleetSpec(tcs_count=4),
-        policy=PolicySpec(batch_window_s=0.01, max_batch=4),
-        notes="Wall-clock decode throughput, grouped vs solo streams.",
-    )
-
-
 # -- exploratory specs (registry-only: no bespoke harness exists) ------------------
 
 
@@ -307,8 +268,6 @@ _REGISTRY: Dict[str, Callable[[], ScenarioSpec]] = {
     "chaos-sweep": chaos_spec,
     "warmpool-poisson": warmpool_poisson_spec,
     "warmpool-mmpp": warmpool_mmpp_spec,
-    "hotpath-2user": hotpath_spec,
-    "stream-chat": stream_chat_spec,
     "scenario-smoke": _scenario_smoke_spec,
     "flash-crowd": _flash_crowd_spec,
     "diurnal-day": _diurnal_day_spec,

@@ -1,7 +1,7 @@
 """Execute a :class:`~repro.scenarios.spec.ScenarioSpec` against a twin.
 
 One entry point -- :func:`run_scenario` -- dispatches on
-``spec.executor`` to six executors, each of which reproduces one of the
+``spec.executor`` to four executors, each of which reproduces one of the
 bespoke benchmark harnesses number-for-number:
 
 - ``sim``       the Figure 13 shape: a multi-node testbed serving one
@@ -10,10 +10,11 @@ bespoke benchmark harnesses number-for-number:
                 workload behind a routing-strategy sweep;
 - ``chaos``     the functional twin under a seeded fault plan on a
                 logical clock, resilient vs baseline;
-- ``warmpool``  the warm-pool policy sweep in virtual time;
-- ``hotpath``   the live wall-clock legacy-vs-fast lane benchmark;
-- ``streaming`` the live wall-clock continuous-batching decode
-                benchmark (solo vs grouped streams).
+- ``warmpool``  the warm-pool policy sweep in virtual time.
+
+All four are deterministic twins (virtual or logical time).  Live
+wall-clock measurement is not a scenario: ``repro run <name>`` runs the
+gated harnesses and ``bench/`` the absolute end-to-end numbers.
 
 The executors consume heavyweight machinery (numpy, both twins), so
 every such import is deferred into the executor bodies: loading this
@@ -23,11 +24,8 @@ and the read-side siblings (:mod:`~repro.scenarios.spec`,
 pull them in at all.
 
 Determinism contract: every metric an executor returns is a pure
-function of the spec (the ``hotpath`` and ``streaming`` executors
-excepted -- they measure wall-clock time by design, so only their
-request/token *counts* are stable).
-The ``scenario-smoke`` CI job runs one sim spec twice and ``cmp``\\ s
-the manifests byte for byte.
+function of the spec.  The ``scenario-smoke`` CI job runs one sim spec
+twice and ``cmp``\\ s the manifests byte for byte.
 """
 
 from __future__ import annotations
@@ -36,11 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.scenarios.spec import FleetSpec, PolicySpec, ScenarioSpec, WorkloadSpec
-
-#: executors whose metrics are a pure function of the spec (the CI
-#: byte-identity gate only makes sense for these)
-DETERMINISTIC_EXECUTORS = ("sim", "fnpacker", "chaos", "warmpool")
+from repro.scenarios.spec import FleetSpec, ScenarioSpec, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -170,30 +164,6 @@ def _stats_metrics(stats) -> Dict[str, Any]:
         "p99_s": stats.p99,
         "max_s": stats.max,
     }
-
-
-def _fast_scheduler(policy: PolicySpec):
-    """The hot-path fast-lane scheduler the policy knobs describe.
-
-    ``None`` when every knob is at its zero default -- the executor then
-    uses the shipped default ``SchedulerConfig()``, matching the bespoke
-    benchmark exactly.
-    """
-    if not policy.key_cache_entries and not policy.max_batch:
-        return None
-    from repro.core.batching import BatchPolicy
-    from repro.core.semirt import SchedulerConfig
-
-    kwargs: Dict[str, Any] = {}
-    if policy.key_cache_entries:
-        kwargs["key_cache_entries"] = policy.key_cache_entries
-    if policy.max_batch:
-        kwargs["batch"] = BatchPolicy(
-            batch_window_s=policy.batch_window_s,
-            max_batch=policy.max_batch,
-            alpha=policy.alpha,
-        )
-    return SchedulerConfig(**kwargs)
 
 
 # -- executors ---------------------------------------------------------------------
@@ -431,63 +401,9 @@ def _run_warmpool(spec: ScenarioSpec, traced: bool) -> ScenarioResult:
     return ScenarioResult(spec=spec, metrics=metrics, spans=None)
 
 
-def _run_hotpath(spec: ScenarioSpec, traced: bool) -> ScenarioResult:
-    """Hot-path-shaped run: live legacy-vs-fast lanes (wall clock)."""
-    del traced  # wall-clock lanes; span capture would skew the timing
-    from repro.experiments.hotpath import run
-
-    result = run(
-        requests=spec.workload.requests,
-        model_seed=spec.seed,
-        fast_scheduler=_fast_scheduler(spec.policy),
-    )
-    metrics = dict(result)
-    metrics["summary"] = {
-        "speedup": result["speedup"],
-        "legacy.p50_ms": result["legacy"]["p50_ms"],
-        "fast.p50_ms": result["fast"]["p50_ms"],
-    }
-    return ScenarioResult(spec=spec, metrics=metrics, spans=None)
-
-
-def _run_streaming(spec: ScenarioSpec, traced: bool) -> ScenarioResult:
-    """Streaming-shaped run: continuous batching vs per-request decode.
-
-    Field mapping (no streaming-specific spec fields, to keep every
-    existing spec's canonical bytes -- and hence run ids -- unchanged):
-    ``workload.requests`` is the stream count, ``workload.horizon_s``
-    the per-stream token budget (0 picks the executor default of 24),
-    and ``policy.max_batch``/``batch_window_s``/``alpha`` drive the
-    continuous batcher of the grouped lane.
-    """
-    del traced  # wall-clock lanes; span capture would skew the timing
-    from repro.experiments.streaming import run
-
-    tokens = int(spec.workload.horizon_s) or 24
-    result = run(
-        streams=spec.workload.requests,
-        tokens=tokens,
-        max_batch=spec.policy.max_batch,
-        window_ms=spec.policy.batch_window_s * 1e3,
-        alpha=spec.policy.alpha,
-        tcs_count=spec.fleet.tcs_count,
-        model_seed=spec.seed,
-    )
-    metrics = dict(result)
-    metrics["summary"] = {
-        "speedup": result["speedup"],
-        "grouped.tokens_per_s": result["grouped"]["tokens_per_s"],
-        "grouped.ttft_max_s": result["ttft_max_s"],
-        "verified": result["verified"],
-    }
-    return ScenarioResult(spec=spec, metrics=metrics, spans=None)
-
-
 _EXECUTORS = {
     "sim": _run_sim,
     "fnpacker": _run_fnpacker,
     "chaos": _run_chaos,
     "warmpool": _run_warmpool,
-    "hotpath": _run_hotpath,
-    "streaming": _run_streaming,
 }

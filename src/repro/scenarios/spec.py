@@ -36,14 +36,13 @@ WORKLOAD_SHAPES = (
     "requests",         # a fixed request count (closed-loop benchmarks)
 )
 
-#: who executes a spec (see :mod:`repro.scenarios.runner`)
+#: who executes a spec (see :mod:`repro.scenarios.runner`): deterministic
+#: twins only -- live wall-clock measurement is ``repro run`` and ``bench/``
 EXECUTORS = (
     "sim",       # simulated twin: testbed + WorkloadDriver (fig13-style)
     "fnpacker",  # simulated twin behind a routing strategy (table3-style)
     "chaos",     # functional twin + fault injection on a logical clock
     "warmpool",  # warm-pool FleetSim policy sweep in virtual time
-    "hotpath",   # live wall-clock hot-path benchmark
-    "streaming", # live wall-clock continuous-batching decode benchmark
 )
 
 HARDWARE = ("sgx1", "sgx2")
@@ -212,7 +211,7 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """How the platform reacts: routing, warm pool, batching, caches."""
+    """How the platform reacts: routing, warm pool, resilience."""
 
     router: str = "direct"
     routers: Tuple[str, ...] = ()  # sweep; empty means (router,)
@@ -222,10 +221,6 @@ class PolicySpec:
     min_warm: int = 0
     max_endpoints: int = 64
     resilience: str = "both"
-    key_cache_entries: int = 0  # 0: the shipped default
-    batch_window_s: float = 0.0
-    max_batch: int = 0  # 0: batching off
-    alpha: float = 0.6
 
     def __post_init__(self) -> None:
         _require(self.router in ROUTERS, f"unknown router {self.router!r}")
@@ -240,11 +235,6 @@ class PolicySpec:
         _require(self.max_endpoints >= 1, "max_endpoints must be >= 1")
         _require(self.resilience in RESILIENCE_MODES,
                  f"unknown resilience mode {self.resilience!r}")
-        _require(self.key_cache_entries >= 0,
-                 "key_cache_entries must be >= 0")
-        _require(self.batch_window_s >= 0, "batch window must be non-negative")
-        _require(self.max_batch >= 0, "max_batch must be >= 0")
-        _require(0.0 < self.alpha <= 1.0, "alpha must be in (0, 1]")
 
     def sweep_routers(self) -> Tuple[str, ...]:
         """The routing strategies to compare (the sweep, or the single one)."""
@@ -288,18 +278,6 @@ class ScenarioSpec:
         if self.executor == "warmpool":
             _require(bool(self.policy.warm_policies),
                      "the warmpool executor needs policy.warm_policies")
-        if self.executor == "hotpath":
-            _require(self.workload.shape == "requests",
-                     "the hotpath executor drives a fixed request count "
-                     "(workload shape 'requests')")
-        if self.executor == "streaming":
-            _require(self.workload.shape == "requests",
-                     "the streaming executor opens a fixed stream count "
-                     "(workload shape 'requests', one request per stream)")
-            _require(self.policy.max_batch >= 2,
-                     "the streaming executor compares continuous batching "
-                     "against per-request decoding; policy.max_batch must "
-                     "be >= 2")
 
     # -- serialisation -----------------------------------------------------------
 

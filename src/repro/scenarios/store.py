@@ -25,7 +25,9 @@ from typing import Any, Dict, List, Optional, Union
 from repro.errors import ConfigError
 from repro.scenarios.spec import ScenarioSpec
 
-MANIFEST_VERSION = 1
+#: 2: PolicySpec lost its four live-benchmark fields, so canonical spec
+#: bytes (and with them every run id) moved; version-1 stores are refused
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 TRACE_NAME = "trace.json"
 

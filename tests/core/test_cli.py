@@ -1,8 +1,13 @@
 """The `python -m repro` command-line interface."""
 
+import json
+import types
+
 import pytest
 
+from repro import cli
 from repro.cli import EXPERIMENTS, main
+from repro.experiments import fig8
 
 
 def test_list_command(capsys):
@@ -44,3 +49,56 @@ def test_report_command(tmp_path, capsys):
 def test_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("result, code", [
+    ({"speedup": 0.9, "gates": {"fast": False}, "pass": False}, 1),
+    ({"speedup": 2.0, "gates": {"fast": True}, "pass": True}, 0),
+    ({"speedup": 2.0}, 0),  # ungated: nothing to fail
+])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_run_exit_code_is_the_gate(monkeypatch, capsys, result, code, flags):
+    stub = types.SimpleNamespace(
+        run=lambda scale: dict(result, scale=scale), format_report=str
+    )
+    monkeypatch.setitem(cli.EXPERIMENTS, "stub", ("a stub", stub, {"scale": 3}))
+    assert main(["run", "stub", *flags]) == code
+    out = capsys.readouterr().out
+    if flags:  # the bare result, fixed kwargs applied, keys sorted
+        assert json.loads(out) == dict(result, scale=3)
+        assert out == json.dumps(dict(result, scale=3), indent=2,
+                                 sort_keys=True) + "\n"
+
+
+def test_run_json_takes_one_name(capsys):
+    assert main(["run", "table1", "fig10", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "one experiment" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [name] for name in (
+        "chaos", "concurrency", "batching", "gateway", "service",
+        "warmpool", "hotpath", "streaming",
+    )
+] + [["run", "table1", "--seed", "7"]])
+def test_deleted_subcommands_and_flags_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    capsys.readouterr()
+
+
+def test_every_trace_source_resolves(monkeypatch, tmp_path, capsys):
+    assert sorted(cli.TRACES) == [
+        "batching", "chaos", "concurrency", "fig17", "fig8", "gateway",
+        "service", "session",
+    ]
+    spans, _ = fig8.traced_cold_request("MBNET", "tvm")
+    for name, (description, _collect) in list(cli.TRACES.items()):
+        monkeypatch.setitem(cli.TRACES, name, (description, lambda: spans))
+        out = tmp_path / f"{name}.json"
+        assert main(["trace", name, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["traceEvents"]
+    assert main(["trace", "fig99"]) == 2
+    capsys.readouterr()

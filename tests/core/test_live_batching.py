@@ -7,6 +7,7 @@ security rule, the :class:`InferenceFuture` cancellation contract, and
 the leader-crash fault site (``semirt:batch``).
 """
 
+import threading
 import time
 
 import numpy as np
@@ -185,6 +186,35 @@ def test_leader_crash_mid_batch_leaves_no_follower_hung(tiny_model, tiny_input):
     assert any(
         record.site == "semirt:batch" for record in injector.records
     ), "the crash was not injected at the batch site"
+
+
+def test_destroy_twice_retires_every_worker(tiny_model, tiny_input):
+    """A second destroy() (two crashing leaders, or a crash racing the
+    owner's teardown) must not eat the first call's shutdown sentinels:
+    it returns cleanly, every worker exits, every future settles."""
+    env, host = _launch(tiny_model, paced_s=0.5, policy=None)
+    uid = _uid(env, "user")
+    host.infer(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+    workers = [
+        thread for thread in threading.enumerate()
+        if thread.name.startswith(f"semirt-{host.enclave.enclave_id}-")
+    ]
+    assert len(workers) == 4
+
+    futures = [
+        host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+        for _ in range(6)
+    ]  # four inside their paced ECALL, two still queued
+    time.sleep(0.1)
+    host.destroy()
+    host.destroy()  # the parent raised AttributeError on a sentinel here
+
+    for worker in workers:
+        worker.join(timeout=10)
+    assert not [worker.name for worker in workers if worker.is_alive()]
+    for future in futures:
+        assert future.wait(timeout_s=10)
+    assert all(future.done() for future in futures)
 
 
 def test_batch_of_one_takes_the_single_request_path(tiny_model, tiny_input):

@@ -21,12 +21,12 @@ def _load():
 def _artifact_tree(tmp_path):
     """The shape actions/download-artifact leaves: one dir per artifact."""
     root = tmp_path / "artifacts"
-    (root / "service-bench").mkdir(parents=True)
-    (root / "service-bench" / "BENCH_service.json").write_text(
+    (root / "BENCH_service").mkdir(parents=True)
+    (root / "BENCH_service" / "BENCH_service.json").write_text(
         json.dumps({"pass": True, "shed_count": 3})
     )
-    (root / "gateway-bench").mkdir()
-    (root / "gateway-bench" / "gateway-bench.json").write_text(
+    (root / "BENCH_gateway").mkdir()
+    (root / "BENCH_gateway" / "BENCH_gateway.json").write_text(
         json.dumps({"fleets": [1, 3]})
     )
     (root / "service-trace").mkdir()
@@ -39,13 +39,13 @@ def test_merge_keys_and_sources(tmp_path):
     root = _artifact_tree(tmp_path)
     paths = mb.find_bench_files(root)
     assert [p.name for p in paths] == [
-        "BENCH_service.json", "gateway-bench.json",
+        "BENCH_gateway.json", "BENCH_service.json",
     ]  # the trace is skipped
     merged = mb.merge_paths(paths, root)
     assert merged["trajectory_version"] == 1
     assert set(merged["benchmarks"]) == {"service", "gateway"}
     assert merged["benchmarks"]["service"]["shed_count"] == 3
-    assert merged["sources"]["gateway"] == "gateway-bench/gateway-bench.json"
+    assert merged["sources"]["gateway"] == "BENCH_gateway/BENCH_gateway.json"
 
 
 def test_main_writes_deterministic_output(tmp_path, capsys):
@@ -76,7 +76,7 @@ def test_duplicate_keys_rejected(tmp_path):
     (root / "a").mkdir(parents=True)
     (root / "b").mkdir()
     (root / "a" / "BENCH_service.json").write_text("{}")
-    (root / "b" / "service-bench.json").write_text("{}")
+    (root / "b" / "service.json").write_text("{}")
     with pytest.raises(SystemExit, match="duplicate benchmark key"):
         mb.merge_paths(mb.find_bench_files(root), root)
 
@@ -85,6 +85,6 @@ def test_invalid_json_rejected(tmp_path):
     mb = _load()
     root = tmp_path / "artifacts"
     root.mkdir()
-    (root / "broken-bench.json").write_text("{nope")
+    (root / "BENCH_broken.json").write_text("{nope")
     with pytest.raises(SystemExit, match="not valid JSON"):
         mb.merge_paths(mb.find_bench_files(root), root)

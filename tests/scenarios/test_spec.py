@@ -1,9 +1,12 @@
 """ScenarioSpec: validation, round-trips, identity, derivation."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigError
 from repro.scenarios import (
+    EXECUTORS,
     FaultSpec,
     FleetSpec,
     PolicySpec,
@@ -38,27 +41,19 @@ def test_scenario_validation(bad):
 
 
 def test_executor_prerequisites():
+    assert EXECUTORS == ("sim", "fnpacker", "chaos", "warmpool")
     with pytest.raises(ConfigError):
         _spec(executor="chaos")  # no fault spec
     with pytest.raises(ConfigError):
         _spec(executor="chaos", faults=FaultSpec())  # wrong shape
     with pytest.raises(ConfigError):
         _spec(executor="warmpool")  # no warm policies
-    with pytest.raises(ConfigError):
-        _spec(executor="hotpath")  # needs the requests shape
-    with pytest.raises(ConfigError):
-        _spec(executor="streaming")  # needs the requests shape
-    with pytest.raises(ConfigError):
-        _spec(  # needs a continuous batch to compare against solo
-            executor="streaming",
-            workload=WorkloadSpec(shape="requests", requests=2),
-        )
-    ok_stream = _spec(
-        executor="streaming",
-        workload=WorkloadSpec(shape="requests", requests=2),
-        policy=PolicySpec(max_batch=2),
-    )
-    assert ok_stream.executor == "streaming"
+    for live in ("hotpath", "streaming"):  # live measurement is not a spec
+        with pytest.raises(ConfigError, match="unknown executor"):
+            _spec(
+                executor=live,
+                workload=WorkloadSpec(shape="requests", requests=2),
+            )
     ok = _spec(
         executor="chaos",
         faults=FaultSpec(),
@@ -125,7 +120,7 @@ def test_fault_sweep_rejects_unknown_and_invalid_overrides():
     dict(router="hash-ring"),
     dict(warm_policies=("lcs", "psychic")),
     dict(resilience="mostly"),
-    dict(alpha=0.0),
+    dict(keep_alive_s=-1.0),
     dict(max_endpoints=0),
 ])
 def test_policy_validation(kwargs):
@@ -175,6 +170,11 @@ def test_from_dict_rejects_unknown_fields():
     nested["workload"]["teleport"] = True
     with pytest.raises(ConfigError):
         ScenarioSpec.from_dict(nested)
+    # a spec file written before the live-benchmark knobs left PolicySpec
+    stale = _spec().to_dict()
+    stale["policy"]["max_batch"] = 4
+    with pytest.raises(ConfigError, match="max_batch"):
+        ScenarioSpec.from_json(json.dumps(stale))
 
 
 def test_run_id_shape_and_sensitivity():

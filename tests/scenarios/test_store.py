@@ -87,10 +87,13 @@ def test_load_unknown_run_and_bad_version(tmp_path):
     record = store.save(SPEC, METRICS)
     path = store.manifest_path(record.run_id)
     payload = json.loads(path.read_text())
-    payload["manifest_version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ConfigError, match="manifest version"):
-        store.load(record.run_id)
+    # 1 is what stores written before PolicySpec lost its four
+    # live-benchmark fields carry: their run ids no longer match
+    for version in (99, 1):
+        payload["manifest_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="manifest version"):
+            store.load(record.run_id)
 
 
 def test_current_git_sha_in_this_repo():

@@ -33,7 +33,7 @@ def test_replayed_trace_produces_an_identical_log():
 
 
 def test_seeded_simulation_log_is_byte_identical():
-    # the same check CI's cmp gate runs, on a short trace
+    # same seed, same decision log, byte for byte (a short trace)
     first = warmpool.decision_log_for(duration_s=20.0, seed=11)
     second = warmpool.decision_log_for(duration_s=20.0, seed=11)
     assert first == second
