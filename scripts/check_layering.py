@@ -36,6 +36,15 @@ Single-file modules pinned the same way:
   injector, the gateway, or either twin's platform code.  What the
   untrusted host can reach by importing it is exactly what an ECALL
   transport would have to carry.
+- ``repro.service.protocol``: what the HTTP server and client must
+  agree on (media types, stream record framing).  Stdlib +
+  ``repro.errors`` + ``repro.core.wire`` -- both sides import it, so it
+  can depend on neither.
+- ``repro.service.client``: the remote client must stay a client --
+  ``repro.errors``, ``repro.core.wire``, ``repro.core.client``,
+  ``repro.core.futures``, ``repro.obs``, ``repro.sgx`` and the protocol
+  module only; never the server, the deployment, the gateway or SeMIRT
+  (what a user installs to *call* the service cannot need the fleet).
 - ``repro.scenarios.spec`` / ``.store`` / ``.compare`` / ``.table`` /
   ``.registry``: the scenario read side.  Stdlib + ``repro.errors`` +
   each other -- everything that *executes* a spec belongs in
@@ -91,6 +100,18 @@ MODULES = {
         "repro.mlrt",
         "repro.sgx",
         "repro.obs",
+    ),
+    # what server and client agree on: importable by both, owes neither
+    "service.protocol": ("repro.errors", "repro.core.wire"),
+    # the remote client stays a client: no server, no fleet
+    "service.client": (
+        "repro.errors",
+        "repro.core.wire",
+        "repro.core.client",
+        "repro.core.futures",
+        "repro.obs",
+        "repro.sgx",
+        "repro.service.protocol",
     ),
     # the scenario read side: loadable without numpy or either twin
     "scenarios.spec": ("repro.errors",),

@@ -244,7 +244,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot a live service tier in the foreground (``repro serve``)."""
     from repro.service import serve
+    from repro.warmpool import PredictorPolicy, WarmPoolConfig
 
+    warm_pool = None
+    if args.keep_alive is not None:
+        # the deployment door: four flags -> the gateway's WarmPoolConfig
+        warm_pool = WarmPoolConfig(
+            strategy=args.warm_strategy,
+            keep_alive_s=args.keep_alive,
+            min_warm=args.min_warm,
+            max_endpoints=max(args.endpoints, 8),
+            predictive=args.prewarm,
+            predictor=PredictorPolicy(slots_per_endpoint=args.tcs),
+        )
     _, svc = service.build_world(
         tcs_count=args.tcs,
         num_endpoints=args.endpoints,
@@ -253,10 +265,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         max_inflight=args.max_inflight,
         background=False,
-        keep_alive_s=args.keep_alive,
-        min_warm=args.min_warm,
-        warm_strategy=args.warm_strategy,
-        prewarm=args.prewarm,
+        warm_pool=warm_pool,
     )
     print(f"models: {', '.join(sorted(svc.handles))}")
     if svc.gateway.warm_pool is not None:

@@ -9,11 +9,12 @@ responses end to end.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core import wire
+from repro.core.futures import DerivedStream
 from repro.core.semirt_enclave import FRAME_AAD, REQUEST_AAD, RESPONSE_AAD, STREAM_AAD
 from repro.crypto.gcm import AESGCM, SessionCipher, evict_session
 from repro.crypto.keys import SymmetricKey
@@ -388,3 +389,46 @@ class UserClient(_Principal):
                     "response does not authenticate under the request key"
                 ) from exc
             return np.frombuffer(payload["output"], dtype=np.float32)
+
+
+class TokenStream(DerivedStream):
+    """The client half of the streaming protocol, over any transport.
+
+    A :class:`~repro.core.futures.DerivedStream` over a stream of
+    sealed frames (``inner``) that yields the **decrypted** token ids
+    (``result()``: the full list).  Every frame is authenticated and
+    index-checked (:meth:`UserClient.decrypt_frame`) and the stream may
+    only end on a frame whose sealed ``done`` marker is set, so a host
+    or relay that drops, reorders, replays **or truncates** frames is an
+    :class:`~repro.errors.InvocationError` after the authenticated
+    prefix, never a silently wrong or short sequence.  ``session`` says
+    whose keys open them (``.user`` / ``.model_id`` / ``.measurement``).
+    """
+
+    def __init__(self, session, inner) -> None:
+        super().__init__(inner)
+        self._session = session
+
+    def __iter__(self) -> Iterator[int]:
+        return self._tokens(super().__iter__())
+
+    def _map(self, frames: Sequence[bytes]) -> List[int]:
+        return list(self._tokens(super()._map(frames)))
+
+    def _map_item(self, frame: bytes, index: int) -> dict:
+        session = self._session
+        return session.user.decrypt_frame(
+            session.model_id, session.measurement, frame, expected_index=index
+        )
+
+    @staticmethod
+    def _tokens(payloads: Iterable[dict]) -> Iterator[int]:
+        """Each authenticated payload's token; then the end-of-stream check."""
+        done = False
+        for payload in payloads:
+            done = payload["done"]
+            yield payload["token"]
+        if not done:
+            raise InvocationError(
+                "stream truncated: it ended before the frame sealed as the last"
+            )

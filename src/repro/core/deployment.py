@@ -37,8 +37,8 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.client import OwnerClient, UserClient
-from repro.core.futures import DerivedHandle, DerivedStream, gather_windowed
+from repro.core.client import OwnerClient, TokenStream, UserClient
+from repro.core.futures import DerivedHandle, gather_windowed
 from repro.core.gateway import GatewayConfig, InferenceGateway
 from repro.core.keyservice import KEYSERVICE_CONFIG, KeyServiceHost
 from repro.core.semirt import SchedulerConfig, SemirtHost
@@ -513,31 +513,19 @@ class SessionFuture(DerivedHandle):
         )
 
 
-class SessionStream(DerivedStream):
+class SessionStream(TokenStream):
     """An async session stream: yields the **decrypted** token sequence.
 
-    Returned by :meth:`UserSession.stream`.  A
-    :class:`~repro.core.futures.DerivedStream` over the gateway's stream
-    of sealed frames (``inner``) whose per-item map is the client half
-    of the streaming protocol: per-frame wire fault injection, AEAD
-    frame authentication, and frame-index verification -- a host that
-    drops, reorders or replays sealed frames surfaces as
-    :class:`~repro.errors.InvocationError` here, not as a silently
-    wrong sequence.  ``result()`` returns the full token list.
+    Returned by :meth:`UserSession.stream`: the client half of the
+    streaming protocol (:class:`~repro.core.client.TokenStream` -- AEAD
+    frame authentication, index and end-of-stream checks) over the
+    gateway's stream of sealed frames, with the session's per-frame
+    ``semirt->user`` wire fault injection in front of it.
     """
 
-    def __init__(self, session: UserSession, inner) -> None:
-        super().__init__(inner)
-        self._session = session
-
-    def _map_item(self, frame: bytes, index: int) -> int:
-        session = self._session
-        return session.user.decrypt_frame(
-            session.model_id,
-            session.measurement,
-            maybe_wire(session._env.injector, "semirt->user", frame),
-            expected_index=index,
-        )["token"]
+    def _map_item(self, frame: bytes, index: int) -> dict:
+        frame = maybe_wire(self._session._env.injector, "semirt->user", frame)
+        return super()._map_item(frame, index)
 
 
 class SeSeMIEnvironment:

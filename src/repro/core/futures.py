@@ -8,12 +8,13 @@ of them are built from the three pieces in this module:
 - :class:`OutcomeCell` is the **only** place the wait/cancel state
   machine is implemented: one :class:`threading.Condition`, one
   transition ``pending -> value | error | cancelled``, plus an ordered
-  list of pushed items for streams.  The TCS scheduler's
-  :class:`~repro.core.semirt.InferenceFuture` and
+  list of pushed items whose stream view is :class:`StreamCell`.  The
+  TCS scheduler's :class:`~repro.core.semirt.InferenceFuture` and
   :class:`~repro.core.semirt.InferenceStream` are this cell plus
-  request metadata; the scheduler is the producer
+  request metadata, with the scheduler as producer
   (:meth:`~OutcomeCell.set_result` / :meth:`~OutcomeCell.set_error` /
-  :meth:`~OutcomeCell.push` / :meth:`~OutcomeCell.cancel_requested`).
+  :meth:`~OutcomeCell.push` / :meth:`~OutcomeCell.cancel_requested`);
+  the HTTP client's handles are the same cell fed by its consumers.
 - :class:`DerivedHandle` / :class:`DerivedStream` are what every tier
   *above* the scheduler returns: they hold no state machine of their
   own -- they forward to the handle below, map its result (or each of
@@ -146,10 +147,13 @@ class OutcomeCell:
         service tier long-polls with it before deciding whether to
         deliver the output or replay a terminal error.
         """
-        if self._done:
-            return True
+        return self._done or self._wait_for(lambda: self._done, timeout_s)
+
+    def _wait_for(self, ready: Callable[[], bool], timeout_s: Optional[float]) -> bool:
+        """Block until ``ready()`` -- the one place a consumer sleeps (a cell
+        fed by its consumers overrides it to produce while it waits)."""
         with self._cv:
-            return self._cv.wait_for(lambda: self._done, timeout_s)
+            return self._cv.wait_for(ready, timeout_s)
 
     def result(self, timeout_s: Optional[float] = None) -> Any:
         """Block for the value; re-raise the failure.
@@ -174,19 +178,18 @@ class OutcomeCell:
         failure (or delivered cancellation) raises after the items that
         preceded it.
         """
+        items = self._items  # append-only, and sealing is final: no lock to read
         index = 0
         while True:
-            with self._cv:
-                while index >= len(self._items) and not self._done:
-                    self._cv.wait()
-                if index < len(self._items):
-                    item = self._items[index]
-                elif self._error is not None:
-                    raise self._error
-                else:
-                    return
-            index += 1
-            yield item
+            if index >= len(items):
+                self._wait_for(lambda: index < len(items) or self._done, None)
+            if index < len(items):
+                yield items[index]
+                index += 1
+            elif self._error is not None:
+                raise self._error
+            else:
+                return
 
     # -- producer side ---------------------------------------------------------------
 
@@ -226,6 +229,44 @@ class OutcomeCell:
             self._cv.notify_all()
 
 
+class StreamCell(OutcomeCell):
+    """The cell used as a stream: pushed items are the payload.
+
+    ``result()`` is the full item list and iterating yields items as
+    they are pushed; ``ttft_s`` / ``tokens_per_s`` are measured from
+    push times -- the observability the streaming benchmark reports.
+    """
+
+    def result(self, timeout_s: Optional[float] = None) -> List[Any]:
+        """Block for the complete item sequence; re-raise any failure."""
+        super().result(timeout_s)
+        return list(self._items)
+
+    def __iter__(self) -> Iterator[Any]:
+        """Yield items in push order, blocking between pushes."""
+        return self.items()
+
+    @property
+    def token_count(self) -> int:
+        """Items delivered so far (grows while the stream is live)."""
+        return len(self._items)
+
+    @property
+    def ttft_s(self) -> Optional[float]:
+        """Seconds from creation to the first item (None before it)."""
+        first = self._first_at
+        return None if first is None else first - self.created_at
+
+    @property
+    def tokens_per_s(self) -> Optional[float]:
+        """Throughput over the items delivered so far."""
+        with self._cv:
+            count, last = len(self._items), self._last_at
+        if last is None or last <= self.created_at:
+            return None
+        return count / (last - self.created_at)
+
+
 #: guards the one-shot flag of every derived handle: taken once per
 #: handle lifetime for an attribute swap, so handles need no lock of
 #: their own
@@ -251,11 +292,6 @@ class DerivedHandle:
         #: the wrapped handle one tier down
         self.inner = inner
         self._unsettled = True
-
-    @property
-    def ticket(self) -> Optional[int]:
-        """The endpoint-assigned observability id (service request ids)."""
-        return self.inner.ticket
 
     def done(self) -> bool:
         """True once the outcome is sealed (successfully or not)."""
@@ -408,5 +444,6 @@ __all__ = [
     "DerivedStream",
     "Future",
     "OutcomeCell",
+    "StreamCell",
     "gather_windowed",
 ]

@@ -43,7 +43,7 @@ from typing import List, Optional, Tuple
 
 from repro.core import wire
 from repro.core.batching import BatchPolicy
-from repro.core.futures import OutcomeCell
+from repro.core.futures import OutcomeCell, StreamCell
 from repro.core.semirt_enclave import (
     IsolationSettings,
     SemirtEnclaveCode,
@@ -150,57 +150,24 @@ class InferenceFuture(_Admitted):
         return f"request for model {self.model_id!r}"
 
 
-class InferenceStream(_Admitted):
+class InferenceStream(StreamCell, _Admitted):
     """A live autoregressive stream: sealed token frames as they decode.
 
-    Returned immediately by :meth:`SemirtHost.open_stream`.  The same
-    :class:`~repro.core.futures.OutcomeCell` as :class:`InferenceFuture`,
-    used as a stream: iterating yields sealed frames in order as the
-    decode loop pushes them (the consumer decrypts each with
-    :meth:`~repro.core.client.UserClient.decrypt_frame`) and
-    :meth:`result` blocks for the complete frame sequence -- the
-    one-shot view of a streaming request.
+    Returned immediately by :meth:`SemirtHost.open_stream`: the request
+    metadata of :class:`InferenceFuture` on the cell's stream view
+    (:class:`~repro.core.futures.StreamCell`).  Iterating yields sealed
+    frames as the decode loop pushes them, :meth:`result` blocks for the
+    whole sequence, and ``ttft_s`` / ``tokens_per_s`` are measured
+    host-side from frame arrival times.
 
     :meth:`cancel` stops generation between decode steps: the group
     leader closes the enclave stream context (``EC_STREAM_CLOSE``
     releases the KV cache) before :class:`~repro.errors.RequestCancelled`
     surfaces to iterators and waiters.
-
-    ``ttft_s`` and ``tokens_per_s`` are measured host-side from frame
-    arrival times -- the observability the streaming benchmark reports.
     """
 
     def _what(self) -> str:
         return f"stream for model {self.model_id!r}"
-
-    def result(self, timeout_s: Optional[float] = None) -> List[bytes]:
-        """Block for the full sealed-frame sequence; re-raise any failure."""
-        super().result(timeout_s)
-        return list(self._items)
-
-    def __iter__(self):
-        """Yield sealed frames in decode order, blocking between steps."""
-        return self.items()
-
-    @property
-    def token_count(self) -> int:
-        """Frames delivered so far (grows while the stream decodes)."""
-        return len(self._items)
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Seconds from submission to the first frame (None before it)."""
-        first = self._first_at
-        return None if first is None else first - self.created_at
-
-    @property
-    def tokens_per_s(self) -> Optional[float]:
-        """Decode throughput over the frames delivered so far."""
-        with self._cv:
-            count, last = len(self._items), self._last_at
-        if last is None or last <= self.created_at:
-            return None
-        return count / (last - self.created_at)
 
 
 class _KeyInvalidation(_Admitted):

@@ -44,6 +44,7 @@ from repro.service import (
     RemoteEnvironment,
     ServiceConfig,
 )
+from repro.warmpool import WarmPoolConfig
 from repro.workloads.driver import LiveLoadDriver, LiveReport
 
 MODEL_ID = "svc-mbnet"
@@ -65,23 +66,18 @@ def build_world(
     max_inflight: Optional[int] = None,
     model_seed: int = 7,
     background: bool = True,
-    keep_alive_s: Optional[float] = None,
-    min_warm: int = 1,
-    warm_strategy: str = "lcs",
-    prewarm: bool = False,
+    warm_pool: Optional[WarmPoolConfig] = None,
 ) -> Tuple[SeSeMIEnvironment, InferenceService]:
     """A deployed environment with the service tier already listening.
 
     ``max_inflight`` defaults to the fleet's TCS capacity
     (``tcs_count * num_endpoints``): admission then never queues work
     behind a busy enclave, which is what keeps admitted latency flat
-    while everything beyond capacity sheds.  Setting ``keep_alive_s``
-    arms the gateway's warm pool (``docs/warmpool.md``): the service
-    sweeper then retires idle endpoints down to ``min_warm``, reuses
-    warm ones per ``warm_strategy``, and optionally pre-warms ahead of
-    demand.  The caller owns teardown: ``service.close()`` then
-    ``env.gateways`` via the returned env's gateway handle
-    (``service.gateway.close()``).
+    while everything beyond capacity sheds.  ``warm_pool`` arms the
+    gateway's warm pool (``docs/warmpool.md``): the service sweeper
+    then drives its janitor and pre-warmer.  The caller owns teardown:
+    ``service.close()`` then ``env.gateways`` via the returned env's
+    gateway handle (``service.gateway.close()``).
     """
     capacity = tcs_count * num_endpoints
     if max_inflight is None:
@@ -97,21 +93,7 @@ def build_world(
     scheduler = SchedulerConfig(
         queue_depth=queue_depth, paced_service_s=paced_s
     )
-    service_config = ServiceConfig(
-        host=host,
-        port=port,
-        max_inflight_total=max_inflight,
-        max_inflight_per_tenant=max_inflight,
-        keep_alive_s=keep_alive_s,
-        min_warm=min_warm,
-        warm_strategy=warm_strategy,
-        prewarm=prewarm,
-    )
     gateway_config = None
-    warm_pool = service_config.warm_pool(
-        slots_per_endpoint=tcs_count,
-        max_endpoints=max(num_endpoints, 8),
-    )
     if warm_pool is not None:
         gateway_config = GatewayConfig(
             slots_per_endpoint=tcs_count, warm_pool=warm_pool
@@ -122,7 +104,12 @@ def build_world(
     )
     service = InferenceService(
         env, gateway, [handle],
-        config=service_config,
+        config=ServiceConfig(
+            host=host,
+            port=port,
+            max_inflight_total=max_inflight,
+            max_inflight_per_tenant=max_inflight,
+        ),
         scheduler=scheduler,
     )
     if background:

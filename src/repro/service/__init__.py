@@ -6,6 +6,8 @@ HTTP/1.1 service (stdlib only) in front of
 :class:`~repro.core.gateway.InferenceGateway`:
 
 - :class:`ServiceConfig` -- admission, rate-limit, and deadline knobs;
+- :mod:`repro.service.protocol` -- what both sides agree on (media
+  types, ``/v1/stream`` record framing), defined once;
 - :class:`InferenceService` / :func:`serve` -- the server: sync
   ``POST /v1/infer``, async ``POST /v1/submit`` + polled
   ``GET /v1/results/{req_id}``, KeyService proxying, grants, health,

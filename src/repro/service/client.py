@@ -25,17 +25,16 @@ from __future__ import annotations
 
 import http.client
 import socket
-import struct
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 from urllib.parse import urlencode, urlsplit
 
 import numpy as np
 
-from repro.core import wire
-from repro.core.client import UserClient
-from repro.core.futures import OutcomeCell, gather_windowed
+import repro.core.wire as wire
+from repro.core.client import TokenStream, UserClient
+from repro.core.futures import OutcomeCell, StreamCell, gather_windowed
 from repro.errors import (
     DeadlineExceeded,
     ReproError,
@@ -44,16 +43,16 @@ from repro.errors import (
     from_wire,
 )
 from repro.obs.tracer import Tracer, maybe_span
+from repro.service.protocol import BINARY_CONTENT_TYPE, content_type, read_record
 from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import EnclaveMeasurement
 
-
-#: media type of the binary wire framing (must match the server)
-BINARY_CONTENT_TYPE = "application/x-sesemi-wire"
-
-#: high bit of a stream record's length prefix: terminal error record
-#: instead of a sealed frame (must match ``repro.service.server``)
-STREAM_ERROR_FLAG = 0x80000000
+#: how a kept-alive connection the server closed while it sat idle fails:
+#: the send breaks, or the peer hangs up before one response byte -- the
+#: request was never processed, so sending it again cannot run it twice
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
+#: every way the transport itself fails (``socket.timeout`` is an OSError)
+_TRANSPORT = (http.client.HTTPException, OSError)
 
 
 class ServiceClient:
@@ -81,19 +80,72 @@ class ServiceClient:
         self._local = threading.local()
 
     def _connection(self) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection (reconnects after a close)."""
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout_s
-            )
-            self._local.conn = conn
+            conn = self._local.conn = self._dial()
         return conn
 
-    def _drop_connection(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None:
+    def _dial(self) -> http.client.HTTPConnection:
+        return http.client.HTTPConnection(
+            self.host, self.port, timeout=self.timeout_s
+        )
+
+    def _send(
+        self,
+        connect: Callable[[], http.client.HTTPConnection],
+        method: str,
+        path: str,
+        payload: Optional[dict],
+        query: Optional[Dict[str, str]],
+        span,
+        codec: wire.WireCodec,
+    ):
+        """Send one request on ``connect()``; ``(connection, response)``.
+
+        The response head is read, the body is not.  ``span`` is the
+        caller's client span: its id travels as ``x-client-span`` and
+        the ``x-trace-id`` the server answers with is recorded on it, so
+        the two span trees join.  The one retry is for :data:`_STALE` on
+        a connection this thread had already used; a timeout never
+        retries -- the request may be running, and no route is
+        idempotent (docs/service.md).
+        """
+        body = wire.dumps(payload, codec=codec) if payload is not None else b""
+        target = path + ("?" + urlencode(query) if query else "")
+        headers = {"Content-Type": content_type(codec)}
+        if codec is wire.BINARY:
+            headers["Accept"] = BINARY_CONTENT_TYPE
+        if span is not None:
+            headers["x-client-span"] = span.span_id
+        while True:
+            conn = connect()
+            reused = conn.sock is not None
+            try:
+                conn.request(method, target, body=body, headers=headers)
+                response = conn.getresponse()
+            except _TRANSPORT as exc:
+                conn.close()  # the next use reconnects
+                if not (reused and isinstance(exc, _STALE)):
+                    raise TransportError(
+                        f"{method} {path} failed: {exc}"
+                    ) from exc
+            else:
+                if span is not None and (trace_id := response.getheader("x-trace-id")):
+                    span.set_attributes(server_trace_id=trace_id)
+                return conn, response
+
+    def _reply(self, conn, response, what: str) -> dict:
+        """Read and decode a (non-streaming) response body."""
+        try:
+            raw = response.read()
+        except _TRANSPORT as exc:
             conn.close()
-            self._local.conn = None
+            raise TransportError(f"{what} failed: {exc}") from exc
+        try:
+            return wire.loads(raw) if raw else {}
+        except wire.WireError:
+            return {"error": "", "message": raw.decode("latin-1", "replace")}
 
     def request(
         self,
@@ -101,104 +153,49 @@ class ServiceClient:
         path: str,
         payload: Optional[dict] = None,
         query: Optional[Dict[str, str]] = None,
-        headers: Optional[Dict[str, str]] = None,
+        span=None,
         codec: wire.WireCodec = wire.JSON,
     ):
         """One round trip: ``(status, payload_dict, response_headers)``."""
-        body = wire.dumps(payload, codec=codec) if payload is not None else b""
-        target = path + ("?" + urlencode(query) if query else "")
-        if codec is wire.BINARY:
-            send_headers = {
-                "Content-Type": BINARY_CONTENT_TYPE,
-                "Accept": BINARY_CONTENT_TYPE,
-            }
-        else:
-            send_headers = {"Content-Type": "application/json"}
-        if headers:
-            send_headers.update(headers)
-        for attempt in (0, 1):  # retry once over a stale keep-alive conn
-            conn = self._connection()
-            try:
-                conn.request(method, target, body=body, headers=send_headers)
-                response = conn.getresponse()
-                raw = response.read()
-                break
-            except (http.client.HTTPException, ConnectionError,
-                    socket.timeout, OSError) as exc:
-                self._drop_connection()
-                if attempt == 1:
-                    raise TransportError(
-                        f"{method} {path} failed: {exc}"
-                    ) from exc
-        try:
-            reply = wire.loads(raw) if raw else {}
-        except wire.WireError:
-            reply = {"error": "", "message": raw.decode("latin-1", "replace")}
+        conn, response = self._send(
+            self._connection, method, path, payload, query, span, codec
+        )
+        reply = self._reply(conn, response, f"{method} {path}")
         return response.status, reply, dict(response.getheaders())
 
     def call(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[dict] = None,
-        query: Optional[Dict[str, str]] = None,
-        headers: Optional[Dict[str, str]] = None,
-        codec: wire.WireCodec = wire.JSON,
+        self, method: str, path: str, payload: Optional[dict] = None, **kwargs
     ) -> dict:
         """Like :meth:`request` but raises the server's error on >= 400."""
-        status, reply, _ = self.request(
-            method, path, payload, query, headers, codec=codec
-        )
+        status, reply, _ = self.request(method, path, payload, **kwargs)
         if status >= 400:
             raise from_wire(reply, status)
         return reply
 
-    def open_stream(
-        self,
-        path: str,
-        payload: dict,
-        headers: Optional[Dict[str, str]] = None,
-    ):
-        """POST and return the live response for incremental reads.
+    def open_stream(self, path: str, payload: dict, span=None) -> "HttpStream":
+        """POST and return the live reply body as an :class:`HttpStream`.
 
         Streaming responses get a **dedicated** connection (not the
         per-thread keep-alive one): the body is read as the server
         decodes, so the connection cannot be reused until the stream
         drains -- and an abandoned stream must close its socket to tell
-        the server to stop decoding.  Returns ``(connection, response,
-        response_headers)``; the caller owns closing the connection.
-        An HTTP error status raises the server's exception immediately.
+        the server to stop decoding; the stream owns closing it.  An
+        HTTP error status raises the server's exception immediately.
         """
-        body = wire.dumps(payload, codec=wire.BINARY)
-        send_headers = {
-            "Content-Type": BINARY_CONTENT_TYPE,
-            "Accept": BINARY_CONTENT_TYPE,
-        }
-        if headers:
-            send_headers.update(headers)
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
+        conn, response = self._send(
+            self._dial, "POST", path, payload, None, span, wire.BINARY
         )
-        try:
-            conn.request("POST", path, body=body, headers=send_headers)
-            response = conn.getresponse()
-        except (http.client.HTTPException, ConnectionError,
-                socket.timeout, OSError) as exc:
-            conn.close()
-            raise TransportError(f"POST {path} failed: {exc}") from exc
         if response.status >= 400:
-            raw = response.read()
+            reply = self._reply(conn, response, f"POST {path}")
             conn.close()
-            try:
-                reply = wire.loads(raw) if raw else {}
-            except wire.WireError:
-                reply = {"error": "", "message": raw.decode("latin-1", "replace")}
             raise from_wire(reply, response.status)
-        return conn, response, dict(response.getheaders())
+        return HttpStream(conn, response)
 
     def close(self) -> None:
         """Close this thread's keep-alive connection."""
-        self._drop_connection()
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
 
 
 class RemoteKeyService:
@@ -358,14 +355,11 @@ class RemoteSession:
         if user.principal_id is None:
             raise SeSeMIError("user must be registered first")
         self._env = env
+        self._client = env.client
         self.user = user
         self.handle = handle
         self.model_id = handle.model_id
         self.measurement = handle.measurement
-
-    @property
-    def _client(self) -> ServiceClient:
-        return self._env.client
 
     def infer(
         self,
@@ -387,33 +381,31 @@ class RemoteSession:
             lambda reply: RemoteFuture(self, reply["req_id"]),
         )
 
+    def _span(self, name: str):
+        """The one client span a request runs under (no-op when untraced)."""
+        return maybe_span(
+            self._env.tracer, name, model_id=self.model_id,
+            user_id=self.user.principal_id, transport="http",
+        )
+
+    def _body(self, enc_request: bytes, **extra) -> dict:
+        return {
+            "model_id": self.model_id,
+            "uid": self.user.principal_id,
+            "enc_request": enc_request,
+            **extra,
+        }
+
     def _post(self, span_name: str, path: str, x: np.ndarray, finish, **extra):
         """Seal ``x`` and POST it under one client span; ``finish`` the reply."""
-        with maybe_span(
-            self._env.tracer,
-            span_name,
-            model_id=self.model_id,
-            user_id=self.user.principal_id,
-            transport="http",
-        ) as root:
+        with self._span(span_name) as root:
             enc_request = self.user.encrypt_request(
                 self.model_id, self.measurement, x
             )
-            status, reply, headers = self._client.request(
-                "POST", path,
-                {
-                    "model_id": self.model_id,
-                    "uid": self.user.principal_id,
-                    "enc_request": enc_request,
-                    **extra,
-                },
-                headers=self._span_headers(root),
-                codec=wire.BINARY,
-            )
-            self._join_trace(root, headers)
-            if status >= 400:
-                raise from_wire(reply, status)
-            return finish(reply)
+            return finish(self._client.call(
+                "POST", path, self._body(enc_request, **extra),
+                span=root, codec=wire.BINARY,
+            ))
 
     def _decrypt(self, reply: dict) -> np.ndarray:
         return self.user.decrypt_response(
@@ -428,32 +420,18 @@ class RemoteSession:
         The remote twin of :meth:`UserSession.stream
         <repro.core.deployment.UserSession.stream>`: the prompt is
         sealed locally with the stream AAD, POSTed to ``/v1/stream``,
-        and token frames arrive as chunked records which the returned
-        :class:`RemoteStream` authenticates, index-checks, and decrypts
-        one by one -- the service tier relays ciphertext only.
+        and the sealed token frames arrive as chunked records
+        (:class:`HttpStream`) which the returned :class:`RemoteStream`
+        authenticates, index-checks and decrypts one by one -- the
+        service tier relays ciphertext only.
         """
-        tracer = self._env.tracer
-        with maybe_span(
-            tracer,
-            "stream",
-            model_id=self.model_id,
-            user_id=self.user.principal_id,
-            transport="http",
-        ) as root:
+        with self._span("stream") as root:
             enc_request = self.user.encrypt_stream_request(
                 self.model_id, self.measurement, prompt, max_new_tokens
             )
-            conn, response, headers = self._client.open_stream(
-                "/v1/stream",
-                {
-                    "model_id": self.model_id,
-                    "uid": self.user.principal_id,
-                    "enc_request": enc_request,
-                },
-                headers=self._span_headers(root),
-            )
-            self._join_trace(root, headers)
-            return RemoteStream(self, conn, response)
+            return RemoteStream(self, self._client.open_stream(
+                "/v1/stream", self._body(enc_request), span=root
+            ))
 
     def infer_many(
         self, xs: Sequence[np.ndarray], window: Optional[int] = None
@@ -472,19 +450,6 @@ class RemoteSession:
             window = self.handle.feed_window
         return gather_windowed(self.submit, xs, lambda _first: window)
 
-    def _span_headers(self, span) -> Optional[Dict[str, str]]:
-        if span is None:
-            return None
-        return {"x-client-span": span.span_id}
-
-    def _join_trace(self, span, headers: Dict[str, str]) -> None:
-        """Record the server-side trace id so the two trees join."""
-        if span is None:
-            return
-        trace_id = headers.get("x-trace-id") or headers.get("X-Trace-Id")
-        if trace_id:
-            span.set_attributes(server_trace_id=trace_id)
-
     def close(self) -> None:
         """Sessions hold no server-side state; nothing to tear down."""
 
@@ -495,29 +460,67 @@ class RemoteSession:
         self.close()
 
 
-class RemoteFuture(OutcomeCell):
+class _ConsumerFed(OutcomeCell):
+    """A cell with no producer thread: whoever waits on it feeds it.
+
+    One waiter at a time holds ``_feeder`` and runs the subclass's
+    ``_feed(chunk_s)`` -- one round trip, or one read off the socket,
+    of at most ``chunk_s``: it pushes, seals, or neither -- while the
+    others sleep on the cell; every other call answers from the cell.
+    """
+
+    #: the longest single feed (``None``: only the caller's deadline)
+    _FEED_CAP_S: Optional[float] = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._feeder = threading.Lock()
+
+    def _wait_for(self, ready: Callable[[], bool], timeout_s: Optional[float]) -> bool:
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        while not ready():
+            chunk = self._FEED_CAP_S
+            if deadline is not None:
+                left = max(0.0, deadline - time.monotonic())
+                chunk = left if chunk is None else min(chunk, left)
+            if self._feeder.acquire(blocking=False):
+                try:
+                    if not ready():
+                        self._feed(chunk)
+                finally:
+                    self._feeder.release()
+                    with self._cv:  # a sleeping waiter takes over from here
+                        self._cv.notify_all()
+            else:  # sleep until the feeding thread produced it, or stopped
+                super()._wait_for(
+                    lambda: ready() or not self._feeder.locked(), chunk
+                )
+            if chunk == 0.0:
+                break
+        return ready()
+
+
+class RemoteFuture(_ConsumerFed):
     """A submitted request's client handle: the outcome cell, fed over HTTP.
 
     The same :class:`~repro.core.futures.Future` contract as
     :class:`~repro.core.deployment.SessionFuture` because it *is* the
-    cell, with the consuming thread as producer: :meth:`wait` long-polls
-    ``GET /v1/results/{id}`` and seals the decrypted output (200) or the
-    server's error (4xx/5xx); :meth:`cancel` seals the cancellation an
-    accepted ``DELETE`` promises (the enclave execution context is
-    released server-side).  Once sealed every call answers from the
-    cell: ``result()`` is repeatable and nothing costs a round trip.
+    cell, fed by its consumers: a wait long-polls ``GET
+    /v1/results/{id}`` -- one poller at a time, the server hands the
+    output out once (sticky 410 after) -- and seals the decrypted output
+    (200) or the server's error (4xx/5xx); :meth:`cancel` seals the
+    cancellation an accepted ``DELETE`` promises (the enclave execution
+    context is released server-side).  Once sealed, ``result()`` is
+    repeatable and nothing costs a round trip.
     """
 
-    _POLL_CHUNK_S = 5.0
+    _FEED_CAP_S = 5.0
 
     def __init__(self, session: RemoteSession, req_id: str) -> None:
         super().__init__()
         self._session = session
         self.req_id = req_id
         self._path = f"/v1/results/{req_id}"
-        #: held by the one thread currently polling: the server hands the
-        #: output out once (sticky 410 after), so polls must not overlap
-        self._poller = threading.Lock()
 
     def _what(self) -> str:
         return f"request {self.req_id}"
@@ -535,25 +538,7 @@ class RemoteFuture(OutcomeCell):
                 self.set_cancelled()
         return self._cancelled
 
-    def wait(self, timeout_s: Optional[float] = None) -> bool:
-        """Long-poll until sealed; ``False`` on timeout (``0`` = one poll)."""
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        while not self._done:
-            chunk = self._POLL_CHUNK_S
-            if deadline is not None:
-                chunk = min(chunk, max(0.0, deadline - time.monotonic()))
-            if self._poller.acquire(blocking=False):
-                try:
-                    self._poll(chunk)
-                finally:
-                    self._poller.release()
-            else:  # another thread is the producer right now
-                super().wait(chunk)
-            if chunk == 0.0:
-                break
-        return self._done
-
-    def _poll(self, chunk_s: float) -> None:
+    def _feed(self, chunk_s: float) -> None:
         """One ``GET``; seals the cell unless the server answers 202."""
         status, reply, _ = self._session._client.request(
             "GET", self._path, query={"timeout_s": f"{chunk_s:.3f}"},
@@ -569,203 +554,75 @@ class RemoteFuture(OutcomeCell):
             self.set_error(exc)
 
 
-class RemoteStream:
-    """A live autoregressive stream consumed over HTTP.
+class HttpStream(_ConsumerFed, StreamCell):
+    """The sealed frames of one ``/v1/stream`` reply, fed off the socket.
 
-    The remote twin of :class:`~repro.core.deployment.SessionStream`:
-    iterating yields decrypted token ids as the chunked records arrive;
-    each sealed frame is AEAD-authenticated and index-checked locally,
-    so a relay that drops, reorders, or replays frames surfaces as
-    :class:`~repro.errors.InvocationError`, never as a silently wrong
-    sequence.  Satisfies the :class:`~repro.core.futures.Future`
-    protocol -- ``result()`` drains the stream and returns the full
-    token list.
+    The HTTP twin of the scheduler's
+    :class:`~repro.core.semirt.InferenceStream`: the same stream cell,
+    fed by its consumers -- a wait reads one record
+    (:func:`~repro.service.protocol.read_record`) and pushes its frame;
+    the end of the body, an error record or a transport failure seals it.
 
-    One transport caveat: the stream *is* the connection.  A
-    ``result(timeout_s=...)`` expiry or a :meth:`cancel` closes the
-    socket -- the server notices and stops decoding (releasing the
-    enclave stream context), but unlike the in-process handles the
-    stream cannot be resumed afterwards.
+    One transport caveat: the stream *is* the connection.  A wait that
+    expires on the socket seals :class:`~repro.errors.DeadlineExceeded`
+    and closes it -- a timed-out remote stream is dead, not resumable --
+    and an accepted :meth:`cancel` closes it too, which is the signal:
+    the server's next write fails and it cancels the gateway stream,
+    releasing the enclave KV/stream context.
     """
 
-    def __init__(self, session: RemoteSession, conn, response) -> None:
-        self._session = session
+    def __init__(self, conn, response) -> None:
+        super().__init__()
         self._conn = conn
         self._response = response
-        self._opened_at = time.monotonic()
-        self._tokens: List[int] = []
-        self._finished = False
-        self._cancelled = False
-        self._error: Optional[BaseException] = None
-        self._first_at: Optional[float] = None
-        self._last_at: Optional[float] = None
 
-    # -- the Future protocol -------------------------------------------------------
-
-    def done(self) -> bool:
-        """True once the stream has drained, failed, or been cancelled."""
-        return self._finished or self._error is not None
-
-    def cancelled(self) -> bool:
-        """True when :meth:`cancel` tore the stream down."""
-        return self._cancelled
+    def _what(self) -> str:
+        return "remote stream"
 
     def cancel(self) -> bool:
-        """Abandon the stream; ``False`` once it is already terminal.
-
-        Closing the socket is the cancellation signal: the server's
-        write fails at the next frame and it cancels the gateway
-        stream, releasing the enclave KV/stream context.
-        """
-        if self.done():
-            return False
-        self._cancelled = True
-        self._finished = True
-        self._close()
-        return True
-
-    def result(self, timeout_s: Optional[float] = None) -> List[int]:
-        """Drain the stream and return the full decrypted token list.
-
-        ``timeout_s`` follows the repo-wide wait rule -- but on this
-        transport an expiry closes the connection (see class docs), so
-        a timed-out remote stream is dead, not resumable.
-        """
-        deadline = (
-            None if timeout_s is None else time.monotonic() + timeout_s
-        )
-        for _ in self._iter_from(len(self._tokens), deadline):
-            pass
-        if self._error is not None:
-            raise self._error
-        return list(self._tokens)
-
-    # -- streaming consumption -----------------------------------------------------
-
-    def __iter__(self):
-        """Yield decrypted token ids in decode order as frames arrive."""
-        return self._iter_from(0, None)
-
-    @property
-    def token_count(self) -> int:
-        return len(self._tokens)
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Seconds from the POST to the first decrypted token."""
-        if self._first_at is None:
-            return None
-        return self._first_at - self._opened_at
-
-    @property
-    def tokens_per_s(self) -> Optional[float]:
-        """Decode throughput over the tokens received so far."""
-        if self._first_at is None or self._last_at is None:
-            return None
-        elapsed = self._last_at - self._opened_at
-        if elapsed <= 0:
-            return None
-        return len(self._tokens) / elapsed
-
-    # -- internals -----------------------------------------------------------------
-
-    def _iter_from(self, start: int, deadline: Optional[float]):
-        index = start
-        while True:
-            while index < len(self._tokens):
-                token = self._tokens[index]
-                index += 1
-                yield token
-            if self.done():
-                if index >= len(self._tokens) and self._error is not None:
-                    raise self._error
-                if index >= len(self._tokens):
-                    return
-                continue
-            self._read_record(deadline)
-
-    def _read_record(self, deadline: Optional[float]) -> None:
-        """Read one chunked record off the socket and absorb it."""
-        try:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DeadlineExceeded(
-                        "remote stream not drained within the timeout"
-                    )
-                sock = getattr(self._conn, "sock", None)
-                if sock is not None:
-                    sock.settimeout(remaining)
-            prefix = self._read_exact(4, eof_ok=True)
-            if prefix is None:
-                self._finished = True
-                self._close()
-                return
-            (length,) = struct.unpack(">I", prefix)
-            if length & STREAM_ERROR_FLAG:
-                body = self._read_exact(length & ~STREAM_ERROR_FLAG)
-                payload = wire.loads(body)
-                raise from_wire(payload, payload.get("status"))
-            frame = self._read_exact(length)
-            session = self._session
-            payload = session.user.decrypt_frame(
-                session.model_id,
-                session.measurement,
-                frame,
-                expected_index=len(self._tokens),
-            )
-            now = time.monotonic()
-            if self._first_at is None:
-                self._first_at = now
-            self._last_at = now
-            self._tokens.append(payload["token"])
-            if payload["done"]:
-                self._drain_terminator()
-                self._finished = True
-                self._close()
-        except (socket.timeout, TimeoutError) as exc:
-            self._error = DeadlineExceeded(
-                "remote stream not drained within the timeout"
-            )
-            self._close()
-            raise self._error from exc
-        except BaseException as exc:
-            # a deadline expiry is terminal too: the socket is closed
-            # below, so the stream can never resume (the class docstring's
-            # transport caveat) -- sealing the outcome keeps done() honest
-            if self._error is None:
-                self._error = exc
-            self._close()
-            raise
-
-    def _drain_terminator(self) -> None:
-        """Consume the end-of-body after the final frame (keeps HTTP honest)."""
-        try:
-            self._response.read()
-        except Exception:
-            pass
-
-    def _read_exact(self, n: int, eof_ok: bool = False) -> Optional[bytes]:
-        chunks: List[bytes] = []
-        needed = n
-        while needed:
-            chunk = self._response.read(needed)
-            if not chunk:
-                if eof_ok and needed == n:
-                    return None
-                raise TransportError("stream truncated mid-record")
-            chunks.append(chunk)
-            needed -= len(chunk)
-        return b"".join(chunks)
-
-    def _close(self) -> None:
-        try:
+        """Abandon the stream by closing its socket; ``False`` once sealed."""
+        accepted = super().cancel()
+        if accepted:
+            self.set_cancelled()  # sealed first: a reader the close wakes loses
             self._conn.close()
-        except Exception:
-            pass
+        return accepted
+
+    def _feed(self, chunk_s: Optional[float]) -> None:
+        try:
+            if chunk_s is not None:
+                if chunk_s <= 0:
+                    raise socket.timeout
+                if self._conn.sock is not None:
+                    self._conn.sock.settimeout(chunk_s)
+            frame = read_record(self._response.read)
+            if frame is not None:
+                return self.push(frame)
+            self.set_result()  # the body ended, at a record boundary
+        except socket.timeout:
+            self.set_error(DeadlineExceeded(
+                f"{self._what()} not drained within the timeout"
+            ))
+        except ReproError as exc:  # an error record: the server's exception
+            self.set_error(exc)
+        except Exception as exc:  # noqa: BLE001 - a torn or garbled body
+            self.set_error(TransportError(f"{self._what()} failed: {exc!r}"))
+        self._conn.close()
+
+
+class RemoteStream(TokenStream):
+    """A live autoregressive stream consumed over HTTP.
+
+    Returned by :meth:`RemoteSession.stream`: the client half of the
+    streaming protocol (:class:`~repro.core.client.TokenStream`, the
+    very class behind :class:`~repro.core.deployment.SessionStream`)
+    over an :class:`HttpStream` -- see its transport caveat: a
+    ``result(timeout_s=...)`` expiry or a ``cancel()`` closes the
+    socket, so the stream cannot be resumed afterwards.
+    """
 
 
 __all__ = [
+    "HttpStream",
     "RemoteEnvironment",
     "RemoteFuture",
     "RemoteModelHandle",

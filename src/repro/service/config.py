@@ -1,9 +1,12 @@
 """Service-tier configuration.
 
-One :class:`ServiceConfig` owns every knob of the HTTP front door:
+One :class:`ServiceConfig` owns the HTTP front door's **own** policy:
 where it listens, how much work it admits, and when it sheds.  Like
 :class:`~repro.core.semirt.SchedulerConfig` these are **operator
 policy, not enclave identity** -- nothing here enters a measurement.
+The fleet behind the door is configured where it lives: the warm pool
+is ``GatewayConfig(warm_pool=WarmPoolConfig(...))`` (``docs/warmpool.md``)
+and the service sweeper reads its cadence from the gateway's pool.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
-from repro.warmpool import STRATEGIES, PredictorPolicy, WarmPoolConfig
 
 
 @dataclass(frozen=True)
@@ -37,22 +39,6 @@ class ServiceConfig:
     ``result_ttl_s``
         How long a terminal (unfetched) result is retained before the
         sweeper drops it and releases its admission slot.
-
-    Warm-pool knobs (``docs/warmpool.md``) -- forwarded into the
-    gateway's :class:`~repro.warmpool.WarmPoolConfig` by
-    :func:`~repro.experiments.service.build_world`; the service
-    sweeper then drives :meth:`~repro.core.gateway.InferenceGateway.maintain`:
-
-    ``keep_alive_s`` / ``min_warm``
-        Janitor policy: idle endpoints past ``keep_alive_s`` are
-        retired down to the ``min_warm`` floor.  ``keep_alive_s=None``
-        disables warm-pool management entirely (the pre-warm-pool
-        behaviour: the fleet only ever grows).
-    ``warm_strategy``
-        Warm-endpoint reuse policy (``lcs`` / ``mru`` / ``affinity``).
-    ``prewarm``
-        Arm the predictive pre-warmer (EWMA arrival rates -> launch
-        ahead of demand).
     """
 
     host: str = "127.0.0.1"
@@ -65,11 +51,6 @@ class ServiceConfig:
     poll_wait_cap_s: float = 10.0
     result_ttl_s: float = 120.0
     max_body_bytes: int = 8 * 1024 * 1024
-    executor_workers: Optional[int] = None  # default: inflight bound + spare
-    keep_alive_s: Optional[float] = None  # None: warm pool off
-    min_warm: int = 1
-    warm_strategy: str = "lcs"
-    prewarm: bool = False
 
     def __post_init__(self) -> None:
         if self.max_inflight_total < 1:
@@ -88,39 +69,6 @@ class ServiceConfig:
             raise ConfigError("result_ttl_s must be positive")
         if self.max_body_bytes < 1024:
             raise ConfigError("max_body_bytes must be >= 1024")
-        if self.keep_alive_s is not None and self.keep_alive_s < 0:
-            raise ConfigError("keep_alive_s must be >= 0 (or None)")
-        if self.min_warm < 0:
-            raise ConfigError("min_warm must be >= 0")
-        if self.warm_strategy not in STRATEGIES:
-            raise ConfigError(
-                f"warm_strategy must be one of {', '.join(STRATEGIES)}"
-            )
-
-    @property
-    def workers(self) -> int:
-        """Executor threads: every admitted request can block at once."""
-        if self.executor_workers is not None:
-            return max(1, self.executor_workers)
-        return self.max_inflight_total + 4
-
-    def warm_pool(
-        self, slots_per_endpoint: int = 1, max_endpoints: int = 8
-    ) -> Optional[WarmPoolConfig]:
-        """The gateway-level warm-pool config these knobs describe.
-
-        ``None`` when ``keep_alive_s`` is unset (warm pool off).
-        """
-        if self.keep_alive_s is None:
-            return None
-        return WarmPoolConfig(
-            strategy=self.warm_strategy,
-            keep_alive_s=self.keep_alive_s,
-            min_warm=self.min_warm,
-            max_endpoints=max_endpoints,
-            predictive=self.prewarm,
-            predictor=PredictorPolicy(slots_per_endpoint=slots_per_endpoint),
-        )
 
 
 __all__ = ["ServiceConfig"]

@@ -47,6 +47,19 @@ class HttpRequest:
     body: bytes
 
 
+def _encode_head(response, framing: str, keep_alive: bool) -> bytes:
+    """Status line and headers of either response kind; ``framing`` is
+    the header that says how the body ends."""
+    lines = [
+        f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'Unknown')}",
+        f"Content-Type: {response.content_type}",
+        framing,
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    lines.extend(f"{name}: {value}" for name, value in response.headers.items())
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
 @dataclass
 class HttpResponse:
     """One response to serialise."""
@@ -58,17 +71,8 @@ class HttpResponse:
 
     def encode(self, keep_alive: bool) -> bytes:
         """Serialise status line, headers, and body to raw HTTP/1.1."""
-        reason = _REASONS.get(self.status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {self.status} {reason}",
-            f"Content-Type: {self.content_type}",
-            f"Content-Length: {len(self.body)}",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in self.headers.items():
-            lines.append(f"{name}: {value}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        return head + self.body
+        framing = f"Content-Length: {len(self.body)}"
+        return _encode_head(self, framing, keep_alive) + self.body
 
 
 class StreamingHttpResponse:
@@ -96,16 +100,7 @@ class StreamingHttpResponse:
 
     def encode_head(self, keep_alive: bool) -> bytes:
         """Serialise the status line and headers (chunked framing)."""
-        reason = _REASONS.get(self.status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {self.status} {reason}",
-            f"Content-Type: {self.content_type}",
-            "Transfer-Encoding: chunked",
-            f"Connection: {'keep-alive' if keep_alive else 'close'}",
-        ]
-        for name, value in self.headers.items():
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        return _encode_head(self, "Transfer-Encoding: chunked", keep_alive)
 
 
 class HttpError(Exception):

@@ -31,27 +31,33 @@ taxonomy in :mod:`repro.errors` (``to_wire``/``from_wire``), so a
 :class:`~repro.errors.QueueFull` shed here and one raised by a
 saturated enclave queue look identical to the client.
 
-**Admission before work**: rate/inflight checks run synchronously on
-the event loop; a shed request costs microseconds and never touches an
-executor thread, the gateway, or an enclave.  Admitted work runs in a
-bounded thread pool (the gateway surface is blocking), with the
-request's HTTP root span attached so route and ECALL spans parent
-under it -- one server-side trace covers service -> gateway -> ECALL,
-and the ``x-trace-id`` response header lets the client join its own
-span to it (``docs/service.md``).
+**One request lifecycle**: the three inference routes share one
+admitted-request path (:meth:`InferenceService._admitted`).  Rate and
+inflight checks run synchronously on the event loop; a shed request
+costs microseconds and never touches an executor thread, the gateway,
+or an enclave.  Admitted work runs in a bounded thread pool (the
+gateway surface is blocking), with the request's HTTP root span
+attached so route and ECALL spans parent under it -- one server-side
+trace covers service -> gateway -> ECALL, and the ``x-trace-id``
+response header lets the client join its own span to it.  Of a
+submitted request the tier owns one bit, *handed out yet?*: running,
+failed and cancelled are read off the sealed, repeatable
+:class:`~repro.core.gateway.GatewaySubmission` it holds, on the
+event-loop thread (``docs/service.md``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
+import functools
 import itertools
-import struct
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core import wire
 from repro.core.deployment import ModelHandle, SeSeMIEnvironment
@@ -73,16 +79,14 @@ from repro.service.httpd import (
     HttpResponse,
     StreamingHttpResponse,
 )
+from repro.service.protocol import (
+    BINARY_CONTENT_TYPE,
+    content_type,
+    error_record,
+    frame_record,
+)
 
 _RESULTS_PREFIX = "/v1/results/"
-
-#: media type of the binary wire framing (version byte 0x01)
-BINARY_CONTENT_TYPE = "application/x-sesemi-wire"
-
-#: high bit of a stream record's ``u32`` length prefix: the record is a
-#: terminal wire-encoded error payload, not a sealed token frame (the
-#: status line was already sent when the stream began)
-STREAM_ERROR_FLAG = 0x80000000
 
 #: per-request response codec, set by content negotiation in ``_handle``:
 #: binary when the client POSTed a binary frame or sent an ``Accept``
@@ -95,17 +99,24 @@ _RESPONSE_CODEC: "contextvars.ContextVar[wire.WireCodec]" = (
 
 @dataclass
 class _Entry:
-    """One submitted request's server-side state."""
+    """One submitted request: its handle plus *handed out yet?*"""
 
     submission: GatewaySubmission
-    tenant: str
     release: Callable[[], None]
     created: float
-    span: Optional[object] = None
-    state: str = "pending"  # pending | consumed | cancelled | failed
-    error_status: Optional[int] = None
-    error_payload: Optional[dict] = None
-    lock: threading.Lock = field(default_factory=threading.Lock)
+    span: object
+    consumed: bool = False
+
+
+def _seconds(value: Any) -> float:
+    """A client's ``timeout_s``: finite seconds >= 0 (``0``: do not wait)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if isinstance(value, bool) or not 0 <= seconds < math.inf:
+        raise InvocationError("timeout_s must be a finite number of seconds >= 0")
+    return seconds
 
 
 class InferenceService:
@@ -130,11 +141,14 @@ class InferenceService:
         self.scheduler = scheduler
         self.tracer = env.tracer
         self.admission = AdmissionController(self.config)
+        # every admitted request can block a thread at once; the spare
+        # ones keep polls and the KeyService proxy moving at saturation
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="svc"
+            max_workers=self.config.max_inflight_total + 4,
+            thread_name_prefix="svc",
         )
+        #: submitted requests by ``req_id`` (event-loop thread only)
         self._entries: Dict[str, _Entry] = {}
-        self._entries_lock = threading.Lock()
         self._req_ids = itertools.count(1)
         self._counters: Dict[str, int] = {}
         self._httpd = AsyncHttpServer(
@@ -244,10 +258,7 @@ class InferenceService:
                 return await self._results(req_id, request.query)
             if method == "DELETE":
                 return await self._cancel(req_id)
-        status, payload = to_wire(
-            StorageError(f"no route {method} {path}")
-        )
-        return self._json(status, payload)
+        return self._json(*to_wire(StorageError(f"no route {method} {path}")))
 
     def _negotiate_codec(self, request: HttpRequest) -> wire.WireCodec:
         """Pick the response codec for one request (see module notes)."""
@@ -259,13 +270,16 @@ class InferenceService:
 
     def _map_error(self, exc: BaseException) -> HttpResponse:
         """Last-resort mapper the HTTP layer calls for unhandled errors."""
-        if isinstance(exc, wire.WireError):
-            exc = InvocationError(f"malformed body: {exc}")
-        status, payload = to_wire(exc)
-        return self._json(status, payload)
+        return self._json(*to_wire(exc))
 
     def _count(self, route: str) -> None:
         self._counters[route] = self._counters.get(route, 0) + 1
+
+    def _on_executor(self, call: Callable[..., Any], *args):
+        """Awaitable: ``call(*args)`` on the executor, off the event loop."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._executor, call, *args
+        )
 
     # -- plain endpoints ----------------------------------------------------------
 
@@ -277,11 +291,10 @@ class InferenceService:
         })
 
     def _stats(self) -> HttpResponse:
-        with self._entries_lock:
-            pending = sum(
-                1 for e in self._entries.values() if e.state == "pending"
-            )
-            retained = len(self._entries)
+        pending = sum(
+            1 for e in self._entries.values()
+            if not (e.consumed or e.submission.cancelled())
+        )
         payload = {
             "admission": self.admission.stats(),
             "gateway": {
@@ -291,7 +304,7 @@ class InferenceService:
             "service": {
                 "requests": dict(self._counters),
                 "results_pending": pending,
-                "results_retained": retained,
+                "results_retained": len(self._entries),
             },
         }
         warm = self.gateway.warm_stats()
@@ -322,22 +335,15 @@ class InferenceService:
 
     async def _ks_handshake(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_handshake")
-        msg = self._decode(request, "offer")
-        loop = asyncio.get_running_loop()
-        reply = await loop.run_in_executor(
-            self._executor, self.env.keyservice.handshake, msg["offer"]
-        )
+        msg = self._decode(request, offer=dict)
+        reply = await self._on_executor(self.env.keyservice.handshake, msg["offer"])
         return self._json(200, reply)
 
     async def _ks_call(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_call")
-        msg = self._decode(request, "channel_id", "ciphertext")
-        loop = asyncio.get_running_loop()
-        reply = await loop.run_in_executor(
-            self._executor,
-            self.env.keyservice.request,
-            int(msg["channel_id"]),
-            msg["ciphertext"],
+        msg = self._decode(request, channel_id=int, ciphertext=bytes)
+        reply = await self._on_executor(
+            self.env.keyservice.request, msg["channel_id"], msg["ciphertext"]
         )
         return self._json(200, {"reply": reply})
 
@@ -348,14 +354,10 @@ class InferenceService:
         proxy -- the service never sees a request key.
         """
         self._count("grants")
-        msg = self._decode(request, "model_id", "uid")
+        msg = self._decode(request, model_id=str, uid=str)
         handle = self._handle_for(msg["model_id"])
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(
-            self._executor,
-            handle.owner.grant_access,
-            handle.model_id,
-            handle.measurement,
+        await self._on_executor(
+            handle.owner.grant_access, handle.model_id, handle.measurement,
             msg["uid"],
         )
         return self._json(200, {
@@ -364,271 +366,199 @@ class InferenceService:
 
     # -- inference ----------------------------------------------------------------
 
-    async def _infer(self, request: HttpRequest) -> HttpResponse:
-        self._count("infer")
-        msg = self._decode(request, "model_id", "uid", "enc_request")
+    async def _admitted(
+        self,
+        route: str,
+        request: HttpRequest,
+        call: Callable[..., Any],
+        finish: Callable[[Any, Callable[[], None], Any], Any],
+    ):
+        """The one path an inference request takes into the fleet.
+
+        Decode and validate, look the model up, admit (synchronous and
+        O(1): a shed never leaves the loop), open the ``http:<route>``
+        root span, then run ``call(enc_request, uid, model_id, msg)`` on
+        the executor with that span attached: the admission-time
+        ``route`` span parents under it, and -- the endpoint scheduler
+        captures the ambient span at submit time -- so do the worker's
+        ECALL spans.  Whatever ``call`` raises releases the slot and is
+        the reply; else ``finish(outcome, release, span)`` owns both.
+        """
+        self._count(route)
+        msg = self._decode(request, model_id=str, uid=str, enc_request=bytes)
         model_id, uid = msg["model_id"], msg["uid"]
         self._handle_for(model_id)
-        # ``timeout_s`` is the wire field (docs/service.md)
-        wait = msg.get("timeout_s")
-        deadline = min(
-            float(wait or self.config.default_deadline_s),
-            self.config.default_deadline_s,
-        )
-        # admission is synchronous and O(1): a shed never leaves the loop
         release = self.admission.admit(uid)
-        span = self._start_span(
-            "http:infer", request, model_id=model_id, tenant=uid
+        client_span = request.headers.get("x-client-span")
+        span = self.tracer.start_span(
+            f"http:{route}", parent=None, model_id=model_id, tenant=uid,
+            **({"client_span": client_span} if client_span else {}),
         )
-        loop = asyncio.get_running_loop()
         try:
-            reply = await loop.run_in_executor(
-                self._executor,
-                self._dispatch_blocking,
-                span,
-                msg["enc_request"],
-                uid,
-                model_id,
-                deadline,
+            outcome = await self._on_executor(
+                self._attached, span, call, msg["enc_request"], uid, model_id, msg
             )
-        except ReproError as exc:
-            return self._fail(span, exc)
-        finally:
+        except BaseException as exc:
             release()
-        self._end_span(span, endpoint=reply.decision.endpoint)
-        return self._json(200, {
-            "enc_response": reply.output,
-            "endpoint": reply.decision.endpoint,
-        }, span=span)
+            self._end_span(span, error=exc)
+            if not isinstance(exc, Exception):
+                raise  # the loop cancelling this handler is not a reply
+            return self._json(*to_wire(exc), span=span)
+        return finish(outcome, release, span)
 
-    def _dispatch_blocking(self, span, enc_request, uid, model_id, deadline):
-        with self.tracer.attach(span) if span is not None else _noop():
+    def _attached(self, span, call, *args):
+        with self.tracer.attach(span):
+            return call(*args)
+
+    async def _infer(self, request: HttpRequest) -> HttpResponse:
+        cap = self.config.default_deadline_s
+
+        def dispatch(enc_request, uid, model_id, msg):
+            # ``timeout_s`` is the wire field (docs/service.md)
             return self.gateway.dispatch(
-                enc_request, uid, model_id, timeout_s=deadline
+                enc_request, uid, model_id,
+                timeout_s=min(msg.get("timeout_s", cap), cap),
             )
+
+        def served(reply, release, span) -> HttpResponse:
+            release()
+            self._end_span(span, endpoint=reply.decision.endpoint)
+            return self._json(200, {
+                "enc_response": reply.output,
+                "endpoint": reply.decision.endpoint,
+            }, span=span)
+
+        return await self._admitted("infer", request, dispatch, served)
 
     async def _submit(self, request: HttpRequest) -> HttpResponse:
-        self._count("submit")
-        msg = self._decode(request, "model_id", "uid", "enc_request")
-        model_id, uid = msg["model_id"], msg["uid"]
-        self._handle_for(model_id)
-        release = self.admission.admit(uid)
-        span = self._start_span(
-            "http:submit", request, model_id=model_id, tenant=uid
-        )
-        loop = asyncio.get_running_loop()
-        try:
-            submission = await loop.run_in_executor(
-                self._executor,
-                self._submit_blocking,
-                span,
-                msg["enc_request"],
-                uid,
-                model_id,
-            )
-        except ReproError as exc:
-            release()
-            return self._fail(span, exc)
-        req_id = f"r-{next(self._req_ids)}"
-        with self._entries_lock:
-            self._entries[req_id] = _Entry(
-                submission=submission,
-                tenant=uid,
-                release=release,
-                created=time.monotonic(),
-                span=span,
-            )
-        self._end_span(span, endpoint=submission.endpoint, req_id=req_id)
-        return self._json(202, {
-            "req_id": req_id,
-            "endpoint": submission.endpoint,
-            "ticket": submission.ticket,
-        }, span=span)
-
-    def _submit_blocking(self, span, enc_request, uid, model_id):
-        # the attach parents the admission route span -- and, because the
-        # endpoint scheduler captures the ambient span at submit time,
-        # the worker's ECALL spans too -- under the HTTP root span
-        with self.tracer.attach(span) if span is not None else _noop():
+        def submit(enc_request, uid, model_id, msg):
             return self.gateway.submit(enc_request, uid, model_id)
+
+        def accepted(submission, release, span) -> HttpResponse:
+            req_id = f"r-{next(self._req_ids)}"
+            self._entries[req_id] = _Entry(
+                submission, release, time.monotonic(), span
+            )
+            self._end_span(span, endpoint=submission.endpoint, req_id=req_id)
+            return self._json(202, {
+                "req_id": req_id, "endpoint": submission.endpoint,
+            }, span=span)
+
+        return await self._admitted("submit", request, submit, accepted)
 
     async def _stream(self, request: HttpRequest):
         """Open an autoregressive stream; the reply body is chunked.
 
         Admission failures surface as an ordinary error response; once
         the gateway stream is open the reply commits to ``200`` with a
-        chunked body of records, each ``u32 length || sealed frame``.
-        A failure *mid-decode* cannot change the status line any more,
-        so it is sent as one final record with :data:`STREAM_ERROR_FLAG`
-        set in the length prefix and the wire-encoded error payload as
-        the record body -- the client SDK rebuilds the typed exception.
-        The blocking gateway iterator runs on the executor and feeds the
-        event loop through an ``asyncio.Queue``, so one slow stream
-        never stalls the loop.
+        chunked body of records (:mod:`repro.service.protocol`): one per
+        sealed frame, and -- because a failure *mid-decode* cannot
+        change the status line any more -- one final error record the
+        client SDK rebuilds the typed exception from.  The blocking
+        gateway iterator runs on the executor and feeds the event loop
+        through an ``asyncio.Queue``, so one slow stream never stalls
+        the loop.
         """
-        self._count("stream")
-        msg = self._decode(request, "model_id", "uid", "enc_request")
-        model_id, uid = msg["model_id"], msg["uid"]
-        self._handle_for(model_id)
-        release = self.admission.admit(uid)
-        span = self._start_span(
-            "http:stream", request, model_id=model_id, tenant=uid
-        )
         loop = asyncio.get_running_loop()
-        try:
-            handle = await loop.run_in_executor(
-                self._executor,
-                self._open_stream_blocking,
-                span,
-                msg["enc_request"],
-                uid,
-                model_id,
-            )
-        except ReproError as exc:
-            release()
-            return self._fail(span, exc)
-        queue: asyncio.Queue = asyncio.Queue()
 
-        def pump() -> None:
-            error: Optional[BaseException] = None
-            try:
-                for frame in handle:
-                    loop.call_soon_threadsafe(queue.put_nowait, frame)
-            except BaseException as exc:
-                error = exc
-            finally:
-                release()
-                self._end_span(
-                    span,
-                    error=error,
-                    endpoint=handle.endpoint,
-                    frames=handle.token_count,
-                )
-                # None = clean end of stream; an exception = error record
-                loop.call_soon_threadsafe(queue.put_nowait, error)
-
-        self._executor.submit(pump)
-
-        async def records():
-            try:
-                while True:
-                    item = await queue.get()
-                    if item is None:
-                        return
-                    if isinstance(item, BaseException):
-                        status, payload = to_wire(item)
-                        body = wire.dumps(dict(payload, status=status))
-                        yield struct.pack(
-                            ">I", STREAM_ERROR_FLAG | len(body)
-                        ) + body
-                        return
-                    yield struct.pack(">I", len(item)) + item
-            finally:
-                # a torn connection abandons the generator: stop decoding
-                # so the enclave stream context is released promptly
-                handle.cancel()
-
-        headers = {"x-endpoint": handle.endpoint}
-        if handle.ticket is not None:
-            headers["x-ticket"] = str(handle.ticket)
-        if span is not None:
-            headers["x-trace-id"] = span.trace_id
-        return StreamingHttpResponse(
-            records(), content_type=BINARY_CONTENT_TYPE, headers=headers
-        )
-
-    def _open_stream_blocking(self, span, enc_request, uid, model_id):
-        with self.tracer.attach(span) if span is not None else _noop():
+        def open_stream(enc_request, uid, model_id, msg):
             return self.gateway.open_stream(enc_request, uid, model_id)
+
+        def opened(handle, release, span) -> StreamingHttpResponse:
+            queue: asyncio.Queue = asyncio.Queue()
+            # how the executor thread hands the loop a record (None: the end)
+            put = functools.partial(loop.call_soon_threadsafe, queue.put_nowait)
+
+            def pump() -> None:
+                error: Optional[BaseException] = None
+                try:
+                    for frame in handle:
+                        put(frame_record(frame))
+                except BaseException as exc:
+                    error = exc
+                finally:
+                    release()
+                    self._end_span(
+                        span,
+                        error=error,
+                        endpoint=handle.endpoint,
+                        frames=handle.token_count,
+                    )
+                    # the slot is free before the client can see the end
+                    if error is not None:
+                        put(error_record(error))
+                    put(None)
+
+            async def records():
+                try:
+                    while (record := await queue.get()) is not None:
+                        yield record
+                finally:
+                    # a torn connection abandons the generator: stop decoding
+                    # so the enclave stream context is released promptly
+                    handle.cancel()
+
+            self._executor.submit(pump)
+            return StreamingHttpResponse(
+                records(),
+                content_type=BINARY_CONTENT_TYPE,
+                headers={"x-trace-id": span.trace_id},
+            )
+
+        return await self._admitted("stream", request, open_stream, opened)
 
     # -- results ------------------------------------------------------------------
 
     async def _results(self, req_id: str, query: Dict[str, str]) -> HttpResponse:
         self._count("results")
+        wait = _seconds(query.get("timeout_s") or 0)
         entry = self._entry(req_id)
-        replay = self._terminal_response(entry)
-        if replay is not None:
-            return replay
-        if query.get("peek") in ("1", "true"):
-            return self._json(200, {"done": entry.submission.done()})
-        timeout_s = float(query.get("timeout_s", "0") or "0")
-        if not entry.submission.done() and timeout_s > 0:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                self._executor,
-                entry.submission.wait,
-                min(timeout_s, self.config.poll_wait_cap_s),
+        submission = entry.submission
+        peek = query.get("peek") in ("1", "true")
+        if wait > 0 and not (peek or submission.done() or submission.cancelled()):
+            # the long-poll: non-consuming, and the only executor hop --
+            # a sealed handle answers everything below without blocking
+            await self._on_executor(
+                submission.wait, min(wait, self.config.poll_wait_cap_s)
             )
-        if not entry.submission.done():
+        # no await from here on: each reply is decided, and the entry
+        # changed, in one step on the event-loop thread
+        if entry.consumed:
+            return self._json(410, {
+                "error": "ResultConsumed",
+                "message": "result already fetched",
+            })
+        if submission.cancelled():  # sticky, and true before the worker knows
+            return self._json(*to_wire(
+                RequestCancelled("request was cancelled; result discarded")
+            ))
+        if peek:
+            return self._json(200, {"done": submission.done()})
+        if not submission.done():
             return self._json(202, {"done": False})
-        loop = asyncio.get_running_loop()
-        status, payload = await loop.run_in_executor(
-            self._executor, self._fetch_blocking, entry
-        )
-        return self._json(status, payload, span=entry.span)
-
-    def _fetch_blocking(self, entry: _Entry) -> Tuple[int, dict]:
-        with entry.lock:
-            replayed = self._terminal_state(entry)
-            if replayed is not None:
-                return replayed
-            try:
-                output = entry.submission.result(timeout_s=5.0)
-            except RequestCancelled as exc:
-                entry.state = "cancelled"
-                entry.release()
-                return to_wire(exc)
-            except ReproError as exc:
-                entry.state = "failed"
-                entry.error_status, entry.error_payload = to_wire(exc)
-                entry.release()
-                return entry.error_status, entry.error_payload
-            entry.state = "consumed"
+        try:
+            output = submission.result(timeout_s=0)
+        except Exception as exc:  # noqa: BLE001 - re-raised on every poll
             entry.release()
-            return 200, {"enc_response": output, "done": True}
+            return self._json(*to_wire(exc), span=entry.span)
+        entry.consumed = True
+        entry.release()
+        return self._json(
+            200, {"enc_response": output, "done": True}, span=entry.span
+        )
 
     async def _cancel(self, req_id: str) -> HttpResponse:
         self._count("cancel")
         entry = self._entry(req_id)
-        with entry.lock:
-            if entry.state == "cancelled":
-                return self._json(200, {"cancelled": True})
-            if entry.state != "pending":
-                return self._json(200, {"cancelled": False})
-            ok = entry.submission.cancel()
-            if ok:
-                entry.state = "cancelled"
-                entry.release()
-        return self._json(200, {"cancelled": ok})
+        if entry.submission.cancel():
+            entry.release()
+        return self._json(200, {"cancelled": entry.submission.cancelled()})
 
     def _entry(self, req_id: str) -> _Entry:
-        with self._entries_lock:
-            entry = self._entries.get(req_id)
+        entry = self._entries.get(req_id)
         if entry is None:
             raise StorageError(f"unknown request id {req_id!r}")
         return entry
-
-    def _terminal_state(self, entry: _Entry) -> Optional[Tuple[int, dict]]:
-        """The sticky terminal reply for an entry, if it has one."""
-        if entry.state == "cancelled":
-            return to_wire(
-                RequestCancelled("request was cancelled; result discarded")
-            )
-        if entry.state == "consumed":
-            return 410, {
-                "error": "ResultConsumed",
-                "message": "result already fetched",
-            }
-        if entry.state == "failed":
-            return entry.error_status, entry.error_payload
-        return None
-
-    def _terminal_response(self, entry: _Entry) -> Optional[HttpResponse]:
-        terminal = self._terminal_state(entry)
-        if terminal is None:
-            return None
-        status, payload = terminal
-        return self._json(status, payload)
 
     async def _sweep_loop(self) -> None:
         """Expire terminal/abandoned results so slots cannot leak.
@@ -639,28 +569,22 @@ class InferenceService:
         executor, never the event loop.
         """
         interval = max(0.5, self.config.result_ttl_s / 4)
-        if self.config.keep_alive_s is not None:
-            interval = min(interval, max(0.25, self.config.keep_alive_s / 4))
-        loop = asyncio.get_running_loop()
+        pool = self.gateway.warm_pool
+        if pool is not None:
+            interval = min(interval, max(0.25, pool.config.keep_alive_s / 4))
         while True:
             await asyncio.sleep(interval)
-            if self.gateway.warm_pool is not None:
-                await loop.run_in_executor(self._executor, self.gateway.maintain)
+            if pool is not None:
+                await self._on_executor(self.gateway.maintain)
             cutoff = time.monotonic() - self.config.result_ttl_s
-            with self._entries_lock:
-                expired = [
-                    (req_id, entry)
-                    for req_id, entry in self._entries.items()
-                    if entry.created < cutoff
-                ]
-                for req_id, _ in expired:
-                    del self._entries[req_id]
-            for _, entry in expired:
-                with entry.lock:
-                    if entry.state == "pending":
-                        entry.submission.cancel()
-                        entry.state = "cancelled"
-                    entry.release()
+            expired = [
+                req_id for req_id, entry in self._entries.items()
+                if entry.created < cutoff
+            ]
+            for req_id in expired:
+                entry = self._entries.pop(req_id)
+                entry.submission.cancel()
+                entry.release()
 
     # -- helpers ------------------------------------------------------------------
 
@@ -670,60 +594,46 @@ class InferenceService:
             raise StorageError(f"model {model_id!r} is not served here")
         return handle
 
-    def _decode(self, request: HttpRequest, *required: str) -> dict:
+    def _decode(self, request: HttpRequest, **fields: type) -> dict:
+        """Decode and validate one body -- the only door for outside input.
+
+        ``fields`` are the required fields and their types (a ``bool`` is
+        no ``int`` here); ``timeout_s`` is optional.  A refusal is a 400.
+        """
         try:
             msg = wire.loads(request.body)
         except wire.WireError as exc:
             raise InvocationError(f"malformed body: {exc}") from exc
-        for key in required:
+        for key, kind in fields.items():
             if key not in msg:
                 raise InvocationError(f"missing field {key!r}")
+            value = msg[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise InvocationError(
+                    f"field {key!r} must be {kind.__name__}, "
+                    f"not {type(value).__name__}"
+                )
+        if "timeout_s" in msg:
+            msg["timeout_s"] = _seconds(msg["timeout_s"])
         return msg
-
-    def _start_span(self, name: str, request: HttpRequest, **attrs):
-        if self.tracer is None:
-            return None
-        client_span = request.headers.get("x-client-span")
-        if client_span:
-            attrs["client_span"] = client_span
-        return self.tracer.start_span(name, parent=None, **attrs)
 
     def _end_span(self, span, *, error: Optional[BaseException] = None,
                   **attrs) -> None:
-        if span is None:
-            return
         if attrs:
             span.set_attributes(**attrs)
         span.end(status="error" if error is not None else "ok")
-
-    def _fail(self, span, exc: ReproError) -> HttpResponse:
-        self._end_span(span, error=exc)
-        status, payload = to_wire(exc)
-        return self._json(status, payload, span=span)
 
     def _json(self, status: int, payload: dict, span=None) -> HttpResponse:
         codec = _RESPONSE_CODEC.get()
         response = HttpResponse(
             status=status,
             body=wire.dumps(payload, codec=codec),
-            content_type=(
-                BINARY_CONTENT_TYPE
-                if codec is wire.BINARY
-                else "application/json"
-            ),
+            content_type=content_type(codec),
         )
         if span is not None:
             # lets the client join its span to the server-side trace
             response.headers["x-trace-id"] = span.trace_id
         return response
-
-
-class _noop:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
 
 
 def serve(service: InferenceService) -> None:

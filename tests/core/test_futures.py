@@ -6,16 +6,18 @@ scheduler (:class:`InferenceFuture`, :class:`InferenceStream`), the
 gateway (:class:`GatewaySubmission`, :class:`GatewayStream`) and the
 session tier (:class:`SessionFuture`, :class:`SessionStream`).  One
 parametrised contract runs against all six -- and against the service
-tier's :class:`RemoteFuture`, the same cell fed by an HTTP long-poll --
-and the deadline and cancellation cases then walk every local tier on a
-paced host, where "still in flight" is deterministic
-(``tests/service/test_remote_cancel.py`` walks them over HTTP).
-:class:`RemoteStream` still owns its state machine and is only checked
-structurally here.
+tier's :class:`RemoteFuture` and :class:`RemoteStream`, the same cell
+fed by an HTTP long-poll and off a chunked response body -- and the
+deadline and cancellation cases then walk every local tier on a paced
+host, where "still in flight" is deterministic
+(``tests/service/test_remote_cancel.py`` and
+``tests/service/test_streaming_http.py`` walk them over HTTP).
 """
 
+import io
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import DeadlineExceeded, RequestCancelled
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
-from repro.service.client import RemoteFuture, RemoteStream
+from repro.service.client import HttpStream, RemoteFuture, RemoteStream
+from repro.service.protocol import frame_record
 from tests.service.conftest import launch_world
 
 MODEL_ID = "m"
@@ -95,18 +98,22 @@ def _same(a, b):
 @pytest.fixture(scope="module")
 def remote_world():
     """The same stack behind the HTTP service tier."""
-    remote = launch_world(tcs_count=2)
+    remote = launch_world(tcs_count=2, model_builder=lambda: build_tinylm(seed=7))
     yield remote
     remote.close()
 
 
 @pytest.mark.parametrize(
-    "cls", HANDLES + (RemoteFuture,), ids=lambda cls: cls.__name__
+    "cls", HANDLES + (RemoteFuture, RemoteStream), ids=lambda cls: cls.__name__
 )
 def test_every_handle_satisfies_the_protocol(request, cls):
-    if cls is RemoteFuture:
+    if cls in (RemoteFuture, RemoteStream):
         remote = request.getfixturevalue("remote_world")
-        handle, gateway = remote.session.submit(remote.x), remote.service.gateway
+        gateway = remote.service.gateway
+        if cls is RemoteFuture:
+            handle = remote.session.submit(remote.x)
+        else:
+            handle = remote.session.stream(PROMPT, 4)
     else:
         world = request.getfixturevalue("world")
         handle, gateway = _open(cls, world), world[3].gateway
@@ -149,9 +156,29 @@ def test_two_threads_polling_one_remote_handle_agree(remote_world):
     assert len(seen) == 4 and all(np.array_equal(seen[0], y) for y in seen)
 
 
-def test_remote_handles_satisfy_the_protocol_structurally():
-    for method in ("result", "done", "cancel", "cancelled"):
-        assert callable(getattr(RemoteStream, method)), method
+def test_threads_draining_one_remote_stream_agree(remote_world):
+    """Whichever thread holds the socket reads for all of them: every
+    waiter sees the whole sequence, none sees a record twice or not at
+    all -- under a switch interval that makes the hand-over contended."""
+    want = DecoderSession(remote_world.model).generate(PROMPT, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stream = remote_world.session.stream(PROMPT, 16)
+        seen = []
+        threads = [
+            threading.Thread(target=lambda: seen.append(stream.result(timeout_s=30)))
+            for _ in range(3)
+        ] + [threading.Thread(target=lambda: seen.append(list(stream))) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == [want] * 6
+    assert stream.done() and stream.token_count == 16
 
 
 def test_stream_results_agree_with_the_reference(world):
@@ -219,6 +246,54 @@ def test_the_first_terminal_transition_wins():
     with pytest.raises(ValueError, match="first"):
         cell.result(timeout_s=0)
     assert cell.done() and not cell.cancelled()
+
+
+class _GatedBody:
+    """A chunked response body that hands out one record per ``arrive()``."""
+
+    sock = None
+
+    def __init__(self, frames):
+        self._body = io.BytesIO(b"".join(frame_record(frame) for frame in frames))
+        self._arrived = threading.Semaphore(0)
+        self.blocked = threading.Event()
+
+    def arrive(self, records=1):
+        for _ in range(records):
+            self._arrived.release()
+
+    def read(self, n=-1):
+        if n == 4:  # a record's length prefix: wait for the record
+            self.blocked.set()
+            self._arrived.acquire()
+        return self._body.read(n)
+
+    def close(self):
+        pass
+
+
+def test_a_waiter_takes_over_when_the_feeding_consumer_walks_away():
+    """One consumer at a time reads the socket for everyone -- so when it
+    stops consuming mid-stream, a consumer parked behind it must wake
+    and read on, not sleep until a push that will never come."""
+    frames = [b"frame-0", b"frame-1", b"frame-2"]
+    body = _GatedBody(frames)
+    stream = HttpStream(body, body)
+    one_frame, everything = [], []
+    reader = threading.Thread(target=lambda: one_frame.append(next(iter(stream))))
+    reader.start()
+    assert body.blocked.wait(timeout=5)  # the reader holds the socket
+    waiter = threading.Thread(
+        target=lambda: everything.append(stream.result(timeout_s=10))
+    )
+    waiter.start()
+    time.sleep(0.05)  # parked on the cell, behind the reader
+    body.arrive()  # frame-0: the reader takes it and never comes back
+    reader.join(timeout=5)
+    body.arrive(3)  # the rest of the body, and its end
+    waiter.join(timeout=5)
+    assert not reader.is_alive() and not waiter.is_alive()
+    assert one_frame == [b"frame-0"] and everything == [frames]
 
 
 def test_racing_consumers_settle_a_derived_handle_exactly_once():

@@ -9,7 +9,6 @@ contract, and the leader-crash fault site (``semirt:batch``).
 """
 
 import io
-import struct
 import time
 
 import pytest
@@ -32,7 +31,8 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
-from repro.service.client import RemoteStream
+from repro.service.client import HttpStream, RemoteStream
+from repro.service.protocol import frame_record
 
 MODEL_ID = "lm-model"
 
@@ -373,12 +373,13 @@ class _Relay:
 
     def __init__(self, frames):
         self._frames = frames
-        self._body = io.BytesIO(
-            b"".join(struct.pack(">I", len(frame)) + frame for frame in frames)
-        )
+        self._body = io.BytesIO(b"".join(frame_record(frame) for frame in frames))
 
     def __iter__(self):  # the in-process gateway stream
         return iter(self._frames)
+
+    def result(self, timeout_s=None):
+        return list(self._frames)
 
     def read(self, n=-1):  # the chunked HTTP response body
         return self._body.read(n)
@@ -388,32 +389,41 @@ class _Relay:
 
 
 @pytest.mark.parametrize("consumer", ["session", "http"])
-@pytest.mark.parametrize("tamper", ["reorder", "replay", "drop"])
+@pytest.mark.parametrize("tamper", ["reorder", "replay", "drop", "truncate", "empty"])
 def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
-    """Frames authenticate individually, so only the in-seal index can
-    catch a relay that reorders, replays or drops them -- and both
-    consumers run the one ``decrypt_frame(expected_index=)`` check."""
+    """Frames authenticate individually, so only what is sealed *into*
+    them can catch a relay that reorders, replays, drops or truncates:
+    the index, and the ``done`` marker of the last frame -- and both
+    consumers run the one :class:`~repro.core.client.TokenStream` check."""
     model = build_tinylm(seed=7)
     env, host = _launch(model, policy=None, tcs_count=1)
     frames = host.open_stream(
         _seal(env, host, "user", [2, 7, 1], 4), _uid(env, "user"), MODEL_ID
     ).result(timeout_s=30)
     want = _tokens(env, host, "user", frames)
-    tampered = {
-        "reorder": [frames[0], frames[2], frames[1], frames[3]],
-        "replay": [frames[0], frames[1], frames[1], frames[2]],
-        "drop": [frames[0], frames[1], frames[3]],
+    # the tampered sequence, how many tokens precede the tamper point,
+    # and what the consumer says about it
+    tampered, intact, match = {
+        "reorder": ([frames[0], frames[2], frames[1], frames[3]], 1, "out of order"),
+        "replay": ([frames[0], frames[1], frames[1], frames[2]], 2, "out of order"),
+        "drop": ([frames[0], frames[1], frames[3]], 2, "out of order"),
+        "truncate": (frames[:2], 2, "truncated"),
+        "empty": ([], 0, "truncated"),
     }[tamper]
     session = env.session("user", MODEL_ID, semirt=host, config=host.enclave.config)
-    relay = _Relay(tampered)
-    if consumer == "session":
-        stream = SessionStream(session, relay)
-    else:
-        stream = RemoteStream(session, relay, relay)
+
+    def consume():
+        relay = _Relay(tampered)
+        if consumer == "session":
+            return SessionStream(session, relay)
+        return RemoteStream(session, HttpStream(relay, relay))
+
     delivered = []
-    with pytest.raises(InvocationError, match="out of order"):
-        for token in stream:
+    with pytest.raises(InvocationError, match=match):
+        for token in consume():
             delivered.append(token)
     # everything before the tamper point arrived intact, nothing after
-    assert delivered == want[: 1 if tamper == "reorder" else 2]
+    assert delivered == want[:intact]
+    with pytest.raises(InvocationError, match=match):
+        consume().result(timeout_s=30)
     host.destroy()

@@ -67,3 +67,37 @@ def test_enclave_module_is_pinned_to_the_trust_boundary(tmp_path):
     assert "repro.faults.injector" in violations[1]
     real = checker.SRC_REPRO / "core" / "semirt_enclave.py"
     assert checker.check_module(real, "core.semirt_enclave", allowed) == []
+
+
+def test_remote_client_and_protocol_module_are_pinned(tmp_path):
+    """``service.client`` stays a client (no server, deployment, gateway
+    or SeMIRT import) and ``service.protocol`` owes neither side."""
+    checker = _load_checker()
+    assert set(checker.MODULES["service.protocol"]) == {
+        "repro.errors", "repro.core.wire",
+    }
+    allowed = checker.MODULES["service.client"]
+    assert set(allowed) == {
+        "repro.errors", "repro.core.wire", "repro.core.client",
+        "repro.core.futures", "repro.obs", "repro.sgx",
+        "repro.service.protocol",
+    }
+    bad = tmp_path / "client.py"
+    bad.write_text(
+        "import http.client\n"
+        "import repro.core.wire as wire\n"
+        "from repro.core.client import TokenStream\n"
+        "from repro.service.protocol import read_record\n"
+        "from repro.service.server import InferenceService\n"
+        "from repro.core.deployment import SessionStream\n"
+        "def f():\n    from repro.core.gateway import InferenceGateway\n"
+        "    import repro.core.semirt\n"
+    )
+    violations = checker.check_module(bad, "service.client", allowed)
+    assert [v.split("imports ")[1].split(" ")[0] for v in violations] == [
+        "'repro.service.server'", "'repro.core.deployment'",
+        "'repro.core.gateway'", "'repro.core.semirt'",
+    ]
+    for dotted in ("service.client", "service.protocol"):
+        real = checker.SRC_REPRO / (dotted.replace(".", "/") + ".py")
+        assert checker.check_module(real, dotted, checker.MODULES[dotted]) == []

@@ -45,6 +45,21 @@ class World:
         self.model = model
         self.session = remote.session(USER, MODEL_ID)
 
+    def payload(self, enc_request=None, **extra) -> dict:
+        """An inference body for the raw wire (``client.request``): the
+        session's identifiers around ``enc_request`` (default: ``x`` sealed)."""
+        session = self.session
+        if enc_request is None:
+            enc_request = session.user.encrypt_request(
+                session.model_id, session.measurement, self.x
+            )
+        return {
+            "model_id": session.model_id,
+            "uid": session.user.principal_id,
+            "enc_request": enc_request,
+            **extra,
+        }
+
     @property
     def host(self):
         """The single live endpoint host (for enclave-side asserts)."""

@@ -11,6 +11,7 @@ execution context.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -83,6 +84,99 @@ def test_cancel_after_consume_is_refused(paced_world):
     future.result(timeout_s=30)
     assert future.cancel() is False
     assert future.cancelled() is False
+
+
+# -- the server's own sticky replies, on the raw wire ------------------------------
+#
+# ``RemoteFuture`` answers from its sealed cell after the first poll, so
+# these go through ``client.request``: every reply below is the server's.
+
+
+def _raw_submit(world, enc_request=None) -> str:
+    """``POST /v1/submit`` without a client handle; the entry's path."""
+    status, reply, _ = world.remote.client.request(
+        "POST", "/v1/submit", world.payload(enc_request)
+    )
+    assert status == 202, reply
+    return f"/v1/results/{reply['req_id']}"
+
+
+def _get(world, path, **query):
+    status, reply, _ = world.remote.client.request("GET", path, query=query)
+    return status, reply
+
+
+def _delete(world, path):
+    status, reply, _ = world.remote.client.request("DELETE", path)
+    assert status == 200, reply
+    return reply
+
+
+def _assert_nothing_held(world):
+    assert world.remote.stats()["admission"]["inflight_total"] == 0
+    assert_context_released(world)
+
+
+def test_a_cancelled_entry_is_409_on_every_raw_poll(paced_world):
+    world = paced_world
+    path = _raw_submit(world)
+    assert _delete(world, path) == {"cancelled": True}
+    # the paced worker has not delivered the cancellation yet: the entry
+    # answers for it already, without waiting
+    started = time.monotonic()
+    status, reply = _get(world, path, timeout_s="5")
+    assert (status, reply["error"]) == (409, "RequestCancelled")
+    assert time.monotonic() - started < 0.3
+    assert _delete(world, path) == {"cancelled": True}
+    for query in ({}, {"timeout_s": "1"}, {"peek": "1"}):
+        status, reply = _get(world, path, **query)
+        assert (status, reply["error"]) == (409, "RequestCancelled")
+    _assert_nothing_held(world)
+
+
+def test_a_failed_entry_replays_the_same_error_on_every_raw_poll(paced_world):
+    world = paced_world
+    # admitted with 202 (the tier relays ciphertext it cannot judge) and
+    # refused in the enclave: the request key does not open it
+    path = _raw_submit(world, enc_request=b"\x00" * 64)
+    first = _get(world, path, timeout_s="10")
+    assert first[0] == 400 and first[1]["error"] == "InvocationError"
+    assert _get(world, path) == first
+    assert _get(world, path, timeout_s="1") == first
+    assert _delete(world, path) == {"cancelled": False}
+    assert _get(world, path) == first
+    _assert_nothing_held(world)
+
+
+def test_a_consumed_entry_is_410_on_every_raw_poll(paced_world):
+    world = paced_world
+    path = _raw_submit(world)
+    status, reply = _get(world, path, timeout_s="10")
+    assert status == 200 and reply["done"] is True
+    for _ in range(2):
+        status, reply = _get(world, path)
+        assert (status, reply["error"]) == (410, "ResultConsumed")
+    assert _delete(world, path) == {"cancelled": False}
+    status, reply = _get(world, path, timeout_s="1")
+    assert (status, reply["error"]) == (410, "ResultConsumed")
+    _assert_nothing_held(world)
+
+
+def test_a_delete_racing_a_long_poll_ends_the_poll_with_409(paced_world):
+    world = paced_world
+    path = _raw_submit(world)
+    polled = []
+    poller = threading.Thread(
+        target=lambda: polled.append(_get(world, path, timeout_s="5"))
+    )
+    poller.start()
+    time.sleep(0.1)  # the long-poll is parked server-side
+    assert _delete(world, path) == {"cancelled": True}
+    poller.join(timeout=10)
+    assert not poller.is_alive()
+    status, reply = polled[0]
+    assert (status, reply["error"]) == (409, "RequestCancelled")
+    _assert_nothing_held(world)
 
 
 @pytest.fixture(scope="module")

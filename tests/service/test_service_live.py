@@ -9,10 +9,15 @@ is a fast 429 -> :class:`~repro.errors.QueueFull` client-side.
 
 from __future__ import annotations
 
+import socket
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from repro.errors import QueueFull, ReproError, StorageError
+from repro.errors import QueueFull, ReproError, StorageError, TransportError
+from repro.service import ServiceClient
 from tests.service.conftest import MODEL_ID, USER, launch_world
 
 
@@ -104,6 +109,146 @@ def test_malformed_body_is_a_400_invocation_error(world):
     assert status == 400
     assert payload["error"] == "InvocationError"
     assert "missing field" in payload["message"]
+
+
+_INFER = {"model_id": MODEL_ID, "uid": "u", "enc_request": b"x"}
+
+
+def _wrong_typed():
+    def case(method, path, payload, query, field, value):
+        route = path.split("/")[2]
+        label = value if str(value).isalnum() else type(value).__name__
+        return pytest.param(
+            method, path, payload, query, id=f"{route}-{field}-{label}"
+        )
+
+    for path in ("/v1/infer", "/v1/submit", "/v1/stream"):
+        for field, value in [
+            ("model_id", ["m"]),
+            ("uid", {"a": 1}),
+            ("uid", 7),  # admitted once, and then broke /v1/stats for everyone
+            ("enc_request", "not bytes"),
+            ("timeout_s", "soon"),
+            ("timeout_s", [1]),
+            ("timeout_s", -1),
+            ("timeout_s", True),
+        ]:
+            yield case("POST", path, dict(_INFER, **{field: value}), None, field, value)
+    for value in ("soon", "nan"):
+        yield case(
+            "GET", "/v1/results/r-1", None, {"timeout_s": value}, "timeout_s", value
+        )
+    for path, good, field, value in [
+        ("/v1/ks/call", {"ciphertext": b"c"}, "channel_id", "x"),
+        ("/v1/ks/call", {"channel_id": 1}, "ciphertext", "c"),
+        ("/v1/ks/handshake", {}, "offer", "hello"),
+        ("/v1/grants", {"model_id": MODEL_ID}, "uid", 7),
+    ]:
+        yield case("POST", path, dict(good, **{field: value}), None, field, value)
+
+
+@pytest.mark.parametrize("method,path,payload,query", _wrong_typed())
+def test_wrong_typed_fields_are_400s_before_admission(
+    world, method, path, payload, query
+):
+    status, reply, _ = world.remote.client.request(
+        method, path, payload, query=query
+    )
+    assert (status, reply["error"]) == (400, "InvocationError"), reply
+    status, stats, _ = world.remote.client.request("GET", "/v1/stats")
+    assert status == 200, stats
+    assert stats["admission"]["inflight_total"] == 0
+    assert stats["admission"]["inflight_by_tenant"] == {}
+
+
+def test_a_zero_timeout_means_do_not_wait(world):
+    payload = world.payload(timeout_s=0)
+    started = time.monotonic()
+    status, reply, _ = world.remote.client.request("POST", "/v1/infer", payload)
+    # paced to 50 ms, so a request that may not wait cannot have finished
+    assert (status, reply["error"]) == (504, "DeadlineExceeded")
+    assert time.monotonic() - started < 5.0  # not the 30 s default
+    assert world.remote.stats()["admission"]["inflight_total"] == 0
+
+
+# -- the client's one retry ---------------------------------------------------------
+
+
+def test_a_timed_out_request_is_never_sent_twice():
+    """A timeout says nothing about whether the request ran, and no
+    inference route is idempotent: exactly one POST reaches the tier."""
+    slow = launch_world(tcs_count=2, paced_s=0.5)
+    try:
+        slow.session.infer(slow.x)  # warm
+        payload = slow.payload()
+        before = slow.remote.stats()
+        impatient = ServiceClient(slow.service.base_url, timeout_s=0.2)
+        with pytest.raises(TransportError, match="timed out"):
+            impatient.request("POST", "/v1/infer", payload)
+        deadline = time.monotonic() + 10
+        while slow.remote.stats()["admission"]["inflight_total"]:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        after = slow.remote.stats()
+        assert (
+            after["service"]["requests"]["infer"]
+            == before["service"]["requests"]["infer"] + 1
+        )
+        assert after["admission"]["admitted"] == before["admission"]["admitted"] + 1
+    finally:
+        slow.close()
+
+
+class _HangsUpAfterEachReply(threading.Thread):
+    """An HTTP server that promises keep-alive and closes the socket
+    anyway: every reused client connection is stale."""
+
+    def __init__(self):
+        super().__init__(daemon=True)
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.1)
+        self.port = self.listener.getsockname()[1]
+        self.stopped = threading.Event()
+        self.requests = 0
+
+    def run(self):
+        while not self.stopped.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                head = b""
+                while b"\r\n\r\n" not in head:
+                    chunk = conn.recv(65536)
+                    if not chunk:
+                        break
+                    head += chunk
+                else:
+                    self.requests += 1
+                    conn.sendall(
+                        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                        b"Content-Length: 2\r\nConnection: keep-alive\r\n\r\n{}"
+                    )
+
+
+def test_a_stale_keep_alive_connection_is_retried_transparently():
+    server = _HangsUpAfterEachReply()
+    server.start()
+    try:
+        client = ServiceClient(f"http://127.0.0.1:{server.port}", timeout_s=5)
+        for _ in range(3):
+            assert client.request("GET", "/v1/healthz")[0] == 200
+            time.sleep(0.05)  # the server's FIN lands before the next use
+        # each reuse found the connection closed before a response byte
+        # arrived and was sent again on a fresh one -- once, not twice
+        assert server.requests == 3
+        client.close()
+    finally:
+        server.stopped.set()
+        server.join(timeout=5)
+        server.listener.close()
+    assert not server.is_alive()
 
 
 def test_healthz_and_stats_report_the_traffic(world):

@@ -8,6 +8,7 @@ drain, client cancel, deadline expiry -- because an abandoned KV cache
 pins enclave heap.
 """
 
+import itertools
 import time
 
 import pytest
@@ -102,6 +103,44 @@ def test_mid_stream_errors_arrive_as_typed_records(world):
     with pytest.raises(InvocationError, match="max_new_tokens"):
         stream.result(timeout_s=30)
     assert stream.done() and not stream.cancelled()
+    assert _wait_for(lambda: _open_streams(world) == 0)
+
+
+class _CutShort:
+    """The untrusted tier as adversary: relays the first ``keep`` sealed
+    frames of a gateway stream, then ends the chunked body *cleanly*."""
+
+    def __init__(self, handle, keep):
+        self._handle = handle
+        self._keep = keep
+
+    def __iter__(self):
+        return itertools.islice(iter(self._handle), self._keep)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+@pytest.mark.parametrize("keep", [3, 0])
+def test_a_stream_the_relay_cuts_short_is_refused(world, monkeypatch, keep):
+    """Every record that arrives authenticates and is in order; only the
+    sealed ``done`` marker shows the tail is missing."""
+    gateway = world.service.gateway
+    real = gateway.open_stream
+    monkeypatch.setattr(
+        gateway, "open_stream", lambda *args: _CutShort(real(*args), keep)
+    )
+    want = DecoderSession(world.model).generate([3, 1, 4], 8)
+    delivered = []
+    with pytest.raises(InvocationError, match="truncated"):
+        for token in world.session.stream([3, 1, 4], 8):
+            delivered.append(token)
+    assert delivered == want[:keep]  # the authenticated prefix, then the refusal
+    stream = world.session.stream([3, 1, 4], 8)
+    with pytest.raises(InvocationError, match="truncated"):
+        stream.result(timeout_s=30)
+    assert stream.done() and not stream.cancelled()
+    assert stream.token_count == keep
     assert _wait_for(lambda: _open_streams(world) == 0)
 
 

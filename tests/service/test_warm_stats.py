@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.service import ServiceConfig
-from repro.warmpool import STRATEGIES
+from repro.warmpool import WarmPoolConfig
 
 from tests.service.conftest import launch_world
 
 
 @pytest.fixture(scope="module")
 def world():
-    config = ServiceConfig(keep_alive_s=60.0, min_warm=1, warm_strategy="lcs")
-    w = launch_world(warm_pool=config.warm_pool())
+    w = launch_world(
+        warm_pool=WarmPoolConfig(strategy="lcs", keep_alive_s=60.0, min_warm=1)
+    )
     yield w
     w.close()
 
@@ -27,27 +27,3 @@ def test_stats_carry_the_warm_pool_section(world):
     assert counters["cold"] + counters["warm"] + counters["hot"] >= 1
     assert counters["launches"] >= 1
     assert len(warm["endpoints"]) == 1
-
-
-def test_service_config_validates_warm_knobs():
-    from repro.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        ServiceConfig(keep_alive_s=-1.0)
-    with pytest.raises(ConfigError):
-        ServiceConfig(min_warm=-1)
-    with pytest.raises(ConfigError):
-        ServiceConfig(warm_strategy="fifo")
-    for name in STRATEGIES:
-        ServiceConfig(warm_strategy=name)
-
-
-def test_warm_pool_config_is_off_by_default():
-    assert ServiceConfig().warm_pool() is None
-    armed = ServiceConfig(keep_alive_s=30.0).warm_pool(
-        slots_per_endpoint=2, max_endpoints=4
-    )
-    assert armed is not None
-    assert armed.keep_alive_s == 30.0
-    assert armed.predictor.slots_per_endpoint == 2
-    assert armed.max_endpoints == 4
