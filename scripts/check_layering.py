@@ -45,6 +45,12 @@ Single-file modules pinned the same way:
   ``repro.core.futures``, ``repro.obs``, ``repro.sgx`` and the protocol
   module only; never the server, the deployment, the gateway or SeMIRT
   (what a user installs to *call* the service cannot need the fleet).
+- ``repro.crypto.group`` / ``.dh`` / ``.signature``: the public-key
+  floor under every RA-TLS handshake.  ``group`` is the standard library
+  only; ``dh`` and ``signature`` add ``repro.crypto`` and
+  ``repro.errors``.  All three are also barred from numpy
+  (``STDLIB_ONLY``): the fixed-base table for ``G`` is plain integers
+  and must never reach an array library, ``repro.obs`` or a config object.
 - ``repro.scenarios.spec`` / ``.store`` / ``.compare`` / ``.table`` /
   ``.registry``: the scenario read side.  Stdlib + ``repro.errors`` +
   each other -- everything that *executes* a spec belongs in
@@ -113,6 +119,10 @@ MODULES = {
         "repro.sgx",
         "repro.service.protocol",
     ),
+    # the public-key floor: plain integers, nothing observable or configurable
+    "crypto.group": (),
+    "crypto.dh": ("repro.crypto", "repro.errors"),
+    "crypto.signature": ("repro.crypto", "repro.errors"),
     # the scenario read side: loadable without numpy or either twin
     "scenarios.spec": ("repro.errors",),
     "scenarios.table": (),
@@ -120,6 +130,9 @@ MODULES = {
     "scenarios.compare": ("repro.scenarios.store", "repro.scenarios.table"),
     "scenarios.registry": ("repro.errors", "repro.scenarios.spec"),
 }
+
+#: modules that may not import the tree's one third-party dependency either
+STDLIB_ONLY = {"crypto.group", "crypto.dh", "crypto.signature"}
 
 ROUTING_DIR = SRC_REPRO / "routing"
 
@@ -178,12 +191,14 @@ def check_module(path: Path, dotted: str, allowed):
     violations = []
     tree = ast.parse(path.read_text(), filename=str(path))
     for lineno, module in _imported_modules(tree):
-        if not (module == "repro" or module.startswith("repro.")):
-            continue  # stdlib
-        if module == full or any(
-            module == prefix or module.startswith(prefix + ".")
-            for prefix in allowed
-        ):
+        if module == "repro" or module.startswith("repro."):
+            permitted = module == full or any(
+                module == prefix or module.startswith(prefix + ".")
+                for prefix in allowed
+            )
+        else:  # the stdlib -- or numpy, the tree's one third-party dependency
+            permitted = not (dotted in STDLIB_ONLY and module.split(".")[0] == "numpy")
+        if permitted:
             continue
         try:
             shown = path.relative_to(SRC_REPRO.parent.parent)
@@ -191,7 +206,7 @@ def check_module(path: Path, dotted: str, allowed):
             shown = path
         violations.append(
             f"{shown}:{lineno}: imports {module!r} "
-            f"({full} may import only the stdlib and {', '.join(allowed)})"
+            f"({full} may import only the stdlib and {', '.join(allowed) or 'nothing else'})"
         )
     return violations
 

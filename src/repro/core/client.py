@@ -18,7 +18,7 @@ from repro.core.futures import DerivedStream
 from repro.core.semirt_enclave import FRAME_AAD, REQUEST_AAD, RESPONSE_AAD, STREAM_AAD
 from repro.crypto.gcm import AESGCM, SessionCipher, evict_session
 from repro.crypto.keys import SymmetricKey
-from repro.errors import AccessDenied, InvocationError, SeSeMIError
+from repro.errors import AccessDenied, EnclaveError, InvocationError, SeSeMIError
 from repro.faults.injector import maybe_wire
 from repro.mlrt.model import Model
 from repro.obs.tracer import maybe_span
@@ -31,7 +31,10 @@ class KeyServiceConnection:
     """An RA-TLS session from a (non-enclave) client to KeyService.
 
     The client verifies the KeyService quote against the expected ``E_K``
-    before any secret crosses the channel.
+    before any secret crosses the channel.  KeyService keeps a bounded,
+    least-recently-used table of channels, so a connection that sat idle may
+    find its channel gone; it then attests again -- same checks -- and
+    repeats the request, once.
     """
 
     def __init__(
@@ -47,25 +50,39 @@ class KeyServiceConnection:
         self._tracer = tracer
         #: optional repro.faults.FaultInjector wrapping this connection's wire
         self._injector = injector
+        self._host = host
+        self._attestation = attestation
+        self._expected = expected_measurement
+        self._name = name
+        self._attest()
+
+    def _attest(self) -> None:
+        """Handshake with KeyService, verifying its quote against ``E_K``."""
         with maybe_span(
-            tracer, "ratls_handshake", client=name, peer="keyservice"
+            self._tracer, "ratls_handshake", client=self._name, peer="keyservice"
         ):
-            peer = RatlsPeer(name)
+            peer = RatlsPeer(self._name)
             offer = peer.offer()
-            reply = host.handshake(offer.to_wire())
+            reply = self._host.handshake(offer.to_wire())
             server_offer = HandshakeOffer.from_wire(reply["server_offer"])
             self._channel = complete_handshake(
                 peer,
                 offer,
                 server_offer,
-                verifier=attestation,
-                client_requires=QuotePolicy(expected_mrenclave=expected_measurement),
+                verifier=self._attestation,
+                client_requires=QuotePolicy(expected_mrenclave=self._expected),
             )
         self._channel_id = reply["channel_id"]
-        self._host = host
 
     def call(self, message: dict) -> dict:
         """One encrypted request/response round trip (over a faulty wire)."""
+        try:
+            return self._round_trip(message)
+        except EnclaveError:  # "unknown channel": evicted while idle
+            self._attest()
+            return self._round_trip(message)
+
+    def _round_trip(self, message: dict) -> dict:
         ciphertext = self._channel.send(wire.dumps(message))
         ciphertext = maybe_wire(self._injector, "client->keyservice", ciphertext)
         reply_cipher = self._host.request(self._channel_id, ciphertext)

@@ -24,6 +24,8 @@ Beyond Algorithm 1 we implement ``REVOKE_ACCESS`` (the inverse of
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core import wire
@@ -60,6 +62,13 @@ from repro.sgx.ratls import (
 #: default build configuration of the KeyService enclave
 KEYSERVICE_CONFIG = EnclaveBuildConfig(memory_bytes=32 * 1024 * 1024, tcs_count=8)
 
+#: RA-TLS channels the enclave keeps open at once.  One-way attestation lets
+#: anyone open a channel, and each holds two AES-GCM states (~0.5 MB once
+#: their GHASH tables are built) of a 32 MB heap, so the table is bounded:
+#: the least recently used channel is dropped and its peer, on its next
+#: request, is told "unknown channel" and attests again.
+MAX_CHANNELS = 16
+
 
 def expected_keyservice_measurement(
     config: EnclaveBuildConfig = KEYSERVICE_CONFIG,
@@ -90,8 +99,10 @@ class KeyServiceEnclaveCode(EnclaveCode):
         self._ks_m: Dict[str, bytes] = {}
         self._ks_r: Dict[Tuple[str, str, str], bytes] = {}
         self._ac_m: Set[Tuple[str, str, str]] = set()
-        self._channels: Dict[int, SecureChannel] = {}
-        self._channel_peer: Dict[int, Optional[Report]] = {}
+        #: channel id -> (channel, the peer's verified report or None),
+        #: least recently used first; at most MAX_CHANNELS entries
+        self._channels: OrderedDict[int, Tuple[SecureChannel, Optional[Report]]] = OrderedDict()
+        self._channels_lock = threading.Lock()
         self._channel_ids = itertools.count(1)
         # in-enclave per-principal identity ciphers: repeat operations
         # from one principal reuse the derived AES-GCM state instead of
@@ -121,18 +132,24 @@ class KeyServiceEnclaveCode(EnclaveCode):
             peer, client_offer, verifier=self._attestation, server_requires=policy
         )
         channel_id = next(self._channel_ids)
-        self._channels[channel_id] = channel
-        self._channel_peer[channel_id] = client_report
+        with self._channels_lock:
+            self._channels[channel_id] = (channel, client_report)
+            while len(self._channels) > MAX_CHANNELS:
+                self._channels.popitem(last=False)
         return {"channel_id": channel_id, "server_offer": server_offer.to_wire()}
 
     @ecall
     def EC_REQUEST(self, channel_id: int, ciphertext: bytes) -> bytes:
         """Process one encrypted operation on an established channel."""
-        channel = self._channels.get(channel_id)
-        if channel is None:
+        with self._channels_lock:
+            entry = self._channels.get(channel_id)
+            if entry is not None:
+                self._channels.move_to_end(channel_id)
+        if entry is None:
             raise EnclaveError(f"unknown channel {channel_id}")
+        channel, peer = entry
         message = wire.loads(channel.recv(ciphertext))
-        response = self._dispatch(channel_id, message)
+        response = self._dispatch(peer, message)
         return channel.send(wire.dumps(response))
 
     @ecall
@@ -174,7 +191,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
 
     # -- operation dispatch ---------------------------------------------------------
 
-    def _dispatch(self, channel_id: int, message: dict) -> dict:
+    def _dispatch(self, peer: Optional[Report], message: dict) -> dict:
         handlers = {
             "register": self._op_register,
             "add_model_key": self._op_add_model_key,
@@ -188,7 +205,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
         if handler is None:
             return {"ok": False, "error": f"unknown operation {op!r}"}
         try:
-            return {"ok": True, **handler(channel_id, message)}
+            return {"ok": True, **handler(peer, message)}
         except (AccessDenied, UnknownIdentity) as exc:
             return {"ok": False, "error": str(exc)}
 
@@ -217,21 +234,21 @@ class KeyServiceEnclaveCode(EnclaveCode):
             ) from exc
 
     # USER_REGISTRATION (Algorithm 1, lines 5-8)
-    def _op_register(self, channel_id: int, message: dict) -> dict:
+    def _op_register(self, peer: Optional[Report], message: dict) -> dict:
         identity_key = message["identity_key"]
         principal_id = sha256(identity_key).hex()
         self._ks_i[principal_id] = identity_key
         return {"id": principal_id}
 
     # ADD_MODEL_KEY (lines 9-12)
-    def _op_add_model_key(self, channel_id: int, message: dict) -> dict:
+    def _op_add_model_key(self, peer: Optional[Report], message: dict) -> dict:
         cipher = self._identity_cipher(message["oid"])
         payload = self._open_authenticated(cipher, message["blob"], "add_model_key")
         self._ks_m[payload["model_id"]] = payload["model_key"]
         return {"model_id": payload["model_id"]}
 
     # GRANT_ACCESS (lines 13-16)
-    def _op_grant_access(self, channel_id: int, message: dict) -> dict:
+    def _op_grant_access(self, peer: Optional[Report], message: dict) -> dict:
         cipher = self._identity_cipher(message["oid"])
         payload = self._open_authenticated(cipher, message["blob"], "grant_access")
         record = (payload["model_id"], payload["enclave_id"], payload["uid"])
@@ -239,7 +256,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
         return {}
 
     # REVOKE_ACCESS (extension: the inverse of GRANT_ACCESS)
-    def _op_revoke_access(self, channel_id: int, message: dict) -> dict:
+    def _op_revoke_access(self, peer: Optional[Report], message: dict) -> dict:
         cipher = self._identity_cipher(message["oid"])
         payload = self._open_authenticated(cipher, message["blob"], "revoke_access")
         record = (payload["model_id"], payload["enclave_id"], payload["uid"])
@@ -247,7 +264,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
         return {}
 
     # ADD_REQ_KEY (lines 17-20)
-    def _op_add_req_key(self, channel_id: int, message: dict) -> dict:
+    def _op_add_req_key(self, peer: Optional[Report], message: dict) -> dict:
         cipher = self._identity_cipher(message["uid"])
         payload = self._open_authenticated(cipher, message["blob"], "add_req_key")
         record = (payload["model_id"], payload["enclave_id"], message["uid"])
@@ -255,13 +272,12 @@ class KeyServiceEnclaveCode(EnclaveCode):
         return {}
 
     # KEY_PROVISIONING (lines 21-26)
-    def _op_provision(self, channel_id: int, message: dict) -> dict:
-        report = self._channel_peer.get(channel_id)
-        if report is None:
+    def _op_provision(self, peer: Optional[Report], message: dict) -> dict:
+        if peer is None:
             raise AccessDenied(
                 "key provisioning requires a mutually attested channel"
             )
-        enclave_id = report.mrenclave.value
+        enclave_id = peer.mrenclave.value
         record = (message["model_id"], enclave_id, message["uid"])
         if record not in self._ac_m:
             raise AccessDenied(

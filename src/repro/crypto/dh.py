@@ -40,7 +40,7 @@ class DHKeyPair:
     @classmethod
     def generate(cls) -> "DHKeyPair":
         private = group.random_scalar()
-        return cls(private=private, public=DHPublicKey(pow(group.G, private, group.P)))
+        return cls(private=private, public=DHPublicKey(group.g_pow(private)))
 
     def shared_secret(self, peer: DHPublicKey) -> bytes:
         """Raw shared secret ``peer^private`` (validated peer element)."""

@@ -5,10 +5,27 @@ safe prime (``P = 2Q + 1`` with ``Q`` prime), so the squares form a prime-
 order subgroup of order ``Q`` -- suitable both for Diffie-Hellman key
 exchange and for Schnorr signatures.  ``G = 4`` (= 2 squared) generates
 that subgroup.
+
+Two things make the group cheap to use without changing a single byte:
+
+- On a safe prime the order-``Q`` subgroup *is* the set of quadratic
+  residues, so membership (:func:`is_group_element`) is the Jacobi symbol
+  ``(x/P) == 1`` -- Euclid-style integer steps, ~0.4 ms -- rather than
+  Euler's criterion ``x^Q == 1``, a full 2047-bit modular exponentiation
+  (~27 ms).  The two are the same predicate.
+- Every exponentiation of the fixed base ``G`` goes through :func:`g_pow`,
+  a Lim-Lee comb over one lazily built table shared by the process
+  (1,024 residues, ~0.3 MB, ~35 ms to build on first use): 64 squarings
+  and at most 256 multiplications (~4.4 ms) where the built-in ``pow``
+  spends 2,047 squarings (~22 ms).
+
+Like the rest of this twin, none of it claims to run in constant time:
+CPython's integers never did, and table indices depend on the exponent.
 """
 
 from __future__ import annotations
 
+import functools
 import secrets
 
 # RFC 3526, group 14 (2048-bit MODP).
@@ -29,6 +46,11 @@ P = int(
 Q = (P - 1) // 2
 G = 4  # generator of the order-Q subgroup of squares
 
+# Comb geometry: an exponent below Q is 8 teeth of 256 bits; each tooth is
+# cut into 4 blocks of 64 columns, and each block has its own 256 products.
+_TEETH, _SPAN, _BLOCKS = 8, 256, 4
+_COLUMNS = _SPAN // _BLOCKS
+
 
 def random_scalar() -> int:
     """A uniform random exponent in ``[1, Q)``."""
@@ -46,4 +68,56 @@ def is_group_element(x: int) -> bool:
     The identity (1) is excluded: as a DH public key it would fix the
     shared secret regardless of the peer's contribution.
     """
-    return 1 < x < P and pow(x, Q, P) == 1
+    return 1 < x < P and _jacobi(x, P) == 1
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol ``(a/n)`` for odd positive ``n`` and ``0 <= a < n``."""
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n & 7 in (3, 5):  # (2/n) = -1 iff n = +-3 mod 8
+            sign = -sign
+        if a & n & 3 == 3:  # quadratic reciprocity: both = 3 mod 4
+            sign = -sign
+        a, n = n % a, a
+    return sign if n == 1 else 0
+
+
+@functools.cache
+def _comb_table() -> tuple:
+    """``table[b << 8 | j]`` = the product of ``G^(2^(256 k + 64 b))`` over bits ``k`` of ``j``.
+
+    Built into locals and published by the cache in one step; two threads
+    racing on first use build the same tuple and one copy is kept.
+    """
+    anchors, power = [], G
+    for _ in range(_TEETH * _BLOCKS):  # anchors[k * _BLOCKS + b] = G^(2^(256 k + 64 b))
+        anchors.append(power)
+        for _ in range(_COLUMNS):
+            power = power * power % P
+    table = []
+    for block in range(_BLOCKS):
+        row = [1] * (1 << _TEETH)
+        for j in range(1, 1 << _TEETH):
+            low = j & -j
+            row[j] = row[j ^ low] * anchors[(low.bit_length() - 1) * _BLOCKS + block] % P
+        table += row
+    return tuple(table)
+
+
+def g_pow(x: int) -> int:
+    """``G^x mod P`` for any integer ``x``, through the fixed-base comb."""
+    table = _comb_table()
+    bits = format(x % Q, "b").zfill(_TEETH * _SPAN)  # G has order Q
+    teeth = [bits[start : start + _SPAN] for start in range(0, _TEETH * _SPAN, _SPAN)]
+    # the most significant tooth comes first, so it lands in the index's top bit
+    columns = [int("".join(column), 2) for column in zip(*teeth)]
+    result = 1
+    for i in range(_COLUMNS):  # most significant column of every block first
+        result = result * result % P
+        for block in range(_BLOCKS):
+            index = columns[(_BLOCKS - 1 - block) * _COLUMNS + i]
+            result = result * table[block << _TEETH | index] % P
+    return result

@@ -53,9 +53,11 @@ class VerifyKey:
             raise InvalidSignature("verify key is not a valid group element")
         if not (0 <= signature.e < group.Q and 0 <= signature.s < group.Q):
             raise InvalidSignature("signature scalars out of range")
-        # r' = g^s * y^{-e};  valid iff H(r' || m) == e.
-        y_inv_e = pow(self.value, group.Q - signature.e, group.P)
-        commitment = (pow(group.G, signature.s, group.P) * y_inv_e) % group.P
+        # r' = g^s * y^{-e};  valid iff H(r' || m) == e.  The membership
+        # check above established y^Q = 1, so y^{-e} is inverse(y)^e: a
+        # 256-bit exponent where y^(Q - e) would spend 2047 bits.
+        y_inv_e = pow(pow(self.value, -1, group.P), signature.e, group.P)
+        commitment = group.g_pow(signature.s) * y_inv_e % group.P
         if _challenge(commitment, message) != signature.e:
             raise InvalidSignature("Schnorr verification failed")
 
@@ -80,12 +82,12 @@ class SigningKey:
 
     @property
     def verify_key(self) -> VerifyKey:
-        return VerifyKey(pow(group.G, self.scalar, group.P))
+        return VerifyKey(group.g_pow(self.scalar))
 
     def sign(self, message: bytes) -> Signature:
         """Produce a Schnorr signature over ``message``."""
         k = group.random_scalar()
-        commitment = pow(group.G, k, group.P)
+        commitment = group.g_pow(k)
         e = _challenge(commitment, message)
         s = (k + self.scalar * e) % group.Q
         return Signature(e=e, s=s)

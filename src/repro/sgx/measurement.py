@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import weakref
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -49,20 +50,31 @@ def _canonical_config(config: Mapping[str, Any]) -> bytes:
         raise ValueError(f"enclave config must be JSON-serialisable: {exc}") from exc
 
 
+#: class object -> identity.  MRENCLAVE is a property of the *loaded* code:
+#: a source file edited under a running process does not change what an
+#: already-imported class executes, so it must not change what it measures.
+_identities: "weakref.WeakKeyDictionary[type, bytes]" = weakref.WeakKeyDictionary()
+
+
 def code_identity_of(obj: Any) -> bytes:
     """Stable identity of enclave code: hash of its class source.
 
     Editing the enclave code (even a single line) changes the identity,
     mirroring how re-building an enclave changes MRENCLAVE.  If source is
     unavailable (e.g. classes defined in a REPL) the qualified name is
-    used, which still distinguishes different enclave programs.
+    used, which still distinguishes different enclave programs.  The
+    source is read and hashed once per class object (re-tokenising an
+    800-line class costs ~20 ms, and every enclave launch asks).
     """
     cls = obj if inspect.isclass(obj) else type(obj)
-    try:
-        source = inspect.getsource(cls)
-    except (OSError, TypeError):
-        source = f"{cls.__module__}.{cls.__qualname__}"
-    return hashlib.sha256(source.encode()).digest()
+    identity = _identities.get(cls)
+    if identity is None:
+        try:
+            source = inspect.getsource(cls)
+        except (OSError, TypeError):
+            source = f"{cls.__module__}.{cls.__qualname__}"
+        identity = _identities[cls] = hashlib.sha256(source.encode()).digest()
+    return identity
 
 
 def measure(code_identity: bytes, config: Mapping[str, Any]) -> EnclaveMeasurement:

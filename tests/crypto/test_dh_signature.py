@@ -1,5 +1,7 @@
 """Diffie-Hellman exchange and Schnorr signatures."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,11 +103,45 @@ def test_verify_key_encoding_roundtrip():
     assert VerifyKey.from_bytes(vk.to_bytes()) == vk
 
 
+def _forge(y, message, e_must_be_even=False):
+    """A signature satisfying ``H(g^s * y^-e || m) == e`` for ``y`` of order 1 or 2.
+
+    No key is involved: pick ``s``, commit to ``r = g^s`` and take ``e`` from
+    the hash.  ``y^-e`` is then 1 (for ``y = -1``, whenever ``e`` is even), so
+    only the membership check stands between this and a valid signature.
+    """
+    while True:
+        s = group.random_scalar()
+        r = pow(group.G, s, group.P)
+        digest = hashlib.sha256(group.element_to_bytes(r) + message).digest()
+        e = int.from_bytes(digest, "big") % group.Q
+        if not (e_must_be_even and e & 1):
+            assert r * pow(pow(y, -1, group.P), e, group.P) % group.P == r
+            return Signature(e=e, s=s)
+
+
+@pytest.mark.parametrize("message", [b"m", b"any message at all"])
+def test_identity_verify_key_rejected_although_the_equation_holds(message):
+    with pytest.raises(InvalidSignature, match="not a valid group element"):
+        VerifyKey(1).verify(message, _forge(1, message))
+
+
+def test_order_two_verify_key_rejected_although_the_equation_holds():
+    minus_one = group.P - 1
+    forged = _forge(minus_one, b"m", e_must_be_even=True)
+    with pytest.raises(InvalidSignature, match="not a valid group element"):
+        VerifyKey(minus_one).verify(b"m", forged)
+
+
 def test_invalid_verify_key_rejected():
-    bad = VerifyKey(2)  # not in the order-Q subgroup
+    # 11 is the smallest quadratic non-residue (2 is a residue: P = 7 mod 8).
+    # 0 and P have no inverse mod P and must be refused before one is asked
+    # for: InvalidSignature, never pow()'s ValueError.
+    assert pow(11, group.Q, group.P) != 1 and pow(2, group.Q, group.P) == 1
     sig = SigningKey.generate().sign(b"m")
-    with pytest.raises(InvalidSignature):
-        bad.verify(b"m", sig)
+    for bad in (11, 0, group.P, group.P + 5):
+        with pytest.raises(InvalidSignature, match="not a valid group element"):
+            VerifyKey(bad).verify(b"m", sig)
 
 
 @settings(max_examples=5, deadline=None)

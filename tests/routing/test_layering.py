@@ -101,3 +101,46 @@ def test_remote_client_and_protocol_module_are_pinned(tmp_path):
     for dotted in ("service.client", "service.protocol"):
         real = checker.SRC_REPRO / (dotted.replace(".", "/") + ".py")
         assert checker.check_module(real, dotted, checker.MODULES[dotted]) == []
+
+
+def test_public_key_modules_are_pinned_to_plain_integers(tmp_path):
+    """``crypto.group`` is the standard library only; ``dh`` and ``signature``
+    add ``repro.crypto`` + ``repro.errors``; none of them may reach numpy,
+    ``repro.obs`` or a config object (the comb table for ``G`` lives here)."""
+    checker = _load_checker()
+    assert checker.MODULES["crypto.group"] == ()
+    for dotted in ("crypto.dh", "crypto.signature"):
+        assert set(checker.MODULES[dotted]) == {"repro.crypto", "repro.errors"}
+    assert {"crypto.group", "crypto.dh", "crypto.signature"} <= checker.STDLIB_ONLY
+
+    bad = tmp_path / "group.py"
+    bad.write_text(
+        "import functools\n"
+        "import secrets\n"
+        "import numpy as np\n"
+        "from repro.obs.tracer import maybe_span\n"
+        "def g_pow(x):\n    from repro.core.semirt import SchedulerConfig\n"
+    )
+    violations = checker.check_module(bad, "crypto.group", ())
+    assert [v.split("imports ")[1].split(" ")[0] for v in violations] == [
+        "'numpy'", "'repro.obs.tracer'", "'repro.core.semirt'",
+    ]
+    bad = tmp_path / "signature.py"
+    bad.write_text(
+        "from repro.crypto import group\n"
+        "from repro.crypto.hashes import sha256\n"
+        "from repro.errors import InvalidSignature\n"
+        "import numpy.typing\n"
+        "from repro.sgx.attestation import Quote\n"
+    )
+    violations = checker.check_module(
+        bad, "crypto.signature", checker.MODULES["crypto.signature"]
+    )
+    assert [v.split("imports ")[1].split(" ")[0] for v in violations] == [
+        "'numpy.typing'", "'repro.sgx.attestation'",
+    ]
+    # numpy stays legal where the pin does not forbid it
+    assert checker.check_module(bad, "core.semirt_enclave", ("repro",)) == []
+    for dotted in ("crypto.group", "crypto.dh", "crypto.signature"):
+        real = checker.SRC_REPRO / (dotted.replace(".", "/") + ".py")
+        assert checker.check_module(real, dotted, checker.MODULES[dotted]) == []
