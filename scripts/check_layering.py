@@ -17,6 +17,14 @@ cluster (``repro.serverless``) and the functional runtime
   is pinned per module below, so stored manifests stay listable and
   diffable with nothing but the stdlib on the import path.
 
+One package is pinned because of who imports it:
+
+- ``repro.mlrt``: the model runtime.  Stdlib + numpy +
+  ``repro.errors`` only: ``repro.core.semirt_enclave`` imports it, so
+  every module in it is enclave TCB -- the op table, both runtimes and
+  the decoder run on user plaintext inside the trust boundary and may
+  reach nothing observable, configurable or host-side.
+
 Single-file modules pinned the same way:
 
 - ``repro.core.wire``: the versioned wire codecs.  Stdlib +
@@ -79,6 +87,8 @@ SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 PACKAGES = {
     "routing": ("repro.errors",),
     "warmpool": ("repro.errors", "repro.routing"),
+    # enclave TCB (imported by core.semirt_enclave): numpy and errors only
+    "mlrt": ("repro.errors",),
     "scenarios": (
         "repro.errors",
         "repro.core",

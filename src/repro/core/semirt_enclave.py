@@ -589,9 +589,13 @@ class SemirtEnclaveCode(EnclaveCode):
             payload = self._authenticate(
                 entry.cipher, enc_request, STREAM_AAD, model_id, "stream request"
             )
+        if len(payload["prompt"]) % 4:
+            raise InvocationError("prompt is not a whole number of float32 token ids")
         prompt = np.frombuffer(payload["prompt"], dtype=np.float32)
         if prompt.size == 0:
             raise InvocationError("refusing an empty prompt")
+        if not np.isfinite(prompt).all():
+            raise InvocationError("prompt token ids must be finite")
         max_new = int(payload["max_new_tokens"])
         if not 1 <= max_new <= MAX_STREAM_TOKENS:
             raise InvocationError(
@@ -695,9 +699,15 @@ class SemirtEnclaveCode(EnclaveCode):
             payload = self._authenticate(
                 request_cipher, enc_request, REQUEST_AAD, model_id, "request"
             )
-            x = np.frombuffer(payload["input"], dtype=np.float32).reshape(
-                model.input_spec.shape
-            )
+            shape = model.input_spec.shape
+            if len(payload["input"]) != 4 * model.input_spec.num_elements:
+                # the user's mistake, not the enclave's: a bad request,
+                # refused before the runtime sees it
+                raise InvocationError(
+                    f"input of {len(payload['input'])} bytes is not a "
+                    f"float32 tensor of the model's shape {shape}"
+                )
+            x = np.frombuffer(payload["input"], dtype=np.float32).reshape(shape)
         with self._stage_span(
             Stage.MODEL_INFERENCE, model_id=model_id, component="mlrt"
         ):

@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelError
-from repro.mlrt.layers import WEIGHTED_OPS, infer_shape, run_op
+from repro.mlrt.layers import Op, infer_shape, op_entry, run_op
 from repro.mlrt.tensor import TensorSpec
 
 _MAGIC = b"SESEMIM1"
@@ -31,6 +31,20 @@ class GraphNode:
     op: str
     inputs: Tuple[str, ...]
     attrs: dict = field(default_factory=dict)
+
+
+class Plan(NamedTuple):
+    """A model's graph resolved against the op table for one input shape."""
+
+    #: per node ``(node, table row, weight keys, workspace keys)``: keys
+    #: into ``Model.weights`` in the op's weight order, and into ``buffers``
+    nodes: Tuple[Tuple[GraphNode, Op, Tuple[str, ...], Tuple[str, ...]], ...]
+    #: shape of every buffer execution touches: ``"input"``, each node's
+    #: output (under the node's name) and each workspace buffer (``name#k``)
+    buffers: Dict[str, Tuple[int, ...]]
+    #: bound step sets parked, zero-filled, by the decoder stream that
+    #: used them last (see :class:`~repro.mlrt.decoder.DecoderSession`)
+    idle: list
 
 
 class Model:
@@ -47,27 +61,73 @@ class Model:
         self.input_spec = input_spec
         self.nodes: List[GraphNode] = list(nodes)
         self.weights = weights
-        self._shapes = self._infer_shapes()
+        self._plans: Dict[Tuple[int, ...], Plan] = {}
+        self._shapes = self.plan().buffers
 
     # -- structure ---------------------------------------------------------------
 
-    def _infer_shapes(self) -> Dict[str, Tuple[int, ...]]:
-        shapes: Dict[str, Tuple[int, ...]] = {"input": self.input_spec.shape}
-        for node in self.nodes:
-            missing = [i for i in node.inputs if i not in shapes]
-            if missing:
-                raise ModelError(
-                    f"node {node.name!r} references unknown inputs {missing} "
-                    "(graph must be topologically ordered)"
+    def plan(self, input_shape: Optional[Tuple[int, ...]] = None) -> Plan:
+        """Resolve the graph, once per ``(model, input shape)``.
+
+        The result is shared by every runtime and decoder stream of the
+        model (a model is immutable after ``MODEL_LOAD``; two threads
+        racing here build equal plans and one wins).  An unknown op or a
+        malformed graph is a :class:`ModelError` here, never at
+        execution time.
+        """
+        input_shape = self.input_spec.shape if input_shape is None else input_shape
+        if input_shape not in self._plans:
+            buffers: Dict[str, Tuple[int, ...]] = {"input": input_shape}
+            planned = []
+            for node in self.nodes:
+                missing = [i for i in node.inputs if i not in buffers]
+                if missing:
+                    raise ModelError(
+                        f"node {node.name!r} references unknown inputs {missing} "
+                        "(graph must be topologically ordered)"
+                    )
+                op = op_entry(node.op)
+                keys = tuple([f"{node.name}.{wname}" for wname in op.weights])
+                out, *workspace = op.shapes(
+                    [buffers[i] for i in node.inputs],
+                    node.attrs,
+                    {w: self.weights[k].shape for w, k in zip(op.weights, keys)},
                 )
-            weight_shapes = {
-                wname: self.weights[f"{node.name}.{wname}"].shape
-                for wname in WEIGHTED_OPS.get(node.op, ())
-            }
-            shapes[node.name] = infer_shape(
-                node.op, [shapes[i] for i in node.inputs], node.attrs, weight_shapes
+                buffers[node.name] = out
+                scratch = tuple([f"{node.name}#{k}" for k in range(len(workspace))])
+                buffers.update(zip(scratch, workspace))
+                planned.append((node, op, keys, scratch))
+            self._plans[input_shape] = Plan(tuple(planned), buffers, [])
+        return self._plans[input_shape]
+
+    def bind(
+        self,
+        storage: Mapping[str, np.ndarray],
+        weights: Optional[Mapping[str, np.ndarray]] = None,
+        input_shape: Optional[Tuple[int, ...]] = None,
+        binders: Mapping[str, Callable] = {},
+    ) -> Tuple[np.ndarray, List[Callable[[], None]], np.ndarray]:
+        """Bind every node, once, to a zero-argument step over fixed storage.
+
+        ``storage`` holds one float32 buffer per entry of
+        ``plan(input_shape).buffers``; ``weights`` defaults to the
+        model's own arrays; ``binders`` replaces the table's binder for
+        the named ops.  Returns ``(input buffer, steps, output buffer)``:
+        executing is copying into the first, calling the steps in order
+        and reading the last.
+        """
+        weights = self.weights if weights is None else weights
+        steps = [
+            binders.get(node.op, op.bind)(
+                [storage[i] for i in node.inputs],
+                storage[node.name],
+                [weights[k] for k in keys],
+                node.attrs,
+                [storage[k] for k in workspace],
             )
-        return shapes
+            for node, op, keys, workspace in self.plan(input_shape).nodes
+        ]
+        return storage["input"], steps, storage[self.output_node]
 
     def shape_of(self, node_name: str) -> Tuple[int, ...]:
         """Inferred output shape of ``node_name`` (or of ``"input"``)."""
@@ -87,7 +147,7 @@ class Model:
         """The weight arrays a node consumes, keyed by weight name."""
         return {
             wname: self.weights[f"{node.name}.{wname}"]
-            for wname in WEIGHTED_OPS.get(node.op, ())
+            for wname in op_entry(node.op).weights
         }
 
     @property
@@ -216,7 +276,7 @@ class GraphBuilder:
         node = GraphNode(name=name, op=op, inputs=inputs, attrs=attrs)
         self.nodes.append(node)
         wshapes = {
-            w: self.weights[f"{name}.{w}"].shape for w in WEIGHTED_OPS.get(op, ())
+            w: self.weights[f"{name}.{w}"].shape for w in op_entry(op).weights
         }
         self._shapes[name] = infer_shape(
             op, [self._shapes[i] for i in inputs], attrs, wshapes

@@ -1,93 +1,67 @@
 """TFLM-style interpreter with a planned tensor arena.
 
-TFLM executes op-by-op out of a single statically-planned arena that
-holds only *intermediate* tensors -- weights are read in place from the
-loaded model.  The arena planner reuses the bytes of dead tensors, so the
-runtime buffer is a fraction of the model size (Table I: 5 MB vs a 17 MB
-model for MBNET).  The price is interpreter overhead on every op.
+TFLM executes out of a single statically-planned arena that holds only
+*working* tensors -- weights are read in place from the loaded model.
+The arena planner reuses the bytes of dead tensors, so the runtime buffer
+is a fraction of the model size (Table I: 5 MB vs a 17 MB model for
+MBNET).  ``RUNTIME_INIT`` plans the arena and binds each node to a step
+whose input, output and workspace are views into it; a workspace lives
+for its own node only (TFLM's ``RequestScratchBufferInArena``), so the
+planner hands its bytes to later tensors.  ``MODEL_EXEC`` is the same
+body as the TVM executor's: the frameworks differ in where storage
+lives, not in what they run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from math import prod
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.errors import ModelError
 from repro.mlrt.arena import ArenaPlan, TensorLife, plan_arena
 from repro.mlrt.framework import InferenceFramework, ModelRuntime, register_framework
-from repro.mlrt.layers import run_op
 from repro.mlrt.model import Model
 from repro.mlrt.tensor import DTYPE_SIZES
 
 
 def plan_model_arena(model: Model) -> ArenaPlan:
-    """Compute arena offsets for every intermediate tensor of ``model``."""
+    """Arena offsets for the input, every intermediate and every workspace."""
+    plan = model.plan()
+    first_use: Dict[str, int] = {"input": 0}
     last_use: Dict[str, int] = {}
-    for index, node in enumerate(model.nodes):
-        for src in node.inputs:
-            last_use[src] = index
-    out = model.output_node
-    last_use[out] = len(model.nodes)  # output survives the whole run
-    lives: List[TensorLife] = []
-    for index, node in enumerate(model.nodes):
-        shape = model.shape_of(node.name)
-        nbytes = int(np.prod(shape)) * DTYPE_SIZES["float32"]
-        lives.append(
-            TensorLife(
-                name=node.name,
-                nbytes=nbytes,
-                first_use=index,
-                last_use=last_use.get(node.name, index),
-            )
-        )
-    return plan_arena(lives)
+    for index, (node, _, _, workspace) in enumerate(plan.nodes):
+        # a workspace lives for its own node only: no last_use entry
+        first_use.update(dict.fromkeys((node.name, *workspace), index))
+        last_use.update(dict.fromkeys(node.inputs, index))
+    last_use[model.output_node] = len(plan.nodes)  # output survives the whole run
+    return plan_arena(
+        [
+            TensorLife(key, _nbytes(plan.buffers[key]), first, last_use.get(key, first))
+            for key, first in first_use.items()
+        ]
+    )
+
+
+def _nbytes(shape: Tuple[int, ...]) -> int:
+    return prod(shape) * DTYPE_SIZES["float32"]
 
 
 class TflmInterpreter(ModelRuntime):
-    """Op-by-op interpreter executing out of a single tensor arena."""
+    """Interpreter executing out of a single tensor arena.
+
+    ``buffer_bytes`` is the arena alone: working tensors, no weight copies.
+    """
 
     def __init__(self, model: Model) -> None:
-        super().__init__(model)
-        self._plan = plan_model_arena(model)
-        self._arena = np.zeros(self._plan.total_bytes, dtype=np.uint8)
-
-    def _view(self, name: str) -> np.ndarray:
-        shape = self.model.shape_of(name)
-        nbytes = int(np.prod(shape)) * DTYPE_SIZES["float32"]
-        offset = self._plan.offsets[name]
-        return (
-            self._arena[offset : offset + nbytes]
-            .view(np.float32)
-            .reshape(shape)
-        )
-
-    def execute(self, x: np.ndarray) -> np.ndarray:
-        """Run inference op-by-op out of the planned arena."""
-        if tuple(x.shape) != self.model.input_spec.shape:
-            raise ModelError(
-                f"input shape {x.shape} does not match model "
-                f"{self.model.input_spec.shape}"
-            )
-        values: Dict[str, np.ndarray] = {"input": x}
-        for node in self.model.nodes:
-            # Weights are *not* copied -- referenced in place from the model.
-            result = run_op(
-                node.op,
-                [values[i] for i in node.inputs],
-                node.attrs,
-                self.model.node_weights(node),
-            )
-            view = self._view(node.name)
-            view[...] = result
-            values[node.name] = view
-        self._last_output = values[self.model.output_node].copy()
-        return self._last_output
-
-    @property
-    def buffer_bytes(self) -> int:
-        """Arena size only: intermediates, no weight copies."""
-        return int(self._arena.nbytes)
+        plan = plan_model_arena(model)
+        arena = np.zeros(plan.total_bytes, dtype=np.uint8)
+        views = {
+            key: arena[plan.offsets[key] :][: _nbytes(shape)].view(np.float32).reshape(shape)
+            for key, shape in model.plan().buffers.items()
+        }
+        # Weights are *not* copied -- the steps read them in place.
+        super().__init__(model, views, (arena,))
 
 
 class TflmFramework(InferenceFramework):
@@ -96,7 +70,7 @@ class TflmFramework(InferenceFramework):
     name = "tflm"
 
     def create_runtime(self, model: Model) -> TflmInterpreter:
-        """RUNTIME_INIT: plan an arena and build an interpreter."""
+        """RUNTIME_INIT: plan an arena and bind the steps into it."""
         return TflmInterpreter(model)
 
 

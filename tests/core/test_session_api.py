@@ -45,6 +45,21 @@ def test_grant_then_infer_round_trip(fresh_env, handle, tiny_model, tiny_input):
     assert session.semirt is None  # context exit reclaimed the enclave
 
 
+def test_wrong_sized_input_is_a_bad_request(fresh_env, handle, tiny_model, tiny_input):
+    """The enclave refuses it as ``InvocationError`` before the runtime sees
+    it (it used to leave the ECALL as numpy's "cannot reshape array")."""
+    from repro.errors import InvocationError
+
+    handle.grant("carol")
+    with fresh_env.session("carol", "sess-model") as session:
+        for shape in [(1, 8, 8, 3), (2, 16, 16, 3), (7,)]:
+            with pytest.raises(InvocationError, match="not a float32 tensor of the model"):
+                session.infer(np.zeros(shape, dtype=np.float32))
+        assert session.semirt.code.pending_outputs == 0
+        out = session.infer(tiny_input)
+        assert np.allclose(out, tiny_model.run_reference(tiny_input).ravel(), atol=1e-5)
+
+
 def test_ungranted_user_is_refused(fresh_env, handle, tiny_input):
     fresh_env.connect_user("mallory")
     with fresh_env.session("mallory", "sess-model") as session:

@@ -347,6 +347,34 @@ def test_token_budget_is_bounded():
     host.destroy()
 
 
+def test_a_malformed_prompt_is_a_bad_request_not_a_raw_numpy_error():
+    """An authenticated user's prompt that is not a whole number of float32
+    ids, or holds a non-finite one, is refused as ``InvocationError``
+    before a decoder exists -- it used to leave the ECALL as ``ValueError``."""
+    from repro.core import wire
+    from repro.core.semirt_enclave import STREAM_AAD
+
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None)
+    cipher = env.user("user")._request_cipher(MODEL_ID, host.measurement)
+    torn = cipher.seal(
+        wire.dumps({"prompt": bytes(5), "max_new_tokens": 4}, codec=wire.BINARY),
+        aad=STREAM_AAD + MODEL_ID.encode(),
+    )
+    for sealed, message in [
+        (torn, "whole number of float32"),
+        (_seal(env, host, "user", [1.0, float("nan")], 4), "finite"),
+        (_seal(env, host, "user", [1.0, float("inf")], 4), "finite"),
+    ]:
+        stream = host.open_stream(sealed, _uid(env, "user"), MODEL_ID)
+        with pytest.raises(InvocationError, match=message):
+            stream.result(timeout_s=30)
+    assert host.code.open_streams == 0
+    good = host.open_stream(_seal(env, host, "user", [1, 2], 3), _uid(env, "user"), MODEL_ID)
+    assert len(good.result(timeout_s=30)) == 3
+    host.destroy()
+
+
 # -- the session tier ---------------------------------------------------------------
 
 

@@ -126,3 +126,55 @@ def test_infer_shape_validates():
 def test_run_op_unknown_rejected():
     with pytest.raises(ModelError):
         layers.run_op("nonsense", [np.zeros(1)], {}, {})
+
+
+def test_every_reference_op_returns_float32():
+    """No op may drift into float64 (NumPy >= 2 promotes a float64 *scalar*
+    times a float32 array to float64) and round back at the end."""
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2, 6, 6, 4)).astype(np.float32)
+    seq = rng.standard_normal((2, 5, 8)).astype(np.float32)
+    vec = rng.standard_normal(4).astype(np.float32)
+    square = rng.standard_normal((8, 8)).astype(np.float32)
+    results = {
+        "conv2d": layers.conv2d(
+            x, rng.standard_normal((3, 3, 4, 2)).astype(np.float32), vec[:2], stride=1, pad=1
+        ),
+        "depthwise_conv2d": layers.depthwise_conv2d(
+            x, rng.standard_normal((3, 3, 4)).astype(np.float32), vec, stride=2, pad=1
+        ),
+        "dense": layers.dense(x, rng.standard_normal((144, 3)).astype(np.float32), vec[:3]),
+        "batch_norm": layers.batch_norm(x, vec, vec),
+        "relu": layers.relu(x),
+        "relu6": layers.relu6(x),
+        "add": layers.add(x, x),
+        "concat": layers.concat(x, x),
+        "max_pool": layers.max_pool(x, size=2, stride=2),
+        "avg_pool": layers.avg_pool(x, size=2, stride=2),
+        "global_avg_pool": layers.global_avg_pool(x),
+        "softmax": layers.softmax(seq),
+        "embedding": layers.embedding(np.array([[1.0, 3.0]], dtype=np.float32), square),
+        "layer_norm": layers.layer_norm(seq, square[0], square[1]),
+        "gelu": layers.gelu(seq),
+        "linear": layers.linear(seq, square, square[0]),
+        "attention": layers.attention(seq, square, square, square, square, heads=2),
+        "take_last": layers.take_last(seq),
+    }
+    assert set(results) == set(layers.OPS)
+    assert {name for name, y in results.items() if y.dtype != np.float32} == set()
+
+
+def test_gelu_is_the_all_float32_formula_exactly():
+    x = (np.random.default_rng(4).standard_normal((3, 7, 16)) * 3).astype(np.float32)
+    f = np.float32
+    # x ** 3 is np.power, not two multiplications: build it the same way
+    inner = f(np.sqrt(2.0 / np.pi)) * (x + f(0.044715) * np.power(x, f(3)))
+    assert inner.dtype == np.float32
+    want = f(0.5) * x * (f(1.0) + np.tanh(inner))
+    assert want.dtype == np.float32
+    got = layers.gelu(x)
+    assert got.dtype == np.float32 and np.array_equal(got, want)
+    # the float64 computation it used to be differs in the last bit somewhere
+    wide = x.astype(np.float64)
+    old = 0.5 * wide * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (wide + 0.044715 * wide ** 3)))
+    assert not np.array_equal(got, old.astype(np.float32))

@@ -99,6 +99,20 @@ def test_tflm_rejects_wrong_input_shape(model):
         runtime.execute(np.zeros((1, 2, 2, 3), dtype=np.float32))
 
 
+@pytest.mark.parametrize("framework", ["tvm", "tflm"])
+@pytest.mark.parametrize(
+    "shape", [(16, 16, 3), (1, 16, 16, 1), (1, 8, 8, 3), (2, 16, 16, 3)]
+)
+def test_wrong_input_shape_is_a_model_error(model, framework, shape):
+    """Exact shape, no broadcasting: the first two would otherwise fill
+    the resident input buffer silently, the last two die inside some op."""
+    runtime = get_framework(framework).create_runtime(model)
+    with pytest.raises(ModelError, match="does not match model"):
+        runtime.execute(np.zeros(shape, dtype=np.float32))
+    x = make_input(model)
+    assert np.array_equal(runtime.execute(x), model.run_reference(x))
+
+
 def test_artifact_load_via_framework(model):
     blob = model.serialize()
     loaded = get_framework("tvm").load_model(blob)

@@ -69,6 +69,29 @@ def test_enclave_module_is_pinned_to_the_trust_boundary(tmp_path):
     assert checker.check_module(real, "core.semirt_enclave", allowed) == []
 
 
+def test_model_runtime_package_is_pinned_as_enclave_tcb(tmp_path):
+    """``repro.mlrt`` is imported by ``core.semirt_enclave``, so all of it
+    runs inside the trust boundary: stdlib + numpy + ``repro.errors`` only."""
+    checker = _load_checker()
+    assert checker.PACKAGES["mlrt"] == ("repro.errors",)
+    assert "repro.mlrt" in checker.MODULES["core.semirt_enclave"]
+    package = tmp_path / "mlrt"
+    package.mkdir()
+    (package / "layers.py").write_text(
+        "from functools import partial\n"
+        "import numpy as np\n"
+        "from repro.errors import ModelError\n"
+        "from repro.mlrt.model import Model\n"
+        "from repro.obs.tracer import maybe_span\n"
+        "def bind():\n    from repro.core.semirt import SchedulerConfig\n"
+    )
+    violations = checker.check(package, checker.PACKAGES["mlrt"])
+    assert [v.split("imports ")[1].split(" ")[0] for v in violations] == [
+        "'repro.obs.tracer'", "'repro.core.semirt'",
+    ]
+    assert checker.check(checker.SRC_REPRO / "mlrt", checker.PACKAGES["mlrt"]) == []
+
+
 def test_remote_client_and_protocol_module_are_pinned(tmp_path):
     """``service.client`` stays a client (no server, deployment, gateway
     or SeMIRT import) and ``service.protocol`` owes neither side."""

@@ -111,6 +111,21 @@ def test_malformed_body_is_a_400_invocation_error(world):
     assert "missing field" in payload["message"]
 
 
+def test_a_wrong_sized_input_is_a_400_not_a_500(world):
+    """Authenticated, well-formed, wrong tensor size: the user's mistake."""
+    session = world.session
+    enc = session.user.encrypt_request(
+        session.model_id, session.measurement, np.zeros((1, 8, 8, 3), np.float32)
+    )
+    status, reply, _ = world.remote.client.request(
+        "POST", "/v1/infer", world.payload(enc)
+    )
+    assert (status, reply["error"]) == (400, "InvocationError"), reply
+    assert "float32 tensor of the model's shape" in reply["message"]
+    assert world.remote.stats()["admission"]["inflight_total"] == 0
+    assert np.allclose(session.infer(world.x), expected(world), atol=1e-5)
+
+
 _INFER = {"model_id": MODEL_ID, "uid": "u", "enc_request": b"x"}
 
 
