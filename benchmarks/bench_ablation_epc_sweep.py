@@ -40,7 +40,7 @@ def run_point(epc_bytes: int, framework: str) -> float:
     return LatencyStats.of(measured).mean
 
 
-def test_ablation_epc_sweep(benchmark):
+def test_ablation_epc_sweep():
     def sweep():
         return {
             (epc, fw): run_point(epc, fw)
@@ -48,7 +48,7 @@ def test_ablation_epc_sweep(benchmark):
             for fw in ("tvm", "tflm")
         }
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print(f"Ablation -- EPC sweep, MBNET @ {RATE_RPS:.0f} rps, 4 threads")
     for epc in EPC_SIZES:

@@ -12,7 +12,7 @@ from repro.experiments.table34 import run_strategy
 INTERVALS = (1.0, 10.0, 60.0)
 
 
-def test_ablation_fnpacker_interval(benchmark):
+def test_ablation_fnpacker_interval():
     def sweep():
         return {
             interval: run_strategy(
@@ -21,18 +21,18 @@ def test_ablation_fnpacker_interval(benchmark):
             for interval in INTERVALS
         }
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print("Ablation -- FnPacker idle interval (TVM-RSNET pool)")
     print(f"{'interval':>9s} {'poisson avg (ms)':>17s} {'session m3 (ms)':>16s} {'colds':>6s}")
     for interval, data in results.items():
-        m3 = data["sessions"].get((1, "m3"))
+        m3 = data["sessions"].get("1:m3")
         print(
-            f"{interval:9.0f} {data['poisson_stats'].mean * 1000:17.1f} "
+            f"{interval:9.0f} {data['poisson']['mean_s'] * 1000:17.1f} "
             f"{(m3 or 0) * 1000:16.0f} {data['cold_starts']:6d}"
         )
     # The mid-range interval must keep the popular models un-interfered.
-    baseline = results[10.0]["poisson_stats"].mean
-    assert results[60.0]["poisson_stats"].mean < baseline * 1.5
+    baseline = results[10.0]["poisson"]["mean_s"]
+    assert results[60.0]["poisson"]["mean_s"] < baseline * 1.5
     # Packing still works at 10s: m3 rides a warm endpoint in session 1.
-    assert results[10.0]["sessions"][(1, "m3")] < 3.0
+    assert results[10.0]["sessions"]["1:m3"] < 3.0

@@ -37,14 +37,14 @@ def steady_seconds(model_name: str, **flags) -> float:
     return sum(v for k, v in last.stage_seconds.items() if k != "sandbox_init")
 
 
-def test_ablation_key_cache(benchmark):
+def test_ablation_key_cache():
     def sweep():
         return {
             name: steady_seconds("RSNET", **flags)
             for name, flags in CONFIGS.items()
         }
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print("Ablation -- isolation knobs, steady-state TVM-RSNET request (ms)")
     for name, seconds in results.items():

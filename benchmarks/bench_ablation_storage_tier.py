@@ -6,13 +6,11 @@ storage: a warm invocation re-downloads the model, which costs ~180ms
 warm and hot invocations against both storage profiles.
 """
 
-from repro.experiments import fig9
 from repro.experiments.common import make_testbed
 from repro.serverless.storage import AZURE_BLOB, NFS
 
 
 def _paths(model, storage):
-    import repro.experiments.fig9 as fig9_module
     from repro.core.simbridge import servable_map
     from repro.experiments.common import action_budget, make_driver, system_factory
     from repro.mlrt.zoo import profile
@@ -40,7 +38,7 @@ def _paths(model, storage):
     return managed(by_time[2]), managed(by_time[3])
 
 
-def test_ablation_storage_tier(benchmark):
+def test_ablation_storage_tier():
     def sweep():
         out = {}
         for model in ("MBNET", "RSNET"):
@@ -48,7 +46,7 @@ def test_ablation_storage_tier(benchmark):
                 out[(model, name)] = _paths(model, storage)
         return out
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print("Ablation -- storage tier effect on warm vs hot invocations (TVM)")
     print(f"{'config':>14s} {'warm (s)':>9s} {'hot (s)':>8s} {'warm/hot':>9s}")

@@ -43,11 +43,11 @@ def completion_rate(window_s: float) -> float:
     return len(done) / 90.0
 
 
-def test_ext_batching(benchmark):
+def test_ext_batching():
     def sweep():
         return {w: completion_rate(w) for w in (0.0, 0.1, 0.25)}
 
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    results = sweep()
     print()
     print(f"Extension -- batching, TVM-RSNET @ {OFFERED_RPS:.0f} rps offered, 12 cores")
     for window, rate in results.items():

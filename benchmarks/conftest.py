@@ -1,9 +1,8 @@
 """Benchmark-suite configuration.
 
-Each ``bench_*`` module regenerates one table or figure of the paper's
-evaluation through :mod:`repro.experiments` and prints the paper-style
-rows.  ``pytest benchmarks/ --benchmark-only`` runs them all; add ``-s``
-to see the rendered tables inline.
+``bench_paper_shape.py`` regenerates every table and figure of the
+paper's evaluation through :mod:`repro.experiments` and asserts its
+paper-shape floor; the ``bench_ablation_*`` / ``bench_ext_*`` modules
+carry their own sweeps.  ``python -m pytest benchmarks -q`` runs them
+all; add ``-s`` to see the rendered tables inline.
 """
-
-collect_ignore_glob: list = []

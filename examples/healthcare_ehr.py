@@ -17,10 +17,10 @@ Run with:  python examples/healthcare_ehr.py
 
 import numpy as np
 
-from repro import SeSeMIEnvironment
+from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt_enclave import IsolationSettings
 from repro.errors import AccessDenied
-from repro.mlrt import build_densenet
+from repro.mlrt.zoo import build_densenet
 
 
 def patient_record(seed: int, shape) -> np.ndarray:

@@ -22,10 +22,10 @@ def main() -> None:
 
     print("=== steady traffic to the popular models (Table III) ===")
     for strategy, data in results.items():
-        stats = data["poisson_stats"]
+        stats = data["poisson"]
         print(
-            f"  {strategy:11s} avg {stats.mean * 1000:8.1f} ms   "
-            f"p95 {stats.p95 * 1000:8.1f} ms   "
+            f"  {strategy:11s} avg {stats['mean_s'] * 1000:8.1f} ms   "
+            f"p95 {stats['p95_s'] * 1000:8.1f} ms   "
             f"cold starts {data['cold_starts']}"
         )
 
@@ -37,7 +37,7 @@ def main() -> None:
         for model in MODEL_IDS:
             cells = []
             for strategy in STRATEGIES:
-                latency = results[strategy]["sessions"].get((session, model))
+                latency = results[strategy]["sessions"].get(f"{session}:{model}")
                 cells.append(f"{latency * 1000:9.0f}ms" if latency else "      -  ")
             print(f"    {model:5s}  " + "  ".join(f"{c:>11s}" for c in cells))
 

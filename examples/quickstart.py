@@ -19,9 +19,9 @@ Run with:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import SeSeMIEnvironment
+from repro.core.deployment import SeSeMIEnvironment
 from repro.core.stages import InvocationKind
-from repro.mlrt import build_mobilenet
+from repro.mlrt.zoo import build_mobilenet
 from repro.obs import analysis
 
 

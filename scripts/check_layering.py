@@ -1,89 +1,100 @@
 #!/usr/bin/env python
-"""Enforce the twin-agnostic packages' layering rules.
+"""An import loads what it names -- and the layering rules that rest on it.
 
-Two packages are kept importable by both twins -- the simulated
-cluster (``repro.serverless``) and the functional runtime
-(``repro.core``) -- and so may depend on nothing of theirs:
-
-- ``repro.routing``: the routing plane.  Stdlib + ``repro.errors``
-  only; never ``repro.core``, ``repro.serverless``, or ``repro.faults``
-  (the latter reaches ``repro.core.wire`` transitively).
-- ``repro.warmpool``: warm-pool management.  Stdlib +
-  ``repro.errors`` + ``repro.routing`` types (it treats
-  ``ScaleOutPolicy`` as one fleet-shape strategy among several).
-- ``repro.scenarios``: the scenario registry.  The package ceiling
-  admits both twins (its runner executes specs against them) but
-  never the CLI or the service tier; on top of that the *read side*
-  is pinned per module below, so stored manifests stay listable and
-  diffable with nothing but the stdlib on the import path.
-
-One package is pinned because of who imports it:
-
-- ``repro.mlrt``: the model runtime.  Stdlib + numpy +
-  ``repro.errors`` only: ``repro.core.semirt_enclave`` imports it, so
-  every module in it is enclave TCB -- the op table, both runtimes and
-  the decoder run on user plaintext inside the trust boundary and may
-  reach nothing observable, configurable or host-side.
-
-Single-file modules pinned the same way:
-
-- ``repro.core.wire``: the versioned wire codecs.  Stdlib +
-  ``repro.errors`` only -- every enclave boundary and the HTTP tier
-  frame through it, so it must never grow a dependency on the
-  runtime, the crypto stack, or numpy.
-- ``repro.core.futures``: the ``Future`` protocol, the outcome cell
-  and the derived-handle base.  Stdlib + ``repro.errors`` only -- every
-  tier's handle (scheduler, gateway, session, service client) is built
-  on it, so it can depend on none of them.
-- ``repro.core.semirt_enclave``: the trusted half of SeMIRT.  The
-  rule is the trust boundary: **the trusted module imports nothing
-  that runs outside the enclave** -- stdlib, numpy, ``repro.errors``,
-  ``repro.core.wire``, ``repro.core.stages``, ``repro.crypto``,
-  ``repro.mlrt``, ``repro.sgx`` and ``repro.obs`` only; never the host
-  (``repro.core.semirt``), its futures, the batch policy, the fault
-  injector, the gateway, or either twin's platform code.  What the
-  untrusted host can reach by importing it is exactly what an ECALL
-  transport would have to carry.
-- ``repro.service.protocol``: what the HTTP server and client must
-  agree on (media types, stream record framing).  Stdlib +
-  ``repro.errors`` + ``repro.core.wire`` -- both sides import it, so it
-  can depend on neither.
-- ``repro.service.client``: the remote client must stay a client --
-  ``repro.errors``, ``repro.core.wire``, ``repro.core.client``,
-  ``repro.core.futures``, ``repro.obs``, ``repro.sgx`` and the protocol
-  module only; never the server, the deployment, the gateway or SeMIRT
-  (what a user installs to *call* the service cannot need the fleet).
-- ``repro.crypto.group`` / ``.dh`` / ``.signature``: the public-key
-  floor under every RA-TLS handshake.  ``group`` is the standard library
-  only; ``dh`` and ``signature`` add ``repro.crypto`` and
-  ``repro.errors``.  All three are also barred from numpy
-  (``STDLIB_ONLY``): the fixed-base table for ``G`` is plain integers
-  and must never reach an array library, ``repro.obs`` or a config object.
-- ``repro.scenarios.spec`` / ``.store`` / ``.compare`` / ``.table`` /
-  ``.registry``: the scenario read side.  Stdlib + ``repro.errors`` +
-  each other -- everything that *executes* a spec belongs in
-  ``repro.scenarios.runner``, the one module of the package allowed
-  to (lazily) import the twins.
-
-Run from the repository root::
+Run from the repository root (CI does, next to the test suite)::
 
     python scripts/check_layering.py
 
-Exits non-zero listing every violating import.  CI runs this next to
-the test suite; see ``docs/routing.md`` and ``docs/warmpool.md``.
+Exits non-zero naming every offender.  Three kinds of rule:
+
+**1. A package ``__init__.py`` is a docstring.**  Importing
+``repro.a.b`` runs ``repro/__init__.py`` and ``repro/a/__init__.py``
+first, so a re-export there is loaded by *every* import below it and
+silently widens each pin of rule 2.  No ``__init__.py`` may contain an
+import statement, except the two façades in :data:`FACADES`:
+``repro.routing`` and ``repro.service`` re-export their public names
+because ``bench/`` (whose files a PR may not edit) imports them from the
+package.
+
+**2. Pins: who may import what** (:data:`PACKAGES`, :data:`MODULES`,
+:data:`STDLIB_ONLY`).  Each pin is checked twice against one allow-list:
+*statically*, by an AST walk that also sees deferred (function-level)
+imports, and *at runtime*, by importing the pinned module in a fresh
+interpreter and reading ``sys.modules`` -- which is what sees a leak
+through somebody else's ``__init__.py`` or a dependency's own imports.
+A pinned module below a façade (``repro.service.client`` and
+``.protocol``) gets the static rule only: importing it runs the façade,
+which loads the server.
+
+- ``repro.routing`` / ``repro.warmpool``: twin-agnostic, importable by
+  the simulated cluster and the functional runtime alike, so they depend
+  on neither -- stdlib + ``repro.errors`` (warmpool adds ``repro.routing``),
+  never ``repro.core``, ``repro.serverless`` or ``repro.faults``; no numpy.
+- ``repro.mlrt``: enclave TCB (``core.semirt_enclave`` imports it) --
+  stdlib + numpy + ``repro.errors``.
+- ``repro.scenarios``: the package ceiling admits both twins (the runner
+  executes specs against them, lazily) but never the CLI or the service
+  tier; the read side (``spec`` / ``table`` / ``store`` / ``compare`` /
+  ``registry``) is pinned per module to stdlib + ``repro.errors`` + each
+  other, so stored manifests list and diff without numpy.
+- ``repro.core.wire`` / ``repro.core.futures``: the codecs and the outcome
+  cell under every tier -- stdlib + ``repro.errors``, no numpy.
+- ``repro.core.semirt_enclave``: the trust boundary -- **the trusted
+  module loads nothing that runs outside the enclave**: stdlib, numpy,
+  ``repro.errors``, ``repro.core.wire``, ``repro.core.stages``,
+  ``repro.crypto``, ``repro.mlrt``, ``repro.sgx``, ``repro.obs``; never
+  the host, the gateway, the fault injector or either twin's platform.
+  Its runtime closure is the manifest of an enclave child process.
+- ``repro.service.protocol`` / ``repro.service.client``: what both HTTP
+  sides agree on owes neither; the client stays a client (no server,
+  deployment, gateway or SeMIRT).
+- ``repro.crypto.group`` / ``.dh`` / ``.signature``: the public-key floor
+  is plain integers -- ``group`` is the stdlib only, the other two add
+  ``repro.crypto`` + ``repro.errors``; never numpy, ``repro.obs`` or a
+  config object.
+
+**3. Reachability: nothing under ``src/repro`` lives on a re-export or a
+test alone.**  Every module must be imported at runtime (not under
+``TYPE_CHECKING``) by something reachable from a door -- ``python -m
+repro`` (``repro.__main__``, ``repro.cli``), ``repro.service``, or a
+``bench/*.py`` file.  :data:`KEPT` names the exceptions with their reason.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+ROOT = Path(__file__).resolve().parent.parent
+SRC_REPRO = ROOT / "src" / "repro"
+
+#: package (relative to repro) whose __init__ may re-export -> why
+FACADES = {
+    "routing": "bench/workloads.py imports FnPool from the package",
+    "service": (
+        "bench/ imports InferenceService, RemoteEnvironment, ServiceConfig "
+        "and AdmissionController from the package"
+    ),
+}
+
+#: module no door reaches that stays anyway -> why
+KEPT = {
+    "serverless.telemetry": "ROADMAP item 6a moves it to repro.obs.metrics",
+    "mlrt.zoo_full": (
+        "fixture of the seven-model bit-identity oracle in "
+        "tests/mlrt/test_bound_plan.py; moving it under tests/ removes nothing"
+    ),
+}
+
+#: modules (relative to repro) the reachability walk starts from, with bench/*.py
+DOORS = ("__main__", "cli", "service")
 
 #: package name -> the only first-party prefixes it may import
-#: (the AST walk below sees *lazy* function-level imports too, so the
-#: scenarios ceiling must cover everything its runner defers)
+#: (the AST walk sees *lazy* function-level imports too, so the
+#: scenarios ceiling covers everything its runner defers)
 PACKAGES = {
     "routing": ("repro.errors",),
     "warmpool": ("repro.errors", "repro.routing"),
@@ -137,18 +148,45 @@ MODULES = {
     "scenarios.spec": ("repro.errors",),
     "scenarios.table": (),
     "scenarios.store": ("repro.errors", "repro.scenarios.spec"),
-    "scenarios.compare": ("repro.scenarios.store", "repro.scenarios.table"),
+    "scenarios.compare": (
+        "repro.errors",
+        "repro.scenarios.spec",
+        "repro.scenarios.store",
+        "repro.scenarios.table",
+    ),
     "scenarios.registry": ("repro.errors", "repro.scenarios.spec"),
 }
 
-#: modules that may not import the tree's one third-party dependency either
-STDLIB_ONLY = {"crypto.group", "crypto.dh", "crypto.signature"}
+#: pins that may not load the tree's one third-party dependency, numpy, either
+STDLIB_ONLY = {
+    "routing", "warmpool", "core.wire", "core.futures",
+    "crypto.group", "crypto.dh", "crypto.signature",
+    "scenarios.spec", "scenarios.table", "scenarios.store",
+    "scenarios.compare", "scenarios.registry",
+}
 
-ROUTING_DIR = SRC_REPRO / "routing"
 
-#: the only first-party prefixes repro.routing may import
-#: (kept as a module-level name for callers of ``check()``)
-ALLOWED_REPRO = PACKAGES["routing"]
+def _shown(path: Path) -> str:
+    try:
+        return str(path.relative_to(ROOT))
+    except ValueError:
+        return str(path)
+
+
+def _under(module: str, prefix: str) -> bool:
+    return module == prefix or module.startswith(prefix + ".")
+
+
+def _runtime_nodes(tree: ast.AST):
+    """``ast.walk`` minus the bodies of ``if TYPE_CHECKING:`` blocks."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+            todo.extend(node.orelse)
+            continue
+        yield node
+        todo.extend(ast.iter_child_nodes(node))
 
 
 def _imported_modules(tree: ast.AST):
@@ -164,99 +202,161 @@ def _imported_modules(tree: ast.AST):
                 yield node.lineno, node.module
 
 
-def _allowed(module: str, package: str, allowed) -> bool:
-    if not (module == "repro" or module.startswith("repro.")):
-        return True  # stdlib (the tree has no third-party deps)
-    if module == f"repro.{package}" or module.startswith(f"repro.{package}."):
-        return True  # absolute self-imports
-    return any(
-        module == prefix or module.startswith(prefix + ".")
-        for prefix in allowed
-    )
+# -- rule 1: package __init__s are docstrings --------------------------------------
 
 
-def check(routing_dir: Path = ROUTING_DIR, allowed=ALLOWED_REPRO):
-    """All layering violations under ``routing_dir`` as printable strings."""
-    package = routing_dir.name
+def check_inits(src_repro: Path = SRC_REPRO):
+    """Every import statement in an ``__init__.py`` that is not a façade's."""
     violations = []
-    for path in sorted(routing_dir.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for lineno, module in _imported_modules(tree):
-            if not _allowed(module, package, allowed):
-                try:
-                    shown = path.relative_to(routing_dir.parent.parent.parent)
-                except ValueError:
-                    shown = path
+    for path in sorted(src_repro.rglob("__init__.py")):
+        if ".".join(path.parent.relative_to(src_repro).parts) in FACADES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
                 violations.append(
-                    f"{shown}:{lineno}: imports {module!r} "
-                    f"(repro.{package} may import only the stdlib and "
-                    f"{', '.join(allowed)})"
+                    f"{_shown(path)}:{node.lineno}: a package __init__ is a "
+                    f"docstring -- import each name from the module that defines "
+                    f"it (façades: {', '.join('repro.' + f for f in FACADES)})"
                 )
     return violations
 
 
-def check_module(path: Path, dotted: str, allowed):
-    """All layering violations in one module file as printable strings."""
-    full = f"repro.{dotted}"
-    violations = []
-    tree = ast.parse(path.read_text(), filename=str(path))
-    for lineno, module in _imported_modules(tree):
-        if module == "repro" or module.startswith("repro."):
-            permitted = module == full or any(
-                module == prefix or module.startswith(prefix + ".")
-                for prefix in allowed
-            )
+# -- rule 2: pins, static and runtime ----------------------------------------------
+
+
+def _static(path: Path, own: str, allowed, numpy_free: bool):
+    for lineno, module in _imported_modules(ast.parse(path.read_text(), filename=str(path))):
+        if _under(module, "repro"):
+            permitted = _under(module, own) or any(_under(module, p) for p in allowed)
         else:  # the stdlib -- or numpy, the tree's one third-party dependency
-            permitted = not (dotted in STDLIB_ONLY and module.split(".")[0] == "numpy")
-        if permitted:
-            continue
-        try:
-            shown = path.relative_to(SRC_REPRO.parent.parent)
-        except ValueError:
-            shown = path
-        violations.append(
-            f"{shown}:{lineno}: imports {module!r} "
-            f"({full} may import only the stdlib and {', '.join(allowed) or 'nothing else'})"
-        )
+            permitted = not (numpy_free and module.split(".")[0] == "numpy")
+        if not permitted:
+            yield (
+                f"{_shown(path)}:{lineno}: imports {module!r} ({own} may import "
+                f"only the stdlib and {', '.join(allowed) or 'nothing else'})"
+            )
+
+
+def check(package_dir: Path = SRC_REPRO / "routing", allowed=PACKAGES["routing"]):
+    """All static violations under ``package_dir`` as printable strings."""
+    package = package_dir.name
+    return [
+        violation
+        for path in sorted(package_dir.rglob("*.py"))
+        for violation in _static(path, f"repro.{package}", allowed, package in STDLIB_ONLY)
+    ]
+
+
+def check_module(path: Path, dotted: str, allowed):
+    """All static violations in one module file as printable strings."""
+    return list(_static(path, f"repro.{dotted}", allowed, dotted in STDLIB_ONLY))
+
+
+def _module_files(src_repro: Path):
+    """``{dotted name: file}`` of every module and package under ``src_repro``."""
+    files = {}
+    for path in sorted(src_repro.rglob("*.py")):
+        parts = path.relative_to(src_repro.parent).with_suffix("").parts
+        files[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return files
+
+
+def loaded_modules(names, src_repro: Path = SRC_REPRO):
+    """``sys.modules`` of a fresh interpreter after importing ``names``."""
+    code = "import sys, " + ", ".join(names) + "\nprint(*sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src_repro.parent)),
+    )
+    return result.stdout.split()
+
+
+def check_runtime(pin: str, allowed, src_repro: Path = SRC_REPRO):
+    """What importing ``repro.<pin>`` in a fresh interpreter loads beyond its allow-list."""
+    own = f"repro.{pin}"
+    names = [name for name in _module_files(src_repro) if _under(name, own)]
+    violations = []
+    for module in loaded_modules(names, src_repro):
+        if _under(module, "repro"):
+            # an ancestor package of something permitted is a docstring (rule 1)
+            permitted = any(
+                _under(module, p) or _under(p, module) for p in (own, *allowed)
+            )
+        else:
+            permitted = not (pin in STDLIB_ONLY and module == "numpy")
+        if not permitted:
+            violations.append(
+                f"importing {own} loads {module!r} ({own} may load only "
+                f"the stdlib and {', '.join(allowed) or 'nothing else'})"
+            )
     return violations
+
+
+# -- rule 3: reachability -----------------------------------------------------------
+
+
+def _runtime_targets(path: Path, files):
+    """The first-party modules ``path`` imports when it runs (absolute imports:
+    the tree has no relative ones, and one would only make this rule stricter)."""
+    for node in _runtime_nodes(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            for alias in node.names:
+                submodule = f"{node.module}.{alias.name}"
+                yield submodule if submodule in files else node.module
+
+
+def check_reachability(root: Path = ROOT):
+    """Modules under ``src/repro`` that no door imports at runtime, :data:`KEPT` aside."""
+    files = _module_files(root / "src" / "repro")
+    reached = {f"repro.{door}" for door in DOORS} & set(files)
+    todo = [files[name] for name in sorted(reached)] + sorted((root / "bench").glob("*.py"))
+    while todo:
+        for target in _runtime_targets(todo.pop(), files):
+            parts = target.split(".")
+            for depth in range(1, len(parts) + 1):  # importing a.b.c runs a and a.b too
+                name = ".".join(parts[:depth])
+                if name in files and name not in reached:
+                    reached.add(name)
+                    todo.append(files[name])
+    kept = {f"repro.{dotted}" for dotted in KEPT}
+    return [
+        f"{_shown(files[name])}: {name} is imported by nothing reachable from "
+        f"python -m repro, repro.service or bench/ (wire it in or delete it)"
+        for name in sorted(set(files) - reached - kept)
+    ] + [
+        f"{name} is reachable (or gone): drop it from KEPT"
+        for name in sorted(kept & reached | kept - set(files))
+    ]
 
 
 def main() -> int:
     """CLI entry point; returns a process exit code."""
-    exit_code = 0
-    for package, allowed in PACKAGES.items():
-        package_dir = SRC_REPRO / package
-        if not package_dir.is_dir():
-            print(f"missing package: {package_dir}", file=sys.stderr)
+    pins = [(name, allowed, SRC_REPRO / name) for name, allowed in PACKAGES.items()]
+    pins += [
+        (name, allowed, SRC_REPRO / (name.replace(".", "/") + ".py"))
+        for name, allowed in MODULES.items()
+    ]
+    checks = [("package __init__s", check_inits())]
+    for name, allowed, path in pins:
+        if not path.exists():
+            print(f"missing pin: {path}", file=sys.stderr)
             return 2
-        violations = check(package_dir, allowed)
+        violations = check(path, allowed) if path.is_dir() else check_module(path, name, allowed)
+        if not any(name.startswith(facade + ".") for facade in FACADES):
+            violations += check_runtime(name, allowed)
+        checks.append((f"repro.{name}", violations))
+    checks.append(("reachability", check_reachability()))
+    for title, violations in checks:
         for violation in violations:
             print(violation, file=sys.stderr)
         if violations:
-            print(
-                f"repro.{package}: {len(violations)} layering violation(s)",
-                file=sys.stderr,
-            )
-            exit_code = 1
+            print(f"{title}: {len(violations)} layering violation(s)", file=sys.stderr)
         else:
-            print(f"repro.{package} layering OK")
-    for dotted, allowed in MODULES.items():
-        module_path = SRC_REPRO / (dotted.replace(".", "/") + ".py")
-        if not module_path.is_file():
-            print(f"missing module: {module_path}", file=sys.stderr)
-            return 2
-        violations = check_module(module_path, dotted, allowed)
-        for violation in violations:
-            print(violation, file=sys.stderr)
-        if violations:
-            print(
-                f"repro.{dotted}: {len(violations)} layering violation(s)",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        else:
-            print(f"repro.{dotted} layering OK")
-    return exit_code
+            print(f"{title} layering OK")
+    return 1 if any(violations for _title, violations in checks) else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Capture AES-GCM / STREAM known-answer vectors from the checkout on the path.
+"""Capture AES-GCM known-answer vectors from the checkout on the path.
 
 ``tests/crypto/data/gcm_kat.json`` was written by this script running against
 commit a19a89a (the cipher before the T-table / log-depth-GHASH rebuild)::
@@ -20,7 +20,6 @@ import hashlib
 import json
 import pathlib
 
-from repro.crypto import stream as stream_module
 from repro.crypto.aes import AES
 from repro.crypto.gcm import AESGCM, TAG_SIZE
 
@@ -111,48 +110,15 @@ def gcm_cases() -> list[dict]:
     return cases
 
 
-def stream_cases() -> list[dict]:
-    cases = []
-    real_random = stream_module.random_bytes
-    for key_size, chunk_size, pt_len, aad_len in (
-        (16, 64, 200, 0),
-        (24, 64, 128, 5),  # plaintext ends exactly on a chunk boundary
-        (32, 1024, 2500, 33),
-        (16, 1 << 20, 0, 0),  # empty stream: one empty final chunk
-    ):
-        key = derived(f"key:{key_size}", key_size)
-        stream_id = derived(f"stream-id:{chunk_size}:{pt_len}", 8)
-        aad = derived(f"aad:{aad_len}", aad_len)
-        stream_module.random_bytes = lambda count, _id=stream_id: _id[:count]
-        try:
-            sealed = stream_module.seal_stream(
-                key, derived(f"pt:{pt_len}", pt_len), aad, chunk_size=chunk_size
-            )
-        finally:
-            stream_module.random_bytes = real_random
-        cases.append(
-            {
-                "key": key.hex(),
-                "aad": aad.hex(),
-                "chunk_size": chunk_size,
-                "pt_len": pt_len,
-                "stream_id": stream_id.hex(),
-                "sealed": sealed.hex(),
-            }
-        )
-    return cases
-
-
 def main() -> None:
     document = {
         "source": "scripts/make_gcm_kat.py run against commit a19a89a",
         "derivation": "bytes = shake_256(label).digest(n); plaintext label 'pt:<n>'",
         "gcm": gcm_cases(),
-        "stream": stream_cases(),
     }
     OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(document, indent=1) + "\n")
-    print(f"wrote {len(document['gcm'])} GCM and {len(document['stream'])} stream cases to {OUT}")
+    print(f"wrote {len(document['gcm'])} GCM cases to {OUT}")
 
 
 if __name__ == "__main__":

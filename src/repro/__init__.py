@@ -18,10 +18,10 @@ Quick tour:
 - :mod:`repro.workloads` -- arrival processes, drivers, metrics.
 - :mod:`repro.obs` -- distributed tracing: spans, critical-path
   analysis, Chrome-trace export, in wall time or virtual time.
+
+An import loads what it names: package ``__init__`` modules are
+docstrings, so names come from the module that defines them
+(``from repro.core.deployment import SeSeMIEnvironment``).
 """
 
-from repro.core.deployment import ModelHandle, SeSeMIEnvironment, UserSession
-
 __version__ = "1.0.0"
-
-__all__ = ["ModelHandle", "SeSeMIEnvironment", "UserSession", "__version__"]

@@ -36,6 +36,8 @@ import time
 from types import ModuleType
 from typing import Callable, Dict, List, Tuple
 
+import numpy as np
+
 from repro.experiments import (
     batching,
     chaos,
@@ -119,8 +121,6 @@ EXPERIMENTS: Dict[str, Tuple[str, ModuleType, dict]] = {
 
 def _trace_session() -> list:
     """Span dump of two real inferences (cold then hot) in wall time."""
-    import numpy as np
-
     from repro.core.deployment import SeSeMIEnvironment
     from repro.mlrt.zoo import build_mobilenet
 
@@ -175,11 +175,10 @@ TRACES: Dict[str, Tuple[str, Callable[[], list]]] = {
 
 
 def _json_default(value):
-    """JSON fallback for numpy scalars and other non-JSON leaves."""
-    try:
+    """JSON fallback for numpy scalars; any other leaf is a harness bug."""
+    if isinstance(value, np.generic):
         return float(value)
-    except (TypeError, ValueError):
-        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serialisable")
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -244,7 +243,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot a live service tier in the foreground (``repro serve``)."""
     from repro.service import serve
-    from repro.warmpool import PredictorPolicy, WarmPoolConfig
+    from repro.warmpool.manager import WarmPoolConfig
+    from repro.warmpool.predictor import PredictorPolicy
 
     warm_pool = None
     if args.keep_alive is not None:
@@ -299,7 +299,8 @@ def _load_spec(name: str):
     """A spec by registry name, or from a JSON file path."""
     from pathlib import Path
 
-    from repro.scenarios import ScenarioSpec, get_scenario
+    from repro.scenarios.registry import get_scenario
+    from repro.scenarios.spec import ScenarioSpec
 
     if name.endswith(".json") or "/" in name:
         return ScenarioSpec.from_json(Path(name).read_text())
@@ -308,7 +309,7 @@ def _load_spec(name: str):
 
 def _scenario_summary(metrics: dict) -> str:
     """The executor's headline ``summary`` block as a small table."""
-    from repro.scenarios import format_table
+    from repro.scenarios.table import format_table
 
     summary = metrics.get("summary")
     if not isinstance(summary, dict) or not summary:
@@ -320,7 +321,8 @@ def _scenario_summary(metrics: dict) -> str:
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
     """Execute one scenario; persist manifest (+ trace) under its run ID."""
     from repro.errors import ConfigError
-    from repro.scenarios import RunStore, current_git_sha, run_scenario
+    from repro.scenarios.runner import run_scenario
+    from repro.scenarios.store import RunStore, current_git_sha
 
     try:
         spec = _load_spec(args.name)
@@ -377,7 +379,8 @@ def _cmd_scenario_run(args: argparse.Namespace) -> int:
 
 def _cmd_scenario_list(args: argparse.Namespace) -> int:
     """Registered scenario specs, then the stored runs (if any)."""
-    from repro.scenarios import RunStore, named_scenarios
+    from repro.scenarios.registry import named_scenarios
+    from repro.scenarios.store import RunStore
 
     specs = named_scenarios()
     width = max(len(name) for name in specs)
@@ -399,7 +402,8 @@ def _cmd_scenario_list(args: argparse.Namespace) -> int:
 def _cmd_scenario_compare(args: argparse.Namespace) -> int:
     """Diff two stored runs: spec deltas, then metric deltas."""
     from repro.errors import ConfigError
-    from repro.scenarios import RunStore, format_compare, metric_diff, spec_diff
+    from repro.scenarios.compare import format_compare, metric_diff, spec_diff
+    from repro.scenarios.store import RunStore
 
     store = RunStore(args.store)
     try:
@@ -427,7 +431,8 @@ def _cmd_scenario_compare(args: argparse.Namespace) -> int:
 
 def _cmd_scenario_report(args: argparse.Namespace) -> int:
     """A markdown summary of every run in the store."""
-    from repro.scenarios import RunStore, format_store_report
+    from repro.scenarios.compare import format_store_report
+    from repro.scenarios.store import RunStore
 
     store = RunStore(args.store)
     records = [store.load(run_id) for run_id in store.list_runs()]

@@ -48,7 +48,7 @@ class KeyServiceConnection:
         injector=None,
     ) -> None:
         self._tracer = tracer
-        #: optional repro.faults.FaultInjector wrapping this connection's wire
+        #: optional repro.faults.injector.FaultInjector wrapping this connection's wire
         self._injector = injector
         self._host = host
         self._attestation = attestation

@@ -537,7 +537,7 @@ class SeSeMIEnvironment:
     :class:`~repro.core.keyfleet.KeyServiceFleet`) can be passed as
     ``keyservice`` instead, together with the ``attestation`` service it
     was provisioned against.  A
-    :class:`~repro.faults.FaultInjector` passed as ``injector`` threads
+    :class:`~repro.faults.injector.FaultInjector` passed as ``injector`` threads
     into every wire and crash site on the serving path, and an enabled
     :class:`~repro.faults.resilience.ResiliencePolicy` turns on
     deadline/retry/breaker handling in :meth:`UserSession.infer`.
@@ -571,7 +571,7 @@ class SeSeMIEnvironment:
         else:
             self.keyservice_platform = getattr(keyservice, "platform", None)
             self.keyservice = keyservice
-        #: optional :class:`repro.faults.FaultInjector` shared by all sites
+        #: optional :class:`repro.faults.injector.FaultInjector` shared by all sites
         self.injector = injector
         #: optional :class:`repro.faults.resilience.ResiliencePolicy`
         self.resilience = resilience

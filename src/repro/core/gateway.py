@@ -43,7 +43,7 @@ excluded, saturated, or dead -- batching is a throughput hint, never a
 correctness constraint (``docs/batching.md``).
 
 Arming ``GatewayConfig.warm_pool`` puts a
-:class:`~repro.warmpool.WarmPoolManager` in charge of the fleet's
+:class:`~repro.warmpool.manager.WarmPoolManager` in charge of the fleet's
 temperature: warm-endpoint reuse follows the configured strategy (a
 one-shot hint, same discipline as batch affinity), every dispatch is
 classified cold/warm/hot, measured cold-start latency lands on the
@@ -80,7 +80,7 @@ from repro.routing import (
     ScaleOutPolicy,
     make_router,
 )
-from repro.warmpool import WarmPoolConfig, WarmPoolManager
+from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 
 #: a host launcher: endpoint name -> live SemirtHost
 HostLauncher = Callable[[str], SemirtHost]
@@ -97,7 +97,7 @@ class GatewayConfig:
     :class:`CircuitBreaker` per endpoint; ``scale_out`` arms fleet
     growth under sustained backpressure.
 
-    ``warm_pool`` arms a :class:`~repro.warmpool.WarmPoolManager`: warm
+    ``warm_pool`` arms a :class:`~repro.warmpool.manager.WarmPoolManager`: warm
     endpoint reuse becomes strategy-driven, idle endpoints are retired
     by the janitor through :meth:`InferenceGateway.maintain`, and when
     ``warm_pool.scale_out`` is set the manager owns the pressure

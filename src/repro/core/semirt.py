@@ -254,7 +254,7 @@ class SemirtHost:
         self.tracer = tracer
         self.scheduler = scheduler or SchedulerConfig()
         self._keyservice = keyservice_host
-        #: optional repro.faults.FaultInjector; wire sites wrap the
+        #: optional repro.faults.injector.FaultInjector; wire sites wrap the
         #: KeyService OCALLs, the crash site fires per submitted request
         self._injector = injector
         code = SemirtEnclaveCode(

@@ -11,30 +11,4 @@ of those primitives from scratch (no external crypto dependency):
 - :mod:`repro.crypto.dh` -- finite-field Diffie-Hellman (RFC 3526 group 14).
 - :mod:`repro.crypto.signature` -- Schnorr signatures over the same group.
 - :mod:`repro.crypto.keys` -- symmetric key material and fingerprints.
-- :mod:`repro.crypto.stream` -- chunked AEAD (STREAM) for large models.
 """
-
-from repro.crypto.aes import AES
-from repro.crypto.gcm import AESGCM
-from repro.crypto.hashes import hkdf, hmac_sha256, sha256
-from repro.crypto.dh import DHKeyPair, derive_session_key
-from repro.crypto.signature import SigningKey, VerifyKey
-from repro.crypto.keys import SymmetricKey, random_bytes
-from repro.crypto.stream import iter_open_stream, open_stream, seal_stream
-
-__all__ = [
-    "AES",
-    "AESGCM",
-    "DHKeyPair",
-    "SigningKey",
-    "SymmetricKey",
-    "VerifyKey",
-    "derive_session_key",
-    "hkdf",
-    "hmac_sha256",
-    "iter_open_stream",
-    "open_stream",
-    "random_bytes",
-    "seal_stream",
-    "sha256",
-]

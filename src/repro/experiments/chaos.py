@@ -202,11 +202,12 @@ def run(
 
     Every number in the result is a pure function of ``seed`` and the
     arguments -- run it twice and the JSON matches byte for byte.  The
-    sweep is declared as a :class:`~repro.scenarios.ScenarioSpec`
+    sweep is declared as a :class:`~repro.scenarios.spec.ScenarioSpec`
     (``chaos_spec``) whose fault grid is data; the scenario runner
     executes it through :func:`_run_mode` above.
     """
-    from repro.scenarios import chaos_spec, run_scenario
+    from repro.scenarios.registry import chaos_spec
+    from repro.scenarios.runner import run_scenario
 
     spec = chaos_spec(seed=seed, requests=requests, quick=quick)
     result = run_scenario(spec)

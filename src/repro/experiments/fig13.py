@@ -25,7 +25,8 @@ import numpy as np
 from repro.core.simbridge import servable_map, semirt_factory
 from repro.experiments.common import format_table, make_driver, make_testbed
 from repro.mlrt.zoo import profile
-from repro.scenarios import fig13_latency_spec, run_scenario
+from repro.scenarios.registry import fig13_latency_spec
+from repro.scenarios.runner import run_scenario
 from repro.serverless.action import ActionSpec
 from repro.sgx.epc import MB
 from repro.workloads.arrival import merge_arrivals, mmpp, poisson
@@ -60,32 +61,17 @@ def run_latency(
     systems=("Native", "Iso-reuse", "SeSeMI"),
     duration_s: float = 240.0,
 ) -> Dict[str, dict]:
-    """Figure 13: per-system mean latency + timeline under MMPP.
+    """Figure 13: per-system latency stats + timeline under MMPP.
 
-    The experiment is declared as a :class:`~repro.scenarios.ScenarioSpec`
-    (``fig13_latency_spec``) and executed by the scenario runner; this
-    wrapper only reshapes the metrics into the report's historical form.
+    The experiment is declared as a :class:`~repro.scenarios.spec.ScenarioSpec`
+    (``fig13_latency_spec``) and executed by the scenario runner, whose
+    per-system metrics (``mean_s``, ``p95_s`` ..., ``completed``,
+    ``timeline``) are the result.
     """
     spec = fig13_latency_spec(
         model_name, systems=systems, duration_s=duration_s
     )
-    result = run_scenario(spec)
-    out: Dict[str, dict] = {}
-    for system in systems:
-        metrics = result.metrics["systems"][system]
-        out[system] = {
-            "stats": LatencyStats(
-                count=metrics["count"],
-                mean=metrics["mean_s"],
-                p50=metrics["p50_s"],
-                p95=metrics["p95_s"],
-                p99=metrics["p99_s"],
-                max=metrics["max_s"],
-            ),
-            "timeline": [(t, v) for t, v in metrics["timeline"]],
-            "completed": metrics["completed"],
-        }
-    return out
+    return run_scenario(spec).metrics["systems"]
 
 
 def run_memory_cost(
@@ -110,9 +96,9 @@ def run_memory_cost(
         horizon = WARMUP_S + duration_s
         out[threads] = {
             "gb_seconds": gb_seconds(bed.controller.memory_timeline, horizon),
-            "stats": LatencyStats.of(
+            "mean_s": LatencyStats.of(
                 [r for r in report.results if r.submitted_at >= WARMUP_S]
-            ),
+            ).mean,
         }
     return out
 
@@ -144,7 +130,7 @@ def format_report(result: dict) -> str:
 
     for model_name, systems in result["latency"].items():
         rows = [
-            (system, data["stats"].mean, data["stats"].p95, data["completed"])
+            (system, data["mean_s"], data["p95_s"], data["completed"])
             for system, data in systems.items()
         ]
         lines.append(f"TVM-{model_name}:")
@@ -162,7 +148,7 @@ def format_report(result: dict) -> str:
     ]
     for model_name, threads in result["memory"].items():
         rows = [
-            (f"TVM-{model_name}-{t}", data["gb_seconds"], data["stats"].mean)
+            (f"TVM-{model_name}-{t}", data["gb_seconds"], data["mean_s"])
             for t, data in threads.items()
         ]
         lines.append(

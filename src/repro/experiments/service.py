@@ -44,7 +44,7 @@ from repro.service import (
     RemoteEnvironment,
     ServiceConfig,
 )
-from repro.warmpool import WarmPoolConfig
+from repro.warmpool.manager import WarmPoolConfig
 from repro.workloads.driver import LiveLoadDriver, LiveReport
 
 MODEL_ID = "svc-mbnet"

@@ -20,58 +20,35 @@ the per-model latency inside each session.
 
 from __future__ import annotations
 
-
 from repro.experiments.common import format_table
-from repro.scenarios import run_scenario, table34_spec
-from repro.workloads.metrics import LatencyStats
+from repro.scenarios.registry import table34_spec
+from repro.scenarios.runner import run_scenario
 
 MODEL_IDS = ("m0", "m1", "m2", "m3", "m4")
 STRATEGIES = ("All-in-one", "One-to-one", "FnPacker")
-
-
-def _reshape(metrics: dict) -> dict:
-    """One strategy's runner metrics in the report's historical form."""
-    poisson = metrics["poisson"]
-    return {
-        "poisson_stats": LatencyStats(
-            count=poisson["count"],
-            mean=poisson["mean_s"],
-            p50=poisson["p50_s"],
-            p95=poisson["p95_s"],
-            p99=poisson["p99_s"],
-            max=poisson["max_s"],
-        ),
-        "sessions": {
-            (int(key.split(":", 1)[0]), key.split(":", 1)[1]): latency
-            for key, latency in metrics["sessions"].items()
-        },
-        "cold_starts": metrics["cold_starts"],
-    }
 
 
 def run_strategy(strategy: str, duration_s: float = 480.0, seed: int = 2025,
                  idle_interval_s: float = 10.0) -> dict:
     """Run the mixed workload under one deployment strategy.
 
-    Declared as a single-router :class:`~repro.scenarios.ScenarioSpec`
-    (``table34_spec``) and executed by the scenario runner.
+    Declared as a single-router :class:`~repro.scenarios.spec.ScenarioSpec`
+    (``table34_spec``) and executed by the scenario runner, whose metrics
+    for that strategy are the result: ``poisson`` (``count``, ``mean_s``,
+    ``p50_s`` ...), ``sessions`` (``"<session>:<model>"`` -> seconds) and
+    ``cold_starts``.
     """
     spec = table34_spec(
         duration_s=duration_s, seed=seed, strategies=(strategy,),
         idle_interval_s=idle_interval_s,
     )
-    result = run_scenario(spec)
-    return _reshape(result.metrics["strategies"][strategy])
+    return run_scenario(spec).metrics["strategies"][strategy]
 
 
 def run(duration_s: float = 480.0) -> dict:
     """Run the workload under all three strategies (one spec, one sweep)."""
     spec = table34_spec(duration_s=duration_s, strategies=STRATEGIES)
-    result = run_scenario(spec)
-    return {
-        strategy: _reshape(result.metrics["strategies"][strategy])
-        for strategy in STRATEGIES
-    }
+    return run_scenario(spec).metrics["strategies"]
 
 
 def format_report(result: dict) -> str:
@@ -79,8 +56,8 @@ def format_report(result: dict) -> str:
     table3_rows = [
         (
             strategy,
-            data["poisson_stats"].mean * 1000,
-            data["poisson_stats"].p95 * 1000,
+            data["poisson"]["mean_s"] * 1000,
+            data["poisson"]["p95_s"] * 1000,
             data["cold_starts"],
         )
         for strategy, data in result.items()
@@ -103,7 +80,7 @@ def format_report(result: dict) -> str:
         for model_id in MODEL_IDS:
             row = [model_id]
             for strategy in STRATEGIES:
-                latency = result[strategy]["sessions"].get((session_index, model_id))
+                latency = result[strategy]["sessions"].get(f"{session_index}:{model_id}")
                 row.append(latency * 1000 if latency is not None else float("nan"))
             rows.append(tuple(row))
         lines.append(f"Session {session_index}:")

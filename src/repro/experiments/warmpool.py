@@ -1,7 +1,7 @@
 """Warm-pool benchmark: cold-start elimination across reuse policies.
 
 Four fleet policies serve the same seeded workloads through the *real*
-:class:`~repro.warmpool.WarmPoolManager` in pure virtual time:
+:class:`~repro.warmpool.manager.WarmPoolManager` in pure virtual time:
 
 - **none** -- no keep-alive: every endpoint is torn down the moment its
   request completes, so every arrival that finds no concurrent sibling
@@ -49,9 +49,9 @@ from repro.mlrt.zoo import profile
 from repro.serverless.storage import NFS
 from repro.sgx.platform import SGX2
 from repro.routing import ScaleOutPolicy
-from repro.warmpool import PredictorPolicy, WarmPoolConfig, WarmPoolManager
+from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
+from repro.warmpool.predictor import PredictorPolicy
 from repro.workloads.arrival import Arrival, merge_arrivals, mmpp, poisson
-from repro.workloads.mlperf import build_fnpacker_workload
 
 POLICIES = ("none", "lcs", "mru", "lcs+predictive")
 WORKLOADS = ("poisson", "mmpp")
@@ -235,12 +235,6 @@ class LatencyTable:
         return self.exec_s
 
 
-def _poisson_arrivals(duration_s: float, seed: int) -> List[Arrival]:
-    """The Table III Poisson mix: two 2 rps streams to two models."""
-    workload = build_fnpacker_workload(duration_s=duration_s, seed=seed)
-    return [a for a in workload.arrivals if a.user_id in ("alice", "bob")]
-
-
 def _mmpp_arrivals(duration_s: float, seed: int) -> List[Arrival]:
     """The Figure 13 flash-crowd trace: MMPP flipping 20 <-> 40 rps."""
     rng = np.random.default_rng(seed)
@@ -370,15 +364,12 @@ def run(
     ``scale_to_zero.scaled_to_floor``.
 
     Each workload's policy sweep is declared as a
-    :class:`~repro.scenarios.ScenarioSpec` (``warmpool_poisson_spec`` /
+    :class:`~repro.scenarios.spec.ScenarioSpec` (``warmpool_poisson_spec`` /
     ``warmpool_mmpp_spec``) and executed by the scenario runner, which
     drives :func:`run_policy` above.
     """
-    from repro.scenarios import (
-        run_scenario,
-        warmpool_mmpp_spec,
-        warmpool_poisson_spec,
-    )
+    from repro.scenarios.registry import warmpool_mmpp_spec, warmpool_poisson_spec
+    from repro.scenarios.runner import run_scenario
 
     until = duration_s + 3600.0
     specs = {

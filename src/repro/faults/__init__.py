@@ -16,32 +16,3 @@ Two halves of one subsystem:
 ``python -m repro run chaos`` sweeps fault rate against availability and
 tail latency on this machinery; see ``docs/faults.md``.
 """
-
-from repro.faults.injector import FaultInjector, FaultRecord, maybe_wire
-from repro.faults.plan import FaultEvent, FaultKind, FaultPlan, WIRE_KINDS
-from repro.faults.resilience import (
-    RETRYABLE,
-    BreakerPolicy,
-    CircuitBreaker,
-    Deadline,
-    ResiliencePolicy,
-    ResilientCaller,
-    RetryPolicy,
-)
-
-__all__ = [
-    "BreakerPolicy",
-    "CircuitBreaker",
-    "Deadline",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "FaultPlan",
-    "FaultRecord",
-    "RETRYABLE",
-    "ResiliencePolicy",
-    "ResilientCaller",
-    "RetryPolicy",
-    "WIRE_KINDS",
-    "maybe_wire",
-]

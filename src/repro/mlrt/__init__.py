@@ -5,63 +5,3 @@ The two runtimes reproduce the memory behaviours the paper contrasts:
 copies) and :mod:`repro.mlrt.tflm_rt` (interpreter with an
 intermediates-only tensor arena).
 """
-
-from repro.mlrt.arena import ArenaPlan, TensorLife, plan_arena
-from repro.mlrt.flops import model_macs, node_macs, summarize
-from repro.mlrt.quantize import (
-    evaluate_quantization,
-    load_quantized,
-    quantize_model,
-)
-from repro.mlrt.framework import (
-    InferenceFramework,
-    ModelRuntime,
-    get_framework,
-    register_framework,
-)
-from repro.mlrt.model import GraphBuilder, GraphNode, Model
-from repro.mlrt.tensor import TensorSpec
-from repro.mlrt.zoo import (
-    FRAMEWORKS,
-    PROFILES,
-    ModelProfile,
-    build_densenet,
-    build_mobilenet,
-    build_resnet,
-    profile,
-)
-from repro.mlrt.zoo_full import (
-    build_densenet121_full,
-    build_mobilenet_full,
-    build_resnet101_full,
-)
-
-__all__ = [
-    "FRAMEWORKS",
-    "PROFILES",
-    "ArenaPlan",
-    "GraphBuilder",
-    "GraphNode",
-    "InferenceFramework",
-    "Model",
-    "ModelProfile",
-    "ModelRuntime",
-    "TensorLife",
-    "TensorSpec",
-    "build_densenet",
-    "build_densenet121_full",
-    "build_mobilenet",
-    "build_mobilenet_full",
-    "build_resnet",
-    "build_resnet101_full",
-    "evaluate_quantization",
-    "get_framework",
-    "load_quantized",
-    "model_macs",
-    "node_macs",
-    "plan_arena",
-    "profile",
-    "quantize_model",
-    "register_framework",
-    "summarize",
-]

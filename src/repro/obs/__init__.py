@@ -13,44 +13,3 @@ package makes that visibility first-class instead of ad hoc:
 - :mod:`repro.obs.analysis` -- the critical-path analyzer that
   reproduces the paper's breakdown figures directly from span trees.
 """
-
-from repro.obs.analysis import (
-    breakdown_table,
-    children_index,
-    critical_path,
-    find_root,
-    request_roots,
-    stage_ratios,
-    stage_seconds,
-    subtree,
-)
-from repro.obs.export import (
-    spans_from_json,
-    spans_to_json,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.span import Clock, SimClock, Span, SpanContext, WallClock
-from repro.obs.tracer import Tracer, maybe_span
-
-__all__ = [
-    "Clock",
-    "SimClock",
-    "Span",
-    "SpanContext",
-    "Tracer",
-    "WallClock",
-    "breakdown_table",
-    "children_index",
-    "critical_path",
-    "find_root",
-    "maybe_span",
-    "request_roots",
-    "spans_from_json",
-    "spans_to_json",
-    "stage_ratios",
-    "stage_seconds",
-    "subtree",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]

@@ -9,7 +9,7 @@ they only watch dispatches, completions, failures, and health marks
 flow past.
 
 This module is twin-agnostic: the same pool/state objects drive the
-simulated Controller (via ``repro.core.packer_service``) and live
+simulated Controller (via ``repro.workloads.driver``) and live
 ``SemirtHost`` fleets (via ``repro.core.gateway``).
 """
 

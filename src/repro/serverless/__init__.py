@@ -6,35 +6,3 @@ three components sit on top of, reproduced with the behaviours the
 evaluation measures (cold starts, memory-based placement, per-request
 controller overhead, 128 MB memory granularity).
 """
-
-from repro.serverless.action import (
-    ActionSpec,
-    InvocationResult,
-    Request,
-    round_memory_budget,
-)
-from repro.serverless.container import ActionRuntime, Container, ContainerContext
-from repro.serverless.controller import Controller, PlatformConfig
-from repro.serverless.invoker import Invoker
-from repro.serverless.platform import ServerlessPlatform
-from repro.serverless.storage import AZURE_BLOB, NFS, BlobStore, StorageProfile
-from repro.serverless.telemetry import MetricsRegistry
-
-__all__ = [
-    "AZURE_BLOB",
-    "NFS",
-    "ActionRuntime",
-    "ActionSpec",
-    "BlobStore",
-    "Container",
-    "ContainerContext",
-    "Controller",
-    "InvocationResult",
-    "Invoker",
-    "MetricsRegistry",
-    "PlatformConfig",
-    "Request",
-    "ServerlessPlatform",
-    "StorageProfile",
-    "round_memory_budget",
-]

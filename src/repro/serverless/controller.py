@@ -18,6 +18,7 @@ the paper integrates into GB-seconds for the cost results (Figure 14).
 
 from __future__ import annotations
 
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
@@ -150,8 +151,13 @@ class Controller:
         return max(candidates, key=lambda c: c.last_used)
 
     def _place(self, spec: ActionSpec) -> Optional[Invoker]:
-        """Home-node-first placement on memory availability."""
-        home = hash(spec.name) % len(self.nodes)
+        """Home-node-first placement on memory availability.
+
+        The home node is a process-stable digest of the action name (as
+        OpenWhisk's is): ``hash()`` is salted per process, and placement
+        decides cold starts.
+        """
+        home = zlib.crc32(spec.name.encode()) % len(self.nodes)
         ordering = self.nodes[home:] + self.nodes[:home]
         for node in ordering:
             if node.node_id in self._draining:

@@ -20,6 +20,12 @@ HTTP/1.1 service (stdlib only) in front of
 Requests stay encrypted end to end: the client performs RA-TLS and key
 release against KeyService *through* the service (``/v1/ks/*``), and
 only AEAD ciphertext crosses ``/v1/infer``.  See ``docs/service.md``.
+
+One of the two packages whose ``__init__`` re-exports (every other one
+is a docstring): ``bench/`` imports the server, the client and the
+config from here.  Importing any module below therefore loads the server;
+``repro.service.client``'s "never the server" pin holds for its own
+import lines only until those ``bench/`` imports name the modules.
 """
 
 from repro.service.admission import AdmissionController, TokenBucket

@@ -10,56 +10,3 @@ The paper relies on four SGX capabilities; each maps to a module here:
 - the EPC memory limit and its paging cost (:mod:`repro.sgx.epc`), plus
   per-generation hardware timing profiles (:mod:`repro.sgx.platform`).
 """
-
-from repro.sgx.attestation import (
-    AttestationKind,
-    AttestationService,
-    Quote,
-    QuotePolicy,
-    QuotingEnclave,
-    Report,
-)
-from repro.sgx.enclave import Enclave, EnclaveBuildConfig, EnclaveCode, ecall
-from repro.sgx.epc import GB, MB, EpcManager
-from repro.sgx.measurement import EnclaveMeasurement, code_identity_of, measure
-from repro.sgx.platform import SGX1, SGX2, HardwareProfile, SgxPlatform, profile_with_epc
-from repro.sgx.ratls import (
-    HandshakeOffer,
-    RatlsPeer,
-    SecureChannel,
-    complete_handshake,
-    perform_handshake,
-    respond_handshake,
-)
-from repro.sgx.sealing import SealingService
-
-__all__ = [
-    "GB",
-    "MB",
-    "SGX1",
-    "SGX2",
-    "AttestationKind",
-    "AttestationService",
-    "Enclave",
-    "EnclaveBuildConfig",
-    "EnclaveCode",
-    "EnclaveMeasurement",
-    "EpcManager",
-    "HandshakeOffer",
-    "HardwareProfile",
-    "Quote",
-    "QuotePolicy",
-    "QuotingEnclave",
-    "RatlsPeer",
-    "Report",
-    "SealingService",
-    "SecureChannel",
-    "SgxPlatform",
-    "code_identity_of",
-    "complete_handshake",
-    "ecall",
-    "measure",
-    "perform_handshake",
-    "profile_with_epc",
-    "respond_handshake",
-]

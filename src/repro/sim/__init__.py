@@ -1,16 +1,1 @@
 """Discrete-event simulation substrate (virtual time, processes, resources)."""
-
-from repro.sim.core import Event, Process, Simulation, Timeout
-from repro.sim.rand import RandomStreams
-from repro.sim.resources import Resource, ResourceRequest, Store
-
-__all__ = [
-    "Event",
-    "Process",
-    "RandomStreams",
-    "Resource",
-    "ResourceRequest",
-    "Simulation",
-    "Store",
-    "Timeout",
-]

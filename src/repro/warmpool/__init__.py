@@ -36,33 +36,3 @@ CI gate depends on that).
 
 See ``docs/warmpool.md``.
 """
-
-from repro.warmpool.janitor import Janitor, JanitorPolicy
-from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
-from repro.warmpool.predictor import EwmaRate, PredictorPolicy, Prewarmer
-from repro.warmpool.strategy import (
-    STRATEGIES,
-    AffinityStrategy,
-    LCSStrategy,
-    MRUStrategy,
-    WarmEndpoint,
-    WarmStrategy,
-    make_strategy,
-)
-
-__all__ = [
-    "AffinityStrategy",
-    "EwmaRate",
-    "Janitor",
-    "JanitorPolicy",
-    "LCSStrategy",
-    "MRUStrategy",
-    "PredictorPolicy",
-    "Prewarmer",
-    "STRATEGIES",
-    "WarmEndpoint",
-    "WarmPoolConfig",
-    "WarmPoolManager",
-    "WarmStrategy",
-    "make_strategy",
-]

@@ -1,50 +1,1 @@
 """Workload generation, request driving, and metrics."""
-
-from repro.workloads.arrival import (
-    Arrival,
-    Session,
-    fixed_rate,
-    merge_arrivals,
-    mmpp,
-    poisson,
-)
-from repro.workloads.driver import DriverReport, WorkloadDriver
-from repro.workloads.metrics import (
-    LatencyStats,
-    gb_seconds,
-    kind_counts,
-    latency_timeline,
-    stage_fractions,
-    throughput_rps,
-)
-from repro.workloads.mlperf import FnPackerWorkload, build_fnpacker_workload
-from repro.workloads.sparkline import labelled_sparkline, sparkline
-from repro.workloads.trace import (
-    format_trace_csv,
-    parse_trace_csv,
-    synthesize_skewed_trace,
-)
-
-__all__ = [
-    "Arrival",
-    "DriverReport",
-    "FnPackerWorkload",
-    "LatencyStats",
-    "Session",
-    "WorkloadDriver",
-    "build_fnpacker_workload",
-    "fixed_rate",
-    "format_trace_csv",
-    "gb_seconds",
-    "kind_counts",
-    "labelled_sparkline",
-    "latency_timeline",
-    "merge_arrivals",
-    "mmpp",
-    "parse_trace_csv",
-    "poisson",
-    "sparkline",
-    "stage_fractions",
-    "synthesize_skewed_trace",
-    "throughput_rps",
-]

@@ -50,14 +50,6 @@ def throughput_rps(results: Sequence[InvocationResult]) -> float:
     return len(results) / span
 
 
-def kind_counts(results: Iterable[InvocationResult]) -> Dict[str, int]:
-    """How many invocations took each path (cold/warm/hot)."""
-    counts: Dict[str, int] = {}
-    for r in results:
-        counts[r.kind] = counts.get(r.kind, 0) + 1
-    return counts
-
-
 def latency_timeline(
     results: Sequence[InvocationResult], bucket_s: float = 10.0
 ) -> List[Tuple[float, float]]:
@@ -95,15 +87,3 @@ def gb_seconds(
         if last_t < until:
             total += last_level * (until - last_t)
     return total / GB
-
-
-def stage_fractions(results: Sequence[InvocationResult]) -> Dict[str, float]:
-    """Mean share of each serving stage in total stage time (Figure 8)."""
-    sums: Dict[str, float] = {}
-    for r in results:
-        for stage, seconds in r.stage_seconds.items():
-            sums[stage] = sums.get(stage, 0.0) + seconds
-    total = sum(sums.values())
-    if total <= 0:
-        return {}
-    return {stage: seconds / total for stage, seconds in sums.items()}

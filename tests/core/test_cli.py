@@ -102,3 +102,41 @@ def test_every_trace_source_resolves(monkeypatch, tmp_path, capsys):
         assert json.loads(out.read_text())["traceEvents"]
     assert main(["trace", "fig99"]) == 2
     capsys.readouterr()
+
+
+#: every measurement whose result is a pure function of its arguments ->
+#: the reduced knobs this file runs it at (the rest are wall-clock harnesses)
+DETERMINISTIC = {
+    "table1": {}, "fig8": {}, "fig9": {}, "fig10": {}, "fig11": {}, "fig12": {},
+    "fig13": {"duration_s": 30.0}, "table2": {}, "table34": {"duration_s": 120.0},
+    "fig15": {}, "fig17": {}, "chaos": {"requests": 8}, "warmpool": {"duration_s": 60.0},
+}
+LIVE = {"concurrency", "batching", "gateway", "service", "hotpath", "streaming"}
+
+
+def test_every_measurement_is_deterministic_or_live():
+    assert set(DETERMINISTIC) | LIVE == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", DETERMINISTIC)
+def test_deterministic_results_round_trip_through_strict_json(name, monkeypatch, capsys):
+    description, module, kwargs = EXPERIMENTS[name]
+    monkeypatch.setitem(
+        cli.EXPERIMENTS, name, (description, module, {**kwargs, **DETERMINISTIC[name]})
+    )
+    main(["run", name, "--json"])  # the exit code is the gate's business
+    out = capsys.readouterr().out
+    assert "LatencyStats(" not in out
+    parsed = json.loads(out)
+    # nothing was stringified on the way out: the parsed document dumps back
+    # to the same bytes with no ``default=`` hook at all
+    assert json.dumps(parsed, indent=2, sort_keys=True, allow_nan=False) + "\n" == out
+
+
+def test_json_fallback_takes_numpy_scalars_and_nothing_else():
+    import numpy as np
+
+    assert json.dumps({"x": np.float32(0.5)}, default=cli._json_default) == '{"x": 0.5}'
+    for leaf in (object(), (1, 2).__iter__(), {1, 2}):
+        with pytest.raises(TypeError):
+            json.dumps({"x": leaf}, default=cli._json_default)

@@ -22,9 +22,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import Future
 from repro.core.deployment import SeSeMIEnvironment, SessionFuture, SessionStream
-from repro.core.futures import DerivedHandle, OutcomeCell
+from repro.core.futures import DerivedHandle, Future, OutcomeCell
 from repro.core.gateway import GatewayStream, GatewaySubmission
 from repro.core.semirt import InferenceFuture, InferenceStream, SchedulerConfig
 from repro.core.semirt_enclave import default_semirt_config

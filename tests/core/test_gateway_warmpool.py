@@ -11,7 +11,8 @@ from repro.errors import QueueFull
 from repro.obs.span import LogicalClock
 from repro.obs.tracer import Tracer
 from repro.routing import FnPool, ScaleOutPolicy
-from repro.warmpool import PredictorPolicy, WarmPoolConfig
+from repro.warmpool.manager import WarmPoolConfig
+from repro.warmpool.predictor import PredictorPolicy
 
 from tests.core.test_gateway import _FakeHost
 

@@ -10,10 +10,8 @@ import pathlib
 
 import pytest
 
-from repro.crypto import stream as stream_module
 from repro.crypto.aes import AES
 from repro.crypto.gcm import AESGCM
-from repro.crypto.stream import open_stream, seal_stream
 from repro.errors import InvalidTag
 
 KAT = json.loads((pathlib.Path(__file__).parent / "data" / "gcm_kat.json").read_text())
@@ -70,17 +68,3 @@ def test_counter_wrap_vectors_really_wrap(case):
         chunk = slice(16 * block, 16 * block + 16)
         assert bytes(a ^ b for a, b in zip(body[chunk], plaintext[chunk])) == keystream
 
-
-@pytest.mark.parametrize(
-    "case", KAT["stream"], ids=lambda c: f"chunk{c['chunk_size']}-pt{c['pt_len']}"
-)
-def test_stream_known_answer(case, monkeypatch):
-    key, aad = bytes.fromhex(case["key"]), bytes.fromhex(case["aad"])
-    sealed = bytes.fromhex(case["sealed"])
-    plaintext = derived(f"pt:{case['pt_len']}", case["pt_len"])
-
-    assert open_stream(key, sealed, aad) == plaintext
-
-    stream_id = bytes.fromhex(case["stream_id"])
-    monkeypatch.setattr(stream_module, "random_bytes", lambda count: stream_id[:count])
-    assert seal_stream(key, plaintext, aad, chunk_size=case["chunk_size"]) == sealed

@@ -13,7 +13,6 @@ EXPECTED_MARKERS = {
     "healthcare_ehr.py": "access revoked",
     "multi_model_serving.py": "takeaway",
     "epc_pressure_study.py": "bottleneck moved",
-    "trace_replay.py": "takeaway",
 }
 
 

@@ -427,10 +427,6 @@ def test_the_one_data_dependent_access_is_the_embedding_row_gather():
 
 # -- the walk cannot come back --------------------------------------------------------
 
-#: the cost estimator names ops to pick a MAC formula; it executes nothing
-NOT_EXECUTION = {"mlrt/flops.py"}
-
-
 def test_run_op_is_called_only_by_run_reference():
     calls = []
     for path in sorted(SRC.rglob("*.py")):
@@ -448,8 +444,6 @@ def test_no_op_name_dispatch_chain_outside_the_table():
     hits = []
     for path in sorted(SRC.rglob("*.py")):
         name = str(path.relative_to(SRC))
-        if name in NOT_EXECUTION:
-            continue
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if chain.search(line.split("#")[0]):
                 hits.append((name, number, line.strip()))

@@ -3,9 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mlrt.flops import model_macs
 from repro.mlrt.framework import get_framework
-from repro.mlrt.zoo import build_densenet, build_mobilenet, build_resnet
 from repro.mlrt.zoo_full import (
     build_densenet121_full,
     build_mobilenet_full,
@@ -68,17 +66,6 @@ def test_full_models_run_in_both_runtimes(mbnet):
     tvm_out = get_framework("tvm").create_runtime(mbnet).execute(x)
     tflm_out = get_framework("tflm").create_runtime(mbnet).execute(x)
     assert np.allclose(tvm_out, tflm_out, atol=1e-5)
-
-
-def test_full_models_dwarf_the_shallow_ones():
-    assert model_macs(build_mobilenet_full()) > 3 * model_macs(build_mobilenet())
-    assert model_macs(build_resnet101_full()) > 5 * model_macs(build_resnet())
-    assert model_macs(build_densenet121_full()) > 3 * model_macs(build_densenet())
-
-
-def test_compute_ordering_holds_at_full_depth(mbnet, rsnet, dsnet):
-    """RSNET > DSNET > MBNET, like the paper's latencies."""
-    assert model_macs(rsnet) > model_macs(dsnet) > model_macs(mbnet)
 
 
 def test_serialization_roundtrip_full(dsnet):

@@ -5,7 +5,8 @@ import pytest
 from repro.core.stages import Stage
 from repro.errors import SeSeMIError
 from repro.experiments.common import deploy_single_model, make_driver, make_testbed
-from repro.obs import Tracer, analysis
+from repro.obs import analysis
+from repro.obs.tracer import Tracer
 from repro.workloads.arrival import Arrival
 
 

@@ -2,13 +2,13 @@
 
 import json
 
-from repro.obs import (
-    Tracer,
+from repro.obs.export import (
     spans_from_json,
     spans_to_json,
     to_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.tracer import Tracer
 
 
 def _sample_tracer() -> Tracer:

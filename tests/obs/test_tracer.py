@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import SeSeMIError
-from repro.obs import SimClock, SpanContext, Tracer, maybe_span
+from repro.obs.span import SimClock, SpanContext
+from repro.obs.tracer import Tracer, maybe_span
 from repro.serverless.telemetry import MetricsRegistry
 from repro.sim.core import Simulation
 

@@ -167,3 +167,141 @@ def test_public_key_modules_are_pinned_to_plain_integers(tmp_path):
     for dotted in ("crypto.group", "crypto.dh", "crypto.signature"):
         real = checker.SRC_REPRO / (dotted.replace(".", "/") + ".py")
         assert checker.check_module(real, dotted, checker.MODULES[dotted]) == []
+
+
+# -- an import loads what it names: the three structural rules ---------------------
+
+
+def _tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_gate_catches_a_package_init_that_imports_a_sibling(tmp_path):
+    checker = _load_checker()
+    src_repro = _tree(tmp_path, {
+        "src/repro/__init__.py": '"""Root."""\n\n__version__ = "1.0.0"\n',
+        "src/repro/core/__init__.py": '"""Core."""\n\nfrom repro.core.host import Host\n',
+        "src/repro/core/host.py": "class Host: pass\n",
+        # a façade may: bench/ imports its names from the package
+        "src/repro/routing/__init__.py": "from repro.routing.pool import FnPool\n",
+        "src/repro/routing/pool.py": "class FnPool: pass\n",
+    }) / "src" / "repro"
+    violations = checker.check_inits(src_repro)
+    assert len(violations) == 1
+    assert "core/__init__.py:3" in violations[0]
+    assert checker.check_inits() == []
+    assert set(checker.FACADES) == {"routing", "service"}
+    assert all(reason.startswith("bench/") for reason in checker.FACADES.values())
+
+
+def test_gate_catches_a_module_only_tests_import(tmp_path):
+    checker = _load_checker()
+    root = _tree(tmp_path, {
+        "src/repro/__init__.py": '"""Root."""\n',
+        "src/repro/__main__.py": "from repro.cli import main\n",
+        "src/repro/cli.py": (
+            "from typing import TYPE_CHECKING\n"
+            "if TYPE_CHECKING:\n    from repro.typed import Hint\n"
+            "def main():\n    from repro.core import used\n"
+        ),
+        "src/repro/core/__init__.py": '"""Core."""\n',
+        "src/repro/core/used.py": "import repro.core.deep\n",
+        "src/repro/core/deep.py": "",
+        "src/repro/benched.py": "",
+        "src/repro/typed.py": "",
+        "src/repro/orphan.py": "",
+        "bench/run.py": "from repro.benched import x\n",
+        "tests/test_orphan.py": "from repro.orphan import x\n",
+    })
+    violations = checker.check_reachability(root)
+    # the allow-list cannot rot: its two entries do not exist in this tree
+    stale = [v for v in violations if "drop it from KEPT" in v]
+    assert len(stale) == len(checker.KEPT) == 2
+    flagged = [v for v in violations if v not in stale]
+    assert len(flagged) == 2
+    assert "repro.orphan is imported by nothing reachable" in flagged[0]
+    assert "repro.typed is imported by nothing reachable" in flagged[1]
+    assert checker.check_reachability() == []
+    assert set(checker.KEPT) == {"serverless.telemetry", "mlrt.zoo_full"}
+
+
+def test_gate_catches_a_runtime_leak_through_a_package_init(tmp_path):
+    """The defect this rule exists for: the pinned module's own import
+    lines are clean, but importing it runs a package ``__init__`` that
+    re-exports a sibling -- and the sibling's numpy."""
+    checker = _load_checker()
+    src_repro = _tree(tmp_path, {
+        "src/repro/__init__.py": '"""Root."""\n',
+        "src/repro/errors.py": "class WireError(Exception): pass\n",
+        "src/repro/core/__init__.py": "from repro.core.host import Host\n",
+        "src/repro/core/host.py": "import numpy\nclass Host: pass\n",
+        "src/repro/core/wire.py": "import struct\nfrom repro.errors import WireError\n",
+    }) / "src" / "repro"
+    allowed = checker.MODULES["core.wire"]
+    assert checker.check_module(src_repro / "core" / "wire.py", "core.wire", allowed) == []
+    violations = checker.check_runtime("core.wire", allowed, src_repro)
+    assert sorted(v.split("loads ")[1].split(" ")[0] for v in violations) == [
+        "'numpy'", "'repro.core.host'",
+    ]
+    assert all(v.startswith("importing repro.core.wire loads") for v in violations)
+    assert checker.check_runtime("core.wire", allowed) == []
+
+
+def test_a_violation_of_any_rule_fails_the_script(monkeypatch, capsys):
+    checker = _load_checker()
+    for rule in ("check_inits", "check_runtime", "check_reachability"):
+        with monkeypatch.context() as patch:
+            patch.setattr(checker, rule, lambda *args: [f"offender named by {rule}"])
+            assert checker.main() == 1
+        assert f"offender named by {rule}" in capsys.readouterr().err
+
+
+def test_pins_below_a_facade_are_static_only(monkeypatch):
+    """``repro.service`` re-exports the server, so importing
+    ``repro.service.client`` loads it: those two pins hold for the file's
+    own import lines only, until ``bench/`` imports from the modules."""
+    checker = _load_checker()
+    checked = []
+    monkeypatch.setattr(checker, "check_runtime", lambda pin, allowed: checked.append(pin) or [])
+    assert checker.main() == 0
+    assert set(checker.PACKAGES) | set(checker.MODULES) == set(checked) | {
+        "service.client", "service.protocol",
+    }
+
+
+#: what a fresh interpreter holds after ``import repro.core.semirt_enclave``:
+#: the manifest of the enclave child process (ROADMAP item 5)
+ENCLAVE_CLOSURE = [
+    "repro", "repro.core", "repro.core.semirt_enclave", "repro.core.stages",
+    "repro.core.wire", "repro.crypto", "repro.crypto.aes", "repro.crypto.dh",
+    "repro.crypto.gcm", "repro.crypto.group", "repro.crypto.hashes",
+    "repro.crypto.keys", "repro.crypto.signature", "repro.errors", "repro.mlrt",
+    "repro.mlrt.decoder", "repro.mlrt.framework", "repro.mlrt.layers",
+    "repro.mlrt.model", "repro.mlrt.tensor", "repro.obs", "repro.obs.span",
+    "repro.obs.tracer", "repro.sgx", "repro.sgx.attestation", "repro.sgx.enclave",
+    "repro.sgx.measurement", "repro.sgx.ratls",
+]
+
+
+def test_the_trusted_modules_runtime_closure_is_pinned():
+    checker = _load_checker()
+    loaded = checker.loaded_modules(["repro.core.semirt_enclave"])
+    assert sorted(m for m in loaded if m.split(".")[0] == "repro") == ENCLAVE_CLOSURE
+    assert len(ENCLAVE_CLOSURE) <= 30
+
+
+def test_the_numpy_free_pins_are_numpy_free_at_runtime():
+    checker = _load_checker()
+    assert "numpy" not in checker.loaded_modules(["repro.errors"])
+    assert [m for m in checker.loaded_modules(["repro.errors"]) if m.startswith("repro")] == [
+        "repro", "repro.errors",
+    ]
+    for pin in ("crypto.group", "crypto.dh", "crypto.signature", "core.wire",
+                "core.futures", "scenarios.spec", "scenarios.store",
+                "scenarios.compare", "scenarios.registry", "routing", "warmpool"):
+        assert pin in checker.STDLIB_ONLY, pin
+    assert "numpy" not in checker.loaded_modules(["repro.warmpool.manager"])

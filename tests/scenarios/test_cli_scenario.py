@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.scenarios import get_scenario
+from repro.scenarios.registry import get_scenario
 
 SMOKE = "scenario-smoke"
 

@@ -1,14 +1,14 @@
 """Compare and report rendering over stored runs."""
 
-from repro.scenarios import (
-    RunRecord,
-    ScenarioSpec,
+from repro.scenarios.compare import (
     flatten,
     format_compare,
     format_store_report,
     metric_diff,
     spec_diff,
 )
+from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.store import RunRecord
 
 
 def _record(name="cmp", seed=1, metrics=None, **spec_kwargs) -> RunRecord:

@@ -7,22 +7,22 @@ the migrated experiments themselves.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.scenarios import (
+from repro.scenarios.registry import get_scenario, named_scenarios, scenario_names
+from repro.scenarios.runner import build_arrivals, run_scenario
+from repro.scenarios.spec import (
     EXECUTORS,
     FaultSpec,
     FleetSpec,
     PolicySpec,
     ScenarioSpec,
     WorkloadSpec,
-    build_arrivals,
-    get_scenario,
-    named_scenarios,
-    run_scenario,
-    scenario_names,
 )
 from repro.workloads.arrival import merge_arrivals, mmpp, poisson
 
@@ -210,3 +210,25 @@ def test_get_scenario_unknown_name():
 
     with pytest.raises(ConfigError, match="no scenario named"):
         get_scenario("fig99")
+
+
+def test_fnpacker_metrics_do_not_depend_on_the_hash_seed():
+    """Placement picks a home invoker per action name; ``hash(str)`` is
+    salted per process, so the digest must be a process-stable one or
+    Tables III/IV differ from one interpreter to the next."""
+    code = (
+        "import json\n"
+        "from repro.scenarios.registry import get_scenario\n"
+        "from repro.scenarios.runner import run_scenario\n"
+        "metrics = run_scenario(get_scenario('table3-fnpacker-mix')).metrics\n"
+        "print(json.dumps(metrics, sort_keys=True))\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "3")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["strategies"]["One-to-one"]["cold_starts"] > 0

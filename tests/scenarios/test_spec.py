@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenarios import (
+from repro.scenarios.spec import (
     EXECUTORS,
     FaultSpec,
     FleetSpec,

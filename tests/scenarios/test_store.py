@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.scenarios import RunStore, ScenarioSpec, current_git_sha
+from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.store import RunStore, current_git_sha
 
 SPEC = ScenarioSpec(name="store-test", executor="sim", seed=3)
 METRICS = {

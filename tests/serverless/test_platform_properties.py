@@ -73,33 +73,3 @@ def test_conservation_under_random_workloads(
     assert all(level >= 0 for _, level in timeline)
     # latencies are physical
     assert all(r.latency > 0 for r in report.results)
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    arrival_gaps=st.lists(st.floats(0.01, 5.0), min_size=2, max_size=15),
-    tail=st.integers(2, 6),
-)
-def test_fnpacker_service_conservation(arrival_gaps, tail):
-    """FnPackerService bookkeeping balances for any arrival pattern."""
-    from repro.routing import FnPool
-    from repro.core.packer_service import FnPackerService
-
-    model_ids = tuple(f"m{i}" for i in range(tail))
-    bed = make_testbed(num_nodes=2)
-    pool = FnPool(name="pool", models=model_ids, memory_budget=0)
-    models = servable_map([(m, profile("MBNET"), "tvm") for m in model_ids])
-    service = FnPackerService(bed.sim, bed.controller, pool, models, bed.cost)
-    count = len(arrival_gaps)
-
-    def driver(sim):
-        for index, gap in enumerate(arrival_gaps):
-            yield sim.timeout(gap)
-            service.invoke(model_ids[index % tail], "user")
-
-    bed.sim.process(driver(bed.sim))
-    bed.sim.run()
-    assert service.in_flight == 0
-    assert sum(s.completed for s in service.stats.values()) == count
-    for state in service.router._endpoints.values():
-        assert state.pending == 0

@@ -21,7 +21,7 @@ from repro.core.semirt_enclave import default_semirt_config
 from repro.mlrt.zoo import build_mobilenet
 from repro.routing import FnPool
 from repro.service import InferenceService, RemoteEnvironment, ServiceConfig
-from repro.warmpool import WarmPoolConfig
+from repro.warmpool.manager import WarmPoolConfig
 
 MODEL_ID = "svc-test"
 USER = "svc-user"

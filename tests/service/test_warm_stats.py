@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.warmpool import WarmPoolConfig
+from repro.warmpool.manager import WarmPoolConfig
 
 from tests.service.conftest import launch_world
 

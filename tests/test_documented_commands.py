@@ -14,7 +14,7 @@ import shlex
 from pathlib import Path
 
 from repro.cli import EXPERIMENTS, TRACES, build_parser
-from repro.scenarios import scenario_names
+from repro.scenarios.registry import scenario_names
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCES = [

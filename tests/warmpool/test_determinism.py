@@ -1,7 +1,8 @@
 """The determinism gate: seeded traces produce byte-identical logs."""
 
 from repro.experiments import warmpool
-from repro.warmpool import PredictorPolicy, WarmPoolConfig, WarmPoolManager
+from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
+from repro.warmpool.predictor import PredictorPolicy
 
 
 def drive(manager):

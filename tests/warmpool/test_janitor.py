@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.warmpool import Janitor, JanitorPolicy, WarmEndpoint
+from repro.warmpool.janitor import Janitor, JanitorPolicy
+from repro.warmpool.strategy import WarmEndpoint
 
 
 def ep(name, idle_since):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.routing import ScaleOutPolicy
-from repro.warmpool import WarmPoolConfig, WarmPoolManager
+from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 
 
 def make_manager(**kwargs):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.warmpool import EwmaRate, PredictorPolicy, Prewarmer
+from repro.warmpool.predictor import EwmaRate, PredictorPolicy, Prewarmer
 
 
 def test_policy_validates():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.warmpool import (
+from repro.warmpool.strategy import (
     AffinityStrategy,
     LCSStrategy,
     MRUStrategy,

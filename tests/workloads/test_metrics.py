@@ -7,9 +7,7 @@ from repro.workloads.metrics import (
     GB,
     LatencyStats,
     gb_seconds,
-    kind_counts,
     latency_timeline,
-    stage_fractions,
     throughput_rps,
 )
 
@@ -49,11 +47,6 @@ def test_throughput():
     assert throughput_rps([]) == 0.0
 
 
-def test_kind_counts():
-    results = [result(0, 1, "cold"), result(1, 2, "hot"), result(2, 3, "hot")]
-    assert kind_counts(results) == {"cold": 1, "hot": 2}
-
-
 def test_latency_timeline_buckets():
     results = [result(5, 6), result(15, 17), result(16, 18)]
     timeline = latency_timeline(results, bucket_s=10.0)
@@ -76,14 +69,3 @@ def test_gb_seconds_clipped_at_horizon():
 def test_gb_seconds_ignores_changes_after_horizon():
     timeline = [(0.0, GB), (5.0, 100 * GB)]
     assert gb_seconds(timeline, until=5.0) == pytest.approx(5.0)
-
-
-def test_stage_fractions():
-    results = [
-        result(0, 1, stages={"a": 3.0, "b": 1.0}),
-        result(1, 2, stages={"a": 1.0, "b": 3.0}),
-    ]
-    fractions = stage_fractions(results)
-    assert fractions["a"] == pytest.approx(0.5)
-    assert fractions["b"] == pytest.approx(0.5)
-    assert stage_fractions([]) == {}
