@@ -1,20 +1,24 @@
 """Capture DH / Schnorr / RA-TLS known-answer vectors from the checkout on the path.
 
-``tests/crypto/data/pk_kat.json`` was written by this script running against
-commit ead9130 (the public-key code before the Jacobi membership test, the
-fixed-base table for ``G`` and the ``inverse(y)^e`` verify)::
+The DH, Schnorr and membership sections of ``tests/crypto/data/pk_kat.json``
+are the bytes and verdicts of commit ead9130 (the public-key code before the
+Jacobi membership test, the fixed-base table for ``G`` and the
+``inverse(y)^e`` verify); ``tests/crypto/test_pk_kat.py`` pins every later
+``repro.crypto.group`` / ``dh`` / ``signature`` to them and asserts a digest
+of each section, so they cannot be regenerated into something else.  They are
+*function* vectors: the DH cases are built from explicit private exponents,
+not through ``DHKeyPair.generate()``, which draws 256-bit keys since PR 22
+and could not produce most of them.  The two RA-TLS first-ciphertext pairs
+depend on which keys a random source yields, so they were regenerated, on
+purpose, when the ephemeral-key draw became ``group.random_short_scalar``.
 
-    PYTHONPATH=<checkout of ead9130>/src python scripts/make_pk_kat.py
+``--check`` regenerates the document in memory from the code on the path and
+diffs it against the committed file (CI runs it next to the layering check).
+Re-running without ``--check`` only re-derives the file from the code under
+test; do that deliberately, never to make a test pass.
 
-so ``tests/crypto/test_pk_kat.py`` pins every later ``repro.crypto.group`` /
-``dh`` / ``signature`` to that code's exact bytes and verdicts.  ``--check``
-regenerates the document in memory from the code on the path and diffs it
-against the committed file (CI runs it next to the layering check).
-Re-running without ``--check`` against a newer checkout only re-derives the
-file from the code under test; do that deliberately, never to make a test pass.
-
-Only API that existed at ead9130 is used.  ``group.random_scalar`` is pinned
-to SHAKE-256-derived values, so every key, nonce, signature, transcript and
+``group.random_scalar`` and ``group.random_short_scalar`` are pinned to
+SHAKE-256-derived values, so every key, nonce, signature, transcript and
 session key is a function of the labels below.  The test module imports this
 file for those derivations and case builders.
 """
@@ -28,6 +32,7 @@ import itertools
 import json
 import pathlib
 import sys
+from unittest import mock
 
 from repro.crypto import group
 from repro.crypto.dh import DHKeyPair, DHPublicKey
@@ -40,6 +45,7 @@ from repro.sgx.ratls import RatlsPeer, perform_handshake
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests/crypto/data/pk_kat.json"
 SOURCE = "scripts/make_pk_kat.py run against commit ead9130"
+RATLS_SOURCE = "regenerated on purpose in PR 22: ephemeral DH keys are 256 bits"
 
 MEMBERSHIP_COUNT = 1000
 DH_PEERS = ("dh:peer:0", "dh:peer:1")
@@ -55,23 +61,31 @@ def scalar(label: str) -> int:
     return derived(label, 264) % (group.Q - 1) + 1
 
 
+def short_scalar(label: str) -> int:
+    """An exponent in ``[1, 2^256)`` for ``label`` (40 bytes: no visible modulo bias)."""
+    return derived(label, 40) % ((1 << group.SHORT_SCALAR_BITS) - 1) + 1
+
+
 @contextlib.contextmanager
 def pinned_scalars(source):
-    """Make ``group.random_scalar`` return the values of ``source`` in order.
+    """Pin ``group.random_scalar`` and ``group.random_short_scalar`` to ``source``.
 
-    ``source`` is a list of scalars (all of which must be consumed) or a label,
-    which stands for the endless sequence ``scalar("<label>:<i>")``.
+    A list of scalars is what ``random_scalar`` returns, in order (all must be
+    consumed).  A label stands for the endless sequence of draws of either
+    kind: the ``i``-th draw is ``scalar("<label>:<i>")`` when it is a
+    full-length one and ``short_scalar("<label>:<i>")`` when it is short.
     """
     if isinstance(source, str):
-        values = (scalar(f"{source}:{i}") for i in itertools.count())
+        labels = (f"{source}:{i}" for i in itertools.count())
+        pins = {
+            "random_scalar": lambda: scalar(next(labels)),
+            "random_short_scalar": lambda: short_scalar(next(labels)),
+        }
     else:
         values = iter(source)
-    real = group.random_scalar
-    group.random_scalar = lambda: next(values)
-    try:
+        pins = {"random_scalar": lambda: next(values)}
+    with mock.patch.multiple(group, **pins):
         yield
-    finally:
-        group.random_scalar = real
     if not isinstance(source, str) and next(values, None) is not None:
         raise AssertionError("pinned scalars left unconsumed")
 
@@ -92,15 +106,17 @@ def dh_privates() -> dict[str, int]:
     return named
 
 
+def dh_pair(private: int) -> DHKeyPair:
+    """The key pair of an explicit private exponent (``generate()`` minus the draw)."""
+    return DHKeyPair(private=private, public=DHPublicKey(group.g_pow(private)))
+
+
 def dh_peer(label: str) -> DHPublicKey:
-    with pinned_scalars([scalar(label)]):
-        return DHKeyPair.generate().public
+    return dh_pair(scalar(label)).public
 
 
 def dh_case(name: str, private: int) -> dict:
-    with pinned_scalars([private]):
-        pair = DHKeyPair.generate()
-    assert pair.private == private
+    pair = dh_pair(private)
     return {
         "name": name,
         "private": hex(private),
@@ -244,10 +260,12 @@ def membership() -> dict:
 
 def build_document() -> dict:
     return {
-        "source": SOURCE,
+        "source": SOURCE,  # of the dh, schnorr and membership sections
+        "ratls_source": RATLS_SOURCE,
         "derivation": (
             "int = int.from_bytes(shake_256(label).digest(n), 'big'); "
-            "scalar(label) = int(label, 264) % (Q - 1) + 1"
+            "scalar(label) = int(label, 264) % (Q - 1) + 1; "
+            "short_scalar(label) = int(label, 40) % (2^256 - 1) + 1"
         ),
         "dh": [dh_case(name, private) for name, private in dh_privates().items()],
         "schnorr": [schnorr_case(**spec) for spec in schnorr_specs()],

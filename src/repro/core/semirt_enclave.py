@@ -66,6 +66,7 @@ from repro.core.stages import InvocationPlan, SemirtCacheState, Stage, plan_invo
 from repro.crypto.gcm import AESGCM, SessionCipher
 from repro.errors import (
     AccessDenied,
+    AttestationError,
     CryptoError,
     EnclaveError,
     InvocationError,
@@ -276,6 +277,20 @@ class SemirtEnclaveCode(EnclaveCode):
         return _semirt_settings(
             self._framework_name, self._expected_keyservice, self._isolation
         )
+
+    def on_destroy(self) -> None:
+        """Release the enclave heap: model, key memo, KeyService session,
+        execution and stream contexts, per-TCS runtimes."""
+        with self._model_lock:
+            self._model = self._model_id = None
+        with self._kc_lock:
+            self._kc.clear()
+        self._ks_session = None
+        with self._context_lock:
+            self._contexts.clear()
+        with self._stream_lock:
+            self._streams.clear()
+        self._tls = threading.local()
 
     @property
     def pending_outputs(self) -> int:
@@ -667,7 +682,10 @@ class SemirtEnclaveCode(EnclaveCode):
                             p for p in self._kc if p[1] != model_id
                         ]:
                             del self._kc[pair]
-        return self._model
+        model = self._model
+        if model is None:  # on_destroy() ran under this ECALL
+            raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
+        return model
 
     def _thread_runtime(self, model: Model, model_id: str):
         """Lines 14-15: this TCS thread's model runtime."""
@@ -785,17 +803,25 @@ class SemirtEnclaveCode(EnclaveCode):
                 quoter=lambda report: self.ocall("OC_GET_QUOTE", report),
             )
             offer = peer.offer()
+            # the reply comes from the untrusted host: refuse a malformed
+            # one before anything is derived from it
             reply = self.ocall("OC_KS_HANDSHAKE", offer.to_wire())
+            try:
+                channel_id, server_offer = reply["channel_id"], reply["server_offer"]
+            except (KeyError, TypeError) as exc:
+                raise AttestationError(f"malformed handshake reply: {exc!r}") from exc
+            if type(channel_id) is not int:
+                raise AttestationError("malformed handshake reply: channel_id is not an int")
             channel = complete_handshake(
                 peer,
                 offer,
-                HandshakeOffer.from_wire(reply["server_offer"]),
+                HandshakeOffer.from_wire(server_offer),
                 verifier=self._attestation,
                 client_requires=QuotePolicy(
                     expected_mrenclave=self._expected_keyservice
                 ),
             )
-        self._ks_session = (reply["channel_id"], channel)
+        self._ks_session = (channel_id, channel)
         return self._ks_session
 
     def _fetch_keys(self, uid: str, model_id: str) -> Tuple[bytes, bytes]:

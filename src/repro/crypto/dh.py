@@ -39,7 +39,13 @@ class DHKeyPair:
 
     @classmethod
     def generate(cls) -> "DHKeyPair":
-        private = group.random_scalar()
+        """A fresh pair with a short (256-bit) private exponent.
+
+        Sound because ``P`` is a safe prime and every received key is
+        membership-checked (:class:`DHPublicKey`); a peer holding a
+        full-length exponent interoperates unchanged.
+        """
+        private = group.random_short_scalar()
         return cls(private=private, public=DHPublicKey(group.g_pow(private)))
 
     def shared_secret(self, peer: DHPublicKey) -> bytes:

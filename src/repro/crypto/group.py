@@ -6,7 +6,8 @@ order subgroup of order ``Q`` -- suitable both for Diffie-Hellman key
 exchange and for Schnorr signatures.  ``G = 4`` (= 2 squared) generates
 that subgroup.
 
-Two things make the group cheap to use without changing a single byte:
+Two things make the group cheap to use without changing what any function
+computes:
 
 - On a safe prime the order-``Q`` subgroup *is* the set of quadratic
   residues, so membership (:func:`is_group_element`) is the Jacobi symbol
@@ -14,10 +15,20 @@ Two things make the group cheap to use without changing a single byte:
   Euler's criterion ``x^Q == 1``, a full 2047-bit modular exponentiation
   (~27 ms).  The two are the same predicate.
 - Every exponentiation of the fixed base ``G`` goes through :func:`g_pow`,
-  a Lim-Lee comb over one lazily built table shared by the process
-  (1,024 residues, ~0.3 MB, ~35 ms to build on first use): 64 squarings
-  and at most 256 multiplications (~4.4 ms) where the built-in ``pow``
-  spends 2,047 squarings (~22 ms).
+  one Lim-Lee comb loop over lazily built tables shared by the process
+  (1,024 residues, ~0.3 MB each).  The full-length table spans 2,048 bits
+  (~35 ms to build on first use): 64 squarings and at most 256
+  multiplications (~4.4 ms) where the built-in ``pow`` spends 2,047
+  squarings (~22 ms).  An exponent of at most 256 bits -- every ephemeral
+  DH key, see :func:`random_short_scalar` -- goes through the same loop
+  over a table cut for that span (~13 ms to build): 8 squarings and at
+  most 32 multiplications (~0.5 ms).
+
+Private exponents come in two lengths, on purpose.  Ephemeral DH keys are
+256 bits: on a safe-prime group whose received keys are checked for
+membership that loses nothing (docs/protocol.md section 1), and it makes
+``peer^x`` a 256-bit exponentiation.  Schnorr signing keys and nonces stay
+uniform in ``[1, Q)``.
 
 Like the rest of this twin, none of it claims to run in constant time:
 CPython's integers never did, and table indices depend on the exponent.
@@ -46,15 +57,36 @@ P = int(
 Q = (P - 1) // 2
 G = 4  # generator of the order-Q subgroup of squares
 
-# Comb geometry: an exponent below Q is 8 teeth of 256 bits; each tooth is
-# cut into 4 blocks of 64 columns, and each block has its own 256 products.
-_TEETH, _SPAN, _BLOCKS = 8, 256, 4
-_COLUMNS = _SPAN // _BLOCKS
+# Comb geometry: an exponent is 8 teeth of ``span`` bits; each tooth is cut
+# into 4 blocks of ``span / 4`` columns, and each block has its own 256
+# products.  Two spans: 256 bits per tooth covers any exponent below Q,
+# 32 bits per tooth covers a short (256-bit) one.
+_TEETH, _BLOCKS = 8, 4
+_FULL_SPAN = 256
+SHORT_SCALAR_BITS = 256
+_SHORT_SPAN = SHORT_SCALAR_BITS // _TEETH
 
 
 def random_scalar() -> int:
-    """A uniform random exponent in ``[1, Q)``."""
+    """A uniform random exponent in ``[1, Q)``.
+
+    Schnorr signing keys *and nonces* draw here and nowhere shorter:
+    ``s = k + x*e mod Q`` hides ``x*e`` only under a ``k`` that is uniform
+    over the whole of ``[1, Q)``; a short nonce leaks the signing key.
+    """
     return secrets.randbelow(Q - 1) + 1
+
+
+def random_short_scalar() -> int:
+    """A uniform random exponent in ``[1, 2^256)``: an ephemeral DH private key.
+
+    Only :meth:`repro.crypto.dh.DHKeyPair.generate` draws here.  Finding a
+    256-bit exponent from its public key costs 2^128 (Pollard lambda), more
+    than attacking the 2048-bit modulus itself, and ``P`` being a safe prime
+    whose received keys are membership-checked leaves no small subgroup to
+    learn the exponent in pieces from (RFC 7919 section 5.2, SP 800-56A r3).
+    """
+    return secrets.randbelow((1 << SHORT_SCALAR_BITS) - 1) + 1
 
 
 def element_to_bytes(x: int) -> bytes:
@@ -86,16 +118,17 @@ def _jacobi(a: int, n: int) -> int:
 
 
 @functools.cache
-def _comb_table() -> tuple:
-    """``table[b << 8 | j]`` = the product of ``G^(2^(256 k + 64 b))`` over bits ``k`` of ``j``.
+def _comb_table(span: int) -> tuple:
+    """``table[b << 8 | j]`` = the product of ``G^(2^(span k + span/4 b))`` over bits ``k`` of ``j``.
 
     Built into locals and published by the cache in one step; two threads
     racing on first use build the same tuple and one copy is kept.
     """
+    columns = span // _BLOCKS
     anchors, power = [], G
-    for _ in range(_TEETH * _BLOCKS):  # anchors[k * _BLOCKS + b] = G^(2^(256 k + 64 b))
+    for _ in range(_TEETH * _BLOCKS):  # anchors[k * _BLOCKS + b] = G^(2^(span k + columns b))
         anchors.append(power)
-        for _ in range(_COLUMNS):
+        for _ in range(columns):
             power = power * power % P
     table = []
     for block in range(_BLOCKS):
@@ -109,15 +142,17 @@ def _comb_table() -> tuple:
 
 def g_pow(x: int) -> int:
     """``G^x mod P`` for any integer ``x``, through the fixed-base comb."""
-    table = _comb_table()
-    bits = format(x % Q, "b").zfill(_TEETH * _SPAN)  # G has order Q
-    teeth = [bits[start : start + _SPAN] for start in range(0, _TEETH * _SPAN, _SPAN)]
+    x %= Q  # G has order Q
+    span = _SHORT_SPAN if x.bit_length() <= SHORT_SCALAR_BITS else _FULL_SPAN
+    table, columns_per_block = _comb_table(span), span // _BLOCKS
+    bits = format(x, "b").zfill(_TEETH * span)
+    teeth = [bits[start : start + span] for start in range(0, _TEETH * span, span)]
     # the most significant tooth comes first, so it lands in the index's top bit
     columns = [int("".join(column), 2) for column in zip(*teeth)]
     result = 1
-    for i in range(_COLUMNS):  # most significant column of every block first
+    for i in range(columns_per_block):  # most significant column of every block first
         result = result * result % P
         for block in range(_BLOCKS):
-            index = columns[(_BLOCKS - 1 - block) * _COLUMNS + i]
+            index = columns[(_BLOCKS - 1 - block) * columns_per_block + i]
             result = result * table[block << _TEETH | index] % P
     return result

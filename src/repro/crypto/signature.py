@@ -4,6 +4,12 @@ These stand in for the ECDSA signatures that Intel's quoting
 infrastructure applies to attestation quotes.  The construction is
 standard Schnorr in a prime-order subgroup: the signature is ``(e, s)``
 with ``e = H(g^k || m)`` and ``s = k + x*e mod Q``.
+
+The signing key ``x`` and every nonce ``k`` are uniform in ``[1, Q)``
+(:func:`repro.crypto.group.random_scalar`), unlike the 256-bit ephemeral DH
+keys: ``s`` is computed mod ``Q``, and a ``k`` much shorter than ``Q`` would
+no longer mask ``x*e`` -- each signature would leak the signing key's high
+bits.
 """
 
 from __future__ import annotations

@@ -94,6 +94,9 @@ class EnclaveCode:
     def on_load(self, enclave: "Enclave") -> None:
         """Hook invoked once when the enclave finishes initialisation."""
 
+    def on_destroy(self) -> None:
+        """Hook invoked once at teardown: drop everything the heap held."""
+
     def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke an untrusted OCALL handler registered on the enclave."""
         return self.enclave.dispatch_ocall(name, *args, **kwargs)
@@ -168,10 +171,18 @@ class Enclave:
         return not self._destroyed
 
     def destroy(self) -> None:
-        """Tear the enclave down; further ECALLs fail."""
+        """Tear the enclave down; further ECALLs fail.
+
+        Like ``EREMOVE``, nothing the enclave held outlives this call: the
+        code releases its heap and the OCALL table (bound methods of the
+        host, the other half of a host <-> enclave reference cycle) is
+        emptied, so an ECALL still in flight fails on its next OCALL.
+        """
         if self._destroyed:
             return
         self._destroyed = True
+        self.code.on_destroy()
+        self._ocall_handlers.clear()
         if self._on_destroy is not None:
             self._on_destroy(self)
 
@@ -230,6 +241,8 @@ class Enclave:
 
     def dispatch_ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
         """Invoke the registered untrusted handler for an OCALL."""
+        if self._destroyed:
+            raise EnclaveError(f"{self.enclave_id} is destroyed")
         handler = self._ocall_handlers.get(name)
         if handler is None:
             raise EnclaveError(f"no OCALL handler registered for {name!r}")

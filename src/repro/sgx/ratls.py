@@ -31,7 +31,7 @@ from repro.crypto.dh import DHKeyPair, DHPublicKey, derive_session_key
 from repro.crypto.gcm import AESGCM
 from repro.crypto.hashes import sha256
 from repro.crypto.signature import Signature
-from repro.errors import AttestationError, CryptoError
+from repro.errors import AttestationError, CryptoError, InvalidSignature
 from repro.sgx.attestation import (
     AttestationKind,
     AttestationService,
@@ -77,7 +77,7 @@ def quote_from_wire(data: dict) -> Quote:
             kind=AttestationKind(data["kind"]),
             signature=Signature.from_bytes(data["signature"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, InvalidSignature) as exc:
         raise AttestationError(f"malformed quote on the wire: {exc}") from exc
 
 
@@ -143,10 +143,17 @@ class RatlsPeer:
         return HandshakeOffer(dh_public=self._keypair.public, quote=quote)
 
     def shared_secret(self, peer_offer: HandshakeOffer) -> bytes:
-        """Raw DH secret against the peer's offer (offer() must come first)."""
-        if self._keypair is None:
-            raise CryptoError("offer() must be called before deriving secrets")
-        return self._keypair.shared_secret(peer_offer.dh_public)
+        """Raw DH secret against the peer's offer; consumes the ephemeral key.
+
+        ``offer()`` must come first, and each offer derives one secret: the
+        private exponent is dropped here, so a second call raises.
+        """
+        keypair, self._keypair = self._keypair, None
+        if keypair is None:
+            raise CryptoError(
+                "no ephemeral key: offer() must come first, and a key derives one secret"
+            )
+        return keypair.shared_secret(peer_offer.dh_public)
 
 
 def check_offer(

@@ -1,12 +1,17 @@
 """Known-answer vectors captured from the pre-rebuild public-key code (commit ead9130).
 
-``data/pk_kat.json`` was written by ``scripts/make_pk_kat.py`` running against
-ead9130 -- Euler-criterion membership, ``pow(G, x, P)`` everywhere, Schnorr
-verify through ``y^(Q - e)`` -- before any of it was replaced; every later
-``repro.crypto.group`` / ``dh`` / ``signature`` must reproduce those bytes and
-verdicts.  The replaced expressions live on here as the reference oracle.
+The DH, Schnorr and membership sections of ``data/pk_kat.json`` were written
+by ``scripts/make_pk_kat.py`` running against ead9130 -- Euler-criterion
+membership, ``pow(G, x, P)`` everywhere, Schnorr verify through ``y^(Q - e)``
+-- before any of it was replaced; every later ``repro.crypto.group`` / ``dh``
+/ ``signature`` must reproduce those bytes and verdicts, and a digest of each
+section (recorded from commit 8bba941, before ephemeral DH keys became 256
+bits) is asserted below.  Only the two RA-TLS first-ciphertext pairs were
+regenerated then: they depend on *which* key a random source yields.  The
+replaced expressions live on here as the reference oracle.
 """
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -41,6 +46,35 @@ def euler_is_group_element(x: int) -> bool:
 
 def test_vectors_come_from_the_parent_commit():
     assert KAT["source"].endswith("commit ead9130")
+    assert "PR 22" in KAT["ratls_source"]
+
+
+#: sha256 of ``json.dumps(section, sort_keys=True, separators=(",", ":"))`` at
+#: commit 8bba941, before any ``src/`` line of the 256-bit DH draw was written
+SECTION_DIGESTS = {
+    "dh": "bc42c352bb40f9a603364ff302f52f9a10fe7ad037c6a36c1668c45c63c3ca01",
+    "schnorr": "8929a5f27210c1465873ae0043ebc0a43041be3711cc0eef7fbd9d7eb4a3d511",
+    "membership": "ded4a0192dd21b54291e0889ab234521f3d3cdc054d2c6f7259dcfb733ccb11b",
+}
+#: the RA-TLS section at 8bba941: full-length ephemeral keys, replaced on purpose
+OLD_RATLS_DIGEST = "96aa01791021bcfefb2399d6c1623b3ea1c359ca3fc6d0587cc39b4d345c1c14"
+
+
+def section_digest(section) -> str:
+    text = json.dumps(section, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_DIGESTS))
+def test_function_vector_sections_are_the_parent_commits(name):
+    """Short DH exponents changed which key is drawn, not what any function
+    computes: these sections are byte-for-byte what they were."""
+    assert section_digest(KAT[name]) == SECTION_DIGESTS[name]
+
+
+def test_only_the_ratls_pairs_were_regenerated():
+    assert section_digest(KAT["ratls"]) != OLD_RATLS_DIGEST
+    assert {*KAT} == {"source", "ratls_source", "derivation", "ratls", *SECTION_DIGESTS}
 
 
 # -- Diffie-Hellman -------------------------------------------------------------
@@ -48,8 +82,9 @@ def test_vectors_come_from_the_parent_commit():
 
 @pytest.mark.parametrize("case", KAT["dh"], ids=lambda c: c["name"])
 def test_dh_known_answer(case):
-    """``DHKeyPair.generate`` under the pinned scalar: public-key bytes, and
-    the shared-secret bytes against both fixed peers."""
+    """An explicit private exponent (most of them longer than anything
+    ``DHKeyPair.generate`` draws now): public-key bytes, and the shared-secret
+    bytes against both fixed full-length peers."""
     assert kat.dh_case(case["name"], int(case["private"], 16)) == case
 
 
@@ -148,9 +183,19 @@ def test_g_pow_is_pow():
 
 
 def test_one_comb_table_per_process_of_1024_entries():
-    table = group._comb_table()
-    assert group._comb_table() is table
+    table = group._comb_table(256)
+    assert group._comb_table(256) is table
     assert isinstance(table, tuple) and len(table) == 1024
     assert table[0] == table[256] == 1 and table[1] == G
     assert table[257] == pow(G, 1 << 64, P)  # block 1 starts 64 columns up
     assert table[255] == pow(G, sum(1 << 256 * tooth for tooth in range(8)), P)
+
+
+def test_the_short_table_is_the_same_builder_at_a_32_bit_span():
+    table = group._comb_table(32)
+    assert group._comb_table(32) is table is not group._comb_table(256)
+    assert isinstance(table, tuple) and len(table) == 1024
+    assert table[0] == table[256] == 1 and table[1] == G
+    assert table[257] == pow(G, 1 << 8, P)  # block 1 starts 8 columns up
+    assert table[255] == pow(G, sum(1 << 32 * tooth for tooth in range(8)), P)
+    assert group._comb_table.cache_info().currsize == 2

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crypto.dh import DHKeyPair
+from repro.crypto import group
+from repro.crypto.dh import DHKeyPair, DHPublicKey
 from repro.errors import AttestationError, CryptoError, InvalidTag
 from repro.sgx.attestation import AttestationService, QuotePolicy
 from repro.sgx.enclave import EnclaveBuildConfig, EnclaveCode
@@ -12,6 +13,8 @@ from repro.sgx.ratls import (
     RatlsPeer,
     complete_handshake,
     perform_handshake,
+    quote_from_wire,
+    quote_to_wire,
     respond_handshake,
 )
 
@@ -163,6 +166,103 @@ def test_shared_secret_requires_offer_first():
     other_offer = other.offer()
     with pytest.raises(CryptoError):
         peer.shared_secret(other_offer)
+
+
+def test_the_ephemeral_key_derives_one_secret():
+    """The private exponent is dropped with the first secret: a second
+    derivation from the same offer is refused, not repeated."""
+    peer, other = RatlsPeer("p"), RatlsPeer("o")
+    peer.offer()
+    other_offer = other.offer()
+    assert len(peer.shared_secret(other_offer)) == 256
+    assert peer._keypair is None
+    with pytest.raises(CryptoError, match="one secret"):
+        peer.shared_secret(other_offer)
+
+
+def test_every_offer_draws_a_fresh_key():
+    peer, other = RatlsPeer("p"), RatlsPeer("o")
+    first, second = peer.offer(), peer.offer()
+    assert first.dh_public != second.dh_public
+    # the live key is the latest offer's
+    assert peer.shared_secret(other.offer()) == other.shared_secret(second)
+    third = peer.offer()  # and a consumed peer can offer again
+    assert third.dh_public not in (first.dh_public, second.dh_public)
+
+
+def test_handshakes_still_complete_on_reused_peers(setup):
+    """respond / complete / perform each consume exactly the key they drew."""
+    attestation, platform, enclave = setup
+    client, server = RatlsPeer("client"), attested_peer("server", enclave, platform)
+    policy = QuotePolicy(expected_mrenclave=enclave.measurement)
+    for _ in range(2):  # the same peer objects, two whole handshakes
+        c, s = perform_handshake(client, server, attestation, client_requires=policy)
+        assert s.recv(c.send(b"again")) == b"again"
+    offer = client.offer()
+    server_offer, s, _ = respond_handshake(server, offer, attestation)
+    c = complete_handshake(client, offer, server_offer, attestation, client_requires=policy)
+    assert c.recv(s.send(b"halves")) == b"halves"
+    with pytest.raises(CryptoError):  # the client's key went into that channel
+        complete_handshake(client, offer, server_offer, attestation, client_requires=policy)
+
+
+def full_length_pair() -> DHKeyPair:
+    """A key pair as every peer drew them before PR 22: private in ``[1, Q)``."""
+    private = group.random_scalar() | 1 << 2040
+    return DHKeyPair(private=private, public=DHPublicKey(group.g_pow(private)))
+
+
+def test_short_and_full_length_exponents_agree_on_the_secret():
+    short, full = DHKeyPair.generate(), full_length_pair()
+    assert short.private.bit_length() <= 256 < 2040 < full.private.bit_length()
+    secret = short.shared_secret(full.public)
+    assert secret == full.shared_secret(short.public)
+    assert secret == group.element_to_bytes(
+        pow(group.G, short.private * full.private, group.P)
+    )
+
+
+def test_mutual_handshake_with_a_full_length_peer(setup, monkeypatch):
+    """A peer that still draws full-length exponents interoperates unchanged."""
+    attestation, platform, enclave = setup
+    other = platform.create_enclave(Service(), EnclaveBuildConfig(memory_bytes=2 * MB))
+    client = attested_peer("old-semirt", enclave, platform)
+    server = attested_peer("keyservice", other, platform)
+    with monkeypatch.context() as patch:
+        patch.setattr(group, "random_short_scalar", lambda: group.random_scalar() | 1 << 2040)
+        client_offer = client.offer()
+    assert client._keypair.private.bit_length() > 2040
+    server_offer, s, report = respond_handshake(
+        server, client_offer, attestation,
+        server_requires=QuotePolicy(expected_mrenclave=enclave.measurement),
+    )
+    assert report.mrenclave == enclave.measurement
+    c = complete_handshake(
+        client, client_offer, server_offer, attestation,
+        client_requires=QuotePolicy(expected_mrenclave=other.measurement),
+    )
+    assert s.recv(c.send(b"provision")) == b"provision"
+    assert c.recv(s.send(b"keys")) == b"keys"
+
+
+@pytest.mark.parametrize(
+    "bad", [1, group.P - 1, 0, group.P, group.P + 5, 11],
+    ids=["identity", "order-two", "zero", "P", "P+5", "non-residue"],
+)
+def test_offer_with_a_peer_key_outside_the_subgroup_is_refused(bad):
+    """What makes a 256-bit exponent sound on this group: no received key is
+    ever raised to it unless it is in the order-Q subgroup."""
+    with pytest.raises(CryptoError, match="not a valid group element"):
+        HandshakeOffer.from_wire({"dh_public": bad.to_bytes(256, "big")})
+
+
+@pytest.mark.parametrize("signature", [b"", b"\x00" * 10, b"\x00" * 287, b"\x00" * 289])
+def test_quote_with_a_wrong_length_signature_is_a_malformed_quote(setup, signature):
+    _, platform, enclave = setup
+    wire = quote_to_wire(attested_peer("p", enclave, platform).offer().quote)
+    assert quote_from_wire(wire).signature.to_bytes() == wire["signature"]
+    with pytest.raises(AttestationError, match="malformed quote on the wire"):
+        quote_from_wire({**wire, "signature": signature})
 
 
 def test_attested_peer_needs_both_enclave_and_quoter(setup):
