@@ -1,23 +1,28 @@
 """Capture DH / Schnorr / RA-TLS known-answer vectors from the checkout on the path.
 
-The DH, Schnorr and membership sections of ``tests/crypto/data/pk_kat.json``
-are the bytes and verdicts of commit ead9130 (the public-key code before the
-Jacobi membership test, the fixed-base table for ``G`` and the
-``inverse(y)^e`` verify); ``tests/crypto/test_pk_kat.py`` pins every later
-``repro.crypto.group`` / ``dh`` / ``signature`` to them and asserts a digest
-of each section, so they cannot be regenerated into something else.  They are
-*function* vectors: the DH cases are built from explicit private exponents,
-not through ``DHKeyPair.generate()``, which draws 256-bit keys since PR 22
-and could not produce most of them.  The two RA-TLS first-ciphertext pairs
-depend on which keys a random source yields, so they were regenerated, on
-purpose, when the ephemeral-key draw became ``group.random_short_scalar``.
+The DH and membership sections of ``tests/crypto/data/pk_kat.json`` are the
+bytes and verdicts of commit ead9130 (the public-key code before the Jacobi
+membership test and the fixed-base table for ``G``);
+``tests/crypto/test_pk_kat.py`` pins every later ``repro.crypto.group`` /
+``dh`` to them and asserts a digest of each section, so they cannot be
+regenerated into something else.  They are *function* vectors: the DH cases
+are built from explicit private exponents -- most of them full-length, so
+their public keys come from the built-in ``pow``, not from the 256-bit comb --
+and never through ``DHKeyPair.generate()``.  The Schnorr section was
+regenerated, on purpose, in PR 23, when quote signatures moved from the
+order-``Q`` subgroup of the DH group to the 256-bit-order signature group
+(``SIG_P``, ``SIG_Q``, ``SIG_G``): same case names, new group, its digest
+asserted from then on.  The two RA-TLS first-ciphertext pairs depend on which
+keys a random source yields and on the quote signatures, so they were
+regenerated with it (and once before, in PR 22, when the ephemeral-key draw
+became ``group.random_short_scalar``).
 
 ``--check`` regenerates the document in memory from the code on the path and
 diffs it against the committed file (CI runs it next to the layering check).
 Re-running without ``--check`` only re-derives the file from the code under
 test; do that deliberately, never to make a test pass.
 
-``group.random_scalar`` and ``group.random_short_scalar`` are pinned to
+``group.random_sig_scalar`` and ``group.random_short_scalar`` are pinned to
 SHAKE-256-derived values, so every key, nonce, signature, transcript and
 session key is a function of the labels below.  The test module imports this
 file for those derivations and case builders.
@@ -45,7 +50,8 @@ from repro.sgx.ratls import RatlsPeer, perform_handshake
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests/crypto/data/pk_kat.json"
 SOURCE = "scripts/make_pk_kat.py run against commit ead9130"
-RATLS_SOURCE = "regenerated on purpose in PR 22: ephemeral DH keys are 256 bits"
+SCHNORR_SOURCE = "regenerated on purpose in PR 23: quote signatures on the (2048, 256) group"
+RATLS_SOURCE = SCHNORR_SOURCE + " (and in PR 22: ephemeral DH keys are 256 bits)"
 
 MEMBERSHIP_COUNT = 1000
 DH_PEERS = ("dh:peer:0", "dh:peer:1")
@@ -57,8 +63,13 @@ def derived(label: str, size: int) -> int:
 
 
 def scalar(label: str) -> int:
-    """An exponent in ``[1, Q)`` for ``label`` (264 bytes: no visible modulo bias)."""
+    """A full-length DH exponent in ``[1, Q)`` for ``label`` (264 bytes: no visible modulo bias)."""
     return derived(label, 264) % (group.Q - 1) + 1
+
+
+def sig_scalar(label: str) -> int:
+    """A Schnorr key or nonce in ``[1, SIG_Q)`` for ``label`` (40 bytes: no visible modulo bias)."""
+    return derived(label, 40) % (group.SIG_Q - 1) + 1
 
 
 def short_scalar(label: str) -> int:
@@ -68,22 +79,22 @@ def short_scalar(label: str) -> int:
 
 @contextlib.contextmanager
 def pinned_scalars(source):
-    """Pin ``group.random_scalar`` and ``group.random_short_scalar`` to ``source``.
+    """Pin ``group.random_sig_scalar`` and ``group.random_short_scalar`` to ``source``.
 
-    A list of scalars is what ``random_scalar`` returns, in order (all must be
-    consumed).  A label stands for the endless sequence of draws of either
-    kind: the ``i``-th draw is ``scalar("<label>:<i>")`` when it is a
-    full-length one and ``short_scalar("<label>:<i>")`` when it is short.
+    A list of scalars is what ``random_sig_scalar`` returns, in order (all
+    must be consumed).  A label stands for the endless sequence of draws of
+    either kind: the ``i``-th draw is ``sig_scalar("<label>:<i>")`` when it is
+    a Schnorr one and ``short_scalar("<label>:<i>")`` when it is a DH key.
     """
     if isinstance(source, str):
         labels = (f"{source}:{i}" for i in itertools.count())
         pins = {
-            "random_scalar": lambda: scalar(next(labels)),
+            "random_sig_scalar": lambda: sig_scalar(next(labels)),
             "random_short_scalar": lambda: short_scalar(next(labels)),
         }
     else:
         values = iter(source)
-        pins = {"random_scalar": lambda: next(values)}
+        pins = {"random_sig_scalar": lambda: next(values)}
     with mock.patch.multiple(group, **pins):
         yield
     if not isinstance(source, str) and next(values, None) is not None:
@@ -107,8 +118,8 @@ def dh_privates() -> dict[str, int]:
 
 
 def dh_pair(private: int) -> DHKeyPair:
-    """The key pair of an explicit private exponent (``generate()`` minus the draw)."""
-    return DHKeyPair(private=private, public=DHPublicKey(group.g_pow(private)))
+    """The key pair of an explicit private exponent of any length."""
+    return DHKeyPair(private=private, public=DHPublicKey(pow(group.G, private, group.P)))
 
 
 def dh_peer(label: str) -> DHPublicKey:
@@ -131,18 +142,18 @@ def dh_case(name: str, private: int) -> dict:
 
 
 def schnorr_specs() -> list[dict]:
-    key, nonce = scalar("schnorr:key"), scalar("schnorr:nonce")
+    key, nonce = sig_scalar("schnorr:key"), sig_scalar("schnorr:nonce")
     specs = [
         {"name": "plain", "key": key, "nonce": nonce, "message": b"message"},
         {"name": "empty-message", "key": key, "nonce": nonce, "message": b""},
         {
             "name": "long-message",
             "key": key,
-            "nonce": scalar("schnorr:nonce:long"),
+            "nonce": sig_scalar("schnorr:nonce:long"),
             "message": hashlib.shake_256(b"schnorr:message").digest(1000),
         },
         {"name": "nonce-one", "key": key, "nonce": 1, "message": b"m"},
-        {"name": "nonce-q-1", "key": key, "nonce": group.Q - 1, "message": b"m"},
+        {"name": "nonce-q-1", "key": key, "nonce": group.SIG_Q - 1, "message": b"m"},
         {
             "name": "nonce-64-bit",
             "key": key,
@@ -150,13 +161,13 @@ def schnorr_specs() -> list[dict]:
             "message": b"m",
         },
         {"name": "key-one", "key": 1, "nonce": nonce, "message": b"m"},
-        {"name": "key-q-1", "key": group.Q - 1, "nonce": nonce, "message": b"m"},
+        {"name": "key-q-1", "key": group.SIG_Q - 1, "nonce": nonce, "message": b"m"},
     ]
     specs += [
         {
             "name": f"random-{i}",
-            "key": scalar(f"schnorr:key:{i}"),
-            "nonce": scalar(f"schnorr:nonce:{i}"),
+            "key": sig_scalar(f"schnorr:key:{i}"),
+            "nonce": sig_scalar(f"schnorr:nonce:{i}"),
             "message": f"message {i}".encode(),
         }
         for i in range(4)
@@ -260,12 +271,14 @@ def membership() -> dict:
 
 def build_document() -> dict:
     return {
-        "source": SOURCE,  # of the dh, schnorr and membership sections
+        "source": SOURCE,  # of the dh and membership sections
+        "schnorr_source": SCHNORR_SOURCE,
         "ratls_source": RATLS_SOURCE,
         "derivation": (
             "int = int.from_bytes(shake_256(label).digest(n), 'big'); "
             "scalar(label) = int(label, 264) % (Q - 1) + 1; "
-            "short_scalar(label) = int(label, 40) % (2^256 - 1) + 1"
+            "short_scalar(label) = int(label, 40) % (2^256 - 1) + 1; "
+            "sig_scalar(label) = int(label, 40) % (SIG_Q - 1) + 1"
         ),
         "dh": [dh_case(name, private) for name, private in dh_privates().items()],
         "schnorr": [schnorr_case(**spec) for spec in schnorr_specs()],

@@ -1,34 +1,34 @@
-"""The shared algebraic group for key exchange and signatures.
+"""The two algebraic groups: one for key exchange, one for quote signatures.
 
-We use the 2048-bit MODP group 14 from RFC 3526.  Its modulus ``P`` is a
-safe prime (``P = 2Q + 1`` with ``Q`` prime), so the squares form a prime-
-order subgroup of order ``Q`` -- suitable both for Diffie-Hellman key
-exchange and for Schnorr signatures.  ``G = 4`` (= 2 squared) generates
-that subgroup.
+**Key exchange** uses the 2048-bit MODP group 14 from RFC 3526.  Its modulus
+``P`` is a safe prime (``P = 2Q + 1`` with ``Q`` prime), so the squares form
+the subgroup of prime order ``Q`` and ``G = 4`` (= 2 squared) generates it.
+On a safe prime that subgroup *is* the set of quadratic residues, so
+membership (:func:`is_group_element`) is the Jacobi symbol ``(x/P) == 1`` --
+Euclid-style integer steps, ~0.4 ms -- rather than Euler's criterion
+``x^Q == 1``, a full 2047-bit modular exponentiation.  Ephemeral private keys
+are 256 bits (:func:`random_short_scalar`): on a safe-prime group whose
+received keys are checked for membership that loses nothing
+(docs/protocol.md section 1), and it makes ``peer^x`` a 256-bit
+exponentiation.
 
-Two things make the group cheap to use without changing what any function
-computes:
+**Quote signatures** use FIPS 186-4 style (L = 2048, N = 256) Schnorr
+parameters: ``SIG_P`` is a 2048-bit prime, ``SIG_Q`` a 256-bit prime dividing
+``SIG_P - 1`` and ``SIG_G`` an element of order ``SIG_Q``.  Every signing
+key, nonce and signature scalar is uniform over the *whole* 256-bit order
+(:func:`random_sig_scalar`), so nothing there rests on a short-exponent
+assumption -- the group is small, not the exponent.  ``SIG_P`` is not a safe
+prime: membership of a received key is ``y^SIG_Q == 1``
+(:mod:`repro.crypto.signature`).  The three constants are literals derived
+from a published SHAKE-256 label by ``scripts/make_sig_group.py`` (``--check``
+re-derives them); nothing is generated or primality-tested at run time.
 
-- On a safe prime the order-``Q`` subgroup *is* the set of quadratic
-  residues, so membership (:func:`is_group_element`) is the Jacobi symbol
-  ``(x/P) == 1`` -- Euclid-style integer steps, ~0.4 ms -- rather than
-  Euler's criterion ``x^Q == 1``, a full 2047-bit modular exponentiation
-  (~27 ms).  The two are the same predicate.
-- Every exponentiation of the fixed base ``G`` goes through :func:`g_pow`,
-  one Lim-Lee comb loop over lazily built tables shared by the process
-  (1,024 residues, ~0.3 MB each).  The full-length table spans 2,048 bits
-  (~35 ms to build on first use): 64 squarings and at most 256
-  multiplications (~4.4 ms) where the built-in ``pow`` spends 2,047
-  squarings (~22 ms).  An exponent of at most 256 bits -- every ephemeral
-  DH key, see :func:`random_short_scalar` -- goes through the same loop
-  over a table cut for that span (~13 ms to build): 8 squarings and at
-  most 32 multiplications (~0.5 ms).
-
-Private exponents come in two lengths, on purpose.  Ephemeral DH keys are
-256 bits: on a safe-prime group whose received keys are checked for
-membership that loses nothing (docs/protocol.md section 1), and it makes
-``peer^x`` a 256-bit exponentiation.  Schnorr signing keys and nonces stay
-uniform in ``[1, Q)``.
+Every exponent either group ever raises a long-lived base to is therefore at
+most 256 bits, and each such base -- ``G``, ``SIG_G``, the inverse of a
+provisioned attestation root key -- has one :class:`FixedBase`: a Lim-Lee
+comb table (1,024 residues, ~0.3 MB, ~12.5 ms to build on first use) through
+which a power is 8 squarings and at most 32 multiplications (~0.5 ms) where
+the built-in ``pow`` spends 256 squarings (~3 ms).
 
 Like the rest of this twin, none of it claims to run in constant time:
 CPython's integers never did, and table indices depend on the exponent.
@@ -57,24 +57,46 @@ P = int(
 Q = (P - 1) // 2
 G = 4  # generator of the order-Q subgroup of squares
 
-# Comb geometry: an exponent is 8 teeth of ``span`` bits; each tooth is cut
-# into 4 blocks of ``span / 4`` columns, and each block has its own 256
-# products.  Two spans: 256 bits per tooth covers any exponent below Q,
-# 32 bits per tooth covers a short (256-bit) one.
-_TEETH, _BLOCKS = 8, 4
-_FULL_SPAN = 256
-SHORT_SCALAR_BITS = 256
-_SHORT_SPAN = SHORT_SCALAR_BITS // _TEETH
+# The quote-signature group: derived by scripts/make_sig_group.py from
+# SHAKE-256("repro.crypto.group: quote-signature group, FIPS 186-4 (L=2048, N=256), v1").
+SIG_P = int(
+    "F131FD7B43536A7D764BBFC50C9E56FA299E438558790ED6"
+    "FF51CCCB2D67D7F4D164DB14DF6B42092E4D00DBFD312EF4"
+    "82ABDEDFE11F3F2C3074EECBC6955BAED58E674F68728478"
+    "D4736EF25189EF008E0BB92E215291D586C50650AE3CCB85"
+    "D0CE8831E1E8A6DBDC8F06EFD158DD12B5D07A9AB8ECBB3C"
+    "82646CF59D1BB6C9BBCE6E212821F37020E898A2684AE0C3"
+    "2CC59A8A2725FAF209973A528623A8D9E84BC7B83F0DF6E9"
+    "2C832B155F70A955BF6DF7828351C46A89D61DAC5EC21F4C"
+    "050957C426CD8ADEE60B64BD7BB91CC0AF05DFE0747F816C"
+    "F964FCE63505BD51F96439843B208C86CEED57CB304BD55A"
+    "F661A640056C75619146948F1973AE3B",
+    16,
+)
+SIG_Q = int("81F48383240C8613DC7CD79B167C3C2FE96AA69C588D6553B41D25E35D9B082B", 16)
+SIG_G = int(
+    "A1156801084DCD9DDB4A74CE1DD5E6046F46FD8A3D3EEC02"
+    "E31EB1A50A00BF35D07BCAB233153D7A8D65D9136EEC2524"
+    "B5BC8B4965AC7EC92EF05854B7B625C9088B43083EDB3885"
+    "2F8FACE16C24BC5D2471526E99D014C9538C0678E9F13F1B"
+    "66E13E9C7C33C7FD95028CF62263E4FA90DC6D19FAE93D82"
+    "BA39B7D66F633DFE9E5E9F9FF589D3C1BE8B897AEAD3CBC0"
+    "2BF23F0EC7B7549799ECD5D5C5D70E3FDB4807E9B58ACC24"
+    "DF1EFEEAA56DD2FE3F066283A107DFCE9C3C0349EFEA900F"
+    "81B9B74BD83E4A88C85B8F8B8E74B79D6D70E176EDB689AC"
+    "67B2658B9ACC79EDAEA814380F58D4F3332BF8281916058C"
+    "8AEEAAA013DAD712C1BBFBEEB55E55DC",
+    16,
+)
 
+SHORT_SCALAR_BITS = 256  # an ephemeral DH private key; SIG_Q happens to be as long
 
-def random_scalar() -> int:
-    """A uniform random exponent in ``[1, Q)``.
-
-    Schnorr signing keys *and nonces* draw here and nowhere shorter:
-    ``s = k + x*e mod Q`` hides ``x*e`` only under a ``k`` that is uniform
-    over the whole of ``[1, Q)``; a short nonce leaks the signing key.
-    """
-    return secrets.randbelow(Q - 1) + 1
+# Comb geometry: an exponent is 8 teeth of 32 bits -- 256 bits, which covers
+# both kinds of scalar; each tooth is cut into 4 blocks of 8 columns, and each
+# block has its own 256 products.
+_TEETH, _SPAN, _BLOCKS = 8, 32, 4
+_COLUMNS = _SPAN // _BLOCKS
+_EXPONENT_BITS = _TEETH * _SPAN
 
 
 def random_short_scalar() -> int:
@@ -89,13 +111,22 @@ def random_short_scalar() -> int:
     return secrets.randbelow((1 << SHORT_SCALAR_BITS) - 1) + 1
 
 
+def random_sig_scalar() -> int:
+    """A uniform random exponent in ``[1, SIG_Q)``: a Schnorr key or nonce.
+
+    The whole order, not a short slice of it: ``s = k + x*e mod SIG_Q`` hides
+    ``x*e`` only under a ``k`` uniform over all of ``[1, SIG_Q)``.
+    """
+    return secrets.randbelow(SIG_Q - 1) + 1
+
+
 def element_to_bytes(x: int) -> bytes:
-    """Fixed-width big-endian encoding of a group element."""
+    """Fixed-width big-endian encoding of an element of either group."""
     return x.to_bytes(256, "big")
 
 
 def is_group_element(x: int) -> bool:
-    """True when ``x`` is a non-identity element of the order-Q subgroup.
+    """True when ``x`` is a non-identity element of the order-Q subgroup mod ``P``.
 
     The identity (1) is excluded: as a DH public key it would fix the
     shared secret regardless of the peer's contribution.
@@ -117,42 +148,57 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-@functools.cache
-def _comb_table(span: int) -> tuple:
-    """``table[b << 8 | j]`` = the product of ``G^(2^(span k + span/4 b))`` over bits ``k`` of ``j``.
+class FixedBase:
+    """``base^x mod modulus`` for ``0 <= x < 2^256`` through a comb table.
 
-    Built into locals and published by the cache in one step; two threads
-    racing on first use build the same tuple and one copy is kept.
+    For a base that outlives many exponentiations: the table costs about as
+    much as four built-in ``pow`` calls to build and is built on first use.
     """
-    columns = span // _BLOCKS
-    anchors, power = [], G
-    for _ in range(_TEETH * _BLOCKS):  # anchors[k * _BLOCKS + b] = G^(2^(span k + columns b))
-        anchors.append(power)
-        for _ in range(columns):
-            power = power * power % P
-    table = []
-    for block in range(_BLOCKS):
-        row = [1] * (1 << _TEETH)
-        for j in range(1, 1 << _TEETH):
-            low = j & -j
-            row[j] = row[j ^ low] * anchors[(low.bit_length() - 1) * _BLOCKS + block] % P
-        table += row
-    return tuple(table)
 
+    def __init__(self, base: int, modulus: int) -> None:
+        self.base, self.modulus = base, modulus
 
-def g_pow(x: int) -> int:
-    """``G^x mod P`` for any integer ``x``, through the fixed-base comb."""
-    x %= Q  # G has order Q
-    span = _SHORT_SPAN if x.bit_length() <= SHORT_SCALAR_BITS else _FULL_SPAN
-    table, columns_per_block = _comb_table(span), span // _BLOCKS
-    bits = format(x, "b").zfill(_TEETH * span)
-    teeth = [bits[start : start + span] for start in range(0, _TEETH * span, span)]
-    # the most significant tooth comes first, so it lands in the index's top bit
-    columns = [int("".join(column), 2) for column in zip(*teeth)]
-    result = 1
-    for i in range(columns_per_block):  # most significant column of every block first
-        result = result * result % P
+    @functools.cached_property
+    def table(self) -> tuple:
+        """``table[b << 8 | j]`` = the product of ``base^(2^(32 k + 8 b))`` over bits ``k`` of ``j``.
+
+        Threads racing on first use may each build it; every build is equal
+        and one is kept.
+        """
+        base, modulus = self.base, self.modulus
+        anchors, power = [], base
+        for _ in range(_TEETH * _BLOCKS):  # anchors[k * _BLOCKS + b] = base^(2^(32 k + 8 b))
+            anchors.append(power)
+            for _ in range(_COLUMNS):
+                power = power * power % modulus
+        table = []
         for block in range(_BLOCKS):
-            index = columns[(_BLOCKS - 1 - block) * columns_per_block + i]
-            result = result * table[block << _TEETH | index] % P
-    return result
+            row = [1] * (1 << _TEETH)
+            for j in range(1, 1 << _TEETH):
+                low = j & -j
+                row[j] = row[j ^ low] * anchors[(low.bit_length() - 1) * _BLOCKS + block] % modulus
+            table += row
+        return tuple(table)
+
+    def pow(self, x: int) -> int:
+        """``base^x mod modulus``; an exponent outside ``[0, 2^256)`` is refused."""
+        if x < 0 or x >> _EXPONENT_BITS:
+            raise ValueError("fixed-base exponent outside [0, 2^256)")
+        table, modulus = self.table, self.modulus
+        bits = format(x, "b").zfill(_EXPONENT_BITS)
+        teeth = [bits[start : start + _SPAN] for start in range(0, _EXPONENT_BITS, _SPAN)]
+        # the most significant tooth comes first, so it lands in the index's top bit
+        columns = [int("".join(column), 2) for column in zip(*teeth)]
+        result = 1
+        for i in range(_COLUMNS):  # most significant column of every block first
+            result = result * result % modulus
+            for block in range(_BLOCKS):
+                index = columns[(_BLOCKS - 1 - block) * _COLUMNS + i]
+                result = result * table[block << _TEETH | index] % modulus
+        return result
+
+
+#: ``G^x mod P`` (ephemeral DH public keys) and ``SIG_G^x mod SIG_P`` (signing
+#: nonces, verify keys, the ``g^s`` half of verification): one table each per process
+g_pow = FixedBase(G, P).pow
+sig_g_pow = FixedBase(SIG_G, SIG_P).pow

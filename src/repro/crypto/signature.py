@@ -1,19 +1,25 @@
-"""Schnorr signatures over the RFC 3526 group.
+"""Schnorr signatures in the 256-bit-order quote-signature group.
 
-These stand in for the ECDSA signatures that Intel's quoting
-infrastructure applies to attestation quotes.  The construction is
-standard Schnorr in a prime-order subgroup: the signature is ``(e, s)``
-with ``e = H(g^k || m)`` and ``s = k + x*e mod Q``.
+These stand in for the ECDSA-P256 signatures that Intel's quoting
+infrastructure applies to attestation quotes, and mirror their shape: a
+256-bit prime group order, two 32-byte scalars on the wire.  The construction
+is standard Schnorr in the order-``SIG_Q`` subgroup generated by ``SIG_G``
+modulo ``SIG_P`` (:mod:`repro.crypto.group`): the signature is ``(e, s)`` with
+``e = H(g^k || m) mod SIG_Q`` and ``s = k + x*e mod SIG_Q``.
 
-The signing key ``x`` and every nonce ``k`` are uniform in ``[1, Q)``
-(:func:`repro.crypto.group.random_scalar`), unlike the 256-bit ephemeral DH
-keys: ``s`` is computed mod ``Q``, and a ``k`` much shorter than ``Q`` would
-no longer mask ``x*e`` -- each signature would leak the signing key's high
-bits.
+The signing key ``x`` and every nonce ``k`` are uniform over the whole of
+``[1, SIG_Q)`` (:func:`repro.crypto.group.random_sig_scalar`): ``s`` is
+computed mod ``SIG_Q``, and a ``k`` shorter than the order would no longer
+mask ``x*e`` -- each signature would leak the signing key's high bits.  A
+signer only ever exponentiates ``SIG_G``, never a value it received, so the
+many small subgroups modulo ``SIG_P`` (it is not a safe prime) give an
+attacker nothing to confine its key to; a *verifier* checks that the key it
+verifies under lies in the order-``SIG_Q`` subgroup.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.crypto import group
@@ -30,11 +36,11 @@ class Signature:
 
     def to_bytes(self) -> bytes:
         """Fixed-width encoding ``e || s``."""
-        return self.e.to_bytes(32, "big") + self.s.to_bytes(256, "big")
+        return self.e.to_bytes(32, "big") + self.s.to_bytes(32, "big")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Signature":
-        if len(raw) != 32 + 256:
+        if len(raw) != 32 + 32:
             raise InvalidSignature("malformed signature encoding")
         return cls(
             e=int.from_bytes(raw[:32], "big"),
@@ -44,7 +50,7 @@ class Signature:
 
 def _challenge(commitment: int, message: bytes) -> int:
     digest = sha256(group.element_to_bytes(commitment) + message)
-    return int.from_bytes(digest, "big") % group.Q
+    return int.from_bytes(digest, "big") % group.SIG_Q
 
 
 @dataclass(frozen=True)
@@ -53,17 +59,27 @@ class VerifyKey:
 
     value: int
 
+    @functools.cached_property
+    def _inverse(self) -> group.FixedBase:
+        """Powers of ``1/y``; its table lives as long as this key object does.
+
+        The system verifies under long-lived provisioned attestation roots
+        only, so the table is built once per root, not once per quote.
+        """
+        return group.FixedBase(pow(self.value, -1, group.SIG_P), group.SIG_P)
+
     def verify(self, message: bytes, signature: Signature) -> None:
         """Raise :class:`InvalidSignature` unless ``signature`` is valid."""
-        if not group.is_group_element(self.value):
+        # The range first: 0 and SIG_P have no inverse, 1 is the identity.  Then
+        # subgroup membership, y^SIG_Q = 1, asked of 1/y (the same question)
+        # because that is the base with a table.
+        if not 1 < self.value < group.SIG_P or self._inverse.pow(group.SIG_Q) != 1:
             raise InvalidSignature("verify key is not a valid group element")
-        if not (0 <= signature.e < group.Q and 0 <= signature.s < group.Q):
+        if not (0 <= signature.e < group.SIG_Q and 0 <= signature.s < group.SIG_Q):
             raise InvalidSignature("signature scalars out of range")
-        # r' = g^s * y^{-e};  valid iff H(r' || m) == e.  The membership
-        # check above established y^Q = 1, so y^{-e} is inverse(y)^e: a
-        # 256-bit exponent where y^(Q - e) would spend 2047 bits.
-        y_inv_e = pow(pow(self.value, -1, group.P), signature.e, group.P)
-        commitment = group.g_pow(signature.s) * y_inv_e % group.P
+        # r' = g^s * y^{-e};  valid iff H(r' || m) == e
+        y_inv_e = self._inverse.pow(signature.e)
+        commitment = group.sig_g_pow(signature.s) * y_inv_e % group.SIG_P
         if _challenge(commitment, message) != signature.e:
             raise InvalidSignature("Schnorr verification failed")
 
@@ -73,6 +89,8 @@ class VerifyKey:
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "VerifyKey":
+        if len(raw) != 256:
+            raise InvalidSignature("malformed verify key encoding")
         return cls(int.from_bytes(raw, "big"))
 
 
@@ -84,16 +102,16 @@ class SigningKey:
 
     @classmethod
     def generate(cls) -> "SigningKey":
-        return cls(group.random_scalar())
+        return cls(group.random_sig_scalar())
 
     @property
     def verify_key(self) -> VerifyKey:
-        return VerifyKey(group.g_pow(self.scalar))
+        return VerifyKey(group.sig_g_pow(self.scalar))
 
     def sign(self, message: bytes) -> Signature:
         """Produce a Schnorr signature over ``message``."""
-        k = group.random_scalar()
-        commitment = group.g_pow(k)
+        k = group.random_sig_scalar()
+        commitment = group.sig_g_pow(k)
         e = _challenge(commitment, message)
-        s = (k + self.scalar * e) % group.Q
+        s = (k + self.scalar * e) % group.SIG_Q
         return Signature(e=e, s=s)

@@ -33,6 +33,7 @@ from repro.crypto.hashes import sha256
 from repro.crypto.signature import Signature
 from repro.errors import AttestationError, CryptoError, InvalidSignature
 from repro.sgx.attestation import (
+    REPORT_DATA_SIZE,
     AttestationKind,
     AttestationService,
     Quote,
@@ -62,20 +63,33 @@ def quote_to_wire(quote: Quote) -> dict:
     }
 
 
+def _wire_field(data: dict, name: str, kind: type, size: Optional[int] = None):
+    """``data[name]``, refused unless it is exactly a ``kind`` (of ``size`` items)."""
+    value = data[name]
+    if type(value) is not kind or (size is not None and len(value) != size):
+        width = "" if size is None else f" of length {size}"
+        raise ValueError(f"{name} must be a {kind.__name__}{width}")
+    return value
+
+
 def quote_from_wire(data: dict) -> Quote:
-    """Decode a quote from transport form."""
+    """Decode a quote from transport form.
+
+    The sender is untrusted: every field's type and width is checked here, so
+    nothing downstream hashes, packs or looks up a value of the wrong shape.
+    """
     try:
         report = Report(
-            mrenclave=EnclaveMeasurement(data["mrenclave"]),
-            isv_svn=int(data["isv_svn"]),
-            debug=bool(data["debug"]),
-            report_data=data["report_data"],
-            platform_id=data["platform_id"],
+            mrenclave=EnclaveMeasurement(_wire_field(data, "mrenclave", str)),
+            isv_svn=_wire_field(data, "isv_svn", int),
+            debug=_wire_field(data, "debug", bool),
+            report_data=_wire_field(data, "report_data", bytes, REPORT_DATA_SIZE),
+            platform_id=_wire_field(data, "platform_id", str),
         )
         return Quote(
             report=report,
-            kind=AttestationKind(data["kind"]),
-            signature=Signature.from_bytes(data["signature"]),
+            kind=AttestationKind(_wire_field(data, "kind", str)),
+            signature=Signature.from_bytes(_wire_field(data, "signature", bytes)),
         )
     except (KeyError, ValueError, TypeError, InvalidSignature) as exc:
         raise AttestationError(f"malformed quote on the wire: {exc}") from exc
@@ -105,9 +119,10 @@ class HandshakeOffer:
     @classmethod
     def from_wire(cls, data: dict) -> "HandshakeOffer":
         try:
-            public = DHPublicKey(int.from_bytes(data["dh_public"], "big"))
-        except (KeyError, TypeError) as exc:
+            raw = _wire_field(data, "dh_public", bytes, 256)
+        except (KeyError, ValueError, TypeError) as exc:
             raise AttestationError(f"malformed handshake offer: {exc}") from exc
+        public = DHPublicKey(int.from_bytes(raw, "big"))
         quote = quote_from_wire(data["quote"]) if "quote" in data else None
         return cls(dh_public=public, quote=quote)
 

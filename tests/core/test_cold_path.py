@@ -9,6 +9,7 @@ evicted peer is told "unknown channel" and attests again: SeMIRT through
 ``_fetch_keys``, a client through ``KeyServiceConnection.call``.
 """
 
+import builtins
 import gc
 import inspect
 import weakref
@@ -27,7 +28,8 @@ from repro.crypto.dh import DHKeyPair
 from repro.crypto.signature import SigningKey, VerifyKey
 from repro.errors import AttestationError, EnclaveError
 from repro.mlrt.framework import ModelRuntime
-from repro.sgx.ratls import SecureChannel
+from repro.sgx.enclave import EnclaveBuildConfig, EnclaveCode
+from repro.sgx.ratls import RatlsPeer, SecureChannel
 
 
 def connect(env, name="probe"):
@@ -161,19 +163,35 @@ def test_class_source_is_hashed_once_per_class(monkeypatch, tiny_model, tiny_inp
 # -- the public-key census of one cold start -----------------------------------------
 
 
-def test_one_cold_start_is_two_short_shared_secrets_and_six_fixed_base_powers(
+def test_one_cold_start_is_two_short_shared_secrets_and_ten_short_fixed_base_powers(
     monkeypatch, tiny_model, tiny_input
 ):
     """The in-tree twin of docs/performance.md's census table: the next
-    full-length modexp on the cold path fails here, not in a benchmark."""
+    modexp on the cold path with an exponent over 256 bits -- through a comb
+    or through the built-in ``pow`` -- fails here, not in a benchmark."""
     env = SeSeMIEnvironment()
     env.deploy(tiny_model, "m").grant("alice")
-    env.launch_semirt("tvm").destroy()  # first launch on this platform, off the census
 
-    calls = {"shared_secret": [], "g_pow": [], "sign": 0, "verify": 0, "membership": 0}
-    real_shared, real_g_pow = DHKeyPair.shared_secret, group.g_pow
+    def cold_start():
+        host = env.launch_semirt("tvm")
+        try:
+            return env.session("alice", "m", semirt=host).infer(tiny_input)
+        finally:
+            host.destroy()
+
+    # the first one on these platforms builds each root key's table (once per
+    # provisioned root, like the generators' once per process): off the census
+    cold_start()
+
+    calls = {
+        "shared_secret": [], "g_pow": [], "sig_g_pow": [], "root_pow": [], "pow": [],
+        "sign": 0, "verify": 0, "jacobi_membership": 0, "subgroup_membership": 0,
+    }
+    real_shared, real_g_pow, real_sig_g_pow = DHKeyPair.shared_secret, group.g_pow, group.sig_g_pow
+    real_fixed_pow, real_pow = group.FixedBase.pow, builtins.pow
     real_sign, real_verify = SigningKey.sign, VerifyKey.verify
     real_member = group.is_group_element
+    generators = {group.g_pow.__self__, group.sig_g_pow.__self__}
 
     def shared_secret(self, peer):
         calls["shared_secret"].append(self.private.bit_length())
@@ -182,6 +200,22 @@ def test_one_cold_start_is_two_short_shared_secrets_and_six_fixed_base_powers(
     def g_pow(x):
         calls["g_pow"].append(x.bit_length())
         return real_g_pow(x)
+
+    def sig_g_pow(x):
+        calls["sig_g_pow"].append(x.bit_length())
+        return real_sig_g_pow(x)
+
+    def fixed_pow(self, x):  # every other fixed base: the inverse of a root key
+        assert self not in generators and self.modulus == group.SIG_P
+        calls["root_pow"].append(x.bit_length())
+        calls["subgroup_membership"] += x == group.SIG_Q
+        return real_fixed_pow(self, x)
+
+    def counted_pow(base, exponent, modulus=None):
+        if modulus is None:
+            return real_pow(base, exponent)
+        calls["pow"].append(exponent.bit_length())
+        return real_pow(base, exponent, modulus)
 
     def sign(self, message):
         calls["sign"] += 1
@@ -192,33 +226,102 @@ def test_one_cold_start_is_two_short_shared_secrets_and_six_fixed_base_powers(
         return real_verify(self, message, signature)
 
     def is_group_element(x):
-        calls["membership"] += 1
+        calls["jacobi_membership"] += 1
         return real_member(x)
 
     monkeypatch.setattr(DHKeyPair, "shared_secret", shared_secret)
     monkeypatch.setattr(group, "g_pow", g_pow)
+    monkeypatch.setattr(group, "sig_g_pow", sig_g_pow)
+    monkeypatch.setattr(group.FixedBase, "pow", fixed_pow)
+    monkeypatch.setattr(builtins, "pow", counted_pow)
     monkeypatch.setattr(SigningKey, "sign", sign)
     monkeypatch.setattr(VerifyKey, "verify", verify)
     monkeypatch.setattr(group, "is_group_element", is_group_element)
 
-    host = env.launch_semirt("tvm")
-    try:
-        out = env.session("alice", "m", semirt=host).infer(tiny_input)
-    finally:
-        host.destroy()
+    out = cold_start()
+    monkeypatch.undo()
     assert np.allclose(out, tiny_model.run_reference(tiny_input).ravel(), atol=1e-5)
 
     assert len(calls["shared_secret"]) == 2  # one mutual handshake, both ends
-    assert all(bits <= group.SHORT_SCALAR_BITS for bits in calls["shared_secret"])
-    # two ephemeral keys through the short table; two quote signatures' nonces
-    # and two verifications' g^s through the full-length one
-    assert len(calls["g_pow"]) == 6
-    assert sorted(bits <= group.SHORT_SCALAR_BITS for bits in calls["g_pow"]) == (
-        [False] * 4 + [True] * 2
-    )
-    assert calls["sign"] == 2 and calls["verify"] == 2
-    # per end: its own key, the peer's key off the wire, the quote's verify key
-    assert calls["membership"] == 6
+    assert calls["sign"] == 2 and calls["verify"] == 2  # one quote each way
+    # per end: its own ephemeral key and the peer's key off the wire ...
+    assert calls["jacobi_membership"] == 4
+    # ... and y^SIG_Q == 1 for the root key each quote is verified under
+    assert calls["subgroup_membership"] == 2
+    assert len(calls["g_pow"]) == 2  # the two ephemeral DH public keys
+    assert len(calls["sig_g_pow"]) == 4  # two signing nonces, two g^s
+    assert len(calls["root_pow"]) == 4  # per verification: membership, then 1/y^e
+    # the only built-in modexps are the two shared secrets; no root table was built
+    assert len(calls["pow"]) == 2
+    every_exponent = [bits for name in ("shared_secret", "g_pow", "sig_g_pow", "root_pow", "pow")
+                      for bits in calls[name]]
+    assert len(every_exponent) == 14 and max(every_exponent) <= 256
+    assert group.SHORT_SCALAR_BITS == group.SIG_Q.bit_length() == 256
+
+
+# -- the untrusted EC_HANDSHAKE offer ------------------------------------------------
+
+
+def attested_offer(env):
+    platform = env.worker_platform()
+    enclave = platform.create_enclave(EnclaveCode(), EnclaveBuildConfig(memory_bytes=1 << 20))
+    return RatlsPeer("client", enclave=enclave, quoter=platform.quote).offer().to_wire()
+
+
+WRONG_SHAPES = [[], {}, None, "x", 1, -1, 2**70, 1.5, True, b"", b"\x00" * 63, [0] * 64, ["a"] * 64]
+MALFORMED_OFFERS = {
+    **{
+        f"{field}={value!r:.12}": lambda honest, field=field, value=value: {
+            **honest, "quote": {**honest["quote"], field: value}
+        }
+        for field in ("platform_id", "report_data", "signature", "mrenclave", "kind")
+        for value in WRONG_SHAPES
+    },
+    **{
+        f"dh_public={value!r:.12}": lambda honest, value=value: {**honest, "dh_public": value}
+        for value in (*WRONG_SHAPES, b"\x04" * 255, b"\x00" + b"\x04" * 256)
+    },
+    "isv_svn=-1": lambda honest: {**honest, "quote": {**honest["quote"], "isv_svn": -1}},
+    "isv_svn=2**70": lambda honest: {**honest, "quote": {**honest["quote"], "isv_svn": 2**70}},
+    "isv_svn='1'": lambda honest: {**honest, "quote": {**honest["quote"], "isv_svn": "1"}},
+    "debug=0": lambda honest: {**honest, "quote": {**honest["quote"], "debug": 0}},
+    "quote=[]": lambda honest: {**honest, "quote": []},
+    "quote=None": lambda honest: {**honest, "quote": None},
+    "quote={}": lambda honest: {**honest, "quote": {}},
+    "offer=None": lambda honest: None,
+    "offer=[]": lambda honest: [],
+}
+
+
+@pytest.fixture(scope="module")
+def handshake_world():
+    env = SeSeMIEnvironment()
+    return env, attested_offer(env)
+
+
+@pytest.mark.parametrize("malform", MALFORMED_OFFERS.values(), ids=MALFORMED_OFFERS.keys())
+def test_a_malformed_offer_leaves_ec_handshake_as_a_repro_error_and_no_channel(
+    malform, handshake_world
+):
+    """One-way attestation lets anyone send KeyService an offer, and the
+    quote in it is caller-built: whatever its fields hold, what leaves
+    ``EC_HANDSHAKE`` is a ``repro.errors`` type (``"platform_id": []`` used to
+    be ``TypeError: unhashable type`` out of the root lookup) and the channel
+    table is as it was."""
+    env, honest = handshake_world
+    channels = env.keyservice.code._channels
+    before = list(channels)
+    with pytest.raises(repro.errors.ReproError) as refusal:
+        env.keyservice.handshake(malform(honest))
+    assert type(refusal.value).__module__ == repro.errors.__name__
+    assert isinstance(refusal.value, (AttestationError, repro.errors.CryptoError))
+    assert list(channels) == before
+
+
+def test_the_honest_offer_those_were_cut_from_is_served(handshake_world):
+    env, honest = handshake_world
+    reply = env.keyservice.handshake(honest)
+    assert reply["channel_id"] in env.keyservice.code._channels
 
 
 # -- the untrusted OC_KS_HANDSHAKE reply -----------------------------------------------

@@ -1,7 +1,10 @@
-"""``repro.crypto.group``: Jacobi membership, the two comb tables for ``G``,
-the two draws (full-length for Schnorr, 256-bit for ephemeral DH keys), and
-the guarantee that the expressions they replaced stay replaced."""
+"""``repro.crypto.group``: Jacobi membership on the DH group, the derived
+(2048, 256) signature group, the one comb every fixed base goes through, the
+two draws (``[1, 2^256)`` for ephemeral DH keys, ``[1, SIG_Q)`` for Schnorr)
+and the guarantee that the expressions they replaced stay replaced."""
 
+import hashlib
+import importlib.util
 import inspect
 import pathlib
 import random
@@ -20,6 +23,7 @@ from repro.crypto.signature import SigningKey
 
 REPO = pathlib.Path(__file__).resolve().parent.parent.parent
 P, Q, G = group.P, group.Q, group.G
+SIG_P, SIG_Q, SIG_G = group.SIG_P, group.SIG_Q, group.SIG_G
 
 
 @settings(max_examples=15, deadline=None)
@@ -39,40 +43,96 @@ def test_jacobi_symbol_small_cases():
 
 SHORT = 1 << group.SHORT_SCALAR_BITS
 EDGES = [0, 1, SHORT >> 1, SHORT - 1, SHORT, SHORT + 1, Q - 1, Q, Q + 1]
+GENERATORS = [(group.g_pow, G, P), (group.sig_g_pow, SIG_G, SIG_P)]
+
+
+# -- the signature group's parameters -------------------------------------------------
+
+def _load_script():
+    path = REPO / "scripts" / "make_sig_group.py"
+    spec = importlib.util.spec_from_file_location("make_sig_group", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+sig_group = _load_script()  # the derivation's own Miller-Rabin; importing it derives nothing
+
+
+def is_strong_probable_prime(n: int) -> bool:
+    """At sixteen fixed bases (the derivation used 64)."""
+    return sig_group.miller_rabin(n, sig_group.MILLER_RABIN_BASES[:16])
+
+
+def test_signature_group_parameters_are_what_the_docstring_says():
+    assert SIG_P.bit_length() == 2048 and SIG_Q.bit_length() == 256
+    assert is_strong_probable_prime(SIG_P) and is_strong_probable_prime(SIG_Q)
+    assert not is_strong_probable_prime(3215031751)  # a strong pseudoprime to 2, 3, 5 and 7
+    assert (SIG_P - 1) % SIG_Q == 0 and (SIG_P - 1) % (SIG_Q * SIG_Q) != 0
+    assert 1 < SIG_G < SIG_P and pow(SIG_G, SIG_Q, SIG_P) == 1
+    assert SIG_G == pow(2, (SIG_P - 1) // SIG_Q, SIG_P)
+    assert sig_group.LABEL.decode() in inspect.getsource(group)  # the comment names the label
+    # the DH group is a different one, and stays a safe prime
+    assert SIG_P != P and P == 2 * Q + 1
+
+
+# -- the fixed-base comb ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("x", [*EDGES, *(-x for x in EDGES[1:]), Q + SHORT - 1, Q + SHORT, P])
 def test_g_pow_is_pow_at_the_seam_between_the_two_tables(x):
-    assert group.g_pow(x) == pow(G, x, P)
+    """The two tables a process keeps for generators are ``G``'s and
+    ``SIG_G``'s, and both end at 2^256: below the seam a power is ``pow``,
+    at or past it (and below zero) the exponent is refused -- there is no
+    longer table to fall through to."""
+    for fixed_pow, base, modulus in GENERATORS:
+        if 0 <= x < SHORT:
+            assert fixed_pow(x) == pow(base, x, modulus)
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                fixed_pow(x)
+
+
+@pytest.mark.parametrize("x", [0, 1, 1 << 255, (1 << 256) - 1, SIG_Q - 1, SIG_Q])
+def test_fixed_base_pow_is_pow_at_the_edges(x):
+    inverse = pow(pow(SIG_G, 0xC0FFEE, SIG_P), -1, SIG_P)
+    for base, modulus in ((G, P), (SIG_G, SIG_P), (inverse, SIG_P), (3, 1009)):
+        assert group.FixedBase(base, modulus).pow(x) == pow(base, x, modulus)
 
 
 def test_g_pow_is_pow_for_200_random_exponents_of_each_length():
-    for draw in (lambda: secrets.randbits(256), lambda: secrets.randbelow(Q)):
+    for draw in (lambda: secrets.randbits(256), lambda: secrets.randbits(secrets.randbelow(257))):
         for _ in range(200):
             x = draw()
-            assert group.g_pow(x) == pow(G, x, P), hex(x)
+            for fixed_pow, base, modulus in GENERATORS:
+                assert fixed_pow(x) == pow(base, x, modulus), hex(x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(x=st.one_of(
     st.integers(min_value=0, max_value=SHORT - 1),
-    st.integers(min_value=SHORT, max_value=Q - 1),
     st.integers(min_value=-(1 << 2100), max_value=1 << 2100),
 ))
 @example(x=SHORT - 1)
 @example(x=SHORT)
+@example(x=-1)
 def test_g_pow_is_pow_for_any_integer(x):
-    assert group.g_pow(x) == pow(G, x, P)
+    """For any integer: ``pow`` inside ``[0, 2^256)``, refused outside it."""
+    for fixed_pow, base, modulus in GENERATORS:
+        if 0 <= x < SHORT:
+            assert fixed_pow(x) == pow(base, x, modulus)
+        else:
+            with pytest.raises(ValueError, match="outside"):
+                fixed_pow(x)
 
 
-def test_an_exponent_picks_its_table_after_reduction_mod_q(monkeypatch):
-    """``Q + 5`` is a short exponent and ``2^256`` is not."""
-    spans = []
-    real = group._comb_table
-    monkeypatch.setattr(group, "_comb_table", lambda span: spans.append(span) or real(span))
-    for x in (5, SHORT - 1, Q + 5, -Q + 5, SHORT, Q - 1, -1):
-        group.g_pow(x)
-    assert spans == [32, 32, 32, 32, 256, 256, 256]
+def test_there_is_one_span_and_no_second_lane():
+    """No full-length table, no span argument, no built-in-``pow`` fallback."""
+    assert not hasattr(group, "_comb_table") and not hasattr(group, "random_scalar")
+    assert list(inspect.signature(group.FixedBase).parameters) == ["base", "modulus"]
+    assert list(inspect.signature(group.FixedBase.pow).parameters) == ["self", "x"]
+    source = inspect.getsource(group.FixedBase)
+    assert "pow(" not in source.replace("def pow(", "")
 
 
 # -- the two draws -----------------------------------------------------------------
@@ -97,10 +157,29 @@ def test_short_draw_is_uniform_over_1_to_2_256(monkeypatch):
     assert group.random_short_scalar() == SHORT - 1
 
 
+def test_sig_draw_is_uniform_over_1_to_sig_q(monkeypatch):
+    """The same 1,000-sample check for the Schnorr draw: the whole order."""
+    source, bounds = random.Random(23), set()
+
+    def randbelow(bound):
+        bounds.add(bound)
+        return source.randrange(bound)
+
+    monkeypatch.setattr(group.secrets, "randbelow", randbelow)
+    samples = [group.random_sig_scalar() for _ in range(1000)]
+    assert all(1 <= x < SIG_Q for x in samples) and len(set(samples)) == 1000
+    assert bounds == {SIG_Q - 1}
+    assert max(samples) > SIG_Q - (SIG_Q >> 8) and min(samples).bit_length() > 240
+    monkeypatch.setattr(group.secrets, "randbelow", lambda bound: 0)
+    assert group.random_sig_scalar() == 1  # never 0
+    monkeypatch.setattr(group.secrets, "randbelow", lambda bound: bound - 1)
+    assert group.random_sig_scalar() == SIG_Q - 1
+
+
 @pytest.fixture()
 def draws(monkeypatch):
     """Counters on the two draws."""
-    counts = {"full": 0, "short": 0}
+    counts = {"sig": 0, "short": 0}
 
     def counting(name, real):
         def draw():
@@ -108,7 +187,7 @@ def draws(monkeypatch):
             return real()
         return draw
 
-    monkeypatch.setattr(group, "random_scalar", counting("full", group.random_scalar))
+    monkeypatch.setattr(group, "random_sig_scalar", counting("sig", group.random_sig_scalar))
     monkeypatch.setattr(
         group, "random_short_scalar", counting("short", group.random_short_scalar)
     )
@@ -117,22 +196,31 @@ def draws(monkeypatch):
 
 def test_dh_keys_draw_short_and_nothing_else_does(draws):
     pairs = [DHKeyPair.generate() for _ in range(5)]
-    assert draws == {"full": 0, "short": 5}
+    assert draws == {"sig": 0, "short": 5}
     assert all(1 <= pair.private < SHORT for pair in pairs)
     assert all(pair.public.value == pow(G, pair.private, P) for pair in pairs)
 
 
-def test_schnorr_keys_and_nonces_stay_full_length(draws):
-    """``s = k + x*e mod Q`` hides ``x*e`` only under a full-length ``k``: a
-    signing key or nonce drawn short would leak the key."""
+def test_schnorr_keys_and_nonces_stay_full_length(draws, monkeypatch):
+    """Keys and nonces are uniform over the whole of ``[1, SIG_Q)`` -- the
+    full length of the order: ``s = k + x*e mod SIG_Q`` hides ``x*e`` only
+    under such a ``k``; one drawn from a shorter lane would leak the key."""
     key = SigningKey.generate()
-    signatures = [key.sign(b"message %d" % i) for i in range(5)]
-    assert draws == {"full": 6, "short": 0}
+    signatures = [key.sign(b"message %d" % i) for i in range(40)]
+    assert draws == {"sig": 41, "short": 0}  # one key, one nonce per signature
     for i, signature in enumerate(signatures):
         key.verify_key.verify(b"message %d" % i, signature)
-    # 2047-bit uniform values: the chance of one below 2^2000 is 2^-47
-    assert key.scalar.bit_length() > 2000
-    assert all(signature.s.bit_length() > 2000 for signature in signatures)
+        assert 0 <= signature.s < SIG_Q
+    # 41 uniform values below a 256-bit q: every one under 2^250 has chance 2^-200
+    assert max(s.s.bit_length() for s in signatures) > 250
+
+    # the nonce is the draw, all of it: a pinned k gives s = k + x*e mod SIG_Q exactly
+    for k in (1, SIG_Q - 1, SIG_Q >> 1):
+        monkeypatch.setattr(group, "random_sig_scalar", lambda: k)
+        signature = key.sign(b"pinned")
+        assert signature.s == (k + key.scalar * signature.e) % SIG_Q
+        r = group.element_to_bytes(pow(SIG_G, k, SIG_P)) + b"pinned"
+        assert signature.e == int.from_bytes(hashlib.sha256(r).digest(), "big") % SIG_Q
 
 
 def test_the_exponent_length_is_a_constant_not_an_option():
@@ -144,35 +232,33 @@ def test_the_exponent_length_is_a_constant_not_an_option():
 FIRST_USE_RACE = r"""
 import hashlib, sys, threading
 from repro.crypto import group
-from repro.crypto.dh import DHKeyPair, DHPublicKey
 from repro.crypto.signature import SigningKey
 
-P, Q, G = group.P, group.Q, group.G
-assert group._comb_table.cache_info().currsize == 0, "something built the table at import"
+SIG_P, SIG_Q, SIG_G = group.SIG_P, group.SIG_Q, group.SIG_G
+generator = group.sig_g_pow.__self__
+assert "table" not in vars(generator), "something built the table at import"
+signer = SigningKey(group.random_sig_scalar())
+root = signer.verify_key  # one long-lived key object, as AttestationService holds them
+assert "table" in vars(generator) and "_inverse" not in vars(root)
+del vars(generator)["table"]  # computing the public key built it: start the race cold
 sys.setswitchinterval(1e-5)
 barrier, failures, tables = threading.Barrier(8), [], []
 
 
-def reference_verify(y, message, signature):  # the pre-comb expressions
-    r = pow(G, signature.s, P) * pow(y, Q - signature.e, P) % P
+def reference_verify(y, message, signature):  # the textbook expressions
+    r = pow(SIG_G, signature.s, SIG_P) * pow(y, SIG_Q - signature.e, SIG_P) % SIG_P
     digest = hashlib.sha256(group.element_to_bytes(r) + message).digest()
-    return int.from_bytes(digest, "big") % Q == signature.e
+    return int.from_bytes(digest, "big") % SIG_Q == signature.e
 
 
 def work(i):
     try:
+        message = b"message %d" % i
         barrier.wait(timeout=30)
-        if i % 2:
-            private = group.random_scalar()  # full length, like every key before PR 22
-            pair = DHKeyPair(private, DHPublicKey(group.g_pow(private)))
-            assert pair.public.value == pow(G, private, P)
-        else:
-            key, message = SigningKey.generate(), b"message %d" % i
-            assert key.verify_key.value == pow(G, key.scalar, P)
-            signature = key.sign(message)
-            assert reference_verify(key.verify_key.value, message, signature)
-            key.verify_key.verify(message, signature)
-        tables.append(group._comb_table(256))
+        signature = signer.sign(message)
+        assert reference_verify(root.value, message, signature)
+        root.verify(message, signature)
+        tables.append((generator.table, root._inverse.table))
     except BaseException as exc:
         failures.append(f"thread {i}: {exc!r}")
 
@@ -184,9 +270,13 @@ for thread in threads:
     thread.join(timeout=60)
 assert not any(thread.is_alive() for thread in threads), "a thread hung"
 assert not failures, failures
-published = group._comb_table(256)
-assert len(tables) == 8 and all(table == published for table in tables)
-assert group._comb_table(256) is published and len(published) == 1024
+published = (generator.table, root._inverse.table)
+assert len(tables) == 8 and all(pair == published for pair in tables)
+assert generator.table is published[0] and root._inverse.table is published[1]
+assert len(published[0]) == len(published[1]) == 1024
+assert published[0][1] == SIG_G and published[1][1] == pow(root.value, -1, SIG_P)
+# signing and verifying never touch the DH generator's table
+assert "table" not in vars(group.g_pow.__self__)
 print("ok")
 """
 
@@ -196,7 +286,8 @@ from repro.crypto import group
 from repro.crypto.dh import DHKeyPair
 
 P, G = group.P, group.G
-assert group._comb_table.cache_info().currsize == 0, "something built a table at import"
+generator = group.g_pow.__self__
+assert "table" not in vars(generator), "something built a table at import"
 sys.setswitchinterval(1e-5)
 barrier, failures, tables = threading.Barrier(8), [], []
 
@@ -208,7 +299,7 @@ def work(i):
         assert mine.private.bit_length() <= 256
         assert mine.public.value == pow(G, mine.private, P)
         assert mine.shared_secret(theirs.public) == theirs.shared_secret(mine.public)
-        tables.append(group._comb_table(32))
+        tables.append(generator.table)
     except BaseException as exc:
         failures.append(f"thread {i}: {exc!r}")
 
@@ -220,11 +311,11 @@ for thread in threads:
     thread.join(timeout=60)
 assert not any(thread.is_alive() for thread in threads), "a thread hung"
 assert not failures, failures
-published = group._comb_table(32)
+published = generator.table
 assert len(tables) == 8 and all(table == published for table in tables)
-assert group._comb_table(32) is published and len(published) == 1024
-# key exchange alone never builds the full-length table
-assert group._comb_table.cache_info().currsize == 1
+assert generator.table is published and len(published) == 1024
+# key exchange alone never builds the signature generator's table
+assert "table" not in vars(group.sig_g_pow.__self__)
 print("ok")
 """
 
@@ -241,6 +332,7 @@ def run_in_a_fresh_interpreter(script):
 
 
 def test_first_use_of_the_table_from_eight_threads_at_once():
+    """``SIG_G``'s table and one root key's, raced by eight signers / verifiers."""
     run_in_a_fresh_interpreter(FIRST_USE_RACE)
 
 
@@ -249,9 +341,13 @@ def test_first_use_of_the_short_table_from_eight_threads_at_once():
 
 
 def test_replaced_expressions_do_not_return():
-    """Every ``G^x`` goes through ``g_pow`` and membership through the Jacobi
-    symbol: the modexps they replaced appear nowhere under ``src/``."""
-    banned = re.compile(r"pow\(group\.G\b|pow\(G,|, group\.Q, group\.P\)|, Q, P\)")
+    """Every ``G^x`` and ``SIG_G^x`` goes through its comb, DH membership
+    through the Jacobi symbol and a verify key's through its own table: the
+    modexps they replaced appear nowhere under ``src/``."""
+    banned = re.compile(
+        r"pow\(group\.(SIG_)?G\b|pow\((SIG_)?G,"
+        r"|, group\.(SIG_)?Q, group\.(SIG_)?P\)|, (SIG_)?Q, (SIG_)?P\)"
+    )
     hits = [
         f"{path.relative_to(REPO)}:{number}: {line.strip()}"
         for path in sorted((REPO / "src").rglob("*.py"))

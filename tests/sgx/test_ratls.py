@@ -1,5 +1,7 @@
 """RA-TLS handshakes and secure channels, including MITM scenarios."""
 
+import secrets
+
 import pytest
 
 from repro.crypto import group
@@ -11,6 +13,7 @@ from repro.sgx.platform import SGX2, SgxPlatform
 from repro.sgx.ratls import (
     HandshakeOffer,
     RatlsPeer,
+    check_offer,
     complete_handshake,
     perform_handshake,
     quote_from_wire,
@@ -206,10 +209,14 @@ def test_handshakes_still_complete_on_reused_peers(setup):
         complete_handshake(client, offer, server_offer, attestation, client_requires=policy)
 
 
+def full_length_scalar() -> int:
+    return secrets.randbelow(group.Q - 1) + 1 | 1 << 2040
+
+
 def full_length_pair() -> DHKeyPair:
     """A key pair as every peer drew them before PR 22: private in ``[1, Q)``."""
-    private = group.random_scalar() | 1 << 2040
-    return DHKeyPair(private=private, public=DHPublicKey(group.g_pow(private)))
+    private = full_length_scalar()
+    return DHKeyPair(private=private, public=DHPublicKey(pow(group.G, private, group.P)))
 
 
 def test_short_and_full_length_exponents_agree_on_the_secret():
@@ -229,7 +236,9 @@ def test_mutual_handshake_with_a_full_length_peer(setup, monkeypatch):
     client = attested_peer("old-semirt", enclave, platform)
     server = attested_peer("keyservice", other, platform)
     with monkeypatch.context() as patch:
-        patch.setattr(group, "random_short_scalar", lambda: group.random_scalar() | 1 << 2040)
+        # the peer's own comb would refuse the exponent: it computes g^x its own way
+        patch.setattr(group, "random_short_scalar", full_length_scalar)
+        patch.setattr(group, "g_pow", lambda x: pow(group.G, x, group.P))
         client_offer = client.offer()
     assert client._keypair.private.bit_length() > 2040
     server_offer, s, report = respond_handshake(
@@ -256,13 +265,48 @@ def test_offer_with_a_peer_key_outside_the_subgroup_is_refused(bad):
         HandshakeOffer.from_wire({"dh_public": bad.to_bytes(256, "big")})
 
 
-@pytest.mark.parametrize("signature", [b"", b"\x00" * 10, b"\x00" * 287, b"\x00" * 289])
+@pytest.mark.parametrize("signature", [b"", b"\x00" * 10, b"\x00" * 63, b"\x00" * 65])
 def test_quote_with_a_wrong_length_signature_is_a_malformed_quote(setup, signature):
     _, platform, enclave = setup
     wire = quote_to_wire(attested_peer("p", enclave, platform).offer().quote)
     assert quote_from_wire(wire).signature.to_bytes() == wire["signature"]
     with pytest.raises(AttestationError, match="malformed quote on the wire"):
         quote_from_wire({**wire, "signature": signature})
+
+
+MALFORMED_QUOTE_FIELDS = [
+    ("platform_id", []), ("platform_id", {}), ("platform_id", None), ("platform_id", b"node"),
+    ("report_data", [0] * 64), ("report_data", "0" * 64), ("report_data", b"\x00" * 63),
+    ("signature", [0] * 64), ("signature", "0" * 64), ("signature", None),
+    ("mrenclave", ["a"] * 64), ("mrenclave", b"a" * 64), ("kind", []), ("kind", "tpm"),
+    ("isv_svn", "1"), ("isv_svn", 1.5), ("isv_svn", True), ("debug", 0), ("debug", None),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value", MALFORMED_QUOTE_FIELDS,
+    ids=[f"{field}={value!r:.10}" for field, value in MALFORMED_QUOTE_FIELDS],
+)
+def test_a_malformed_quote_never_reaches_the_verifier(setup, field, value):
+    """Decode, then ``check_offer``, as both handshake halves do: a field of
+    the wrong type or width is refused at the decoder as ``AttestationError``
+    -- ``platform_id: []`` used to reach the root lookup and leave as a raw
+    ``TypeError`` -- and the attestation service is never asked."""
+    attestation, platform, enclave = setup
+    wire = attested_peer("p", enclave, platform).offer().to_wire()
+    policy = QuotePolicy(expected_mrenclave=enclave.measurement)
+    assert check_offer(HandshakeOffer.from_wire(wire), policy, attestation, "peer") is not None
+    asked = attestation.verifications
+    with pytest.raises(AttestationError, match="malformed quote on the wire"):
+        bad = {**wire, "quote": {**wire["quote"], field: value}}
+        check_offer(HandshakeOffer.from_wire(bad), policy, attestation, "peer")
+    assert attestation.verifications == asked
+
+
+@pytest.mark.parametrize("raw", [None, "4" * 256, [4] * 256, b"", b"\x04" * 255, b"\x00" + b"\x04" * 256])
+def test_a_dh_public_of_the_wrong_type_or_width_is_a_malformed_offer(raw):
+    with pytest.raises(AttestationError, match="malformed handshake offer"):
+        HandshakeOffer.from_wire({"dh_public": raw})
 
 
 def test_attested_peer_needs_both_enclave_and_quoter(setup):
