@@ -5,7 +5,7 @@ Run from the repository root (CI does, next to the test suite)::
 
     python scripts/check_layering.py
 
-Exits non-zero naming every offender.  Three kinds of rule:
+Exits non-zero naming every offender.  Four kinds of rule:
 
 **1. A package ``__init__.py`` is a docstring.**  Importing
 ``repro.a.b`` runs ``repro/__init__.py`` and ``repro/a/__init__.py``
@@ -58,6 +58,12 @@ test alone.**  Every module must be imported at runtime (not under
 ``TYPE_CHECKING``) by something reachable from a door -- ``python -m
 repro`` (``repro.__main__``, ``repro.cli``), ``repro.service``, or a
 ``bench/*.py`` file.  :data:`KEPT` names the exceptions with their reason.
+
+**4. No reaching into another object's privates by name.**
+``getattr(x, "_name", ...)`` with a string-literal private name is how a
+module reads state its owner never offered (the gateway once read the
+router's ``_endpoints`` this way, twice): nothing under ``src/`` may do
+it -- ask the owner for a public, read-only view instead.
 """
 
 from __future__ import annotations
@@ -332,6 +338,31 @@ def check_reachability(root: Path = ROOT):
     ]
 
 
+# -- rule 4: no getattr(x, "_private") ------------------------------------------------
+
+
+def check_private_getattr(src_repro: Path = SRC_REPRO):
+    """Every ``getattr(x, "_name", ...)`` call with a literal private name."""
+    violations = []
+    for path in sorted(src_repro.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and isinstance(node.args[1].value, str)
+                and node.args[1].value.startswith("_")
+                and not node.args[1].value.startswith("__")
+            ):
+                violations.append(
+                    f"{_shown(path)}:{node.lineno}: getattr(..., {node.args[1].value!r}) "
+                    f"reads another object's private state -- give its owner a public view"
+                )
+    return violations
+
+
 def main() -> int:
     """CLI entry point; returns a process exit code."""
     pins = [(name, allowed, SRC_REPRO / name) for name, allowed in PACKAGES.items()]
@@ -349,6 +380,7 @@ def main() -> int:
             violations += check_runtime(name, allowed)
         checks.append((f"repro.{name}", violations))
     checks.append(("reachability", check_reachability()))
+    checks.append(("private getattr", check_private_getattr()))
     for title, violations in checks:
         for violation in violations:
             print(violation, file=sys.stderr)

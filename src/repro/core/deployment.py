@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.client import OwnerClient, TokenStream, UserClient
 from repro.core.futures import DerivedHandle, gather_windowed
-from repro.core.gateway import GatewayConfig, InferenceGateway
+from repro.core.gateway import GatewayConfig, HostLauncher, InferenceGateway
 from repro.core.keyservice import KEYSERVICE_CONFIG, KeyServiceHost
 from repro.core.semirt import SchedulerConfig, SemirtHost
 from repro.core.semirt_enclave import (
@@ -57,7 +57,7 @@ from repro.faults.resilience import (
 )
 from repro.mlrt.model import Model
 from repro.obs.tracer import Tracer, maybe_span
-from repro.routing import FnPool
+from repro.routing import FnPackerRouter, FnPool
 from repro.serverless.storage import BlobStore
 from repro.sgx.attestation import AttestationService
 from repro.sgx.enclave import EnclaveBuildConfig
@@ -187,7 +187,6 @@ class UserSession:
         self.node_id = node_id
         self.config = config
         self.isolation = isolation if isolation is not None else IsolationSettings()
-        self.scheduler = scheduler
         #: the enclave identity requests are encrypted for
         self.measurement: EnclaveMeasurement = env.expected_semirt(
             framework, config, self.isolation
@@ -215,7 +214,7 @@ class UserSession:
             )
             self._gateway = InferenceGateway(
                 pool,
-                self._launch_host,
+                env._launcher(framework, config, self.isolation, scheduler, node_id),
                 config=GatewayConfig(redispatch_on_crash=False),
                 tracer=env.tracer,
             )
@@ -440,35 +439,6 @@ class UserSession:
                 ),
             )
         return self._caller
-
-    def _launch_host(self, endpoint: str) -> SemirtHost:
-        """Cold start: bring up the sandbox (platform) and the enclave.
-
-        This is the session gateway's host launcher: it runs inside the
-        traced request that triggered the cold start, so the sandbox and
-        enclave spans land under that request's root span.
-        """
-        tracer = self._env.tracer
-        with maybe_span(
-            tracer,
-            f"stage:{Stage.SANDBOX_INIT.value}",
-            stage=Stage.SANDBOX_INIT.value,
-            node_id=self.node_id,
-        ):
-            platform = self._env.worker_platform(self.node_id)
-        # SemirtHost opens its own stage:enclave_init span
-        return SemirtHost(
-            platform=platform,
-            storage=self._env.storage,
-            keyservice_host=self._env.keyservice,
-            framework=self.framework,
-            attestation=self._env.attestation,
-            config=self.config or default_semirt_config(),
-            isolation=self.isolation,
-            scheduler=self.scheduler,
-            tracer=tracer,
-            injector=self._env.injector,
-        )
 
     def close(self) -> None:
         """Tear down the session's own gateway (sandbox reclaim).
@@ -722,44 +692,53 @@ class SeSeMIEnvironment:
         """An :class:`InferenceGateway` over live endpoints for ``pool``.
 
         Each endpoint gets its own worker platform (one logical invoker
-        node per endpoint) and launches lazily on first use.  The
-        default :class:`GatewayConfig` runs the FnPacker strategy with
-        ``slots_per_endpoint`` equal to the enclaves' TCS count, so the
-        router keeps multi-TCS endpoints full.  Sessions created with
-        ``env.session(..., gateway=gw)`` must use the same
+        node per endpoint) and launches lazily on first use.  The router
+        is FnPacker with ``slots_per_endpoint`` equal to the enclaves'
+        TCS count -- derived here, where the enclave config is known,
+        whatever ``gateway_config`` arms -- so the router keeps multi-TCS
+        endpoints full instead of serialising them.  Sessions created
+        with ``env.session(..., gateway=gw)`` must use the same
         ``(framework, config, isolation)`` triple -- that is the enclave
         identity their requests are encrypted for.
         """
-        enclave_config = config or default_semirt_config()
-        if gateway_config is None:
-            gateway_config = GatewayConfig(
-                slots_per_endpoint=enclave_config.tcs_count
-            )
+        tcs_count = (config or default_semirt_config()).tcs_count
+        return InferenceGateway(
+            pool,
+            self._launcher(framework, config, isolation, scheduler),
+            config=gateway_config,
+            router=FnPackerRouter(pool, slots_per_endpoint=tcs_count),
+            tracer=self.tracer,
+        )
 
-        def launcher(endpoint: str) -> SemirtHost:
+    def _launcher(
+        self,
+        framework: str,
+        config: Optional[EnclaveBuildConfig],
+        isolation: Optional[IsolationSettings],
+        scheduler: Optional[SchedulerConfig],
+        node_id: Optional[str] = None,
+    ) -> HostLauncher:
+        """A gateway host launcher: the cold start of one endpoint.
+
+        It runs inside the traced request that triggered the cold start,
+        so the sandbox and enclave spans land under that request's root
+        span.  Each endpoint is its own invoker node unless ``node_id``
+        pins every launch to one (a session's own instance).
+        """
+
+        def launch(endpoint: str) -> SemirtHost:
+            node = node_id or endpoint
             with maybe_span(
                 self.tracer,
                 f"stage:{Stage.SANDBOX_INIT.value}",
                 stage=Stage.SANDBOX_INIT.value,
-                node_id=endpoint,
+                node_id=node,
             ):
-                platform = self.worker_platform(endpoint)
-            return SemirtHost(
-                platform=platform,
-                storage=self.storage,
-                keyservice_host=self.keyservice,
-                framework=framework,
-                attestation=self.attestation,
-                config=enclave_config,
-                isolation=isolation,
-                scheduler=scheduler,
-                tracer=self.tracer,
-                injector=self.injector,
-            )
+                self.worker_platform(node)
+            # SemirtHost opens its own stage:enclave_init span
+            return self.launch_semirt(framework, node, config, isolation, scheduler)
 
-        return InferenceGateway(
-            pool, launcher, config=gateway_config, tracer=self.tracer
-        )
+        return launch
 
     # -- worker instances --------------------------------------------------------
 

@@ -39,8 +39,9 @@ When an endpoint's scheduler runs the hot-path **batch accumulator**
 it, so the accumulator actually sees followers to merge.  The hint is
 tried once per dispatch, surfaces as the ``batch_affinity`` attribute
 on the ``route`` span, and is dropped the moment the endpoint is
-excluded, saturated, or dead -- batching is a throughput hint, never a
-correctness constraint (``docs/batching.md``).
+excluded, saturated, draining, pinned to another model, or dead --
+batching is a throughput hint, never a correctness constraint
+(``docs/batching.md``).
 
 Arming ``GatewayConfig.warm_pool`` puts a
 :class:`~repro.warmpool.manager.WarmPoolManager` in charge of the fleet's
@@ -57,7 +58,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.futures import DerivedHandle, DerivedStream
 from repro.core.semirt import SemirtHost
@@ -70,6 +71,7 @@ from repro.errors import (
     TransportError,
 )
 from repro.faults.resilience import BreakerPolicy, CircuitBreaker
+from repro.obs.span import WallClock
 from repro.obs.tracer import Tracer, maybe_span
 from repro.routing import (
     BatchAffinity,
@@ -78,12 +80,15 @@ from repro.routing import (
     PressureTracker,
     Router,
     ScaleOutPolicy,
-    make_router,
 )
 from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 
 #: a host launcher: endpoint name -> live SemirtHost
 HostLauncher = Callable[[str], SemirtHost]
+
+#: failed serving attempts one request is re-admitted after, at most
+#: (admission-time crashes and mid-serve deaths share the budget)
+MAX_REDISPATCH = 2
 
 
 @dataclass(frozen=True)
@@ -95,23 +100,20 @@ class GatewayConfig:
     (the degenerate single-endpoint session, where the caller's own
     resilience layer owns the retry decision).  ``breaker`` arms one
     :class:`CircuitBreaker` per endpoint; ``scale_out`` arms fleet
-    growth under sustained backpressure.
+    growth under sustained backpressure -- the gateway is where
+    ``QueueFull`` is observed, so it owns the one pressure tracker.
 
     ``warm_pool`` arms a :class:`~repro.warmpool.manager.WarmPoolManager`: warm
-    endpoint reuse becomes strategy-driven, idle endpoints are retired
-    by the janitor through :meth:`InferenceGateway.maintain`, and when
-    ``warm_pool.scale_out`` is set the manager owns the pressure
-    tracker (reactive growth joins the warm-pool decision log) --
-    leave ``scale_out`` here ``None`` in that case.
+    endpoint reuse becomes strategy-driven and idle endpoints are retired
+    by the janitor through :meth:`InferenceGateway.maintain`.
+
+    Which router runs is not a knob here: pass ``router=`` to the
+    gateway (default :class:`~repro.routing.FnPackerRouter`).
     """
 
-    strategy: str = "fnpacker"
-    idle_interval_s: float = 10.0
-    slots_per_endpoint: int = 1
     scale_out: Optional[ScaleOutPolicy] = None
     breaker: Optional[BreakerPolicy] = None
     redispatch_on_crash: bool = True
-    max_redispatch: int = 2
     warm_pool: Optional[WarmPoolConfig] = None
 
 
@@ -154,16 +156,11 @@ class InferenceGateway:
     ) -> None:
         self.pool = pool
         self.config = config if config is not None else GatewayConfig()
-        self.router = router if router is not None else make_router(
-            self.config.strategy,
-            pool,
-            idle_interval_s=self.config.idle_interval_s,
-            slots_per_endpoint=self.config.slots_per_endpoint,
-        )
+        self.router = router if router is not None else FnPackerRouter(pool)
         self.tracer = tracer
-        self._clock = clock if clock is not None else (
-            tracer.clock if tracer is not None else None
-        )
+        # exclusivity lapse, keep-alive and breaker cool-down all read
+        # this clock, so it must always tell a time
+        self._clock = clock or (tracer.clock if tracer is not None else WallClock())
         self._launcher = launcher
         self._hosts: Dict[str, SemirtHost] = {}
         self._owned: Set[str] = set()
@@ -194,8 +191,7 @@ class InferenceGateway:
         Attached hosts are used, never owned: :meth:`close` and
         retirement leave them running for whoever launched them.
         """
-        known = {name for name, _ in self.router.endpoints()}
-        if endpoint not in known:
+        if endpoint not in dict(self.router.endpoints()):
             raise RoutingError(f"unknown endpoint {endpoint!r}")
         with self._lock:
             self._hosts[endpoint] = host
@@ -218,9 +214,7 @@ class InferenceGateway:
     def primary_host(self) -> Optional[SemirtHost]:
         """The single live host of a one-endpoint gateway (else first)."""
         with self._lock:
-            for host in self._hosts.values():
-                return host
-            return None
+            return next(iter(self._hosts.values()), None)
 
     @property
     def endpoint_count(self) -> int:
@@ -232,9 +226,7 @@ class InferenceGateway:
             return self._in_flight
 
     def _now(self) -> float:
-        if self._clock is not None:
-            return self._clock.now()
-        return 0.0
+        return self._clock.now()
 
     def _breaker(self, endpoint: str) -> Optional[CircuitBreaker]:
         if self.config.breaker is None:
@@ -245,44 +237,36 @@ class InferenceGateway:
             self._breakers[endpoint] = breaker
         return breaker
 
-    def _observe_pressure(self, saw_pressure: bool) -> bool:
-        """One backpressure observation; ``True`` means grow the fleet.
+    def _sustained_pressure(self, saw_pressure: bool) -> bool:
+        """One backpressure observation; ``True`` means grow the fleet."""
+        return self._pressure is not None and self._pressure.observe(
+            saw_pressure, self.endpoint_count
+        )
 
-        When the warm pool is armed with ``scale_out`` the manager owns
-        the tracker (reactive growth joins the warm-pool decision log);
-        otherwise the gateway's own tracker decides.
+    def _hint_usable(
+        self, endpoint: Optional[str], model_id: str, exclude: Set[str], idle: bool
+    ) -> bool:
+        """Whether a hinted endpoint may be offered ahead of the router's pick.
+
+        A hint can lag the router by a dispatch, so the router's view is
+        the authority: the endpoint must be known, unexcluded, accepting
+        traffic and not pinned to another model.  A warm-pool hint
+        (``idle``) must also have nothing pending on a live host --
+        otherwise there is nothing warm to reuse and the router decides.
         """
-        if self.warm_pool is not None and self.warm_pool.reactive is not None:
-            return self.warm_pool.on_pressure(saw_pressure, self.endpoint_count)
-        if self._pressure is not None:
-            return self._pressure.observe(saw_pressure, self.endpoint_count)
-        return False
-
-    def _warm_suggestion(self, model_id: str, exclude: Set[str]) -> Optional[str]:
-        """The warm-pool strategy's reuse pick, validated for routing.
-
-        The suggestion must still be a live, idle, unexcluded endpoint
-        whose exclusivity pin (if any) matches ``model_id`` -- the warm
-        pool's view can lag the router's by a dispatch, so the router
-        state is the authority.
-        """
-        if self.warm_pool is None:
-            return None
-        suggestion = self.warm_pool.suggest(model_id, self._now())
-        if suggestion is None or suggestion in exclude:
-            return None
-        states = getattr(self.router, "_endpoints", None)
-        if states is None or suggestion not in states:
-            return None
-        state = states[suggestion]
-        if not state.available or state.pending > 0:
-            return None
-        if state.exclusive_for not in (None, model_id):
-            return None
-        host = self.host(suggestion)
-        if host is None or not host.enclave.alive:
-            return None  # nothing warm to reuse; let the router decide
-        return suggestion
+        if endpoint is None or endpoint in exclude:
+            return False
+        state = self.router.state(endpoint)
+        if (
+            state is None
+            or not state.available
+            or state.exclusive_for not in (None, model_id)
+        ):
+            return False
+        if not idle:
+            return True
+        host = self.host(endpoint)
+        return state.pending == 0 and host is not None and host.enclave.alive
 
     # -- dispatch ----------------------------------------------------------------
 
@@ -298,7 +282,7 @@ class InferenceGateway:
         The blocking composition of :meth:`submit`: the same admission
         walk, then the wait (inside the ``route`` span).  An endpoint
         that dies *mid-serve* is excluded and the request re-admitted,
-        up to ``max_redispatch`` times across the whole dispatch.
+        up to :data:`MAX_REDISPATCH` times across the whole dispatch.
 
         Raises whatever the serving attempt raised once rerouting and
         redispatching are exhausted; :class:`QueueFull` means the whole
@@ -320,12 +304,8 @@ class InferenceGateway:
                 handle._settle_once(exc)
                 raise
             except (EnclaveError, TransportError):
-                if (
-                    not self.config.redispatch_on_crash
-                    or decision.redispatches >= self.config.max_redispatch
-                ):
+                if not self._may_redispatch(decision):
                     raise
-                decision.redispatches += 1
                 exclude.add(handle.endpoint)
                 continue
             return GatewayReply(output=output, decision=decision, host=handle.host)
@@ -348,13 +328,7 @@ class InferenceGateway:
         Raises :class:`QueueFull` when the whole fleet is saturated,
         exactly like :meth:`dispatch`.
         """
-        handle = self._admit(
-            GatewaySubmission, enc_request, user_id, model_id,
-            set(), RouteDecision(endpoint=""),
-        )
-        with self._route_span(handle, "admit"):
-            pass  # admission-time decision span; serving runs async
-        return handle
+        return self._admit_async(GatewaySubmission, "admit", enc_request, user_id, model_id)
 
     def open_stream(
         self, enc_request: bytes, user_id: str, model_id: str
@@ -370,32 +344,36 @@ class InferenceGateway:
         admission-time only; once decoding starts, a mid-stream endpoint
         death surfaces through the stream's iterator.
         """
+        return self._admit_async(GatewayStream, "stream", enc_request, user_id, model_id)
+
+    def _admit_async(self, handle_type, phase: str, enc_request, user_id, model_id):
         handle = self._admit(
-            GatewayStream, enc_request, user_id, model_id,
-            set(), RouteDecision(endpoint=""),
+            handle_type, enc_request, user_id, model_id, set(), RouteDecision(endpoint="")
         )
-        with self._route_span(handle, "stream"):
-            pass
+        with self._route_span(handle, phase):
+            pass  # admission-time decision span; serving runs async
         return handle
 
     def _route_span(self, handle: "GatewaySubmission", phase: str):
-        """The ``route`` span of one admission: the decision as attributes."""
-        decision = handle.decision
+        """The ``route`` span of one admission: the decision as attributes.
+
+        ``vars()`` of the flat :class:`RouteDecision` is its fields by name;
+        ``dataclasses.asdict`` says the same at ~12 us a request.
+        """
         return maybe_span(
             self.tracer,
             "route",
-            endpoint=handle.endpoint,
             model_id=handle.model_id,
-            exclusive=decision.exclusive,
-            reroutes=decision.reroutes,
-            redispatches=decision.redispatches,
-            cold=decision.cold,
-            cold_start_s=decision.cold_start_s,
-            temperature=decision.temperature,
-            batch_affinity=decision.batch_affinity,
-            warm_hint=decision.warm_hint,
             phase=phase,
+            **vars(handle.decision),
         )
+
+    def _may_redispatch(self, decision: RouteDecision) -> bool:
+        """Charge one failed serving attempt; ``False`` means surface it."""
+        if not self.config.redispatch_on_crash or decision.redispatches >= MAX_REDISPATCH:
+            return False
+        decision.redispatches += 1
+        return True
 
     def _admit(
         self,
@@ -408,139 +386,136 @@ class InferenceGateway:
     ):
         """The one admission-time routing walk.
 
-        Picks an endpoint (batch-affinity hint, warm-pool hint, then the
-        router), launches its host if needed, enqueues the request there
-        (``handle_type`` selects ``host.submit`` vs ``host.open_stream``)
-        and returns the ``handle_type`` over the endpoint's handle.
-        ``exclude`` and ``decision`` are the caller's: :meth:`dispatch`
-        shares them across re-admissions so a crashed endpoint stays
-        excluded and the redispatch budget is global.
+        For each candidate endpoint (:meth:`_candidate`: the two one-shot
+        hints, then the router's picks): open breaker -> skip; no live
+        host -> launch or reroute; enqueue (``handle_type`` selects
+        ``host.submit`` vs ``host.open_stream``) and return the
+        ``handle_type`` over the endpoint's handle.  Every candidate that
+        cannot take the request joins ``exclude`` and is never offered
+        again, which is what bounds the walk.  ``exclude`` and
+        ``decision`` are the caller's: :meth:`dispatch` shares them across
+        re-admissions so a crashed endpoint stays excluded and the
+        redispatch budget is global.
 
         Backpressure is observed **once per admission** -- ``True`` when
         any endpoint's queue was full on the way, ``False`` otherwise --
         so sustained pressure scales the fleet out and an idle admission
-        resets the count.  Raises :class:`QueueFull` when the whole
-        fleet is saturated.
+        resets the count.  Raises :class:`QueueFull` when every endpoint
+        that could be offered the request refused it.
         """
-        saw_pressure = False
-        pressure_observed = False
-        warm_hint_tried = False
-        grew_for_empty = False
-        last_queue_full: Optional[QueueFull] = None
-        #: one shot at the batch-affinity hint per admission -- if the
-        #: remembered endpoint cannot take the request, the ordinary
-        #: router decides and the hint is not retried
-        affinity_hint = self._affinity.lookup(user_id, model_id)
-        # Bounded walk: every iteration either excludes an endpoint,
-        # consumes a redispatch, grows the fleet once, or returns.
-        for _ in range(4 * (self.config.max_redispatch + self.pool.endpoint_count + 2)):
-            decision.batch_affinity = False
-            decision.warm_hint = False
-            endpoint = None
-            if affinity_hint is not None:
-                hinted, affinity_hint = affinity_hint, None
-                if hinted not in exclude and any(
-                    name == hinted for name, _ in self.router.endpoints()
-                ):
-                    endpoint = hinted
-                    decision.batch_affinity = True
-            if endpoint is None and not warm_hint_tried:
-                # one shot at the warm-pool strategy's pick, same
-                # discipline as the batch-affinity hint
-                warm_hint_tried = True
-                warm = self._warm_suggestion(model_id, exclude)
-                if warm is not None:
-                    endpoint = warm
-                    decision.warm_hint = True
+        hints = self._hints(user_id, model_id)
+        refused: Optional[QueueFull] = None  # backpressure met on the way
+        observed = False  # ... and already reported to the pressure tracker
+        while True:
             try:
-                if endpoint is None:
-                    endpoint = self.router.route(
-                        model_id, self._now(), frozenset(exclude)
-                    )
+                endpoint = self._candidate(hints, model_id, exclude, decision)
             except RoutingError:
-                if last_queue_full is not None:
-                    # the whole fleet is saturated: spawn only under
-                    # *sustained* backpressure.
-                    if not pressure_observed:
-                        pressure_observed = True
-                        if self._observe_pressure(True) and self._grow_fleet():
-                            last_queue_full = None
-                            continue
-                    raise last_queue_full
-                endpoint = self._relaunch_candidate(exclude)
-                if endpoint is None:
-                    # a janitor-emptied fleet (scale-to-zero) regrows on
-                    # demand: the cold start is the request's price.
-                    if (
-                        self.warm_pool is not None
-                        and not grew_for_empty
-                        and not exclude
-                        and self._grow_fleet()
-                    ):
-                        grew_for_empty = True
-                        continue
-                    raise
+                # The candidates ran out.  A saturated fleet surfaces the
+                # remembered QueueFull unless *sustained* pressure spawns
+                # an endpoint; a janitor-emptied one (scale-to-zero)
+                # regrows on demand -- the cold start is the request's price.
+                if refused is not None:
+                    grow = not observed and self._sustained_pressure(True)
+                    observed = True
+                else:  # nothing refused, nothing excluded: nothing there at all
+                    emptied = self.warm_pool is not None and not exclude
+                    grow = emptied and model_id in self.pool.models
+                if grow and self._grow_fleet():
+                    refused = None
+                    continue
+                if refused is not None:
+                    raise refused
+                raise
             breaker = self._breaker(endpoint)
             if breaker is not None and breaker.state == "open":
-                exclude.add(endpoint)
-                decision.reroutes += 1
-                continue
-            try:
-                host, cold, launch_s = self._ensure_host(endpoint, exclude)
-            except _Reroute:
-                decision.reroutes += 1
-                continue
-            decision.endpoint = endpoint
-            decision.cold = cold
-            decision.cold_start_s = launch_s
-            try:
-                if handle_type is GatewayStream:
-                    inner = host.open_stream(enc_request, user_id, model_id)
-                else:
-                    inner = host.submit(enc_request, user_id, model_id)
-            except QueueFull as exc:
-                saw_pressure = True
-                last_queue_full = exc
-                exclude.add(endpoint)
-                decision.reroutes += 1
-                continue
-            except (EnclaveError, TransportError):
-                # the endpoint died at admission (e.g. an injected
-                # crash): nothing was enqueued, so only health and
-                # breaker state change.
-                self._note_endpoint_death(endpoint, breaker)
-                if (
-                    self.config.redispatch_on_crash
-                    and decision.redispatches < self.config.max_redispatch
-                ):
-                    decision.redispatches += 1
+                launched = None  # an open breaker is a routing exclusion
+            else:
+                launched = self._ensure_host(endpoint, model_id, exclude)
+            if launched is not None:
+                host, decision.cold, decision.cold_start_s = launched
+                decision.endpoint = endpoint
+                try:
+                    if handle_type is GatewayStream:
+                        inner = host.open_stream(enc_request, user_id, model_id)
+                    else:
+                        inner = host.submit(enc_request, user_id, model_id)
+                except QueueFull as exc:
+                    refused = exc
+                except (EnclaveError, TransportError):
+                    # the endpoint died at admission (e.g. an injected
+                    # crash): nothing was enqueued, so only health and
+                    # breaker state change.
+                    self._note_endpoint_death(endpoint, breaker)
+                    if not self._may_redispatch(decision):
+                        raise
                     exclude.add(endpoint)
                     continue
+                else:
+                    break
+            exclude.add(endpoint)
+            decision.reroutes += 1
+        now = self._now()
+        self.router.on_dispatch(endpoint, model_id, now)
+        if self.warm_pool is not None:
+            decision.temperature = self.warm_pool.on_dispatch(
+                endpoint, model_id, now, launched=decision.cold
+            )
+        with self._lock:
+            self._in_flight += 1
+        state = self.router.state(endpoint)
+        decision.exclusive = state is not None and state.exclusive_for == model_id
+        if getattr(host, "batch_policy", None) is not None:
+            # only accumulator-armed endpoints benefit from keeping
+            # the pair's traffic together.  Remember at *admission*:
+            # followers submitted while this request is still queued
+            # are exactly the ones the accumulator can merge with it
+            # -- and for streams, the ones its continuous batcher
+            # can absorb mid-decode
+            self._affinity.remember(user_id, model_id, endpoint)
+        if not observed and self._sustained_pressure(refused is not None):
+            self._grow_fleet()
+        return handle_type(self, inner, endpoint, model_id, decision, host)
+
+    def _hints(
+        self, user_id: str, model_id: str
+    ) -> Iterator[Tuple[str, Optional[str], bool]]:
+        """The one-shot candidates: ``(decision flag, endpoint, must be idle)``.
+
+        Lazy, so the warm pool is only asked once the batch-affinity
+        endpoint (where the pair's accumulator or running stream group
+        is) could not take the request.
+        """
+        yield "batch_affinity", self._affinity.lookup(user_id, model_id), False
+        if self.warm_pool is not None:
+            yield "warm_hint", self.warm_pool.suggest(model_id, self._now()), True
+
+    def _candidate(
+        self, hints, model_id: str, exclude: Set[str], decision: RouteDecision
+    ) -> str:
+        """The next endpoint to offer the request to (never one in ``exclude``).
+
+        Hints first, each tried at most once and only while
+        :meth:`_hint_usable`; then the router's pick; and when the router
+        has nowhere to go, an endpoint without a live host, relaunched in
+        place.  Raises the router's :class:`RoutingError` when nothing is
+        left.
+        """
+        decision.batch_affinity = decision.warm_hint = False
+        for flag, endpoint, idle in hints:
+            if self._hint_usable(endpoint, model_id, exclude, idle):
+                setattr(decision, flag, True)
+                return endpoint
+        try:
+            endpoint = self.router.route(model_id, self._now(), frozenset(exclude))
+        except RoutingError:
+            endpoint = next(self._hostless(exclude, model_id), None)
+            if endpoint is None:
                 raise
-            now = self._now()
-            self.router.on_dispatch(endpoint, model_id, now)
-            if self.warm_pool is not None:
-                decision.temperature = self.warm_pool.on_dispatch(
-                    endpoint, model_id, now, launched=cold
-                )
-            with self._lock:
-                self._in_flight += 1
-            decision.exclusive = self._is_exclusive(endpoint, model_id)
-            if getattr(host, "batch_policy", None) is not None:
-                # only accumulator-armed endpoints benefit from keeping
-                # the pair's traffic together.  Remember at *admission*:
-                # followers submitted while this request is still queued
-                # are exactly the ones the accumulator can merge with it
-                # -- and for streams, the ones its continuous batcher
-                # can absorb mid-decode
-                self._affinity.remember(user_id, model_id, endpoint)
-            if not pressure_observed and self._observe_pressure(saw_pressure):
-                self._grow_fleet()
-            return handle_type(self, inner, endpoint, model_id, decision, host)
-        raise RoutingError(
-            f"admission for {model_id!r} exhausted rerouting in pool "
-            f"{self.pool.name!r}"
-        )
+        if endpoint in exclude:
+            raise RoutingError(
+                f"{type(self.router).__name__} offered excluded endpoint {endpoint!r}"
+            )
+        return endpoint
 
     def _settle(
         self,
@@ -558,7 +533,14 @@ class InferenceGateway:
         untouched.
         """
         ok = cancelled or error is None
-        self._finish(handle.endpoint, handle.model_id, ok=ok)
+        now = self._now()
+        for observer in (self.router, self.warm_pool):
+            if observer is not None:
+                report = observer.on_complete if ok else observer.on_failure
+                report(handle.endpoint, handle.model_id, now)
+        with self._lock:
+            self._in_flight -= 1
+            self._idle.notify_all()
         if cancelled:
             return
         breaker = self._breaker(handle.endpoint)
@@ -569,25 +551,6 @@ class InferenceGateway:
             self._note_endpoint_death(handle.endpoint, breaker)
         elif breaker is not None:
             breaker.on_failure()
-
-    def _finish(self, endpoint: str, model_id: str, ok: bool) -> None:
-        now = self._now()
-        if ok:
-            self.router.on_complete(endpoint, model_id, now)
-            if self.warm_pool is not None:
-                self.warm_pool.on_complete(endpoint, model_id, now)
-        else:
-            self.router.on_failure(endpoint, model_id, now)
-            if self.warm_pool is not None:
-                self.warm_pool.on_failure(endpoint, model_id, now)
-        with self._lock:
-            self._in_flight -= 1
-            self._idle.notify_all()
-
-    def _is_exclusive(self, endpoint: str, model_id: str) -> bool:
-        if isinstance(self.router, FnPackerRouter):
-            return self.router.exclusive_assignments().get(endpoint) == model_id
-        return False
 
     # -- endpoint hosts ----------------------------------------------------------
 
@@ -600,34 +563,30 @@ class InferenceGateway:
         """
         if endpoint is None:
             endpoint = self.router.endpoints()[0][0]
-        with self._lock:
-            host = self._hosts.get(endpoint)
-        if host is not None and host.enclave.alive:
-            return host, False
-        host, cold, _ = self._launch(endpoint)
+        host, cold, _ = self._launch(endpoint)  # a no-op over a live host
         return host, cold
 
     def _ensure_host(
-        self, endpoint: str, exclude: Set[str]
-    ) -> Tuple[SemirtHost, bool, float]:
+        self, endpoint: str, model_id: str, exclude: Set[str]
+    ) -> Optional[Tuple[SemirtHost, bool, float]]:
         """The live host for ``endpoint``, launching it cold if needed.
 
-        Returns ``(host, cold, launch_seconds)``.  If the bound host
-        died and a healthy peer remains, the endpoint is marked down
-        and the request rerouted (raises ``_Reroute``); as a last
-        resort the endpoint is relaunched in place.
+        Returns ``(host, cold, launch_seconds)`` -- or ``None`` when the
+        bound host died and a healthy peer that serves ``model_id``
+        remains: the endpoint is marked down and the request should
+        reroute rather than pay an in-request relaunch.  With no peer
+        left the endpoint is relaunched in place.
         """
         with self._lock:
             host = self._hosts.get(endpoint)
         if host is not None and host.enclave.alive:
             return host, False, 0.0
-        if host is not None:
-            # bound host is dead: prefer rerouting over an in-request
-            # relaunch when any other endpoint could take the traffic.
-            if self._has_alternative(endpoint, exclude):
-                self._note_endpoint_death(endpoint, self._breaker(endpoint))
-                exclude.add(endpoint)
-                raise _Reroute()
+        if host is not None and any(
+            name != endpoint and (peer is None or peer.enclave.alive)
+            for name, peer in self._fleet(exclude, model_id)
+        ):
+            self._note_endpoint_death(endpoint, self._breaker(endpoint))
+            return None
         return self._launch(endpoint)
 
     def _launch(
@@ -654,23 +613,22 @@ class InferenceGateway:
                 )
             return host, True, launch_s
 
-    def _has_alternative(self, endpoint: str, exclude: Set[str]) -> bool:
-        for name, _ in self.router.endpoints():
-            if name != endpoint and name not in exclude:
-                host = self._hosts.get(name)
-                if host is None or host.enclave.alive:
-                    return True
-        return False
+    def _fleet(
+        self, exclude=(), model_id: Optional[str] = None
+    ) -> List[Tuple[str, Optional[SemirtHost]]]:
+        """``(endpoint, bound host or None)`` over the unexcluded endpoints
+        (those that serve ``model_id``, when one is named)."""
+        return [
+            (name, self._hosts.get(name))
+            for name, served in self.router.endpoints()
+            if name not in exclude and (model_id is None or model_id in served)
+        ]
 
-    def _relaunch_candidate(self, exclude: Set[str]) -> Optional[str]:
-        """An endpoint worth relaunching when routing found none usable."""
-        for name, _ in self.router.endpoints():
-            if name in exclude:
-                continue
-            host = self._hosts.get(name)
+    def _hostless(self, exclude=(), model_id: Optional[str] = None) -> Iterator[str]:
+        """The :meth:`_fleet` endpoints without a live host: never launched, or dead."""
+        for name, host in self._fleet(exclude, model_id):
             if host is None or not host.enclave.alive:
-                return name
-        return None
+                yield name
 
     def _note_endpoint_death(
         self, endpoint: str, breaker: Optional[CircuitBreaker]
@@ -684,15 +642,19 @@ class InferenceGateway:
 
     # -- scale-out ----------------------------------------------------------------
 
-    def _grow_fleet(self) -> bool:
+    def _add_endpoint(self) -> Optional[str]:
         try:
-            endpoint, _ = self.router.add_endpoint()
+            return self.router.add_endpoint()[0]
         except RoutingError:
-            return False  # baseline routers have a fixed layout
-        if self.tracer is not None:
-            with self.tracer.span("scale_out", endpoint=endpoint):
+            return None  # baseline routers have a fixed layout
+
+    def _grow_fleet(self) -> bool:
+        """Reactive growth: one more endpoint, marked by a ``scale_out`` span."""
+        endpoint = self._add_endpoint()
+        if endpoint is not None:
+            with maybe_span(self.tracer, "scale_out", endpoint=endpoint):
                 pass
-        return True
+        return endpoint is not None
 
     # -- drain / retire ------------------------------------------------------------
 
@@ -766,20 +728,10 @@ class InferenceGateway:
         Prefers re-warming a known endpoint without a live host; grows
         the fleet only below the warm pool's ``max_endpoints``.
         """
-        for name, _ in self.router.endpoints():
-            host = self.host(name)
-            if host is None or not host.enclave.alive:
-                return name
-        if (
-            self.warm_pool is not None
-            and self.endpoint_count < self.warm_pool.config.max_endpoints
-        ):
-            try:
-                endpoint, _ = self.router.add_endpoint()
-            except RoutingError:
-                return None
-            return endpoint
-        return None
+        endpoint = next(self._hostless(), None)
+        if endpoint is None and self.endpoint_count < self.warm_pool.config.max_endpoints:
+            endpoint = self._add_endpoint()
+        return endpoint
 
     def warm_stats(self) -> Optional[dict]:
         """The warm pool's stats section (``None`` when not armed)."""
@@ -788,10 +740,8 @@ class InferenceGateway:
         return self.warm_pool.stats(self._now())
 
     def _endpoint_pending(self, endpoint: str) -> int:
-        states = getattr(self.router, "_endpoints", None)
-        if states is None or endpoint not in states:
-            return 0
-        return states[endpoint].pending
+        state = self.router.state(endpoint)
+        return state.pending if state is not None else 0
 
     def invalidate_keys(
         self, uid: Optional[str] = None, model_id: Optional[str] = None
@@ -808,11 +758,9 @@ class InferenceGateway:
         :class:`~repro.errors.SeSeMIError` (``.unreached``, ``.dropped``).
         A host that died has no memo left to reach and is not a failure.
         """
-        with self._lock:
-            hosts = dict(self._hosts)
         dropped = 0
         unreached = {}
-        for endpoint, host in hosts.items():
+        for endpoint, host in self.hosts().items():
             try:
                 dropped += host.invalidate_keys(uid, model_id)
             except Exception as exc:  # noqa: BLE001 - reported after the sweep
@@ -895,10 +843,6 @@ class GatewayStream(_Routed, DerivedStream):
     dispatch complete (or the endpoint dead).  ``result()`` blocks for
     the full sealed frame sequence.
     """
-
-
-class _Reroute(Exception):
-    """Internal: the chosen endpoint is unusable, pick another."""
 
 
 __all__ = [

@@ -49,10 +49,6 @@ from repro.sgx.attestation import AttestationService
 #: the two models the workload alternates between (same input shape)
 MODEL_IDS = ("chaos-m1", "chaos-m2")
 
-#: sweep points: (wire fault rate, enclave crash rate, shard outages)
-SWEEP = ((0.0, 0.0, 1), (0.06, 0.02, 1), (0.15, 0.04, 1))
-QUICK_SWEEP = ((0.0, 0.0, 1), (0.15, 0.04, 1))
-
 
 def _fixed_key(label: str) -> SymmetricKey:
     """A deterministic identity key (stable id => stable shard homes)."""

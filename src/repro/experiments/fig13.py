@@ -20,21 +20,16 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.core.simbridge import servable_map, semirt_factory
 from repro.experiments.common import format_table, make_driver, make_testbed
 from repro.mlrt.zoo import profile
 from repro.scenarios.registry import fig13_latency_spec
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.runner import build_arrivals, run_scenario
 from repro.serverless.action import ActionSpec
 from repro.sgx.epc import MB
-from repro.workloads.arrival import merge_arrivals, mmpp, poisson
 from repro.workloads.metrics import LatencyStats, gb_seconds
 
 NUM_NODES = 8
-WARMUP_S = 60.0
-PHASE_S = 60.0
 
 #: Figure 14's per-container memory budgets (Section VI-C)
 FIG14_BUDGETS_MB = {
@@ -43,17 +38,6 @@ FIG14_BUDGETS_MB = {
     ("RSNET", 1): 768,
     ("RSNET", 4): 1536,
 }
-
-
-def _mmpp_arrivals(duration_s: float, seed: int = 11):
-    rng = np.random.default_rng(seed)
-    warm = poisson(20.0, WARMUP_S, "m", user_id="u", rng=rng)
-    burst = mmpp((20.0, 40.0), PHASE_S, duration_s, "m", user_id="u", rng=rng)
-    shifted = [
-        type(a)(time=a.time + WARMUP_S, model_id=a.model_id, user_id=a.user_id)
-        for a in burst
-    ]
-    return merge_arrivals(warm, shifted)
 
 
 def run_latency(
@@ -78,7 +62,15 @@ def run_memory_cost(
     model_name: str,
     duration_s: float = 240.0,
 ) -> Dict[int, dict]:
-    """Figure 14: GB-seconds with 1- vs 4-thread SeSeMI enclaves."""
+    """Figure 14: GB-seconds with 1- vs 4-thread SeSeMI enclaves.
+
+    Serves the Figure 13 trace (``fig13_latency_spec``'s workload: the
+    20 rps warm-up, then the shifted MMPP) so both figures measure the
+    same arrivals.
+    """
+    spec = fig13_latency_spec(model_name, duration_s=duration_s)
+    arrivals, _sessions = build_arrivals(spec.workload, spec.seed)
+    warmup_s = spec.workload.warmup_s
     out: Dict[int, dict] = {}
     for threads in (1, 4):
         models = servable_map([("m", profile(model_name), "tvm")])
@@ -91,13 +83,13 @@ def run_memory_cost(
         )
         bed.platform.deploy(spec, semirt_factory(models, bed.cost, tcs_count=threads))
         driver = make_driver(bed)
-        driver.submit_arrivals(_mmpp_arrivals(duration_s))
-        report = driver.run(until=WARMUP_S + duration_s + 3000.0)
-        horizon = WARMUP_S + duration_s
+        driver.submit_arrivals(arrivals)
+        report = driver.run(until=warmup_s + duration_s + 3000.0)
+        horizon = warmup_s + duration_s
         out[threads] = {
             "gb_seconds": gb_seconds(bed.controller.memory_timeline, horizon),
             "mean_s": LatencyStats.of(
-                [r for r in report.results if r.submitted_at >= WARMUP_S]
+                [r for r in report.results if r.submitted_at >= warmup_s]
             ).mean,
         }
     return out

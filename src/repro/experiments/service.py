@@ -93,14 +93,9 @@ def build_world(
     scheduler = SchedulerConfig(
         queue_depth=queue_depth, paced_service_s=paced_s
     )
-    gateway_config = None
-    if warm_pool is not None:
-        gateway_config = GatewayConfig(
-            slots_per_endpoint=tcs_count, warm_pool=warm_pool
-        )
     gateway = env.gateway(
         pool, config=config, scheduler=scheduler,
-        gateway_config=gateway_config,
+        gateway_config=GatewayConfig(warm_pool=warm_pool),
     )
     service = InferenceService(
         env, gateway, [handle],

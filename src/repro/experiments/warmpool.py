@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -48,10 +48,9 @@ from repro.core.costs import CostModel
 from repro.mlrt.zoo import profile
 from repro.serverless.storage import NFS
 from repro.sgx.platform import SGX2
-from repro.routing import ScaleOutPolicy
 from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 from repro.warmpool.predictor import PredictorPolicy
-from repro.workloads.arrival import Arrival, merge_arrivals, mmpp, poisson
+from repro.workloads.arrival import Arrival, poisson
 
 POLICIES = ("none", "lcs", "mru", "lcs+predictive")
 WORKLOADS = ("poisson", "mmpp")
@@ -235,18 +234,6 @@ class LatencyTable:
         return self.exec_s
 
 
-def _mmpp_arrivals(duration_s: float, seed: int) -> List[Arrival]:
-    """The Figure 13 flash-crowd trace: MMPP flipping 20 <-> 40 rps."""
-    rng = np.random.default_rng(seed)
-    warm = poisson(20.0, 30.0, "m0", user_id="u", rng=rng)
-    burst = mmpp((20.0, 40.0), 60.0, duration_s, "m0", user_id="u", rng=rng)
-    shifted = [
-        Arrival(time=a.time + 30.0, model_id=a.model_id, user_id=a.user_id)
-        for a in burst
-    ]
-    return merge_arrivals(warm, shifted)
-
-
 def _manager_for(policy: str, *, keep_alive_s: float, min_warm: int,
                  max_endpoints: int, service_time_s: float) -> WarmPoolManager:
     if policy == "none":
@@ -263,7 +250,6 @@ def _manager_for(policy: str, *, keep_alive_s: float, min_warm: int,
         max_endpoints=max_endpoints,
         predictive=policy == "lcs+predictive",
         predictor=PredictorPolicy(service_time_s=service_time_s),
-        scale_out=ScaleOutPolicy(max_endpoints=max_endpoints),
     ))
 
 
@@ -419,7 +405,11 @@ def decision_log_for(
     Two calls with the same arguments must return byte-identical text
     (``test_seeded_simulation_log_is_byte_identical``).
     """
-    arrivals = _mmpp_arrivals(duration_s, seed)
+    from repro.scenarios.registry import warmpool_mmpp_spec
+    from repro.scenarios.runner import build_arrivals
+
+    spec = warmpool_mmpp_spec(duration_s=duration_s, seed=seed)
+    arrivals, _sessions = build_arrivals(spec.workload, spec.seed)
     cost = LatencyTable()
     manager = _manager_for(
         policy, keep_alive_s=30.0, min_warm=0, max_endpoints=64,

@@ -19,12 +19,10 @@ is a docstring): ``bench/`` imports ``FnPool`` from here.
 from repro.routing.affinity import BatchAffinity
 from repro.routing.lifecycle import PressureTracker, ScaleOutPolicy
 from repro.routing.policy import (
-    STRATEGIES,
     AllInOneRouter,
     FnPackerRouter,
     OneToOneRouter,
     Router,
-    make_router,
 )
 from repro.routing.pool import EndpointState, FnPool
 
@@ -38,6 +36,4 @@ __all__ = [
     "PressureTracker",
     "Router",
     "ScaleOutPolicy",
-    "STRATEGIES",
-    "make_router",
 ]

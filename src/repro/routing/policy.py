@@ -31,9 +31,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.errors import ConfigError, RoutingError
 from repro.routing.pool import EndpointState, FnPool
 
-#: deployment strategies accepted by :func:`make_router`
-STRATEGIES = ("fnpacker", "one-to-one", "all-in-one")
-
 _NO_EXCLUDE: FrozenSet[str] = frozenset()
 
 
@@ -51,10 +48,20 @@ class Router:
 
         ``exclude`` names endpoints the caller already knows to be
         unusable for this request (a full admission queue, an open
-        circuit breaker); routers that track endpoint state treat them
-        as busy, stateless baselines ignore the hint.
+        circuit breaker, a dead host).  No router returns one of them:
+        handing it back would send the retry straight into the failure
+        it is rerouting around.  A router with nowhere else to go raises
+        :class:`~repro.errors.RoutingError`.
         """
         raise NotImplementedError
+
+    def state(self, endpoint: str) -> Optional[EndpointState]:
+        """The router's read-only view of ``endpoint``.
+
+        ``None`` when the endpoint is unknown -- or when the router keeps
+        no per-endpoint state at all (the two stateless baselines).
+        """
+        return None
 
     def on_dispatch(self, endpoint: str, model_id: str, now: float) -> None:
         """Observe a request being forwarded."""
@@ -65,10 +72,11 @@ class Router:
     def on_failure(self, endpoint: str, model_id: str, now: float) -> None:
         """Observe an in-flight request dying without a response.
 
-        Releases the slot taken by :meth:`on_dispatch`.  Unlike
-        :meth:`on_complete` this is tolerant of double accounting: if
-        :meth:`mark_endpoint_down` already cleared the endpoint's
-        counters the call is a no-op.
+        Releases the slot taken by :meth:`on_dispatch`: every dispatch
+        is followed by exactly one :meth:`on_complete` or
+        :meth:`on_failure`, whatever happens to its endpoint meanwhile.
+        Unlike :meth:`on_complete` it never raises -- a counter already
+        at zero stays there.
         """
 
     def mark_endpoint_down(self, endpoint: str) -> None:
@@ -126,6 +134,10 @@ class FnPackerRouter(Router):
     def endpoints(self) -> List[Tuple[str, Tuple[str, ...]]]:
         """All pool endpoints; each can serve every model of the pool."""
         return [(name, self.pool.models) for name in self._endpoints]
+
+    def state(self, endpoint: str) -> Optional[EndpointState]:
+        """The live :class:`EndpointState` of ``endpoint`` (do not mutate)."""
+        return self._endpoints.get(endpoint)
 
     # -- scheduling ---------------------------------------------------------------
 
@@ -226,19 +238,16 @@ class FnPackerRouter(Router):
     def mark_endpoint_down(self, endpoint: str) -> None:
         """Take a dead invoker out of rotation.
 
-        Its exclusivity pin and pending counters are cleared -- the
-        in-flight requests died with the invoker and their retries must
-        be free to land elsewhere.
+        Its exclusivity pin is void at once -- retries must be free to
+        land elsewhere, and no rule routes to an unavailable endpoint.
+        Its pending counts stay: each belongs to a request whose own
+        :meth:`on_failure` releases it.  Clearing them here released
+        those slots twice, and the second release ate a slot taken
+        since on another endpoint (or on this one, relaunched).
         """
         ep = self._endpoints[endpoint]
         ep.healthy = False
         ep.exclusive_for = None
-        if ep.pending:
-            for model_id, pinned in list(self._model_endpoint.items()):
-                if pinned == endpoint:
-                    self._model_pending[model_id] = 0
-                    del self._model_endpoint[model_id]
-            ep.pending = 0
 
     def mark_endpoint_up(self, endpoint: str) -> None:
         """Return a recovered invoker to rotation (cold, unpinned)."""
@@ -287,6 +296,13 @@ class FnPackerRouter(Router):
         }
 
 
+def _unless_excluded(endpoint: str, exclude: FrozenSet[str]) -> str:
+    """A fixed-layout router's only endpoint -- or nowhere to go."""
+    if endpoint in exclude:
+        raise RoutingError(f"endpoint {endpoint!r} is excluded and has no alternative")
+    return endpoint
+
+
 class OneToOneRouter(Router):
     """Baseline: one dedicated endpoint per model."""
 
@@ -301,13 +317,10 @@ class OneToOneRouter(Router):
     def route(
         self, model_id: str, now: float, exclude: FrozenSet[str] = _NO_EXCLUDE
     ) -> str:
-        """Route to the model's dedicated endpoint (``exclude`` ignored)."""
-        try:
-            return self._map[model_id]
-        except KeyError:
-            raise RoutingError(
-                f"model {model_id!r} is not in pool {self.pool.name!r}"
-            ) from None
+        """Route to the model's dedicated endpoint, unless it is excluded."""
+        if model_id not in self._map:
+            raise RoutingError(f"model {model_id!r} is not in pool {self.pool.name!r}")
+        return _unless_excluded(self._map[model_id], exclude)
 
 
 class AllInOneRouter(Router):
@@ -324,29 +337,7 @@ class AllInOneRouter(Router):
     def route(
         self, model_id: str, now: float, exclude: FrozenSet[str] = _NO_EXCLUDE
     ) -> str:
-        """Route every model to the shared endpoint (``exclude`` ignored)."""
+        """Route every model to the shared endpoint, unless it is excluded."""
         if model_id not in self.pool.models:
             raise RoutingError(f"model {model_id!r} is not in pool {self.pool.name!r}")
-        return self._endpoint
-
-
-def make_router(
-    strategy: str,
-    pool: FnPool,
-    idle_interval_s: float = 10.0,
-    slots_per_endpoint: int = 1,
-) -> Router:
-    """Build the router for one of the paper's deployment strategies."""
-    if strategy == "fnpacker":
-        return FnPackerRouter(
-            pool,
-            idle_interval_s=idle_interval_s,
-            slots_per_endpoint=slots_per_endpoint,
-        )
-    if strategy == "one-to-one":
-        return OneToOneRouter(pool)
-    if strategy == "all-in-one":
-        return AllInOneRouter(pool)
-    raise ConfigError(
-        f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}"
-    )
+        return _unless_excluded(self._endpoint, exclude)

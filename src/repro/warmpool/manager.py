@@ -28,11 +28,11 @@ and predictor rates surface through :meth:`stats` (the service tier's
 **decision log** of plain strings -- a seeded trace replayed against a
 fresh manager produces a byte-identical log, which CI gates on.
 
-Reactive scale-out (:class:`~repro.routing.ScaleOutPolicy`) is folded
-in as one fleet-shape strategy among several: arm ``scale_out`` in the
-config and the manager owns the
-:class:`~repro.routing.PressureTracker`, so reactive growth shares the
-decision log with the janitor's shrinks and the predictor's pre-warms.
+Reactive scale-out is not decided here: the gateway observes
+``QueueFull`` and owns the one :class:`~repro.routing.PressureTracker`
+(``GatewayConfig.scale_out``).  An endpoint it spawns reaches the
+decision log like any other, as the ``launch ... kind=demand`` line its
+first request writes.
 
 Thread-safe: the live gateway dispatches from many threads; one lock
 guards all mutable state.  Determinism holds for any single-threaded
@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigError
-from repro.routing import PressureTracker, ScaleOutPolicy
 from repro.warmpool.janitor import Janitor, JanitorPolicy
 from repro.warmpool.predictor import PredictorPolicy, Prewarmer
 from repro.warmpool.strategy import (
@@ -68,8 +67,7 @@ class WarmPoolConfig:
     ``mru`` / ``affinity``); ``keep_alive_s`` / ``min_warm`` /
     ``sweep_interval_s`` drive the janitor; ``max_endpoints`` caps the
     fleet whatever the predictor wants; ``predictive`` arms the
-    pre-warmer with ``predictor`` as its policy; ``scale_out`` folds
-    reactive pressure growth into the manager's decision log.
+    pre-warmer with ``predictor`` as its policy.
     """
 
     strategy: str = "lcs"
@@ -79,7 +77,6 @@ class WarmPoolConfig:
     max_endpoints: int = 8
     predictive: bool = False
     predictor: PredictorPolicy = field(default_factory=PredictorPolicy)
-    scale_out: Optional[ScaleOutPolicy] = None
     log_capacity: int = 65536
 
     def __post_init__(self) -> None:
@@ -130,17 +127,11 @@ class WarmPoolManager:
         self.prewarmer: Optional[Prewarmer] = (
             Prewarmer(self.config.predictor) if self.config.predictive else None
         )
-        self.reactive: Optional[PressureTracker] = (
-            PressureTracker(self.config.scale_out)
-            if self.config.scale_out is not None
-            else None
-        )
         self._records: Dict[str, EndpointRecord] = {}
         self._counters: Dict[str, int] = {
             "cold": 0, "warm": 0, "hot": 0,
             "launches": 0, "prewarm_launches": 0,
             "janitor_retired": 0, "retired": 0,
-            "scale_out": 0,
         }
         self._log: List[str] = []
         self._lock = threading.Lock()
@@ -206,16 +197,6 @@ class WarmPoolManager:
                 record.pinned = False
 
     # -- traffic -----------------------------------------------------------------
-
-    def classify(self, endpoint: str, model_id: str, launched: bool) -> str:
-        """The temperature a dispatch to ``endpoint`` would have now."""
-        if launched:
-            return "cold"
-        with self._lock:
-            record = self._records.get(endpoint)
-        if record is not None and record.last_model == model_id:
-            return "hot"
-        return "warm"
 
     def on_dispatch(
         self, endpoint: str, model_id: str, now: float, launched: bool = False
@@ -347,26 +328,6 @@ class WarmPoolManager:
                     f"launching={count}"
                 )
         return count
-
-    # -- reactive scale-out ----------------------------------------------------------
-
-    def on_pressure(self, saw_pressure: bool, fleet_size: int) -> bool:
-        """Debounced reactive growth; ``True`` means grow the fleet now.
-
-        Only meaningful when ``config.scale_out`` is armed -- the
-        manager then owns the :class:`~repro.routing.PressureTracker`
-        and reactive spawns share the decision log.
-        """
-        if self.reactive is None:
-            return False
-        grow = self.reactive.observe(
-            saw_pressure, min(fleet_size, self.config.max_endpoints)
-        )
-        if grow:
-            with self._lock:
-                self._counters["scale_out"] += 1
-                self._append(f"scale_out fleet={fleet_size}")
-        return grow
 
     # -- observability ----------------------------------------------------------------
 

@@ -10,7 +10,7 @@ from repro.core.gateway import GatewayConfig, InferenceGateway
 from repro.errors import QueueFull
 from repro.obs.span import LogicalClock
 from repro.obs.tracer import Tracer
-from repro.routing import FnPool, ScaleOutPolicy
+from repro.routing import FnPool
 from repro.warmpool.manager import WarmPoolConfig
 from repro.warmpool.predictor import PredictorPolicy
 
@@ -99,7 +99,6 @@ def test_janitor_emptied_fleet_regrows_on_demand():
         keep_alive_s=0.0,
         min_warm=0,
         sweep_interval_s=0.001,
-        scale_out=ScaleOutPolicy(max_endpoints=4),
     )
     gw.dispatch(b"x", "u", "m0")
     assert gw.maintain()["retired"] == ["p-ep0"]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.experiments import fig12, fig13
+from repro.scenarios.registry import fig13_latency_spec
+from repro.scenarios.runner import build_arrivals
 
 
 def test_fig12_ramp_precedes_steady():
@@ -27,7 +29,10 @@ def test_fig12_ramp_handles_low_rates():
 
 
 def test_fig13_mmpp_has_warmup_then_bursts():
-    arrivals = fig13._mmpp_arrivals(duration_s=120.0)
+    # the trace Figures 13 and 14 both serve (fig13.run_memory_cost builds it so)
+    spec = fig13_latency_spec("DSNET", duration_s=120.0)
+    arrivals, _sessions = build_arrivals(spec.workload, spec.seed)
+    warmup_s, phase_s = spec.workload.warmup_s, spec.workload.phase_s
     times = [a.time for a in arrivals]
     assert times == sorted(times)
 
@@ -35,10 +40,10 @@ def test_fig13_mmpp_has_warmup_then_bursts():
         return sum(1 for t in times if lo <= t < hi) / (hi - lo)
 
     # Warm-up phase at ~20 rps.
-    assert rate(0, fig13.WARMUP_S) == pytest.approx(20.0, rel=0.25)
+    assert rate(0, warmup_s) == pytest.approx(20.0, rel=0.25)
     # The second MMPP phase doubles the mean rate.
-    phase1 = rate(fig13.WARMUP_S, fig13.WARMUP_S + fig13.PHASE_S)
-    phase2 = rate(fig13.WARMUP_S + fig13.PHASE_S, fig13.WARMUP_S + 2 * fig13.PHASE_S)
+    phase1 = rate(warmup_s, warmup_s + phase_s)
+    phase2 = rate(warmup_s + phase_s, warmup_s + 2 * phase_s)
     assert phase2 > 1.4 * phase1
 
 

@@ -251,9 +251,27 @@ def test_gate_catches_a_runtime_leak_through_a_package_init(tmp_path):
     assert checker.check_runtime("core.wire", allowed) == []
 
 
+def test_gate_catches_a_getattr_of_a_private_name(tmp_path):
+    """How the gateway used to read the router's ``_endpoints``: a literal
+    private name is refused; dunders, public names and computed names pass."""
+    checker = _load_checker()
+    src_repro = _tree(tmp_path, {
+        "src/repro/core/gateway.py": (
+            "def pending(router, endpoint, name):\n"
+            "    states = getattr(router, '_endpoints', None)\n"
+            "    return getattr(states, '__len__'), getattr(router, 'pool'), "
+            "getattr(router, name)\n"
+        ),
+    }) / "src" / "repro"
+    violations = checker.check_private_getattr(src_repro)
+    assert len(violations) == 1
+    assert "core/gateway.py:2" in violations[0] and "'_endpoints'" in violations[0]
+    assert checker.check_private_getattr() == []
+
+
 def test_a_violation_of_any_rule_fails_the_script(monkeypatch, capsys):
     checker = _load_checker()
-    for rule in ("check_inits", "check_runtime", "check_reachability"):
+    for rule in ("check_inits", "check_runtime", "check_reachability", "check_private_getattr"):
         with monkeypatch.context() as patch:
             patch.setattr(checker, rule, lambda *args: [f"offender named by {rule}"])
             assert checker.main() == 1

@@ -60,8 +60,8 @@ def test_slot_accounting_survives_mid_ecall_crash():
     With ``slots_per_endpoint=2``, two dispatches fill the endpoint.
     If one request dies mid-ECALL and is only accounted through
     ``on_failure``, the endpoint must be schedulable again (one free
-    slot), and counters never go negative even if the endpoint was
-    also marked down (which clears pending wholesale).
+    slot); marking the endpoint down releases nothing -- the surviving
+    request's own ``on_failure`` does -- and counters never go negative.
     """
     router = FnPackerRouter(make_pool(), slots_per_endpoint=2)
     ep = router.route("m0", now=0.0)
@@ -77,10 +77,14 @@ def test_slot_accounting_survives_mid_ecall_crash():
     assert router._model_pending["m0"] == 1
     # the freed slot is schedulable for the same model again
     assert router.route("m0", now=0.6) == ep
-    # double accounting is tolerated: mark down clears counters, a late
-    # on_failure for the already-cleared request is a no-op
+    # the endpoint dies under the other request: its slot is released by
+    # that request's on_failure (exactly once), not by the health mark
     router.mark_endpoint_down(ep)
+    assert router._endpoints[ep].pending == 1
     router.on_failure(ep, "m0", now=1.0)
+    assert router._endpoints[ep].pending == 0
+    assert router._model_pending["m0"] == 0
+    router.on_failure(ep, "m0", now=1.5)  # a stray second release
     assert router._endpoints[ep].pending == 0
     assert router._model_pending["m0"] == 0
 

@@ -104,7 +104,7 @@ def launch_world(
     gateway = env.gateway(
         pool, config=config, scheduler=scheduler,
         gateway_config=(
-            GatewayConfig(slots_per_endpoint=tcs_count, warm_pool=warm_pool)
+            GatewayConfig(warm_pool=warm_pool)
             if warm_pool is not None
             else None
         ),

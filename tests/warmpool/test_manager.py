@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.routing import ScaleOutPolicy
 from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 
 
@@ -96,19 +95,6 @@ def test_prewarm_count_respects_floor_cap_and_live_fleet():
 def test_prewarm_count_is_zero_without_the_predictor():
     manager = make_manager(predictive=False)
     assert manager.prewarm_count(0.0) == 0
-
-
-def test_reactive_scale_out_shares_the_decision_log():
-    manager = make_manager(scale_out=ScaleOutPolicy(threshold=2))
-    assert not manager.on_pressure(True, fleet_size=1)
-    assert manager.on_pressure(True, fleet_size=1)  # threshold reached
-    assert manager.counters()["scale_out"] == 1
-    assert any(line.startswith("scale_out") for line in manager.decision_log())
-
-
-def test_on_pressure_is_inert_without_a_policy():
-    manager = make_manager()
-    assert not manager.on_pressure(True, fleet_size=1)
 
 
 def test_stats_reports_the_pool_shape():
