@@ -411,6 +411,11 @@ def gather_windowed(
     oldest-first.  :class:`~repro.errors.QueueFull` from ``submit``
     drains the oldest in-flight handle and retries, so the batch absorbs
     its own backpressure; with nothing in flight it propagates.
+
+    When anything fails, every handle still in flight is settled --
+    cancelled, or its outcome consumed -- before the failure surfaces:
+    an abandoned handle would hold its gateway, router and warm-pool
+    slots forever.
     """
     results: List[Any] = [None] * len(xs)
     in_flight: deque = deque()  # (input index, handle)
@@ -420,22 +425,31 @@ def gather_windowed(
         idx, handle = in_flight.popleft()
         results[idx] = handle.result()
 
-    for idx, x in enumerate(xs):
-        while len(in_flight) >= window:
-            collect_oldest()
-        while True:
-            try:
-                handle = submit(x)
-                break
-            except QueueFull:
-                if not in_flight:
-                    raise
+    try:
+        for idx, x in enumerate(xs):
+            while len(in_flight) >= window:
                 collect_oldest()
-        in_flight.append((idx, handle))
-        if idx == 0:
-            window = max(1, window_for(handle))
-    while in_flight:
-        collect_oldest()
+            while True:
+                try:
+                    handle = submit(x)
+                    break
+                except QueueFull:
+                    if not in_flight:
+                        raise
+                    collect_oldest()
+            in_flight.append((idx, handle))
+            if idx == 0:
+                window = max(1, window_for(handle))
+        while in_flight:
+            collect_oldest()
+    except BaseException:
+        for _, handle in in_flight:
+            if not handle.cancel():
+                try:
+                    handle.result()
+                except Exception:  # noqa: BLE001 - the first failure is the one raised
+                    pass
+        raise
     return results
 
 

@@ -15,6 +15,8 @@ Supported key sizes are 128, 192, and 256 bits.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from repro.errors import InvalidKey
@@ -118,21 +120,27 @@ _TILE = 4096
 _RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36, 0x6C, 0xD8]
 
 
-def _expand_key(key: bytes) -> list[bytes]:
-    """Expand ``key`` into the per-round keys (FIPS 197 key schedule)."""
+def _expand_key(key: bytes) -> list[int]:
+    """The FIPS 197 key schedule ``w[0 .. 4 * (rounds + 1) - 1]`` of ``key``.
+
+    Each word is a big-endian 32-bit integer, as FIPS 197 Appendix A lists
+    them; round key ``r`` is words ``4r .. 4r + 3``.
+    """
     nk = len(key) // 4
     rounds = {4: 10, 6: 12, 8: 14}[nk]
-    words = [key[4 * i : 4 * i + 4] for i in range(nk)]
+    words = list(struct.unpack(f">{nk}I", key))
+    s = _SBOX
     for i in range(nk, 4 * (rounds + 1)):
-        temp = words[i - 1]
-        if i % nk == 0:
-            rotated = temp[1:] + temp[:1]
-            temp = bytes(_SBOX[b] for b in rotated)
-            temp = bytes([temp[0] ^ _RCON[i // nk - 1]]) + temp[1:]
-        elif nk > 6 and i % nk == 4:
-            temp = bytes(_SBOX[b] for b in temp)
-        words.append(bytes(a ^ b for a, b in zip(words[i - nk], temp)))
-    return [b"".join(words[4 * r : 4 * r + 4]) for r in range(rounds + 1)]
+        t = words[i - 1]
+        if i % nk == 0:  # SubWord(RotWord(t)) ^ Rcon
+            t = (
+                (s[t >> 16 & 0xFF] ^ _RCON[i // nk - 1]) << 24
+                | s[t >> 8 & 0xFF] << 16 | s[t & 0xFF] << 8 | s[t >> 24]
+            )
+        elif nk > 6 and i % nk == 4:  # SubWord(t)
+            t = s[t >> 24] << 24 | s[t >> 16 & 0xFF] << 16 | s[t >> 8 & 0xFF] << 8 | s[t & 0xFF]
+        words.append(words[i - nk] ^ t)
+    return words
 
 
 class AES:
@@ -149,9 +157,9 @@ class AES:
             raise InvalidKey("AES key must be bytes")
         if len(key) not in (16, 24, 32):
             raise InvalidKey(f"AES key must be 16/24/32 bytes, got {len(key)}")
-        self._round_keys_np = np.frombuffer(
-            b"".join(_expand_key(bytes(key))), dtype=np.uint8
-        ).reshape(-1, _BLOCK_SIZE)
+        self._round_keys_np = (
+            np.array(_expand_key(bytes(key)), dtype=">u4").view(np.uint8).reshape(-1, _BLOCK_SIZE)
+        )
         # round keys as column words, shaped to broadcast over (.., 4, n) states
         self._round_key_words = self._round_keys_np.view(_WORD).reshape(-1, 4, 1)
         self.key_size = len(key)

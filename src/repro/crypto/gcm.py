@@ -11,8 +11,15 @@ four numpy calls, not ``m`` x 16 lookups).  The tree is capped at chunks of
 256 blocks; longer inputs run it across all their chunks at once and fold the
 chunk digests with ``H^256``, so a cipher never holds more than
 :data:`GHASH_TABLE_CAP_BYTES` of tables whatever it is asked to seal.
-Correctness is pinned by the NIST GCM test vectors and by known-answer
-vectors captured from the previous (block-serial) implementation.
+
+Building a table is set-up a cold start pays for every fresh key, so it is
+a handful of numpy calls too: a power's 128 single-bit rows ``p * x^i``
+become the 4,096-entry table in one pass over per-byte nibble tables, and
+the next power's rows are those rows times the table itself
+(``p^2 * x^i = (p * x^i) * p``), one vectorised multiply; only ``H``'s
+rows come from a shift-and-reduce chain.  Correctness is pinned by the
+NIST GCM test vectors, by known-answer vectors captured from the previous
+(block-serial) implementation, and by digests of the table bytes.
 """
 
 from __future__ import annotations
@@ -47,7 +54,8 @@ GHASH_TABLE_CAP_BYTES = (_CHUNK_LEVELS + 1) * _TABLE_BYTES
 _LANE = np.dtype("V16")  # one 128-bit field element, moved as an opaque unit
 # table row of byte value b at block position j is 256 * j + b
 _POSITION = (np.arange(16, dtype=np.intp) * 256).reshape(16, 1)
-_ONE = 0x80  # the field's multiplicative identity is the block 80 00 .. 00
+# the table rows holding power * x^i, i = 8j + t: byte j set to bit 7 - t
+_BIT_ROWS = (_POSITION + (0x80 >> np.arange(8, dtype=np.intp))).reshape(128)
 
 
 def _gf_mult(x: int, y: int) -> int:
@@ -64,25 +72,41 @@ def _gf_mult(x: int, y: int) -> int:
     return z
 
 
-def _shoup_table(power: bytes) -> np.ndarray:
-    """Shoup 8-bit table for multiplying by the field element ``power``.
-
-    Row ``256 * j + b`` is ``(b at byte j of an otherwise zero block) * power``.
-    The 128 single-bit rows are ``power * x^i`` (a shift-and-reduce chain);
-    every other row is an XOR of those by linearity, filled by doubling:
-    rows ``2^k .. 2^(k+1) - 1`` are rows ``0 .. 2^k - 1`` plus bit ``k``'s row.
-    """
+def _chain_rows(power: bytes) -> np.ndarray:
+    """The 128 rows ``power * x^i`` of ``power``, by a shift-and-reduce chain."""
     shifted = []
     v = int.from_bytes(power, "big")
     for _ in range(128):
         shifted.append(v.to_bytes(16, "big"))
         v = (v >> 1) ^ _R if v & 1 else v >> 1
-    # bit k of byte j carries x^(8j + 7 - k)
-    bit_rows = np.frombuffer(b"".join(shifted), dtype=np.uint64).reshape(16, 8, 1, 2)
-    table = np.zeros((16, 256, 2), dtype=np.uint64)
-    for k in range(8):
+    return np.frombuffer(b"".join(shifted), dtype=np.uint64).reshape(128, 2)
+
+
+def _shoup_table(rows: np.ndarray) -> np.ndarray:
+    """Shoup 8-bit table for the power whose rows ``power * x^i`` are ``rows``.
+
+    Row ``256 * j + b`` is ``(b at byte j of an otherwise zero block) * power``,
+    and bit ``k`` of byte ``j`` carries ``x^(8j + 7 - k)``, so by linearity a
+    row is the XOR of the single-bit rows its set bits select.  All 32
+    16-entry nibble tables (high and low nibble of each byte position) are
+    filled at once by four doublings (entries ``2^k .. 2^(k+1) - 1`` are
+    entries ``0 .. 2^k - 1`` plus bit ``k``'s row); then row ``16 * hi + lo``
+    is ``high[hi] ^ low[lo]``, one broadcast XOR per 64-bit word plane, so
+    no XOR runs along the two-word axis.
+    """
+    # bits[s, w, j, n]: word w of x^(8j + 4n + s) * power, n = 0 the high
+    # nibble; in either nibble bit k carries x^(8j + 4n + 3 - k), so s = 3 - k
+    bits = rows.reshape(16, 2, 4, 2).transpose(2, 3, 0, 1)
+    nibbles = np.zeros((16, 2, 16, 2), dtype=np.uint64)  # [entry, w, j, n]
+    for k in range(4):
         half = 1 << k
-        np.bitwise_xor(table[:, :half], bit_rows[:, 7 - k], out=table[:, half : 2 * half])
+        np.bitwise_xor(nibbles[:half], bits[3 - k], out=nibbles[half : 2 * half])
+    planes = nibbles.transpose(1, 2, 3, 0)  # [w, j, n, entry]
+    table = np.empty((16, 16, 16, 2), dtype=np.uint64)  # [j, hi, lo, w]
+    for word in range(2):
+        np.bitwise_xor(
+            planes[word, :, 0, :, None], planes[word, :, 1, None, :], out=table[..., word]
+        )
     return table.view(_LANE).reshape(16 * 256)
 
 
@@ -123,8 +147,9 @@ class AESGCM:
 
     Constructing an ``AESGCM`` runs the AES key-schedule expansion and
     derives ``H``.  The GHASH tables (64 KiB per power of ``H``, at most
-    :data:`GHASH_TABLE_CAP_BYTES`) are built the first time a message is
-    long enough to need them and then kept, so on the hot path prefer
+    :data:`GHASH_TABLE_CAP_BYTES`, each grown from the one before) are
+    built the first time a message is long enough to need them and then
+    kept, so on the hot path prefer
     :meth:`AESGCM.derive`: it returns a cached :class:`SessionCipher`
     wrapping that state, and repeat requests under the same key skip the
     rebuild; per-call construction is deprecated there (cold-path and
@@ -153,12 +178,13 @@ class AESGCM:
             tables = self._tables
             while len(tables) < count:
                 if tables:
+                    # p^2 * x^i = (p * x^i) * p: the last table's own
+                    # single-bit rows, multiplied by that table
                     top = tables[-1]
-                    one_times_power = top[_ONE : _ONE + 1].view(np.uint64).reshape(1, 2)
-                    power = _multiply(one_times_power, top).tobytes()  # squared
+                    rows = _multiply(top[_BIT_ROWS].view(np.uint64).reshape(128, 2), top)
                 else:
-                    power = self._h
-                tables += (_shoup_table(power),)
+                    rows = _chain_rows(self._h)
+                tables += (_shoup_table(rows),)
             self._tables = tables
         return tables
 

@@ -583,7 +583,14 @@ class InferenceService:
             ]
             for req_id in expired:
                 entry = self._entries.pop(req_id)
-                entry.submission.cancel()
+                submission = entry.submission
+                if not submission.cancel():
+                    # sealed but never fetched: a refused cancel settles
+                    # nothing, consuming the outcome releases the request
+                    try:
+                        submission.result(timeout_s=0)
+                    except Exception:  # noqa: BLE001 - nobody is left to tell
+                        pass
                 entry.release()
 
     # -- helpers ------------------------------------------------------------------

@@ -12,7 +12,9 @@ evicted peer is told "unknown channel" and attests again: SeMIRT through
 import builtins
 import gc
 import inspect
+import sys
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +25,7 @@ from repro.core.client import KeyServiceConnection
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.keyservice import KeyServiceEnclaveCode
 from repro.core.semirt_enclave import SemirtEnclaveCode
-from repro.crypto import group
+from repro.crypto import gcm, group
 from repro.crypto.dh import DHKeyPair
 from repro.crypto.signature import SigningKey, VerifyKey
 from repro.errors import AttestationError, EnclaveError
@@ -257,6 +259,71 @@ def test_one_cold_start_is_two_short_shared_secrets_and_ten_short_fixed_base_pow
                       for bits in calls[name]]
     assert len(every_exponent) == 14 and max(every_exponent) <= 256
     assert group.SHORT_SCALAR_BITS == group.SIG_Q.bit_length() == 256
+
+
+# -- the AEAD set-up census of one cold start ------------------------------------------
+
+
+def test_one_cold_start_is_six_ciphers_and_thirty_three_ghash_tables(
+    monkeypatch, tiny_model, tiny_input
+):
+    """The AEAD half of docs/performance.md's census, by the code that built
+    each cipher: an extra ``AESGCM`` or GHASH table on the cold path fails
+    here, not in a benchmark."""
+    env = SeSeMIEnvironment()
+    env.deploy(tiny_model, "m").grant("alice")
+
+    def cold_start():
+        host = env.launch_semirt("tvm")
+        try:
+            return env.session("alice", "m", semirt=host).infer(tiny_input)
+        finally:
+            host.destroy()
+
+    cold_start()  # process-wide caches (the client's derived contexts) settle
+
+    built_by, ciphers, tables = {}, Counter(), Counter()
+    real_init, real_power_tables = gcm.AESGCM.__init__, gcm.AESGCM._power_tables
+
+    def init(self, key):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == gcm.__name__:  # AESGCM.derive
+            frame = frame.f_back
+        owner = frame.f_locals.get("self")
+        where = type(owner).__name__ if owner is not None else frame.f_globals["__name__"]
+        caller = f"{where}.{frame.f_code.co_name}"
+        built_by[id(self)] = caller
+        ciphers[caller] += 1
+        real_init(self, key)
+
+    def power_tables(self, count):
+        before = len(self._tables)
+        grown = real_power_tables(self, count)
+        if len(grown) > before:
+            tables[built_by.get(id(self), "a cipher from before the cold start")] += (
+                len(grown) - before
+            )
+        return grown
+
+    monkeypatch.setattr(gcm.AESGCM, "__init__", init)
+    monkeypatch.setattr(gcm.AESGCM, "_power_tables", power_tables)
+    out = cold_start()
+    monkeypatch.undo()
+    assert np.allclose(out, tiny_model.run_reference(tiny_input).ravel(), atol=1e-5)
+
+    assert ciphers == {
+        "SecureChannel.__init__": 4,  # one RA-TLS handshake: two ends, two directions
+        "SemirtEnclaveCode._model_load": 1,  # the model decryption key
+        "_KeyCacheEntry.__post_init__": 1,  # the user's request key
+    }
+    assert tables == {
+        # each channel cipher seals or opens one small message: H .. H^8
+        "SecureChannel.__init__": 16,
+        # the model blob spans chunks: H .. H^128 and the chunk fold H^256
+        "SemirtEnclaveCode._model_load": 9,
+        # the first request's open: H .. H^128
+        "_KeyCacheEntry.__post_init__": 8,
+    }
 
 
 # -- the untrusted EC_HANDSHAKE offer ------------------------------------------------

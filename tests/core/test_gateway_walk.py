@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.deployment import SeSeMIEnvironment
+from repro.core.futures import gather_windowed
 from repro.core.gateway import MAX_REDISPATCH, GatewayConfig, InferenceGateway
 from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import EnclaveError, QueueFull, RequestCancelled, RoutingError
@@ -212,6 +213,28 @@ class _ScriptedHost(_FakeHost):
         ticket = self.submit(enc_request, uid, model_id)
         ticket.payload = [ticket.payload]
         return ticket
+
+
+@pytest.mark.parametrize("rest", ["ok", "cancel"])
+def test_a_failed_window_settles_every_handle_still_in_flight(rest):
+    """``gather_windowed`` used to re-raise the first failed ``result()``
+    and abandon the rest of its window, each holding a gateway slot and a
+    router ``pending`` count for good."""
+    calls = []
+    script = ["die", rest, rest, rest]
+    pool = FnPool(name="p", models=("m0",), memory_budget=0, num_endpoints=1)
+    router = FnPackerRouter(pool, slots_per_endpoint=4)
+    gw = InferenceGateway(
+        pool, lambda endpoint: _ScriptedHost(endpoint, script, calls), router=router
+    )
+    with pytest.raises(EnclaveError):
+        gather_windowed(lambda x: gw.submit(x, "u", "m0"), [b"a", b"b", b"c", b"d"],
+                        window_for=lambda handle: 4)
+    assert len(calls) == 4  # the whole window was in flight when the first failed
+    assert gw.in_flight == 0
+    (endpoint, _), = router.endpoints()
+    state = router.state(endpoint)
+    assert state is None or state.pending == 0
 
 
 def run_walk(kind, num_endpoints, warm, scripts, requests):

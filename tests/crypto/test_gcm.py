@@ -1,5 +1,6 @@
 """AES-GCM: NIST vectors, authentication, AAD binding, seal/open."""
 
+import hashlib
 import sys
 import threading
 
@@ -224,6 +225,74 @@ def test_table_multiply_matches_bitwise_reference():
             expected = _gf_mult(int.from_bytes(element.tobytes(), "big"), power)
             assert product.tobytes() == expected.to_bytes(16, "big")
         power = _gf_mult(power, power)
+
+
+def _tables_digest(tables) -> str:
+    return hashlib.sha256(b"".join(table.tobytes() for table in tables)).hexdigest()
+
+
+# (key, H = E_K(0^128), SHA-256 of all nine power tables H^1 .. H^256 in order):
+# the table bytes of the shift-chain-per-power builder, captured before the
+# nibble-pass builder replaced it
+TABLE_DIGESTS = [
+    (
+        "00000000000000000000000000000000",
+        "66e94bd4ef8a2c3b884cfa59ca342b2e",
+        "83198c3d71db16950184025f8d5e5a1c037aecdeb061acf47cd6cb74c43009e3",
+    ),
+    (
+        "feffe9928665731c6d6a8f9467308308",
+        "b83b533708bf535d0aa6e52980d53b78",
+        "37ae8ec119801ded5c39cb520b98891becbdc7c194eb16474523dcebe22bb63a",
+    ),
+    (
+        "00" * 32,
+        "dc95c078a2408989ad48a21492842087",
+        "e1e40bef6e6edb2b0d1c71cc047b4c9f4ed9ee5856a57ad136c9a87d0a914611",
+    ),
+]
+
+
+@pytest.mark.parametrize("key,h,digest", TABLE_DIGESTS)
+def test_power_tables_are_byte_identical_to_the_captured_digest(key, h, digest):
+    cipher = AESGCM(bytes.fromhex(key))
+    assert cipher._h.hex() == h
+    tables = cipher._power_tables(_CHUNK_LEVELS + 1)
+    assert len(tables) == _CHUNK_LEVELS + 1
+    assert _tables_digest(tables) == digest
+
+
+def test_power_tables_first_use_from_eight_threads():
+    """Eight threads race one fresh cipher's first table build: each sees
+    the same complete tuple, equal to a cipher built on one thread."""
+    cipher = AESGCM(bytes.fromhex(TABLE_DIGESTS[1][0]))
+    workers = 8
+    start = threading.Barrier(workers)
+    seen, errors = [None] * workers, []
+
+    def work(index):
+        try:
+            start.wait(timeout=30)
+            seen[index] = cipher._power_tables(_CHUNK_LEVELS + 1)
+        except BaseException as exc:  # noqa: BLE001 - reported on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert all(len(tables) == _CHUNK_LEVELS + 1 for tables in seen)
+    assert all(tables is seen[0] for tables in seen)  # built once, under the lock
+    assert _tables_digest(seen[0]) == TABLE_DIGESTS[1][2]
+    assert cipher.table_bytes == GHASH_TABLE_CAP_BYTES
 
 
 def test_table_memory_is_capped_whatever_the_message_size():

@@ -238,3 +238,27 @@ def test_ttl_sweeper_expires_abandoned_results():
         assert stats["service"]["results_retained"] == 0
     finally:
         world.close()
+
+
+def test_ttl_sweeper_releases_a_finished_result_nobody_polled():
+    """A sealed submission refuses the sweeper's cancel, which settled
+    nothing: the gateway slot and router ``pending`` of a served but
+    never-fetched request used to stay taken for good."""
+    world = launch_world(tcs_count=2, paced_s=0.05, result_ttl_s=1.0)
+    try:
+        world.session.infer(world.x)  # warm
+        _raw_submit(world)  # ... and never polled, not even with a peek
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            stats = world.remote.stats()
+            if stats["service"]["results_retained"] == 0:
+                break
+            time.sleep(0.25)
+        assert stats["service"]["results_retained"] == 0, "never swept"
+        assert stats["admission"]["inflight_total"] == 0
+        assert stats["gateway"]["in_flight"] == 0
+        router = world.service.gateway.router
+        for endpoint, _ in router.endpoints():
+            assert router.state(endpoint).pending == 0, endpoint
+    finally:
+        world.close()
