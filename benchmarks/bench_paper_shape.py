@@ -1,19 +1,16 @@
 """Every table and figure keeps its paper shape.
 
-One test per ``repro run NAME``: the harness runs exactly as the CLI runs
-it (:data:`repro.cli.EXPERIMENTS`, plus the reduced knobs in
-:data:`KNOBS`), the paper-style rows are printed (``-s`` shows them) and
-the measurement's floor is asserted.  ``python -m pytest benchmarks -q``
-is the CI ``paper-shape`` job.
+One test per deterministic ``repro run NAME``: the harness runs exactly
+as the CLI runs it (:data:`repro.cli.EXPERIMENTS`), the paper-style rows
+are printed (``-s`` shows them) and the measurement's floor is
+asserted.  ``python -m pytest benchmarks -q`` is the CI ``paper-shape``
+job.
 """
 
 import pytest
 
 from repro import cli
-from repro.experiments import hotpath, warmpool
-
-#: knobs a check runs with on top of the CLI's fixed arguments
-KNOBS = {"hotpath": {"requests": 60}}
+from repro.experiments import warmpool
 
 
 def check_table1(result):
@@ -153,15 +150,6 @@ def check_warmpool(result):
         assert rows["lcs+predictive"]["cold"] <= rows["lcs"]["cold"]
 
 
-def check_hotpath(result):
-    assert result["speedup"] >= hotpath.SPEEDUP_GATE
-    # the micro-sections must each show their own win: binary framing
-    # beats hex-doubled JSON, and the derived cipher beats per-call
-    # construction
-    assert result["codec_micro"]["speedup"] > 1.0
-    assert result["crypto_micro"]["speedup"] > 1.0
-
-
 CHECKS = {
     "table1": check_table1,
     "fig8": check_fig8,
@@ -175,14 +163,13 @@ CHECKS = {
     "fig15": check_fig15,
     "fig17": check_fig17,
     "warmpool": check_warmpool,
-    "hotpath": check_hotpath,
 }
 
 
 @pytest.mark.parametrize("name", CHECKS)
 def test_paper_shape(name):
     _description, module, kwargs = cli.EXPERIMENTS[name]
-    result = module.run(**kwargs, **KNOBS.get(name, {}))
+    result = module.run(**kwargs)
     print()
     print(module.format_report(result))
     CHECKS[name](result)

@@ -51,9 +51,7 @@ from repro.experiments import (
     fig13,
     fig15,
     fig17,
-    hotpath,
     service,
-    streaming,
     table1,
     table2,
     table34,
@@ -107,14 +105,6 @@ EXPERIMENTS: Dict[str, Tuple[str, ModuleType, dict]] = {
     "warmpool": (
         "Warm-pool policies: cold-start ratios, scale-to-zero, pre-warming",
         warmpool, {},
-    ),
-    "hotpath": (
-        "Hot-path overhead: binary codec + session/key caches vs the seed path",
-        hotpath, {},
-    ),
-    "streaming": (
-        "Streaming decode: continuous batching vs per-request, TTFT + tokens/sec",
-        streaming, {},
     ),
 }
 

@@ -67,7 +67,7 @@ class BatchPolicy:
         if self.batch_window_s < 0:
             raise ConfigError("batch window must be non-negative")
         if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError("batch_alpha must be in (0, 1]")
+            raise ConfigError("alpha must be in (0, 1]")
         if self.max_batch < 1:
             raise ConfigError("max_batch must be >= 1")
 

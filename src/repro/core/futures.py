@@ -107,10 +107,8 @@ class OutcomeCell:
         self._error: Optional[BaseException] = None
         self._cancelled = False
         self._items: List[Any] = []
-        #: ``time.monotonic()`` at creation and at the first/last push
+        #: ``time.monotonic()`` at creation
         self.created_at = time.monotonic()
-        self._first_at: Optional[float] = None
-        self._last_at: Optional[float] = None
 
     def _what(self) -> str:
         """What this cell stands for, for error messages."""
@@ -222,9 +220,6 @@ class OutcomeCell:
     def push(self, item: Any) -> None:
         """Append one streamed item and wake iterating consumers."""
         with self._cv:
-            self._last_at = time.monotonic()
-            if self._first_at is None:
-                self._first_at = self._last_at
             self._items.append(item)
             self._cv.notify_all()
 
@@ -233,8 +228,7 @@ class StreamCell(OutcomeCell):
     """The cell used as a stream: pushed items are the payload.
 
     ``result()`` is the full item list and iterating yields items as
-    they are pushed; ``ttft_s`` / ``tokens_per_s`` are measured from
-    push times -- the observability the streaming benchmark reports.
+    they are pushed.
     """
 
     def result(self, timeout_s: Optional[float] = None) -> List[Any]:
@@ -250,21 +244,6 @@ class StreamCell(OutcomeCell):
     def token_count(self) -> int:
         """Items delivered so far (grows while the stream is live)."""
         return len(self._items)
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Seconds from creation to the first item (None before it)."""
-        first = self._first_at
-        return None if first is None else first - self.created_at
-
-    @property
-    def tokens_per_s(self) -> Optional[float]:
-        """Throughput over the items delivered so far."""
-        with self._cv:
-            count, last = len(self._items), self._last_at
-        if last is None or last <= self.created_at:
-            return None
-        return count / (last - self.created_at)
 
 
 #: guards the one-shot flag of every derived handle: taken once per
@@ -359,16 +338,6 @@ class DerivedStream(DerivedHandle):
     produces them.  Iterator exhaustion (or a mid-stream failure)
     settles the handle just like :meth:`result` would.
     """
-
-    @property
-    def ttft_s(self) -> Optional[float]:
-        """Admission-to-first-item latency, once the first item landed."""
-        return self.inner.ttft_s
-
-    @property
-    def tokens_per_s(self) -> Optional[float]:
-        """Throughput over the items delivered so far."""
-        return self.inner.tokens_per_s
 
     @property
     def token_count(self) -> int:

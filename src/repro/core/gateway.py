@@ -595,8 +595,11 @@ class InferenceGateway:
         with self._launch_lock:
             with self._lock:
                 host = self._hosts.get(endpoint)
+                owned = endpoint in self._owned
             if host is not None and host.enclave.alive:
                 return host, False, 0.0  # a concurrent request already launched it
+            if host is not None and owned:
+                host.destroy()  # the dead enclave's scheduler workers go with it
             started = time.perf_counter()
             host = self._launcher(endpoint)
             launch_s = time.perf_counter() - started
@@ -679,7 +682,7 @@ class InferenceGateway:
             self._owned.discard(endpoint)
         if self.warm_pool is not None:
             self.warm_pool.on_retire(endpoint, self._now(), reason=reason)
-        if host is not None and owned and host.enclave.alive:
+        if host is not None and owned:
             host.destroy()
 
     # -- warm-pool housekeeping ------------------------------------------------------
@@ -777,14 +780,15 @@ class InferenceGateway:
         return dropped
 
     def close(self) -> None:
-        """Tear down every owned host; attached hosts keep running."""
+        """Tear down every owned host, dead ones' workers included;
+        attached hosts keep running."""
         with self._lock:
             hosts = dict(self._hosts)
             owned = set(self._owned)
             self._hosts.clear()
             self._owned.clear()
         for endpoint, host in hosts.items():
-            if endpoint in owned and host.enclave.alive:
+            if endpoint in owned:
                 host.destroy()
 
     def __enter__(self) -> "InferenceGateway":

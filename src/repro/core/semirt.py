@@ -85,26 +85,19 @@ class SchedulerConfig:
     where micro-batching pays (cf. Figure 11a).  ``batch`` arms the
     scheduler's hot-path batch accumulator with a
     :class:`~repro.core.batching.BatchPolicy`; like every field here it
-    is host policy, excluded from ``settings()``/MRENCLAVE.
+    is host policy, excluded from ``settings()``/MRENCLAVE.  Enclave
+    state is not sized here: the key memo's bound is the trusted
+    module's :data:`~repro.core.semirt_enclave.KEY_MEMO_ENTRIES`.
     """
 
     queue_depth: int = 16
     paced_service_s: Optional[float] = None
     batch: Optional[BatchPolicy] = None
     paced_busy: bool = False
-    #: how many <uid, M_oid> key entries the enclave memoises for the
-    #: loaded model.  1 reproduces the paper's single-pair cache; the
-    #: default keeps one entry per hot user so alternating users stop
-    #: paying a KeyService round trip each.  Host *sizing* policy, like
-    #: queue_depth -- whether keys may be cached at all stays the
-    #: measured IsolationSettings.key_cache bit.
-    key_cache_entries: int = 32
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise EnclaveError("the admission queue needs a depth of at least 1")
-        if self.key_cache_entries < 1:
-            raise EnclaveError("key_cache_entries needs room for at least 1 entry")
         if self.paced_service_s is not None and self.paced_service_s < 0:
             raise EnclaveError("paced_service_s cannot be negative")
         if self.batch is not None and not isinstance(self.batch, BatchPolicy):
@@ -157,8 +150,7 @@ class InferenceStream(StreamCell, _Admitted):
     metadata of :class:`InferenceFuture` on the cell's stream view
     (:class:`~repro.core.futures.StreamCell`).  Iterating yields sealed
     frames as the decode loop pushes them, :meth:`result` blocks for the
-    whole sequence, and ``ttft_s`` / ``tokens_per_s`` are measured
-    host-side from frame arrival times.
+    whole sequence, and ``token_count`` is how many have arrived.
 
     :meth:`cancel` stops generation between decode steps: the group
     leader closes the enclave stream context (``EC_STREAM_CLOSE``
@@ -263,7 +255,6 @@ class SemirtHost:
             keyservice_measurement=keyservice_host.measurement,
             isolation=isolation,
             tracer=tracer,
-            key_cache_entries=self.scheduler.key_cache_entries,
         )
         with maybe_span(
             tracer,

@@ -27,11 +27,10 @@ drives the cold/warm/hot invocation paths:
   enclave, first thread decrypts under ``_model_lock``, later threads
   reuse);
 - ``<uid, M_oid>`` **key pairs** are memoised for the *loaded* model
-  (Section IV-B generalised: the paper's single-pair cache is the
-  ``key_cache_entries=1`` case; a throughput build keeps one entry per
-  hot user, each carrying its derived request cipher, so repeat
-  requests skip both the KeyService round trip and the AES-GCM context
-  rebuild).  Switching models evicts every entry -- a reload can never
+  (Section IV-B generalised from the paper's single pair to an LRU of
+  :data:`KEY_MEMO_ENTRIES`: one entry per hot user, each carrying its
+  derived request cipher, so repeat requests skip both the KeyService
+  round trip and the AES-GCM context rebuild).  Switching models evicts every entry -- a reload can never
   pair a stale key with a new artifact -- and the KeyService
   re-attestation path (restart, ``EC_RESTORE_STATE``, shard failover)
   flushes the whole cache.  ``EC_INVALIDATE_KEYS`` is the push-side
@@ -94,6 +93,12 @@ FRAME_AAD = b"sesemi-frame"
 #: upper bound on tokens one stream may generate; bounds how long a
 #: stream context (and its KV cache) can pin enclave heap
 MAX_STREAM_TOKENS = 1024
+
+#: how many ``<uid, M_oid>`` entries the key memo holds (LRU).  Part of
+#: the trusted program, not a host option: the untrusted host cannot
+#: resize enclave state.  Whether keys are cached at all is the measured
+#: ``IsolationSettings.key_cache`` bit.
+KEY_MEMO_ENTRIES = 32
 
 
 @dataclass(frozen=True)
@@ -219,7 +224,6 @@ class SemirtEnclaveCode(EnclaveCode):
         keyservice_measurement: EnclaveMeasurement,
         isolation: Optional[IsolationSettings] = None,
         tracer=None,
-        key_cache_entries: int = 32,
     ) -> None:
         super().__init__()
         isolation = isolation if isolation is not None else IsolationSettings()
@@ -243,7 +247,6 @@ class SemirtEnclaveCode(EnclaveCode):
         # (the memoised validation verdict -- holding an entry IS the
         # cached "KeyService said yes" for that pair)
         self._kc: "OrderedDict[Tuple[str, str], _KeyCacheEntry]" = OrderedDict()
-        self._kc_capacity = max(1, int(key_cache_entries))
         self._ks_session: Optional[Tuple[int, SecureChannel]] = None
         self._model_lock = threading.Lock()
         self._kc_lock = threading.Lock()
@@ -503,7 +506,7 @@ class SemirtEnclaveCode(EnclaveCode):
         KeyService round trip *and* the request-cipher derivation; a
         miss provisions, derives, and (when the build's key_cache bit
         allows caching at all) memoises the entry, LRU-bounded by
-        ``key_cache_entries``.
+        :data:`KEY_MEMO_ENTRIES`.
         """
         isolation = self._isolation
         pair = (uid, model_id)
@@ -520,7 +523,7 @@ class SemirtEnclaveCode(EnclaveCode):
             with self._kc_lock:
                 self._kc[pair] = entry
                 self._kc.move_to_end(pair)
-                while len(self._kc) > self._kc_capacity:
+                while len(self._kc) > KEY_MEMO_ENTRIES:
                     self._kc.popitem(last=False)
         return entry, False
 

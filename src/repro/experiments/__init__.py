@@ -40,6 +40,4 @@ twin, built with :func:`~repro.experiments.common.live_host`):
 | routed fleet           | :mod:`repro.experiments.gateway`     | live | no |
 | micro-batching         | :mod:`repro.experiments.batching`    | live | yes |
 | HTTP saturation        | :mod:`repro.experiments.service`     | live | yes |
-| hot-path overhead      | :mod:`repro.experiments.hotpath`     | live | yes |
-| streaming decode       | :mod:`repro.experiments.streaming`   | live | yes |
 """

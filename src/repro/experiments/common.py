@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.costs import CostModel
 from repro.core.deployment import SeSeMIEnvironment, UserSession
@@ -186,7 +186,7 @@ class LiveHost(NamedTuple):
 
     env: SeSeMIEnvironment
     host: SemirtHost
-    #: the first granted user's session, attached to ``host``
+    #: the granted user's session, attached to ``host``
     session: UserSession
 
 
@@ -197,24 +197,21 @@ def live_host(
     scheduler: SchedulerConfig,
     *,
     tcs_count: int = 1,
-    users: Sequence[str] = ("user",),
 ) -> Iterator[LiveHost]:
     """One lane's world on the functional twin, torn down on the way out.
 
-    A fresh environment with ``model`` deployed and granted to ``users``,
+    A fresh environment with ``model`` deployed and granted to one user,
     one ``tcs_count``-TCS SeMIRT host launched under ``scheduler``, and
-    the first user's session attached to it.  The host is destroyed even
+    that user's session attached to it.  The host is destroyed even
     when the lane raises, so a failed lane never leaks its scheduler
     workers into the next one.
     """
     env = SeSeMIEnvironment()
     config = default_semirt_config(tcs_count=tcs_count)
-    handle = env.deploy(model, model_id, owner="owner", config=config)
-    for user in users:
-        handle.grant(user)
+    env.deploy(model, model_id, owner="owner", config=config).grant("user")
     host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
     try:
-        with env.session(users[0], model_id, config=config, semirt=host) as session:
+        with env.session("user", model_id, config=config, semirt=host) as session:
             yield LiveHost(env, host, session)
     finally:
         host.destroy()

@@ -49,7 +49,7 @@ def run_burst(bed, count, at=120.0, warmup=1):
 def test_parameter_validation():
     with pytest.raises(ConfigError):
         BatchPolicy(batch_window_s=-1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^alpha must be in \(0, 1\]$"):
         BatchPolicy(alpha=0.0)
     with pytest.raises(ConfigError):
         BatchPolicy(max_batch=0)

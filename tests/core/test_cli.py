@@ -111,7 +111,7 @@ DETERMINISTIC = {
     "fig13": {"duration_s": 30.0}, "table2": {}, "table34": {"duration_s": 120.0},
     "fig15": {}, "fig17": {}, "chaos": {"requests": 8}, "warmpool": {"duration_s": 60.0},
 }
-LIVE = {"concurrency", "batching", "gateway", "service", "hotpath", "streaming"}
+LIVE = {"concurrency", "batching", "gateway", "service"}
 
 
 def test_every_measurement_is_deterministic_or_live():

@@ -36,7 +36,8 @@ def concurrent_setup(tiny_model):
     )
     handle.grant("user")
     semirt = env.launch_semirt("tflm", config=config)
-    return env, handle, env.user("user"), semirt
+    yield env, handle, env.user("user"), semirt
+    semirt.destroy()
 
 
 def test_parallel_requests_get_their_own_outputs(concurrent_setup, tiny_model):

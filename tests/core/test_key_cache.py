@@ -12,6 +12,7 @@ recovery must each drop exactly the stale state -- and a request under
 fresh keys must always succeed afterwards.
 """
 
+import dataclasses
 import threading
 import time
 
@@ -21,6 +22,7 @@ import pytest
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.keyfleet import KeyServiceFleet
 from repro.core import semirt as semirt_module
+from repro.core import semirt_enclave
 from repro.core.semirt import SchedulerConfig
 from repro.core.stages import Stage
 from repro.crypto.gcm import (
@@ -98,7 +100,8 @@ def world(tiny_model):
     user = env.connect_user()
     semirt = env.launch_semirt("tvm")
     env.deploy(tiny_model, "kc-model", owner=owner).grant(user)
-    return env, owner, user, semirt
+    yield env, owner, user, semirt
+    semirt.destroy()
 
 
 def test_client_reuses_one_request_cipher(world, tiny_model):
@@ -155,23 +158,56 @@ def test_memo_keeps_multiple_users_hot(world, tiny_model):
         assert not semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
 
 
-def test_capacity_one_restores_single_pair_semantics(tiny_model):
-    """key_cache_entries=1 is the paper's single-pair cache: every user
-    switch evicts and pays the KeyService round trip again."""
-    env = SeSeMIEnvironment()
-    owner = env.connect_owner()
-    user_a = env.connect_user("a")
-    user_b = env.connect_user("b")
-    semirt = env.launch_semirt(
-        "tvm", scheduler=SchedulerConfig(key_cache_entries=1)
-    )
-    handle = env.deploy(tiny_model, "m1", owner=owner)
-    handle.grant(user_a).grant(user_b)
+def test_memo_is_an_lru_bounded_by_the_enclave_constant(world, tiny_model, monkeypatch):
+    """The memo bound is the trusted module's ``KEY_MEMO_ENTRIES``: the
+    least recently *used* entry goes first, and no number of distinct
+    users grows the memo past the constant."""
+    monkeypatch.setattr(semirt_enclave, "KEY_MEMO_ENTRIES", 2)
+    env, owner, _, semirt = world
+    handle = env.deploy(tiny_model, "kc-model", owner=owner)
+    users = [
+        env.connect_user(f"lru-{i}")
+        for i in range(semirt_enclave.KEY_MEMO_ENTRIES + 3)
+    ]
+    for user in users:
+        handle.grant(user)
+    a, b, c = users[:3]
     x = make_input(tiny_model)
-    infer_on(user_a, semirt, "m1", x)
-    infer_on(user_b, semirt, "m1", x)  # evicts a's entry
-    infer_on(user_a, semirt, "m1", x)
+    for user in (a, b, a, c):  # touching a makes b the eviction victim
+        infer_on(user, semirt, "kc-model", x)
+    infer_on(a, semirt, "kc-model", x)
+    assert not semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
+    infer_on(b, semirt, "kc-model", x)
     assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
+
+    for user in users:
+        infer_on(user, semirt, "kc-model", x)
+    assert len(semirt.code._kc) == semirt_enclave.KEY_MEMO_ENTRIES
+
+
+def test_capacity_one_restores_single_pair_semantics(world, tiny_model, monkeypatch):
+    """A one-entry memo is the paper's single-pair cache: every user
+    switch evicts and pays the KeyService round trip again."""
+    monkeypatch.setattr(semirt_enclave, "KEY_MEMO_ENTRIES", 1)
+    env, owner, user_a, semirt = world
+    user_b = env.connect_user("b")
+    env.deploy(tiny_model, "kc-model", owner=owner).grant(user_b)
+    x = make_input(tiny_model)
+    infer_on(user_a, semirt, "kc-model", x)
+    infer_on(user_b, semirt, "kc-model", x)  # evicts a's entry
+    infer_on(user_a, semirt, "kc-model", x)
+    assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
+    assert len(semirt.code._kc) == 1
+
+
+def test_key_cache_entries_validation():
+    """The memo bound is a positive constant of the measured enclave code;
+    the host-side scheduler policy has no field that could resize it."""
+    bound = semirt_enclave.KEY_MEMO_ENTRIES
+    assert isinstance(bound, int) and bound >= 1
+    assert {f.name for f in dataclasses.fields(SchedulerConfig)} == {
+        "queue_depth", "paced_service_s", "batch", "paced_busy",
+    }
 
 
 def test_ec_invalidate_keys_is_scoped(world, tiny_model):
@@ -309,8 +345,4 @@ def test_keyservice_restart_flushes_the_whole_memo(tiny_model):
     assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
     infer_on(user_a, semirt, "fm", x)
     assert not semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
-
-
-def test_key_cache_entries_validation():
-    with pytest.raises(ReproError):
-        SchedulerConfig(key_cache_entries=0)
+    semirt.destroy()

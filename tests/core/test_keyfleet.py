@@ -101,6 +101,8 @@ def test_key_rotation_invalidates_stale_keys(tiny_model, tiny_input):
     reloaded = infer_on(semirt, "rotating")
     assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
     assert np.allclose(reloaded, before, atol=1e-5)
+    semirt.destroy()
+    fresh.destroy()
 
 
 def test_shard_assignment_stable_across_fleet_instances():

@@ -33,7 +33,8 @@ def world():
     env.deploy(model, "m", owner=owner).grant(user)
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
     baseline = _infer(user, semirt, x)
-    return env, owner, user, semirt, model, x, baseline
+    yield env, owner, user, semirt, model, x, baseline
+    semirt.destroy()
 
 
 def _infer(user, semirt, x):

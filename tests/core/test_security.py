@@ -23,7 +23,8 @@ def world(tiny_model, tiny_input):
     # Prime the deployment with one legitimate inference.
     enc = user.encrypt_request("ehr-model", semirt.measurement, tiny_input)
     semirt.infer(enc, user.principal_id, "ehr-model")
-    return env, owner, user, semirt
+    yield env, owner, user, semirt
+    semirt.destroy()
 
 
 def test_storage_never_sees_plaintext_model(world, tiny_model):
@@ -52,6 +53,7 @@ def test_rogue_enclave_cannot_obtain_keys(world):
     enc = user.encrypt_request("ehr-model", semirt.measurement, np.zeros(1))
     with pytest.raises(AccessDenied):
         rogue.infer(enc, user.principal_id, "ehr-model")
+    rogue.destroy()
 
 
 def test_adversarial_ecall_sequences_leak_nothing(world):
@@ -68,6 +70,7 @@ def test_adversarial_ecall_sequences_leak_nothing(world):
     # guessing other tickets is equally fruitless
     with pytest.raises(EnclaveError):
         fresh.enclave.ecall("EC_GET_OUTPUT", 424242)
+    fresh.destroy()
 
 
 def test_forged_grant_rejected(world):
@@ -121,6 +124,7 @@ def test_swapped_model_artifact_detected(world, tiny_input):
             fresh.infer(enc, user.principal_id, "ehr-model")
     finally:
         env.storage.put("models/ehr-model", original)
+        fresh.destroy()
 
 
 def test_response_cannot_be_spoofed(world, tiny_input):
@@ -145,12 +149,13 @@ def test_request_cannot_be_replayed_across_models(world, tiny_input, tiny_model)
 def test_revocation_takes_effect_for_new_enclaves(world, tiny_input):
     env, owner, user, semirt = world
     owner.revoke_access("ehr-model", semirt.measurement, user.principal_id)
+    fresh = env.launch_semirt("tvm", node_id="revoked-node")
     try:
-        fresh = env.launch_semirt("tvm", node_id="revoked-node")
         enc = user.encrypt_request("ehr-model", fresh.measurement, tiny_input)
         with pytest.raises(AccessDenied):
             fresh.infer(enc, user.principal_id, "ehr-model")
     finally:
+        fresh.destroy()
         owner.grant_access("ehr-model", semirt.measurement, user.principal_id)
 
 

@@ -35,7 +35,8 @@ def setup(tiny_model):
     user = env.connect_user()
     semirt = env.launch_semirt("tvm")
     env.deploy(tiny_model, "model-a", owner=owner).grant(user)
-    return env, owner, user, semirt
+    yield env, owner, user, semirt
+    semirt.destroy()
 
 
 def make_input(model, seed=0):
@@ -135,6 +136,7 @@ def test_tampered_model_artifact_detected(setup, tiny_model):
     enc = user.encrypt_request("model-a", fresh.measurement, make_input(tiny_model))
     with pytest.raises(InvocationError, match="tampered|authentication"):
         fresh.infer(enc, user.principal_id, "model-a")
+    fresh.destroy()
     # restore for other tests
     owner.deploy_model(tiny_model, "model-a", env.storage)
     owner.add_model_key("model-a")
@@ -178,7 +180,8 @@ class TestStrongIsolation:
         env.deploy(
             tiny_model, "pinned", owner=owner, isolation=isolation
         ).grant(user)
-        return env, owner, user, semirt
+        yield env, owner, user, semirt
+        semirt.destroy()
 
     def test_pinned_model_enforced(self, strong_setup, tiny_model):
         env, owner, user, semirt = strong_setup

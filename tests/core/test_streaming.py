@@ -102,8 +102,6 @@ def test_solo_stream_matches_reference_decode():
     got = _tokens(env, host, "user", stream.result(timeout_s=30))
     assert got == want
     assert stream.done() and not stream.cancelled()
-    assert stream.ttft_s is not None and stream.ttft_s >= 0
-    assert stream.tokens_per_s is not None and stream.tokens_per_s > 0
     assert _wait_for(lambda: host.code.open_streams == 0)
     host.destroy()
 

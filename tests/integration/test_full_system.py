@@ -52,6 +52,7 @@ def test_sharded_fleet_serves_independent_owners(tiny_model, tiny_input):
         enc = user.encrypt_request(model_id, semirt.measurement, tiny_input)
         enc_out = semirt.infer(enc, user.principal_id, model_id)
         outputs[index] = user.decrypt_response(model_id, semirt.measurement, enc_out)
+        semirt.destroy()
     assert np.allclose(outputs[0], outputs[1], atol=1e-6)  # same model
 
 
@@ -79,3 +80,4 @@ def test_strong_isolation_plus_revocation(tiny_model, tiny_input):
     enc = user.encrypt_request("locked", semirt.measurement, tiny_input)
     with pytest.raises(AccessDenied):
         semirt.infer(enc, user.principal_id, "locked")
+    semirt.destroy()

@@ -136,6 +136,7 @@ def test_missing_model_artifact_fails_loudly(tiny_model, tiny_input):
     enc = user.encrypt_request("m", semirt.measurement, tiny_input)
     with pytest.raises(StorageError):
         semirt.infer(enc, user.principal_id, "m")
+    semirt.destroy()
 
 
 def test_semirt_recovers_from_keyservice_restart(tiny_model, tiny_input):
@@ -177,6 +178,7 @@ def test_semirt_recovers_from_keyservice_restart(tiny_model, tiny_input):
     other.add_request_key("m", semirt.measurement)
     out = infer_as(other)
     assert np.allclose(out, first, atol=1e-5)
+    semirt.destroy()
 
 
 def test_sgx2_edmm_expansion(tiny_model):

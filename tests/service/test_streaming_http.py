@@ -52,7 +52,6 @@ def test_remote_stream_matches_reference_decode(world):
     stream = world.session.stream([3, 1, 4], 8)
     assert stream.result(timeout_s=30) == want
     assert stream.done() and not stream.cancelled()
-    assert stream.ttft_s is not None and stream.ttft_s >= 0
     assert stream.token_count == 8
     assert _wait_for(lambda: _open_streams(world) == 0)
 
