@@ -34,6 +34,7 @@ steps; ``docs/streaming.md``).
 from __future__ import annotations
 
 import itertools
+import os
 import queue as queue_module
 import threading
 import time
@@ -62,6 +63,9 @@ from repro.sgx.platform import SgxPlatform
 #: batch window stretched by a full context table, a control item's
 #: turn): long enough that only a wedged enclave reaches it
 _WAIT_BOUND_S = 30.0
+#: gives up the CPU with the GIL released (``time.sleep(0)`` where the OS
+#: has no ``sched_yield``); see :meth:`SemirtHost._deliver_frame`
+_yield_cpu = getattr(os, "sched_yield", lambda: time.sleep(0))
 
 
 @dataclass(frozen=True)
@@ -734,13 +738,28 @@ class SemirtHost:
         except BaseException as exc:  # noqa: BLE001 - this stream only
             stream.set_error(exc)
             return
-        stream.push(frame)
+        self._deliver_frame(stream, frame)
         if done:
             stream.set_result()
         else:
             with self._batch_cv:
                 group.members.append((ticket, stream))
         self._note_served(stream.uid, stream.model_id)
+
+    @staticmethod
+    def _deliver_frame(stream: InferenceStream, frame: bytes) -> None:
+        """Push one sealed frame, then hand the CPU to its consumer.
+
+        The push only makes a blocked consumer runnable; this worker goes
+        on decoding with the GIL held.  On one core the consumer would
+        then run whenever the OS next preempts the worker -- at once, or
+        up to about a millisecond and several frames later, depending on
+        the kernel's slice accounting rather than on the work -- so
+        time-to-first-token would be bimodal.  Yielding with the GIL
+        released lets the consumer take the frame now.
+        """
+        stream.push(frame)
+        _yield_cpu()
 
     def _drop_cancelled_streams(self, group: _StreamGroup, slot: int) -> None:
         """Release cancelled members' enclave contexts, then drop them."""
@@ -773,7 +792,7 @@ class SemirtHost:
         )
         live: List[Tuple[int, InferenceStream]] = []
         for (ticket, stream), (frame, done) in zip(members, results):
-            stream.push(frame)
+            self._deliver_frame(stream, frame)
             if done:
                 stream.set_result()
             else:

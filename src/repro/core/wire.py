@@ -159,7 +159,9 @@ class BinaryWireCodec:
     keys, no NaN, reserved tags refused), so the two codecs accept and
     produce exactly the same value domain; only the bytes transport
     differs.  Decoding slices segments directly out of the frame --
-    ciphertext never round-trips through hex.
+    ciphertext never round-trips through hex -- and, like :meth:`dumps`,
+    insists that every reference is an integer and that each segment is
+    referenced exactly once: no aliased and no unreferenced bytes.
     """
 
     version = BINARY_VERSION
@@ -218,7 +220,12 @@ class BinaryWireCodec:
             offset += length
         if offset != len(view):
             raise WireError("trailing bytes after binary wire frame")
-        return self._graft_bytes(skeleton, view, spans)
+        referenced: set = set()
+        message = self._graft_bytes(skeleton, view, spans, referenced)
+        if len(referenced) != count:
+            # dumps emits exactly one reference per segment
+            raise WireError("unreferenced segment in binary wire frame")
+        return message
 
     # -- skeleton walks --------------------------------------------------------
 
@@ -244,13 +251,19 @@ class BinaryWireCodec:
         raise WireError(f"cannot encode {type(value).__name__} on the wire")
 
     def _graft_bytes(
-        self, value: Any, view: memoryview, spans: List[Tuple[int, int]]
+        self, value: Any, view: memoryview, spans: List[Tuple[int, int]], referenced: set
     ) -> Any:
         if isinstance(value, dict):
             if set(value.keys()) == {_SEGMENT_TAG}:
                 index = value[_SEGMENT_TAG]
-                if not isinstance(index, int) or not 0 <= index < len(spans):
+                # a real int (a bool is an int too), in range, referenced once
+                if (
+                    type(index) is not int
+                    or not 0 <= index < len(spans)
+                    or index in referenced
+                ):
                     raise WireError(f"bad segment reference {index!r}")
+                referenced.add(index)
                 start, stop = spans[index]
                 return bytes(view[start:stop])
             for tag in (_BYTES_TAG, _SEGMENT_TAG):
@@ -259,10 +272,11 @@ class BinaryWireCodec:
                         f"key {tag!r} is reserved for the bytes encoding"
                     )
             return {
-                k: self._graft_bytes(v, view, spans) for k, v in value.items()
+                k: self._graft_bytes(v, view, spans, referenced)
+                for k, v in value.items()
             }
         if isinstance(value, list):
-            return [self._graft_bytes(v, view, spans) for v in value]
+            return [self._graft_bytes(v, view, spans, referenced) for v in value]
         return value
 
 

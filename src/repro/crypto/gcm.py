@@ -2,7 +2,9 @@
 
 Both halves of a call are a fixed number of numpy steps.  The CTR keystream
 and ``E_K(J0)`` (the tag mask) come out of *one* batch through the T-table AES
-path: ``J0`` rides as block 0 of the counter blocks.  GHASH is evaluated as a
+path: ``J0`` rides as block 0 of the counter blocks, and a warm random-nonce
+seal runs no batch of its own, its nonce and keystream having been pre-drawn
+inside an earlier one (see :class:`AESGCM`).  GHASH is evaluated as a
 polynomial in ``H`` by a log-depth tree instead of block by block: aad,
 ciphertext and the length block are laid out as one ``(m, 16)`` array and
 folded pairwise, level ``l`` multiplying every left element by ``H^(2^l)`` in
@@ -27,7 +29,7 @@ from __future__ import annotations
 import hmac
 import struct
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 
 import numpy as np
 
@@ -50,6 +52,13 @@ _TABLE_BYTES = 16 * 256 * 16
 #: 64 KiB each.  Tables are built on first need, so a cipher that only ever
 #: sees short messages holds fewer.
 GHASH_TABLE_CAP_BYTES = (_CHUNK_LEVELS + 1) * _TABLE_BYTES
+#: Most pre-drawn keystream one cipher holds for its random-nonce seals, in
+#: 16-byte blocks: 4 KiB, one GHASH chunk.  A message whose keystream (tag
+#: mask included) is longer never touches the reservoir.
+RESERVOIR_BLOCKS = 256
+# spare slots one seal miss adds: 1 on a cipher's first miss, doubling per miss
+_MAX_SPARES = 32
+_FIRST_COUNTER = b"\x00\x00\x00\x01"  # J0 = nonce || 1 for a 96-bit nonce
 
 _LANE = np.dtype("V16")  # one 128-bit field element, moved as an opaque unit
 # table row of byte value b at block position j is 256 * j + b
@@ -154,6 +163,21 @@ class AESGCM:
     wrapping that state, and repeat requests under the same key skip the
     rebuild; per-call construction is deprecated there (cold-path and
     one-shot uses are fine).
+
+    The random-nonce :meth:`seal` takes its nonce and keystream from a
+    reservoir of pre-drawn slots, at most :data:`RESERVOIR_BLOCKS` blocks
+    (4 KiB), filled inside AES batches the cipher runs anyway: an
+    :meth:`open` finding the reservoir empty adds one slot the length of
+    the last seal to its own batch, and a seal finding no slot long enough
+    computes spare slots beside its own keystream (1, 2, 4 ... 32 per
+    miss).  So a warm request/reply exchange runs one AES batch per party.
+    Each slot's nonce is a fresh :func:`random_bytes` draw made when the
+    slot is filled; a slot is taken out under a lock before use and never
+    put back, and one shorter than the message is dropped.  A message
+    whose keystream exceeds the cap never touches the reservoir.  The
+    keystream is key-equivalent state: it lives only in this object and
+    goes with it.  The explicit-nonce :meth:`encrypt` / :meth:`decrypt`
+    share the same AEAD body and always compute their own keystream.
     """
 
     def __init__(self, key) -> None:
@@ -163,6 +187,13 @@ class AESGCM:
         # tuple, under _grow_lock; readers take whichever tuple they see.
         self._tables: tuple[np.ndarray, ...] = ()
         self._grow_lock = threading.Lock()
+        # pre-drawn (nonce, keystream) slots for seal(), each taken out
+        # under the lock before use and never put back
+        self._reservoir: deque[tuple[bytes, np.ndarray]] = deque()
+        self._reservoir_blocks = 0
+        self._reservoir_lock = threading.Lock()
+        self._spares = 1  # slots the next seal miss adds
+        self._last_seal = 0  # keystream blocks of the last seal (0: none yet)
 
     @property
     def table_bytes(self) -> int:
@@ -233,57 +264,124 @@ class AESGCM:
 
     def _j0(self, nonce: bytes) -> bytes:
         if len(nonce) == NONCE_SIZE:
-            return nonce + b"\x00\x00\x00\x01"
+            return nonce + _FIRST_COUNTER
         return self._ghash(b"", nonce).tobytes()
 
-    def _keystream(self, j0: bytes, length: int) -> np.ndarray:
-        """``E_K(J0), E_K(J0 + 1), ...`` as ``(1 + ceil(length / 16), 16)`` bytes.
+    def _keystreams(self, runs: list[tuple[bytes, int]]) -> list[np.ndarray]:
+        """``E_K(J0), E_K(J0 + 1), ...`` for each ``(J0, blocks)`` of ``runs``.
 
-        Row 0 masks the tag; rows 1.. are the CTR keystream for ``length``
-        bytes.  One AES batch for both.
+        One AES batch for all of them; run ``i`` comes back as a
+        ``(blocks_i, 16)`` array whose row 0 masks the tag and rows 1.. are
+        the CTR keystream.
         """
-        count = 1 + -(-length // 16)
-        first = int.from_bytes(j0[12:], "big")
-        blocks = np.empty((count, 4), dtype=">u4")
-        blocks[:, :3] = np.frombuffer(j0, dtype=">u4", count=3)
-        # the narrowing store keeps the low 32 bits: the counter wraps mod 2^32
-        blocks[:, 3] = np.arange(first, first + count, dtype=np.uint64)
-        return self._aes.encrypt_blocks(blocks.view(np.uint8))
+        blocks = np.empty((sum([count for _, count in runs]), 4), dtype=">u4")
+        bounds = []
+        stop = 0
+        for j0, count in runs:
+            start, stop = stop, stop + count
+            first = int.from_bytes(j0[12:], "big")
+            blocks[start:stop, :3] = np.frombuffer(j0, dtype=">u4", count=3)
+            # the narrowing store keeps the low 32 bits: the counter wraps mod 2^32
+            blocks[start:stop, 3] = np.arange(first, first + count, dtype=np.uint64)
+            bounds.append((start, stop))
+        out = self._aes.encrypt_blocks(blocks.view(np.uint8))
+        return [out[start:stop] for start, stop in bounds]
+
+    def _draw(self, blocks: int) -> tuple[bytes, np.ndarray]:
+        """A fresh nonce and at least ``blocks`` rows of its keystream.
+
+        A reservoir slot if one is long enough (shorter ones in front are
+        dropped); otherwise one batch computing this message's keystream
+        plus spare slots of the same length, their count doubling per
+        miss up to :data:`_MAX_SPARES`.
+        """
+        self._last_seal = blocks
+        spares = 0
+        if blocks <= RESERVOIR_BLOCKS:
+            with self._reservoir_lock:
+                while self._reservoir:
+                    nonce, keystream = self._reservoir.popleft()
+                    self._reservoir_blocks -= len(keystream)
+                    if len(keystream) >= blocks:
+                        return nonce, keystream
+                spares = min(self._spares, RESERVOIR_BLOCKS // blocks)
+                self._spares = min(2 * self._spares, _MAX_SPARES)
+        nonces = [random_bytes(NONCE_SIZE) for _ in range(1 + spares)]
+        keystreams = self._keystreams([(nonce + _FIRST_COUNTER, blocks) for nonce in nonces])
+        self._stock(zip(nonces[1:], keystreams[1:]))
+        return nonces[0], keystreams[0]
+
+    def _stock(self, slots) -> None:
+        """Queue ``(nonce, keystream)`` slots, each copied out of its batch,
+        while the reservoir stays within :data:`RESERVOIR_BLOCKS`."""
+        with self._reservoir_lock:
+            for nonce, keystream in slots:
+                if self._reservoir_blocks + len(keystream) > RESERVOIR_BLOCKS:
+                    return
+                self._reservoir.append((nonce, keystream.copy()))
+                self._reservoir_blocks += len(keystream)
 
     # -- public AEAD API -----------------------------------------------------
 
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Encrypt ``plaintext``; returns ``ciphertext || 16-byte tag``."""
-        keystream = self._keystream(self._j0(nonce), len(plaintext))
-        ciphertext = _xor_stream(plaintext, keystream)
-        tag = self._ghash(aad, ciphertext)
-        tag ^= keystream[0].view(np.uint64)
-        return ciphertext + tag.tobytes()
+        (keystream,) = self._keystreams([(self._j0(nonce), _blocks(len(plaintext)))])
+        return self._encrypt(keystream, plaintext, aad)
 
     def decrypt(self, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt ``ciphertext || tag``; raises :class:`InvalidTag`."""
         if len(ciphertext) < TAG_SIZE:
             raise InvalidTag("ciphertext shorter than the authentication tag")
+        (keystream,) = self._keystreams(
+            [(self._j0(nonce), _blocks(len(ciphertext) - TAG_SIZE))]
+        )
+        return self._decrypt(keystream, ciphertext, aad)
+
+    def _encrypt(self, keystream: np.ndarray, plaintext: bytes, aad: bytes) -> bytes:
+        ciphertext = _xor_stream(plaintext, keystream)
+        return ciphertext + self._tag(keystream, aad, ciphertext)
+
+    def _decrypt(self, keystream: np.ndarray, ciphertext: bytes, aad: bytes) -> bytes:
         body, tag = ciphertext[:-TAG_SIZE], ciphertext[-TAG_SIZE:]
-        keystream = self._keystream(self._j0(nonce), len(body))
-        expected = self._ghash(aad, body)
-        expected ^= keystream[0].view(np.uint64)
-        if not hmac.compare_digest(tag, expected.tobytes()):
+        if not hmac.compare_digest(tag, self._tag(keystream, aad, body)):
             raise InvalidTag("AES-GCM tag mismatch")
         return _xor_stream(body, keystream)
+
+    def _tag(self, keystream: np.ndarray, aad: bytes, ciphertext: bytes) -> bytes:
+        tag = self._ghash(aad, ciphertext)
+        tag ^= keystream[0].view(np.uint64)
+        return tag.tobytes()
 
     # -- sealed-blob convenience ----------------------------------------------
 
     def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt with a fresh random nonce; returns ``nonce || ct || tag``."""
-        nonce = random_bytes(NONCE_SIZE)
-        return nonce + self.encrypt(nonce, plaintext, aad)
+        """Encrypt with a fresh random nonce; returns ``nonce || ct || tag``.
+
+        Nonce and keystream come from the reservoir when it holds a slot
+        long enough, so a warm seal runs no AES batch of its own.
+        """
+        nonce, keystream = self._draw(_blocks(len(plaintext)))
+        return nonce + self._encrypt(keystream, plaintext, aad)
 
     def open(self, blob: bytes, aad: bytes = b"") -> bytes:
-        """Inverse of :meth:`seal`."""
+        """Inverse of :meth:`seal`.
+
+        When the reservoir is empty and this cipher has sealed a message
+        that fits it, the open's batch also fills one slot the length of
+        that last seal.
+        """
         if len(blob) < NONCE_SIZE + TAG_SIZE:
             raise InvalidTag("sealed blob too short")
-        return self.decrypt(blob[:NONCE_SIZE], blob[NONCE_SIZE:], aad)
+        ciphertext = blob[NONCE_SIZE:]
+        runs = [(blob[:NONCE_SIZE] + _FIRST_COUNTER, _blocks(len(ciphertext) - TAG_SIZE))]
+        last = self._last_seal
+        if 0 < last <= RESERVOIR_BLOCKS and not self._reservoir:
+            refill = random_bytes(NONCE_SIZE)
+            runs.append((refill + _FIRST_COUNTER, last))
+        keystreams = self._keystreams(runs)
+        if len(keystreams) > 1:
+            self._stock([(refill, keystreams[1])])
+        return self._decrypt(keystreams[0], ciphertext, aad)
 
     # -- session contexts ------------------------------------------------------
 
@@ -294,17 +392,21 @@ class AESGCM:
         The first derivation per key pays the key schedule, and the first
         messages under it the GHASH table builds; later calls return the
         same context from a bounded process-wide LRU.  Sharing is sound
-        because an :class:`AESGCM` holds no per-message state (every
-        ``seal``/``open`` draws a fresh nonce and works in its own scratch
-        arrays) and its table tuple only ever grows, under a lock, so one
-        context can serve any number of threads and sessions.
+        because the only state an :class:`AESGCM` changes is guarded:
+        every ``seal``/``open`` works in its own scratch arrays, the table
+        tuple only ever grows under a lock, and each reservoir slot (a
+        pre-drawn nonce and its keystream) is taken out under a lock
+        before use and never put back, so no two threads, sessions or
+        messages ever seal under one nonce.  One context can serve any
+        number of threads and sessions.
 
         Memory: a context holds at most :data:`GHASH_TABLE_CAP_BYTES`
-        (576 KiB) of tables however long the messages it seals, so the
-        cache is bounded by ``SESSION_CACHE_CAPACITY`` x cap = 128 x
-        576 KiB = 72 MiB, reached only if every cached key has sealed a
-        message over 4 KiB (a context that has only seen 64-byte stream
-        frames holds 192 KiB).
+        (576 KiB) of tables however long the messages it seals, plus at
+        most :data:`RESERVOIR_BLOCKS` blocks (4 KiB) of pre-drawn
+        keystream, so the cache is bounded by ``SESSION_CACHE_CAPACITY``
+        x (cap + reservoir) = 128 x (576 + 4) KiB = 72.5 MiB, reached only
+        if every cached key has sealed a message over 4 KiB (a context
+        that has only seen 64-byte stream frames holds 192 + 4 KiB).
 
         Invalidation: the cache is keyed on the key *material*, so a
         rotated or re-granted key derives a new context automatically;
@@ -336,9 +438,11 @@ class SessionCipher:
     Obtained from :meth:`AESGCM.derive`; carries the expanded key
     schedule and GHASH tables across a hot session so only the first
     requests under a key pay their construction.  Thread-safe: the only
-    state that ever changes is the table tuple, which grows under a lock.
-    ``seal``/``unseal`` are the random-nonce blob API the
-    hot path uses; ``encrypt``/``decrypt`` expose the explicit-nonce
+    state that ever changes is the table tuple, which grows under a lock,
+    and the keystream reservoir, whose slots are taken out under a lock
+    and never put back.  ``seal``/``unseal`` are the random-nonce blob API
+    the hot path uses (an ``unseal`` pre-draws the keystream for the next
+    ``seal``); ``encrypt``/``decrypt`` expose the explicit-nonce
     primitives for callers that manage nonces themselves.
     """
 
@@ -397,7 +501,12 @@ def session_cache_size() -> int:
         return len(_SESSION_CACHE)
 
 
+def _blocks(length: int) -> int:
+    """Keystream blocks a ``length``-byte message needs: the tag mask + CTR."""
+    return 1 + -(-length // 16)
+
+
 def _xor_stream(data: bytes, keystream: np.ndarray) -> bytes:
-    """``data`` XOR the CTR rows (1..) of a :meth:`AESGCM._keystream` batch."""
+    """``data`` XOR the CTR rows (1..) of one :meth:`AESGCM._keystreams` run."""
     stream = keystream.reshape(-1)[16 : 16 + len(data)]
     return (np.frombuffer(data, dtype=np.uint8) ^ stream).tobytes()

@@ -13,8 +13,10 @@ fresh keys must always succeed afterwards.
 """
 
 import dataclasses
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from repro.core import semirt as semirt_module
 from repro.core import semirt_enclave
 from repro.core.semirt import SchedulerConfig
 from repro.core.stages import Stage
+from repro.crypto.aes import AES
 from repro.crypto.gcm import (
     AESGCM,
     SessionCipher,
@@ -198,6 +201,66 @@ def test_capacity_one_restores_single_pair_semantics(world, tiny_model, monkeypa
     infer_on(user_a, semirt, "kc-model", x)
     assert semirt.code.last_plan.needs(Stage.KEY_RETRIEVAL)
     assert len(semirt.code._kc) == 1
+
+
+def test_one_warm_request_is_two_aes_batches(world, tiny_model, monkeypatch):
+    """The warm request's AES census, client and enclave together: the
+    enclave's request open pre-draws its reply's keystream and the client's
+    reply open its next request's, so each party runs one batch (four
+    batches before seal() drew from a reservoir)."""
+    env, _, user, semirt = world
+    x = make_input(tiny_model)
+    batches = []
+    real = AES.encrypt_blocks
+
+    def counted(self, blocks):
+        batches.append(len(blocks))
+        return real(self, blocks)
+
+    with env.session(user, "kc-model", semirt=semirt) as session:
+        session.infer(x)
+        session.infer(x)
+        monkeypatch.setattr(AES, "encrypt_blocks", counted)
+        out = session.infer(x)
+        monkeypatch.undo()
+    assert np.allclose(out, tiny_model.run_reference(x).ravel(), atol=1e-5)
+    assert len(batches) == 2, batches
+
+
+def test_pre_drawn_keystream_goes_with_its_cipher(world, tiny_model, monkeypatch):
+    """Pre-drawn keystream is key-equivalent state held only by its cipher:
+    it is unreachable after ``evict_session``, a memo eviction and
+    ``destroy()``."""
+
+    def gone(ref):
+        gc.collect()
+        return ref() is None
+
+    def memo_cipher():
+        (entry,) = semirt.code._kc.values()
+        assert entry.cipher._gcm._reservoir  # the first seal's spare slot
+        return weakref.ref(entry.cipher._gcm)
+
+    key = SymmetricKey.generate()
+    derived = AESGCM.derive(key)
+    derived.unseal(derived.seal(b"x" * 64))
+    assert derived._gcm._reservoir
+    ref = weakref.ref(derived._gcm)
+    del derived
+    assert evict_session(key) and gone(ref)
+
+    monkeypatch.setattr(semirt_enclave, "KEY_MEMO_ENTRIES", 1)
+    env, owner, user_a, semirt = world
+    user_b = env.connect_user("b")
+    env.deploy(tiny_model, "kc-model", owner=owner).grant(user_b)
+    x = make_input(tiny_model)
+    infer_on(user_a, semirt, "kc-model", x)
+    ref = memo_cipher()
+    infer_on(user_b, semirt, "kc-model", x)  # evicts a's entry
+    assert gone(ref)
+    ref = memo_cipher()
+    semirt.destroy()
+    assert gone(ref)
 
 
 def test_key_cache_entries_validation():

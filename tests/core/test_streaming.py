@@ -106,6 +106,30 @@ def test_solo_stream_matches_reference_decode():
     host.destroy()
 
 
+def test_the_worker_yields_the_cpu_after_every_pushed_frame(monkeypatch):
+    """A consumer blocked on a frame must not wait for the OS to preempt
+    a worker that keeps decoding with the GIL held: the worker yields
+    once per frame, right after pushing it (time-to-first-token was
+    bimodal on one core without this)."""
+    from repro.core import semirt
+
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None)
+    events = []
+    push = semirt.InferenceStream.push
+    monkeypatch.setattr(
+        semirt.InferenceStream, "push",
+        lambda self, item: (events.append("push"), push(self, item))[1],
+    )
+    monkeypatch.setattr(semirt, "_yield_cpu", lambda: events.append("yield"))
+    stream = host.open_stream(
+        _seal(env, host, "user", [3, 1, 4], 12), _uid(env, "user"), MODEL_ID
+    )
+    assert len(stream.result(timeout_s=30)) == 12
+    assert events == ["push", "yield"] * 12
+    host.destroy()
+
+
 def test_concurrent_streams_share_step_ecalls_and_stay_correct():
     model = build_tinylm(seed=7)
     env, host = _launch(model, paced_s=0.01)

@@ -147,21 +147,38 @@ def test_binary_trailing_bytes_rejected():
         BINARY.loads(frame + b"\x00")
 
 
-def test_binary_bad_segment_reference_rejected():
-    # A forged field table pointing outside the segment list must fail,
-    # not crash or alias another request's bytes.
+@pytest.mark.parametrize(
+    "skeleton,segments",
+    [
+        ({"blob": {"__bytes_seg__": 5}}, []),  # outside the segment list
+        ({"blob": {"__bytes_seg__": True}}, [b"a", b"b"]),  # a bool is an int
+        ({"a": {"__bytes_seg__": 0}, "b": {"__bytes_seg__": 0}}, [b"x"]),  # aliased
+        ({"blob": {"__bytes_seg__": 0}}, [b"x", b"hidden"]),  # unreferenced
+    ],
+    ids=["out-of-range", "bool", "twice", "unreferenced"],
+)
+def test_binary_bad_segment_reference_rejected(skeleton, segments):
+    # dumps emits integer refs naming each segment exactly once; a forged
+    # field table that does anything else must fail, not crash, alias one
+    # segment into two fields, or carry bytes no field names.
     import json as json_mod
     import struct
 
-    header = json_mod.dumps({"blob": {"__bytes_seg__": 5}}).encode()
-    frame = (
-        bytes((wire.BINARY_VERSION,))
-        + struct.pack(">I", len(header))
-        + header
-        + struct.pack(">I", 0)
+    header = json_mod.dumps(skeleton).encode()
+    frame = b"".join(
+        [bytes((wire.BINARY_VERSION,)), struct.pack(">I", len(header)), header,
+         struct.pack(">I", len(segments))]
+        + [struct.pack(">Q", len(s)) + s for s in segments]
     )
     with pytest.raises(WireError, match="segment"):
         BINARY.loads(frame)
+
+
+def test_binary_segments_referenced_out_of_key_order_decode():
+    # dumps numbers segments in insertion order but sorts the field table,
+    # so a valid frame may name them in any order
+    message = {"z": b"first", "a": [b"second", {"m": b"third"}]}
+    assert BINARY.loads(BINARY.dumps(message)) == message
 
 
 def test_binary_empty_bytes_and_duplicate_blobs():

@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import gcm
 from repro.crypto.gcm import (
     _CHUNK_LEVELS,
+    _MAX_SPARES,
     AESGCM,
     GHASH_TABLE_CAP_BYTES,
     NONCE_SIZE,
+    RESERVOIR_BLOCKS,
     SESSION_CACHE_CAPACITY,
     TAG_SIZE,
     _gf_mult,
@@ -139,11 +142,6 @@ def test_seal_open_roundtrip():
     assert len(blob) == NONCE_SIZE + len(b"secret model") + TAG_SIZE
 
 
-def test_seal_uses_fresh_nonces():
-    cipher = AESGCM(b"k" * 16)
-    assert cipher.seal(b"x") != cipher.seal(b"x")
-
-
 def test_open_rejects_short_blob():
     with pytest.raises(InvalidTag):
         AESGCM(b"k" * 16).open(b"tiny")
@@ -185,6 +183,120 @@ def test_large_payload_roundtrip():
     cipher = AESGCM(b"k" * 16)
     payload = bytes(range(256)) * 2048  # 512 KiB
     assert cipher.open(cipher.seal(payload)) == payload
+
+
+# -- the keystream reservoir behind seal() --------------------------------------
+
+
+def reservoir_nonces(cipher):
+    """The nonces of ``cipher``'s pre-drawn slots, after checking the bound."""
+    slots = list(cipher._reservoir)
+    held = sum(len(keystream) for _, keystream in slots)
+    assert held == cipher._reservoir_blocks <= RESERVOIR_BLOCKS
+    assert all(keystream.base is None for _, keystream in slots)  # copied out of its batch
+    return [nonce for nonce, _ in slots]
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, 15, 16, 17, 64, 89, 111, 112, 113, 3120, 4080, 4096, 65536]
+)
+def test_seal_is_the_explicit_nonce_path(length):
+    """Every seal -- a miss, a spare slot, a slot an open filled -- equals
+    ``nonce + encrypt(nonce, pt, aad)`` through the unchanged explicit-nonce
+    path, and opens under ``open()``."""
+    rng = np.random.default_rng(length)
+    cipher, oracle = AESGCM(b"k" * 16), AESGCM(b"k" * 16)
+    drawn = 0
+    for _ in range(6):
+        plaintext, aad = rng.bytes(length), rng.bytes(int(rng.integers(0, 40)))
+        pending = reservoir_nonces(cipher)
+        blob = cipher.seal(plaintext, aad)
+        drawn += blob[:NONCE_SIZE] in pending
+        assert blob[NONCE_SIZE:] == oracle.encrypt(blob[:NONCE_SIZE], plaintext, aad)
+        reservoir_nonces(cipher)
+        assert cipher.open(blob, aad) == plaintext
+        reservoir_nonces(cipher)
+    # the first seal misses; every later one takes the slot the miss or an open left
+    assert drawn == (5 if 1 + -(-length // 16) <= RESERVOIR_BLOCKS else 0)
+
+
+def test_seal_uses_fresh_nonces():
+    """A 64 B seal then a 200 B seal under one cipher: distinct nonces, and
+    the 64 B spare slot the first left behind is dropped, never extended."""
+    cipher = AESGCM(b"k" * 16)
+    first = cipher.seal(bytes(64))[:NONCE_SIZE]
+    (short,) = reservoir_nonces(cipher)
+    assert len(cipher._reservoir[0][1]) == 1 + 4
+    second = cipher.seal(bytes(200))[:NONCE_SIZE]
+    assert len({first, short, second}) == 3
+    assert short not in reservoir_nonces(cipher)
+    assert [len(keystream) for _, keystream in cipher._reservoir] == [1 + 13] * 2
+    later = [cipher.seal(bytes(200))[:NONCE_SIZE] for _ in range(40)]
+    reservoir_nonces(cipher)
+    assert len({first, short, second, *later}) == 3 + len(later)
+
+
+def test_a_message_over_the_cap_never_touches_the_reservoir():
+    assert 16 * RESERVOIR_BLOCKS == 4096
+    cipher = AESGCM(b"k" * 16)
+    cipher.seal(bytes(4080))  # 256 blocks: its spare slot fills the reservoir exactly
+    held = reservoir_nonces(cipher)
+    assert cipher._reservoir_blocks == RESERVOIR_BLOCKS
+    for length in (4096, 65536):
+        blob = cipher.seal(bytes(length))
+        assert blob[:NONCE_SIZE] not in held
+        assert reservoir_nonces(cipher) == held  # neither drawn nor dropped
+        assert cipher.open(blob) == bytes(length)
+        assert reservoir_nonces(cipher) == held
+    fresh = AESGCM(b"k" * 16)
+    assert fresh.open(fresh.seal(bytes(4096))) == bytes(4096)
+    assert reservoir_nonces(fresh) == []  # an open sizes no slot by an over-cap seal
+
+
+def test_open_adds_one_slot_the_size_of_the_last_seal():
+    """Not the size of the message it opens: opening a 3 KiB request must
+    not pre-draw 197 blocks for an 89 B reply."""
+    cipher, peer = AESGCM(b"k" * 16), AESGCM(b"k" * 16)
+    request = peer.seal(bytes(3120))
+    cipher.open(request)
+    assert reservoir_nonces(cipher) == []  # never sealed: nothing to size a slot by
+    cipher.seal(bytes(89))  # a miss and one spare slot ...
+    cipher.seal(bytes(89))  # ... which this seal takes
+    assert reservoir_nonces(cipher) == []
+    cipher.open(request)
+    assert [len(keystream) for _, keystream in cipher._reservoir] == [1 + 6]
+    cipher.open(request)  # not empty: no second slot
+    assert len(reservoir_nonces(cipher)) == 1
+
+
+def test_seal_misses_double_their_spare_slots():
+    cipher = AESGCM(b"k" * 16)
+    added = []
+    for _ in range(100):
+        missed = not cipher._reservoir
+        cipher.seal(bytes(64))
+        held = reservoir_nonces(cipher)
+        if missed:
+            added.append(len(held))
+    assert added == [1, 2, 4, 8, 16, _MAX_SPARES, _MAX_SPARES] and _MAX_SPARES == 32
+
+
+def test_racing_misses_stock_only_what_fits(monkeypatch):
+    """Two seal misses size their spares against the same empty reservoir
+    (the second runs while the first draws its nonces): both stock, and the
+    reservoir keeps only what fits under the cap."""
+    cipher = AESGCM(b"k" * 16)
+    real, raced = gcm.random_bytes, []
+
+    def racing(count):
+        if not raced:
+            raced.append(True)
+            cipher.seal(bytes(3120))
+        return real(count)
+
+    monkeypatch.setattr(gcm, "random_bytes", racing)
+    cipher.seal(bytes(3120))
+    assert raced and len(reservoir_nonces(cipher)) == 1  # 2 x 197 blocks would not fit
 
 
 # -- key validation ----------------------------------------------------------
@@ -310,20 +422,26 @@ def test_table_memory_is_capped_whatever_the_message_size():
 
 def test_session_cache_memory_bound_is_documented():
     doc = " ".join(AESGCM.derive.__doc__.split())
-    total_mib = SESSION_CACHE_CAPACITY * GHASH_TABLE_CAP_BYTES // (1 << 20)
     cap_kib = GHASH_TABLE_CAP_BYTES // 1024
-    assert f"{SESSION_CACHE_CAPACITY} x {cap_kib} KiB = {total_mib} MiB" in doc
+    reservoir_kib = 16 * RESERVOIR_BLOCKS // 1024
+    total_mib = SESSION_CACHE_CAPACITY * (cap_kib + reservoir_kib) / 1024
+    assert (
+        f"{SESSION_CACHE_CAPACITY} x ({cap_kib} + {reservoir_kib}) KiB = {total_mib:g} MiB"
+        in doc
+    )
 
 
 # -- one context shared by many threads ----------------------------------------
 
 
 def test_shared_session_cipher_is_thread_safe():
-    """Mixed-size seal/open through one fresh context: its tables grow under the race."""
+    """Mixed-size seal/open through one fresh context: its tables grow and
+    its keystream reservoir is drawn from and refilled under the race, and
+    no nonce is ever sealed twice."""
     session = SessionCipher(AESGCM(b"shared-key-16byt"))
-    sizes = (64, 100, 3072, 4096, 5000, 65536)
-    workers, rounds = 8, 6
-    errors = []
+    sizes = (64, 89, 100, 3072, 4096, 5000, 65536, 64, 89)
+    workers, rounds = 8, 9
+    errors, nonces = [], []
     start = threading.Barrier(workers)
 
     def work(seed):
@@ -335,6 +453,7 @@ def test_shared_session_cipher_is_thread_safe():
                 payload = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
                 aad = b"worker-%d" % seed
                 blob = session.seal(payload, aad)
+                nonces.append(blob[:NONCE_SIZE])
                 assert session.unseal(blob, aad) == payload
                 with pytest.raises(InvalidTag):
                     session.unseal(blob, aad + b"!")
@@ -353,6 +472,8 @@ def test_shared_session_cipher_is_thread_safe():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
+    assert len(nonces) == workers * rounds == len(set(nonces))
+    reservoir_nonces(session._gcm)
     # every thread's ciphertext opens under an independently built cipher
     assert session._gcm.table_bytes == GHASH_TABLE_CAP_BYTES
     check = AESGCM(b"shared-key-16byt")
