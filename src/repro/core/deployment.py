@@ -33,6 +33,7 @@ in :mod:`repro.core.simbridge`.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -303,17 +304,22 @@ class UserSession:
         fleet is saturated -- admission is where backpressure surfaces.
         Unlike :meth:`infer` the async path does not run under the
         resilience layer; cancellation and retries belong to the caller
-        (the HTTP service tier builds exactly that on top).
+        (the HTTP service tier builds exactly that on top).  With no
+        span ambient, the request gets its own ``request`` root span
+        (:meth:`_rooted`).
         """
-        enc_request = maybe_wire(
-            self._env.injector,
-            "user->semirt",
-            self.user.encrypt_request(self.model_id, self.measurement, x),
-        )
-        return SessionFuture(
-            self,
-            self._gateway.submit(enc_request, self.user.principal_id, self.model_id),
-        )
+
+        def admit():
+            enc_request = maybe_wire(
+                self._env.injector,
+                "user->semirt",
+                self.user.encrypt_request(self.model_id, self.measurement, x),
+            )
+            return self._gateway.submit(
+                enc_request, self.user.principal_id, self.model_id
+            )
+
+        return self._rooted("request", admit, SessionFuture)
 
     def stream(
         self, prompt: Sequence[int], max_new_tokens: int
@@ -328,21 +334,51 @@ class UserSession:
         blocks for the whole sequence -- the
         :class:`~repro.core.futures.Future` view.  Like :meth:`submit`,
         streams do not run under the resilience layer; a mid-decode
-        failure raises from the iterator.
+        failure raises from the iterator.  With no span ambient, the
+        stream gets its own ``stream`` root span (:meth:`_rooted`).
         """
-        enc_request = maybe_wire(
-            self._env.injector,
-            "user->semirt",
-            self.user.encrypt_stream_request(
-                self.model_id, self.measurement, prompt, max_new_tokens
-            ),
-        )
-        return SessionStream(
-            self,
-            self._gateway.open_stream(
+
+        def admit():
+            enc_request = maybe_wire(
+                self._env.injector,
+                "user->semirt",
+                self.user.encrypt_stream_request(
+                    self.model_id, self.measurement, prompt, max_new_tokens
+                ),
+            )
+            return self._gateway.open_stream(
                 enc_request, self.user.principal_id, self.model_id
-            ),
+            )
+
+        return self._rooted("stream", admit, SessionStream)
+
+    def _rooted(self, name: str, admit, handle_type):
+        """``handle_type`` over ``admit()``, run under one root span.
+
+        A caller's ambient span (``infer_many``'s ``request_batch``, or
+        the caller's own) is root enough.  Otherwise a fresh ``name``
+        root is the ambient span while the request is sealed and
+        admitted -- the endpoint scheduler captures it then, so the
+        worker's ECALL spans parent under it -- and the handle's
+        client-side decrypt spans attach it.  The root ends when the
+        handle settles, like the service tier's ``http:stream``.
+        """
+        tracer = self._env.tracer
+        if tracer.current_span() is not None:
+            return handle_type(self, admit())
+        root = tracer.start_span(
+            name,
+            model_id=self.model_id,
+            user_id=self.user.principal_id,
+            node_id=self.node_id,
         )
+        try:
+            with tracer.attach(root):
+                inner = admit()
+        except BaseException:
+            root.end(status="error")
+            raise
+        return handle_type(self, inner, root)
 
     def infer_many(
         self, xs: Sequence[np.ndarray], window: Optional[int] = None
@@ -459,7 +495,25 @@ class UserSession:
         self.close()
 
 
-class SessionFuture(DerivedHandle):
+class _Rooted:
+    """A session handle's root span (``None`` when the caller had one).
+
+    The client-side decrypt spans run attached to it, and it ends when
+    the handle settles -- with status ``error`` on a failure or an
+    accepted cancel.
+    """
+
+    def _under_root(self):
+        if self._root is None:
+            return nullcontext()
+        return self._session._env.tracer.attach(self._root)
+
+    def _on_settle(self, error: Optional[BaseException], cancelled: bool) -> None:
+        if self._root is not None:
+            self._root.end(status="error" if error is not None or cancelled else "ok")
+
+
+class SessionFuture(_Rooted, DerivedHandle):
     """An async session request: resolves to the **decrypted** output.
 
     Returned by :meth:`UserSession.submit`.  A
@@ -470,20 +524,22 @@ class SessionFuture(DerivedHandle):
     the same plaintext array :meth:`UserSession.infer` would.
     """
 
-    def __init__(self, session: UserSession, inner) -> None:
+    def __init__(self, session: UserSession, inner, root=None) -> None:
         super().__init__(inner)
         self._session = session
+        self._root = root
 
     def _map(self, enc_response: bytes) -> np.ndarray:
         session = self._session
-        return session.user.decrypt_response(
-            session.model_id,
-            session.measurement,
-            maybe_wire(session._env.injector, "semirt->user", enc_response),
-        )
+        with self._under_root():
+            return session.user.decrypt_response(
+                session.model_id,
+                session.measurement,
+                maybe_wire(session._env.injector, "semirt->user", enc_response),
+            )
 
 
-class SessionStream(TokenStream):
+class SessionStream(_Rooted, TokenStream):
     """An async session stream: yields the **decrypted** token sequence.
 
     Returned by :meth:`UserSession.stream`: the client half of the
@@ -493,9 +549,14 @@ class SessionStream(TokenStream):
     ``semirt->user`` wire fault injection in front of it.
     """
 
+    def __init__(self, session: UserSession, inner, root=None) -> None:
+        super().__init__(session, inner)
+        self._root = root
+
     def _map_item(self, frame: bytes, index: int) -> dict:
         frame = maybe_wire(self._session._env.injector, "semirt->user", frame)
-        return super()._map_item(frame, index)
+        with self._under_root():
+            return super()._map_item(frame, index)
 
 
 class SeSeMIEnvironment:

@@ -259,9 +259,11 @@ class DerivedHandle:
     ``done``).  Subclasses override :meth:`_map` to transform the
     result and may define ``_on_settle(error, cancelled)``, which runs
     **exactly once** -- when :meth:`result`, :meth:`cancel` or (for
-    streams) iteration first observes the terminal outcome; ``error`` is
-    ``None`` on success.  A ``timeout_s`` expiry is not an outcome: it
-    raises :class:`~repro.errors.DeadlineExceeded` without settling.
+    streams) iteration first observes the terminal outcome, after that
+    outcome was mapped (a map that raises settles as that failure);
+    ``error`` is ``None`` on success.  A ``timeout_s`` expiry is not an
+    outcome: it raises :class:`~repro.errors.DeadlineExceeded` without
+    settling.
     """
 
     #: subclasses with routing/accounting state define this as a method
@@ -305,14 +307,14 @@ class DerivedHandle:
         on expiry; docs/service.md).
         """
         try:
-            value = self.inner.result(timeout_s)
+            value = self._map(self.inner.result(timeout_s))
         except Exception as exc:
             if isinstance(exc, DeadlineExceeded) and not self.inner.done():
                 raise  # poll timeout: still in flight, nothing settles
             self._settle_once(exc)
             raise
         self._settle_once(None)
-        return self._map(value)
+        return value
 
     def _map(self, value: Any) -> Any:
         return value
@@ -345,19 +347,13 @@ class DerivedStream(DerivedHandle):
         return self.inner.token_count
 
     def __iter__(self) -> Iterator[Any]:
-        items = iter(self.inner)
-        index = 0
-        while True:
-            try:
-                item = next(items)
-            except StopIteration:
-                self._settle_once(None)
-                return
-            except Exception as exc:
-                self._settle_once(exc)
-                raise
-            yield self._map_item(item, index)
-            index += 1
+        try:
+            for index, item in enumerate(self.inner):
+                yield self._map_item(item, index)
+        except Exception as exc:
+            self._settle_once(exc)
+            raise
+        self._settle_once(None)
 
     def _map(self, items: Sequence[Any]) -> List[Any]:
         return [self._map_item(item, index) for index, item in enumerate(items)]

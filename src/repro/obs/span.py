@@ -14,9 +14,9 @@ from a :class:`Clock` so the same machinery serves both twins:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import SeSeMIError
 
@@ -89,30 +89,77 @@ class SpanContext:
         return cls(trace_id=str(data["trace_id"]), span_id=str(data["span_id"]))
 
 
-@dataclass
 class Span:
-    """One timed, attributed operation; part of a trace tree."""
+    """One timed, attributed operation; part of a trace tree.
 
-    name: str
-    context: SpanContext
-    parent_id: Optional[str]
-    start: float
-    end_time: Optional[float] = None
-    attributes: Dict[str, Any] = field(default_factory=dict)
-    status: str = "ok"
-    #: point-in-time occurrences within the span (retries, faults, ...)
-    events: List[Dict[str, Any]] = field(default_factory=list)
-    _tracer: Any = field(default=None, repr=False, compare=False)
+    A slotted record: the ids are stored flat, :attr:`context` is built
+    when asked for, and the event list exists only once
+    :meth:`add_event` made one -- every span of every request is
+    retained, so bytes per span are the tracer's footprint.
+
+    A span from :meth:`Tracer.span <repro.obs.tracer.Tracer.span>` is
+    its own context manager and is *opened* by ``__enter__``: that is
+    where it takes its parent (the thread's ambient span), its ids and
+    its one start-clock read.  Until then it has no ids.
+    """
+
+    __slots__ = (
+        "name", "trace_id", "span_id", "parent_id", "start", "end_time",
+        "attributes", "status", "_events", "_tracer",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        attributes: Optional[Dict[str, Any]] = None,
+        tracer: Any = None,
+        *,
+        context: Optional[SpanContext] = None,
+        parent_id: Optional[str] = None,
+        start: Optional[float] = None,
+        end_time: Optional[float] = None,
+        status: str = "ok",
+        events: Optional[List[Dict[str, Any]]] = None,
+    ) -> None:
+        # the tracer calls Span(name, attributes, tracer) once per span:
+        # positional, because keyword parsing was a fifth of a span's cost
+        self.name = name
+        if context is not None:
+            self.trace_id = context.trace_id
+            self.span_id = context.span_id
+        self.parent_id = parent_id
+        self.start = start
+        self.end_time = end_time
+        # kept, not copied: the tracer passes the caller's fresh **kwargs
+        self.attributes = {} if attributes is None else attributes
+        self.status = status
+        self._events = events or None
+        self._tracer = tracer
+
+    def __enter__(self) -> "Span":
+        tracer = self._tracer
+        stack = tracer._ambient.stack
+        tracer._open(self, stack[-1] if stack else None)
+        stack.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._ambient.stack.pop()
+        self.end(None, "ok" if exc_type is None else "error")
+
+    def __repr__(self) -> str:
+        span_id = getattr(self, "span_id", None)  # None until opened
+        return f"Span({self.name!r}, {span_id!r}, parent={self.parent_id!r})"
 
     @property
-    def trace_id(self) -> str:
-        """The trace this span belongs to."""
-        return self.context.trace_id
+    def context(self) -> SpanContext:
+        """The propagatable ``(trace_id, span_id)`` identity of this span."""
+        return SpanContext(trace_id=self.trace_id, span_id=self.span_id)
 
     @property
-    def span_id(self) -> str:
-        """This span's unique id within the tracer."""
-        return self.context.span_id
+    def events(self) -> Sequence[Dict[str, Any]]:
+        """Point-in-time occurrences within the span (retries, faults, ...)."""
+        return self._events or ()
 
     @property
     def ended(self) -> bool:
@@ -146,17 +193,31 @@ class Span:
         spans stamp the event at the span start.
         """
         at = self._tracer.clock.now() if self._tracer is not None else self.start
-        self.events.append({"name": name, "at": at, "attributes": dict(attributes)})
+        event = {"name": name, "at": at, "attributes": attributes}
+        if self._events is None:
+            self._events = [event]
+        else:
+            self._events.append(event)
         return self
 
     def end(self, end_time: Optional[float] = None, status: str = "ok") -> "Span":
-        """Close the span (idempotent calls are an error)."""
+        """Close the span (idempotent calls are an error).
+
+        Reads the tracer's clock once unless ``end_time`` is given, and
+        feeds the tracer's ``span.<name>.seconds`` histogram when it has
+        a metrics registry.
+        """
         if self.end_time is not None:
             raise SeSeMIError(f"span {self.name!r} already ended")
-        if self._tracer is not None:
-            self.end_time = self._tracer._finish(self, end_time)
-        else:  # detached span (e.g. rebuilt from JSON)
+        tracer = self._tracer
+        if tracer is None:  # detached span (e.g. rebuilt from JSON)
             self.end_time = end_time if end_time is not None else self.start
+        else:
+            self.end_time = end_time if end_time is not None else tracer.clock.now()
+            if tracer.metrics is not None:
+                tracer.metrics.histogram(f"span.{self.name}.seconds").observe(
+                    self.end_time - self.start
+                )
         self.status = status
         return self
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, Iterator, List, Optional
+from contextlib import nullcontext
+from typing import Any, Dict, List, Optional
 
-from repro.obs.span import Clock, Span, SpanContext, WallClock
+from repro.obs.span import Clock, Span, WallClock
 
 
 class Tracer:
@@ -42,7 +42,7 @@ class Tracer:
         self.spans: List[Span] = []
         self._trace_ids = itertools.count(1)
         self._span_ids = itertools.count(1)
-        self._ambient = threading.local()
+        self._ambient = _Ambient()
 
     # -- span creation -------------------------------------------------------
 
@@ -53,41 +53,32 @@ class Tracer:
         **attributes: Any,
     ) -> Span:
         """Open a span explicitly; ``parent=None`` starts a new trace."""
-        if parent is None:
-            trace_id = f"trace-{next(self._trace_ids)}"
-            parent_id = None
-        else:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-        span = Span(
-            name=name,
-            context=SpanContext(trace_id=trace_id, span_id=f"span-{next(self._span_ids)}"),
-            parent_id=parent_id,
-            start=self.clock.now(),
-            attributes=dict(attributes),
-            _tracer=self,
-        )
-        self.spans.append(span)
+        span = Span(name, attributes, self)
+        self._open(span, parent)
         return span
 
-    @contextmanager
-    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
-        """Open a span under the ambient current span (per-thread stack)."""
-        span = self.start_span(name, parent=self.current_span(), **attributes)
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-        except BaseException:
-            stack.pop()
-            span.end(status="error")
-            raise
-        else:
-            stack.pop()
-            span.end()
+    def span(self, name: str, **attributes: Any) -> Span:
+        """A span to open with ``with``, under the ambient current span.
 
-    @contextmanager
-    def attach(self, span: Span) -> Iterator[Span]:
+        Nothing is read or assigned until ``__enter__`` (see
+        :class:`~repro.obs.span.Span`); leaving the block pops the
+        thread's stack and ends the span, with status ``error`` when the
+        block raised.
+        """
+        return Span(name, attributes, self)
+
+    def _open(self, span: Span, parent: Optional[Span]) -> None:
+        """Give ``span`` its parent and ids, read its start, retain it."""
+        if parent is None:
+            span.trace_id = f"trace-{next(self._trace_ids)}"
+        else:
+            span.trace_id = parent.trace_id
+            span.parent_id = parent.span_id
+        span.span_id = f"span-{next(self._span_ids)}"
+        span.start = self.clock.now()
+        self.spans.append(span)
+
+    def attach(self, span: Span) -> "_Attach":
         """Adopt an existing ``span`` as this thread's ambient parent.
 
         Worker threads (e.g. the SeMIRT TCS scheduler) use this to
@@ -97,35 +88,12 @@ class Tracer:
         The span is NOT ended on exit -- it still belongs to whoever
         opened it.
         """
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            stack.pop()
+        return _Attach(self._ambient, span)
 
     def current_span(self) -> Optional[Span]:
         """The innermost ambient span on this thread, if any."""
-        stack = self._stack()
+        stack = self._ambient.stack
         return stack[-1] if stack else None
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._ambient, "stack", None)
-        if stack is None:
-            stack = []
-            self._ambient.stack = stack
-        return stack
-
-    # -- finishing ------------------------------------------------------------
-
-    def _finish(self, span: Span, end_time: Optional[float]) -> float:
-        """Stamp the end time and feed the metrics bridge (internal)."""
-        end = end_time if end_time is not None else self.clock.now()
-        if self.metrics is not None:
-            self.metrics.histogram(f"span.{span.name}.seconds").observe(
-                end - span.start
-            )
-        return end
 
     # -- retrieval -------------------------------------------------------------
 
@@ -153,6 +121,30 @@ class Tracer:
         self.spans.clear()
 
 
+class _Ambient(threading.local):
+    """The per-thread stack of ambient spans (innermost last)."""
+
+    def __init__(self) -> None:
+        self.stack: List[Span] = []
+
+
+class _Attach:
+    """:meth:`Tracer.attach`: push ``span`` on entry, pop it on exit."""
+
+    __slots__ = ("_ambient", "_span")
+
+    def __init__(self, ambient: _Ambient, span: Span) -> None:
+        self._ambient = ambient
+        self._span = span
+
+    def __enter__(self) -> Span:
+        self._ambient.stack.append(self._span)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._ambient.stack.pop()
+
+
 def maybe_span(tracer: Optional[Tracer], name: str, **attributes: Any):
     """A ``tracer.span(...)`` context manager, or a no-op when untraced.
 
@@ -161,4 +153,4 @@ def maybe_span(tracer: Optional[Tracer], name: str, **attributes: Any):
     """
     if tracer is None:
         return nullcontext(None)
-    return tracer.span(name, **attributes)
+    return Span(name, attributes, tracer)  # tracer.span(), minus a kwargs copy

@@ -130,13 +130,14 @@ class AdmissionController:
             self._inflight[tenant] = tenant_inflight + 1
             self._inflight_total += 1
             self.admitted += 1
-        released = threading.Event()
+        released = False
 
         def release() -> None:
-            if released.is_set():
-                return
-            released.set()
-            with self._lock:
+            nonlocal released
+            with self._lock:  # check-and-set under the lock: racing releases count once
+                if released:
+                    return
+                released = True
                 self._inflight_total -= 1
                 left = self._inflight.get(tenant, 1) - 1
                 if left <= 0:

@@ -1,11 +1,14 @@
 """The session API: deploy/grant/session, traces, and shared instances."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.deployment import ModelHandle, SeSeMIEnvironment, UserSession
 from repro.core.stages import InvocationKind, Stage
 from repro.errors import AccessDenied, SeSeMIError
+from repro.mlrt.zoo import build_tinylm
 from repro.obs import analysis
 
 
@@ -101,6 +104,43 @@ def test_cold_trace_covers_all_nine_stages(tiny_model, tiny_input):
     hot_stages = analysis.stage_seconds(spans, hot)
     assert Stage.ENCLAVE_INIT.value not in hot_stages
     assert Stage.MODEL_INFERENCE.value in hot_stages
+
+
+def _traced(tracer, call):
+    """Run ``call``; return the spans it recorded once all of them ended."""
+    tracer.clear()
+    call()
+    deadline = time.monotonic() + 10
+    while not all(s.ended for s in tracer.spans) and time.monotonic() < deadline:
+        time.sleep(0.005)  # worker-side spans may end just after the result
+    spans = list(tracer.spans)
+    assert all(s.ended for s in spans)
+    return spans
+
+
+def test_async_session_requests_are_one_trace_each(tiny_model, tiny_input):
+    """``submit`` and ``stream`` open one root each when none is ambient:
+    the worker's ECALL spans and the client's decrypt spans join it."""
+    env = SeSeMIEnvironment()
+    env.deploy(tiny_model, "m", owner="o").grant("u")
+    env.deploy(build_tinylm(seed=7), "lm", owner="o").grant("u")
+    with env.session("u", "m") as session, env.session("u", "lm") as lm:
+        session.infer(tiny_input)  # cold starts, outside the traced calls
+        lm.stream([3, 1, 4], 1).result(timeout_s=30)
+        cases = {
+            "request": _traced(env.tracer, lambda: session.submit(tiny_input).result(timeout_s=30)),
+            "stream": _traced(env.tracer, lambda: list(lm.stream([3, 1, 4], 12))),
+            "request_batch": _traced(env.tracer, lambda: session.infer_many([tiny_input] * 2)),
+        }
+    for root_name, spans in cases.items():
+        (root,) = [s for s in spans if s.parent_id is None]
+        assert root.name == root_name and root.status == "ok"
+        assert {s.trace_id for s in spans} == {root.trace_id}
+    names = [s.name for s in cases["stream"]]
+    assert names.count("decrypt_frame") == 12
+    assert names.count("ecall:EC_STREAM_STEP") == 11
+    assert "decrypt_response" in [s.name for s in cases["request"]]
+    assert "request" not in [s.name for s in cases["request_batch"]]
 
 
 def test_handle_session_shortcut(fresh_env, handle, tiny_input):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import QueueFull
-from repro.service import AdmissionController, ServiceConfig, TokenBucket
+from repro.service import AdmissionController, ServiceConfig, TokenBucket, admission
 
 
 class FakeClock:
@@ -73,6 +75,42 @@ def test_release_is_idempotent_and_frees_the_slot():
     controller.admit("a")
     assert controller.inflight_total == 1
     assert controller.released == 1
+
+
+def test_racing_releases_of_one_handle_count_once(monkeypatch):
+    """Four threads releasing one handle at once free exactly one slot.
+
+    If the handle's released flag were an ``Event`` checked outside the
+    controller's lock, the gated ``is_set`` below would hold every racer
+    between the check and the set, so each would release -- every time,
+    not by luck.
+    """
+    racers = 4
+    gate = threading.Barrier(racers, timeout=10)
+
+    class GatedEvent(threading.Event):
+        def is_set(self) -> bool:
+            seen = super().is_set()
+            gate.wait()  # every racer has read the flag before any sets it
+            return seen
+
+    controller = _controller(max_inflight_per_tenant=4)
+    keep = controller.admit("a")
+    with monkeypatch.context() as patch:
+        patch.setattr(admission.threading, "Event", GatedEvent)
+        release = controller.admit("a")
+    threads = [threading.Thread(target=release) for _ in range(racers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = controller.stats()
+    assert stats["released"] == 1
+    assert stats["inflight_total"] == 1
+    assert stats["inflight_by_tenant"] == {"a": 1}
+    keep()
+    assert controller.inflight_total == 0
 
 
 def test_rate_limit_sheds_before_inflight_accounting():
