@@ -20,12 +20,14 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TEST_MODULE = ROOT / "tests/core/test_semirt_span_trees.py"
 
 
 def main() -> None:
+    sys.path.insert(0, str(ROOT))  # the scenarios import tests.conftest
     spec = importlib.util.spec_from_file_location("span_tree_scenarios", TEST_MODULE)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

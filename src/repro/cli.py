@@ -6,7 +6,7 @@ Usage::
     python -m repro run fig9             # print one measurement's table
     python -m repro run table2 fig10     # several at once
     python -m repro run fig8 --json      # the raw result dict, sorted keys
-    python -m repro run service --json   # a gated harness: exit 1 on FAIL
+    python -m repro run warmpool         # a gated harness: exit 1 on FAIL
     python -m repro trace fig8           # dump a chrome://tracing file
     python -m repro report [PATH]        # regenerate EXPERIMENTS.md
     python -m repro serve --port 8080    # boot the live HTTP service tier
@@ -34,16 +34,13 @@ import json
 import sys
 import time
 from types import ModuleType
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.experiments import (
-    batching,
     chaos,
-    concurrency,
     fig8,
-    gateway,
     fig9,
     fig10,
     fig11,
@@ -51,7 +48,6 @@ from repro.experiments import (
     fig13,
     fig15,
     fig17,
-    service,
     table1,
     table2,
     table34,
@@ -86,22 +82,6 @@ EXPERIMENTS: Dict[str, Tuple[str, ModuleType, dict]] = {
         "Chaos sweep: fault rate vs availability/p99 (quick grid)", chaos,
         {"quick": True},
     ),
-    "concurrency": (
-        "TCS scheduler: 1- vs 4-TCS hot-path throughput + queue-depth sweep",
-        concurrency, {},
-    ),
-    "batching": (
-        "Live micro-batching: hot-path throughput at batch 4 vs 1 (4-TCS host)",
-        batching, {},
-    ),
-    "gateway": (
-        "Routed throughput: one gateway, 1 vs 3 live SeMIRT endpoints",
-        gateway, {},
-    ),
-    "service": (
-        "HTTP service tier: fast 429 sheds + flat admitted p99 under saturation",
-        service, {},
-    ),
     "warmpool": (
         "Warm-pool policies: cold-start ratios, scale-to-zero, pre-warming",
         warmpool, {},
@@ -124,6 +104,95 @@ def _trace_session() -> list:
     return env.tracer.finished_spans()
 
 
+#: the one model ``repro serve`` deploys (and ``repro trace service`` calls)
+_SERVICE_MODEL_ID = "svc-mbnet"
+
+
+def _service_world(
+    *,
+    tcs_count: int = 4,
+    num_endpoints: int = 1,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    max_inflight: Optional[int] = None,
+    warm_pool=None,
+):
+    """``(env, service)``: a deployed fleet and its HTTP tier, not yet listening.
+
+    ``max_inflight`` defaults to the fleet's TCS capacity (``tcs_count *
+    num_endpoints``): admission then never queues work behind a busy
+    enclave and everything beyond capacity sheds.  ``warm_pool`` (a
+    :class:`~repro.warmpool.manager.WarmPoolConfig`) arms the gateway's
+    warm pool, which the service sweeper then drives.  The caller owns
+    teardown: ``service.close()``, then ``service.gateway.close()``.
+    """
+    from repro.core.deployment import SeSeMIEnvironment
+    from repro.core.gateway import GatewayConfig
+    from repro.core.semirt import SchedulerConfig
+    from repro.core.semirt_enclave import default_semirt_config
+    from repro.mlrt.zoo import build_mobilenet
+    from repro.routing import FnPool
+    from repro.service import InferenceService, ServiceConfig
+
+    if max_inflight is None:
+        max_inflight = tcs_count * num_endpoints
+    env = SeSeMIEnvironment()
+    config = default_semirt_config(tcs_count=tcs_count)
+    handle = env.deploy(
+        build_mobilenet(seed=7), _SERVICE_MODEL_ID, owner="owner", config=config
+    )
+    pool = FnPool(
+        name="svc", models=(_SERVICE_MODEL_ID,), memory_budget=0,
+        num_endpoints=num_endpoints,
+    )
+    scheduler = SchedulerConfig(queue_depth=32)
+    gateway = env.gateway(
+        pool, config=config, scheduler=scheduler,
+        gateway_config=GatewayConfig(warm_pool=warm_pool),
+    )
+    service = InferenceService(
+        env, gateway, [handle],
+        config=ServiceConfig(
+            host=host,
+            port=port,
+            max_inflight_total=max_inflight,
+            max_inflight_per_tenant=max_inflight,
+        ),
+        scheduler=scheduler,
+    )
+    return env, service
+
+
+def _trace_service() -> list:
+    """Spans of two HTTP inferences: client and server trees in one dump.
+
+    The client's ``request`` span carries ``server_trace_id`` pointing at
+    the server's ``http:infer`` root, under which the ``route`` and
+    ECALL spans parent (tier-1 asserts the chain:
+    ``test_client_span_joins_the_server_trace``).
+    """
+    from repro.mlrt.zoo import build_mobilenet
+    from repro.service import RemoteEnvironment
+
+    env, service = _service_world()
+    service.start_background()
+    try:
+        # share the tracer so client and server spans land in one dump
+        remote = RemoteEnvironment(
+            service.base_url, env.attestation, tracer=env.tracer
+        )
+        remote.model(_SERVICE_MODEL_ID).grant(remote.connect_user("user"))
+        session = remote.session("user", _SERVICE_MODEL_ID)
+        x = np.zeros(build_mobilenet().input_spec.shape, dtype=np.float32)
+        session.infer(x)
+        session.infer(x)
+        remote.close()
+    finally:
+        service.close()
+        service.gateway.close()
+    return env.tracer.finished_spans()
+
+
 #: name -> (description, callable returning the finished spans to export)
 TRACES: Dict[str, Tuple[str, Callable[[], list]]] = {
     "fig8": (
@@ -138,21 +207,9 @@ TRACES: Dict[str, Tuple[str, Callable[[], list]]] = {
         "one resilient chaos run with an injected shard outage",
         chaos.collect_trace,
     ),
-    "concurrency": (
-        "a paced 4-TCS batch with overlapping ECALL spans",
-        concurrency.collect_trace,
-    ),
-    "batching": (
-        "a busy-paced burst served through EC_MODEL_INF_BATCH",
-        batching.collect_trace,
-    ),
-    "gateway": (
-        "a routed multi-model batch over two live endpoints",
-        gateway.collect_trace,
-    ),
     "service": (
         "two HTTP inferences: client and server trees joined",
-        service.collect_trace,
+        _trace_service,
     ),
     "session": (
         "a functional cold+hot inference via the session API",
@@ -247,14 +304,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             predictive=args.prewarm,
             predictor=PredictorPolicy(slots_per_endpoint=args.tcs),
         )
-    _, svc = service.build_world(
+    _, svc = _service_world(
         tcs_count=args.tcs,
         num_endpoints=args.endpoints,
-        paced_s=args.paced_ms / 1e3 if args.paced_ms > 0 else None,
         host=args.host,
         port=args.port,
         max_inflight=args.max_inflight,
-        background=False,
         warm_pool=warm_pool,
     )
     print(f"models: {', '.join(sorted(svc.handles))}")
@@ -557,10 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--endpoints", type=int, default=1, help="endpoints in the pool"
-    )
-    serve_parser.add_argument(
-        "--paced-ms", type=float, default=0.0,
-        help="per-request service-time floor in ms (0 disables pacing)",
     )
     serve_parser.add_argument(
         "--max-inflight", type=int, default=None,

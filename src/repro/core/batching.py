@@ -15,10 +15,10 @@ Both twins consume one :class:`BatchPolicy`:
   with ``SchedulerConfig(batch=...)``) batches real encrypted requests
   through the ticketed ``EC_MODEL_INF_BATCH`` ECALL.
 
-The cost model is shared too: a batch of *n* hot requests executes with
-sub-linear cost ``exec * (alpha + (1 - alpha) * n)`` -- the ``alpha``
-fraction is the per-invocation overhead (enclave transition, framework
-entry) that one batched call pays once.  See ``docs/batching.md``.
+In the simulation a batch of *n* hot requests executes with sub-linear
+cost ``exec * (alpha + (1 - alpha) * n)`` -- the ``alpha`` fraction is
+the per-invocation overhead (enclave transition, framework entry) that
+one batched call pays once.  See ``docs/batching.md``.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ class BatchPolicy:
 
     Like :class:`~repro.core.semirt.SchedulerConfig`, this is **host
     policy, not enclave identity**: it is excluded from
-    ``settings()``/MRENCLAVE (same rule as ``paced_service_s``), so
-    tuning the batch window never changes ``E_S``.  The *security* rule
-    -- a batch only ever holds requests for one ``<uid, M_oid>`` pair --
-    is enforced inside the enclave regardless of these knobs.
+    ``settings()``/MRENCLAVE, so tuning the batch window never changes
+    ``E_S``.  The *security* rule -- a batch only ever holds requests for
+    one ``<uid, M_oid>`` pair -- is enforced inside the enclave
+    regardless of these knobs.
 
     ``batch_window_s``
         How long the batch leader waits for followers before executing.
@@ -56,7 +56,8 @@ class BatchPolicy:
         Fixed fraction of the execution cost (the non-amortisable part):
         a batch of *n* costs ``exec * (alpha + (1 - alpha) * n)``.
         ``alpha=0.6`` means ~40% of per-request compute amortises away
-        at large batch sizes.
+        at large batch sizes.  Only the simulation twin reads it: the
+        live scheduler's batch costs whatever its ECALL costs.
     """
 
     batch_window_s: float = 0.05
@@ -89,10 +90,6 @@ class BatchPolicy:
     def batch_cost_s(self, single_s: float, size: int) -> float:
         """Execution time of one batch of ``size`` requests."""
         return single_s * (self.alpha + (1.0 - self.alpha) * size)
-
-    def amortised_s(self, single_s: float, size: int) -> float:
-        """Seconds saved vs ``size`` unbatched executions of ``single_s``."""
-        return single_s * self.alpha * (size - 1)
 
     def feed_window(self, tcs_count: int) -> int:
         """In-flight requests a submitter needs to keep the accumulator fed.
@@ -149,10 +146,6 @@ class BatchingSemirtActor(SemirtSimActor):
     @property
     def max_batch(self) -> int:
         return self.policy.max_batch
-
-    @property
-    def batch_alpha(self) -> float:
-        return self.policy.alpha
 
     def batched_exec_s(self, servable: ServableModel, size: int,
                        epc_slowdown: float = 1.0) -> float:

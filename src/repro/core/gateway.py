@@ -299,8 +299,11 @@ class InferenceGateway:
                 with self._route_span(handle, "dispatch"):
                     output = handle.result(timeout_s)
             except DeadlineExceeded as exc:
-                # the caller gave up on a request nobody else holds: its
-                # slot is released and the endpoint charged a failure
+                # the caller gave up on a request nobody else holds: it
+                # is cancelled (so it never takes a TCS slot for an output
+                # nobody reads), its slot is released and the endpoint
+                # charged a failure
+                handle.inner.cancel()
                 handle._settle_once(exc)
                 raise
             except (EnclaveError, TransportError):

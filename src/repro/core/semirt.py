@@ -13,10 +13,9 @@ blocking composition the serverless action path uses.
 
 **Every ECALL is issued by a slot worker through one driver**
 (:meth:`SemirtHost._ecall`: parent-span attach, the ``ecall:<NAME>``
-span, the call, pacing inside the span).  A single request is a member
-list of one served by the same code as a batch
-(:meth:`SemirtHost._serve_members`, then :meth:`SemirtHost._collect` per
-ticket); stream-open and stream-step use the same driver; and control
+span, the call).  A single request is a member list of one served by
+the same code as a batch (:meth:`SemirtHost._serve_members`, then
+:meth:`SemirtHost._collect` per ticket); stream-open and stream-step use the same driver; and control
 work -- the ``EC_INVALIDATE_KEYS`` revocation push -- travels the
 admission queue like a request, so it waits for a slot instead of
 colliding with a busy one (``TcsExhausted``).
@@ -73,20 +72,7 @@ class SchedulerConfig:
     """Host-side TCS scheduler knobs (NOT part of the enclave identity).
 
     ``queue_depth`` bounds the admission queue; a :meth:`SemirtHost.submit`
-    beyond it raises :class:`~repro.errors.QueueFull`.  ``paced_service_s``,
-    when set, paces every ``EC_MODEL_INF`` cycle to a per-request
-    service-time floor: the worker sleeps out the remainder of the floor
-    inside the ECALL span.  It models the on-hardware execution time the
-    functional twin does not have (cf. ``docs/calibration.md``) -- the
-    sleep releases the GIL, so paced requests genuinely overlap across
-    TCS slots the way SGX threads do on real cores.  ``None`` (the
-    default) leaves requests entirely compute-bound.
-
-    ``paced_busy`` changes *how* the floor is spent: instead of a
-    GIL-releasing sleep (the overlap regime above), the worker holds the
-    CPU for the remainder -- modelling the **compute-bound** regime
-    where the node has fewer cores than TCS threads, which is exactly
-    where micro-batching pays (cf. Figure 11a).  ``batch`` arms the
+    beyond it raises :class:`~repro.errors.QueueFull`.  ``batch`` arms the
     scheduler's hot-path batch accumulator with a
     :class:`~repro.core.batching.BatchPolicy`; like every field here it
     is host policy, excluded from ``settings()``/MRENCLAVE.  Enclave
@@ -95,15 +81,11 @@ class SchedulerConfig:
     """
 
     queue_depth: int = 16
-    paced_service_s: Optional[float] = None
     batch: Optional[BatchPolicy] = None
-    paced_busy: bool = False
 
     def __post_init__(self) -> None:
         if self.queue_depth < 1:
             raise EnclaveError("the admission queue needs a depth of at least 1")
-        if self.paced_service_s is not None and self.paced_service_s < 0:
-            raise EnclaveError("paced_service_s cannot be negative")
         if self.batch is not None and not isinstance(self.batch, BatchPolicy):
             raise EnclaveError("batch must be a repro.core.batching.BatchPolicy")
 
@@ -504,29 +486,20 @@ class SemirtHost:
 
     # -- the ECALL cycle: one driver, one serve, one collect -------------------------
 
-    def _ecall(self, name: str, *args, under=None, paced: int = 0, **attributes):
+    def _ecall(self, name: str, *args, under=None, **attributes):
         """Issue one ECALL from this slot worker: the only way into the enclave.
 
         Re-parents under ``under`` (the span ambient at admission -- the
         ambient stack is per thread), opens the ``ecall:<name>`` span
-        with ``attributes``, makes the call and, when ``paced`` gives
-        the number of requests it served, spends the rest of their
-        service-time floor *inside* the span, where SGX would spend it.
-        Bookkeeping ECALLs (fetch, clear, close, invalidate) are unpaced.
+        with ``attributes`` and makes the call inside it.
         """
         attach = (
             self.tracer.attach(under)
             if self.tracer is not None and under is not None
             else nullcontext()
         )
-        with attach:
-            started = time.monotonic()
-            started_cpu = time.thread_time()
-            with maybe_span(self.tracer, f"ecall:{name}", **attributes):
-                result = self.enclave.ecall(name, *args)
-                if paced:
-                    self._pace(started, started_cpu, paced)
-        return result
+        with attach, maybe_span(self.tracer, f"ecall:{name}", **attributes):
+            return self.enclave.ecall(name, *args)
 
     def _serve_members(self, members: List[InferenceFuture], slot: int) -> None:
         """Drive one inference ECALL cycle, settling every member.
@@ -550,16 +523,11 @@ class SemirtHost:
             name, sealed, batch = "EC_MODEL_INF", leader._enc_request, {}
         else:
             name, sealed = "EC_MODEL_INF_BATCH", [m._enc_request for m in members]
-            batch = dict(
-                batch_size=size,
-                leader_ticket=leader.ticket,
-                amortised_s=self._amortised_s(size),
-            )
+            batch = dict(batch_size=size, leader_ticket=leader.ticket)
         try:
             tickets = self._ecall(
                 name, sealed, leader.uid, leader.model_id,
                 under=leader._parent,
-                paced=size,
                 model_id=leader.model_id,
                 tcs_slot=slot,
                 **batch,
@@ -593,13 +561,6 @@ class SemirtHost:
             member.set_error(exc)
         else:
             member.set_result(output)
-
-    def _amortised_s(self, size: int) -> Optional[float]:
-        """Per-member share of a paced batch's cost (a span attribute)."""
-        floor = self.scheduler.paced_service_s
-        if floor is None or self._batch_policy is None:
-            return None
-        return self._batch_policy.amortised_s(floor, size)
 
     def _reserve_contexts(self, n: int) -> None:
         """Block until ``n`` enclave execution contexts can be held.
@@ -670,7 +631,7 @@ class SemirtHost:
         window), drops cancelled members (``EC_STREAM_CLOSE`` releases
         the enclave KV context before ``RequestCancelled`` surfaces),
         then advances every live stream one token through a single
-        ``EC_STREAM_STEP`` paced to the policy's amortised batch cost.
+        ``EC_STREAM_STEP``.
         A leader crash at the ``semirt:batch`` fault site fails every
         member and joiner -- followers never hang on a dead leader.
         """
@@ -723,13 +684,10 @@ class SemirtHost:
             stream.set_cancelled()
             return
         try:
-            # prefill costs one full service-time floor (it runs the
-            # whole prompt), whatever the group size
             ticket, frame, done = self._ecall(
                 "EC_MODEL_INF_STREAM", stream._enc_request, stream.uid,
                 stream.model_id,
                 under=stream._parent,
-                paced=1,
                 model_id=stream.model_id,
                 tcs_slot=slot,
                 ticket=stream.ticket,
@@ -784,11 +742,9 @@ class SemirtHost:
             "EC_STREAM_STEP",
             [ticket for ticket, _ in members],
             under=members[0][1]._parent,
-            paced=size,
             model_id=group.pair[1],
             tcs_slot=slot,
             batch_size=size,
-            amortised_s=self._amortised_s(size),
         )
         live: List[Tuple[int, InferenceStream]] = []
         for (ticket, stream), (frame, done) in zip(members, results):
@@ -800,34 +756,6 @@ class SemirtHost:
         with self._batch_cv:
             group.members = live
         self._note_served(*group.pair)
-
-    def _pace(self, started: float, started_cpu: float, size: int) -> None:
-        """Spend the remainder of the configured service-time floor.
-
-        A batch of ``size`` is paced to the policy's sub-linear batch
-        cost rather than ``size`` full floors -- that amortisation *is*
-        the modelled win.  With ``paced_busy`` the floor is *thread CPU
-        time*: the worker burns whatever the ECALL's real work has not
-        already consumed, so concurrent busy-paced workers genuinely
-        serialise on the GIL (the stand-in for a single core) -- the
-        compute-bound regime micro-batching is for.  Otherwise the floor
-        is wall time spent sleeping, releasing the GIL so paced singles
-        overlap across TCS slots (the core-rich regime
-        ``repro run concurrency`` measures).
-        """
-        floor = self.scheduler.paced_service_s
-        if floor is None:
-            return
-        if size > 1:
-            floor = self._batch_policy.batch_cost_s(floor, size)
-        if self.scheduler.paced_busy:
-            target = started_cpu + floor
-            while time.thread_time() < target:
-                pass
-        else:
-            remaining = floor - (time.monotonic() - started)
-            if remaining > 0:
-                time.sleep(remaining)
 
     # -- the action interface ------------------------------------------------------
 

@@ -29,15 +29,14 @@ generator build on the same modules.
 | Figures 15/16  | :mod:`repro.experiments.fig15` |
 | Figures 17/18  | :mod:`repro.experiments.fig17` |
 
-Beyond the paper's grid (``live``: wall-clock lanes on the functional
-twin, built with :func:`~repro.experiments.common.live_host`):
+Beyond the paper's grid:
 
 | extension | module | twin | gated |
 |---|---|---|---|
 | fault sweep            | :mod:`repro.experiments.chaos`       | logical clock | no |
 | warm-pool policies     | :mod:`repro.experiments.warmpool`    | virtual time  | yes |
-| TCS scheduler          | :mod:`repro.experiments.concurrency` | live | no |
-| routed fleet           | :mod:`repro.experiments.gateway`     | live | no |
-| micro-batching         | :mod:`repro.experiments.batching`    | live | yes |
-| HTTP saturation        | :mod:`repro.experiments.service`     | live | yes |
+
+Every measurement here is deterministic.  The live functional twin's
+structural claims (TCS overlap, batch merge, fleet spread, shed before
+admission) are tier-1 tests; its speed is ``bench/`` (``BENCHMARK.json``).
 """

@@ -5,24 +5,13 @@ node.  It feeds arrival streams (open loop) and interactive sessions
 (closed loop, next query after the previous response) through a
 :class:`~repro.routing.Router` into the serverless controller, and
 collects :class:`~repro.serverless.action.InvocationResult` records.
-
-:class:`LiveLoadDriver` is its wall-clock twin for the *functional*
-stack: it drives any blocking ``issue`` callable -- an in-process
-:meth:`~repro.core.deployment.UserSession.infer` or a
-:meth:`~repro.service.client.RemoteSession.infer` over the HTTP tier
--- in open or closed loop, classifying sheds
-(:class:`~repro.errors.QueueFull`, whichever side raised it) separately
-from failures so saturation benchmarks can gate on shed latency.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import QueueFull, ReproError
 from repro.routing import Router
 from repro.serverless.action import Request
 from repro.serverless.controller import Controller
@@ -134,196 +123,3 @@ class WorkloadDriver:
         """Run the simulation and return the collected report."""
         self.sim.run(until=until)
         return self.report
-
-
-# ------------------------------------------------------------------------------
-# live (wall-clock) load generation
-# ------------------------------------------------------------------------------
-
-
-@dataclass
-class LiveRecord:
-    """One issued request's outcome."""
-
-    client: int
-    seq: int
-    started: float
-    finished: float
-    ok: bool
-    shed: bool
-    error: Optional[str] = None
-
-    @property
-    def latency_s(self) -> float:
-        return self.finished - self.started
-
-
-@dataclass
-class LiveReport:
-    """Everything a live run produced, plus the gate arithmetic."""
-
-    records: List[LiveRecord] = field(default_factory=list)
-    #: workers still alive after the post-run join window -- every one
-    #: is a hung request, the thing saturation benchmarks gate to zero
-    hung: int = 0
-
-    def admitted(self) -> List[LiveRecord]:
-        """Records that were served successfully."""
-        return [r for r in self.records if r.ok]
-
-    def sheds(self) -> List[LiveRecord]:
-        """Records refused by admission control (fast 429s)."""
-        return [r for r in self.records if r.shed]
-
-    def failures(self) -> List[LiveRecord]:
-        """Records that failed with a non-shed serving error."""
-        return [r for r in self.records if not r.ok and not r.shed]
-
-    def latencies_s(self, which: str = "admitted") -> List[float]:
-        """Sorted latencies of one record class (``admitted``/``sheds``/``failures``)."""
-        picked = getattr(self, which)()
-        return sorted(r.latency_s for r in picked)
-
-    def percentile_s(self, fraction: float, which: str = "admitted") -> float:
-        """Nearest-rank percentile of a record class (0.0 when empty)."""
-        values = self.latencies_s(which)
-        if not values:
-            return 0.0
-        rank = max(0, min(len(values) - 1, int(fraction * len(values))))
-        return values[rank]
-
-    def summary(self) -> dict:
-        """The flat counters and percentiles the benchmark gates read."""
-        return {
-            "total": len(self.records),
-            "admitted": len(self.admitted()),
-            "shed": len(self.sheds()),
-            "failed": len(self.failures()),
-            "hung": self.hung,
-            "admitted_p50_ms": 1e3 * self.percentile_s(0.50),
-            "admitted_p99_ms": 1e3 * self.percentile_s(0.99),
-            "shed_p99_ms": 1e3 * self.percentile_s(0.99, "sheds"),
-        }
-
-
-#: issue(client_index, sequence_number) -> anything (raises on failure)
-IssueFn = Callable[[int, int], object]
-
-
-class LiveLoadDriver:
-    """Open/closed-loop load against a blocking serving surface.
-
-    Transport-agnostic: ``issue`` is any callable that serves one
-    request synchronously -- an in-process session or the HTTP client.
-    Exceptions in ``shed_on`` (default :class:`~repro.errors.QueueFull`,
-    which the canonical wire mapping round-trips as 429) are recorded
-    as *sheds*; other :class:`~repro.errors.ReproError` as failures;
-    anything else propagates (a driver bug, not a serving outcome).
-    """
-
-    def __init__(
-        self,
-        issue: IssueFn,
-        *,
-        shed_on: Tuple[Type[BaseException], ...] = (QueueFull,),
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.issue = issue
-        self.shed_on = shed_on
-        self.clock = clock
-
-    def _one(self, client: int, seq: int) -> LiveRecord:
-        started = self.clock()
-        try:
-            self.issue(client, seq)
-            return LiveRecord(client, seq, started, self.clock(), True, False)
-        except self.shed_on as exc:
-            return LiveRecord(
-                client, seq, started, self.clock(), False, True,
-                error=type(exc).__name__,
-            )
-        except ReproError as exc:
-            return LiveRecord(
-                client, seq, started, self.clock(), False, False,
-                error=type(exc).__name__,
-            )
-
-    def closed_loop(
-        self,
-        clients: int,
-        duration_s: float,
-        *,
-        think_s: float = 0.0,
-        join_timeout_s: float = 30.0,
-    ) -> LiveReport:
-        """``clients`` workers, each issuing its next request as soon as
-        the previous one resolves (plus optional think time)."""
-        report = LiveReport()
-        lock = threading.Lock()
-        stop_at = self.clock() + duration_s
-
-        def worker(client: int) -> None:
-            seq = 0
-            while self.clock() < stop_at:
-                record = self._one(client, seq)
-                with lock:
-                    report.records.append(record)
-                seq += 1
-                if think_s > 0:
-                    time.sleep(think_s)
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(i,), name=f"load-c{i}", daemon=True
-            )
-            for i in range(clients)
-        ]
-        for thread in threads:
-            thread.start()
-        deadline = time.monotonic() + duration_s + join_timeout_s
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        report.hung = sum(1 for t in threads if t.is_alive())
-        return report
-
-    def open_loop(
-        self,
-        rate_rps: float,
-        duration_s: float,
-        *,
-        join_timeout_s: float = 30.0,
-    ) -> LiveReport:
-        """Fire requests at a fixed rate regardless of completions.
-
-        Each arrival gets its own thread, so a slow server accumulates
-        outstanding requests instead of slowing the arrival process --
-        the classic open-loop saturation probe.
-        """
-        report = LiveReport()
-        lock = threading.Lock()
-        interval = 1.0 / rate_rps
-        threads: List[threading.Thread] = []
-        start = self.clock()
-        seq = 0
-
-        def fire(client: int, number: int) -> None:
-            record = self._one(client, number)
-            with lock:
-                report.records.append(record)
-
-        while self.clock() - start < duration_s:
-            thread = threading.Thread(
-                target=fire, args=(0, seq), name=f"load-a{seq}", daemon=True
-            )
-            threads.append(thread)
-            thread.start()
-            seq += 1
-            next_at = start + seq * interval
-            delay = next_at - self.clock()
-            if delay > 0:
-                time.sleep(delay)
-        deadline = time.monotonic() + join_timeout_s
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-        report.hung = sum(1 for t in threads if t.is_alive())
-        return report

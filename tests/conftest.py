@@ -1,18 +1,112 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures for the test suite, and the one test-side ECALL gate."""
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
+from collections import Counter
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
+from repro.core.semirt_enclave import SemirtEnclaveCode
 from repro.mlrt.zoo import build_mobilenet
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGX2, SgxPlatform
 from repro.sim.core import Simulation
+
+#: how long a held ECALL waits for a permit before it lets itself go, so a
+#: test that fails before its ``release()`` cannot wedge a scheduler worker
+_HOLD_BOUND_S = 30.0
+
+
+class HeldEcalls:
+    """Parks calls of the named ECALLs inside the enclave until released.
+
+    A held call runs its body first -- whatever it creates (an execution
+    or stream context, a decoded token) exists while it is parked -- and
+    then waits for a permit on the TCS it entered on, which is where the
+    hardware would spend its execution time.  The state a test reads:
+    ``entered`` (calls that reached the gate, per ECALL name), ``parked``
+    (``(name, enclave code)`` of each call waiting now) and ``peak`` (the
+    most that were ever parked at once).
+    """
+
+    def __init__(self) -> None:
+        self._cv = threading.Condition()
+        #: calls that may still pass; ``None`` once released for good
+        self._permits: Optional[int] = 0
+        self.entered: Counter = Counter()
+        self.parked: List[Tuple[str, SemirtEnclaveCode]] = []
+        self.peak = 0
+
+    def _park(self, name: str, code: SemirtEnclaveCode) -> None:
+        call = (name, code)
+        with self._cv:
+            self.entered[name] += 1
+            self.parked.append(call)
+            self.peak = max(self.peak, len(self.parked))
+            self._cv.notify_all()
+            self._cv.wait_for(
+                lambda: self._permits is None or self._permits > 0, _HOLD_BOUND_S
+            )
+            if self._permits:
+                self._permits -= 1
+            self.parked.remove(call)
+            self._cv.notify_all()
+
+    def wait_entered(self, n: int, name: Optional[str] = None,
+                     timeout_s: float = 10.0) -> None:
+        """Block until ``n`` calls (of ``name``, or of any held ECALL) entered."""
+        def count() -> int:
+            return self.entered[name] if name else sum(self.entered.values())
+
+        with self._cv:
+            reached = self._cv.wait_for(lambda: count() >= n, timeout_s)
+        assert reached, f"{count()} of {n} held ECALL(s) entered within {timeout_s}s"
+
+    def release(self, n: Optional[int] = None) -> None:
+        """Let ``n`` more calls through (parked ones first), or all from now on."""
+        with self._cv:
+            if n is None or self._permits is None:
+                self._permits = None
+            else:
+                self._permits += n
+            self._cv.notify_all()
+
+
+@contextmanager
+def held_ecalls(*names: str) -> Iterator[HeldEcalls]:
+    """Hold every call of the named :class:`SemirtEnclaveCode` ECALLs.
+
+    ``Enclave.ecall`` resolves the method on the code object per call,
+    so wrapping the class attribute gates every live host at once.  On
+    the way out the gate opens for good and the methods are restored.
+    """
+    gate = HeldEcalls()
+    originals = {name: getattr(SemirtEnclaveCode, name) for name in names}
+
+    def held(name, original):
+        @functools.wraps(original)
+        def call(code, *args, **kwargs):
+            result = original(code, *args, **kwargs)
+            gate._park(name, code)
+            return result
+
+        return call
+
+    for name, original in originals.items():
+        setattr(SemirtEnclaveCode, name, held(name, original))
+    try:
+        yield gate
+    finally:
+        gate.release()
+        for name, original in originals.items():
+            setattr(SemirtEnclaveCode, name, original)
 
 
 def _scheduler_workers() -> set:

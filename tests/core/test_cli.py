@@ -90,10 +90,7 @@ def test_deleted_subcommands_and_flags_are_refused(argv, capsys):
 
 
 def test_every_trace_source_resolves(monkeypatch, tmp_path, capsys):
-    assert sorted(cli.TRACES) == [
-        "batching", "chaos", "concurrency", "fig17", "fig8", "gateway",
-        "service", "session",
-    ]
+    assert sorted(cli.TRACES) == ["chaos", "fig17", "fig8", "service", "session"]
     spans, _ = fig8.traced_cold_request("MBNET", "tvm")
     for name, (description, _collect) in list(cli.TRACES.items()):
         monkeypatch.setitem(cli.TRACES, name, (description, lambda: spans))
@@ -104,18 +101,18 @@ def test_every_trace_source_resolves(monkeypatch, tmp_path, capsys):
     capsys.readouterr()
 
 
-#: every measurement whose result is a pure function of its arguments ->
-#: the reduced knobs this file runs it at (the rest are wall-clock harnesses)
+#: every measurement (each one's result is a pure function of its
+#: arguments) -> the reduced knobs this file runs it at
 DETERMINISTIC = {
     "table1": {}, "fig8": {}, "fig9": {}, "fig10": {}, "fig11": {}, "fig12": {},
     "fig13": {"duration_s": 30.0}, "table2": {}, "table34": {"duration_s": 120.0},
     "fig15": {}, "fig17": {}, "chaos": {"requests": 8}, "warmpool": {"duration_s": 60.0},
 }
-LIVE = {"concurrency", "batching", "gateway", "service"}
 
 
 def test_every_measurement_is_deterministic_or_live():
-    assert set(DETERMINISTIC) | LIVE == set(EXPERIMENTS)
+    """No wall-clock harness is left: every ``repro run`` name is here."""
+    assert set(DETERMINISTIC) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", DETERMINISTIC)

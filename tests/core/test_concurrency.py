@@ -24,6 +24,7 @@ from repro.errors import (
     TcsExhausted,
     TransportError,
 )
+from tests.conftest import held_ecalls
 
 
 @pytest.fixture(scope="module")
@@ -261,6 +262,36 @@ def test_sequential_isolation_refuses_multi_tcs(concurrent_setup):
             config=default_semirt_config(tcs_count=4),
             isolation=IsolationSettings.strong(),
         )
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_k_tcs_host_runs_exactly_k_requests_at_once(tiny_model, k):
+    """One scheduler worker per TCS: with every request held inside
+    ``EC_MODEL_INF``, exactly ``k`` are in the enclave at once -- never
+    more -- the rest wait in the admission queue, and all complete."""
+    env = SeSeMIEnvironment()
+    config = default_semirt_config(tcs_count=k)
+    env.deploy(tiny_model, "k-model", owner="owner", config=config).grant("user")
+    host = env.launch_semirt("tvm", config=config)
+    user = env.user("user")
+    x = np.zeros(tiny_model.input_spec.shape, dtype=np.float32)
+    enc = user.encrypt_request("k-model", host.measurement, x)
+    host.infer(enc, user.principal_id, "k-model")  # cold start, ungated
+    with held_ecalls("EC_MODEL_INF") as gate:
+        futures = [host.submit(enc, user.principal_id, "k-model") for _ in range(2 * k)]
+        gate.wait_entered(k)
+        assert len({id(code) for _, code in gate.parked}) == 1  # one enclave
+        assert len(gate.parked) == k and host.enclave.tcs_in_use == k
+        assert not any(future.done() for future in futures)
+        gate.release()
+        outputs = [future.result(timeout_s=30) for future in futures]
+    assert gate.entered["EC_MODEL_INF"] == 2 * k
+    assert gate.peak == k
+    want = user.decrypt_response("k-model", host.measurement, outputs[0])
+    for output in outputs:
+        got = user.decrypt_response("k-model", host.measurement, output)
+        assert got.tobytes() == want.tobytes()
+    host.destroy()
 
 
 def test_submit_backpressure_raises_queue_full(tiny_model):

@@ -8,8 +8,9 @@ session tier (:class:`SessionFuture`, :class:`SessionStream`).  One
 parametrised contract runs against all six -- and against the service
 tier's :class:`RemoteFuture` and :class:`RemoteStream`, the same cell
 fed by an HTTP long-poll and off a chunked response body -- and the
-deadline and cancellation cases then walk every local tier on a paced
-host, where "still in flight" is deterministic
+deadline and cancellation cases then walk every local tier on a solo
+host whose first ECALL of each request is held, where "still in flight"
+is deterministic
 (``tests/service/test_remote_cancel.py`` and
 ``tests/service/test_streaming_http.py`` walk them over HTTP).
 """
@@ -32,6 +33,7 @@ from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 from repro.service.client import HttpStream, RemoteFuture, RemoteStream
 from repro.service.protocol import frame_record
+from tests.conftest import held_ecalls
 from tests.service.conftest import launch_world
 
 MODEL_ID = "m"
@@ -65,15 +67,17 @@ def world():
 
 @pytest.fixture()
 def slow_world():
-    """A paced solo host: nothing finishes within a millisecond, so a
-    1 ms deadline always expires and an immediate cancel is always
-    accepted."""
-    yield from _world(1, SchedulerConfig(queue_depth=16, paced_service_s=0.05))
+    """A solo host whose request and prefill ECALLs are held until the
+    test lets one through: a held request cannot finish, so a 1 ms
+    deadline always expires and a cancel is always accepted."""
+    with held_ecalls("EC_MODEL_INF", "EC_MODEL_INF_STREAM") as gate:
+        for parts in _world(1, SchedulerConfig(queue_depth=16)):
+            yield parts + (gate,)
 
 
 def _open(cls, world, new_tokens=4):
     """One live handle of type ``cls``, freshly submitted."""
-    env, model, host, session = world
+    env, model, host, session = world[:4]
     user = env.user("user")
     x = np.zeros(model.input_spec.shape, dtype=np.float32)
     if cls is SessionFuture:
@@ -191,14 +195,16 @@ def test_stream_results_agree_with_the_reference(world):
 def test_timeout_raises_without_sealing_the_outcome(slow_world):
     """A poll timeout is the caller's problem, not the handle's -- at
     every tier: nothing settles, and the handle still resolves."""
-    gateway = slow_world[3].gateway
-    for cls in HANDLES:
+    gateway, gate = slow_world[3].gateway, slow_world[4]
+    for index, cls in enumerate(HANDLES):
         handle = _open(cls, slow_world, new_tokens=2)
         routed = cls not in (InferenceFuture, InferenceStream)
+        gate.wait_entered(index + 1)
         with pytest.raises(DeadlineExceeded):
             handle.result(timeout_s=0.001)
         assert not handle.done(), cls.__name__
         assert gateway.in_flight == (1 if routed else 0), cls.__name__
+        gate.release(1)
         handle.result(timeout_s=30)
         assert handle.done() and gateway.in_flight == 0, cls.__name__
 
@@ -206,10 +212,12 @@ def test_timeout_raises_without_sealing_the_outcome(slow_world):
 def test_cancelled_handles_raise_request_cancelled(slow_world):
     """An accepted cancel at any tier surfaces as RequestCancelled with
     every resource the request held already released."""
-    env, model, host, session = slow_world
-    for cls in HANDLES:
+    env, model, host, session, gate = slow_world
+    for index, cls in enumerate(HANDLES):
         handle = _open(cls, slow_world, new_tokens=256)
+        gate.wait_entered(index + 1)  # mid-serve: its context exists
         assert handle.cancel() is True, cls.__name__
+        gate.release(1)
         with pytest.raises(RequestCancelled):
             handle.result(timeout_s=30)
         assert handle.done() and handle.cancelled(), cls.__name__

@@ -36,6 +36,9 @@ class _FakeTicket:
     def __init__(self, outcome):
         self._outcome = outcome
 
+    def cancel(self):
+        return not self.done()
+
     def done(self):
         return not isinstance(self._outcome, DeadlineExceeded)
 

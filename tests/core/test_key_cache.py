@@ -269,7 +269,7 @@ def test_key_cache_entries_validation():
     bound = semirt_enclave.KEY_MEMO_ENTRIES
     assert isinstance(bound, int) and bound >= 1
     assert {f.name for f in dataclasses.fields(SchedulerConfig)} == {
-        "queue_depth", "paced_service_s", "batch", "paced_busy",
+        "queue_depth", "batch",
     }
 
 

@@ -25,6 +25,7 @@ from repro.errors import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
+from tests.conftest import held_ecalls
 
 MODEL_ID = "batch-model"
 
@@ -34,7 +35,6 @@ def _launch(
     *,
     users=("user",),
     policy=BatchPolicy(batch_window_s=0.25, max_batch=4),
-    paced_s=None,
     injector=None,
 ):
     """One 4-TCS host with the batch accumulator armed."""
@@ -45,9 +45,7 @@ def _launch(
     )
     for name in users:
         handle.grant(name)
-    scheduler = SchedulerConfig(
-        queue_depth=64, paced_service_s=paced_s, batch=policy
-    )
+    scheduler = SchedulerConfig(queue_depth=64, batch=policy)
     host = env.launch_semirt("tflm", config=config, scheduler=scheduler)
     return env, host
 
@@ -64,6 +62,39 @@ def _decrypt(env, host, name, enc_response):
     return env.user(name).decrypt_response(
         MODEL_ID, host.measurement, enc_response
     )
+
+
+def test_a_full_window_is_one_batch_ecall_with_the_singles_outputs(
+    tiny_model, tiny_input
+):
+    """k same-pair hot requests inside one window ride one
+    ``EC_MODEL_INF_BATCH`` of size k, and each output is byte-identical
+    to the single-request path's."""
+    k = 4
+    env, host = _launch(tiny_model, policy=BatchPolicy(batch_window_s=30.0, max_batch=k))
+    uid = _uid(env, "user")
+    # the first serve takes the single path and makes the pair hot
+    single = _decrypt(
+        env, host, "user",
+        host.infer(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID),
+    )
+    leader = host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+    # followers must find the leader's window open (else they lead their own)
+    deadline = time.monotonic() + 10
+    while host._forming is None:
+        assert time.monotonic() < deadline, "the leader never opened a window"
+        time.sleep(0.001)
+    futures = [leader] + [
+        host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+        for _ in range(k - 1)
+    ]
+    # a full batch closes the window at once: the 30 s are never waited
+    outputs = [
+        _decrypt(env, host, "user", future.result(timeout_s=10)) for future in futures
+    ]
+    assert host.code.batch_log == [(uid, MODEL_ID, k)]
+    assert all(plain.tobytes() == single.tobytes() for plain in outputs)
+    host.destroy()
 
 
 def test_mixed_pairs_never_share_a_batch_ecall(tiny_model, tiny_input):
@@ -192,7 +223,7 @@ def test_destroy_twice_retires_every_worker(tiny_model, tiny_input):
     """A second destroy() (two crashing leaders, or a crash racing the
     owner's teardown) must not eat the first call's shutdown sentinels:
     it returns cleanly, every worker exits, every future settles."""
-    env, host = _launch(tiny_model, paced_s=0.5, policy=None)
+    env, host = _launch(tiny_model, policy=None)
     uid = _uid(env, "user")
     host.infer(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
     workers = [
@@ -201,13 +232,14 @@ def test_destroy_twice_retires_every_worker(tiny_model, tiny_input):
     ]
     assert len(workers) == 4
 
-    futures = [
-        host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
-        for _ in range(6)
-    ]  # four inside their paced ECALL, two still queued
-    time.sleep(0.1)
-    host.destroy()
-    host.destroy()  # the parent raised AttributeError on a sentinel here
+    with held_ecalls("EC_MODEL_INF") as gate:
+        futures = [
+            host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+            for _ in range(6)
+        ]
+        gate.wait_entered(4)  # four parked inside their ECALL, two still queued
+        host.destroy()
+        host.destroy()  # the parent raised AttributeError on a sentinel here
 
     for worker in workers:
         worker.join(timeout=10)
@@ -248,15 +280,18 @@ def test_batch_of_one_takes_the_single_request_path(tiny_model, tiny_input):
 def test_cancel_clears_the_execution_context(tiny_model, tiny_input):
     """cancel() after the INF ECALL still releases the enclave context
     before RequestCancelled surfaces -- no slot leaks."""
-    env, host = _launch(tiny_model, paced_s=0.5, policy=None)
+    env, host = _launch(tiny_model, policy=None)
     uid = _uid(env, "user")
     host.infer(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
 
-    future = host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
-    time.sleep(0.15)  # inside the paced serve: the context exists now
-    assert future.cancel() is True
-    with pytest.raises(RequestCancelled):
-        future.result(timeout_s=30)
+    with held_ecalls("EC_MODEL_INF") as gate:
+        future = host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+        gate.wait_entered(1)  # parked inside the ECALL: the context exists now
+        assert host.code.pending_outputs == 1
+        assert future.cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            future.result(timeout_s=30)
     assert future.done()
     assert future.cancelled()
     assert future.cancel() is False  # the outcome is sealed
@@ -268,18 +303,22 @@ def test_cancel_before_the_worker_never_touches_the_enclave(
     tiny_model, tiny_input
 ):
     """Cancelling a queued request fails it without creating a context."""
-    env, host = _launch(tiny_model, paced_s=0.3)
+    env, host = _launch(tiny_model)
     uid = _uid(env, "user")
-    blockers = [
-        host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
-        for _ in range(4)
-    ]  # all four TCS slots are busy pacing
-    victim = host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
-    assert victim.cancel() is True
-    with pytest.raises(RequestCancelled):
-        victim.result(timeout_s=30)
-    for blocker in blockers:
-        blocker.result(timeout_s=30)
+    with held_ecalls("EC_MODEL_INF") as gate:
+        blockers = [
+            host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+            for _ in range(4)
+        ]
+        gate.wait_entered(4)  # all four TCS slots are busy
+        victim = host.submit(_encrypt(env, host, "user", tiny_input), uid, MODEL_ID)
+        assert victim.cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            victim.result(timeout_s=30)
+        for blocker in blockers:
+            blocker.result(timeout_s=30)
+    assert gate.entered["EC_MODEL_INF"] == 4  # the victim never entered
     assert host.code.pending_outputs == 0
     host.destroy()
 

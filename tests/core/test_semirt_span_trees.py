@@ -7,9 +7,10 @@ ECALL cycles -- *before* the cycles were folded into one driver and the
 enclave half moved to ``core/semirt_enclave.py``.  Each scenario below
 drives one serving path on a live host and renders what the tracer saw
 as a tree of ``[span name, status, sorted attribute keys, children]``;
-``fig8``/``fig17``, ``experiments/{concurrency,batching,streaming}.py``
-and ``bench/`` all key on these names, parents and attributes, so the
-refactor has to reproduce them exactly.
+``fig8``/``fig17`` and ``bench/`` key on these names, parents and
+attributes, so the refactor had to reproduce them exactly.  The file
+was regenerated once on purpose since: the ``amortised_s`` attribute
+left the batch and stream-step ECALL spans with the paced scheduler.
 """
 
 import json
@@ -25,6 +26,7 @@ from repro.core.semirt import SchedulerConfig
 from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import InvocationError, RequestCancelled
 from repro.mlrt.zoo import build_densenet, build_mobilenet, build_tinylm
+from tests.conftest import held_ecalls
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "semirt_span_trees.json"
 
@@ -168,9 +170,7 @@ def streams():
     """A 3-token stream alone, then two streams sharing decode steps."""
     model = build_tinylm(seed=7)
     scheduler = SchedulerConfig(
-        queue_depth=16,
-        paced_service_s=0.03,
-        batch=BatchPolicy(batch_window_s=0.05, max_batch=4),
+        queue_depth=16, batch=BatchPolicy(batch_window_s=0.05, max_batch=4)
     )
     world = _World({"lm": model}, "tvm", tcs_count=4, scheduler=scheduler)
     trees = {}
@@ -182,11 +182,14 @@ def streams():
     long_enc = world.seal_stream("lm", [3, 1, 4], 12)
     short_enc = world.seal_stream("lm", [2, 7], 3)
     world.tracer.clear()
-    leader = world.submit("request:leader", long_enc, "lm", stream=True)
-    _settle(lambda: leader.token_count >= 2)  # at least one solo step ran
-    joiner = world.submit("request:joiner", short_enc, "lm", stream=True)
-    joiner.result(timeout_s=30)
-    leader.result(timeout_s=30)
+    with held_ecalls("EC_STREAM_STEP") as gate:
+        leader = world.submit("request:leader", long_enc, "lm", stream=True)
+        gate.wait_entered(1)  # one solo step ran, and is held
+        joiner = world.submit("request:joiner", short_enc, "lm", stream=True)
+        _settle(lambda: world.host._stream_group.joiners)
+        gate.release()
+        joiner.result(timeout_s=30)
+        leader.result(timeout_s=30)
     assert max(size for _, _, size in world.host.code.stream_log) == 2
     trees["stream_group_2"] = world.take(collapse=True)
     world.host.destroy()
@@ -197,18 +200,20 @@ def cancelled():
     """A request cancelled while its ECALL runs: context cleared, not fetched."""
     model = build_mobilenet()
     world = _World(
-        {"m": model}, "tvm",
-        scheduler=SchedulerConfig(queue_depth=4, paced_service_s=0.3),
+        {"m": model}, "tvm", scheduler=SchedulerConfig(queue_depth=4)
     )
     x = _input(model)
     world.host.infer(world.seal("m", x), world.uid(), "m")
     enc = world.seal("m", x)
     world.tracer.clear()
-    future = world.submit("request", enc, "m")
-    _settle(lambda: world.host.code.pending_outputs == 1)
-    assert future.cancel()
-    with pytest.raises(RequestCancelled):
-        future.result(timeout_s=30)
+    with held_ecalls("EC_MODEL_INF") as gate:
+        future = world.submit("request", enc, "m")
+        gate.wait_entered(1)
+        assert world.host.code.pending_outputs == 1
+        assert future.cancel()
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            future.result(timeout_s=30)
     assert world.host.code.pending_outputs == 0
     tree = world.take()
     world.host.destroy()

@@ -33,6 +33,7 @@ from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 from repro.service.client import HttpStream, RemoteStream
 from repro.service.protocol import frame_record
+from tests.conftest import held_ecalls
 
 MODEL_ID = "lm-model"
 
@@ -42,7 +43,6 @@ def _launch(
     *,
     users=("user",),
     policy=BatchPolicy(batch_window_s=0.05, max_batch=4),
-    paced_s=None,
     tcs_count=4,
     injector=None,
 ):
@@ -52,9 +52,7 @@ def _launch(
     handle = env.deploy(model, MODEL_ID, owner="owner", config=config)
     for name in users:
         handle.grant(name)
-    scheduler = SchedulerConfig(
-        queue_depth=64, paced_service_s=paced_s, batch=policy
-    )
+    scheduler = SchedulerConfig(queue_depth=64, batch=policy)
     host = env.launch_semirt("tvm", config=config, scheduler=scheduler)
     return env, host
 
@@ -132,18 +130,25 @@ def test_the_worker_yields_the_cpu_after_every_pushed_frame(monkeypatch):
 
 def test_concurrent_streams_share_step_ecalls_and_stay_correct():
     model = build_tinylm(seed=7)
-    env, host = _launch(model, paced_s=0.01)
+    env, host = _launch(model)
     prompts = [[i + 1, 2, 3] for i in range(4)]
     refs = [DecoderSession(model).generate(p, 10) for p in prompts]
-    streams = [
-        host.open_stream(
-            _seal(env, host, "user", p, 10), _uid(env, "user"), MODEL_ID
+
+    def open_stream(prompt):
+        return host.open_stream(
+            _seal(env, host, "user", prompt, 10), _uid(env, "user"), MODEL_ID
         )
-        for p in prompts
-    ]
-    got = [
-        _tokens(env, host, "user", s.result(timeout_s=30)) for s in streams
-    ]
+
+    with held_ecalls("EC_MODEL_INF_STREAM") as gate:
+        # the leader's prefill is held: the other three join its group
+        streams = [open_stream(prompts[0])]
+        gate.wait_entered(1)
+        streams += [open_stream(p) for p in prompts[1:]]
+        assert _wait_for(lambda: len(host._stream_group.joiners) == 3)
+        gate.release()
+        got = [
+            _tokens(env, host, "user", s.result(timeout_s=30)) for s in streams
+        ]
     assert got == refs  # grouping never changes any stream's tokens
     assert any(size > 1 for _, _, size in host.code.stream_log), (
         "four concurrent same-pair streams never shared a step ECALL"
@@ -154,19 +159,20 @@ def test_concurrent_streams_share_step_ecalls_and_stay_correct():
 
 def test_stream_joins_a_running_group_mid_decode():
     model = build_tinylm(seed=7)
-    env, host = _launch(model, paced_s=0.02)
-    first = host.open_stream(
-        _seal(env, host, "user", [1, 2, 3], 24), _uid(env, "user"), MODEL_ID
-    )
-    # let the first stream decode alone for a few steps...
-    assert _wait_for(
-        lambda: sum(1 for _, _, n in host.code.stream_log if n == 1) >= 2
-    )
-    # ...then join: the running group must absorb the newcomer without
-    # restarting -- subsequent steps advance both streams at once
-    second = host.open_stream(
-        _seal(env, host, "user", [5, 2, 3], 10), _uid(env, "user"), MODEL_ID
-    )
+    env, host = _launch(model)
+    with held_ecalls("EC_STREAM_STEP") as gate:
+        first = host.open_stream(
+            _seal(env, host, "user", [1, 2, 3], 24), _uid(env, "user"), MODEL_ID
+        )
+        # the first stream decodes alone, held inside its first step...
+        gate.wait_entered(1)
+        # ...then joins: the running group must absorb the newcomer
+        # without restarting -- subsequent steps advance both at once
+        second = host.open_stream(
+            _seal(env, host, "user", [5, 2, 3], 10), _uid(env, "user"), MODEL_ID
+        )
+        assert _wait_for(lambda: len(host._stream_group.joiners) == 1)
+        gate.release()
     a = _tokens(env, host, "user", first.result(timeout_s=30))
     b = _tokens(env, host, "user", second.result(timeout_s=30))
     assert a == DecoderSession(model).generate([1, 2, 3], 24)
@@ -181,44 +187,51 @@ def test_stream_joins_a_running_group_mid_decode():
 
 def test_cancel_mid_decode_releases_the_stream_context():
     model = build_tinylm(seed=7)
-    env, host = _launch(model, paced_s=0.05, policy=None)
-    stream = host.open_stream(
-        _seal(env, host, "user", [1, 2, 3], MAX_STREAM_TOKENS),
-        _uid(env, "user"),
-        MODEL_ID,
-    )
-    frames = iter(stream)
-    next(frames)  # the stream is live: its KV cache pins enclave heap
-    assert host.code.open_streams == 1
-    assert stream.cancel() is True
-    with pytest.raises(RequestCancelled):
-        stream.result(timeout_s=30)
+    env, host = _launch(model, policy=None)
+    with held_ecalls("EC_STREAM_STEP") as gate:
+        stream = host.open_stream(
+            _seal(env, host, "user", [1, 2, 3], MAX_STREAM_TOKENS),
+            _uid(env, "user"),
+            MODEL_ID,
+        )
+        frames = iter(stream)
+        next(frames)  # the stream is live: its KV cache pins enclave heap
+        assert host.code.open_streams == 1
+        assert stream.cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            stream.result(timeout_s=30)
     assert stream.done() and stream.cancelled()
     assert stream.cancel() is False  # the outcome is sealed
     # the enclave context -- KV cache included -- must be gone promptly,
     # not at interpreter exit: an abandoned decode never pins the heap
     assert _wait_for(lambda: host.code.open_streams == 0)
-    steps_at_cancel = len(host.code.stream_log)
-    time.sleep(0.3)
-    assert len(host.code.stream_log) <= steps_at_cancel + 2, (
-        "the enclave kept decoding long after the cancel"
+    # at most the one step already under way when the cancel landed
+    assert len(host.code.stream_log) <= 1, (
+        "the enclave kept decoding after the cancel"
     )
     host.destroy()
 
 
 def test_cancelled_member_leaves_the_group_others_finish():
     model = build_tinylm(seed=7)
-    env, host = _launch(model, paced_s=0.02)
-    keeper = host.open_stream(
-        _seal(env, host, "user", [1, 2, 3], 16), _uid(env, "user"), MODEL_ID
-    )
-    victim = host.open_stream(
-        _seal(env, host, "user", [4, 2, 3], 64), _uid(env, "user"), MODEL_ID
-    )
-    assert _wait_for(lambda: len(host.code.stream_log) >= 2)
-    assert victim.cancel() is True
-    with pytest.raises(RequestCancelled):
-        victim.result(timeout_s=30)
+    env, host = _launch(model)
+    with held_ecalls("EC_STREAM_STEP") as gate:
+        keeper = host.open_stream(
+            _seal(env, host, "user", [1, 2, 3], 16), _uid(env, "user"), MODEL_ID
+        )
+        gate.wait_entered(1)  # the keeper's solo step
+        victim = host.open_stream(
+            _seal(env, host, "user", [4, 2, 3], 64), _uid(env, "user"), MODEL_ID
+        )
+        assert _wait_for(lambda: len(host._stream_group.joiners) == 1)
+        gate.release(1)
+        gate.wait_entered(2)  # the first step of both: the victim is a member
+        assert host.code.stream_log[-1][2] == 2
+        assert victim.cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            victim.result(timeout_s=30)
     got = _tokens(env, host, "user", keeper.result(timeout_s=30))
     assert got == DecoderSession(model).generate([1, 2, 3], 16)
     assert _wait_for(lambda: host.code.open_streams == 0)

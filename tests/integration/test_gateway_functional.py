@@ -15,10 +15,12 @@ import threading
 import time
 
 import numpy as np
+import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
-from repro.core.semirt import SchedulerConfig
+from repro.errors import DeadlineExceeded
 from repro.routing import FnPool
+from tests.conftest import held_ecalls
 
 HOT, COLD = "hot-model", "cold-model"
 
@@ -40,9 +42,7 @@ def test_fnpacker_gateway_over_live_endpoints(tiny_model, tiny_input):
 
     pool = FnPool(name="fleet", models=(HOT, COLD), memory_budget=0,
                   num_endpoints=2)
-    # The service-time floor keeps hot requests genuinely overlapping,
-    # so the router sees the hot model *pending* when the next arrives.
-    gw = env.gateway(pool, scheduler=SchedulerConfig(paced_service_s=0.25))
+    gw = env.gateway(pool)
     hot = env.session(user, HOT, gateway=gw)
     cold = env.session(user, COLD, gateway=gw)
     reference = tiny_model.run_reference(tiny_input).ravel()
@@ -55,24 +55,30 @@ def test_fnpacker_gateway_over_live_endpoints(tiny_model, tiny_input):
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
-    # Two overlapping hot requests: the second routes while the first
-    # is still in flight, which is exactly FnPacker Rule 1 -- the hot
-    # model's endpoint becomes its exclusive assignment.
-    first = threading.Thread(target=request, args=(hot,))
-    first.start()
-    _wait_for(lambda: gw.in_flight >= 1)
-    second = threading.Thread(target=request, args=(hot,))
-    second.start()
-    _wait_for(lambda: HOT in gw.router.exclusive_assignments().values())
-    exclusive = {e: m for e, m in gw.router.exclusive_assignments().items()}
-    hot_endpoint = next(e for e, m in exclusive.items() if m == HOT)
+    # Held inside their ECALLs, hot requests genuinely overlap, so the
+    # router sees the hot model *pending* when the next one arrives.
+    with held_ecalls("EC_MODEL_INF") as gate:
+        # Two overlapping hot requests: the second routes while the first
+        # is still in flight, which is exactly FnPacker Rule 1 -- the hot
+        # model's endpoint becomes its exclusive assignment.
+        first = threading.Thread(target=request, args=(hot,))
+        first.start()
+        gate.wait_entered(1)
+        second = threading.Thread(target=request, args=(hot,))
+        second.start()
+        _wait_for(lambda: HOT in gw.router.exclusive_assignments().values())
+        exclusive = {e: m for e, m in gw.router.exclusive_assignments().items()}
+        hot_endpoint = next(e for e, m in exclusive.items() if m == HOT)
 
-    # While the hot endpoint is exclusively held, the cold model must
-    # land on the *other* endpoint even though the hot one may have
-    # free TCS slots.
-    request(cold)
-    first.join()
-    second.join()
+        # While the hot endpoint is exclusively held, the cold model must
+        # land on the *other* endpoint even though the hot one may have
+        # free TCS slots.
+        third = threading.Thread(target=request, args=(cold,))
+        third.start()
+        gate.wait_entered(2)
+        gate.release()
+        for thread in (first, second, third):
+            thread.join()
     assert not errors, errors
 
     spans = [s for s in env.tracer.finished_spans() if s.name == "route"]
@@ -104,3 +110,61 @@ def test_fnpacker_gateway_over_live_endpoints(tiny_model, tiny_input):
 
     gw.close()
     assert all(not h.enclave.alive for h in gw.hosts().values())
+
+
+MIX = ("gw-m0", "gw-m1", "gw-m2")
+
+
+def test_held_requests_spread_over_the_fleet_then_all_complete(tiny_model, tiny_input):
+    """Three models on three 1-TCS endpoints: with every request held
+    inside its ECALL, FnPacker has already put work on at least two
+    endpoints at once -- the fleet, not one enclave, serves the mix."""
+    env = SeSeMIEnvironment()
+    for model_id in MIX:
+        env.deploy(tiny_model, model_id, owner="owner").grant("user")
+    pool = FnPool(name="mix", models=MIX, memory_budget=0, num_endpoints=3)
+    gw = env.gateway(pool)
+    sessions = [env.session("user", model_id, gateway=gw) for model_id in MIX]
+    for endpoint, _ in gw.router.endpoints():
+        gw.ensure_host(endpoint)  # launched off the gate, like a warm fleet
+    reference = tiny_model.run_reference(tiny_input).ravel()
+    with held_ecalls("EC_MODEL_INF") as gate:
+        futures = [sessions[i % len(MIX)].submit(tiny_input) for i in range(6)]
+        gate.wait_entered(2)
+        busy = {id(code) for _, code in gate.parked}
+        assert len(busy) >= 2, "every held request sits in one enclave"
+        gate.release()
+        outputs = [future.result(timeout_s=30) for future in futures]
+    assert all(np.allclose(out, reference, atol=1e-5) for out in outputs)
+    assert gw.in_flight == 0
+    gw.close()
+
+
+def test_a_timed_out_dispatch_never_reaches_the_enclave(tiny_model, tiny_input):
+    """A dispatch whose caller stopped waiting is cancelled, not left in
+    the endpoint queue to take a TCS slot for an output nobody reads."""
+    env = SeSeMIEnvironment()
+    env.deploy(tiny_model, "m", owner="owner").grant("user")
+    pool = FnPool(name="solo", models=("m",), memory_budget=0, num_endpoints=1)
+    gw = env.gateway(pool)
+    session = env.session("user", "m", gateway=gw)
+    session.infer(tiny_input)  # cold start off the gate
+    user = env.user("user")
+    host = gw.primary_host()
+    enc = user.encrypt_request("m", host.measurement, tiny_input)
+    with held_ecalls("EC_MODEL_INF") as gate:
+        held = session.submit(tiny_input)  # A: holds the only TCS
+        gate.wait_entered(1)
+        with pytest.raises(DeadlineExceeded):  # B: queued behind A
+            gw.dispatch(enc, user.principal_id, "m", timeout_s=0.05)
+        gate.release()
+        np.testing.assert_allclose(
+            held.result(timeout_s=30), tiny_model.run_reference(tiny_input).ravel(),
+            atol=1e-5,
+        )
+        # a control item queued behind B: once it ran, B was handled
+        host.invalidate_keys()
+    assert gate.entered["EC_MODEL_INF"] == 1
+    assert host.code.pending_outputs == 0
+    assert gw.in_flight == 0
+    gw.close()

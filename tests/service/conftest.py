@@ -4,7 +4,7 @@
 live SeMIRT endpoint behind a gateway, the HTTP service on an
 ephemeral port -- and a :class:`~repro.service.client.RemoteEnvironment`
 attested against the in-process trust root.  Test modules wrap it in a
-module-scoped fixture with whatever pacing/batching knobs they need.
+module-scoped fixture with whatever batching knobs they need.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class World:
 def launch_world(
     *,
     tcs_count: int = 2,
-    paced_s: Optional[float] = None,
     policy: Optional[BatchPolicy] = None,
     max_inflight: int = 8,
     queue_depth: int = 16,
@@ -98,9 +97,7 @@ def launch_world(
         name="svc-test", models=(MODEL_ID,), memory_budget=0,
         num_endpoints=1,
     )
-    scheduler = SchedulerConfig(
-        queue_depth=queue_depth, paced_service_s=paced_s, batch=policy
-    )
+    scheduler = SchedulerConfig(queue_depth=queue_depth, batch=policy)
     gateway = env.gateway(
         pool, config=config, scheduler=scheduler,
         gateway_config=(

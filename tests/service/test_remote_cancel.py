@@ -1,7 +1,7 @@
 """``InferenceFuture.cancel()`` exercised through the HTTP service tier.
 
-The satellite-3 scenarios: cancelling a request that is still queued,
-one mid-serve inside a paced ECALL, and one riding in a live batch --
+Cancelling a request that is still queued, one mid-serve held inside
+its ECALL, and one riding in a live batch --
 all over ``DELETE /v1/results/{id}`` -- plus the sticky terminal
 replies (409 after a cancel, 410 after a consume) and the TTL sweeper
 releasing abandoned results.  Every scenario ends with
@@ -19,12 +19,13 @@ import pytest
 
 from repro.core.batching import BatchPolicy
 from repro.errors import RequestCancelled, StorageError
+from tests.conftest import held_ecalls
 from tests.service.conftest import launch_world
 
 
 def assert_context_released(world, timeout_s: float = 10.0) -> None:
-    """The HTTP 409 lands before the paced worker finishes its cleanup,
-    so give the enclave a moment to clear the execution context."""
+    """The HTTP 409 lands before the worker finishes its cleanup, so
+    give the enclave a moment to clear the execution context."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         if world.host.code.pending_outputs == 0:
@@ -34,52 +35,59 @@ def assert_context_released(world, timeout_s: float = 10.0) -> None:
 
 
 @pytest.fixture(scope="module")
-def paced_world():
-    """2 TCS paced to 400 ms: submissions are reliably in flight."""
-    world = launch_world(tcs_count=2, paced_s=0.4, max_inflight=8)
+def cancel_world():
+    """2 TCS, warm: tests hold requests in their ECALL to keep them in flight."""
+    world = launch_world(tcs_count=2, max_inflight=8)
     world.session.infer(world.x)  # warm: launch, keys, first ECALL
     yield world
     world.close()
 
 
-def test_cancel_a_queued_request_before_it_reaches_the_enclave(paced_world):
-    world = paced_world
-    blockers = [world.session.submit(world.x) for _ in range(2)]
-    victim = world.session.submit(world.x)  # both TCS busy: queued
-    assert victim.cancel() is True
-    with pytest.raises(RequestCancelled):
-        victim.result(timeout_s=30)
-    for blocker in blockers:
-        blocker.result(timeout_s=30)
+def test_cancel_a_queued_request_before_it_reaches_the_enclave(cancel_world):
+    world = cancel_world
+    with held_ecalls("EC_MODEL_INF") as gate:
+        blockers = [world.session.submit(world.x) for _ in range(2)]
+        gate.wait_entered(2)
+        victim = world.session.submit(world.x)  # both TCS busy: queued
+        assert victim.cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            victim.result(timeout_s=30)
+        for blocker in blockers:
+            blocker.result(timeout_s=30)
+    assert gate.entered["EC_MODEL_INF"] == 2
     assert_context_released(world)
 
 
-def test_cancel_mid_serve_releases_the_execution_context(paced_world):
-    world = paced_world
-    future = world.session.submit(world.x)
-    time.sleep(0.15)  # inside the paced ECALL: the context exists now
-    assert future.cancel() is True
-    with pytest.raises(RequestCancelled):
-        future.result(timeout_s=30)
+def test_cancel_mid_serve_releases_the_execution_context(cancel_world):
+    world = cancel_world
+    with held_ecalls("EC_MODEL_INF") as gate:
+        future = world.session.submit(world.x)
+        gate.wait_entered(1)  # inside the ECALL: the context exists now
+        assert future.cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            future.result(timeout_s=30)
     assert_context_released(world)
 
 
-def test_cancel_is_sticky_409_on_every_later_poll(paced_world):
-    world = paced_world
-    future = world.session.submit(world.x)
-    assert future.cancel() is True
-    assert future.cancelled() is True
-    assert future.done() is True  # sealed counts as done
-    with pytest.raises(RequestCancelled):
-        future.result(timeout_s=5)
-    with pytest.raises(RequestCancelled):
-        future.result(timeout_s=5)
-    # cancelling again is idempotent, not an error
-    assert future.cancel() is True
+def test_cancel_is_sticky_409_on_every_later_poll(cancel_world):
+    world = cancel_world
+    with held_ecalls("EC_MODEL_INF"):
+        future = world.session.submit(world.x)
+        assert future.cancel() is True
+        assert future.cancelled() is True
+        assert future.done() is True  # sealed counts as done
+        with pytest.raises(RequestCancelled):
+            future.result(timeout_s=5)
+        with pytest.raises(RequestCancelled):
+            future.result(timeout_s=5)
+        # cancelling again is idempotent, not an error
+        assert future.cancel() is True
 
 
-def test_cancel_after_consume_is_refused(paced_world):
-    world = paced_world
+def test_cancel_after_consume_is_refused(cancel_world):
+    world = cancel_world
     future = world.session.submit(world.x)
     future.result(timeout_s=30)
     assert future.cancel() is False
@@ -117,25 +125,26 @@ def _assert_nothing_held(world):
     assert_context_released(world)
 
 
-def test_a_cancelled_entry_is_409_on_every_raw_poll(paced_world):
-    world = paced_world
-    path = _raw_submit(world)
-    assert _delete(world, path) == {"cancelled": True}
-    # the paced worker has not delivered the cancellation yet: the entry
-    # answers for it already, without waiting
-    started = time.monotonic()
-    status, reply = _get(world, path, timeout_s="5")
-    assert (status, reply["error"]) == (409, "RequestCancelled")
-    assert time.monotonic() - started < 0.3
-    assert _delete(world, path) == {"cancelled": True}
-    for query in ({}, {"timeout_s": "1"}, {"peek": "1"}):
-        status, reply = _get(world, path, **query)
+def test_a_cancelled_entry_is_409_on_every_raw_poll(cancel_world):
+    world = cancel_world
+    with held_ecalls("EC_MODEL_INF"):
+        path = _raw_submit(world)
+        assert _delete(world, path) == {"cancelled": True}
+        # the held worker has not delivered the cancellation yet: the
+        # entry answers for it already, without waiting
+        started = time.monotonic()
+        status, reply = _get(world, path, timeout_s="5")
         assert (status, reply["error"]) == (409, "RequestCancelled")
+        assert time.monotonic() - started < 0.3
+        assert _delete(world, path) == {"cancelled": True}
+        for query in ({}, {"timeout_s": "1"}, {"peek": "1"}):
+            status, reply = _get(world, path, **query)
+            assert (status, reply["error"]) == (409, "RequestCancelled")
     _assert_nothing_held(world)
 
 
-def test_a_failed_entry_replays_the_same_error_on_every_raw_poll(paced_world):
-    world = paced_world
+def test_a_failed_entry_replays_the_same_error_on_every_raw_poll(cancel_world):
+    world = cancel_world
     # admitted with 202 (the tier relays ciphertext it cannot judge) and
     # refused in the enclave: the request key does not open it
     path = _raw_submit(world, enc_request=b"\x00" * 64)
@@ -148,8 +157,8 @@ def test_a_failed_entry_replays_the_same_error_on_every_raw_poll(paced_world):
     _assert_nothing_held(world)
 
 
-def test_a_consumed_entry_is_410_on_every_raw_poll(paced_world):
-    world = paced_world
+def test_a_consumed_entry_is_410_on_every_raw_poll(cancel_world):
+    world = cancel_world
     path = _raw_submit(world)
     status, reply = _get(world, path, timeout_s="10")
     assert status == 200 and reply["done"] is True
@@ -162,18 +171,19 @@ def test_a_consumed_entry_is_410_on_every_raw_poll(paced_world):
     _assert_nothing_held(world)
 
 
-def test_a_delete_racing_a_long_poll_ends_the_poll_with_409(paced_world):
-    world = paced_world
-    path = _raw_submit(world)
-    polled = []
-    poller = threading.Thread(
-        target=lambda: polled.append(_get(world, path, timeout_s="5"))
-    )
-    poller.start()
-    time.sleep(0.1)  # the long-poll is parked server-side
-    assert _delete(world, path) == {"cancelled": True}
-    poller.join(timeout=10)
-    assert not poller.is_alive()
+def test_a_delete_racing_a_long_poll_ends_the_poll_with_409(cancel_world):
+    world = cancel_world
+    with held_ecalls("EC_MODEL_INF"):
+        path = _raw_submit(world)
+        polled = []
+        poller = threading.Thread(
+            target=lambda: polled.append(_get(world, path, timeout_s="5"))
+        )
+        poller.start()
+        time.sleep(0.1)  # the long-poll is parked server-side
+        assert _delete(world, path) == {"cancelled": True}
+        poller.join(timeout=10)
+        assert not poller.is_alive()
     status, reply = polled[0]
     assert (status, reply["error"]) == (409, "RequestCancelled")
     _assert_nothing_held(world)
@@ -181,10 +191,9 @@ def test_a_delete_racing_a_long_poll_ends_the_poll_with_409(paced_world):
 
 @pytest.fixture(scope="module")
 def batch_world():
-    """A live accumulator (window 200 ms, batch 2) over paced TCS."""
+    """A live accumulator (window 200 ms, batch 2) over 2 TCS."""
     world = launch_world(
         tcs_count=2,
-        paced_s=0.2,
         policy=BatchPolicy(batch_window_s=0.2, max_batch=2),
         max_inflight=8,
     )
@@ -198,10 +207,13 @@ def batch_world():
 def test_cancel_one_batch_member_leaves_the_rest_correct(batch_world):
     world = batch_world
     xs = [world.x + np.float32(i) for i in range(3)]
-    futures = [world.session.submit(x) for x in xs]
-    assert futures[1].cancel() is True
-    with pytest.raises(RequestCancelled):
-        futures[1].result(timeout_s=30)
+    with held_ecalls("EC_MODEL_INF", "EC_MODEL_INF_BATCH") as gate:
+        futures = [world.session.submit(x) for x in xs]
+        gate.wait_entered(1, "EC_MODEL_INF_BATCH")
+        assert futures[1].cancel() is True
+        gate.release()
+        with pytest.raises(RequestCancelled):
+            futures[1].result(timeout_s=30)
     from repro.mlrt.zoo import build_mobilenet
 
     model = build_mobilenet(seed=11)
@@ -216,20 +228,21 @@ def test_cancel_one_batch_member_leaves_the_rest_correct(batch_world):
 def test_ttl_sweeper_expires_abandoned_results():
     """A submitted-then-forgotten result is cancelled and its admission
     slot released once the TTL passes -- slots cannot leak."""
-    world = launch_world(tcs_count=2, paced_s=0.05, result_ttl_s=1.0)
+    world = launch_world(tcs_count=2, result_ttl_s=1.0)
     try:
         world.session.infer(world.x)  # warm
-        future = world.session.submit(world.x)
-        path = f"/v1/results/{future.req_id}"
-        deadline = time.monotonic() + 10
-        status = None
-        while time.monotonic() < deadline:
-            status, _, _ = world.remote.client.request(
-                "GET", path, query={"peek": "1"}
-            )
-            if status == 404:
-                break
-            time.sleep(0.25)
+        with held_ecalls("EC_MODEL_INF"):  # still serving when the TTL passes
+            future = world.session.submit(world.x)
+            path = f"/v1/results/{future.req_id}"
+            deadline = time.monotonic() + 10
+            status = None
+            while time.monotonic() < deadline:
+                status, _, _ = world.remote.client.request(
+                    "GET", path, query={"peek": "1"}
+                )
+                if status == 404:
+                    break
+                time.sleep(0.25)
         assert status == 404, "the sweeper never expired the entry"
         with pytest.raises(StorageError):
             world.remote.client.call("GET", f"/v1/results/{future.req_id}")
@@ -244,7 +257,7 @@ def test_ttl_sweeper_releases_a_finished_result_nobody_polled():
     """A sealed submission refuses the sweeper's cancel, which settled
     nothing: the gateway slot and router ``pending`` of a served but
     never-fetched request used to stay taken for good."""
-    world = launch_world(tcs_count=2, paced_s=0.05, result_ttl_s=1.0)
+    world = launch_world(tcs_count=2, result_ttl_s=1.0)
     try:
         world.session.infer(world.x)  # warm
         _raw_submit(world)  # ... and never polled, not even with a peek

@@ -1,10 +1,11 @@
 """End-to-end HTTP: the session API over a live service tier.
 
-One module-scoped world: a real SeMIRT endpoint (2 TCS, paced to 50 ms
-so concurrency is observable) behind the gateway and the asyncio HTTP
-front door, with ``max_inflight_total=2`` so admission sheds are
-deterministic: two outstanding submissions fill the tier and the third
-is a fast 429 -> :class:`~repro.errors.QueueFull` client-side.
+One module-scoped world: a real SeMIRT endpoint (2 TCS) behind the
+gateway and the asyncio HTTP front door, with ``max_inflight_total=2``
+so admission sheds are deterministic: two outstanding submissions fill
+the tier and the third is a fast 429 -> :class:`~repro.errors.QueueFull`
+client-side.  Where a test needs requests still in flight it holds them
+inside their ECALL (``tests/conftest.py``'s ``held_ecalls``).
 """
 
 from __future__ import annotations
@@ -18,14 +19,13 @@ import pytest
 
 from repro.errors import QueueFull, ReproError, StorageError, TransportError
 from repro.service import ServiceClient
+from tests.conftest import held_ecalls
 from tests.service.conftest import MODEL_ID, USER, launch_world
 
 
 @pytest.fixture(scope="module")
 def world():
-    world = launch_world(
-        tcs_count=2, paced_s=0.05, max_inflight=2, share_tracer=True
-    )
+    world = launch_world(tcs_count=2, max_inflight=2, share_tracer=True)
     # warm off the assertions: enclave launch, key release, first ECALL
     world.session.infer(world.x)
     yield world
@@ -74,6 +74,33 @@ def test_admission_shed_is_queue_full_client_side(world):
     first.result(timeout_s=30)
     second.result(timeout_s=30)
     world.session.submit(world.x).result(timeout_s=30)
+
+
+def test_a_full_tier_sheds_before_the_gateway_and_the_held_complete(world):
+    """While every admission slot is held, a further ``/v1/infer`` is a
+    429 decided before routing: no ``route`` span, no gateway admission,
+    no ECALL -- and the parked requests then complete."""
+    gateway = world.service.gateway
+
+    def routes():
+        return sum(1 for s in world.env.tracer.finished_spans() if s.name == "route")
+
+    with held_ecalls("EC_MODEL_INF") as gate:
+        held = [world.session.submit(world.x) for _ in range(2)]
+        gate.wait_entered(2)
+        before = routes()
+        # another tenant, so only the total bound can refuse it; a tier
+        # that wrongly admits could only wait, which ``timeout_s`` bounds
+        status, reply, _ = world.remote.client.request(
+            "POST", "/v1/infer", world.payload(uid="other-tenant", timeout_s=1)
+        )
+        assert (status, reply["error"]) == (429, "QueueFull"), reply
+        assert routes() == before
+        assert gateway.in_flight == 2
+        gate.release()
+        outputs = [future.result(timeout_s=30) for future in held]
+    assert gate.entered["EC_MODEL_INF"] == 2
+    assert all(np.allclose(y, expected(world), atol=1e-5) for y in outputs)
 
 
 def test_infer_many_pipelines_through_the_feed_window(world):
@@ -178,12 +205,13 @@ def test_wrong_typed_fields_are_400s_before_admission(
 
 def test_a_zero_timeout_means_do_not_wait(world):
     payload = world.payload(timeout_s=0)
-    started = time.monotonic()
-    status, reply, _ = world.remote.client.request("POST", "/v1/infer", payload)
-    # paced to 50 ms, so a request that may not wait cannot have finished
-    assert (status, reply["error"]) == (504, "DeadlineExceeded")
-    assert time.monotonic() - started < 5.0  # not the 30 s default
-    assert world.remote.stats()["admission"]["inflight_total"] == 0
+    # held in the enclave, a request that may not wait cannot have finished
+    with held_ecalls("EC_MODEL_INF"):
+        started = time.monotonic()
+        status, reply, _ = world.remote.client.request("POST", "/v1/infer", payload)
+        assert (status, reply["error"]) == (504, "DeadlineExceeded")
+        assert time.monotonic() - started < 5.0  # not the 30 s default
+        assert world.remote.stats()["admission"]["inflight_total"] == 0
 
 
 # -- the client's one retry ---------------------------------------------------------
@@ -192,14 +220,15 @@ def test_a_zero_timeout_means_do_not_wait(world):
 def test_a_timed_out_request_is_never_sent_twice():
     """A timeout says nothing about whether the request ran, and no
     inference route is idempotent: exactly one POST reaches the tier."""
-    slow = launch_world(tcs_count=2, paced_s=0.5)
+    slow = launch_world(tcs_count=2)
     try:
         slow.session.infer(slow.x)  # warm
         payload = slow.payload()
         before = slow.remote.stats()
         impatient = ServiceClient(slow.service.base_url, timeout_s=0.2)
-        with pytest.raises(TransportError, match="timed out"):
-            impatient.request("POST", "/v1/infer", payload)
+        with held_ecalls("EC_MODEL_INF"):  # the reply cannot beat the timeout
+            with pytest.raises(TransportError, match="timed out"):
+                impatient.request("POST", "/v1/infer", payload)
         deadline = time.monotonic() + 10
         while slow.remote.stats()["admission"]["inflight_total"]:
             assert time.monotonic() < deadline

@@ -18,6 +18,7 @@ from repro.errors import DeadlineExceeded, InvocationError
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 
+from tests.conftest import held_ecalls
 from tests.service.conftest import launch_world
 
 
@@ -25,7 +26,6 @@ from tests.service.conftest import launch_world
 def world():
     w = launch_world(
         tcs_count=4,
-        paced_s=0.01,
         policy=BatchPolicy(batch_window_s=0.02, max_batch=4),
         max_inflight=16,
         model_builder=lambda: build_tinylm(seed=7),
@@ -66,8 +66,14 @@ def test_concurrent_remote_streams_batch_server_side(world):
     world.host.enclave.code.stream_log.clear()
     prompts = [[i + 1, 2, 3] for i in range(4)]
     refs = [DecoderSession(world.model).generate(p, 10) for p in prompts]
-    streams = [world.session.stream(p, 10) for p in prompts]
-    assert [s.result(timeout_s=30) for s in streams] == refs
+    with held_ecalls("EC_MODEL_INF_STREAM") as gate:
+        # the first stream's prefill is held: the rest join its group
+        streams = [world.session.stream(prompts[0], 10)]
+        gate.wait_entered(1)
+        streams += [world.session.stream(p, 10) for p in prompts[1:]]
+        assert _wait_for(lambda: len(world.host._stream_group.joiners) == 3)
+        gate.release()
+        assert [s.result(timeout_s=30) for s in streams] == refs
     sizes = [n for _, _, n in world.host.enclave.code.stream_log]
     assert any(n > 1 for n in sizes), (
         f"four concurrent remote streams never shared a step ECALL: {sizes}"
@@ -76,22 +82,21 @@ def test_concurrent_remote_streams_batch_server_side(world):
 
 
 def test_cancel_stops_the_server_side_decode(world):
-    stream = world.session.stream([1, 2, 3], 512)
-    frames = iter(stream)
-    next(frames)  # the stream is live end to end
-    assert stream.cancel() is True
-    assert stream.cancelled() and stream.done()
-    assert stream.cancel() is False
-    # closing the socket is the signal: the server's next frame write
-    # fails, it cancels the gateway stream, and the enclave context --
-    # KV cache included -- is released without waiting for 512 tokens
-    assert _wait_for(lambda: _open_streams(world) == 0)
     log = world.host.enclave.code.stream_log
-    steps_at_cancel = len(log)
-    time.sleep(0.3)
-    assert len(log) <= steps_at_cancel + 4, (
-        "the server kept decoding long after the client hung up"
-    )
+    log.clear()
+    with held_ecalls("EC_STREAM_STEP") as gate:
+        stream = world.session.stream([1, 2, 3], 512)
+        frames = iter(stream)
+        next(frames)  # the stream is live end to end
+        assert stream.cancel() is True
+        assert stream.cancelled() and stream.done()
+        assert stream.cancel() is False
+        # closing the socket is the signal: the server's next frame write
+        # fails, it cancels the gateway stream, and the enclave context --
+        # KV cache included -- is released without waiting for 512 tokens
+        gate.release()
+        assert _wait_for(lambda: _open_streams(world) == 0)
+    assert len(log) <= 8, "the server kept decoding after the client hung up"
 
 
 def test_mid_stream_errors_arrive_as_typed_records(world):
@@ -144,9 +149,10 @@ def test_a_stream_the_relay_cuts_short_is_refused(world, monkeypatch, keep):
 
 
 def test_result_deadline_kills_the_transport(world):
-    stream = world.session.stream([1, 2, 3], 512)
-    with pytest.raises(DeadlineExceeded):
-        stream.result(timeout_s=0.05)
+    with held_ecalls("EC_STREAM_STEP"):  # 512 tokens cannot beat the deadline
+        stream = world.session.stream([1, 2, 3], 512)
+        with pytest.raises(DeadlineExceeded):
+            stream.result(timeout_s=0.05)
     # the documented transport caveat: an expired remote stream is dead
     assert stream.done()
     with pytest.raises(DeadlineExceeded):

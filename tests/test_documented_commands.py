@@ -86,10 +86,3 @@ def test_documented_command_lines_parse(monkeypatch):
             problems.append(f"{where}: {name!r} is not registered")
     assert not problems, "\n".join(problems)
 
-
-def test_ci_bench_matrix_names_are_experiments():
-    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    matrix = re.search(r"^\s+name: \[([^\]]+)\]$", workflow, re.MULTILINE)
-    assert matrix, "the bench job's matrix.name list moved"
-    names = [name.strip() for name in matrix.group(1).split(",")]
-    assert names and set(names) <= set(EXPERIMENTS)
