@@ -32,11 +32,6 @@ which loads the server.
   never ``repro.core``, ``repro.serverless`` or ``repro.faults``; no numpy.
 - ``repro.mlrt``: enclave TCB (``core.semirt_enclave`` imports it) --
   stdlib + numpy + ``repro.errors``.
-- ``repro.scenarios``: the package ceiling admits both twins (the runner
-  executes specs against them, lazily) but never the CLI or the service
-  tier; the read side (``spec`` / ``table`` / ``store`` / ``compare`` /
-  ``registry``) is pinned per module to stdlib + ``repro.errors`` + each
-  other, so stored manifests list and diff without numpy.
 - ``repro.core.wire`` / ``repro.core.futures``: the codecs and the outcome
   cell under every tier -- stdlib + ``repro.errors``, no numpy.
 - ``repro.core.semirt_enclave``: the trust boundary -- **the trusted
@@ -99,24 +94,12 @@ KEPT = {
 DOORS = ("__main__", "cli", "service")
 
 #: package name -> the only first-party prefixes it may import
-#: (the AST walk sees *lazy* function-level imports too, so the
-#: scenarios ceiling covers everything its runner defers)
+#: (the AST walk sees *lazy* function-level imports too)
 PACKAGES = {
     "routing": ("repro.errors",),
     "warmpool": ("repro.errors", "repro.routing"),
     # enclave TCB (imported by core.semirt_enclave): numpy and errors only
     "mlrt": ("repro.errors",),
-    "scenarios": (
-        "repro.errors",
-        "repro.core",
-        "repro.experiments",
-        "repro.faults",
-        "repro.mlrt",
-        "repro.routing",
-        "repro.serverless",
-        "repro.sgx",
-        "repro.workloads",
-    ),
 }
 
 #: single-file module (dotted, relative to repro) -> allowed prefixes
@@ -150,25 +133,12 @@ MODULES = {
     "crypto.group": (),
     "crypto.dh": ("repro.crypto", "repro.errors"),
     "crypto.signature": ("repro.crypto", "repro.errors"),
-    # the scenario read side: loadable without numpy or either twin
-    "scenarios.spec": ("repro.errors",),
-    "scenarios.table": (),
-    "scenarios.store": ("repro.errors", "repro.scenarios.spec"),
-    "scenarios.compare": (
-        "repro.errors",
-        "repro.scenarios.spec",
-        "repro.scenarios.store",
-        "repro.scenarios.table",
-    ),
-    "scenarios.registry": ("repro.errors", "repro.scenarios.spec"),
 }
 
 #: pins that may not load the tree's one third-party dependency, numpy, either
 STDLIB_ONLY = {
     "routing", "warmpool", "core.wire", "core.futures",
     "crypto.group", "crypto.dh", "crypto.signature",
-    "scenarios.spec", "scenarios.table", "scenarios.store",
-    "scenarios.compare", "scenarios.registry",
 }
 
 

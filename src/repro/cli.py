@@ -11,20 +11,14 @@ Usage::
     python -m repro report [PATH]        # regenerate EXPERIMENTS.md
     python -m repro serve --port 8080    # boot the live HTTP service tier
 
-    python -m repro scenario list        # registered specs + stored runs
-    python -m repro scenario run NAME    # execute + persist one scenario
-    python -m repro scenario compare A B # diff two stored runs
-    python -m repro scenario report      # markdown summary of the store
-
 ``repro run NAME`` is the one way this CLI executes a measurement.
 :data:`EXPERIMENTS` is a literal table: a name maps to a description,
 the harness module (its ``run()`` / ``format_report()``) and the fixed
 keyword arguments the CLI runs it with -- every other knob is a keyword
 of that module's ``run()``.  A gated harness returns ``pass`` and ``run``
 exits 1 when it is false: the exit code is the gate, CI adds no check
-of its own.  Seeded, parameterised *deterministic* runs are ``repro
-scenario run NAME --seed N --set PATH=VALUE``.  :data:`TRACES` is the
-same kind of table for ``repro trace``.
+of its own.  :data:`TRACES` is the same kind of table for ``repro
+trace``.
 """
 
 from __future__ import annotations
@@ -337,233 +331,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-# -- scenario commands -------------------------------------------------------------
-
-
-def _load_spec(name: str):
-    """A spec by registry name, or from a JSON file path."""
-    from pathlib import Path
-
-    from repro.scenarios.registry import get_scenario
-    from repro.scenarios.spec import ScenarioSpec
-
-    if name.endswith(".json") or "/" in name:
-        return ScenarioSpec.from_json(Path(name).read_text())
-    return get_scenario(name)
-
-
-def _scenario_summary(metrics: dict) -> str:
-    """The executor's headline ``summary`` block as a small table."""
-    from repro.scenarios.table import format_table
-
-    summary = metrics.get("summary")
-    if not isinstance(summary, dict) or not summary:
-        return "(no summary metrics)"
-    rows = [(key, summary[key]) for key in sorted(summary)]
-    return format_table(["metric", "value"], rows)
-
-
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    """Execute one scenario; persist manifest (+ trace) under its run ID."""
-    from repro.errors import ConfigError
-    from repro.scenarios.runner import run_scenario
-    from repro.scenarios.store import RunStore, current_git_sha
-
-    try:
-        spec = _load_spec(args.name)
-        updates: Dict[str, str] = {}
-        for item in args.set:
-            path, sep, value = item.partition("=")
-            if not sep:
-                print(f"--set expects PATH=VALUE, got {item!r}", file=sys.stderr)
-                return 2
-            updates[path] = value
-        if args.seed is not None:
-            updates["seed"] = str(args.seed)
-        if updates:
-            spec = spec.with_updates(updates)
-    except (ConfigError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    started = time.time()
-    result = run_scenario(spec, traced=args.trace)
-    trace_json = None
-    if args.trace and result.spans:
-        from repro.obs.export import to_chrome_trace
-
-        trace_json = to_chrome_trace(
-            result.spans, service=f"sesemi:{spec.name}"
-        )
-    if args.no_save:
-        if args.json:
-            print(json.dumps(
-                result.metrics, indent=2, sort_keys=True,
-                default=_json_default,
-            ))
-        else:
-            print(f"run {spec.run_id} ({spec.executor}) "
-                  f"in {time.time() - started:.1f}s (not saved)")
-            print(_scenario_summary(result.metrics))
-        return 0
-    store = RunStore(args.store)
-    record = store.save(
-        spec, result.metrics, git_sha=current_git_sha(),
-        trace_json=trace_json,
-    )
-    if args.json:
-        print(store.manifest_path(record.run_id).read_text(), end="")
-        return 0
-    print(f"run {record.run_id} ({spec.executor}) "
-          f"in {time.time() - started:.1f}s")
-    print(f"manifest: {store.manifest_path(record.run_id)}")
-    if trace_json is not None:
-        print(f"trace:    {store.trace_path(record.run_id)}")
-    print(_scenario_summary(result.metrics))
-    return 0
-
-
-def _cmd_scenario_list(args: argparse.Namespace) -> int:
-    """Registered scenario specs, then the stored runs (if any)."""
-    from repro.scenarios.registry import named_scenarios
-    from repro.scenarios.store import RunStore
-
-    specs = named_scenarios()
-    width = max(len(name) for name in specs)
-    print("registered scenarios:")
-    for name, spec in specs.items():
-        print(f"  {name:<{width}}  [{spec.executor}] {spec.notes}")
-    store = RunStore(args.store)
-    runs = store.list_runs()
-    print()
-    if runs:
-        print(f"stored runs under {store.root}:")
-        for run_id in runs:
-            print(f"  {run_id}")
-    else:
-        print(f"no stored runs under {store.root}")
-    return 0
-
-
-def _cmd_scenario_compare(args: argparse.Namespace) -> int:
-    """Diff two stored runs: spec deltas, then metric deltas."""
-    from repro.errors import ConfigError
-    from repro.scenarios.compare import format_compare, metric_diff, spec_diff
-    from repro.scenarios.store import RunStore
-
-    store = RunStore(args.store)
-    try:
-        a, b = store.load(args.run_a), store.load(args.run_b)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.json:
-        diff = metric_diff(a, b)
-        payload = {
-            "run_a": a.run_id,
-            "run_b": b.run_id,
-            "spec": [list(row) for row in spec_diff(a, b)],
-            "metrics": {
-                "common": [list(row) for row in diff["common"]],
-                "only_a": diff["only_a"],
-                "only_b": diff["only_b"],
-            },
-        }
-        print(json.dumps(payload, indent=2, default=_json_default))
-    else:
-        print(format_compare(a, b, changed_only=args.changed_only))
-    return 0
-
-
-def _cmd_scenario_report(args: argparse.Namespace) -> int:
-    """A markdown summary of every run in the store."""
-    from repro.scenarios.compare import format_store_report
-    from repro.scenarios.store import RunStore
-
-    store = RunStore(args.store)
-    records = [store.load(run_id) for run_id in store.list_runs()]
-    text = format_store_report(records)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out} ({len(records)} runs)")
-    else:
-        print(text, end="")
-    return 0
-
-
 # -- parser assembly ---------------------------------------------------------------
-
-
-def _add_scenario_parsers(sub) -> None:
-    """The ``repro scenario`` command group (run/list/compare/report)."""
-    scenario_parser = sub.add_parser(
-        "scenario",
-        help="declarative scenario registry: run, list, compare, report",
-    )
-    scen_sub = scenario_parser.add_subparsers(
-        dest="scenario_command", required=True
-    )
-    store_parent = argparse.ArgumentParser(add_help=False)
-    store_parent.add_argument(
-        "--store", default="runs",
-        help="run-store directory (default: runs/)",
-    )
-    run_parser = scen_sub.add_parser(
-        "run", parents=[store_parent],
-        help="execute one scenario and persist its manifest",
-    )
-    run_parser.add_argument(
-        "name", help="registered scenario name, or a path to a spec JSON file"
-    )
-    run_parser.add_argument(
-        "--json", action="store_true",
-        help="print the persisted manifest as JSON",
-    )
-    run_parser.add_argument(
-        "--seed", type=int, default=None,
-        help="override the spec's seed (changes the run ID)",
-    )
-    run_parser.add_argument(
-        "--set", action="append", default=[], metavar="PATH=VALUE",
-        help="dotted spec override, e.g. --set workload.duration_s=60",
-    )
-    run_parser.add_argument(
-        "--trace", action="store_true",
-        help="capture spans and write trace.json next to the manifest",
-    )
-    run_parser.add_argument(
-        "--no-save", action="store_true",
-        help="run without writing to the store",
-    )
-    run_parser.set_defaults(handler=_cmd_scenario_run)
-    list_parser = scen_sub.add_parser(
-        "list", parents=[store_parent],
-        help="registered scenarios and stored runs",
-    )
-    list_parser.set_defaults(handler=_cmd_scenario_list)
-    compare_parser = scen_sub.add_parser(
-        "compare", parents=[store_parent],
-        help="diff two stored runs (spec fields, then metrics)",
-    )
-    compare_parser.add_argument("run_a", help="first stored run ID")
-    compare_parser.add_argument("run_b", help="second stored run ID")
-    compare_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the structured diff as JSON",
-    )
-    compare_parser.add_argument(
-        "--changed-only", action="store_true",
-        help="hide metrics with zero delta",
-    )
-    compare_parser.set_defaults(handler=_cmd_scenario_compare)
-    report_parser = scen_sub.add_parser(
-        "report", parents=[store_parent],
-        help="markdown summary of every stored run",
-    )
-    report_parser.add_argument(
-        "--out", default=None, help="write to a file instead of stdout"
-    )
-    report_parser.set_defaults(handler=_cmd_scenario_report)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -596,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     report_parser.add_argument("path", nargs="?", default="EXPERIMENTS.md")
     report_parser.set_defaults(handler=_cmd_report)
-    _add_scenario_parsers(sub)
     serve_parser = sub.add_parser(
         "serve", help="boot the HTTP service tier over a live gateway"
     )

@@ -49,6 +49,12 @@ from repro.sgx.attestation import AttestationService
 #: the two models the workload alternates between (same input shape)
 MODEL_IDS = ("chaos-m1", "chaos-m2")
 
+#: the fault grid, ``(wire_rate, crash_rate)``: one plan per point,
+#: each with one outage of the user's primary shard
+CHAOS_SWEEP = ((0.0, 0.0), (0.06, 0.02), (0.15, 0.04))
+#: the request cap of a quick sweep
+QUICK_REQUESTS = 24
+
 
 def _fixed_key(label: str) -> SymmetricKey:
     """A deterministic identity key (stable id => stable shard homes)."""
@@ -196,22 +202,33 @@ def run(
 ) -> dict:
     """Sweep fault rate against availability/latency, both modes.
 
+    Every point of :data:`CHAOS_SWEEP` (quick: its first and last, at
+    most :data:`QUICK_REQUESTS` requests) derives one fault plan with
+    one outage of the user's primary shard, and both modes serve it.
     Every number in the result is a pure function of ``seed`` and the
-    arguments -- run it twice and the JSON matches byte for byte.  The
-    sweep is declared as a :class:`~repro.scenarios.spec.ScenarioSpec`
-    (``chaos_spec``) whose fault grid is data; the scenario runner
-    executes it through :func:`_run_mode` above.
+    arguments -- run it twice and the JSON matches byte for byte.
     """
-    from repro.scenarios.registry import chaos_spec
-    from repro.scenarios.runner import run_scenario
-
-    spec = chaos_spec(seed=seed, requests=requests, quick=quick)
-    result = run_scenario(spec)
-    return {
-        "seed": seed,
-        "requests": spec.workload.requests,
-        "points": result.metrics["points"],
-    }
+    sweep = CHAOS_SWEEP
+    if quick:
+        requests = min(requests, QUICK_REQUESTS)
+        sweep = (CHAOS_SWEEP[0], CHAOS_SWEEP[-1])
+    points = []
+    for wire_rate, crash_rate in sweep:
+        plan = FaultPlan.from_seed(
+            seed, requests, wire_rate=wire_rate, crash_rate=crash_rate,
+            shard_outages=1, num_shards=2, target_shard=_user_primary_shard(),
+        )
+        modes = {
+            mode: _run_mode(seed, requests, plan, resilient=mode == "resilient")[0]
+            for mode in ("resilient", "baseline")
+        }
+        points.append({
+            "wire_rate": wire_rate,
+            "crash_rate": crash_rate,
+            "plan": plan.to_mapping(),
+            "modes": modes,
+        })
+    return {"seed": seed, "requests": requests, "points": points}
 
 
 def collect_trace(seed: int = 2025, requests: int = 24) -> list:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costs import CostModel
 from repro.errors import RoutingError
 from repro.routing import Router
-from repro.scenarios.table import _fmt, format_table  # noqa: F401 (re-export)
 from repro.core.simbridge import (
     ServableModel,
     iso_reuse_factory,
@@ -28,6 +27,7 @@ from repro.sgx.epc import GB, MB
 from repro.sgx.platform import SGX1, SGX2, HardwareProfile
 from repro.sim.core import Simulation
 from repro.workloads.driver import WorkloadDriver
+from repro.workloads.metrics import LatencyStats
 
 SYSTEMS = ("Native", "Iso-reuse", "SeSeMI")
 
@@ -170,8 +170,34 @@ def make_driver(bed: Testbed, router: Optional[Router] = None,
     return WorkloadDriver(bed.sim, bed.controller, router or DirectRouter(endpoint))
 
 
-# format_table/_fmt live in repro.scenarios.table (stdlib-only, shared with
-# the scenario compare/report CLI); re-exported above for the experiments.
+def latency_metrics(stats: LatencyStats) -> dict:
+    """A :class:`LatencyStats` as plain numbers: ``count``, ``mean_s`` ... ``max_s``."""
+    return {
+        "count": stats.count,
+        "mean_s": stats.mean,
+        "p50_s": stats.p50,
+        "p95_s": stats.p95,
+        "p99_s": stats.p99,
+        "max_s": stats.max,
+    }
+
+
+def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """Render rows as a fixed-width text table for bench output."""
+    cells = [[str(h) for h in headers]] + [[_fmt(c) for c in row] for row in rows]
+    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
+    lines = []
+    for index, row in enumerate(cells):
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
+        if index == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines)
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.2f}" if abs(value) >= 100 else f"{value:.3f}"
+    return str(value)
 
 
 def format_gates(result: dict) -> str:

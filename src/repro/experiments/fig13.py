@@ -18,18 +18,36 @@ and integrates reserved container memory over time into GB-seconds
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
+
+import numpy as np
 
 from repro.core.simbridge import servable_map, semirt_factory
-from repro.experiments.common import format_table, make_driver, make_testbed
+from repro.experiments.common import (
+    action_budget,
+    deploy_single_model,
+    format_table,
+    latency_metrics,
+    make_driver,
+    make_testbed,
+)
 from repro.mlrt.zoo import profile
-from repro.scenarios.registry import fig13_latency_spec
-from repro.scenarios.runner import build_arrivals, run_scenario
 from repro.serverless.action import ActionSpec
 from repro.sgx.epc import MB
-from repro.workloads.metrics import LatencyStats, gb_seconds
+from repro.workloads.arrival import Arrival, merge_arrivals, mmpp, poisson
+from repro.workloads.metrics import (
+    LatencyStats,
+    gb_seconds,
+    latency_timeline,
+    throughput_rps,
+)
 
 NUM_NODES = 8
+
+#: the trace's one RNG seed: every run serves the same arrivals
+TRACE_SEED = 11
+#: the 20 rps warm-up before measurement starts
+WARMUP_S = 60.0
 
 #: Figure 14's per-container memory budgets (Section VI-C)
 FIG14_BUDGETS_MB = {
@@ -40,6 +58,27 @@ FIG14_BUDGETS_MB = {
 }
 
 
+def mmpp_trace(
+    duration_s: float,
+    *,
+    warmup_s: float = WARMUP_S,
+    seed: int = TRACE_SEED,
+    model_id: str = "m",
+) -> List[Arrival]:
+    """The Figure 13 arrival trace: a 20 rps Poisson warm-up, then the
+    20<->40 rps MMPP (60 s phases) shifted past it.
+
+    One RNG draws both, warm-up first, so the trace is a pure function
+    of ``seed``.  Figure 14 and the warm-pool sweep's MMPP workload
+    serve it too.
+    """
+    rng = np.random.default_rng(seed)
+    warm = poisson(20.0, warmup_s, model_id, user_id="u", rng=rng)
+    main = mmpp((20.0, 40.0), 60.0, duration_s, model_id, user_id="u", rng=rng)
+    shifted = [Arrival(a.time + warmup_s, a.model_id, a.user_id) for a in main]
+    return merge_arrivals(warm, shifted)
+
+
 def run_latency(
     model_name: str,
     systems=("Native", "Iso-reuse", "SeSeMI"),
@@ -47,15 +86,29 @@ def run_latency(
 ) -> Dict[str, dict]:
     """Figure 13: per-system latency stats + timeline under MMPP.
 
-    The experiment is declared as a :class:`~repro.scenarios.spec.ScenarioSpec`
-    (``fig13_latency_spec``) and executed by the scenario runner, whose
-    per-system metrics (``mean_s``, ``p95_s`` ..., ``completed``,
-    ``timeline``) are the result.
+    Each system serves :func:`mmpp_trace` from one TVM endpoint on
+    :data:`NUM_NODES` nodes of twelve action budgets each; requests
+    submitted during the warm-up are not measured.
     """
-    spec = fig13_latency_spec(
-        model_name, systems=systems, duration_s=duration_s
-    )
-    return run_scenario(spec).metrics["systems"]
+    arrivals = mmpp_trace(duration_s)
+    servable = servable_map([("m", profile(model_name), "tvm")])["m"]
+    out: Dict[str, dict] = {}
+    for system in systems:
+        bed = make_testbed(
+            num_nodes=NUM_NODES, node_memory=12 * action_budget(servable)
+        )
+        deploy_single_model(bed, system, model_name, "tvm")
+        driver = make_driver(bed)
+        driver.submit_arrivals(arrivals)
+        report = driver.run(until=WARMUP_S + duration_s + 3000.0)
+        measured = [r for r in report.results if r.submitted_at >= WARMUP_S]
+        out[system] = {
+            **latency_metrics(LatencyStats.of(measured)),
+            "completed": len(measured),
+            "throughput_rps": throughput_rps(measured),
+            "timeline": latency_timeline(measured, bucket_s=20.0),
+        }
+    return out
 
 
 def run_memory_cost(
@@ -64,13 +117,10 @@ def run_memory_cost(
 ) -> Dict[int, dict]:
     """Figure 14: GB-seconds with 1- vs 4-thread SeSeMI enclaves.
 
-    Serves the Figure 13 trace (``fig13_latency_spec``'s workload: the
-    20 rps warm-up, then the shifted MMPP) so both figures measure the
-    same arrivals.
+    Serves the Figure 13 trace (:func:`mmpp_trace`) so both figures
+    measure the same arrivals.
     """
-    spec = fig13_latency_spec(model_name, duration_s=duration_s)
-    arrivals, _sessions = build_arrivals(spec.workload, spec.seed)
-    warmup_s = spec.workload.warmup_s
+    arrivals = mmpp_trace(duration_s)
     out: Dict[int, dict] = {}
     for threads in (1, 4):
         models = servable_map([("m", profile(model_name), "tvm")])
@@ -84,12 +134,12 @@ def run_memory_cost(
         bed.platform.deploy(spec, semirt_factory(models, bed.cost, tcs_count=threads))
         driver = make_driver(bed)
         driver.submit_arrivals(arrivals)
-        report = driver.run(until=warmup_s + duration_s + 3000.0)
-        horizon = warmup_s + duration_s
+        report = driver.run(until=WARMUP_S + duration_s + 3000.0)
+        horizon = WARMUP_S + duration_s
         out[threads] = {
             "gb_seconds": gb_seconds(bed.controller.memory_timeline, horizon),
             "mean_s": LatencyStats.of(
-                [r for r in report.results if r.submitted_at >= warmup_s]
+                [r for r in report.results if r.submitted_at >= WARMUP_S]
             ).mean,
         }
     return out

@@ -148,18 +148,6 @@ def build_report(mmpp_duration_s: float = 240.0) -> str:
     )
 
     parts.append(
-        "\n## Scenario registry\n\n"
-        "The sweeps above that take a workload — Figure 13's MMPP trace, "
-        "Tables III/IV's FnPacker mixes, the chaos and warm-pool "
-        "extensions — are also declared as `ScenarioSpec`s in the "
-        "scenario registry (`python -m repro scenario list`), built from "
-        "the same spec builders these harnesses use, so "
-        "`repro scenario run fig13-dsnet-mmpp` reproduces the same "
-        "numbers and persists them as a comparable, timestamp-free "
-        "manifest. See docs/scenarios.md.\n"
-    )
-
-    parts.append(
         "\n## Reproduction summary\n\n"
         "| artifact | agreement |\n|---|---|\n"
         "| Table I | exact (inputs) + structural (measured) |\n"

@@ -20,35 +20,77 @@ the per-model latency inside each session.
 
 from __future__ import annotations
 
-from repro.experiments.common import format_table
-from repro.scenarios.registry import table34_spec
-from repro.scenarios.runner import run_scenario
+from repro.core.simbridge import semirt_factory, servable_map
+from repro.errors import ConfigError
+from repro.experiments.common import (
+    action_budget,
+    format_table,
+    latency_metrics,
+    make_driver,
+    make_testbed,
+)
+from repro.mlrt.zoo import profile
+from repro.routing import AllInOneRouter, FnPackerRouter, FnPool, OneToOneRouter
+from repro.serverless.action import ActionSpec
+from repro.workloads.metrics import LatencyStats
+from repro.workloads.mlperf import build_fnpacker_workload
 
 MODEL_IDS = ("m0", "m1", "m2", "m3", "m4")
 STRATEGIES = ("All-in-one", "One-to-one", "FnPacker")
+#: the users of the mix's two Poisson streams (the session user is "analyst")
+POISSON_USERS = ("alice", "bob")
 
 
 def run_strategy(strategy: str, duration_s: float = 480.0, seed: int = 2025,
                  idle_interval_s: float = 10.0) -> dict:
     """Run the mixed workload under one deployment strategy.
 
-    Declared as a single-router :class:`~repro.scenarios.spec.ScenarioSpec`
-    (``table34_spec``) and executed by the scenario runner, whose metrics
-    for that strategy are the result: ``poisson`` (``count``, ``mean_s``,
-    ``p50_s`` ...), ``sessions`` (``"<session>:<model>"`` -> seconds) and
-    ``cold_starts``.
+    The result: ``poisson`` (``count``, ``mean_s``, ``p50_s`` ...),
+    ``sessions`` (``"<session>:<model>"`` -> seconds) and ``cold_starts``.
     """
-    spec = table34_spec(
-        duration_s=duration_s, seed=seed, strategies=(strategy,),
-        idle_interval_s=idle_interval_s,
-    )
-    return run_scenario(spec).metrics["strategies"][strategy]
+    bed = make_testbed(num_nodes=8)
+    pool = FnPool(name="pool", models=MODEL_IDS, memory_budget=0)
+    if strategy == "FnPacker":
+        router = FnPackerRouter(pool, idle_interval_s=idle_interval_s)
+    elif strategy == "One-to-one":
+        router = OneToOneRouter(pool)
+    elif strategy == "All-in-one":
+        router = AllInOneRouter(pool)
+    else:
+        raise ConfigError(f"unknown deployment strategy {strategy!r}")
+    models = servable_map([(m, profile("RSNET"), "tvm") for m in MODEL_IDS])
+    for endpoint, servable_ids in router.endpoints():
+        subset = {m: models[m] for m in servable_ids} if servable_ids else models
+        action = ActionSpec(
+            name=endpoint,
+            image="semirt",
+            memory_budget=action_budget(next(iter(subset.values()))),
+            concurrency=1,
+        )
+        bed.platform.deploy(action, semirt_factory(subset, bed.cost))
+    mix = build_fnpacker_workload(duration_s=duration_s, seed=seed)
+    driver = make_driver(bed, router)
+    driver.submit_arrivals(mix.arrivals)
+    for index, session in enumerate(mix.sessions, start=1):
+        driver.submit_session(session, index=index)
+    report = driver.run(until=duration_s + 3000.0)
+    poisson = [r for r in report.results if r.request.user_id in POISSON_USERS]
+    return {
+        "poisson": latency_metrics(LatencyStats.of(poisson)),
+        "sessions": {
+            f"{index}:{model_id}": result.latency
+            for (index, model_id), result in report.session_results.items()
+        },
+        "cold_starts": bed.controller.cold_starts,
+    }
 
 
 def run(duration_s: float = 480.0) -> dict:
-    """Run the workload under all three strategies (one spec, one sweep)."""
-    spec = table34_spec(duration_s=duration_s, strategies=STRATEGIES)
-    return run_scenario(spec).metrics["strategies"]
+    """Run the workload under all three strategies."""
+    return {
+        strategy: run_strategy(strategy, duration_s=duration_s)
+        for strategy in STRATEGIES
+    }
 
 
 def format_report(result: dict) -> str:

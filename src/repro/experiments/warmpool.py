@@ -45,12 +45,14 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.core.costs import CostModel
+from repro.experiments.fig13 import mmpp_trace
 from repro.mlrt.zoo import profile
 from repro.serverless.storage import NFS
 from repro.sgx.platform import SGX2
 from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 from repro.warmpool.predictor import PredictorPolicy
 from repro.workloads.arrival import Arrival, poisson
+from repro.workloads.mlperf import build_fnpacker_workload
 
 POLICIES = ("none", "lcs", "mru", "lcs+predictive")
 WORKLOADS = ("poisson", "mmpp")
@@ -298,6 +300,11 @@ def run_policy(
     }
 
 
+def _mmpp_trace(duration_s: float, seed: int) -> List[Arrival]:
+    """The Figure 13 trace with a 30 s warm-up, drawn from ``seed``."""
+    return mmpp_trace(duration_s, warmup_s=30.0, seed=seed, model_id="m0")
+
+
 def run_scale_to_zero(
     *,
     burst_rps: float = 8.0,
@@ -348,29 +355,21 @@ def run(
     ``reduction`` (no-keep-alive cold ratio over predictive-LCS cold
     ratio on the Poisson workload) >= ``REDUCTION_GATE``, and
     ``scale_to_zero.scaled_to_floor``.
-
-    Each workload's policy sweep is declared as a
-    :class:`~repro.scenarios.spec.ScenarioSpec` (``warmpool_poisson_spec`` /
-    ``warmpool_mmpp_spec``) and executed by the scenario runner, which
-    drives :func:`run_policy` above.
     """
-    from repro.scenarios.registry import warmpool_mmpp_spec, warmpool_poisson_spec
-    from repro.scenarios.runner import run_scenario
-
     until = duration_s + 3600.0
-    specs = {
-        "poisson": warmpool_poisson_spec(
-            duration_s=duration_s, seed=seed, keep_alive_s=keep_alive_s,
-            horizon_s=until,
-        ),
-        "mmpp": warmpool_mmpp_spec(
-            duration_s=min(duration_s, 120.0), seed=seed,
-            keep_alive_s=keep_alive_s, horizon_s=until,
-        ),
+    traces = {
+        # the Table III/IV mix's two Poisson streams, not its sessions
+        "poisson": build_fnpacker_workload(duration_s=duration_s, seed=seed).arrivals,
+        "mmpp": _mmpp_trace(min(duration_s, 120.0), seed),
     }
     sweep: Dict[str, Dict[str, dict]] = {
-        workload_name: run_scenario(spec).metrics["policies"]
-        for workload_name, spec in specs.items()
+        workload_name: {
+            policy: run_policy(
+                policy, arrivals, keep_alive_s=keep_alive_s, until=until
+            )
+            for policy in POLICIES
+        }
+        for workload_name, arrivals in traces.items()
     }
     baseline = sweep["poisson"]["none"]["cold_ratio"]
     predictive = sweep["poisson"]["lcs+predictive"]["cold_ratio"]
@@ -405,11 +404,7 @@ def decision_log_for(
     Two calls with the same arguments must return byte-identical text
     (``test_seeded_simulation_log_is_byte_identical``).
     """
-    from repro.scenarios.registry import warmpool_mmpp_spec
-    from repro.scenarios.runner import build_arrivals
-
-    spec = warmpool_mmpp_spec(duration_s=duration_s, seed=seed)
-    arrivals, _sessions = build_arrivals(spec.workload, spec.seed)
+    arrivals = _mmpp_trace(duration_s, seed)
     cost = LatencyTable()
     manager = _manager_for(
         policy, keep_alive_s=30.0, min_warm=0, max_endpoints=64,

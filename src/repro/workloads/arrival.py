@@ -4,16 +4,13 @@
 - Poisson arrivals (popular-model traffic in the FnPacker experiments);
 - Markov-modulated Poisson process alternating between two mean rates
   (the multi-node workload of Figures 13/14, following MArk/BATCH);
-- diurnal traffic: a sinusoidal rate swing between a base and a peak,
-  sampled by thinning a peak-rate Poisson stream;
-- burst traffic: a Poisson base stream plus a flash-crowd window at a
-  higher rate;
 - interactive sessions in which one user queries a set of models
   sequentially (the MLPerf-style scenario of Table IV).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -53,8 +50,8 @@ def poisson(
     rng: np.random.Generator | None = None,
 ) -> List[Arrival]:
     """Poisson arrivals at mean ``rate_rps`` for ``duration_s``."""
-    if rate_rps <= 0:
-        raise ConfigError("rate must be positive")
+    if not 0 < rate_rps < math.inf:
+        raise ConfigError(f"rate must be positive and finite, got {rate_rps!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     arrivals: List[Arrival] = []
     t = float(rng.exponential(1.0 / rate_rps))
@@ -77,8 +74,12 @@ def mmpp(
     The paper's workload alternates the mean rate between 20 and 40 rps
     (Section VI-C); each phase lasts ``phase_s`` seconds.
     """
-    if not rates_rps:
-        raise ConfigError("mmpp needs at least one phase rate")
+    if not rates_rps or not all(0 < rate < math.inf for rate in rates_rps):
+        raise ConfigError(
+            f"mmpp needs phase rates, each positive and finite, got {tuple(rates_rps)}"
+        )
+    if not phase_s > 0:
+        raise ConfigError(f"mmpp needs phase_s > 0, got {phase_s!r}")
     rng = rng if rng is not None else np.random.default_rng(0)
     arrivals: List[Arrival] = []
     phase_start = 0.0
@@ -93,79 +94,6 @@ def mmpp(
         phase_start = phase_end
         phase_index += 1
     return arrivals
-
-
-def diurnal(
-    peak_rps: float,
-    base_rps: float,
-    period_s: float,
-    duration_s: float,
-    model_id: str,
-    user_id: str = "user",
-    rng: np.random.Generator | None = None,
-) -> List[Arrival]:
-    """A sinusoidal day/night rate swing between ``base_rps`` and ``peak_rps``.
-
-    The instantaneous rate is ``base + (peak - base) * (1 - cos(2*pi*t /
-    period)) / 2`` -- the trough sits at ``t = 0``, the peak half a
-    period later.  Sampled by thinning a homogeneous ``peak_rps``
-    Poisson stream, so the output is an exact inhomogeneous Poisson
-    process and fully determined by ``rng``.
-    """
-    if peak_rps <= 0:
-        raise ConfigError("peak rate must be positive")
-    if not 0 <= base_rps <= peak_rps:
-        raise ConfigError("base rate must be within [0, peak rate]")
-    if period_s <= 0:
-        raise ConfigError("period must be positive")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    arrivals: List[Arrival] = []
-    t = float(rng.exponential(1.0 / peak_rps))
-    while t < duration_s:
-        rate = base_rps + (peak_rps - base_rps) * 0.5 * (
-            1.0 - np.cos(2.0 * np.pi * t / period_s)
-        )
-        if float(rng.random()) < rate / peak_rps:
-            arrivals.append(Arrival(time=t, model_id=model_id, user_id=user_id))
-        t += float(rng.exponential(1.0 / peak_rps))
-    return arrivals
-
-
-def burst(
-    base_rps: float,
-    burst_rps: float,
-    burst_start_s: float,
-    burst_duration_s: float,
-    duration_s: float,
-    model_id: str,
-    user_id: str = "user",
-    rng: np.random.Generator | None = None,
-) -> List[Arrival]:
-    """A Poisson base stream plus a flash-crowd window.
-
-    Extra arrivals at ``burst_rps`` land inside ``[burst_start_s,
-    burst_start_s + burst_duration_s)`` on top of the ``base_rps``
-    stream (rates add, matching the superposition property).  The base
-    stream is drawn first, then the burst, so one seeded ``rng``
-    reproduces the trace exactly.
-    """
-    if base_rps <= 0:
-        raise ConfigError("base rate must be positive")
-    if burst_rps < 0 or burst_duration_s < 0 or burst_start_s < 0:
-        raise ConfigError("burst window must be non-negative")
-    rng = rng if rng is not None else np.random.default_rng(0)
-    base = poisson(base_rps, duration_s, model_id, user_id=user_id, rng=rng)
-    if burst_rps == 0 or burst_duration_s == 0:
-        return base
-    window_end = min(burst_start_s + burst_duration_s, duration_s)
-    window = max(0.0, window_end - burst_start_s)
-    extra = poisson(burst_rps, window, model_id, user_id=user_id, rng=rng)
-    shifted = [
-        Arrival(time=a.time + burst_start_s, model_id=a.model_id,
-                user_id=a.user_id)
-        for a in extra
-    ]
-    return merge_arrivals(base, shifted)
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,18 @@ def test_run_json_takes_one_name(capsys):
         "chaos", "concurrency", "batching", "gateway", "service",
         "warmpool", "hotpath", "streaming",
     )
-] + [["run", "table1", "--seed", "7"]])
+] + [["run", "table1", "--seed", "7"], ["scenario", "list"]])
 def test_deleted_subcommands_and_flags_are_refused(argv, capsys):
     with pytest.raises(SystemExit) as refused:
         main(argv)
     assert refused.value.code == 2
     capsys.readouterr()
+
+
+def test_the_subcommands_are_list_run_trace_report_serve(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "{list,run,trace,report,serve}" in capsys.readouterr().out
 
 
 def test_every_trace_source_resolves(monkeypatch, tmp_path, capsys):

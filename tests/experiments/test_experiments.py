@@ -4,6 +4,11 @@ These assert the *paper-shape* properties each figure/table is about,
 on reduced parameter grids so the whole file stays fast.
 """
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.stages import Stage
@@ -111,3 +116,23 @@ def test_reports_render():
     for module in (table1, fig10, fig15):
         text = module.format_report(module.run())
         assert isinstance(text, str) and len(text) > 50
+
+
+def test_fnpacker_metrics_do_not_depend_on_the_hash_seed():
+    """Placement picks a home invoker per action name; ``hash(str)`` is
+    salted per process, so the digest must be a process-stable one or
+    Tables III/IV differ from one interpreter to the next."""
+    code = (
+        "import json\n"
+        "from repro.experiments import table34\n"
+        "print(json.dumps(table34.run(), sort_keys=True))\n"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+        ).stdout
+        for seed in ("0", "3")
+    ]
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["One-to-one"]["cold_starts"] > 0

@@ -7,7 +7,8 @@ floor, the report renders) on grids small enough to stay fast.
 
 import numpy as np
 
-from repro.experiments import warmpool
+from repro.experiments import fig13, warmpool
+from repro.workloads.mlperf import build_fnpacker_workload
 
 
 def _arrivals(duration_s=60.0, seed=5):
@@ -64,3 +65,17 @@ def test_run_report_and_gates():
     for workload in warmpool.WORKLOADS:
         for row in result["workloads"][workload].values():
             assert row["cold"] + row["warm"] + row["hot"] == row["requests"]
+
+
+def test_sweep_rows_are_run_policy_over_each_trace():
+    """Poisson: the FnPacker mix's two streams, not its sessions; MMPP:
+    the Figure 13 trace with a 30 s warm-up, both drawn from ``seed``."""
+    result = warmpool.run(duration_s=40.0, seed=9, keep_alive_s=20.0)
+    poisson = build_fnpacker_workload(duration_s=40.0, seed=9).arrivals
+    assert {a.user_id for a in poisson} == {"alice", "bob"}
+    mmpp = fig13.mmpp_trace(40.0, warmup_s=30.0, seed=9, model_id="m0")
+    for name, arrivals in (("poisson", poisson), ("mmpp", mmpp)):
+        assert result["workloads"][name]["lcs"] == warmpool.run_policy(
+            "lcs", arrivals, keep_alive_s=20.0, until=40.0 + 3600.0
+        )
+        assert result["workloads"][name]["none"]["requests"] == len(arrivals)

@@ -1,10 +1,10 @@
 """The experiment-internal workload constructions (ramps, MMPP phases)."""
 
+import numpy as np
 import pytest
 
 from repro.experiments import fig12, fig13
-from repro.scenarios.registry import fig13_latency_spec
-from repro.scenarios.runner import build_arrivals
+from repro.workloads.arrival import Arrival, merge_arrivals, mmpp, poisson
 
 
 def test_fig12_ramp_precedes_steady():
@@ -28,11 +28,27 @@ def test_fig12_ramp_handles_low_rates():
     assert duration > measure_from > 0
 
 
+def test_fig13_trace_is_warmup_then_shifted_mmpp():
+    """Warm-up first, main stream shifted past it -- one RNG, seed 11."""
+    rng = np.random.default_rng(11)
+    warm = poisson(20.0, 60.0, "m", user_id="u", rng=rng)
+    main = mmpp((20.0, 40.0), 60.0, 60.0, "m", user_id="u", rng=rng)
+    shifted = [Arrival(a.time + 60.0, a.model_id, a.user_id) for a in main]
+    assert fig13.mmpp_trace(60.0) == merge_arrivals(warm, shifted)
+    # the warm-pool sweep's variant: its own seed, warm-up and model id
+    rng = np.random.default_rng(5)
+    warm = poisson(20.0, 30.0, "m0", user_id="u", rng=rng)
+    main = mmpp((20.0, 40.0), 60.0, 60.0, "m0", user_id="u", rng=rng)
+    shifted = [Arrival(a.time + 30.0, a.model_id, a.user_id) for a in main]
+    assert fig13.mmpp_trace(60.0, warmup_s=30.0, seed=5, model_id="m0") == (
+        merge_arrivals(warm, shifted)
+    )
+
+
 def test_fig13_mmpp_has_warmup_then_bursts():
-    # the trace Figures 13 and 14 both serve (fig13.run_memory_cost builds it so)
-    spec = fig13_latency_spec("DSNET", duration_s=120.0)
-    arrivals, _sessions = build_arrivals(spec.workload, spec.seed)
-    warmup_s, phase_s = spec.workload.warmup_s, spec.workload.phase_s
+    # the trace Figures 13 and 14 both serve
+    arrivals = fig13.mmpp_trace(120.0)
+    warmup_s, phase_s = fig13.WARMUP_S, 60.0
     times = [a.time for a in arrivals]
     assert times == sorted(times)
 

@@ -65,6 +65,26 @@ def test_chaos_sweep_is_byte_identical_across_runs():
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
+def test_quick_sweep_runs_both_modes_over_primary_shard_plans():
+    """The quick grid is the first and last fault point, each one plan
+    with one outage of the user's primary shard, capped at 24 requests."""
+    result = chaos.run(seed=5, requests=30, quick=True)
+    assert result["requests"] == chaos.QUICK_REQUESTS == 24
+    assert [(p["wire_rate"], p["crash_rate"]) for p in result["points"]] == [
+        (0.0, 0.0), (0.15, 0.04),
+    ]
+    plan = FaultPlan.from_seed(
+        5, 24, wire_rate=0.15, crash_rate=0.04, shard_outages=1,
+        num_shards=2, outage_duration=8, warmup=2,
+        target_shard=chaos._user_primary_shard(2),
+    )
+    last = result["points"][-1]
+    assert last["plan"] == plan.to_mapping()
+    for mode in ("resilient", "baseline"):
+        want, _spans = chaos._run_mode(5, 24, plan, resilient=mode == "resilient")
+        assert last["modes"][mode] == want
+
+
 def test_session_relaunches_cold_after_enclave_crash(tiny_model, tiny_input):
     """A dead SeMIRT enclave is replaced on the next request."""
     from repro.core.deployment import SeSeMIEnvironment

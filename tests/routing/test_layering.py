@@ -319,7 +319,6 @@ def test_the_numpy_free_pins_are_numpy_free_at_runtime():
         "repro", "repro.errors",
     ]
     for pin in ("crypto.group", "crypto.dh", "crypto.signature", "core.wire",
-                "core.futures", "scenarios.spec", "scenarios.store",
-                "scenarios.compare", "scenarios.registry", "routing", "warmpool"):
+                "core.futures", "routing", "warmpool"):
         assert pin in checker.STDLIB_ONLY, pin
     assert "numpy" not in checker.loaded_modules(["repro.warmpool.manager"])

@@ -3,7 +3,7 @@
 The CI workflow, the README, ``docs/`` and the verify skill all quote
 ``python -m repro ...`` command lines (and back-ticked ``repro ...``
 ones).  This test extracts each of them and feeds it to the CLI's own
-parser, then checks the experiment / trace / scenario names it uses are
+parser, then checks the experiment / trace names it uses are
 registered -- so a deleted subcommand, a dead flag or a renamed
 measurement cannot stay documented, or gated on in CI.  Stdlib only.
 """
@@ -14,7 +14,6 @@ import shlex
 from pathlib import Path
 
 from repro.cli import EXPERIMENTS, TRACES, build_parser
-from repro.scenarios.registry import scenario_names
 
 REPO = Path(__file__).resolve().parent.parent
 SOURCES = [
@@ -54,14 +53,11 @@ def _unregistered_names(args):
         names, known = args.names, EXPERIMENTS
     elif args.command == "trace":
         names, known = [args.name], TRACES
-    elif args.command == "scenario" and args.scenario_command == "run":
-        names, known = [args.name], scenario_names()
     else:
         return []
     return [
         name for name in names
         if name not in known and not name.isupper()  # NAME: a placeholder
-        and not name.endswith(".json")  # a spec file path
     ]
 
 

@@ -1,5 +1,7 @@
 """Arrival processes: rates, phases, sessions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigError
 from repro.workloads.arrival import (
     Session,
-    burst,
-    diurnal,
     fixed_rate,
     merge_arrivals,
     mmpp,
@@ -57,55 +57,20 @@ def test_mmpp_respects_duration():
     assert max(a.time for a in arrivals) < 100.0
 
 
+def test_poisson_validation():
+    for rate in (0.0, -1.0, math.inf, math.nan):  # inf once never returned
+        with pytest.raises(ConfigError):
+            poisson(rate, 1.0, "m")
+
+
 def test_mmpp_validation():
     with pytest.raises(ConfigError):
         mmpp((), phase_s=10.0, duration_s=10.0, model_id="m")
-
-
-def test_diurnal_peaks_mid_period():
-    rng = np.random.default_rng(5)
-    arrivals = diurnal(20.0, 2.0, period_s=200.0, duration_s=200.0,
-                       model_id="m", rng=rng)
-    def count(lo, hi):
-        return sum(1 for a in arrivals if lo <= a.time < hi)
-    # The sinusoid troughs at t=0 and t=period, peaks at period/2.
-    assert count(75, 125) > 2 * count(0, 50)
-    assert count(75, 125) > 2 * count(150, 200)
-    assert all(0 <= a.time < 200.0 for a in arrivals)
-
-
-def test_diurnal_deterministic_and_validated():
-    a = diurnal(8.0, 1.0, 60.0, 120.0, "m", rng=np.random.default_rng(9))
-    b = diurnal(8.0, 1.0, 60.0, 120.0, "m", rng=np.random.default_rng(9))
-    assert [x.time for x in a] == [x.time for x in b]
-    with pytest.raises(ConfigError):
-        diurnal(0.0, 0.0, 60.0, 120.0, "m")
-    with pytest.raises(ConfigError):
-        diurnal(5.0, 9.0, 60.0, 120.0, "m")  # base above peak
-    with pytest.raises(ConfigError):
-        diurnal(5.0, 1.0, 0.0, 120.0, "m")
-
-
-def test_burst_adds_rate_inside_window():
-    rng = np.random.default_rng(4)
-    arrivals = burst(2.0, 40.0, burst_start_s=50.0, burst_duration_s=20.0,
-                     duration_s=120.0, model_id="m", rng=rng)
-    inside = sum(1 for a in arrivals if 50.0 <= a.time < 70.0)
-    before = sum(1 for a in arrivals if 0.0 <= a.time < 20.0)
-    assert inside > 5 * max(before, 1)
-    times = [a.time for a in arrivals]
-    assert times == sorted(times)
-
-
-def test_burst_zero_burst_is_plain_poisson():
-    quiet = burst(3.0, 0.0, 10.0, 5.0, 60.0, "m",
-                  rng=np.random.default_rng(2))
-    plain = poisson(3.0, 60.0, "m", rng=np.random.default_rng(2))
-    assert [a.time for a in quiet] == [a.time for a in plain]
-    with pytest.raises(ConfigError):
-        burst(0.0, 1.0, 0.0, 1.0, 10.0, "m")
-    with pytest.raises(ConfigError):
-        burst(1.0, -1.0, 0.0, 1.0, 10.0, "m")
+    with pytest.raises(ConfigError):  # once never returned
+        mmpp((20.0, 40.0), 0.0, 60.0, "m")
+    for rates in ((20.0, 0.0), (20.0, -1.0), (math.inf,), (math.nan,)):
+        with pytest.raises(ConfigError):  # (20, 0) once divided by zero
+            mmpp(rates, 10.0, 60.0, "m")
 
 
 def test_session_validation():
