@@ -67,12 +67,22 @@ def test_run_report_and_gates():
             assert row["cold"] + row["warm"] + row["hot"] == row["requests"]
 
 
+def test_poisson_workload_is_the_mix_streams_without_sessions():
+    """The Poisson workload serves the FnPacker mix's two open-loop
+    streams and none of its interactive sessions."""
+    result = warmpool.run(duration_s=40.0, seed=9, keep_alive_s=20.0)
+    mix = build_fnpacker_workload(duration_s=40.0, seed=9)
+    assert mix.sessions  # the interactive sessions of Table IV
+    assert {a.user_id for a in mix.arrivals} == {"alice", "bob"}
+    for row in result["workloads"]["poisson"].values():
+        assert row["requests"] == len(mix.arrivals)
+
+
 def test_sweep_rows_are_run_policy_over_each_trace():
-    """Poisson: the FnPacker mix's two streams, not its sessions; MMPP:
-    the Figure 13 trace with a 30 s warm-up, both drawn from ``seed``."""
+    """Poisson: the FnPacker mix's two streams; MMPP: the Figure 13
+    trace with a 30 s warm-up, both drawn from ``seed``."""
     result = warmpool.run(duration_s=40.0, seed=9, keep_alive_s=20.0)
     poisson = build_fnpacker_workload(duration_s=40.0, seed=9).arrivals
-    assert {a.user_id for a in poisson} == {"alice", "bob"}
     mmpp = fig13.mmpp_trace(40.0, warmup_s=30.0, seed=9, model_id="m0")
     for name, arrivals in (("poisson", poisson), ("mmpp", mmpp)):
         assert result["workloads"][name]["lcs"] == warmpool.run_policy(
