@@ -15,10 +15,24 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.futures import DerivedStream
-from repro.core.semirt_enclave import FRAME_AAD, REQUEST_AAD, RESPONSE_AAD, STREAM_AAD
-from repro.crypto.gcm import AESGCM, SessionCipher, evict_session
+from repro.core.semirt_enclave import (
+    FRAME,
+    FRAME_AAD,
+    REQUEST_AAD,
+    RESPONSE_AAD,
+    STREAM_AAD,
+    FrameRun,
+)
+from repro.crypto.gcm import (
+    NONCE_SIZE,
+    TAG_SIZE,
+    AESGCM,
+    SessionCipher,
+    evict_session,
+    frame_nonce,
+)
 from repro.crypto.keys import SymmetricKey
-from repro.errors import AccessDenied, EnclaveError, InvocationError, SeSeMIError
+from repro.errors import AccessDenied, EnclaveError, InvalidTag, InvocationError, SeSeMIError
 from repro.faults.injector import maybe_wire
 from repro.mlrt.model import Model
 from repro.obs.tracer import maybe_span
@@ -356,39 +370,25 @@ class UserClient(_Principal):
             )
 
     def decrypt_frame(
-        self,
-        model_id: str,
-        enclave: EnclaveMeasurement,
-        frame: bytes,
-        expected_index: Optional[int] = None,
+        self, model_id: str, enclave: EnclaveMeasurement, frame: bytes
     ) -> dict:
-        """Authenticate and decrypt one sealed token frame.
+        """Authenticate and decrypt one sealed token frame on its own.
 
-        Returns ``{"token": int, "index": int, "done": bool}``.  The
-        index is sealed with the token: pass the position this frame
-        should have as ``expected_index`` and a host (or relay) that
-        dropped, reordered or replayed frames raises
-        :class:`~repro.errors.InvocationError` instead of yielding a
-        silently wrong sequence -- the one frame check both stream
-        consumers (in-process and HTTP) run.
+        Returns ``{"token": int, "index": int, "done": bool}``.  A single
+        frame cannot say where in which stream it belongs: a whole stream
+        is checked by :class:`TokenStream`, which also holds the stream's
+        keystream run instead of running an AES batch per frame.
         """
         with maybe_span(self.tracer, "decrypt_frame", model_id=model_id):
             try:
-                payload = wire.loads(
+                token, index, done = FRAME.unpack(
                     self._request_cipher(model_id, enclave).unseal(
                         frame, aad=FRAME_AAD + model_id.encode()
                     )
                 )
             except Exception as exc:
-                raise InvocationError(
-                    "token frame does not authenticate under the request key"
-                ) from exc
-            if expected_index is not None and payload["index"] != expected_index:
-                raise InvocationError(
-                    f"stream frame out of order: expected index {expected_index}, "
-                    f"got {payload['index']} (dropped, reordered or replayed frame)"
-                )
-            return payload
+                raise InvocationError(_FRAME_FORGED) from exc
+            return {"token": token, "index": index, "done": done}
 
     def decrypt_response(
         self, model_id: str, enclave: EnclaveMeasurement, enc_response: bytes
@@ -408,23 +408,35 @@ class UserClient(_Principal):
             return np.frombuffer(payload["output"], dtype=np.float32)
 
 
+_FRAME_FORGED = "token frame does not authenticate under the request key"
+#: a sealed frame's length: nonce, the fixed body, tag
+_FRAME_BYTES = NONCE_SIZE + FRAME.size + TAG_SIZE
+
+
 class TokenStream(DerivedStream):
     """The client half of the streaming protocol, over any transport.
 
     A :class:`~repro.core.futures.DerivedStream` over a stream of
     sealed frames (``inner``) that yields the **decrypted** token ids
-    (``result()``: the full list).  Every frame is authenticated and
-    index-checked (:meth:`UserClient.decrypt_frame`) and the stream may
-    only end on a frame whose sealed ``done`` marker is set, so a host
-    or relay that drops, reorders, replays **or truncates** frames is an
+    (``result()``: the full list).  Frame 0's nonce is the stream's base
+    nonce ``N``; frame ``i`` must carry ``N xor i`` and seal index ``i``,
+    and the stream may only end on a frame whose sealed ``done`` marker
+    is set, so a host or relay that drops, reorders, replays, splices in
+    another stream's frames **or truncates** is an
     :class:`~repro.errors.InvocationError` after the authenticated
-    prefix, never a silently wrong or short sequence.  ``session`` says
-    whose keys open them (``.user`` / ``.model_id`` / ``.measurement``).
+    prefix, never a silently wrong or short sequence.  Keystreams come
+    from the stream's :class:`~repro.core.semirt_enclave.FrameRun`, one
+    AES batch per run of up to ``RUN_FRAMES`` frames, the first drawn
+    when frame 0 is opened.  ``session`` says whose keys open them
+    (``.user`` / ``.model_id`` / ``.measurement``); ``max_new_tokens``
+    (the most frames the stream can have) sizes the runs.
     """
 
-    def __init__(self, session, inner) -> None:
+    def __init__(self, session, inner, max_new_tokens: int) -> None:
         super().__init__(inner)
         self._session = session
+        self._frames = max_new_tokens
+        self._keys: Optional[FrameRun] = None
 
     def __iter__(self) -> Iterator[int]:
         return self._tokens(super().__iter__())
@@ -434,9 +446,30 @@ class TokenStream(DerivedStream):
 
     def _map_item(self, frame: bytes, index: int) -> dict:
         session = self._session
-        return session.user.decrypt_frame(
-            session.model_id, session.measurement, frame, expected_index=index
-        )
+        user, model_id = session.user, session.model_id
+        with maybe_span(user.tracer, "decrypt_frame", model_id=model_id):
+            if len(frame) != _FRAME_BYTES:
+                raise InvocationError(_FRAME_FORGED)
+            nonce, keys = frame[:NONCE_SIZE], self._keys
+            if index == 0 and (keys is None or keys.nonce != nonce):
+                cipher = user._request_cipher(model_id, session.measurement)
+                keys = self._keys = FrameRun(cipher, nonce, self._frames)
+            elif keys is None or nonce != frame_nonce(keys.nonce, index):
+                raise InvocationError(
+                    f"stream frame out of order: frame {index} does not carry its "
+                    "stream's nonce (dropped, reordered, replayed or spliced frame)"
+                )
+            try:
+                token, sealed_index, done = FRAME.unpack(keys.cipher.open_with(
+                    keys.keystream(index), frame, FRAME_AAD + model_id.encode()
+                ))
+            except InvalidTag as exc:
+                raise InvocationError(_FRAME_FORGED) from exc
+            if sealed_index != index:
+                raise InvocationError(
+                    f"stream frame out of order: expected index {index}, got {sealed_index}"
+                )
+            return {"token": token, "index": index, "done": done}
 
     @staticmethod
     def _tokens(payloads: Iterable[dict]) -> Iterator[int]:

@@ -34,6 +34,7 @@ in :mod:`repro.core.simbridge`.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -350,7 +351,9 @@ class UserSession:
                 enc_request, self.user.principal_id, self.model_id
             )
 
-        return self._rooted("stream", admit, SessionStream)
+        return self._rooted(
+            "stream", admit, partial(SessionStream, max_new_tokens=max_new_tokens)
+        )
 
     def _rooted(self, name: str, admit, handle_type):
         """``handle_type`` over ``admit()``, run under one root span.
@@ -549,8 +552,10 @@ class SessionStream(_Rooted, TokenStream):
     ``semirt->user`` wire fault injection in front of it.
     """
 
-    def __init__(self, session: UserSession, inner, root=None) -> None:
-        super().__init__(session, inner)
+    def __init__(
+        self, session: UserSession, inner, root=None, *, max_new_tokens: int
+    ) -> None:
+        super().__init__(session, inner, max_new_tokens)
         self._root = root
 
     def _map_item(self, frame: bytes, index: int) -> dict:

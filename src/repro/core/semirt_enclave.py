@@ -52,6 +52,7 @@ identity ``E_K`` is likewise compiled in (Appendix A).
 from __future__ import annotations
 
 import itertools
+import struct
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
@@ -62,7 +63,14 @@ import numpy as np
 
 import repro.core.wire as wire
 from repro.core.stages import InvocationPlan, SemirtCacheState, Stage, plan_invocation
-from repro.crypto.gcm import AESGCM, SessionCipher
+from repro.crypto.gcm import (
+    NONCE_SIZE,
+    RESERVOIR_BLOCKS,
+    AESGCM,
+    SessionCipher,
+    frame_nonce,
+)
+from repro.crypto.keys import random_bytes
 from repro.errors import (
     AccessDenied,
     AttestationError,
@@ -91,8 +99,25 @@ STREAM_AAD = b"sesemi-stream"
 FRAME_AAD = b"sesemi-frame"
 
 #: upper bound on tokens one stream may generate; bounds how long a
-#: stream context (and its KV cache) can pin enclave heap
+#: stream context (and its KV cache) can pin enclave heap, and keeps a
+#: frame index inside the low bits its nonce rule XORs it into
 MAX_STREAM_TOKENS = 1024
+
+#: a token frame's sealed body: token id (int32), frame index (uint32),
+#: done marker (bool) -- 9 bytes, so a sealed frame is 12 + 9 + 16 = 37
+FRAME = struct.Struct("<iI?")
+#: most frames one keystream run covers: a 9-byte body takes two AES
+#: blocks (tag mask and one CTR block), so a run is at most
+#: RESERVOIR_BLOCKS blocks (4 KiB), the same cap as the seal reservoir
+RUN_FRAMES = RESERVOIR_BLOCKS // 2
+#: most frames a stream's first keystream run covers, on either side.
+#: That run is paid before the first token: the enclave draws it in the
+#: AES batch that opens the stream request (before the request says how
+#: long the stream is), the client when frame 0 arrives.  Capping it at
+#: 32 AES blocks keeps time-to-first-token independent of the stream's
+#: length and of the streams before it; a longer stream draws its next
+#: run at frame 16, between two tokens
+FIRST_RUN_FRAMES = RUN_FRAMES // 8
 
 #: how many ``<uid, M_oid>`` entries the key memo holds (LRU).  Part of
 #: the trusted program, not a host option: the untrusted host cannot
@@ -190,6 +215,48 @@ class _KeyCacheEntry:
         self.cipher = SessionCipher(AESGCM(self.request_key))
 
 
+class FrameRun:
+    """One stream's frame nonces and keystreams, on either side of the wire.
+
+    Frame ``i`` of a stream is sealed under ``N xor i``
+    (:func:`~repro.crypto.gcm.frame_nonce`), where ``N`` is a fresh
+    96-bit value the enclave draws per stream open; the client learns it
+    from frame 0.  Keystreams come one run of consecutive frames at a
+    time -- ``min(frames still to come, RUN_FRAMES)`` of them in one AES
+    batch, at most ``FIRST_RUN_FRAMES`` for the run that starts at frame
+    0 -- and the next run is drawn only when this one is used up, so per
+    frame only GHASH and an XOR remain.  ``frames`` is how many
+    frames the stream has (at most); ``run`` may be one already drawn
+    for frames ``0, 1, ...``.  The run is key-equivalent state and goes
+    with the stream context that holds it.
+    """
+
+    __slots__ = ("cipher", "nonce", "frames", "first", "run")
+
+    def __init__(
+        self,
+        cipher: SessionCipher,
+        nonce: bytes,
+        frames: int,
+        run: Optional[np.ndarray] = None,
+    ) -> None:
+        self.cipher = cipher
+        self.nonce = nonce
+        self.frames = frames
+        self.first = 0
+        self.run = run
+
+    def keystream(self, index: int) -> np.ndarray:
+        """Frame ``index``'s keystream, drawing the next run when needed."""
+        run, offset = self.run, index - self.first
+        if run is None or not 0 <= offset < len(run):
+            cap = FIRST_RUN_FRAMES if index == 0 else RUN_FRAMES
+            count = min(max(self.frames - index, 1), cap)
+            run = self.run = self.cipher.keystream_run(self.nonce, index, count, FRAME.size)
+            self.first, offset = index, 0
+        return run[offset]
+
+
 @dataclass(repr=False)  # last_token is user plaintext: never in a repr
 class _StreamContext:
     """One live autoregressive stream's trusted state (enclave heap).
@@ -198,7 +265,8 @@ class _StreamContext:
     where ``_contexts`` holds one sealed output per one-shot request, a
     stream context holds the :class:`~repro.mlrt.decoder.DecoderSession`
     whose KV caches *are* the stream's enclave-heap footprint, plus the
-    user's request cipher captured when the stream authenticated and the
+    frame keys (the user's request cipher captured when the stream
+    authenticated, the stream nonce and its keystream run) and the
     remaining generation budget.  Released when the budget is spent, by
     ``EC_STREAM_CLOSE`` (the cancel path), or with the enclave itself.
     """
@@ -206,12 +274,16 @@ class _StreamContext:
     uid: str
     model_id: str
     decoder: DecoderSession
-    cipher: SessionCipher
+    keys: FrameRun
     last_token: int
     #: tokens still allowed after the ones already emitted
     remaining: int
     #: frames sealed so far (the next frame's index)
     index: int = 0
+    #: an ``EC_STREAM_STEP`` holds this stream (set and cleared under
+    #: ``_stream_lock``), so no two steps seal the same frame index --
+    #: and so under the same nonce -- however the host interleaves them
+    stepping: bool = False
 
 
 class SemirtEnclaveCode(EnclaveCode):
@@ -413,9 +485,12 @@ class SemirtEnclaveCode(EnclaveCode):
         single ``<uid, M_oid>`` pair (each stream already authenticated
         under that user's ``K_R`` at open time), the mix is refused as a
         unit, and sequential builds refuse co-stepping more than one
-        stream.  Returns one ``(sealed_frame, done)`` per ticket in
-        order; a drained stream's context -- KV cache included -- is
-        released before returning.
+        stream.  A stream is in at most one step at a time: a step that
+        names a ticket twice, or one that another step still holds, is
+        refused, so a frame index (and its nonce) is sealed once whatever
+        the host's threads do.  Returns one ``(sealed_frame, done)`` per
+        ticket in order; a drained stream's context -- KV cache included
+        -- is released before returning.
         """
         if not tickets:
             raise InvocationError("refusing an empty stream step")
@@ -436,19 +511,30 @@ class SemirtEnclaveCode(EnclaveCode):
                     "a stream step must name a single <uid, model_id> pair; "
                     "step refused"
                 )
+            if len(set(tickets)) < len(tickets) or any(ctx.stepping for ctx in contexts):
+                raise InvocationError(
+                    "a stream may be in one step at a time; step refused"
+                )
+            for ctx in contexts:
+                ctx.stepping = True
         results: List[Tuple[bytes, bool]] = []
-        for ticket, ctx in zip(tickets, contexts):
-            with self._stage_span(
-                Stage.MODEL_INFERENCE, model_id=ctx.model_id, component="mlrt"
-            ):
-                ctx.last_token = greedy(ctx.decoder.step(ctx.last_token))
-            ctx.remaining -= 1
-            frame = self._seal_frame(ctx)
-            done = ctx.remaining == 0
-            if done:
-                with self._stream_lock:
-                    self._streams.pop(ticket, None)
-            results.append((frame, done))
+        try:
+            for ticket, ctx in zip(tickets, contexts):
+                with self._stage_span(
+                    Stage.MODEL_INFERENCE, model_id=ctx.model_id, component="mlrt"
+                ):
+                    ctx.last_token = greedy(ctx.decoder.step(ctx.last_token))
+                ctx.remaining -= 1
+                frame = self._seal_frame(ctx)
+                done = ctx.remaining == 0
+                if done:
+                    with self._stream_lock:
+                        self._streams.pop(ticket, None)
+                results.append((frame, done))
+        finally:
+            with self._stream_lock:
+                for ctx in contexts:
+                    ctx.stepping = False
         first = contexts[0]
         self.stream_log.append((first.uid, first.model_id, len(contexts)))
         return results
@@ -602,11 +688,26 @@ class SemirtEnclaveCode(EnclaveCode):
     def _open_stream(
         self, enc_request: bytes, model_id: str, entry: _KeyCacheEntry, model: Model
     ) -> _StreamContext:
-        """Authenticate a stream request, prefill, emit the first token."""
+        """Authenticate a stream request, prefill, emit the first token.
+
+        The stream nonce ``N`` is drawn here, fresh per open, so a replayed
+        request seals its frames under other nonces.  The first keystream
+        run, :data:`FIRST_RUN_FRAMES` frames, rides in the AES batch that
+        opens the request and is trimmed to the stream's length once the
+        request is open.
+        """
+        nonce = random_bytes(NONCE_SIZE)
         with self._stage_span(Stage.REQUEST_DECRYPT, model_id=model_id):
-            payload = self._authenticate(
-                entry.cipher, enc_request, STREAM_AAD, model_id, "stream request"
-            )
+            try:
+                plaintext, run = entry.cipher.unseal_drawing(
+                    enc_request, STREAM_AAD + model_id.encode(), nonce,
+                    FIRST_RUN_FRAMES, FRAME.size,
+                )
+                payload = wire.loads(plaintext)
+            except Exception as exc:
+                raise InvocationError(
+                    "stream request does not authenticate under the user's request key"
+                ) from exc
         if len(payload["prompt"]) % 4:
             raise InvocationError("prompt is not a whole number of float32 token ids")
         prompt = np.frombuffer(payload["prompt"], dtype=np.float32)
@@ -629,9 +730,8 @@ class SemirtEnclaveCode(EnclaveCode):
             Stage.MODEL_INFERENCE, model_id=model_id, component="mlrt"
         ):
             first = greedy(decoder.prefill(int(t) for t in prompt))
-        return _StreamContext(
-            entry.uid, model_id, decoder, entry.cipher, first, max_new - 1
-        )
+        keys = FrameRun(entry.cipher, nonce, max_new, run[:max_new])
+        return _StreamContext(entry.uid, model_id, decoder, keys, first, max_new - 1)
 
     @staticmethod
     def _authenticate(
@@ -648,21 +748,18 @@ class SemirtEnclaveCode(EnclaveCode):
     def _seal_frame(self, ctx: _StreamContext) -> bytes:
         """Seal one token frame under the stream's request cipher.
 
-        Frames carry their index and a done marker inside the sealed
-        payload, so a host that drops, reorders or replays frames is
-        detectable by the client, not just by the enclave.
+        Frame ``i`` goes under nonce ``N xor i`` with its keystream from
+        the stream's run, and carries its index and a done marker inside
+        the sealed body, so a host that drops, reorders, replays or splices
+        in frames is detectable by the client, not just by the enclave.
         """
+        index, keys = ctx.index, ctx.keys
         with self._stage_span(Stage.RESULT_ENCRYPT, model_id=ctx.model_id):
-            frame = ctx.cipher.seal(
-                wire.dumps(
-                    {
-                        "token": ctx.last_token,
-                        "index": ctx.index,
-                        "done": ctx.remaining == 0,
-                    },
-                    codec=wire.BINARY,
-                ),
-                aad=FRAME_AAD + ctx.model_id.encode(),
+            frame = keys.cipher.seal_with(
+                frame_nonce(keys.nonce, index),
+                keys.keystream(index),
+                FRAME.pack(ctx.last_token, index, ctx.remaining == 0),
+                FRAME_AAD + ctx.model_id.encode(),
             )
         ctx.index += 1
         return frame

@@ -43,13 +43,17 @@ def _gf_mul(a: int, b: int) -> int:
 
 
 def _build_sbox() -> tuple[bytes, bytes]:
-    # Field inverses via exponentiation by the group order minus one.
-    inverse = [0] * 256
-    for x in range(1, 256):
-        y = x
-        for _ in range(253):  # x^254 = x^-1 in GF(2^8)*
-            y = _gf_mul(y, x)
-        inverse[x] = y
+    # Field inverses from log/antilog tables over the generator 3: with
+    # x = 3^l, x^-1 = 3^(255 - l), one table walk instead of an
+    # exponentiation per element.
+    antilog = [0] * 255
+    log = [0] * 256
+    x = 1
+    for power in range(255):
+        antilog[power] = x
+        log[x] = power
+        x = _gf_mul(x, 3)
+    inverse = [0] + [antilog[-log[x] % 255] for x in range(1, 256)]
     sbox = [0] * 256
     for x in range(256):
         # Affine transform: b ^ rotl(b,1) ^ rotl(b,2) ^ rotl(b,3) ^ rotl(b,4) ^ 0x63

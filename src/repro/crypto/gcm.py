@@ -58,6 +58,8 @@ GHASH_TABLE_CAP_BYTES = (_CHUNK_LEVELS + 1) * _TABLE_BYTES
 RESERVOIR_BLOCKS = 256
 # spare slots one seal miss adds: 1 on a cipher's first miss, doubling per miss
 _MAX_SPARES = 32
+# (aad, length) GHASH prefixes one cipher memoises for one-block messages
+_MAX_PREFIXES = 8
 _FIRST_COUNTER = b"\x00\x00\x00\x01"  # J0 = nonce || 1 for a 96-bit nonce
 
 _LANE = np.dtype("V16")  # one 128-bit field element, moved as an opaque unit
@@ -178,6 +180,11 @@ class AESGCM:
     keystream is key-equivalent state: it lives only in this object and
     goes with it.  The explicit-nonce :meth:`encrypt` / :meth:`decrypt`
     share the same AEAD body and always compute their own keystream.
+
+    A stream's frames are sealed from keystream runs instead
+    (:meth:`keystream_run`, :meth:`seal_with`, :meth:`open_with`), and a
+    message of at most one block -- a 9-byte frame -- hashes as a
+    memoised per-``(aad, length)`` prefix plus one table multiply.
     """
 
     def __init__(self, key) -> None:
@@ -194,6 +201,8 @@ class AESGCM:
         self._reservoir_lock = threading.Lock()
         self._spares = 1  # slots the next seal miss adds
         self._last_seal = 0  # keystream blocks of the last seal (0: none yet)
+        # (aad, length) -> GHASH(aad, 0^length), see _short_ghash
+        self._prefixes: dict[tuple[bytes, int], np.ndarray] = {}
 
     @property
     def table_bytes(self) -> int:
@@ -267,14 +276,21 @@ class AESGCM:
             return nonce + _FIRST_COUNTER
         return self._ghash(b"", nonce).tobytes()
 
-    def _keystreams(self, runs: list[tuple[bytes, int]]) -> list[np.ndarray]:
+    def _keystreams(
+        self, runs: list[tuple[bytes, int]], frames: tuple | None = None
+    ) -> list[np.ndarray]:
         """``E_K(J0), E_K(J0 + 1), ...`` for each ``(J0, blocks)`` of ``runs``.
 
         One AES batch for all of them; run ``i`` comes back as a
         ``(blocks_i, 16)`` array whose row 0 masks the tag and rows 1.. are
-        the CTR keystream.
+        the CTR keystream.  ``frames = (nonce, first, count, blocks)``
+        appends one stream run to the same batch, built without a loop per
+        frame: ``blocks`` rows for each nonce :func:`frame_nonce`
+        ``(nonce, i)``, ``first <= i < first + count``, returned last as a
+        ``(count, blocks, 16)`` array.
         """
-        blocks = np.empty((sum([count for _, count in runs]), 4), dtype=">u4")
+        extra = 0 if frames is None else frames[2] * frames[3]
+        blocks = np.empty((sum([count for _, count in runs]) + extra, 4), dtype=">u4")
         bounds = []
         stop = 0
         for j0, count in runs:
@@ -284,8 +300,21 @@ class AESGCM:
             # the narrowing store keeps the low 32 bits: the counter wraps mod 2^32
             blocks[start:stop, 3] = np.arange(first, first + count, dtype=np.uint64)
             bounds.append((start, stop))
+        if frames is not None:
+            nonce, first, count, per_frame = frames
+            counters = blocks[stop:].reshape(count, per_frame, 4)
+            counters[..., :2] = np.frombuffer(nonce, dtype=">u4", count=2)
+            low = np.arange(first, first + count, dtype=np.uint32)
+            low ^= np.uint32(int.from_bytes(nonce[8:], "big"))
+            counters[..., 2] = low[:, None]
+            counters[..., 3] = np.arange(1, per_frame + 1, dtype=np.uint32)
         out = self._aes.encrypt_blocks(blocks.view(np.uint8))
-        return [out[start:stop] for start, stop in bounds]
+        keystreams = [out[start:stop] for start, stop in bounds]
+        if frames is not None:
+            run = out[stop:].reshape(count, per_frame, 16)
+            # copied out of a shared batch, so the run holds nothing else
+            keystreams.append(run.copy() if stop else run)
+        return keystreams
 
     def _draw(self, blocks: int) -> tuple[bytes, np.ndarray]:
         """A fresh nonce and at least ``blocks`` rows of its keystream.
@@ -348,9 +377,35 @@ class AESGCM:
         return _xor_stream(body, keystream)
 
     def _tag(self, keystream: np.ndarray, aad: bytes, ciphertext: bytes) -> bytes:
-        tag = self._ghash(aad, ciphertext)
+        if len(ciphertext) <= 16:
+            tag = self._short_ghash(aad, ciphertext)
+        else:
+            tag = self._ghash(aad, ciphertext)
         tag ^= keystream[0].view(np.uint64)
         return tag.tobytes()
+
+    def _short_ghash(self, aad: bytes, ciphertext: bytes) -> np.ndarray:
+        """:meth:`_ghash` of a ciphertext of at most one block.
+
+        GHASH is linear in its blocks, and a lone ciphertext block meets
+        ``H^2`` whatever the aad, so the digest is ``GHASH(aad, 0^len) ^
+        C * H^2``.  The first term depends only on ``(aad, len)``, which a
+        stream's frames share; it is memoised (at most
+        :data:`_MAX_PREFIXES` entries), leaving one table multiply.
+        """
+        key = (aad, len(ciphertext))
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._ghash(aad, bytes(len(ciphertext)))
+            if len(self._prefixes) >= _MAX_PREFIXES:
+                self._prefixes.clear()
+            self._prefixes[key] = prefix
+        if not ciphertext:
+            return prefix.copy()
+        block = np.frombuffer(ciphertext.ljust(16, b"\0"), dtype=np.uint64).reshape(1, 2)
+        digest = _multiply(block, self._power_tables(2)[1])
+        digest ^= prefix
+        return digest
 
     # -- sealed-blob convenience ----------------------------------------------
 
@@ -370,18 +425,65 @@ class AESGCM:
         that fits it, the open's batch also fills one slot the length of
         that last seal.
         """
+        return self._open(blob, aad, None)[0]
+
+    def open_drawing(
+        self, blob: bytes, aad: bytes, nonce: bytes, count: int, length: int
+    ) -> tuple[bytes, np.ndarray]:
+        """:meth:`open`, plus ``keystream_run(nonce, 0, count, length)``
+        drawn inside the same AES batch."""
+        return self._open(blob, aad, (nonce, 0, count, _blocks(length)))
+
+    def _open(self, blob: bytes, aad: bytes, frames) -> tuple[bytes, np.ndarray | None]:
         if len(blob) < NONCE_SIZE + TAG_SIZE:
             raise InvalidTag("sealed blob too short")
         ciphertext = blob[NONCE_SIZE:]
         runs = [(blob[:NONCE_SIZE] + _FIRST_COUNTER, _blocks(len(ciphertext) - TAG_SIZE))]
+        keystreams = self._refilling(runs, frames)
+        run = keystreams[-1] if frames is not None else None
+        return self._decrypt(keystreams[0], ciphertext, aad), run
+
+    def _refilling(self, runs: list[tuple[bytes, int]], frames) -> list[np.ndarray]:
+        """:meth:`_keystreams`, plus one reservoir slot the length of this
+        cipher's last seal when the reservoir is empty and that seal fits it."""
         last = self._last_seal
         if 0 < last <= RESERVOIR_BLOCKS and not self._reservoir:
             refill = random_bytes(NONCE_SIZE)
-            runs.append((refill + _FIRST_COUNTER, last))
-        keystreams = self._keystreams(runs)
-        if len(keystreams) > 1:
-            self._stock([(refill, keystreams[1])])
-        return self._decrypt(keystreams[0], ciphertext, aad)
+            keystreams = self._keystreams(runs + [(refill + _FIRST_COUNTER, last)], frames)
+            self._stock([(refill, keystreams[len(runs)])])
+            return keystreams
+        return self._keystreams(runs, frames)
+
+    # -- stream runs -------------------------------------------------------------
+
+    def keystream_run(self, nonce: bytes, first: int, count: int, length: int) -> np.ndarray:
+        """The keystreams of ``count`` consecutive frames of one stream, one AES batch.
+
+        Frame ``i`` of a stream with base nonce ``nonce`` is sealed under
+        :func:`frame_nonce` ``(nonce, i)``.  Row ``i - first`` of the
+        returned ``(count, blocks, 16)`` array is that nonce's keystream
+        (tag mask, then CTR) for a ``length``-byte message, byte-equal to
+        the one :meth:`encrypt` computes for it.  Like a reservoir slot it
+        is key-equivalent state, and each row may seal exactly one message.
+        The batch refills an empty reservoir the way :meth:`open`'s does.
+        """
+        return self._refilling([], (nonce, first, count, _blocks(length)))[-1]
+
+    def seal_with(
+        self, nonce: bytes, keystream: np.ndarray, plaintext: bytes, aad: bytes = b""
+    ) -> bytes:
+        """``nonce || ct || tag`` under a keystream drawn for ``nonce``
+        (a :meth:`keystream_run` row); byte-equal to ``nonce ||``
+        :meth:`encrypt`.  The caller guarantees the row is used once."""
+        return nonce + self._encrypt(keystream, plaintext, aad)
+
+    def open_with(self, keystream: np.ndarray, blob: bytes, aad: bytes = b"") -> bytes:
+        """Inverse of :meth:`seal_with`, for a caller that knows the blob's
+        nonce and has its keystream; raises :class:`InvalidTag`."""
+        body = len(blob) - NONCE_SIZE - TAG_SIZE
+        if body < 0 or _blocks(body) > len(keystream):
+            raise InvalidTag("sealed blob does not fit the keystream")
+        return self._decrypt(keystream, blob[NONCE_SIZE:], aad)
 
     # -- session contexts ------------------------------------------------------
 
@@ -459,6 +561,26 @@ class SessionCipher:
         """Inverse of :meth:`seal`; raises :class:`InvalidTag`."""
         return self._gcm.open(blob, aad)
 
+    def unseal_drawing(
+        self, blob: bytes, aad: bytes, nonce: bytes, count: int, length: int
+    ) -> tuple[bytes, np.ndarray]:
+        """:meth:`unseal` plus a stream's first keystream run, one AES batch."""
+        return self._gcm.open_drawing(blob, aad, nonce, count, length)
+
+    def keystream_run(self, nonce: bytes, first: int, count: int, length: int) -> np.ndarray:
+        """:meth:`AESGCM.keystream_run` on the derived state."""
+        return self._gcm.keystream_run(nonce, first, count, length)
+
+    def seal_with(
+        self, nonce: bytes, keystream: np.ndarray, plaintext: bytes, aad: bytes = b""
+    ) -> bytes:
+        """:meth:`AESGCM.seal_with` on the derived state."""
+        return self._gcm.seal_with(nonce, keystream, plaintext, aad)
+
+    def open_with(self, keystream: np.ndarray, blob: bytes, aad: bytes = b"") -> bytes:
+        """:meth:`AESGCM.open_with` on the derived state."""
+        return self._gcm.open_with(keystream, blob, aad)
+
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Explicit-nonce :meth:`AESGCM.encrypt` on the derived state."""
         return self._gcm.encrypt(nonce, plaintext, aad)
@@ -499,6 +621,12 @@ def session_cache_size() -> int:
     """How many derived contexts the process-wide cache currently holds."""
     with _SESSION_LOCK:
         return len(_SESSION_CACHE)
+
+
+def frame_nonce(nonce: bytes, index: int) -> bytes:
+    """The nonce of frame ``index`` of a stream whose base nonce is ``nonce``:
+    ``index`` XORed into its low 32 bits."""
+    return nonce[:8] + (int.from_bytes(nonce[8:], "big") ^ index).to_bytes(4, "big")
 
 
 def _blocks(length: int) -> int:

@@ -5,10 +5,11 @@ execute, once per stream, at one time position: position-wise ops are
 the table's own steps over an ``(1, 1, D)`` activation; the two stateful
 ops are bound here -- ``embedding`` takes the running position (the
 position-independent half of the sinusoid is computed once per width)
-and every ``attention`` node keeps a key/value cache that grows by one
-row per step.  Because the positional encodings are a pure function of
-absolute position and the causal mask is implicit in the cache, a chain
-of :meth:`step` calls reproduces full-context
+and every ``attention`` node keeps a key/value cache that gains one
+row per step, written in place into buffers that double when full.
+Because the positional encodings are a pure function of absolute
+position and the causal mask is implicit in the cache, a chain of
+:meth:`step` calls reproduces full-context
 :meth:`~repro.mlrt.model.Model.run_reference` execution -- the property
 the parity tests pin down.  The graph is resolved once per model
 (:meth:`Model.plan`) and the bound steps of a finished stream are handed
@@ -36,6 +37,9 @@ from repro.mlrt.model import Model
 
 #: one time position of one sequence: the input shape every step is bound at
 _STEP_SHAPE = (1, 1)
+#: rows a stream's KV buffers start with: a prompt and a short answer fit
+#: without regrowing, and a longer stream doubles from there
+_KV_FIRST_ROWS = 16
 
 
 def _unstreamable(model: Model) -> List[str]:
@@ -88,8 +92,17 @@ def _bind_embedding(clock: List[int], inputs, out, weights, attrs, workspace):
     return step
 
 
-def _bind_attention(caches: List[List[np.ndarray]], inputs, out, weights, attrs, workspace):
-    """``layers.attention_step`` over one more ``[k, v]`` pair of ``caches``."""
+def _bind_attention(
+    clock: List[int], caches: List[List[np.ndarray]], inputs, out, weights, attrs, workspace
+):
+    """``layers.attention_step`` over one more row of a ``[k, v]`` pair of ``caches``.
+
+    The pair is two ``(1, heads, capacity, D / heads)`` buffers; the step
+    at position ``clock[0]`` writes its row there in place and attends
+    over the filled prefix, a view.  A full buffer is replaced by one of
+    twice the capacity (:data:`_KV_FIRST_ROWS` to start), so a stream
+    of ``n`` tokens copies its rows ``log2 n`` times, not twice per step.
+    """
     (x,), (wq, wk, wv, wo), heads = inputs, weights, attrs["heads"]
     qb, kb, vb, _, red, context, _ = workspace
     q, k_new, v_new = (layers._split_heads(b, heads) for b in (qb, kb, vb))
@@ -102,18 +115,22 @@ def _bind_attention(caches: List[List[np.ndarray]], inputs, out, weights, attrs,
         np.matmul(x, wq, out=qb)
         np.matmul(x, wk, out=kb)
         np.matmul(x, wv, out=vb)
-        if kv:
-            k = np.concatenate([kv[0], k_new], axis=2)
-            v = np.concatenate([kv[1], v_new], axis=2)
-        else:  # the first row attends over itself where it was computed
-            k, v = k_new, v_new
+        rows = clock[0]
+        if not kv or rows == kv[0].shape[2]:  # full: twice the capacity
+            shape = (1, heads, max(2 * rows, _KV_FIRST_ROWS), k_new.shape[3])
+            grown = [np.empty(shape, dtype=k_new.dtype) for _ in range(2)]
+            for new, old in zip(grown, kv):
+                new[:, :, :rows] = old
+            kv[:] = grown
+        keys, values = kv
+        keys[:, :, rows : rows + 1] = k_new
+        values[:, :, rows : rows + 1] = v_new
+        k, v = keys[:, :, : rows + 1], values[:, :, : rows + 1]
         scores = np.matmul(q, k.transpose(0, 1, 3, 2))
         np.true_divide(scores, scale, out=scores)
         layers.softmax_into(scores, scores, red)
         np.matmul(scores, v, out=context)
         np.matmul(merged, wo, out=out)
-        # the rows outlive the step; kb and vb are overwritten by the next
-        kv[:] = (k, v) if kv else (k.copy(), v.copy())
 
     return step
 
@@ -136,7 +153,7 @@ def _bind_stream(model: Model) -> tuple:
     caches: List[List[np.ndarray]] = []
     binders = {
         "embedding": partial(_bind_embedding, clock),
-        "attention": partial(_bind_attention, caches),
+        "attention": partial(_bind_attention, clock, caches),
     }
     return (clock, caches, scratch, *model.bind(storage, None, _STEP_SHAPE, binders))
 
@@ -147,8 +164,8 @@ class DecoderSession:
     :meth:`step` consumes one token id and returns the next-token logits;
     :meth:`prefill` folds a whole prompt in (the time-to-first-token
     cost).  State is the running position and one ``(k, v)`` cache pair
-    per attention node -- ``kv_bytes`` is what a stream pins in enclave
-    memory -- plus the activation scratch its steps write, which no
+    per attention node -- ``kv_bytes``, the capacity those buffers hold,
+    is what a stream pins in enclave memory -- plus the activation scratch its steps write, which no
     other live stream shares.  Binding costs about 0.15 ms, so a dropped
     session parks its steps on the model's plan -- position reset, KV
     rows released, activation scratch zero-filled -- and the next stream
@@ -189,7 +206,8 @@ class DecoderSession:
 
     @property
     def kv_bytes(self) -> int:
-        """Bytes pinned by the KV caches (the stream's EPC footprint)."""
+        """Bytes the KV cache buffers hold (the stream's EPC footprint):
+        their capacity, at most twice the rows filled."""
         return sum(array.nbytes for kv in self._kv for array in kv)
 
     def step(self, token: int) -> np.ndarray:

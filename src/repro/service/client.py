@@ -431,7 +431,7 @@ class RemoteSession:
             )
             return RemoteStream(self, self._client.open_stream(
                 "/v1/stream", self._body(enc_request), span=root
-            ))
+            ), max_new_tokens)
 
     def infer_many(
         self, xs: Sequence[np.ndarray], window: Optional[int] = None

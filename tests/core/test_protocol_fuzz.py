@@ -19,8 +19,9 @@ from repro.core.wire import WireError, dumps, loads
 from repro.errors import ReproError
 from repro.mlrt.zoo import build_mobilenet
 
-#: exception families a hostile caller may legitimately trigger
-ACCEPTABLE = (ReproError, ValueError, KeyError, TypeError, AttributeError)
+#: the only exception family a hostile caller may trigger: every refusal
+#: is a typed repro error, never a raw ValueError / KeyError / TypeError
+ACCEPTABLE = (ReproError,)
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,10 @@ contract, and the leader-crash fault site (``semirt:batch``).
 """
 
 import io
+import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.batching import BatchPolicy
@@ -21,6 +23,7 @@ from repro.core.semirt_enclave import (
     IsolationSettings,
     default_semirt_config,
 )
+from repro.crypto.gcm import frame_nonce
 from repro.errors import (
     EnclaveError,
     FaultInjected,
@@ -68,13 +71,13 @@ def _seal(env, host, name, prompt, max_new):
 
 
 def _tokens(env, host, name, frames):
-    """Decrypt sealed frames and enforce the index ordering client-side."""
-    return [
-        env.user(name).decrypt_frame(
-            MODEL_ID, host.measurement, frame, expected_index=index
-        )["token"]
-        for index, frame in enumerate(frames)
+    """Decrypt sealed frames one by one and check each sealed index."""
+    payloads = [
+        env.user(name).decrypt_frame(MODEL_ID, host.measurement, frame)
+        for frame in frames
     ]
+    assert [p["index"] for p in payloads] == list(range(len(frames)))
+    return [p["token"] for p in payloads]
 
 
 def _wait_for(condition, timeout_s=10.0):
@@ -452,12 +455,16 @@ class _Relay:
 
 
 @pytest.mark.parametrize("consumer", ["session", "http"])
-@pytest.mark.parametrize("tamper", ["reorder", "replay", "drop", "truncate", "empty"])
+@pytest.mark.parametrize(
+    "tamper", ["reorder", "replay", "drop", "truncate", "empty", "short", "blank"]
+)
 def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
     """Frames authenticate individually, so only what is sealed *into*
     them can catch a relay that reorders, replays, drops or truncates:
     the index, and the ``done`` marker of the last frame -- and both
-    consumers run the one :class:`~repro.core.client.TokenStream` check."""
+    consumers run the one :class:`~repro.core.client.TokenStream` check.
+    A frame too short to hold a nonce and tag is a forgery, not a raw
+    parsing error."""
     model = build_tinylm(seed=7)
     env, host = _launch(model, policy=None, tcs_count=1)
     frames = host.open_stream(
@@ -472,14 +479,16 @@ def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
         "drop": ([frames[0], frames[1], frames[3]], 2, "out of order"),
         "truncate": (frames[:2], 2, "truncated"),
         "empty": ([], 0, "truncated"),
+        "short": ([frames[0][:5]] + frames[1:], 0, "does not authenticate"),
+        "blank": ([b""] + frames[1:], 0, "does not authenticate"),
     }[tamper]
     session = env.session("user", MODEL_ID, semirt=host, config=host.enclave.config)
 
     def consume():
         relay = _Relay(tampered)
         if consumer == "session":
-            return SessionStream(session, relay)
-        return RemoteStream(session, HttpStream(relay, relay))
+            return SessionStream(session, relay, max_new_tokens=4)
+        return RemoteStream(session, HttpStream(relay, relay), 4)
 
     delivered = []
     with pytest.raises(InvocationError, match=match):
@@ -489,4 +498,197 @@ def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
     assert delivered == want[:intact]
     with pytest.raises(InvocationError, match=match):
         consume().result(timeout_s=30)
+    host.destroy()
+
+
+def _consume(env, host, consumer, frames, max_new):
+    """Every token ``frames`` yields through one of the two consumers,
+    and the error that stopped it (``None`` if none did)."""
+    session = env.session("user", MODEL_ID, semirt=host, config=host.enclave.config)
+    relay = _Relay(frames)
+    stream = (
+        SessionStream(session, relay, max_new_tokens=max_new) if consumer == "session"
+        else RemoteStream(session, HttpStream(relay, relay), max_new)
+    )
+    delivered = []
+    try:
+        for token in stream:
+            delivered.append(token)
+    except InvocationError as exc:
+        return delivered, exc
+    return delivered, None
+
+
+@pytest.mark.parametrize("consumer", ["session", "http"])
+def test_a_frame_spliced_in_from_another_live_stream_is_refused(consumer):
+    """Two streams of one user and model, both live: frame 1 of B carries
+    index 1 and authenticates under the same K_R, but not under A's stream
+    nonce, so splicing it into A is refused instead of delivering B's token
+    as A's."""
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=2)
+    with held_ecalls("EC_STREAM_STEP") as gate:
+        a = host.open_stream(_seal(env, host, "user", [2, 7, 1], 4), _uid(env, "user"), MODEL_ID)
+        b = host.open_stream(_seal(env, host, "user", [30, 4, 2], 4), _uid(env, "user"), MODEL_ID)
+        gate.wait_entered(2)  # both contexts are open in the enclave at once
+        gate.release()
+    a, b = a.result(timeout_s=30), b.result(timeout_s=30)
+    want_a, want_b = _tokens(env, host, "user", a), _tokens(env, host, "user", b)
+    assert want_a[1] != want_b[1]  # the splice would change what A says
+    delivered, error = _consume(env, host, consumer, [a[0], b[1], a[2], a[3]], 4)
+    assert error is not None and "out of order" in str(error)
+    assert delivered == want_a[:1]
+    host.destroy()
+
+
+def test_a_replayed_stream_request_seals_under_fresh_nonces():
+    """The enclave draws the stream nonce N per open: opening one sealed
+    request twice (as the benchmark's probe does) gives frames sealed
+    under ``N xor i`` for two different N, so the two nonce sets are
+    disjoint and the replay's frames do not fit the first open's stream."""
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=1)
+    enc = _seal(env, host, "user", [2, 7, 1], 6)
+    opens = [host.open_stream(enc, _uid(env, "user"), MODEL_ID).result(timeout_s=30)
+             for _ in range(2)]
+    nonce_sets = []
+    for frames in opens:
+        base = frames[0][:12]
+        assert [f[:12] for f in frames] == [frame_nonce(base, i) for i in range(6)]
+        nonce_sets.append({f[:12] for f in frames})
+    assert not nonce_sets[0] & nonce_sets[1]
+    first, replay = opens
+    assert _tokens(env, host, "user", first) == _tokens(env, host, "user", replay)
+    for consumer in ("session", "http"):
+        delivered, error = _consume(env, host, consumer, first[:3] + replay[3:], 6)
+        assert error is not None and "out of order" in str(error)
+        assert len(delivered) == 3
+    host.destroy()
+
+
+def test_no_frame_nonce_repeats_across_streams_or_one_shot_seals():
+    """Many streams under one request key, plus one-shot seals under it:
+    every nonce the key ever sealed under is distinct."""
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=1)
+    user = env.user("user")
+    nonces = []
+    for n in range(40):
+        enc = _seal(env, host, "user", [n % 32, 3], 1 + n % 9)
+        nonces.append(enc[:12])  # the client's one-shot seal of the request
+        frames = host.open_stream(enc, _uid(env, "user"), MODEL_ID).result(timeout_s=30)
+        assert all(len(frame) == 12 + 9 + 16 for frame in frames)
+        nonces.extend(frame[:12] for frame in frames)
+    for _ in range(20):
+        nonces.append(user.encrypt_request(MODEL_ID, host.measurement, np.zeros(3))[:12])
+    assert len(nonces) == 40 + sum(1 + n % 9 for n in range(40)) + 20
+    assert len(set(nonces)) == len(nonces)
+    host.destroy()
+
+
+def test_a_warm_stream_runs_one_aes_batch_per_party(monkeypatch):
+    """The enclave draws its first keystream run inside the batch that opens
+    the stream request, the client its run when it opens frame 0; after
+    that a frame costs GHASH and an XOR on either side, no AES batch."""
+    from repro.crypto.aes import AES
+
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=1)
+    config = host.enclave.config
+    batches = []
+    real = AES.encrypt_blocks
+
+    def counted(self, blocks):
+        batches.append(len(blocks))
+        return real(self, blocks)
+
+    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
+        session.stream([2, 7, 1], 12).result(timeout_s=30)  # the cold start
+        monkeypatch.setattr(AES, "encrypt_blocks", counted)
+        tokens = session.stream([2, 7, 1], 12).result(timeout_s=30)
+        monkeypatch.undo()
+    assert tokens == DecoderSession(model).generate([2, 7, 1], 12)
+    # the enclave's open of the 7-block request plus its fixed first run of
+    # FIRST_RUN_FRAMES = 16 frames x 2 blocks; the client's run of 12 frames
+    # plus the 7-block slot its next request seal takes (this request's
+    # seal drew the last one)
+    assert batches == [7 + 32, 24 + 7], batches
+    host.destroy()
+
+
+def test_a_long_stream_draws_a_bounded_run_before_its_first_token(monkeypatch):
+    """What either party draws before the first token is capped at
+    FIRST_RUN_FRAMES frames, however long the stream: the rest of a
+    1024-token stream's keystreams come in runs of RUN_FRAMES later."""
+    from repro.crypto.aes import AES
+
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=1)
+    config = host.enclave.config
+    batches = []
+    real = AES.encrypt_blocks
+
+    def counted(self, blocks):
+        batches.append(len(blocks))
+        return real(self, blocks)
+
+    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
+        session.stream([2, 7, 1], 12).result(timeout_s=30)  # the cold start
+        monkeypatch.setattr(AES, "encrypt_blocks", counted)
+        tokens = session.stream([2, 7, 1], MAX_STREAM_TOKENS).result(timeout_s=60)
+        monkeypatch.undo()
+    assert len(tokens) == MAX_STREAM_TOKENS
+    # per party: 16 frames first (with the request open / the reservoir
+    # refill), then seven runs of 128 frames and one of the last 112
+    assert batches[0] == 7 + 32
+    assert sorted(batches) == sorted([7 + 32, 32 + 7] + [256] * 14 + [224] * 2), batches
+    host.destroy()
+
+
+def test_a_stream_is_in_one_step_at_a_time(monkeypatch):
+    """Frame ``i`` is sealed under ``N xor i``, so two steps of one stream
+    racing on two TCSs would seal two frames under one nonce.  The enclave
+    claims a stream for the whole step: a second step while the first is
+    inside the decoder, or a step naming the ticket twice, is refused, and
+    the frames the stream does seal carry distinct nonces."""
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None, tcs_count=2)
+    ticket, first, done = host.enclave.ecall(
+        "EC_MODEL_INF_STREAM", _seal(env, host, "user", [2, 7, 1], 4),
+        _uid(env, "user"), MODEL_ID,
+    )
+    inside, release = threading.Event(), threading.Event()
+    real_step = DecoderSession.step
+
+    def held_step(decoder, token):
+        if not inside.is_set():  # hold the first step inside the decoder
+            inside.set()
+            release.wait(timeout=10)
+        return real_step(decoder, token)
+
+    monkeypatch.setattr(DecoderSession, "step", held_step)
+    steps = []
+    worker = threading.Thread(
+        target=lambda: steps.append(host.enclave.ecall("EC_STREAM_STEP", [ticket]))
+    )
+    worker.start()
+    assert inside.wait(timeout=10)
+    try:
+        with pytest.raises(InvocationError, match="one step at a time"):
+            host.enclave.ecall("EC_STREAM_STEP", [ticket])
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    monkeypatch.undo()
+    with pytest.raises(InvocationError, match="one step at a time"):
+        host.enclave.ecall("EC_STREAM_STEP", [ticket, ticket])
+    frames = [first, steps[0][0][0]]
+    done = steps[0][0][1]
+    while not done:
+        [(frame, done)] = host.enclave.ecall("EC_STREAM_STEP", [ticket])
+        frames.append(frame)
+    base = frames[0][:12]
+    assert [f[:12] for f in frames] == [frame_nonce(base, i) for i in range(4)]
+    assert _tokens(env, host, "user", frames) == DecoderSession(model).generate([2, 7, 1], 4)
+    assert host.code.open_streams == 0
     host.destroy()

@@ -1,11 +1,13 @@
 """AES block cipher: FIPS-197 vectors, batch path, error handling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, _expand_key
+from repro.crypto.aes import _INV_SBOX, _SBOX, AES, _expand_key
 from repro.errors import InvalidKey
 
 # FIPS-197 Appendix C example vectors: (key, plaintext, ciphertext)
@@ -61,6 +63,18 @@ KEY_EXPANSIONS = [
         " fe4890d1 e6188d0b 046df344 706c631e",
     ),
 ]
+
+
+def test_sbox_is_the_published_table():
+    """The S-box comes from log/antilog tables over the generator 3; its
+    bytes are pinned to the ones the exponentiation by 254 produced."""
+    assert hashlib.sha256(_SBOX).hexdigest() == (
+        "c2d8e5eed6cbebd8625fc18f81486a7733c04f9b0129ffbe974c68b90308b4f2"
+    )
+    assert hashlib.sha256(_INV_SBOX).hexdigest() == (
+        "93631b0726f6fe6629daa743ee51b49f4477ed07391b68eeea0672a4a90018aa"
+    )
+    assert _SBOX[:4] == bytes.fromhex("637c777b") and _SBOX[0x53] == 0xED
 
 
 @pytest.mark.parametrize("key,words", KEY_EXPANSIONS)

@@ -23,8 +23,10 @@ from repro.crypto.gcm import (
     SessionCipher,
     _multiply,
     evict_session,
+    frame_nonce,
     session_cache_size,
 )
+from repro.crypto.aes import AES
 from repro.crypto.keys import SymmetricKey
 from repro.errors import InvalidKey, InvalidTag
 
@@ -267,6 +269,128 @@ def test_open_adds_one_slot_the_size_of_the_last_seal():
     assert [len(keystream) for _, keystream in cipher._reservoir] == [1 + 6]
     cipher.open(request)  # not empty: no second slot
     assert len(reservoir_nonces(cipher)) == 1
+
+
+RUN_KEY = bytes(range(16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nonce=st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE),
+    first=st.integers(0, 2**32 - 8),
+    count=st.integers(1, 8),
+    length=st.integers(0, 40),
+)
+def test_a_keystream_run_is_the_explicit_nonce_keystreams(nonce, first, count, length):
+    """Row ``k`` of a run is the keystream of nonce ``N xor (first + k)``:
+    block ``j`` is ``E_K(nonce || 1 + j)``, checked against the block
+    cipher itself, and its CTR bytes are what ``encrypt`` XORs in."""
+    cipher, block = AESGCM(RUN_KEY), AES(RUN_KEY)
+    run = cipher.keystream_run(nonce, first, count, length)
+    blocks = 1 + -(-length // 16)
+    assert run.shape == (count, blocks, 16)
+    for k in range(count):
+        frame = frame_nonce(nonce, first + k)
+        assert frame[:8] == nonce[:8]
+        assert int.from_bytes(frame[8:], "big") ^ int.from_bytes(nonce[8:], "big") == first + k
+        want = b"".join(
+            block.encrypt_block(frame + (1 + j).to_bytes(4, "big")) for j in range(blocks)
+        )
+        assert run[k].tobytes() == want
+        assert run[k].tobytes()[16 : 16 + length] == cipher.encrypt(frame, bytes(length))[:length]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    nonce=st.binary(min_size=NONCE_SIZE, max_size=NONCE_SIZE),
+    index=st.integers(0, 1023),
+    plaintext=st.binary(max_size=40),
+    aad=st.binary(max_size=24),
+)
+def test_seal_and_open_with_a_drawn_keystream_are_encrypt_and_decrypt(
+    nonce, index, plaintext, aad
+):
+    cipher, oracle = AESGCM(RUN_KEY), AESGCM(RUN_KEY)
+    (keystream,) = cipher.keystream_run(nonce, index, 1, len(plaintext))
+    frame = frame_nonce(nonce, index)
+    blob = cipher.seal_with(frame, keystream, plaintext, aad)
+    assert blob == frame + oracle.encrypt(frame, plaintext, aad)
+    assert cipher.open_with(keystream, blob, aad) == plaintext
+    assert oracle.decrypt(frame, blob[NONCE_SIZE:], aad) == plaintext
+    tampered = bytearray(blob)
+    tampered[-1] ^= 1
+    with pytest.raises(InvalidTag):
+        cipher.open_with(keystream, bytes(tampered), aad)
+    with pytest.raises(InvalidTag):
+        cipher.open_with(keystream, blob, aad + b"x")
+
+
+def _bitwise_ghash(h: bytes, aad: bytes, ciphertext: bytes) -> bytes:
+    """GHASH block by block with the specification's bitwise multiply."""
+    def blocks(data):
+        data += bytes(-len(data) % 16)
+        return [data[i : i + 16] for i in range(0, len(data), 16)]
+
+    lengths = (8 * len(aad)).to_bytes(8, "big") + (8 * len(ciphertext)).to_bytes(8, "big")
+    y, key = 0, int.from_bytes(h, "big")
+    for block in blocks(aad) + blocks(ciphertext) + [lengths]:
+        y = _gf_mult(y ^ int.from_bytes(block, "big"), key)
+    return y.to_bytes(16, "big")
+
+
+@settings(max_examples=60, deadline=None)
+@given(aad=st.binary(max_size=40), ciphertext=st.binary(max_size=16))
+def test_a_one_block_message_hashes_as_a_memoised_prefix_and_one_multiply(aad, ciphertext):
+    cipher = AESGCM(RUN_KEY)
+    want = _bitwise_ghash(cipher._h, aad, ciphertext)
+    assert cipher._ghash(aad, ciphertext).tobytes() == want
+    for _ in range(2):  # the first call fills the memo, the second reads it
+        assert cipher._short_ghash(aad, ciphertext).tobytes() == want
+    assert (aad, len(ciphertext)) in cipher._prefixes
+
+
+def test_the_prefix_memo_is_bounded():
+    cipher = AESGCM(RUN_KEY)
+    for n in range(3 * gcm._MAX_PREFIXES):
+        cipher.seal(bytes(9), aad=b"frame" + bytes([n]))
+        assert 0 < len(cipher._prefixes) <= gcm._MAX_PREFIXES
+
+
+def test_open_drawing_is_open_plus_a_run_in_one_batch(monkeypatch):
+    cipher, peer = AESGCM(RUN_KEY), AESGCM(RUN_KEY)
+    blob, nonce = peer.seal(bytes(100), b"a"), bytes(range(12))
+    batches = []
+    real = AES.encrypt_blocks
+    monkeypatch.setattr(
+        AES, "encrypt_blocks", lambda self, b: (batches.append(len(b)), real(self, b))[1]
+    )
+    plaintext, run = cipher.open_drawing(blob, b"a", nonce, 5, 9)
+    assert batches == [1 + 7 + 5 * 2]
+    monkeypatch.undo()
+    assert plaintext == bytes(100)
+    assert np.array_equal(run, cipher.keystream_run(nonce, 0, 5, 9))
+    with pytest.raises(InvalidTag):
+        cipher.open_drawing(blob, b"b", nonce, 5, 9)
+
+
+def test_open_with_refuses_a_blob_longer_than_its_keystream():
+    cipher = AESGCM(RUN_KEY)
+    (keystream,) = cipher.keystream_run(bytes(12), 0, 1, 9)
+    blob = cipher.encrypt(bytes(12), bytes(17))
+    with pytest.raises(InvalidTag):
+        cipher.open_with(keystream, bytes(12) + blob)
+    with pytest.raises(InvalidTag):
+        cipher.open_with(keystream, bytes(NONCE_SIZE + TAG_SIZE - 1))
+
+
+def test_a_keystream_run_refills_an_empty_reservoir_like_an_open():
+    cipher = AESGCM(RUN_KEY)
+    cipher.keystream_run(bytes(12), 0, 3, 9)
+    assert reservoir_nonces(cipher) == []  # never sealed: nothing to size a slot by
+    cipher.seal(bytes(89))  # a miss and one spare slot ...
+    cipher.seal(bytes(89))  # ... which this seal takes
+    cipher.keystream_run(bytes(12), 3, 3, 9)
+    assert [len(keystream) for _, keystream in cipher._reservoir] == [1 + 6]
 
 
 def test_seal_misses_double_their_spare_slots():

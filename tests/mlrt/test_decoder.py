@@ -1,5 +1,7 @@
 """DecoderSession: incremental decoding == full-context execution."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -64,11 +66,16 @@ def test_kv_cache_grows_one_row_per_step():
     model = build_tinylm(blocks=2, seed=7)
     session = DecoderSession(model)
     session.step(1)
-    per_row = session.kv_bytes
-    assert per_row > 0
-    session.step(2)
-    session.step(3)
-    assert session.kv_bytes == 3 * per_row
+    per_row = sum(a.nbytes // a.shape[2] for kv in session._kv for a in kv)
+    assert per_row == 2 * 2 * 16 * 4  # two blocks, k and v, dim 16, float32
+    # one row per step, into buffers that start at 16 rows and double when
+    # full: kv_bytes is the capacity held, so 16 rows pin 16, the 17th 32
+    capacities = []
+    for token in range(2, 34):
+        session.step(token % 32)
+        capacities.append(session.kv_bytes // per_row)
+    assert capacities == [16] * 15 + [32] * 16 + [64]
+    assert session.position == 33
 
 
 def test_empty_prompt_and_bad_budget_refused():
@@ -77,3 +84,27 @@ def test_empty_prompt_and_bad_budget_refused():
         DecoderSession(model).prefill([])
     with pytest.raises(ModelError, match="at least 1"):
         DecoderSession(model).generate([1], 0)
+
+
+def test_logits_over_pinned_prompts_are_the_concatenating_caches():
+    """Writing KV rows in place changes no bit of any logits row: the
+    digest is the one the caches that grew by concatenation produced."""
+    digest = hashlib.sha256()
+    for seed in range(4):
+        session = DecoderSession(build_tinylm(seed=seed))
+        for token in np.random.default_rng(seed).integers(0, 32, 40):  # past ctx
+            digest.update(session.step(int(token)).tobytes())
+    assert digest.hexdigest() == (
+        "d047c6db4ff9e15bdd0c28fa6a80b089a30b53ca413e7877c78c217a9eda42f4"
+    )
+
+
+def test_kv_rows_are_written_in_place_until_the_buffer_is_full():
+    session = DecoderSession(build_tinylm(seed=1))
+    session.step(0)
+    held = [array for kv in session._kv for array in kv]
+    for token in range(1, 16):  # rows 2..16 of a 16-row buffer: no reallocation
+        session.step(token)
+    assert all(a is b for a, b in zip(held, (x for kv in session._kv for x in kv)))
+    session.step(16)  # the 17th row doubles every buffer
+    assert all(array.shape[2] == 32 for kv in session._kv for array in kv)
