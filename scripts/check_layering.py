@@ -5,7 +5,7 @@ Run from the repository root (CI does, next to the test suite)::
 
     python scripts/check_layering.py
 
-Exits non-zero naming every offender.  Four kinds of rule:
+Exits non-zero naming every offender.  Five kinds of rule:
 
 **1. A package ``__init__.py`` is a docstring.**  Importing
 ``repro.a.b`` runs ``repro/__init__.py`` and ``repro/a/__init__.py``
@@ -59,6 +59,13 @@ repro`` (``repro.__main__``, ``repro.cli``), ``repro.service``, or a
 module reads state its owner never offered (the gateway once read the
 router's ``_endpoints`` this way, twice): nothing under ``src/`` may do
 it -- ask the owner for a public, read-only view instead.
+
+**5. One HTTP implementation.**  Server and client speak the HTTP/1.1
+subset whose head codec is :mod:`repro.service.protocol`; nothing under
+``src/repro`` may import the stdlib's ``http.client`` or ``http.server``
+(:data:`FOREIGN_HTTP`).  Tests may: ``tests/service/test_httpd_chunked.py``
+reads the server's chunked framing with ``http.client`` on purpose, as
+a reader independent of the tree's own.
 """
 
 from __future__ import annotations
@@ -333,6 +340,33 @@ def check_private_getattr(src_repro: Path = SRC_REPRO):
     return violations
 
 
+# -- rule 5: one HTTP implementation ----------------------------------------------------
+
+#: the stdlib HTTP stacks ``src/repro`` may not import
+FOREIGN_HTTP = ("http.client", "http.server")
+
+
+def check_one_http(src_repro: Path = SRC_REPRO):
+    """Every import of :data:`FOREIGN_HTTP` (``from http import client`` too)."""
+    violations = []
+    for path in sorted(src_repro.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            for name in names:
+                if any(_under(name, foreign) for foreign in FOREIGN_HTTP):
+                    violations.append(
+                        f"{_shown(path)}:{node.lineno}: imports {name!r} -- both ends "
+                        f"speak the HTTP subset of repro.service.protocol"
+                    )
+                    break
+    return violations
+
+
 def main() -> int:
     """CLI entry point; returns a process exit code."""
     pins = [(name, allowed, SRC_REPRO / name) for name, allowed in PACKAGES.items()]
@@ -351,6 +385,7 @@ def main() -> int:
         checks.append((f"repro.{name}", violations))
     checks.append(("reachability", check_reachability()))
     checks.append(("private getattr", check_private_getattr()))
+    checks.append(("one HTTP implementation", check_one_http()))
     for title, violations in checks:
         for violation in violations:
             print(violation, file=sys.stderr)

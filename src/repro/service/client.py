@@ -23,11 +23,10 @@ controller or a saturated enclave queue produced it.
 
 from __future__ import annotations
 
-import http.client
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
 import numpy as np
@@ -43,30 +42,183 @@ from repro.errors import (
     from_wire,
 )
 from repro.obs.tracer import Tracer, maybe_span
-from repro.service.protocol import BINARY_CONTENT_TYPE, content_type, read_record
+from repro.service.protocol import (
+    BINARY_CONTENT_TYPE,
+    MAX_HEAD,
+    MAX_LINE,
+    content_length,
+    content_type,
+    encode_head,
+    parse_head,
+    read_record,
+)
 from repro.sgx.attestation import AttestationService
 from repro.sgx.measurement import EnclaveMeasurement
 
-#: how a kept-alive connection the server closed while it sat idle fails:
-#: the send breaks, or the peer hangs up before one response byte -- the
-#: request was never processed, so sending it again cannot run it twice
-_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
-#: every way the transport itself fails (``socket.timeout`` is an OSError)
-_TRANSPORT = (http.client.HTTPException, OSError)
+#: bytes one ``recv`` asks the kernel for
+_RECV = 65536
+#: what a chunk-size line may hold (``int(x, 16)`` would also take ``0x``, ``+``, ``_``)
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+
+class _Stale(Exception):
+    """A kept-alive connection the server had closed while it sat idle:
+    the send broke, or the peer hung up before one response byte -- the
+    request was never processed, so sending it again cannot run it twice."""
+
+
+class _Connection:
+    """One keep-alive socket speaking the service's HTTP/1.1 subset
+    (:mod:`repro.service.protocol`): a request is one ``sendall`` of head
+    and body, a response head one buffered ``recv`` loop up to its blank
+    line, and its body ``Content-Length`` or chunked framed."""
+
+    def __init__(self, host: str, port: int, timeout_s: float) -> None:
+        self.sock: Optional[socket.socket] = socket.create_connection(
+            (host, port), timeout=timeout_s
+        )
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.used = False
+        self._buf = bytearray()
+
+    def exchange(self, request: bytes) -> Tuple[int, Dict[str, str]]:
+        """Send ``request``; the status and headers of the reply.
+
+        Raises :class:`_Stale` when this connection had carried a
+        request before and the server hung up before replying.
+        """
+        reused, self.used = self.used, True
+        try:
+            self.sock.sendall(request)
+            if not self._buf:
+                self._fill()  # the reply's first byte
+        except (BrokenPipeError, ConnectionResetError) as exc:
+            if reused:
+                raise _Stale from exc
+            raise
+        while (end := self._buf.find(b"\r\n\r\n")) < 0:
+            if len(self._buf) > MAX_HEAD:
+                raise TransportError(f"response head exceeds {MAX_HEAD} bytes")
+            self._fill()
+        fields, headers = parse_head(bytes(self._buf[:end]))
+        del self._buf[:end + 4]
+        if len(fields) < 2 or not fields[0].startswith("HTTP/1.") or not (
+            fields[1].isascii() and fields[1].isdigit() and len(fields[1]) == 3
+        ):
+            raise TransportError(f"not an HTTP/1.x status line: {fields!r:.80}")
+        return int(fields[1]), headers
+
+    def body(self, headers: Dict[str, str]):
+        """The reply body, as an object whose ``read(n)`` returns at most
+        ``n`` bytes, and ``b""`` only at the body's end.  A reply with
+        neither ``Content-Length`` nor chunked framing raises."""
+        length = content_length(headers)
+        if length is not None:
+            return _Sized(self, length)
+        if headers.get("transfer-encoding", "").lower() == "chunked":
+            return _Chunked(self)
+        raise TransportError("reply has neither Content-Length nor chunked framing")
+
+    def read(self, n: int) -> bytes:
+        """At most ``n`` (> 0) bytes: buffered ones first, else one ``recv``."""
+        if not self._buf:
+            self._fill()
+        data = bytes(self._buf[:n])
+        del self._buf[:n]
+        return data
+
+    def read_line(self) -> bytes:
+        """One CRLF-terminated line of a chunked body, without its CRLF."""
+        while (end := self._buf.find(b"\r\n")) < 0:
+            if len(self._buf) > MAX_LINE:
+                raise TransportError(f"a chunk line exceeds {MAX_LINE} bytes")
+            self._fill()
+        line = bytes(self._buf[:end])
+        del self._buf[:end + 2]
+        return line
+
+    def _fill(self) -> None:
+        sock = self.sock
+        if sock is None:
+            raise ConnectionAbortedError("the connection was closed")
+        chunk = sock.recv(_RECV)
+        if not chunk:
+            raise ConnectionResetError("the server closed the connection")
+        self._buf += chunk
+
+    def close(self) -> None:
+        """Close the socket; the owner dials a new connection next time.
+
+        The shutdown sends the FIN now and wakes a thread blocked reading
+        this socket -- a plain close would wait for that read to return.
+        """
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer already reset it
+            sock.close()
+
+
+class _Sized:
+    """A ``Content-Length`` body on its connection."""
+
+    def __init__(self, conn: _Connection, length: int) -> None:
+        self._conn = conn
+        self._left = length
+
+    def read(self, n: int) -> bytes:
+        if not self._left:
+            return b""
+        data = self._conn.read(min(n, self._left))
+        self._left -= len(data)
+        return data
+
+
+class _Chunked:
+    """A ``Transfer-Encoding: chunked`` body on its connection, de-chunked:
+    one ``read`` returns bytes of one chunk."""
+
+    def __init__(self, conn: _Connection) -> None:
+        self._conn = conn
+        self._left = 0  # bytes of the current chunk not read yet
+        self._crlf_due = False  # a chunk's data was read, its CRLF was not
+        self._ended = False
+
+    def read(self, n: int) -> bytes:
+        if not self._left:
+            if self._ended:
+                return b""
+            if self._crlf_due and self._conn.read_line():
+                raise TransportError("a chunk does not end in CRLF")
+            size = self._conn.read_line().split(b";", 1)[0].strip()
+            if not size or size.strip(_HEX_DIGITS):
+                raise TransportError(f"malformed chunk size {size[:32]!r}")
+            self._left, self._crlf_due = int(size, 16), True
+            if not self._left:  # the last chunk: trailers up to the blank line
+                while self._conn.read_line():
+                    pass
+                self._ended = True
+                return b""
+        data = self._conn.read(min(n, self._left))
+        self._left -= len(data)
+        return data
 
 
 class ServiceClient:
     """A blocking HTTP/1.1 client for the service wire protocol.
 
-    Stdlib :mod:`http.client` with one keep-alive connection per
-    thread; bodies are :mod:`repro.core.wire` frames.  ``codec``
-    selects the request framing per call: the inference hot path sends
-    binary frames (and asks for binary replies via ``Accept``), while
-    control-plane routes stay on JSON for debuggability.  Replies
-    decode through the versioned :func:`~repro.core.wire.loads`
-    dispatcher either way.  Network-level
-    failures raise :class:`~repro.errors.TransportError`; HTTP error
-    statuses re-raise the server's exception via
+    One keep-alive :class:`_Connection` per thread, speaking the subset
+    the server speaks (:mod:`repro.service.protocol`): each request is
+    one write of head plus body.  Bodies are :mod:`repro.core.wire`
+    frames.  ``codec`` selects the request framing per call: the
+    inference hot path sends binary frames (and asks for binary replies
+    via ``Accept``), while control-plane routes stay on JSON for
+    debuggability.  Replies decode through the versioned
+    :func:`~repro.core.wire.loads` dispatcher either way.
+    Network-level failures raise :class:`~repro.errors.TransportError`;
+    HTTP error statuses re-raise the server's exception via
     :func:`~repro.errors.from_wire`.
     """
 
@@ -76,24 +228,23 @@ class ServiceClient:
             raise SeSeMIError(f"unsupported service url {base_url!r}")
         self.host = split.hostname
         self.port = split.port or 80
+        self._authority = split.netloc
         self.timeout_s = timeout_s
         self._local = threading.local()
 
-    def _connection(self) -> http.client.HTTPConnection:
-        """This thread's keep-alive connection (reconnects after a close)."""
+    def _connection(self) -> _Connection:
+        """This thread's keep-alive connection (redialled after a close)."""
         conn = getattr(self._local, "conn", None)
-        if conn is None:
+        if conn is None or conn.sock is None:
             conn = self._local.conn = self._dial()
         return conn
 
-    def _dial(self) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+    def _dial(self) -> _Connection:
+        return _Connection(self.host, self.port, self.timeout_s)
 
     def _send(
         self,
-        connect: Callable[[], http.client.HTTPConnection],
+        connect: Callable[[], _Connection],
         method: str,
         path: str,
         payload: Optional[dict],
@@ -101,47 +252,53 @@ class ServiceClient:
         span,
         codec: wire.WireCodec,
     ):
-        """Send one request on ``connect()``; ``(connection, response)``.
+        """Send one request on ``connect()``; ``(connection, status, headers)``.
 
         The response head is read, the body is not.  ``span`` is the
         caller's client span: its id travels as ``x-client-span`` and
         the ``x-trace-id`` the server answers with is recorded on it, so
-        the two span trees join.  The one retry is for :data:`_STALE` on
-        a connection this thread had already used; a timeout never
-        retries -- the request may be running, and no route is
-        idempotent (docs/service.md).
+        the two span trees join.  The one retry is a :class:`_Stale`
+        connection; a timeout never retries -- the request may be
+        running, and no route is idempotent (docs/service.md).
         """
         body = wire.dumps(payload, codec=codec) if payload is not None else b""
         target = path + ("?" + urlencode(query) if query else "")
-        headers = {"Content-Type": content_type(codec)}
+        headers = {
+            "Host": self._authority,
+            "Content-Type": content_type(codec),
+            "Content-Length": str(len(body)),
+        }
         if codec is wire.BINARY:
             headers["Accept"] = BINARY_CONTENT_TYPE
         if span is not None:
             headers["x-client-span"] = span.span_id
+        request = encode_head(f"{method} {target} HTTP/1.1", headers) + body
         while True:
-            conn = connect()
-            reused = conn.sock is not None
+            conn = None
             try:
-                conn.request(method, target, body=body, headers=headers)
-                response = conn.getresponse()
-            except _TRANSPORT as exc:
-                conn.close()  # the next use reconnects
-                if not (reused and isinstance(exc, _STALE)):
-                    raise TransportError(
-                        f"{method} {path} failed: {exc}"
-                    ) from exc
-            else:
-                if span is not None and (trace_id := response.getheader("x-trace-id")):
-                    span.set_attributes(server_trace_id=trace_id)
-                return conn, response
+                conn = connect()
+                status, reply_headers = conn.exchange(request)
+            except _Stale:
+                conn.close()  # sent again, once: the next connection is a fresh one
+                continue
+            except (OSError, TransportError) as exc:  # socket.timeout is an OSError
+                if conn is not None:
+                    conn.close()
+                raise TransportError(f"{method} {path} failed: {exc}") from exc
+            if span is not None and (trace_id := reply_headers.get("x-trace-id")):
+                span.set_attributes(server_trace_id=trace_id)
+            return conn, status, reply_headers
 
-    def _reply(self, conn, response, what: str) -> dict:
+    def _reply(self, conn: _Connection, headers: Dict[str, str], what: str) -> dict:
         """Read and decode a (non-streaming) response body."""
         try:
-            raw = response.read()
-        except _TRANSPORT as exc:
+            body = conn.body(headers)
+            raw = b"".join(iter(lambda: body.read(_RECV), b""))
+        except (OSError, TransportError) as exc:
             conn.close()
             raise TransportError(f"{what} failed: {exc}") from exc
+        if headers.get("connection", "").lower() == "close":
+            conn.close()
         try:
             return wire.loads(raw) if raw else {}
         except wire.WireError:
@@ -156,12 +313,12 @@ class ServiceClient:
         span=None,
         codec: wire.WireCodec = wire.JSON,
     ):
-        """One round trip: ``(status, payload_dict, response_headers)``."""
-        conn, response = self._send(
+        """One round trip: ``(status, payload_dict, response_headers)``,
+        header names lower-cased."""
+        conn, status, headers = self._send(
             self._connection, method, path, payload, query, span, codec
         )
-        reply = self._reply(conn, response, f"{method} {path}")
-        return response.status, reply, dict(response.getheaders())
+        return status, self._reply(conn, headers, f"{method} {path}"), headers
 
     def call(
         self, method: str, path: str, payload: Optional[dict] = None, **kwargs
@@ -182,14 +339,19 @@ class ServiceClient:
         the server to stop decoding; the stream owns closing it.  An
         HTTP error status raises the server's exception immediately.
         """
-        conn, response = self._send(
+        conn, status, headers = self._send(
             self._dial, "POST", path, payload, None, span, wire.BINARY
         )
-        if response.status >= 400:
-            reply = self._reply(conn, response, f"POST {path}")
+        if status >= 400:
+            reply = self._reply(conn, headers, f"POST {path}")
             conn.close()
-            raise from_wire(reply, response.status)
-        return HttpStream(conn, response)
+            raise from_wire(reply, status)
+        try:
+            body = conn.body(headers)
+        except TransportError:
+            conn.close()
+            raise
+        return HttpStream(conn, body)
 
     def close(self) -> None:
         """Close this thread's keep-alive connection."""
@@ -571,10 +733,10 @@ class HttpStream(_ConsumerFed, StreamCell):
     releasing the enclave KV/stream context.
     """
 
-    def __init__(self, conn, response) -> None:
+    def __init__(self, conn, body) -> None:
         super().__init__()
         self._conn = conn
-        self._response = response
+        self._body = body
 
     def _what(self) -> str:
         return "remote stream"
@@ -594,7 +756,7 @@ class HttpStream(_ConsumerFed, StreamCell):
                     raise socket.timeout
                 if self._conn.sock is not None:
                     self._conn.sock.settimeout(chunk_s)
-            frame = read_record(self._response.read)
+            frame = read_record(self._body.read)
             if frame is not None:
                 return self.push(frame)
             self.set_result()  # the body ended, at a record boundary

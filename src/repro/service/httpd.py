@@ -1,11 +1,14 @@
 """A minimal asyncio HTTP/1.1 server (stdlib only).
 
-Just enough HTTP for the service tier: request-line + headers parsing,
-``Content-Length`` bodies, keep-alive, chunked **responses** (for the
-streaming route), and bounded line/body sizes.  Deliberately **not** a
-general web server -- no chunked request bodies, no TLS (the payloads
-are AEAD ciphertext end to end; see ``docs/service.md``), no
-pipelining guarantees beyond serial handling per connection.
+Just enough HTTP for the service tier: one read of the request head
+(parsed by :func:`repro.service.protocol.parse_head`, the codec the
+client shares), ``Content-Length`` bodies, keep-alive, chunked
+**responses** (for the streaming route), and bounded head/body sizes.
+Deliberately **not** a general web server -- no chunked request bodies
+(a request carrying ``Transfer-Encoding`` is refused), no TLS (the
+payloads are AEAD ciphertext end to end; see ``docs/service.md``), no
+pipelining guarantees beyond serial handling per connection.  A head it
+cannot parse is answered ``400`` with ``Connection: close``.
 
 The handler is one coroutine ``async def handler(request) ->
 HttpResponse``; anything it raises is mapped by the caller-supplied
@@ -23,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-_MAX_LINE = 8192
-_MAX_HEADERS = 64
+from repro.errors import TransportError
+from repro.service.protocol import MAX_HEAD, content_length, encode_head, parse_head
 
 _REASONS = {
     200: "OK", 202: "Accepted", 204: "No Content",
@@ -47,17 +50,19 @@ class HttpRequest:
     body: bytes
 
 
-def _encode_head(response, framing: str, keep_alive: bool) -> bytes:
+def _encode_head(response, framing: Dict[str, str], keep_alive: bool) -> bytes:
     """Status line and headers of either response kind; ``framing`` is
     the header that says how the body ends."""
-    lines = [
-        f"HTTP/1.1 {response.status} {_REASONS.get(response.status, 'Unknown')}",
-        f"Content-Type: {response.content_type}",
-        framing,
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    lines.extend(f"{name}: {value}" for name, value in response.headers.items())
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    status = response.status
+    return encode_head(
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        {
+            "Content-Type": response.content_type,
+            **framing,
+            "Connection": "keep-alive" if keep_alive else "close",
+            **response.headers,
+        },
+    )
 
 
 @dataclass
@@ -71,7 +76,7 @@ class HttpResponse:
 
     def encode(self, keep_alive: bool) -> bytes:
         """Serialise status line, headers, and body to raw HTTP/1.1."""
-        framing = f"Content-Length: {len(self.body)}"
+        framing = {"Content-Length": str(len(self.body))}
         return _encode_head(self, framing, keep_alive) + self.body
 
 
@@ -100,7 +105,7 @@ class StreamingHttpResponse:
 
     def encode_head(self, keep_alive: bool) -> bytes:
         """Serialise the status line and headers (chunked framing)."""
-        return _encode_head(self, "Transfer-Encoding: chunked", keep_alive)
+        return _encode_head(self, {"Transfer-Encoding": "chunked"}, keep_alive)
 
 
 class HttpError(Exception):
@@ -139,7 +144,7 @@ class AsyncHttpServer:
     async def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns ``(host, port)``."""
         self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port
+            self._serve_connection, self._host, self._port, limit=MAX_HEAD
         )
         sock = self._server.sockets[0]
         self.address = sock.getsockname()[:2]
@@ -160,6 +165,14 @@ class AsyncHttpServer:
     # -- connection handling ---------------------------------------------------
 
     async def _serve_connection(self, reader, writer) -> None:
+        """Serve one connection's requests in turn; the task always returns.
+
+        :meth:`stop` ends it by cancellation, which aborts the socket --
+        bytes the peer never read are dropped, so a peer that stopped
+        reading cannot hold the close up -- and the task returns
+        normally: a connection task that ends *cancelled* makes asyncio's
+        own done-callback log a traceback.
+        """
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
@@ -169,7 +182,7 @@ class AsyncHttpServer:
                 try:
                     request = await self._read_request(reader)
                 except asyncio.IncompleteReadError:
-                    break  # peer closed between requests
+                    break  # peer closed between requests (or inside a head)
                 except HttpError as exc:
                     response = HttpResponse(
                         status=exc.status,
@@ -178,8 +191,6 @@ class AsyncHttpServer:
                     )
                     writer.write(response.encode(keep_alive=False))
                     await writer.drain()
-                    break
-                if request is None:
                     break
                 keep_alive = (
                     request.headers.get("connection", "keep-alive").lower()
@@ -199,14 +210,16 @@ class AsyncHttpServer:
                     await writer.drain()
                 if not keep_alive:
                     break
-        except (ConnectionError, asyncio.CancelledError):
+        except asyncio.CancelledError:
+            writer.transport.abort()
+        except ConnectionError:
             pass
         finally:
+            writer.close()
             try:
-                writer.close()
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            except (OSError, asyncio.CancelledError):
+                pass  # closed either way; a second cancel ends the task here too
 
     async def _write_chunked(
         self, writer, response: StreamingHttpResponse, keep_alive: bool
@@ -238,30 +251,24 @@ class AsyncHttpServer:
         await writer.drain()
         return True
 
-    async def _read_request(self, reader) -> Optional[HttpRequest]:
-        line = await reader.readline()
-        if not line:
-            return None
-        if len(line) > _MAX_LINE:
-            raise HttpError(400, "request line too long")
+    async def _read_request(self, reader) -> HttpRequest:
+        """The next request: its head in one read, then its body."""
         try:
-            method, target, version = line.decode("latin-1").split()
-        except ValueError:
-            raise HttpError(400, "malformed request line") from None
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:
+            raise HttpError(400, f"request head exceeds {MAX_HEAD} bytes") from None
+        try:
+            fields, headers = parse_head(head[:-4])
+            length = content_length(headers) or 0
+        except TransportError as exc:
+            raise HttpError(400, str(exc)) from None
+        if len(fields) != 3 or " " in fields[2]:
+            raise HttpError(400, "malformed request line")
+        method, target, version = fields
         if not version.startswith("HTTP/1."):
             raise HttpError(400, f"unsupported version {version}")
-        headers: Dict[str, str] = {}
-        for _ in range(_MAX_HEADERS + 1):
-            line = await reader.readline()
-            if len(line) > _MAX_LINE:
-                raise HttpError(400, "header line too long")
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        else:
-            raise HttpError(400, "too many headers")
-        length = int(headers.get("content-length", "0") or "0")
+        if "transfer-encoding" in headers:
+            raise HttpError(400, "request bodies are Content-Length framed only")
         if length > self._max_body:
             raise HttpError(413, f"body exceeds {self._max_body} bytes")
         body = await reader.readexactly(length) if length else b""

@@ -322,3 +322,28 @@ def test_the_numpy_free_pins_are_numpy_free_at_runtime():
                 "core.futures", "routing", "warmpool"):
         assert pin in checker.STDLIB_ONLY, pin
     assert "numpy" not in checker.loaded_modules(["repro.warmpool.manager"])
+
+
+def test_gate_catches_a_stdlib_http_stack_under_src(tmp_path, monkeypatch, capsys):
+    """Both ends speak the subset of ``repro.service.protocol``: an
+    ``http.client`` or ``http.server`` import anywhere under ``src/repro``
+    -- in any spelling -- is reported, and fails the script."""
+    checker = _load_checker()
+    src_repro = _tree(tmp_path, {
+        "src/repro/service/client.py": (
+            "import socket\n"
+            "from http import HTTPStatus\n"
+            "import http.client\n"
+            "def serve():\n    from http.server import HTTPServer\n"
+        ),
+        "src/repro/cli.py": "from http import client, cookies\n",
+    }) / "src" / "repro"
+    violations = checker.check_one_http(src_repro)
+    assert [v.split(": imports ")[0].split("src/repro/")[1] for v in violations] == [
+        "cli.py:1", "service/client.py:3", "service/client.py:5",
+    ]
+    assert "'http.client'" in violations[0] and "'http.server'" in violations[2]
+    assert checker.check_one_http() == []
+    monkeypatch.setattr(checker, "check_one_http", lambda: violations)
+    assert checker.main() == 1
+    assert "one HTTP implementation: 3 layering violation(s)" in capsys.readouterr().err
