@@ -98,9 +98,10 @@ RESPONSE_AAD = b"sesemi-response"
 STREAM_AAD = b"sesemi-stream"
 FRAME_AAD = b"sesemi-frame"
 
-#: upper bound on tokens one stream may generate; bounds how long a
-#: stream context (and its KV cache) can pin enclave heap, and keeps a
-#: frame index inside the low bits its nonce rule XORs it into
+#: upper bound on tokens one stream may generate, and on its prompt's;
+#: bounds how long a stream context (and its KV cache) can pin enclave
+#: heap and a TCS in one prefill, and keeps a frame index inside the low
+#: bits its nonce rule XORs it into
 MAX_STREAM_TOKENS = 1024
 
 #: a token frame's sealed body: token id (int32), frame index (uint32),
@@ -711,8 +712,10 @@ class SemirtEnclaveCode(EnclaveCode):
         if len(payload["prompt"]) % 4:
             raise InvocationError("prompt is not a whole number of float32 token ids")
         prompt = np.frombuffer(payload["prompt"], dtype=np.float32)
-        if prompt.size == 0:
-            raise InvocationError("refusing an empty prompt")
+        if not 1 <= prompt.size <= MAX_STREAM_TOKENS:
+            raise InvocationError(
+                f"a prompt must hold between 1 and {MAX_STREAM_TOKENS} tokens"
+            )
         if not np.isfinite(prompt).all():
             raise InvocationError("prompt token ids must be finite")
         max_new = int(payload["max_new_tokens"])

@@ -11,9 +11,13 @@ Because the positional encodings are a pure function of absolute
 position and the causal mask is implicit in the cache, a chain of
 :meth:`step` calls reproduces full-context
 :meth:`~repro.mlrt.model.Model.run_reference` execution -- the property
-the parity tests pin down.  The graph is resolved once per model
-(:meth:`Model.plan`) and the bound steps of a finished stream are handed
-to the next one, so opening a stream costs microseconds, not a bind.
+the parity tests pin down.  A prompt needs no step per token: it runs
+as one pass of the plan bound at ``(1, T)`` -- the table's own binders,
+so its logits are bit-equal to ``run_reference`` -- whose attention
+nodes hand their key/value projections over as the caches' first rows.
+The graph is resolved once per model (:meth:`Model.plan`), and the bound
+steps of a finished stream, like a prompt's pass, are handed to the next
+one, so opening a stream costs microseconds, not a bind.
 
 Inside SeMIRT this object *is* the per-stream execution context: the KV
 caches live in the enclave heap for the lifetime of the stream and are
@@ -135,13 +139,13 @@ def _bind_attention(
     return step
 
 
-def _bind_stream(model: Model) -> tuple:
-    """Bind ``model`` at one time position over one flat scratch array.
+def _carve(model: Model, input_shape: Tuple[int, ...]) -> tuple:
+    """One zeroed float32 array holding every buffer of ``plan(input_shape)``.
 
-    Returns ``(clock, caches, scratch, input, steps, output)``: the
-    state cells the two stateful steps hold, then what they run over.
+    Returns ``(scratch, storage)``: the flat array, and its views keyed
+    as :meth:`Model.bind` takes them.
     """
-    shapes = model.plan(_STEP_SHAPE).buffers
+    shapes = model.plan(input_shape).buffers
     # an even number of float32 slots each keeps the int64 token ids aligned
     sizes = [prod(shape) + prod(shape) % 2 for shape in shapes.values()]
     scratch = np.zeros(sum(sizes), dtype=np.float32)
@@ -149,6 +153,16 @@ def _bind_stream(model: Model) -> tuple:
         key: scratch[start : start + prod(shape)].reshape(shape)
         for (key, shape), start in zip(shapes.items(), accumulate(sizes, initial=0))
     }
+    return scratch, storage
+
+
+def _bind_stream(model: Model) -> tuple:
+    """Bind ``model`` at one time position over one flat scratch array.
+
+    Returns ``(clock, caches, scratch, input, steps, output)``: the
+    state cells the two stateful steps hold, then what they run over.
+    """
+    scratch, storage = _carve(model, _STEP_SHAPE)
     clock: List[int] = [0]
     caches: List[List[np.ndarray]] = []
     binders = {
@@ -158,15 +172,40 @@ def _bind_stream(model: Model) -> tuple:
     return (clock, caches, scratch, *model.bind(storage, None, _STEP_SHAPE, binders))
 
 
+def _bind_prompt_attention(
+    projected: List[List[np.ndarray]], inputs, out, weights, attrs, workspace
+):
+    """The table's own causal attention over a whole prompt, handing over
+    its key/value projections, ``(1, heads, T, D / heads)`` views of its
+    workspace: once the pass has run, they are the stream's first rows."""
+    projected.append([layers._split_heads(b, attrs["heads"]) for b in workspace[1:3]])
+    return layers._bind_attention(inputs, out, weights, attrs, workspace)
+
+
+def _bind_prefill(model: Model, length: int) -> tuple:
+    """Bind ``model`` at ``(1, length)``: a prompt's one pass from position 0.
+
+    Returns ``(projected, scratch, input, steps, output)``.  Every op but
+    ``attention`` is the table's own, the embedding included: its
+    sinusoid starts at position 0, which is where a prompt starts.
+    """
+    shape = (1, length)
+    scratch, storage = _carve(model, shape)
+    projected: List[List[np.ndarray]] = []
+    binders = {"attention": partial(_bind_prompt_attention, projected)}
+    return (projected, scratch, *model.bind(storage, None, shape, binders))
+
+
 class DecoderSession:
     """One autoregressive decode in progress: position + KV caches.
 
     :meth:`step` consumes one token id and returns the next-token logits;
-    :meth:`prefill` folds a whole prompt in (the time-to-first-token
-    cost).  State is the running position and one ``(k, v)`` cache pair
-    per attention node -- ``kv_bytes``, the capacity those buffers hold,
-    is what a stream pins in enclave memory -- plus the activation scratch its steps write, which no
-    other live stream shares.  Binding costs about 0.15 ms, so a dropped
+    :meth:`prefill` folds a whole prompt in, in one pass (the
+    time-to-first-token cost).  State is the running position and one
+    ``(k, v)`` cache pair per attention node -- ``kv_bytes``, the
+    capacity those buffers hold, is what a stream pins in enclave memory
+    -- plus the activation scratch its steps write, which no other live
+    stream shares.  Binding costs about 0.15 ms, so a dropped
     session parks its steps on the model's plan -- position reset, KV
     rows released, activation scratch zero-filled -- and the next stream
     of that model opens in microseconds by taking them over.
@@ -183,6 +222,7 @@ class DecoderSession:
             )
         if not model.nodes:
             raise ModelError("cannot stream an empty model")
+        self._model, self._ctx = model, model.input_spec.shape[1]
         self._idle = model.plan(_STEP_SHAPE).idle
         try:
             self._bound = self._idle.pop()
@@ -219,12 +259,53 @@ class DecoderSession:
         return self._output.copy()
 
     def prefill(self, tokens: Iterable[int]) -> np.ndarray:
-        """Consume a whole prompt; returns the last position's logits."""
-        logits: Optional[np.ndarray] = None
-        for token in tokens:
-            logits = self.step(int(token))
-        if logits is None:
+        """Consume a whole prompt; returns the last position's logits.
+
+        A fresh session runs a prompt of ``2 <= T <= ctx`` tokens (``ctx``
+        being the model's declared sequence length) as one pass of the
+        plan bound at ``(1, T)`` -- the logits are bit-equal to
+        :meth:`Model.run_reference` on the prompt -- and steps through
+        whatever is left; a 1-token prompt, or a session already past
+        position 0, steps through all of it.
+        """
+        prompt = [int(token) for token in tokens]
+        if not prompt:
             raise ModelError("cannot prefill an empty prompt")
+        head = min(len(prompt), self._ctx) if self._clock[0] == 0 else 0
+        if head < 2:  # one token is one step: there is nothing to pass
+            head = 0
+        logits = self._pass(prompt[:head]) if head else None
+        for token in prompt[head:]:
+            logits = self.step(token)
+        return logits
+
+    def _pass(self, prompt: List[int]) -> np.ndarray:
+        """Run ``prompt`` from position 0 as one pass; its K/V rows seed the caches.
+
+        The pass is parked again, zero-filled, on ``plan((1, T)).idle`` --
+        one per prompt length, so at most ``ctx - 1`` stay bound per model.
+        """
+        idle = self._model.plan((1, len(prompt))).idle
+        try:
+            bound = idle.pop()
+        except IndexError:
+            bound = _bind_prefill(self._model, len(prompt))
+        projected, scratch, inputs, steps, output = bound
+        inputs[0] = prompt
+        for run in steps:
+            run()
+        rows = len(prompt)
+        # the capacity stepwise doubling would have reached by now
+        capacity = max(_KV_FIRST_ROWS, 1 << (rows - 1).bit_length())
+        for kv, views in zip(self._kv, projected):
+            kv[:] = [np.empty(v.shape[:2] + (capacity,) + v.shape[3:], v.dtype) for v in views]
+            for cache, view in zip(kv, views):
+                cache[:, :, :rows] = view
+        self._clock[0] = rows
+        logits = output.copy()
+        scratch.fill(0)
+        if not idle:
+            idle.append(bound)
         return logits
 
     def generate(self, prompt: Iterable[int], max_new_tokens: int) -> List[int]:

@@ -42,8 +42,9 @@ class Plan(NamedTuple):
     #: shape of every buffer execution touches: ``"input"``, each node's
     #: output (under the node's name) and each workspace buffer (``name#k``)
     buffers: Dict[str, Tuple[int, ...]]
-    #: bound step sets parked, zero-filled, by the decoder stream that
-    #: used them last (see :class:`~repro.mlrt.decoder.DecoderSession`)
+    #: bound step sets (at ``(1, 1)``) or prompt passes (at ``(1, T)``)
+    #: parked, zero-filled, by the decoder stream that used them last
+    #: (see :class:`~repro.mlrt.decoder.DecoderSession`)
     idle: list
 
 

@@ -431,6 +431,37 @@ def test_session_stream_yields_decrypted_tokens_incrementally():
     host.destroy()
 
 
+def test_a_prompt_past_the_bound_is_refused_before_a_decoder(monkeypatch):
+    """A prompt runs whole inside one ECALL, so its length is bounded like
+    the token budget: past MAX_STREAM_TOKENS the enclave refuses it as a
+    bad request before taking a decoder, and neither the stream context
+    nor the gateway slot stays held.  The bound itself is served."""
+    from repro.core import semirt_enclave
+
+    model = build_tinylm(seed=7)
+    env = SeSeMIEnvironment()
+    config = default_semirt_config(tcs_count=2)
+    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
+    host = env.launch_semirt("tvm", config=config)
+    taken = []
+    monkeypatch.setattr(
+        semirt_enclave, "DecoderSession",
+        lambda m: taken.append(m) or DecoderSession(m),
+    )
+    longest = [(7 * i) % 32 for i in range(MAX_STREAM_TOKENS)]
+    with env.session("user", MODEL_ID, config=config, semirt=host) as session:
+        stream = session.stream(longest + [1], 4)
+        with pytest.raises(InvocationError, match="prompt must hold between 1 and 1024"):
+            stream.result(timeout_s=30)
+        assert taken == []
+        assert _wait_for(lambda: host.code.open_streams == 0)
+        assert _wait_for(lambda: session._gateway.in_flight == 0)
+        tokens = session.stream(longest, 3).result(timeout_s=60)
+        assert len(taken) == 1
+    assert tokens == DecoderSession(model).generate(longest, 3)
+    host.destroy()
+
+
 class _Relay:
     """An untrusted hop between enclave and consumer: hands over whatever
     sealed frames it likes, as both transports present them."""

@@ -10,13 +10,14 @@ import functools
 import inspect
 import pathlib
 import re
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.mlrt import layers
+from repro.mlrt import decoder, layers
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.framework import get_framework
 from repro.mlrt.model import GraphBuilder, GraphNode, Model
@@ -262,6 +263,51 @@ def test_decoder_step_is_bit_identical_to_the_graph_walk():
         assert session.kv_bytes == filled // 15 * 16
 
 
+def _reference(model: Model, tokens) -> np.ndarray:
+    return model.run_reference(np.array([tokens], dtype=np.float32))
+
+
+def test_prefill_is_bit_identical_to_run_reference_at_every_length():
+    """A prompt of T <= ctx tokens is one pass of the plan bound at
+    (1, T): the same arithmetic as the full-context reference, so the
+    same bits -- a chain of steps is only ``allclose`` to it."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        model = perturbed(build_tinylm(seed=seed), seed)
+        ctx = model.input_spec.shape[1]
+        for length in range(1, ctx + 1):
+            for _ in range(3):
+                tokens = [int(t) for t in rng.integers(-2, 40, length)]
+                got = DecoderSession(model).prefill(tokens)
+                assert np.array_equal(got, _reference(model, tokens)), (seed, tokens)
+
+
+def test_a_prompt_pass_is_parked_zeroed_and_taken_again_without_a_bind(monkeypatch):
+    model = perturbed(build_tinylm(seed=4), 4)
+    binds = []
+    real = decoder._bind_prefill
+    monkeypatch.setattr(
+        decoder, "_bind_prefill", lambda m, t: binds.append(t) or real(m, t)
+    )
+    first = DecoderSession(model).prefill([5, 1, 30, 2])
+    assert binds == [4]
+    (parked,) = model.plan((1, 4)).idle
+    projected, scratch, *_ = parked
+    assert scratch.size > 0 and not scratch.any()
+    assert len(projected) == 2  # one K/V hand-over per attention node
+    second = DecoderSession(model).prefill([9, 9, 0, 17])
+    assert binds == [4] and model.plan((1, 4)).idle == [parked]
+    assert np.array_equal(first, _reference(model, [5, 1, 30, 2]))
+    assert np.array_equal(second, _reference(model, [9, 9, 0, 17]))
+    # every length once more: one pass per length 2..ctx, never a second
+    ctx = model.input_spec.shape[1]
+    for _ in range(2):
+        for length in range(1, ctx + 1):
+            DecoderSession(model).prefill(list(range(length)))
+    assert sorted(binds) == list(range(2, ctx + 1))
+    assert all(len(model.plan((1, t)).idle) == 1 for t in range(2, ctx + 1))
+
+
 def test_two_streams_of_one_model_stepped_alternately():
     model = perturbed(build_tinylm(seed=3), 3)
     a_tokens, b_tokens = [1, 5, 9, 2, 7, 7], [30, 0, 4, 4, 11, 6]
@@ -311,6 +357,35 @@ def test_two_threads_share_a_model_but_no_scratch():
         thread.join(timeout=120)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+def test_two_threads_prefill_one_model_on_passes_of_their_own():
+    """Same-length prompts on one shared ``Model``: a pass is taken off
+    the plan's idle list, never run by two streams at once, so each
+    thread's logits equal ``run_reference`` bit for bit, every round."""
+    model = perturbed(build_tinylm(), 5)
+    prompts = [[3, 1, 4, 1, 5, 9], [27, 18, 28, 18, 2, 8]]
+    want = [_reference(model, prompt) for prompt in prompts]
+    failures = []
+
+    def work(me: int) -> None:
+        for round_ in range(200):
+            if not np.array_equal(DecoderSession(model).prefill(prompts[me]), want[me]):
+                failures.append((me, round_))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # hand the GIL over mid-pass, often
+    try:
+        threads = [threading.Thread(target=work, args=(me,)) for me in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert len(model.plan((1, 6)).idle) == 1  # one parked pass per length
 
 
 # -- clear() and input-independence ---------------------------------------------------

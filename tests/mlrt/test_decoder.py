@@ -22,7 +22,8 @@ def test_non_streamable_model_refused():
 
 def test_prefill_matches_full_context_reference():
     # Feed exactly ctx tokens: the reference runs the whole window at
-    # once, the session one position at a time.  Same logits row.
+    # once, and so does prefill -- one pass of the plan bound at (1, ctx).
+    # Same logits row, bit for bit.
     ctx = 8
     model = build_tinylm(ctx=ctx, seed=3)
     tokens = [(i * 5) % 32 for i in range(ctx)]
@@ -32,7 +33,69 @@ def test_prefill_matches_full_context_reference():
     session = DecoderSession(model)
     incremental = session.prefill(tokens)
     assert session.position == ctx
-    np.testing.assert_allclose(incremental, full, rtol=1e-5, atol=1e-6)
+    assert np.array_equal(incremental, full)
+
+
+def _stepwise(model, prompt):
+    """A session fed ``prompt`` one step per token, and its last logits."""
+    session = DecoderSession(model)
+    for token in prompt:
+        logits = session.step(token)
+    return session, logits
+
+
+def test_a_prompt_past_ctx_is_one_pass_then_steps():
+    # the first ctx tokens go through one pass, the tail one step each;
+    # the logits agree with a full-context run at every length, as the
+    # chain of steps always has
+    model = build_tinylm(ctx=8, seed=11)
+    tokens = [int(t) for t in np.random.default_rng(11).integers(0, 32, 20)]
+    for length in range(9, len(tokens) + 1):
+        session = DecoderSession(model)
+        got = session.prefill(tokens[:length])
+        assert session.position == length
+        want = model.run_reference(np.array([tokens[:length]], dtype=np.float32))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+
+def test_prefill_leaves_the_state_a_stepwise_prompt_leaves():
+    model = build_tinylm(ctx=16, seed=2)
+    for length in (2, 3, 15, 16, 17, 33):
+        prompt = [(3 * i + 1) % 32 for i in range(length)]
+        session = DecoderSession(model)
+        session.prefill(prompt)
+        stepped, _ = _stepwise(model, prompt)
+        assert session.position == stepped.position == length
+        assert session.kv_bytes == stepped.kv_bytes
+        assert [a.shape for kv in session._kv for a in kv] == [
+            a.shape for kv in stepped._kv for a in kv
+        ]
+
+
+def test_generate_after_a_one_pass_prefill_matches_the_stepwise_path():
+    model = build_tinylm(seed=5)
+    for prompt in ([3, 1, 4], [2, 7, 1, 8, 2, 8], [9] * 16, list(range(20)), [30, 0]):
+        session, logits = _stepwise(model, prompt)
+        token = greedy(logits)
+        stepped = [token]
+        while len(stepped) < 12:
+            token = greedy(session.step(token))
+            stepped.append(token)
+        assert DecoderSession(model).generate(prompt, 12) == stepped, prompt
+
+
+def test_a_one_token_prompt_or_a_started_session_steps():
+    model = build_tinylm(seed=9)
+    # nothing to pass in one token: it is one step, bit for bit
+    _, one = _stepwise(model, [6])
+    assert np.array_equal(DecoderSession(model).prefill([6]), one)
+    # a session past position 0 folds a second prompt in step by step
+    session = DecoderSession(model)
+    session.prefill([4, 4, 8])
+    later = session.prefill([1, 5])
+    _, want = _stepwise(model, [4, 4, 8, 1, 5])
+    assert session.position == 5
+    np.testing.assert_allclose(later, want, rtol=1e-5, atol=1e-6)
 
 
 def test_step_logits_match_reference_at_every_prefix():

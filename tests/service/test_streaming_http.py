@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core.batching import BatchPolicy
+from repro.core.semirt_enclave import MAX_STREAM_TOKENS
 from repro.errors import DeadlineExceeded, InvocationError
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
@@ -108,6 +109,19 @@ def test_mid_stream_errors_arrive_as_typed_records(world):
         stream.result(timeout_s=30)
     assert stream.done() and not stream.cancelled()
     assert _wait_for(lambda: _open_streams(world) == 0)
+
+
+def test_a_prompt_past_the_bound_is_a_typed_refusal(world):
+    # the body is well under the tier's cap; the enclave bounds the
+    # prompt, and the refusal frees the stream context and the slot
+    stream = world.session.stream([1] * (MAX_STREAM_TOKENS + 1), 4)
+    with pytest.raises(InvocationError, match="prompt must hold"):
+        stream.result(timeout_s=30)
+    assert stream.done() and not stream.cancelled()
+    assert _wait_for(lambda: _open_streams(world) == 0)
+    assert _wait_for(
+        lambda: world.remote.stats()["admission"]["inflight_total"] == 0
+    )
 
 
 class _CutShort:
