@@ -5,7 +5,7 @@ Run from the repository root (CI does, next to the test suite)::
 
     python scripts/check_layering.py
 
-Exits non-zero naming every offender.  Five kinds of rule:
+Exits non-zero naming every offender.  Six kinds of rule:
 
 **1. A package ``__init__.py`` is a docstring.**  Importing
 ``repro.a.b`` runs ``repro/__init__.py`` and ``repro/a/__init__.py``
@@ -66,6 +66,13 @@ subset whose head codec is :mod:`repro.service.protocol`; nothing under
 (:data:`FOREIGN_HTTP`).  Tests may: ``tests/service/test_httpd_chunked.py``
 reads the server's chunked framing with ``http.client`` on purpose, as
 a reader independent of the tree's own.
+
+**6. The enclave boundary is declared.**  In every ``EnclaveCode``
+subclass under ``src/repro``, each ``EC_*`` method is exported with its
+row (``@ecall(...)``), and each ``self.ocall("OC_...")`` literal names a
+key of that class's ``OCALLS`` -- so an ECALL someone forgot to export,
+or an OCALL that only a failure path reaches, fails here rather than at
+run time.
 """
 
 from __future__ import annotations
@@ -367,6 +374,54 @@ def check_one_http(src_repro: Path = SRC_REPRO):
     return violations
 
 
+# -- rule 6: the enclave boundary is declared ---------------------------------------
+
+
+def _is_ecall_export(decorator: ast.expr) -> bool:
+    """``@ecall(...)``: a call, so the row is there (a bare ``@ecall`` is not)."""
+    func = decorator.func if isinstance(decorator, ast.Call) else None
+    return (isinstance(func, ast.Name) and func.id == "ecall") or (
+        isinstance(func, ast.Attribute) and func.attr == "ecall"
+    )
+
+
+def check_enclave_boundary(src_repro: Path = SRC_REPRO):
+    """Every undeclared ``EC_*`` method and ``self.ocall`` literal of an enclave program."""
+    violations = []
+    for path in sorted(src_repro.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef) or "EnclaveCode" not in {
+                getattr(base, "id", getattr(base, "attr", None)) for base in cls.bases
+            }:
+                continue
+            declared = {
+                key.value
+                for node in cls.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "OCALLS" for t in node.targets)
+                and isinstance(node.value, ast.Dict)
+                for key in node.value.keys
+                if isinstance(key, ast.Constant)
+            }
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and node.name.startswith("EC_")
+                        and not any(map(_is_ecall_export, node.decorator_list))):
+                    violations.append(
+                        f"{_shown(path)}:{node.lineno}: {cls.name}.{node.name} is not "
+                        f"exported with its row (@ecall(...))"
+                    )
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "ocall" and getattr(node.func.value, "id", None) == "self"
+                        and node.args and isinstance(node.args[0], ast.Constant)
+                        and node.args[0].value not in declared):
+                    violations.append(
+                        f"{_shown(path)}:{node.lineno}: {cls.name} makes OCALL "
+                        f"{node.args[0].value!r}, which is not a key of its OCALLS"
+                    )
+    return violations
+
+
 def main() -> int:
     """CLI entry point; returns a process exit code."""
     pins = [(name, allowed, SRC_REPRO / name) for name, allowed in PACKAGES.items()]
@@ -386,6 +441,7 @@ def main() -> int:
     checks.append(("reachability", check_reachability()))
     checks.append(("private getattr", check_private_getattr()))
     checks.append(("one HTTP implementation", check_one_http()))
+    checks.append(("declared enclave boundary", check_enclave_boundary()))
     for title, violations in checks:
         for violation in violations:
             print(violation, file=sys.stderr)

@@ -33,6 +33,7 @@ from repro.crypto.gcm import AESGCM, SessionCipher
 from repro.crypto.hashes import sha256
 from repro.errors import (
     AccessDenied,
+    AttestationError,
     EnclaveError,
     SealingError,
     TransportError,
@@ -44,6 +45,7 @@ from repro.sgx.enclave import (
     Enclave,
     EnclaveBuildConfig,
     EnclaveCode,
+    Kind,
     ecall,
 )
 from repro.sgx.measurement import (
@@ -53,6 +55,7 @@ from repro.sgx.measurement import (
 )
 from repro.sgx.platform import SgxPlatform
 from repro.sgx.ratls import (
+    QUOTE,
     HandshakeOffer,
     RatlsPeer,
     SecureChannel,
@@ -68,6 +71,16 @@ KEYSERVICE_CONFIG = EnclaveBuildConfig(memory_bytes=32 * 1024 * 1024, tcs_count=
 #: the least recently used channel is dropped and its peer, on its next
 #: request, is told "unknown channel" and attests again.
 MAX_CHANNELS = 16
+
+# The fields of each operation's message (KeyServiceEnclaveCode.OPERATIONS).
+# A misshapen message is refused like any other operation: an ok-False reply.
+#: a principal or model id
+_ID = Kind(str, least=1, most=256)
+_REGISTER = Kind(dict, error=AccessDenied, fields={"identity_key": Kind(bytes, least=16, most=32)})
+#: an owner's id and a payload sealed under its identity key
+_OWNER_OP = Kind(dict, error=AccessDenied, fields={"oid": _ID, "blob": Kind(bytes)})
+_ADD_REQ_KEY = Kind(dict, error=AccessDenied, fields={"uid": _ID, "blob": Kind(bytes)})
+_PROVISION = Kind(dict, error=AccessDenied, fields={"uid": _ID, "model_id": _ID})
 
 
 def expected_keyservice_measurement(
@@ -87,6 +100,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
     """The trusted half of KeyService (runs inside the enclave)."""
 
     SETTINGS = {"service": "keyservice", "protocol": 1}
+    OCALLS = {"OC_GET_QUOTE": QUOTE}
 
     def __init__(self, attestation: AttestationService, sealing=None) -> None:
         super().__init__()
@@ -113,7 +127,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
 
     # -- ECALL surface ------------------------------------------------------------
 
-    @ecall
+    @ecall(Kind(dict, error=AttestationError))
     def EC_HANDSHAKE(self, offer_wire: dict) -> dict:
         """Terminate an RA-TLS handshake inside the enclave.
 
@@ -138,7 +152,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
                 self._channels.popitem(last=False)
         return {"channel_id": channel_id, "server_offer": server_offer.to_wire()}
 
-    @ecall
+    @ecall(Kind(int, least=1), Kind(bytes))
     def EC_REQUEST(self, channel_id: int, ciphertext: bytes) -> bytes:
         """Process one encrypted operation on an established channel."""
         with self._channels_lock:
@@ -152,7 +166,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
         response = self._dispatch(peer, message)
         return channel.send(wire.dumps(response))
 
-    @ecall
+    @ecall()
     def EC_SEAL_STATE(self) -> bytes:
         """Checkpoint the four key stores, sealed to this enclave identity.
 
@@ -171,7 +185,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
         }
         return self._sealing.seal(self.enclave, wire.dumps(state))
 
-    @ecall
+    @ecall(Kind(bytes))
     def EC_RESTORE_STATE(self, sealed: bytes) -> int:
         """Load a sealed checkpoint produced by :meth:`EC_SEAL_STATE`.
 
@@ -192,20 +206,19 @@ class KeyServiceEnclaveCode(EnclaveCode):
     # -- operation dispatch ---------------------------------------------------------
 
     def _dispatch(self, peer: Optional[Report], message: dict) -> dict:
-        handlers = {
-            "register": self._op_register,
-            "add_model_key": self._op_add_model_key,
-            "grant_access": self._op_grant_access,
-            "revoke_access": self._op_revoke_access,
-            "add_req_key": self._op_add_req_key,
-            "provision": self._op_provision,
-        }
+        """Run one operation whose message fits its row of :attr:`OPERATIONS`.
+
+        The message may come over a one-way channel anyone can open: an
+        unknown operation or a misshapen message is an ``ok: False`` reply.
+        """
         op = message.get("op")
-        handler = handlers.get(op)
-        if handler is None:
+        row = self.OPERATIONS.get(op) if type(op) is str else None
+        if row is None:
             return {"ok": False, "error": f"unknown operation {op!r}"}
+        handler, fields = row
         try:
-            return {"ok": True, **handler(peer, message)}
+            fields.check(message, f"malformed {op!r} message")
+            return {"ok": True, **handler(self, peer, message)}
         except (AccessDenied, UnknownIdentity) as exc:
             return {"ok": False, "error": str(exc)}
 
@@ -291,6 +304,16 @@ class KeyServiceEnclaveCode(EnclaveCode):
         if model_key is None:
             raise AccessDenied("no decryption key stored for this model")
         return {"model_key": model_key, "request_key": self._ks_r[record]}
+
+    #: operation -> (handler, the fields of its message)
+    OPERATIONS = {
+        "register": (_op_register, _REGISTER),
+        "add_model_key": (_op_add_model_key, _OWNER_OP),
+        "grant_access": (_op_grant_access, _OWNER_OP),
+        "revoke_access": (_op_revoke_access, _OWNER_OP),
+        "add_req_key": (_op_add_req_key, _ADD_REQ_KEY),
+        "provision": (_op_provision, _PROVISION),
+    }
 
     # -- introspection used by tests ---------------------------------------------------
 

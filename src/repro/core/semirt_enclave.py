@@ -85,9 +85,9 @@ from repro.mlrt.framework import get_framework
 from repro.mlrt.model import Model
 from repro.obs.tracer import maybe_span
 from repro.sgx.attestation import AttestationService, QuotePolicy
-from repro.sgx.enclave import EnclaveBuildConfig, EnclaveCode, ecall
+from repro.sgx.enclave import EnclaveBuildConfig, EnclaveCode, Kind, ecall
 from repro.sgx.measurement import EnclaveMeasurement, code_identity_of, measure
-from repro.sgx.ratls import HandshakeOffer, RatlsPeer, SecureChannel, complete_handshake
+from repro.sgx.ratls import QUOTE, HandshakeOffer, RatlsPeer, SecureChannel, complete_handshake
 
 REQUEST_AAD = b"sesemi-request"
 RESPONSE_AAD = b"sesemi-response"
@@ -125,6 +125,22 @@ FIRST_RUN_FRAMES = RUN_FRAMES // 8
 #: resize enclave state.  Whether keys are cached at all is the measured
 #: ``IsolationSettings.key_cache`` bit.
 KEY_MEMO_ENTRIES = 32
+
+# The words of SeMIRT's declared boundary (docs/protocol.md §7).  Uids, model
+# ids and ciphertexts come from users, so a refusal is a bad request
+# (InvocationError), never an EnclaveError the gateway would charge to the
+# endpoint's health.
+#: a uid or model id
+ID = Kind(str, least=1, most=256, error=InvocationError)
+#: a sealed request, opened (and authenticated) only inside
+SEALED = Kind(bytes, error=InvocationError)
+#: an execution- or stream-context ticket
+TICKET = Kind(int, least=1, error=InvocationError)
+#: an id, or None for every id
+ANY_ID = Kind(str, optional=True, least=1, most=256, error=InvocationError)
+#: KeyService's handshake flight as the host hands it back (and may rewrite it)
+_KS_HANDSHAKE_REPLY = Kind(dict, error=AttestationError, fields={
+    "channel_id": Kind(int, least=1), "server_offer": Kind(dict)})
 
 
 @dataclass(frozen=True)
@@ -290,6 +306,11 @@ class _StreamContext:
 class SemirtEnclaveCode(EnclaveCode):
     """The trusted half of SeMIRT."""
 
+    OCALLS = {
+        "OC_LOAD_MODEL": Kind(bytes), "OC_FREE_LOADED": None, "OC_KS_REQUEST": Kind(bytes),
+        "OC_GET_QUOTE": QUOTE, "OC_KS_HANDSHAKE": _KS_HANDSHAKE_REPLY,
+    }
+
     def __init__(
         self,
         framework: str,
@@ -382,7 +403,7 @@ class SemirtEnclaveCode(EnclaveCode):
 
     # -- ECALLs (Figure 5) -----------------------------------------------------------
 
-    @ecall
+    @ecall(SEALED, ID, ID)
     def EC_MODEL_INF(self, enc_request: bytes, uid: str, model_id: str) -> int:
         """Run inference on ``uid``'s encrypted input with ``model_id``.
 
@@ -394,7 +415,7 @@ class SemirtEnclaveCode(EnclaveCode):
         """
         return self._serve([enc_request], uid, model_id)[0]
 
-    @ecall
+    @ecall(Kind(list, least=1, item=SEALED, error=InvocationError), ID, ID)
     def EC_MODEL_INF_BATCH(
         self, enc_requests: Sequence[bytes], uid: str, model_id: str
     ) -> List[int]:
@@ -416,7 +437,7 @@ class SemirtEnclaveCode(EnclaveCode):
         """
         return self._serve(enc_requests, uid, model_id)
 
-    @ecall
+    @ecall(TICKET)
     def EC_GET_OUTPUT(self, ticket: int) -> bytes:
         """Copy ``ticket``'s encrypted output to the untrusted caller."""
         with self._context_lock:
@@ -425,7 +446,7 @@ class SemirtEnclaveCode(EnclaveCode):
             raise EnclaveError(f"no output pending for ticket {ticket!r}")
         return output
 
-    @ecall
+    @ecall(TICKET)
     def EC_CLEAR_EXEC_CTX(self, ticket: int) -> None:
         """Release ``ticket``'s execution context (idempotent)."""
         with self._context_lock:
@@ -434,7 +455,7 @@ class SemirtEnclaveCode(EnclaveCode):
             self._tls.runtime = None
             self._tls.runtime_model = None
 
-    @ecall
+    @ecall(SEALED, ID, ID)
     def EC_MODEL_INF_STREAM(
         self, enc_request: bytes, uid: str, model_id: str
     ) -> Tuple[int, bytes, bool]:
@@ -474,7 +495,7 @@ class SemirtEnclaveCode(EnclaveCode):
                 self._streams[ticket] = ctx
         return ticket, frame, done
 
-    @ecall
+    @ecall(Kind(list, least=1, item=TICKET, error=InvocationError))
     def EC_STREAM_STEP(self, tickets: Sequence[int]) -> List[Tuple[bytes, bool]]:
         """Advance several streams one decode step in a single transition.
 
@@ -493,8 +514,6 @@ class SemirtEnclaveCode(EnclaveCode):
         ticket in order; a drained stream's context -- KV cache included
         -- is released before returning.
         """
-        if not tickets:
-            raise InvocationError("refusing an empty stream step")
         if self._isolation.sequential and len(tickets) > 1:
             raise InvocationError(
                 "sequential builds never co-execute requests; stream step refused"
@@ -540,7 +559,7 @@ class SemirtEnclaveCode(EnclaveCode):
         self.stream_log.append((first.uid, first.model_id, len(contexts)))
         return results
 
-    @ecall
+    @ecall(TICKET)
     def EC_STREAM_CLOSE(self, ticket: int) -> None:
         """Release ``ticket``'s stream context and KV cache (idempotent).
 
@@ -551,7 +570,7 @@ class SemirtEnclaveCode(EnclaveCode):
         with self._stream_lock:
             self._streams.pop(ticket, None)
 
-    @ecall
+    @ecall(ANY_ID, ANY_ID)
     def EC_INVALIDATE_KEYS(
         self, uid: Optional[str] = None, model_id: Optional[str] = None
     ) -> int:
@@ -624,8 +643,6 @@ class SemirtEnclaveCode(EnclaveCode):
         re-dispatch the members individually.
         """
         size = len(enc_requests)
-        if size == 0:
-            raise InvocationError("refusing an empty batch")
         if self._isolation.sequential and size > 1:
             raise InvocationError(
                 "sequential builds never co-execute requests; batch refused"
@@ -906,25 +923,19 @@ class SemirtEnclaveCode(EnclaveCode):
                 quoter=lambda report: self.ocall("OC_GET_QUOTE", report),
             )
             offer = peer.offer()
-            # the reply comes from the untrusted host: refuse a malformed
-            # one before anything is derived from it
+            # the reply comes from the untrusted host: OCALLS declares its
+            # shape, refused before anything is derived from it
             reply = self.ocall("OC_KS_HANDSHAKE", offer.to_wire())
-            try:
-                channel_id, server_offer = reply["channel_id"], reply["server_offer"]
-            except (KeyError, TypeError) as exc:
-                raise AttestationError(f"malformed handshake reply: {exc!r}") from exc
-            if type(channel_id) is not int:
-                raise AttestationError("malformed handshake reply: channel_id is not an int")
             channel = complete_handshake(
                 peer,
                 offer,
-                HandshakeOffer.from_wire(server_offer),
+                HandshakeOffer.from_wire(reply["server_offer"]),
                 verifier=self._attestation,
                 client_requires=QuotePolicy(
                     expected_mrenclave=self._expected_keyservice
                 ),
             )
-        self._ks_session = (channel_id, channel)
+        self._ks_session = (reply["channel_id"], channel)
         return self._ks_session
 
     def _fetch_keys(self, uid: str, model_id: str) -> Tuple[bytes, bytes]:

@@ -63,7 +63,7 @@ from repro.core import wire
 from repro.core.deployment import ModelHandle, SeSeMIEnvironment
 from repro.core.gateway import GatewaySubmission, InferenceGateway
 from repro.core.semirt import SchedulerConfig
-from repro.core.semirt_enclave import default_semirt_config
+from repro.core.semirt_enclave import ID, SEALED, default_semirt_config
 from repro.errors import (
     InvocationError,
     ReproError,
@@ -85,8 +85,18 @@ from repro.service.protocol import (
     error_record,
     frame_record,
 )
+from repro.sgx.enclave import Kind
 
 _RESULTS_PREFIX = "/v1/results/"
+
+#: each POST route's body, in the words of the enclave it is forwarded to
+#: (SeMIRT's ids and ciphertext, KeyService's channel ids), so the door
+#: refuses what the enclave would, as a 400
+_INFER = Kind(dict, error=InvocationError, fields=dict(model_id=ID, uid=ID, enc_request=SEALED))
+_GRANT = Kind(dict, error=InvocationError, fields=dict(model_id=ID, uid=ID))
+_KS_HANDSHAKE = Kind(dict, error=InvocationError, fields=dict(offer=Kind(dict)))
+_KS_CALL = Kind(dict, error=InvocationError, fields=dict(
+    channel_id=Kind(int, least=1), ciphertext=Kind(bytes)))
 
 #: per-request response codec, set by content negotiation in ``_handle``:
 #: binary when the client POSTed a binary frame or sent an ``Accept``
@@ -335,13 +345,13 @@ class InferenceService:
 
     async def _ks_handshake(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_handshake")
-        msg = self._decode(request, offer=dict)
+        msg = self._decode(request, _KS_HANDSHAKE)
         reply = await self._on_executor(self.env.keyservice.handshake, msg["offer"])
         return self._json(200, reply)
 
     async def _ks_call(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_call")
-        msg = self._decode(request, channel_id=int, ciphertext=bytes)
+        msg = self._decode(request, _KS_CALL)
         reply = await self._on_executor(
             self.env.keyservice.request, msg["channel_id"], msg["ciphertext"]
         )
@@ -354,7 +364,7 @@ class InferenceService:
         proxy -- the service never sees a request key.
         """
         self._count("grants")
-        msg = self._decode(request, model_id=str, uid=str)
+        msg = self._decode(request, _GRANT)
         handle = self._handle_for(msg["model_id"])
         await self._on_executor(
             handle.owner.grant_access, handle.model_id, handle.measurement,
@@ -385,7 +395,7 @@ class InferenceService:
         the reply; else ``finish(outcome, release, span)`` owns both.
         """
         self._count(route)
-        msg = self._decode(request, model_id=str, uid=str, enc_request=bytes)
+        msg = self._decode(request, _INFER)
         model_id, uid = msg["model_id"], msg["uid"]
         self._handle_for(model_id)
         release = self.admission.admit(uid)
@@ -601,25 +611,17 @@ class InferenceService:
             raise StorageError(f"model {model_id!r} is not served here")
         return handle
 
-    def _decode(self, request: HttpRequest, **fields: type) -> dict:
+    def _decode(self, request: HttpRequest, body: Kind) -> dict:
         """Decode and validate one body -- the only door for outside input.
 
-        ``fields`` are the required fields and their types (a ``bool`` is
+        ``body`` is the route's record of required fields (a ``bool`` is
         no ``int`` here); ``timeout_s`` is optional.  A refusal is a 400.
         """
         try:
             msg = wire.loads(request.body)
         except wire.WireError as exc:
             raise InvocationError(f"malformed body: {exc}") from exc
-        for key, kind in fields.items():
-            if key not in msg:
-                raise InvocationError(f"missing field {key!r}")
-            value = msg[key]
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise InvocationError(
-                    f"field {key!r} must be {kind.__name__}, "
-                    f"not {type(value).__name__}"
-                )
+        body.check(msg, "malformed body")
         if "timeout_s" in msg:
             msg["timeout_s"] = _seconds(msg["timeout_s"])
         return msg

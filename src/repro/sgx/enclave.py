@@ -6,6 +6,10 @@ follows SGX:
 - only methods explicitly exported with the :func:`ecall` decorator can be
   invoked from outside; everything else is unreachable (the "minimal
   attack surface" argument of the paper's Section IV-D);
+- the boundary is declared once, like an SGX EDL file: each ECALL's
+  decorator names the :class:`Kind` of every argument and
+  :attr:`EnclaveCode.OCALLS` the kind of every OCALL's reply, and the
+  enclave checks both before any trusted code reads the value;
 - each concurrent ECALL occupies a Thread Control Structure (TCS); an
   enclave built with ``tcs_count=n`` admits at most *n* simultaneous
   ECALLs and raises :class:`TcsExhausted` beyond that;
@@ -29,10 +33,74 @@ from repro.sgx.measurement import EnclaveMeasurement, code_identity_of, measure
 _enclave_ids = itertools.count(1)
 
 
-def ecall(fn: Callable) -> Callable:
-    """Mark a method of an :class:`EnclaveCode` subclass as an ECALL export."""
-    fn.__is_ecall__ = True  # type: ignore[attr-defined]
-    return fn
+class Kind:
+    """What one value crossing the enclave boundary may be (an EDL type).
+
+    Exactly ``type`` -- a ``bool`` is no ``int`` -- or ``None`` when
+    ``optional``; ``least``/``most`` bound an int's value or anything
+    else's length; ``item`` is the kind of every element of a list and
+    ``fields`` the kinds of a record's required keys.  A refusal raises
+    ``error``, and its message is only built then.
+    """
+
+    __slots__ = ("type", "optional", "least", "most", "item", "fields", "error")
+
+    def __init__(self, type_: type, *, optional=False, least=None, most=None, item=None,
+                 fields=None, error: type = EnclaveError) -> None:
+        self.type, self.optional, self.least, self.most = type_, optional, least, most
+        self.item, self.fields, self.error = item, tuple((fields or {}).items()), error
+
+    def refusal(self, value: Any) -> Optional[str]:
+        """Why ``value`` is not of this kind; ``None`` when it is."""
+        if type(value) is not self.type:
+            allowed = value is None and self.optional
+            return None if allowed else f"expected {self.type.__name__}, got {type(value).__name__}"
+        if self.least is not None or self.most is not None:
+            size, what = (value, "value") if self.type is int else (len(value), "length")
+            if self.least is not None and size < self.least:
+                return f"{what} {size} is below {self.least}"
+            if self.most is not None and size > self.most:
+                return f"{what} {size} is above {self.most}"
+        if self.item is not None:
+            for index, element in enumerate(value):
+                reason = self.item.refusal(element)
+                if reason is not None:
+                    return f"item {index}: {reason}"
+        for name, kind in self.fields:
+            if name not in value:
+                return f"missing field {name!r}"
+            reason = kind.refusal(value[name])
+            if reason is not None:
+                return f"field {name!r}: {reason}"
+        return None
+
+    def check(self, value: Any, label: str) -> Any:
+        """``value`` itself, or raise ``error`` saying what ``label`` got wrong."""
+        reason = self.refusal(value)
+        if reason is not None:
+            raise self.error(f"{label}: {reason}")
+        return value
+
+
+def ecall(*kinds: Kind) -> Callable[[Callable], Callable]:
+    """Export a method of an :class:`EnclaveCode` subclass as an ECALL.
+
+    The decorator's arguments are the method's row: one :class:`Kind` per
+    argument.  A bare ``@ecall``, or a row that does not match the
+    method's arguments, is a ``TypeError`` when the class is defined.
+    """
+    if not all(isinstance(kind, Kind) for kind in kinds):
+        raise TypeError("an ECALL declares its row: @ecall(Kind(...), ...)")
+
+    def export(fn: Callable) -> Callable:
+        names = fn.__code__.co_varnames[1:fn.__code__.co_argcount]
+        if len(names) != len(kinds):
+            raise TypeError(f"{fn.__name__} has {len(names)} argument(s) but a row of {len(kinds)}")
+        # the labels a refusal names, built once per class
+        fn.ecall_row = tuple((f"{fn.__name__} argument {n!r}", k) for n, k in zip(names, kinds))
+        return fn
+
+    return export
 
 
 @dataclass(frozen=True)
@@ -68,7 +136,8 @@ class EnclaveBuildConfig:
 class EnclaveCode:
     """Base class for enclave programs.
 
-    Subclasses export ECALLs with the :func:`ecall` decorator and may
+    Subclasses export ECALLs with the :func:`ecall` decorator, declare
+    the OCALLs they make in :attr:`OCALLS`, and may
     declare extra build-time settings in :attr:`SETTINGS`; these settings
     are folded into the measurement, which is how SeSeMI's execution
     restrictions (sequential isolation, key-cache off) become part of the
@@ -77,6 +146,10 @@ class EnclaveCode:
 
     #: Code-level build settings folded into MRENCLAVE.
     SETTINGS: dict = {}
+
+    #: OCALL name -> the :class:`Kind` of its reply, or ``None`` for a reply
+    #: the program ignores; an undeclared OCALL is refused
+    OCALLS: Dict[str, Optional[Kind]] = {}
 
     def __init__(self) -> None:
         self._enclave: Optional["Enclave"] = None
@@ -97,9 +170,9 @@ class EnclaveCode:
     def on_destroy(self) -> None:
         """Hook invoked once at teardown: drop everything the heap held."""
 
-    def ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
+    def ocall(self, name: str, *args: Any) -> Any:
         """Invoke an untrusted OCALL handler registered on the enclave."""
-        return self.enclave.dispatch_ocall(name, *args, **kwargs)
+        return self.enclave.dispatch_ocall(name, *args)
 
 
 class _TcsPool:
@@ -152,11 +225,9 @@ class Enclave:
         self._destroyed = False
         self._tcs = _TcsPool(config.tcs_count)
         self._ocall_handlers: Dict[str, Callable] = {}
-        self._ecalls = {
-            name
-            for name in dir(type(code))
-            if getattr(getattr(type(code), name), "__is_ecall__", False)
-        }
+        #: ECALL name -> its row of ``(label, kind)`` pairs
+        exports = {name: getattr(type(code), name) for name in dir(type(code))}
+        self._ecalls = {n: f.ecall_row for n, f in exports.items() if hasattr(f, "ecall_row")}
         identity = code_identity_of(code)
         build_view = dict(config.as_mapping())
         build_view["settings"] = code.settings()
@@ -219,19 +290,24 @@ class Enclave:
         """Names of the ECALLs the untrusted world may invoke."""
         return frozenset(self._ecalls)
 
-    def ecall(self, name: str, *args: Any, **kwargs: Any) -> Any:
+    def ecall(self, name: str, *args: Any) -> Any:
         """Invoke the exported ECALL ``name`` on one TCS.
 
         Anything not exported -- private helpers, plain methods, dunder
-        attributes -- is rejected, no matter what the caller guesses.
+        attributes -- is rejected, no matter what the caller guesses, and
+        so is a call whose arguments do not fit the ECALL's row: before a
+        TCS is taken, so a refused call holds nothing.
         """
         if self._destroyed:
             raise EnclaveError(f"{self.enclave_id} is destroyed")
-        if name not in self._ecalls:
-            raise EnclaveError(f"{name!r} is not an exported ECALL")
+        row = self._ecalls.get(name)
+        if row is None or len(args) != len(row):
+            raise EnclaveError(f"{name!r} is not an exported ECALL of {len(args)} argument(s)")
+        for value, (label, kind) in zip(args, row):
+            kind.check(value, label)
         self._tcs.acquire()
         try:
-            return getattr(self.code, name)(*args, **kwargs)
+            return getattr(self.code, name)(*args)
         finally:
             self._tcs.release()
 
@@ -239,14 +315,22 @@ class Enclave:
         """Register the untrusted handler for OCALL ``name``."""
         self._ocall_handlers[name] = handler
 
-    def dispatch_ocall(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Invoke the registered untrusted handler for an OCALL."""
+    def dispatch_ocall(self, name: str, *args: Any) -> Any:
+        """Invoke the registered untrusted handler for a declared OCALL.
+
+        The reply is the host's word: it is checked against the OCALL's
+        declared kind before trusted code reads it (a declared ``None``
+        reply is dropped).
+        """
         if self._destroyed:
             raise EnclaveError(f"{self.enclave_id} is destroyed")
+        if name not in self.code.OCALLS:
+            raise EnclaveError(f"{name!r} is not a declared OCALL")
         handler = self._ocall_handlers.get(name)
         if handler is None:
             raise EnclaveError(f"no OCALL handler registered for {name!r}")
-        return handler(*args, **kwargs)
+        reply, kind = handler(*args), self.code.OCALLS[name]
+        return None if kind is None else kind.check(reply, f"{name} reply")
 
     @property
     def tcs_in_use(self) -> int:

@@ -40,7 +40,7 @@ from repro.sgx.attestation import (
     QuotePolicy,
     Report,
 )
-from repro.sgx.enclave import Enclave
+from repro.sgx.enclave import Enclave, Kind
 from repro.sgx.measurement import EnclaveMeasurement
 
 _channel_ids = itertools.count(1)
@@ -63,35 +63,27 @@ def quote_to_wire(quote: Quote) -> dict:
     }
 
 
-def _wire_field(data: dict, name: str, kind: type, size: Optional[int] = None):
-    """``data[name]``, refused unless it is exactly a ``kind`` (of ``size`` items)."""
-    value = data[name]
-    if type(value) is not kind or (size is not None and len(value) != size):
-        width = "" if size is None else f" of length {size}"
-        raise ValueError(f"{name} must be a {kind.__name__}{width}")
-    return value
+#: a quote's transport form: the sender is untrusted, so every field's type
+#: and width is checked before anything hashes, packs or looks one up
+_QUOTE_WIRE = Kind(dict, error=AttestationError, fields={
+    "kind": Kind(str), "mrenclave": Kind(str), "isv_svn": Kind(int), "debug": Kind(bool),
+    "report_data": Kind(bytes, least=REPORT_DATA_SIZE, most=REPORT_DATA_SIZE),
+    "platform_id": Kind(str), "signature": Kind(bytes)})
+#: a handshake offer's transport form (its quote, if any, is a _QUOTE_WIRE)
+_OFFER_WIRE = Kind(dict, error=AttestationError, fields={
+    "dh_public": Kind(bytes, least=256, most=256)})
+#: what a quoting OCALL must hand back: a quote, never a downgrade to none
+QUOTE = Kind(Quote, error=AttestationError)
 
 
 def quote_from_wire(data: dict) -> Quote:
-    """Decode a quote from transport form.
-
-    The sender is untrusted: every field's type and width is checked here, so
-    nothing downstream hashes, packs or looks up a value of the wrong shape.
-    """
+    """Decode a quote from transport form (checked against ``_QUOTE_WIRE``)."""
+    _QUOTE_WIRE.check(data, "malformed quote on the wire")
+    plain = {name: data[name] for name in ("isv_svn", "debug", "report_data", "platform_id")}
     try:
-        report = Report(
-            mrenclave=EnclaveMeasurement(_wire_field(data, "mrenclave", str)),
-            isv_svn=_wire_field(data, "isv_svn", int),
-            debug=_wire_field(data, "debug", bool),
-            report_data=_wire_field(data, "report_data", bytes, REPORT_DATA_SIZE),
-            platform_id=_wire_field(data, "platform_id", str),
-        )
-        return Quote(
-            report=report,
-            kind=AttestationKind(_wire_field(data, "kind", str)),
-            signature=Signature.from_bytes(_wire_field(data, "signature", bytes)),
-        )
-    except (KeyError, ValueError, TypeError, InvalidSignature) as exc:
+        report = Report(mrenclave=EnclaveMeasurement(data["mrenclave"]), **plain)
+        return Quote(report, AttestationKind(data["kind"]), Signature.from_bytes(data["signature"]))
+    except (ValueError, InvalidSignature) as exc:
         raise AttestationError(f"malformed quote on the wire: {exc}") from exc
 
 
@@ -118,10 +110,7 @@ class HandshakeOffer:
 
     @classmethod
     def from_wire(cls, data: dict) -> "HandshakeOffer":
-        try:
-            raw = _wire_field(data, "dh_public", bytes, 256)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise AttestationError(f"malformed handshake offer: {exc}") from exc
+        raw = _OFFER_WIRE.check(data, "malformed handshake offer")["dh_public"]
         public = DHPublicKey(int.from_bytes(raw, "big"))
         quote = quote_from_wire(data["quote"]) if "quote" in data else None
         return cls(dh_public=public, quote=quote)
@@ -142,10 +131,6 @@ class RatlsPeer:
         self._enclave = enclave
         self._quoter = quoter
         self._keypair: Optional[DHKeyPair] = None
-
-    @property
-    def is_attested(self) -> bool:
-        return self._enclave is not None
 
     def offer(self) -> HandshakeOffer:
         """Generate the handshake flight (fresh DH key, quote if attested)."""

@@ -439,6 +439,52 @@ def test_a_lying_handshake_reply_is_refused_as_an_attestation_error(
         host.destroy()
 
 
+#: ``(OCALL, its lying reply)``: replies of the wrong kind, which used to leave
+#: as raw AttributeError/TypeError -- or, for a quote of None, downgrade
+#: SeMIRT's mutual handshake to a one-way one KeyService opened a channel for
+LYING_OCALL_REPLIES = {
+    "quote-is-an-int": ("OC_GET_QUOTE", 5),
+    "quote-is-bytes": ("OC_GET_QUOTE", b"q"),
+    "quote-is-none": ("OC_GET_QUOTE", None),
+    "ks-reply-is-none": ("OC_KS_REQUEST", None),
+    "ks-reply-is-an-int": ("OC_KS_REQUEST", 5),
+}
+
+
+@pytest.mark.parametrize(
+    "ocall, reply", LYING_OCALL_REPLIES.values(), ids=LYING_OCALL_REPLIES.keys()
+)
+def test_a_lying_ocall_reply_is_refused_typed_inside_the_enclave(
+    ocall, reply, tiny_model, tiny_input
+):
+    """The reply is checked against ``OCALLS`` before trusted code reads it:
+    what leaves ``EC_MODEL_INF`` is a ``repro.errors`` type naming the OCALL,
+    a refused quote opens no KeyService channel, and the same host serves
+    the honest retry."""
+    env = SeSeMIEnvironment()
+    env.deploy(tiny_model, "m").grant("alice")
+    host = env.launch_semirt("tvm")
+    try:
+        honest = host.enclave._ocall_handlers[ocall]
+        host.enclave.register_ocall(ocall, lambda *args: reply)
+        session = env.session("alice", "m", semirt=host)
+        channels = list(env.keyservice.code._channels)
+        with pytest.raises(repro.errors.ReproError) as refusal:
+            session.infer(tiny_input)
+        assert type(refusal.value).__module__ == repro.errors.__name__
+        assert f"{ocall} reply" in str(refusal.value)
+        if ocall == "OC_GET_QUOTE":
+            assert isinstance(refusal.value, AttestationError)
+            assert list(env.keyservice.code._channels) == channels
+        assert not host.code._kc
+
+        host.enclave.register_ocall(ocall, honest)
+        out = session.infer(tiny_input)
+        assert np.allclose(out, tiny_model.run_reference(tiny_input).ravel(), atol=1e-5)
+    finally:
+        host.destroy()
+
+
 # -- a destroyed enclave holds no heap ---------------------------------------------------
 
 

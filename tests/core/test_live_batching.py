@@ -148,7 +148,7 @@ def test_enclave_refuses_foreign_ciphertext_in_a_batch(tiny_model, tiny_input):
         host.enclave.ecall("EC_MODEL_INF_BATCH", [enc_a, enc_b], uid_a, MODEL_ID)
     assert host.code.pending_outputs == 0  # all-or-nothing: nothing committed
     assert host.code.batch_log == []
-    with pytest.raises(InvocationError, match="empty batch"):
+    with pytest.raises(InvocationError, match="enc_requests': length 0 is below 1"):
         host.enclave.ecall("EC_MODEL_INF_BATCH", [], uid_a, MODEL_ID)
     host.destroy()
 

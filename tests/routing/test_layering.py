@@ -347,3 +347,49 @@ def test_gate_catches_a_stdlib_http_stack_under_src(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(checker, "check_one_http", lambda: violations)
     assert checker.main() == 1
     assert "one HTTP implementation: 3 layering violation(s)" in capsys.readouterr().err
+
+
+def test_gate_catches_an_undeclared_ecall_or_ocall(tmp_path, monkeypatch, capsys):
+    """Every ``EC_*`` method of an enclave program carries its row
+    (``@ecall(...)``; a bare ``@ecall`` or none at all is reported), and
+    every ``self.ocall`` literal -- even one only a failure path reaches --
+    names a key of the class's ``OCALLS``."""
+    checker = _load_checker()
+    src_repro = _tree(tmp_path, {
+        "src/repro/core/program.py": (
+            "from repro.sgx.enclave import EnclaveCode, Kind, ecall\n"
+            "import repro.sgx.enclave as sgx\n"
+            "class Program(EnclaveCode):\n"
+            "    OCALLS = {'OC_LOAD': Kind(bytes)}\n"
+            "    @ecall(Kind(int))\n"
+            "    def EC_GOOD(self, x):\n"
+            "        return self.ocall('OC_LOAD', x)\n"
+            "    @sgx.ecall()\n"
+            "    def EC_ALSO_GOOD(self):\n"
+            "        return 0\n"
+            "    @ecall\n"
+            "    def EC_BARE(self):\n"
+            "        return 1\n"
+            "    def EC_FORGOTTEN(self):\n"
+            "        return 2\n"
+            "    def _helper(self):\n"
+            "        try:\n"
+            "            return 3\n"
+            "        except ValueError:\n"
+            "            self.ocall('OC_REPORT_FAILURE')\n"
+            "class NotAProgram:\n"
+            "    def EC_IGNORED(self):\n"
+            "        return self.ocall('OC_ANYTHING')\n"
+        ),
+    }) / "src" / "repro"
+    violations = checker.check_enclave_boundary(src_repro)
+    assert [v.split("src/repro/")[1].split(": ")[0] for v in violations] == [
+        "core/program.py:12", "core/program.py:14", "core/program.py:20",
+    ]
+    assert "Program.EC_BARE is not exported" in violations[0]
+    assert "Program.EC_FORGOTTEN is not exported" in violations[1]
+    assert "'OC_REPORT_FAILURE', which is not a key of its OCALLS" in violations[2]
+    assert checker.check_enclave_boundary() == []
+    monkeypatch.setattr(checker, "check_enclave_boundary", lambda: violations)
+    assert checker.main() == 1
+    assert "declared enclave boundary: 3 layering violation(s)" in capsys.readouterr().err

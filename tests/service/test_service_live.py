@@ -10,6 +10,7 @@ inside their ECALL (``tests/conftest.py``'s ``held_ecalls``).
 
 from __future__ import annotations
 
+import dataclasses
 import socket
 import threading
 import time
@@ -17,8 +18,10 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.client import KeyServiceConnection
 from repro.errors import QueueFull, ReproError, StorageError, TransportError
 from repro.service import ServiceClient
+from repro.sgx.measurement import EnclaveMeasurement
 from tests.conftest import held_ecalls
 from tests.service.conftest import MODEL_ID, USER, launch_world
 
@@ -151,6 +154,42 @@ def test_a_wrong_sized_input_is_a_400_not_a_500(world):
     assert "float32 tensor of the model's shape" in reply["message"]
     assert world.remote.stats()["admission"]["inflight_total"] == 0
     assert np.allclose(session.infer(world.x), expected(world), atol=1e-5)
+
+
+def _endpoint_health(world) -> tuple:
+    gateway = world.service.gateway
+    (endpoint, _models), = gateway.router.endpoints()
+    host = gateway.host(endpoint)
+    state = dataclasses.replace(gateway.router.state(endpoint))  # a copy: the live one moves
+    return host, host.enclave.alive, state, dict(gateway._breakers)
+
+
+def test_a_malformed_keyservice_operation_over_the_proxy_is_ok_false_not_500(world):
+    """One-way attestation lets anyone open a KeyService channel through
+    ``/v1/ks/*``: a misshapen operation on it is KeyService's own
+    ``{"ok": false}`` reply on a 200, not a 500 out of ``EC_REQUEST``."""
+    remote = world.remote
+    connection = KeyServiceConnection(
+        remote.keyservice, remote.attestation,
+        EnclaveMeasurement(remote.meta["keyservice_measurement"]),
+    )
+    reply = connection.call({"op": "register"})
+    assert reply["ok"] is False
+    assert "missing field 'identity_key'" in reply["error"]
+
+
+def test_an_empty_uid_is_a_400_at_the_door_and_the_endpoint_is_untouched(world):
+    """The door checks a body in SeMIRT's own words (an id is 1-256
+    characters): an empty uid never reaches the fleet, so neither the
+    endpoint's health nor its breaker hears of it."""
+    before = _endpoint_health(world)
+    status, reply, _ = world.remote.client.request(
+        "POST", "/v1/infer", world.payload(uid="")
+    )
+    assert (status, reply["error"]) == (400, "InvocationError"), reply
+    assert "field 'uid': length 0 is below 1" in reply["message"]
+    assert _endpoint_health(world) == before
+    assert world.remote.stats()["admission"]["inflight_total"] == 0
 
 
 _INFER = {"model_id": MODEL_ID, "uid": "u", "enc_request": b"x"}

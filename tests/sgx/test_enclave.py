@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import EnclaveError, TcsExhausted
-from repro.sgx.enclave import Enclave, EnclaveBuildConfig, EnclaveCode, ecall
+from repro.errors import EnclaveError, InvocationError, TcsExhausted
+from repro.sgx.enclave import Enclave, EnclaveBuildConfig, EnclaveCode, Kind, ecall
 from repro.sgx.platform import SGX2, SgxPlatform
 
 MB = 1024 * 1024
@@ -11,17 +11,18 @@ MB = 1024 * 1024
 
 class Adder(EnclaveCode):
     SETTINGS = {"program": "adder"}
+    OCALLS = {"OC_DOUBLE": Kind(int)}
 
     def __init__(self):
         super().__init__()
         self.total = 0
 
-    @ecall
+    @ecall(Kind(int))
     def EC_ADD(self, x):
         self.total += x
         return self.total
 
-    @ecall
+    @ecall(Kind(int))
     def EC_ASK_HOST(self, value):
         return self.ocall("OC_DOUBLE", value)
 
@@ -61,6 +62,62 @@ def test_unregistered_ocall_fails(enclave):
         enclave.ecall("EC_ASK_HOST", 1)
 
 
+def test_an_ecall_without_a_row_cannot_be_defined():
+    """A bare ``@ecall`` -- or a row that does not match the arguments --
+    fails when the class is defined, so no ECALL is ever undeclared."""
+    with pytest.raises(TypeError, match="declares its row"):
+        class Bare(EnclaveCode):
+            @ecall
+            def EC_OPEN(self, x):
+                return x
+    with pytest.raises(TypeError, match=r"1 argument\(s\) but a row of 2"):
+        class Short(EnclaveCode):
+            @ecall(Kind(int), Kind(int))
+            def EC_OPEN(self, x):
+                return x
+
+
+def test_arguments_outside_the_row_are_refused_before_a_tcs_is_taken(platform, enclave):
+    """Exact types (a ``bool`` is no ``int``), the row's arity, and the
+    row's own error type; the refused call ran nothing and holds no TCS."""
+    for args in ((True,), ("1",), (None,), (1.0,), (), (1, 2)):
+        with pytest.raises(EnclaveError):
+            enclave.ecall("EC_ADD", *args)
+    assert enclave.code.total == 0 and enclave.tcs_in_use == 0
+
+    class Strict(EnclaveCode):
+        @ecall(Kind(list, least=1, item=Kind(int, least=1), error=InvocationError))
+        def EC_SUM(self, values):
+            return sum(values)
+
+    strict = platform.create_enclave(Strict(), EnclaveBuildConfig(memory_bytes=MB))
+    assert strict.ecall("EC_SUM", [1, 2]) == 3
+    for values, why in (([], "length 0 is below 1"), ([1, 0], "item 1: value 0 is below 1"),
+                        ((1,), "expected list, got tuple")):
+        with pytest.raises(InvocationError, match=f"EC_SUM argument 'values': {why}"):
+            strict.ecall("EC_SUM", values)
+
+
+def test_an_undeclared_ocall_is_refused_and_a_reply_is_checked(platform, enclave):
+    """The host answers only what the program declared, in the declared
+    shape: an OCALL missing from ``OCALLS`` never reaches a handler, and a
+    reply of the wrong kind never reaches trusted code."""
+    class Asker(EnclaveCode):
+        @ecall()
+        def EC_ASK(self):
+            return self.ocall("OC_UNDECLARED")
+
+    asker = platform.create_enclave(Asker(), EnclaveBuildConfig(memory_bytes=MB))
+    asked = []
+    asker.register_ocall("OC_UNDECLARED", lambda: asked.append(1))
+    with pytest.raises(EnclaveError, match="not a declared OCALL"):
+        asker.ecall("EC_ASK")
+    assert asked == []
+    enclave.register_ocall("OC_DOUBLE", lambda v: str(v * 2))
+    with pytest.raises(EnclaveError, match="OC_DOUBLE reply: expected int, got str"):
+        enclave.ecall("EC_ASK_HOST", 21)
+
+
 def test_destroyed_enclave_rejects_ecalls(enclave):
     enclave.destroy()
     assert not enclave.alive
@@ -85,12 +142,12 @@ def test_destroy_releases_epc(platform):
 
 def test_tcs_exhaustion(platform):
     class Reenter(EnclaveCode):
-        @ecall
+        @ecall()
         def EC_OUTER(self):
             # Re-entering through another ECALL consumes a second TCS.
             return self.enclave.ecall("EC_INNER")
 
-        @ecall
+        @ecall()
         def EC_INNER(self):
             return "ok"
 
