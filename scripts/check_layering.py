@@ -61,11 +61,14 @@ router's ``_endpoints`` this way, twice): nothing under ``src/`` may do
 it -- ask the owner for a public, read-only view instead.
 
 **5. One HTTP implementation.**  Server and client speak the HTTP/1.1
-subset whose head codec is :mod:`repro.service.protocol`; nothing under
-``src/repro`` may import the stdlib's ``http.client`` or ``http.server``
-(:data:`FOREIGN_HTTP`).  Tests may: ``tests/service/test_httpd_chunked.py``
-reads the server's chunked framing with ``http.client`` on purpose, as
-a reader independent of the tree's own.
+subset whose head codec is :mod:`repro.service.protocol`, and one
+server serves it: :mod:`repro.service.httpd`, a thread per connection.
+Nothing under ``src/repro`` may import the stdlib's ``http.client`` or
+``http.server``, nor ``asyncio``, so a second, event-loop server cannot
+come back beside it (:data:`FOREIGN_HTTP`).  Tests may:
+``tests/service/test_httpd_chunked.py`` reads the server's chunked
+framing with ``http.client`` on purpose, as a reader independent of the
+tree's own.
 
 **6. The enclave boundary is declared.**  In every ``EnclaveCode``
 subclass under ``src/repro``, each ``EC_*`` method is exported with its
@@ -349,8 +352,8 @@ def check_private_getattr(src_repro: Path = SRC_REPRO):
 
 # -- rule 5: one HTTP implementation ----------------------------------------------------
 
-#: the stdlib HTTP stacks ``src/repro`` may not import
-FOREIGN_HTTP = ("http.client", "http.server")
+#: the stdlib HTTP stacks, and the event loop, ``src/repro`` may not import
+FOREIGN_HTTP = ("http.client", "http.server", "asyncio")
 
 
 def check_one_http(src_repro: Path = SRC_REPRO):
@@ -368,7 +371,8 @@ def check_one_http(src_repro: Path = SRC_REPRO):
                 if any(_under(name, foreign) for foreign in FOREIGN_HTTP):
                     violations.append(
                         f"{_shown(path)}:{node.lineno}: imports {name!r} -- both ends "
-                        f"speak the HTTP subset of repro.service.protocol"
+                        f"speak the HTTP subset of repro.service.protocol, and "
+                        f"repro.service.httpd serves it on threads"
                     )
                     break
     return violations

@@ -1,8 +1,8 @@
 """The HTTP service tier: SeSeMI's network front door.
 
 The paper's serverless premise is that untrusted clients reach enclave
-inference through a network boundary.  This package puts an asyncio
-HTTP/1.1 service (stdlib only) in front of
+inference through a network boundary.  This package puts a threaded
+HTTP/1.1 service (stdlib only, one thread per connection) in front of
 :class:`~repro.core.gateway.InferenceGateway`:
 
 - :class:`ServiceConfig` -- admission, rate-limit, and deadline knobs;

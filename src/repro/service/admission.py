@@ -3,12 +3,11 @@
 The service boundary -- not the enclave queue -- is where sustained
 saturation must turn into *fast* rejections (S3ML and Privado both put
 shedding at the RPC tier).  Inside the fleet, ``QueueFull`` reroutes;
-here it becomes a 429 decided on the event loop in microseconds,
-before any executor thread, gateway walk, or enclave work is spent.
+here it becomes a 429 decided on the connection's own thread in
+microseconds, before any gateway walk or enclave work is spent.
 
-:class:`AdmissionController` is thread-safe: admission happens on the
-asyncio loop, releases arrive from executor threads and the TTL
-sweeper.
+:class:`AdmissionController` is thread-safe: admissions and releases
+arrive from every connection thread and from the TTL sweeper.
 """
 
 from __future__ import annotations

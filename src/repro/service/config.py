@@ -26,7 +26,7 @@ class ServiceConfig:
     ``max_inflight_total`` / ``max_inflight_per_tenant``
         Bounded concurrent admitted requests, overall and per user id.
         A request beyond either bound is shed with a fast 429 -- the
-        decision runs on the event loop, before any enclave work.
+        decision runs on the connection's thread, before any enclave work.
     ``rate_rps`` / ``rate_burst``
         Optional per-tenant token bucket: sustained requests per second
         plus a burst allowance.  ``None`` disables rate limiting.
@@ -35,7 +35,7 @@ class ServiceConfig:
         the gateway; exceeded -> 504 (``DeadlineExceeded``).
     ``poll_wait_cap_s``
         Cap on one long-poll of ``GET /v1/results/{id}`` so a client
-        cannot pin an executor thread indefinitely.
+        cannot pin its connection thread indefinitely.
     ``result_ttl_s``
         How long a terminal (unfetched) result is retained before the
         sweeper drops it and releases its admission slot.

@@ -1,4 +1,4 @@
-"""A minimal asyncio HTTP/1.1 server (stdlib only).
+"""A minimal blocking HTTP/1.1 server (stdlib only).
 
 Just enough HTTP for the service tier: one read of the request head
 (parsed by :func:`repro.service.protocol.parse_head`, the codec the
@@ -10,24 +10,44 @@ payloads are AEAD ciphertext end to end; see ``docs/service.md``), no
 pipelining guarantees beyond serial handling per connection.  A head it
 cannot parse is answered ``400`` with ``Connection: close``.
 
-The handler is one coroutine ``async def handler(request) ->
-HttpResponse``; anything it raises is mapped by the caller-supplied
+One acceptor thread, and one thread per connection that serves that
+connection's requests in turn: the handler is a plain function
+``handler(request) -> HttpResponse`` that runs on the connection's own
+thread, end to end.  Anything it raises is mapped by the caller-supplied
 ``error_mapper`` so exception policy stays out of the transport.  A
 handler may instead return a :class:`StreamingHttpResponse` whose body
-is an async iterator of chunks -- the server writes each as one
+is an iterator of chunks -- the server writes each as one
 ``Transfer-Encoding: chunked`` chunk as it is produced, which is what
 lets sealed token frames reach the client mid-decode.
+
+Bounds: at most :data:`MAX_CONNECTIONS` connections are served at once
+(one past it is answered ``503`` + close at accept), and a connection
+idle between requests, or stalled inside one, for
+:data:`IDLE_TIMEOUT_S` is closed.  :meth:`HttpServer.close` stops
+accepting and shuts every live socket down, so blocked reads and
+writes return.
 """
 
 from __future__ import annotations
 
-import asyncio
+import socket
+import threading
+import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import TransportError
 from repro.service.protocol import MAX_HEAD, content_length, encode_head, parse_head
+
+#: connections served at once; the next one is answered 503 and closed
+MAX_CONNECTIONS = 256
+#: seconds a connection may sit idle between requests, or stall in one
+IDLE_TIMEOUT_S = 60.0
+#: the name prefix of every thread the service tier starts
+THREAD_PREFIX = "svc-"
+#: bytes one ``recv`` asks the kernel for
+_RECV = 65536
 
 _REASONS = {
     200: "OK", 202: "Accepted", 204: "No Content",
@@ -83,17 +103,17 @@ class HttpResponse:
 class StreamingHttpResponse:
     """A chunked response: the body is produced *while* it is sent.
 
-    ``chunks`` is an async iterator of byte chunks; each becomes one
-    HTTP/1.1 chunk on the wire, flushed as soon as it is yielded.  If
-    the iterator raises after the head has been written there is no way
-    to change the status line, so the server terminates the chunked body
+    ``chunks`` is an iterator of byte chunks; each becomes one HTTP/1.1
+    chunk on the wire, written as soon as it is yielded.  If the
+    iterator raises after the head has been written there is no way to
+    change the status line, so the server terminates the chunked body
     abnormally (connection close without the final ``0`` chunk) -- the
     client's de-chunking read surfaces that as a truncated stream.
     """
 
     def __init__(
         self,
-        chunks,
+        chunks: Iterable[bytes],
         status: int = 200,
         content_type: str = "application/octet-stream",
         headers: Optional[Dict[str, str]] = None,
@@ -116,12 +136,16 @@ class HttpError(Exception):
         self.status = status
 
 
-Handler = Callable[[HttpRequest], Awaitable[HttpResponse]]
+Handler = Callable[[HttpRequest], HttpResponse]
 ErrorMapper = Callable[[BaseException], HttpResponse]
 
 
-class AsyncHttpServer:
-    """Serve ``handler`` over HTTP/1.1 on an asyncio event loop."""
+def _refusal(status: int, message: str) -> bytes:
+    return HttpResponse(status, message.encode(), "text/plain").encode(keep_alive=False)
+
+
+class HttpServer:
+    """Serve ``handler`` over HTTP/1.1, one thread per connection."""
 
     def __init__(
         self,
@@ -137,128 +161,146 @@ class AsyncHttpServer:
         self._port = port
         self._max_body = max_body_bytes
         self._error_mapper = error_mapper
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: set = set()
+        self._listener: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        #: live connection sockets and the thread serving each
+        self._live: Dict[socket.socket, threading.Thread] = {}
+        self._lock = threading.Lock()
+        self._closing = False
         self.address: Optional[Tuple[str, int]] = None
 
-    async def start(self) -> Tuple[str, int]:
+    def start(self) -> Tuple[str, int]:
         """Bind and start accepting; returns ``(host, port)``."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self._host, self._port, limit=MAX_HEAD
+        self._listener = socket.create_server((self._host, self._port))
+        self.address = self._listener.getsockname()[:2]
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name=f"{THREAD_PREFIX}accept", daemon=True
         )
-        sock = self._server.sockets[0]
-        self.address = sock.getsockname()[:2]
+        self._acceptor.start()
         return self.address
 
-    async def stop(self) -> None:
-        """Stop accepting and tear down every live connection task."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        self._connections.clear()
+    def close(self, timeout_s: float = 10.0) -> None:
+        """Stop accepting, shut every live connection down, join the threads.
+
+        Shutting a socket down returns a read or write blocked on it, so
+        an idle peer or one that stopped reading cannot hold this up; a
+        handler blocked elsewhere (a long-poll) ends at its own bound.
+        """
+        with self._lock:
+            self._closing = True
+            live = dict(self._live)
+        if self._listener is not None:
+            _shutdown(self._listener)  # wakes the blocked accept()
+        for sock in live:
+            _shutdown(sock)
+        deadline = time.monotonic() + timeout_s
+        for thread in [self._acceptor, *live.values()]:
+            if thread is not None:
+                thread.join(max(0.0, deadline - time.monotonic()))
+        if self._listener is not None:
+            self._listener.close()
 
     # -- connection handling ---------------------------------------------------
 
-    async def _serve_connection(self, reader, writer) -> None:
-        """Serve one connection's requests in turn; the task always returns.
+    def _accept_loop(self) -> None:
+        """Accept until :meth:`close`; a connection past the bound is a 503."""
+        listener = self._listener
+        while True:
+            try:
+                sock, _ = listener.accept()
+            except OSError:
+                return  # close() shut the listener down
+            with self._lock:
+                refused = self._closing or len(self._live) >= MAX_CONNECTIONS
+                if not refused:
+                    thread = threading.Thread(
+                        target=self._serve_connection, args=(sock,),
+                        name=f"{THREAD_PREFIX}conn", daemon=True,
+                    )
+                    self._live[sock] = thread
+                    thread.start()  # under the lock: close() joins started threads only
+            if refused:
+                with sock:
+                    try:
+                        sock.sendall(_refusal(503, f"more than {MAX_CONNECTIONS} connections"))
+                    except OSError:
+                        pass
 
-        :meth:`stop` ends it by cancellation, which aborts the socket --
-        bytes the peer never read are dropped, so a peer that stopped
-        reading cannot hold the close up -- and the task returns
-        normally: a connection task that ends *cancelled* makes asyncio's
-        own done-callback log a traceback.
-        """
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
+    def _serve_connection(self, sock: socket.socket) -> None:
+        """Serve one connection's requests in turn, then close it."""
         try:
+            sock.settimeout(IDLE_TIMEOUT_S)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            buffered = bytearray()
             while True:
                 try:
-                    request = await self._read_request(reader)
-                except asyncio.IncompleteReadError:
-                    break  # peer closed between requests (or inside a head)
+                    request = self._read_request(sock, buffered)
                 except HttpError as exc:
-                    response = HttpResponse(
-                        status=exc.status,
-                        body=str(exc).encode(),
-                        content_type="text/plain",
-                    )
-                    writer.write(response.encode(keep_alive=False))
-                    await writer.drain()
+                    sock.sendall(_refusal(exc.status, str(exc)))
+                    _linger(sock)
                     break
-                keep_alive = (
-                    request.headers.get("connection", "keep-alive").lower()
-                    != "close"
-                )
+                if request is None:
+                    break  # peer closed between requests (or inside one)
+                keep_alive = request.headers.get("connection", "keep-alive").lower() != "close"
                 try:
-                    response = await self._handler(request)
+                    response = self._handler(request)
                 except Exception as exc:  # the mapper owns exception policy
                     if self._error_mapper is None:
                         raise
                     response = self._error_mapper(exc)
                 if isinstance(response, StreamingHttpResponse):
-                    if not await self._write_chunked(writer, response, keep_alive):
+                    if not self._write_chunked(sock, response, keep_alive):
                         break  # body aborted mid-stream: the connection dies
                 else:
-                    writer.write(response.encode(keep_alive))
-                    await writer.drain()
+                    sock.sendall(response.encode(keep_alive))
                 if not keep_alive:
                     break
-        except asyncio.CancelledError:
-            writer.transport.abort()
-        except ConnectionError:
-            pass
+        except OSError:
+            pass  # reset, timed out, or shut down by close()
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, asyncio.CancelledError):
-                pass  # closed either way; a second cancel ends the task here too
+            with self._lock:
+                self._live.pop(sock, None)
+            sock.close()
 
-    async def _write_chunked(
-        self, writer, response: StreamingHttpResponse, keep_alive: bool
-    ) -> bool:
-        """Pump a chunked body; ``False`` means the connection must die."""
-        writer.write(response.encode_head(keep_alive))
-        await writer.drain()
+    def _write_chunked(self, sock, response: StreamingHttpResponse, keep_alive: bool) -> bool:
+        """Write a chunked body; ``False`` means the connection must die."""
         try:
-            async for chunk in response.chunks:
-                if not chunk:
-                    continue  # an empty chunk would terminate the body early
-                writer.write(
-                    f"{len(chunk):x}\r\n".encode("latin-1") + chunk + b"\r\n"
-                )
-                await writer.drain()
+            sock.sendall(response.encode_head(keep_alive))
+            for chunk in response.chunks:
+                if chunk:  # an empty chunk would terminate the body early
+                    sock.sendall(b"%x\r\n%b\r\n" % (len(chunk), chunk))
         except Exception:
-            # the status line is gone; truncating the chunked body is the
-            # only honest failure signal left (client sees a short read).
-            # Close the producer NOW so its cleanup (e.g. cancelling the
-            # upstream stream) runs promptly instead of at GC time.
-            aclose = getattr(response.chunks, "aclose", None)
-            if aclose is not None:
-                try:
-                    await aclose()
-                except Exception:
-                    pass
+            # the producer failed, or a write did: truncating the body is
+            # the only honest failure signal left (the client sees a short
+            # read).  Close the producer NOW so its cleanup (cancelling
+            # the upstream stream) runs at once, not at GC time.
+            close = getattr(response.chunks, "close", None)
+            if close is not None:
+                close()
             return False
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
+        sock.sendall(b"0\r\n\r\n")
         return True
 
-    async def _read_request(self, reader) -> HttpRequest:
-        """The next request: its head in one read, then its body."""
+    def _read_request(self, sock, buffered: bytearray) -> Optional[HttpRequest]:
+        """The next request off ``sock``; ``None`` if the peer closed first.
+
+        ``buffered`` holds what was read past the previous request.
+        """
+        end = buffered.find(b"\r\n\r\n")
+        while end < 0:
+            if len(buffered) > MAX_HEAD:
+                break
+            chunk = sock.recv(_RECV)
+            if not chunk:
+                return None
+            buffered += chunk
+            end = buffered.find(b"\r\n\r\n", max(0, len(buffered) - len(chunk) - 3))
+        if end < 0 or end + 4 > MAX_HEAD:
+            raise HttpError(400, f"request head exceeds {MAX_HEAD} bytes")
+        head = bytes(buffered[:end])
+        del buffered[:end + 4]
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise HttpError(400, f"request head exceeds {MAX_HEAD} bytes") from None
-        try:
-            fields, headers = parse_head(head[:-4])
+            fields, headers = parse_head(head)
             length = content_length(headers) or 0
         except TransportError as exc:
             raise HttpError(400, str(exc)) from None
@@ -271,23 +313,50 @@ class AsyncHttpServer:
             raise HttpError(400, "request bodies are Content-Length framed only")
         if length > self._max_body:
             raise HttpError(413, f"body exceeds {self._max_body} bytes")
-        body = await reader.readexactly(length) if length else b""
+        while len(buffered) < length:
+            chunk = sock.recv(max(_RECV, length - len(buffered)))
+            if not chunk:
+                return None
+            buffered += chunk
+        body = bytes(buffered[:length])
+        del buffered[:length]
         split = urlsplit(target)
-        query = dict(parse_qsl(split.query))
         return HttpRequest(
             method=method.upper(),
             path=split.path,
-            query=query,
+            query=dict(parse_qsl(split.query)),
             headers=headers,
             body=body,
         )
 
 
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed by its own thread
+
+
+def _linger(sock: socket.socket) -> None:
+    """End a refused connection: read what the peer already sent (up to
+    one head's worth), so closing does not reset the refusal away."""
+    sock.shutdown(socket.SHUT_WR)
+    drained = 0
+    while drained <= MAX_HEAD:
+        chunk = sock.recv(_RECV)
+        if not chunk:
+            return
+        drained += len(chunk)
+
+
 __all__ = [
-    "AsyncHttpServer",
-    "Handler",
     "HttpError",
     "HttpRequest",
     "HttpResponse",
+    "HttpServer",
+    "IDLE_TIMEOUT_S",
+    "MAX_CONNECTIONS",
+    "Handler",
     "StreamingHttpResponse",
+    "THREAD_PREFIX",
 ]

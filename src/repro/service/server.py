@@ -31,31 +31,30 @@ taxonomy in :mod:`repro.errors` (``to_wire``/``from_wire``), so a
 :class:`~repro.errors.QueueFull` shed here and one raised by a
 saturated enclave queue look identical to the client.
 
-**One request lifecycle**: the three inference routes share one
-admitted-request path (:meth:`InferenceService._admitted`).  Rate and
-inflight checks run synchronously on the event loop; a shed request
-costs microseconds and never touches an executor thread, the gateway,
-or an enclave.  Admitted work runs in a bounded thread pool (the
-gateway surface is blocking), with the request's HTTP root span
-attached so route and ECALL spans parent under it -- one server-side
-trace covers service -> gateway -> ECALL, and the ``x-trace-id``
-response header lets the client join its own span to it.  Of a
-submitted request the tier owns one bit, *handed out yet?*: running,
-failed and cancelled are read off the sealed, repeatable
-:class:`~repro.core.gateway.GatewaySubmission` it holds, on the
-event-loop thread (``docs/service.md``).
+**One request lifecycle**: every route is a plain function that runs
+on its connection's own thread (:mod:`repro.service.httpd`), end to
+end, and the three inference routes share one admitted-request path
+(:meth:`InferenceService._admitted`).  Rate and inflight checks run
+first; a shed request costs the connection thread microseconds and
+never reaches the gateway or an enclave.  Admitted work calls the
+blocking gateway surface with the request's HTTP root span attached,
+so route and ECALL spans parent under it -- one server-side trace
+covers service -> gateway -> ECALL, and the ``x-trace-id`` response
+header lets the client join its own span to it.  Of a submitted
+request the tier owns one bit, *handed out yet?*: running, failed and
+cancelled are read off the sealed, repeatable
+:class:`~repro.core.gateway.GatewaySubmission` it holds, and deciding a
+reply and consuming the entry is one step under the service's lock
+(``docs/service.md``).
 """
 
 from __future__ import annotations
 
-import asyncio
 import contextvars
-import functools
 import itertools
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
@@ -66,7 +65,6 @@ from repro.core.semirt import SchedulerConfig
 from repro.core.semirt_enclave import ID, SEALED, default_semirt_config
 from repro.errors import (
     InvocationError,
-    ReproError,
     RequestCancelled,
     StorageError,
     to_wire,
@@ -74,9 +72,10 @@ from repro.errors import (
 from repro.service.admission import AdmissionController
 from repro.service.config import ServiceConfig
 from repro.service.httpd import (
-    AsyncHttpServer,
+    THREAD_PREFIX,
     HttpRequest,
     HttpResponse,
+    HttpServer,
     StreamingHttpResponse,
 )
 from repro.service.protocol import (
@@ -151,26 +150,22 @@ class InferenceService:
         self.scheduler = scheduler
         self.tracer = env.tracer
         self.admission = AdmissionController(self.config)
-        # every admitted request can block a thread at once; the spare
-        # ones keep polls and the KeyService proxy moving at saturation
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.config.max_inflight_total + 4,
-            thread_name_prefix="svc",
-        )
-        #: submitted requests by ``req_id`` (event-loop thread only)
+        #: guards ``_entries`` and ``_counters``: connection threads and
+        #: the sweeper decide and change an entry in one step under it
+        self._lock = threading.Lock()
+        #: submitted requests by ``req_id``
         self._entries: Dict[str, _Entry] = {}
         self._req_ids = itertools.count(1)
         self._counters: Dict[str, int] = {}
-        self._httpd = AsyncHttpServer(
+        self._httpd = HttpServer(
             self._handle,
             host=self.config.host,
             port=self.config.port,
             max_body_bytes=self.config.max_body_bytes,
             error_mapper=self._map_error,
         )
-        self._sweeper: Optional[asyncio.Task] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._closing = threading.Event()
+        self._sweeper: Optional[threading.Thread] = None
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -183,55 +178,24 @@ class InferenceService:
         host, port = self._httpd.address
         return f"http://{host}:{port}"
 
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start serving on the running event loop."""
-        address = await self._httpd.start()
-        self._sweeper = asyncio.get_running_loop().create_task(
-            self._sweep_loop()
+    def start_background(self) -> Tuple[str, int]:
+        """Bind, then serve on background threads (tests, CLI, benchmark)."""
+        address = self._httpd.start()
+        self._sweeper = threading.Thread(
+            target=self._sweep_loop, name=f"{THREAD_PREFIX}sweep", daemon=True
         )
+        self._sweeper.start()
         return address
 
-    async def stop(self) -> None:
-        """Cancel the sweeper and stop the HTTP server."""
-        if self._sweeper is not None:
-            self._sweeper.cancel()
-            self._sweeper = None
-        await self._httpd.stop()
-
-    def start_background(self) -> Tuple[str, int]:
-        """Run the service on a dedicated event-loop thread (tests, CLI)."""
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        started = threading.Event()
-
-        def run() -> None:
-            asyncio.set_event_loop(loop)
-            loop.run_until_complete(self.start())
-            started.set()
-            loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="svc-loop", daemon=True
-        )
-        self._thread.start()
-        if not started.wait(timeout=10):
-            raise ReproError("service failed to start within 10s")
-        return self.address
-
     def close(self) -> None:
-        """Stop the background service (gateway teardown stays the owner's)."""
-        loop, thread = self._loop, self._thread
-        if loop is not None:
-            asyncio.run_coroutine_threadsafe(self.stop(), loop).result(
-                timeout=10
-            )
-            loop.call_soon_threadsafe(loop.stop)
-            if thread is not None:
-                thread.join(timeout=10)
-            loop.close()
-            self._loop = None
-            self._thread = None
-        self._executor.shutdown(wait=False)
+        """Stop serving and join every service thread (gateway teardown
+        stays the owner's)."""
+        self._closing.set()
+        # a connection thread held in a long-poll ends at the poll's cap
+        self._httpd.close(timeout_s=self.config.poll_wait_cap_s + 5.0)
+        if self._sweeper is not None:
+            self._sweeper.join(timeout=10)
+            self._sweeper = None
 
     def __enter__(self) -> "InferenceService":
         return self
@@ -241,7 +205,7 @@ class InferenceService:
 
     # -- routing ------------------------------------------------------------------
 
-    async def _handle(self, request: HttpRequest) -> HttpResponse:
+    def _handle(self, request: HttpRequest) -> HttpResponse:
         _RESPONSE_CODEC.set(self._negotiate_codec(request))
         method, path = request.method, request.path
         if path == "/v1/healthz" and method == "GET":
@@ -251,23 +215,23 @@ class InferenceService:
         if path == "/v1/meta" and method == "GET":
             return self._meta()
         if path == "/v1/ks/handshake" and method == "POST":
-            return await self._ks_handshake(request)
+            return self._ks_handshake(request)
         if path == "/v1/ks/call" and method == "POST":
-            return await self._ks_call(request)
+            return self._ks_call(request)
         if path == "/v1/grants" and method == "POST":
-            return await self._grants(request)
+            return self._grants(request)
         if path == "/v1/infer" and method == "POST":
-            return await self._infer(request)
+            return self._infer(request)
         if path == "/v1/submit" and method == "POST":
-            return await self._submit(request)
+            return self._submit(request)
         if path == "/v1/stream" and method == "POST":
-            return await self._stream(request)
+            return self._stream(request)
         if path.startswith(_RESULTS_PREFIX):
             req_id = path[len(_RESULTS_PREFIX):]
             if method == "GET":
-                return await self._results(req_id, request.query)
+                return self._results(req_id, request.query)
             if method == "DELETE":
-                return await self._cancel(req_id)
+                return self._cancel(req_id)
         return self._json(*to_wire(StorageError(f"no route {method} {path}")))
 
     def _negotiate_codec(self, request: HttpRequest) -> wire.WireCodec:
@@ -283,13 +247,8 @@ class InferenceService:
         return self._json(*to_wire(exc))
 
     def _count(self, route: str) -> None:
-        self._counters[route] = self._counters.get(route, 0) + 1
-
-    def _on_executor(self, call: Callable[..., Any], *args):
-        """Awaitable: ``call(*args)`` on the executor, off the event loop."""
-        return asyncio.get_running_loop().run_in_executor(
-            self._executor, call, *args
-        )
+        with self._lock:
+            self._counters[route] = self._counters.get(route, 0) + 1
 
     # -- plain endpoints ----------------------------------------------------------
 
@@ -301,9 +260,11 @@ class InferenceService:
         })
 
     def _stats(self) -> HttpResponse:
+        with self._lock:
+            entries = list(self._entries.values())
+            requests = dict(self._counters)
         pending = sum(
-            1 for e in self._entries.values()
-            if not (e.consumed or e.submission.cancelled())
+            1 for e in entries if not (e.consumed or e.submission.cancelled())
         )
         payload = {
             "admission": self.admission.stats(),
@@ -312,9 +273,9 @@ class InferenceService:
                 "endpoints": self.gateway.endpoint_count,
             },
             "service": {
-                "requests": dict(self._counters),
+                "requests": requests,
                 "results_pending": pending,
-                "results_retained": len(self._entries),
+                "results_retained": len(entries),
             },
         }
         warm = self.gateway.warm_stats()
@@ -343,21 +304,18 @@ class InferenceService:
 
     # -- keyservice proxy ---------------------------------------------------------
 
-    async def _ks_handshake(self, request: HttpRequest) -> HttpResponse:
+    def _ks_handshake(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_handshake")
         msg = self._decode(request, _KS_HANDSHAKE)
-        reply = await self._on_executor(self.env.keyservice.handshake, msg["offer"])
-        return self._json(200, reply)
+        return self._json(200, self.env.keyservice.handshake(msg["offer"]))
 
-    async def _ks_call(self, request: HttpRequest) -> HttpResponse:
+    def _ks_call(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_call")
         msg = self._decode(request, _KS_CALL)
-        reply = await self._on_executor(
-            self.env.keyservice.request, msg["channel_id"], msg["ciphertext"]
-        )
+        reply = self.env.keyservice.request(msg["channel_id"], msg["ciphertext"])
         return self._json(200, {"reply": reply})
 
-    async def _grants(self, request: HttpRequest) -> HttpResponse:
+    def _grants(self, request: HttpRequest) -> HttpResponse:
         """Owner-side half of a grant: GRANT_ACCESS for ``uid``.
 
         The user's own half (ADD_REQ_KEY) runs client-side over the KS
@@ -366,17 +324,14 @@ class InferenceService:
         self._count("grants")
         msg = self._decode(request, _GRANT)
         handle = self._handle_for(msg["model_id"])
-        await self._on_executor(
-            handle.owner.grant_access, handle.model_id, handle.measurement,
-            msg["uid"],
-        )
+        handle.owner.grant_access(handle.model_id, handle.measurement, msg["uid"])
         return self._json(200, {
             "ok": True, "measurement": handle.measurement.value,
         })
 
     # -- inference ----------------------------------------------------------------
 
-    async def _admitted(
+    def _admitted(
         self,
         route: str,
         request: HttpRequest,
@@ -385,14 +340,14 @@ class InferenceService:
     ):
         """The one path an inference request takes into the fleet.
 
-        Decode and validate, look the model up, admit (synchronous and
-        O(1): a shed never leaves the loop), open the ``http:<route>``
-        root span, then run ``call(enc_request, uid, model_id, msg)`` on
-        the executor with that span attached: the admission-time
-        ``route`` span parents under it, and -- the endpoint scheduler
-        captures the ambient span at submit time -- so do the worker's
-        ECALL spans.  Whatever ``call`` raises releases the slot and is
-        the reply; else ``finish(outcome, release, span)`` owns both.
+        Decode and validate, look the model up, admit (O(1): a shed
+        never reaches the gateway), open the ``http:<route>`` root span,
+        then run ``call(enc_request, uid, model_id, msg)`` with that span
+        attached: the admission-time ``route`` span parents under it,
+        and -- the endpoint scheduler captures the ambient span at
+        submit time -- so do the worker's ECALL spans.  Whatever
+        ``call`` raises releases the slot and is the reply; else
+        ``finish(outcome, release, span)`` owns both.
         """
         self._count(route)
         msg = self._decode(request, _INFER)
@@ -405,22 +360,15 @@ class InferenceService:
             **({"client_span": client_span} if client_span else {}),
         )
         try:
-            outcome = await self._on_executor(
-                self._attached, span, call, msg["enc_request"], uid, model_id, msg
-            )
-        except BaseException as exc:
+            with self.tracer.attach(span):
+                outcome = call(msg["enc_request"], uid, model_id, msg)
+        except Exception as exc:
             release()
             self._end_span(span, error=exc)
-            if not isinstance(exc, Exception):
-                raise  # the loop cancelling this handler is not a reply
             return self._json(*to_wire(exc), span=span)
         return finish(outcome, release, span)
 
-    def _attached(self, span, call, *args):
-        with self.tracer.attach(span):
-            return call(*args)
-
-    async def _infer(self, request: HttpRequest) -> HttpResponse:
+    def _infer(self, request: HttpRequest) -> HttpResponse:
         cap = self.config.default_deadline_s
 
         def dispatch(enc_request, uid, model_id, msg):
@@ -438,25 +386,25 @@ class InferenceService:
                 "endpoint": reply.decision.endpoint,
             }, span=span)
 
-        return await self._admitted("infer", request, dispatch, served)
+        return self._admitted("infer", request, dispatch, served)
 
-    async def _submit(self, request: HttpRequest) -> HttpResponse:
+    def _submit(self, request: HttpRequest) -> HttpResponse:
         def submit(enc_request, uid, model_id, msg):
             return self.gateway.submit(enc_request, uid, model_id)
 
         def accepted(submission, release, span) -> HttpResponse:
-            req_id = f"r-{next(self._req_ids)}"
-            self._entries[req_id] = _Entry(
-                submission, release, time.monotonic(), span
-            )
+            entry = _Entry(submission, release, time.monotonic(), span)
+            with self._lock:
+                req_id = f"r-{next(self._req_ids)}"
+                self._entries[req_id] = entry
             self._end_span(span, endpoint=submission.endpoint, req_id=req_id)
             return self._json(202, {
                 "req_id": req_id, "endpoint": submission.endpoint,
             }, span=span)
 
-        return await self._admitted("submit", request, submit, accepted)
+        return self._admitted("submit", request, submit, accepted)
 
-    async def _stream(self, request: HttpRequest):
+    def _stream(self, request: HttpRequest):
         """Open an autoregressive stream; the reply body is chunked.
 
         Admission failures surface as an ordinary error response; once
@@ -464,144 +412,130 @@ class InferenceService:
         chunked body of records (:mod:`repro.service.protocol`): one per
         sealed frame, and -- because a failure *mid-decode* cannot
         change the status line any more -- one final error record the
-        client SDK rebuilds the typed exception from.  The blocking
-        gateway iterator runs on the executor and feeds the event loop
-        through an ``asyncio.Queue``, so one slow stream never stalls
-        the loop.
+        client SDK rebuilds the typed exception from.  The connection
+        thread iterates the gateway stream and writes each record as one
+        chunk; a failed write closes the records, which cancels the
+        stream at once so its enclave context is released.
         """
-        loop = asyncio.get_running_loop()
 
         def open_stream(enc_request, uid, model_id, msg):
             return self.gateway.open_stream(enc_request, uid, model_id)
 
         def opened(handle, release, span) -> StreamingHttpResponse:
-            queue: asyncio.Queue = asyncio.Queue()
-            # how the executor thread hands the loop a record (None: the end)
-            put = functools.partial(loop.call_soon_threadsafe, queue.put_nowait)
-
-            def pump() -> None:
+            def records():
                 error: Optional[BaseException] = None
                 try:
+                    yield b""  # primed below: closing runs the cleanup from here on
                     for frame in handle:
-                        put(frame_record(frame))
+                        yield frame_record(frame)
                 except BaseException as exc:
                     error = exc
+                    if not isinstance(exc, Exception):
+                        handle.cancel()  # closed mid-body: the client is gone
+                        raise
                 finally:
-                    release()
+                    release()  # the slot is free before the client sees the end
                     self._end_span(
-                        span,
-                        error=error,
-                        endpoint=handle.endpoint,
+                        span, error=error, endpoint=handle.endpoint,
                         frames=handle.token_count,
                     )
-                    # the slot is free before the client can see the end
-                    if error is not None:
-                        put(error_record(error))
-                    put(None)
+                if error is not None:
+                    yield error_record(error)
 
-            async def records():
-                try:
-                    while (record := await queue.get()) is not None:
-                        yield record
-                finally:
-                    # a torn connection abandons the generator: stop decoding
-                    # so the enclave stream context is released promptly
-                    handle.cancel()
-
-            self._executor.submit(pump)
+            chunks = records()
+            next(chunks)
             return StreamingHttpResponse(
-                records(),
+                chunks,
                 content_type=BINARY_CONTENT_TYPE,
                 headers={"x-trace-id": span.trace_id},
             )
 
-        return await self._admitted("stream", request, open_stream, opened)
+        return self._admitted("stream", request, open_stream, opened)
 
     # -- results ------------------------------------------------------------------
 
-    async def _results(self, req_id: str, query: Dict[str, str]) -> HttpResponse:
+    def _results(self, req_id: str, query: Dict[str, str]) -> HttpResponse:
         self._count("results")
         wait = _seconds(query.get("timeout_s") or 0)
         entry = self._entry(req_id)
         submission = entry.submission
         peek = query.get("peek") in ("1", "true")
         if wait > 0 and not (peek or submission.done() or submission.cancelled()):
-            # the long-poll: non-consuming, and the only executor hop --
-            # a sealed handle answers everything below without blocking
-            await self._on_executor(
-                submission.wait, min(wait, self.config.poll_wait_cap_s)
-            )
-        # no await from here on: each reply is decided, and the entry
-        # changed, in one step on the event-loop thread
-        if entry.consumed:
-            return self._json(410, {
-                "error": "ResultConsumed",
-                "message": "result already fetched",
-            })
-        if submission.cancelled():  # sticky, and true before the worker knows
-            return self._json(*to_wire(
-                RequestCancelled("request was cancelled; result discarded")
-            ))
-        if peek:
-            return self._json(200, {"done": submission.done()})
-        if not submission.done():
-            return self._json(202, {"done": False})
-        try:
-            output = submission.result(timeout_s=0)
-        except Exception as exc:  # noqa: BLE001 - re-raised on every poll
-            entry.release()
-            return self._json(*to_wire(exc), span=entry.span)
-        entry.consumed = True
+            # the long-poll: non-consuming, so it needs no lock
+            submission.wait(min(wait, self.config.poll_wait_cap_s))
+        with self._lock:
+            # decide the reply and consume the entry in one step: racing
+            # polls and DELETEs see one outcome, handed out at most once
+            if entry.consumed:
+                return self._json(410, {
+                    "error": "ResultConsumed",
+                    "message": "result already fetched",
+                })
+            if submission.cancelled():  # sticky, and true before the worker knows
+                return self._json(*to_wire(
+                    RequestCancelled("request was cancelled; result discarded")
+                ))
+            if peek:
+                return self._json(200, {"done": submission.done()})
+            if not submission.done():
+                return self._json(202, {"done": False})
+            try:
+                output = submission.result(timeout_s=0)
+            except Exception as exc:  # noqa: BLE001 - re-raised on every poll
+                entry.release()
+                return self._json(*to_wire(exc), span=entry.span)
+            entry.consumed = True
         entry.release()
         return self._json(
             200, {"enc_response": output, "done": True}, span=entry.span
         )
 
-    async def _cancel(self, req_id: str) -> HttpResponse:
+    def _cancel(self, req_id: str) -> HttpResponse:
         self._count("cancel")
         entry = self._entry(req_id)
-        if entry.submission.cancel():
-            entry.release()
+        with self._lock:  # atomic with a poll's decide-and-consume
+            if entry.submission.cancel():
+                entry.release()
         return self._json(200, {"cancelled": entry.submission.cancelled()})
 
     def _entry(self, req_id: str) -> _Entry:
-        entry = self._entries.get(req_id)
+        with self._lock:
+            entry = self._entries.get(req_id)
         if entry is None:
             raise StorageError(f"unknown request id {req_id!r}")
         return entry
 
-    async def _sweep_loop(self) -> None:
+    def _sweep_loop(self) -> None:
         """Expire terminal/abandoned results so slots cannot leak.
 
         The same cadence drives the gateway's warm-pool housekeeping
         (janitor retirements + predictive pre-warming) when it is
-        armed; retiring can block on a drain, so it runs on the
-        executor, never the event loop.
+        armed.  Runs on its own thread until :meth:`close`.
         """
         interval = max(0.5, self.config.result_ttl_s / 4)
         pool = self.gateway.warm_pool
         if pool is not None:
             interval = min(interval, max(0.25, pool.config.keep_alive_s / 4))
-        while True:
-            await asyncio.sleep(interval)
+        while not self._closing.wait(interval):
             if pool is not None:
-                await self._on_executor(self.gateway.maintain)
+                self.gateway.maintain()
             cutoff = time.monotonic() - self.config.result_ttl_s
-            expired = [
-                req_id for req_id, entry in self._entries.items()
-                if entry.created < cutoff
-            ]
-            for req_id in expired:
-                entry = self._entries.pop(req_id)
-                submission = entry.submission
-                if not submission.cancel():
-                    # sealed but never fetched: a refused cancel settles
-                    # nothing, consuming the outcome releases the request
-                    try:
-                        submission.result(timeout_s=0)
-                    except Exception:  # noqa: BLE001 - nobody is left to tell
-                        pass
-                entry.release()
+            with self._lock:
+                expired = [
+                    self._entries.pop(req_id)
+                    for req_id, entry in list(self._entries.items())
+                    if entry.created < cutoff
+                ]
+                for entry in expired:
+                    submission = entry.submission
+                    if not submission.cancel():
+                        # sealed but never fetched: a refused cancel settles
+                        # nothing, consuming the outcome releases the request
+                        try:
+                            submission.result(timeout_s=0)
+                        except Exception:  # noqa: BLE001 - nobody is left to tell
+                            pass
+                    entry.release()
 
     # -- helpers ------------------------------------------------------------------
 
@@ -647,19 +581,14 @@ class InferenceService:
 
 def serve(service: InferenceService) -> None:
     """Run ``service`` in the foreground until interrupted (CLI)."""
-
-    async def _run() -> None:
-        host, port = await service.start()
-        print(f"serving on http://{host}:{port}  (Ctrl-C to stop)")
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await service.stop()
-
+    host, port = service.start_background()
+    print(f"serving on http://{host}:{port}  (Ctrl-C to stop)")
     try:
-        asyncio.run(_run())
+        threading.Event().wait()
     except KeyboardInterrupt:
         pass
+    finally:
+        service.close()
 
 
 __all__ = ["InferenceService", "serve"]

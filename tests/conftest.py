@@ -15,6 +15,7 @@ import pytest
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt_enclave import SemirtEnclaveCode
 from repro.mlrt.zoo import build_mobilenet
+from repro.service.httpd import THREAD_PREFIX
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGX2, SgxPlatform
 from repro.sim.core import Simulation
@@ -109,22 +110,30 @@ def held_ecalls(*names: str) -> Iterator[HeldEcalls]:
             setattr(SemirtEnclaveCode, name, original)
 
 
+#: name prefixes of the threads a module must not leave running: SeMIRT
+#: scheduler workers, and the service tier's acceptor, connection and
+#: sweeper threads
+_WORKER_PREFIXES = ("semirt-", THREAD_PREFIX)
+
+
 def _scheduler_workers() -> set:
     return {
         thread for thread in threading.enumerate()
-        if thread.name.startswith("semirt-")
+        if thread.name.startswith(_WORKER_PREFIXES)
     }
 
 
 @pytest.fixture(scope="module", autouse=True)
 def no_leaked_scheduler_workers():
-    """Fail a module that leaves a SeMIRT scheduler worker running.
+    """Fail a module that leaves a SeMIRT scheduler worker or a service
+    thread running.
 
     Autouse at module scope, so it is set up before and torn down after
     every other fixture of the module: whatever hosts the tests and
-    their fixtures launched must be ``destroy()``-ed by then.  A retired
-    worker exits on its shutdown sentinel, so the leftovers get one
-    bounded join before they count as leaked.
+    their fixtures launched must be ``destroy()``-ed, and every service
+    ``close()``-d, by then.  A retired worker exits on its shutdown
+    sentinel, so the leftovers get one bounded join before they count
+    as leaked.
     """
     before = _scheduler_workers()
     yield
@@ -133,7 +142,7 @@ def no_leaked_scheduler_workers():
     for worker in leaked:
         worker.join(timeout=max(0.0, deadline - time.monotonic()))
     alive = sorted(worker.name for worker in leaked if worker.is_alive())
-    assert not alive, f"{len(alive)} scheduler worker(s) outlived the module: {alive}"
+    assert not alive, f"{len(alive)} worker thread(s) outlived the module: {alive}"
 
 
 @pytest.fixture()

@@ -325,9 +325,10 @@ def test_the_numpy_free_pins_are_numpy_free_at_runtime():
 
 
 def test_gate_catches_a_stdlib_http_stack_under_src(tmp_path, monkeypatch, capsys):
-    """Both ends speak the subset of ``repro.service.protocol``: an
-    ``http.client`` or ``http.server`` import anywhere under ``src/repro``
-    -- in any spelling -- is reported, and fails the script."""
+    """Both ends speak the subset of ``repro.service.protocol``, and one
+    threaded server serves it: an ``http.client``, ``http.server`` or
+    ``asyncio`` import anywhere under ``src/repro`` -- in any spelling --
+    is reported, and fails the script."""
     checker = _load_checker()
     src_repro = _tree(tmp_path, {
         "src/repro/service/client.py": (
@@ -337,16 +338,24 @@ def test_gate_catches_a_stdlib_http_stack_under_src(tmp_path, monkeypatch, capsy
             "def serve():\n    from http.server import HTTPServer\n"
         ),
         "src/repro/cli.py": "from http import client, cookies\n",
+        "src/repro/service/server.py": (
+            "import threading\n"
+            "import asyncio\n"
+            "from asyncio import start_server\n"
+            "import asyncio.events as events\n"
+        ),
     }) / "src" / "repro"
     violations = checker.check_one_http(src_repro)
     assert [v.split(": imports ")[0].split("src/repro/")[1] for v in violations] == [
         "cli.py:1", "service/client.py:3", "service/client.py:5",
+        "service/server.py:2", "service/server.py:3", "service/server.py:4",
     ]
     assert "'http.client'" in violations[0] and "'http.server'" in violations[2]
+    assert all("'asyncio" in v for v in violations[3:])
     assert checker.check_one_http() == []
     monkeypatch.setattr(checker, "check_one_http", lambda: violations)
     assert checker.main() == 1
-    assert "one HTTP implementation: 3 layering violation(s)" in capsys.readouterr().err
+    assert "one HTTP implementation: 6 layering violation(s)" in capsys.readouterr().err
 
 
 def test_gate_catches_an_undeclared_ecall_or_ocall(tmp_path, monkeypatch, capsys):

@@ -80,6 +80,7 @@ def launch_world(
     queue_depth: int = 16,
     rate_rps: Optional[float] = None,
     result_ttl_s: float = 120.0,
+    poll_wait_cap_s: float = 10.0,
     share_tracer: bool = False,
     warm_pool: Optional[WarmPoolConfig] = None,
     model_builder=None,
@@ -113,6 +114,7 @@ def launch_world(
             max_inflight_per_tenant=max_inflight,
             rate_rps=rate_rps,
             result_ttl_s=result_ttl_s,
+            poll_wait_cap_s=poll_wait_cap_s,
         ),
         scheduler=scheduler,
     )

@@ -2,17 +2,15 @@
 
 Server side, over raw sockets: a request head it cannot take is
 answered ``400`` with ``Connection: close`` (never a dropped socket and
-an asyncio traceback), and stopping the server ends every connection
-task cleanly.  Client side, against scripted servers: a request is one
+a thread's traceback), and stopping the server ends every connection
+thread cleanly.  Client side, against scripted servers: a request is one
 write of head and body, a reply is read whole however TCP splits it, a
 chunked ``/v1/stream`` body is de-chunked under its records, a reply
 outside the subset is a :class:`~repro.errors.TransportError`, and each
 thread keeps its own connection.
 """
 
-import asyncio
 import contextlib
-import logging
 import random
 import socket
 import sys
@@ -24,36 +22,25 @@ import pytest
 import repro.core.wire as wire
 from repro.errors import TransportError
 from repro.service.client import ServiceClient
-from repro.service.httpd import AsyncHttpServer, HttpResponse
+from repro.service.httpd import THREAD_PREFIX, HttpResponse, HttpServer
 from repro.service.protocol import frame_record
+
+
+def _service_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(THREAD_PREFIX)]
 
 
 @contextlib.contextmanager
 def _serving(handler):
-    """An :class:`AsyncHttpServer` on a background loop; yields its address."""
-    server = AsyncHttpServer(handler)
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    address = []
-
-    def run():
-        asyncio.set_event_loop(loop)
-        address.append(loop.run_until_complete(server.start()))
-        started.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    assert started.wait(timeout=10)
+    """An :class:`HttpServer` on its own threads; yields its address and
+    its ``close``, and checks that every thread it started has ended."""
+    server = HttpServer(handler)
+    address = server.start()
     try:
-        yield address[0], lambda timeout_s=10: asyncio.run_coroutine_threadsafe(
-            server.stop(), loop
-        ).result(timeout=timeout_s)
+        yield address, lambda timeout_s=10: server.close(timeout_s)
     finally:
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
-        assert not thread.is_alive()
-        loop.close()
+        server.close()
+        assert _service_threads() == []
 
 
 def _read_to_eof(sock) -> bytes:
@@ -63,8 +50,12 @@ def _read_to_eof(sock) -> bytes:
     return data
 
 
-def _asyncio_records(caplog):
-    return [record.getMessage() for record in caplog.records if record.name == "asyncio"]
+@pytest.fixture()
+def thread_errors(monkeypatch):
+    """Every exception that ended a thread, as ``threading.excepthook`` saw it."""
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", lambda args: seen.append(args.exc_value))
+    return seen
 
 
 # -- server: a head it cannot take is a 400, then a close ---------------------------
@@ -85,11 +76,10 @@ REFUSED = {
 
 
 @pytest.mark.parametrize("request_bytes", REFUSED.values(), ids=REFUSED.keys())
-def test_a_head_outside_the_subset_is_a_400_and_a_close(request_bytes, caplog):
-    caplog.set_level(logging.WARNING, logger="asyncio")
+def test_a_head_outside_the_subset_is_a_400_and_a_close(request_bytes, thread_errors):
     served = []
 
-    async def handler(request):
+    def handler(request):
         served.append(request.path)
         return HttpResponse(body=b"{}")
 
@@ -103,16 +93,14 @@ def test_a_head_outside_the_subset_is_a_400_and_a_close(request_bytes, caplog):
     assert b"\r\nConnection: close" in head
     assert reply.count(b"HTTP/1.1 ") == 1  # one answer: nothing else was served
     assert served == []
-    assert _asyncio_records(caplog) == []
+    assert thread_errors == []
 
 
-# -- server: stopping ends every connection task cleanly ----------------------------
+# -- server: stopping ends every connection thread cleanly --------------------------
 
 
-def test_stopping_with_an_idle_keep_alive_connection_logs_nothing(caplog):
-    caplog.set_level(logging.WARNING, logger="asyncio")
-
-    async def handler(request):
+def test_stopping_with_an_idle_keep_alive_connection_logs_nothing(thread_errors):
+    def handler(request):
         return HttpResponse(body=b'{"ok": true}')
 
     with _serving(handler) as (address, stop):
@@ -122,16 +110,16 @@ def test_stopping_with_an_idle_keep_alive_connection_logs_nothing(caplog):
         with pytest.raises(TransportError):
             client.request("GET", "/v1/healthz")
         client.close()
-    assert _asyncio_records(caplog) == []
+    assert thread_errors == []
 
 
-def test_stopping_does_not_wait_for_a_peer_that_stopped_reading(caplog):
-    """A reply the peer never reads sits in the transport's buffer; a
-    plain close would wait for it to drain, so ``stop()`` aborts."""
-    caplog.set_level(logging.WARNING, logger="asyncio")
+def test_stopping_does_not_wait_for_a_peer_that_stopped_reading(thread_errors):
+    """A reply the peer never reads fills both socket buffers and blocks
+    the connection thread's write; ``stop()`` shuts the socket down,
+    which returns that write, rather than wait for a drain."""
     served = threading.Event()
 
-    async def handler(request):
+    def handler(request):
         served.set()
         return HttpResponse(body=b"x" * (16 << 20))
 
@@ -143,7 +131,8 @@ def test_stopping_does_not_wait_for_a_peer_that_stopped_reading(caplog):
             started = time.monotonic()
             stop(timeout_s=5)
             assert time.monotonic() - started < 5
-    assert _asyncio_records(caplog) == []
+            assert _service_threads() == []
+    assert thread_errors == []
 
 
 # -- client: one write per request --------------------------------------------------
@@ -183,9 +172,9 @@ def dialled(monkeypatch):
     return dials
 
 
-async def _echo(request):
+def _echo(request):
     """The request body's wire frame, echoed back as a JSON reply."""
-    await asyncio.sleep(random.random() * 1e-3)
+    time.sleep(random.random() * 1e-3)
     return HttpResponse(body=wire.dumps({"echo": wire.loads(request.body)}))
 
 

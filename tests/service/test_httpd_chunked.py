@@ -1,56 +1,40 @@
-"""AsyncHttpServer chunked responses: framing, aborts, producer cleanup.
+"""HttpServer chunked responses: framing, aborts, producer cleanup.
 
 These tests drive :class:`StreamingHttpResponse` through a raw
 ``http.client`` reader: chunk framing must round-trip, a producer
 exception after the head is written must surface as a truncated body
 (the only honest failure signal left once the status line is gone), and
-the aborted producer's ``aclose()`` must run promptly so upstream
+the aborted producer's ``close()`` must run promptly so upstream
 cleanup (cancelling a gateway stream) is not deferred to GC.
 """
 
-import asyncio
 import http.client
 import threading
+import time
 from urllib.parse import urlsplit
 
 import pytest
 
 from repro.service.httpd import (
-    AsyncHttpServer,
     HttpResponse,
+    HttpServer,
     StreamingHttpResponse,
 )
 
 
 class _Httpd:
-    """A background-thread AsyncHttpServer around one handler."""
+    """An HttpServer on its own threads around one handler."""
 
     def __init__(self, handler):
-        self._server = AsyncHttpServer(handler)
-        self._loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(self._loop)
-            self.address = self._loop.run_until_complete(self._server.start())
-            started.set()
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(target=run, daemon=True)
-        self._thread.start()
-        assert started.wait(timeout=10)
+        self._server = HttpServer(handler)
+        self.address = self._server.start()
 
     def connect(self) -> http.client.HTTPConnection:
         host, port = self.address
         return http.client.HTTPConnection(host, port, timeout=10)
 
     def close(self):
-        asyncio.run_coroutine_threadsafe(
-            self._server.stop(), self._loop
-        ).result(timeout=10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
+        self._server.close()
 
 
 @pytest.fixture()
@@ -68,13 +52,13 @@ def httpd_factory():
 
 
 def test_chunked_body_roundtrips(httpd_factory):
-    async def chunks():
+    def chunks():
         yield b"alpha"
         yield b""  # an empty chunk must be skipped, not end the body
         yield b"beta" * 100
         yield b"\x00\xff"
 
-    async def handler(request):
+    def handler(request):
         del request
         return StreamingHttpResponse(chunks(), headers={"x-kind": "stream"})
 
@@ -92,15 +76,15 @@ def test_chunked_body_roundtrips(httpd_factory):
 def test_chunks_flush_before_the_body_ends(httpd_factory):
     release = threading.Event()
 
-    async def chunks():
+    def chunks():
         yield b"first"
         # hold the body open until the client proves it saw the first
         # chunk -- this fails if the server buffers the whole body
         while not release.is_set():
-            await asyncio.sleep(0.01)
+            time.sleep(0.01)
         yield b"second"
 
-    async def handler(request):
+    def handler(request):
         del request
         return StreamingHttpResponse(chunks())
 
@@ -117,14 +101,14 @@ def test_chunks_flush_before_the_body_ends(httpd_factory):
 def test_producer_crash_truncates_the_body(httpd_factory):
     cleaned = threading.Event()
 
-    async def chunks():
+    def chunks():
         try:
             yield b"partial"
             raise RuntimeError("decode failed mid-stream")
         finally:
-            cleaned.set()  # aclose() must run promptly, not at GC
+            cleaned.set()  # close() must run promptly, not at GC
 
-    async def handler(request):
+    def handler(request):
         del request
         return StreamingHttpResponse(chunks())
 
@@ -142,15 +126,15 @@ def test_producer_crash_truncates_the_body(httpd_factory):
 def test_client_hangup_closes_the_producer(httpd_factory):
     closed = threading.Event()
 
-    async def chunks():
+    def chunks():
         try:
             while True:
                 yield b"x" * 1024
-                await asyncio.sleep(0.005)
+                time.sleep(0.005)
         finally:
             closed.set()
 
-    async def handler(request):
+    def handler(request):
         del request
         return StreamingHttpResponse(chunks())
 
@@ -160,7 +144,7 @@ def test_client_hangup_closes_the_producer(httpd_factory):
     response = conn.getresponse()
     assert response.read(1024)  # the stream is live
     conn.close()  # hang up mid-body
-    # the server's next write fails and it must aclose() the producer --
+    # the server's next write fails and it must close() the producer --
     # upstream this is what cancels an abandoned inference stream
     assert closed.wait(timeout=5)
 
@@ -168,9 +152,9 @@ def test_client_hangup_closes_the_producer(httpd_factory):
 def test_plain_responses_keep_the_connection_alive_after_a_stream(
     httpd_factory,
 ):
-    async def handler(request):
+    def handler(request):
         if urlsplit(request.path).path == "/stream":
-            async def chunks():
+            def chunks():
                 yield b"streamed"
 
             return StreamingHttpResponse(chunks())

@@ -189,6 +189,96 @@ def test_a_delete_racing_a_long_poll_ends_the_poll_with_409(cancel_world):
     _assert_nothing_held(world)
 
 
+# -- exactly once, under real connection threads ------------------------------------
+#
+# Every route runs on its connection's own thread, so two polls of one
+# entry, or a poll and a DELETE, really do run at once: deciding the
+# reply and consuming the entry is one step under the service's lock.
+
+
+def _released(world) -> int:
+    return world.remote.stats()["admission"]["released"]
+
+
+def _at_once(world, *calls):
+    """Run each call on its own thread (its own keep-alive connection),
+    all starting together; their results in call order."""
+    start = threading.Barrier(len(calls), timeout=10)
+    results = [None] * len(calls)
+
+    def run(index, call):
+        start.wait()
+        try:
+            results[index] = call()
+        finally:
+            world.remote.client.close()  # this thread's connection
+
+    threads = [threading.Thread(target=run, args=item) for item in enumerate(calls)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_two_polls_of_one_finished_result_hand_it_out_once(cancel_world, monkeypatch):
+    """Both polls reach the decision together; one gets the output, the
+    other 410.  Each poll that gets as far as consuming waits (briefly)
+    at a rendezvous for the other: under the lock the second never gets
+    there, without it both would consume and both would answer 200."""
+    from repro.core.gateway import GatewaySubmission
+
+    world = cancel_world
+    path = _raw_submit(world)
+    deadline = time.monotonic() + 30
+    while _get(world, path, peek="1") != (200, {"done": True}):
+        assert time.monotonic() < deadline
+        time.sleep(0.02)
+    released = _released(world)
+    consume = GatewaySubmission.result
+    meet = threading.Barrier(2, timeout=1.0)
+
+    def result(self, timeout_s=None):
+        if timeout_s == 0:  # the service's consuming read
+            try:
+                meet.wait()
+            except threading.BrokenBarrierError:
+                pass  # the other poll never came: it was held at the lock
+        return consume(self, timeout_s)
+
+    monkeypatch.setattr(GatewaySubmission, "result", result)
+    replies = _at_once(world, lambda: _get(world, path), lambda: _get(world, path))
+    assert sorted(status for status, _ in replies) == [200, 410]
+    assert _released(world) == released + 1
+    _assert_nothing_held(world)
+
+
+def test_a_delete_racing_two_polls_hands_nothing_out(cancel_world):
+    """Two long-polls are parked on a request held in its ECALL when a
+    DELETE lands: both polls end 409, nothing is handed out, and the
+    slot is released once."""
+    world = cancel_world
+    with held_ecalls("EC_MODEL_INF") as gate:
+        path = _raw_submit(world)
+        gate.wait_entered(1)
+        released = _released(world)
+        replies = _at_once(
+            world,
+            lambda: _get(world, path, timeout_s="3"),
+            lambda: _get(world, path, timeout_s="3"),
+            lambda: (time.sleep(0.1), _delete(world, path))[1],
+        )
+        assert replies[2] == {"cancelled": True}
+        for status, reply in replies[:2]:
+            assert (status, reply["error"]) == (409, "RequestCancelled")
+        assert _released(world) == released + 1
+    status, reply = _get(world, path)
+    assert (status, reply["error"]) == (409, "RequestCancelled")
+    assert _released(world) == released + 1
+    _assert_nothing_held(world)
+
+
 @pytest.fixture(scope="module")
 def batch_world():
     """A live accumulator (window 200 ms, batch 2) over 2 TCS."""

@@ -1,7 +1,7 @@
 """End-to-end HTTP: the session API over a live service tier.
 
 One module-scoped world: a real SeMIRT endpoint (2 TCS) behind the
-gateway and the asyncio HTTP front door, with ``max_inflight_total=2``
+gateway and the threaded HTTP front door, with ``max_inflight_total=2``
 so admission sheds are deterministic: two outstanding submissions fill
 the tier and the third is a fast 429 -> :class:`~repro.errors.QueueFull`
 client-side.  Where a test needs requests still in flight it holds them
