@@ -100,7 +100,6 @@ FACADES = {
 
 #: module no door reaches that stays anyway -> why
 KEPT = {
-    "serverless.telemetry": "ROADMAP item 6a moves it to repro.obs.metrics",
     "mlrt.zoo_full": (
         "fixture of the seven-model bit-identity oracle in "
         "tests/mlrt/test_bound_plan.py; moving it under tests/ removes nothing"

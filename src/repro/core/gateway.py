@@ -707,19 +707,18 @@ class InferenceGateway:
             return result
         if now is None:
             now = self._now()
-        if self.warm_pool.sweep_due(now):
-            for victim in self.warm_pool.sweep(now):
-                with self._lock:
-                    owned = victim in self._owned
-                if not owned:
-                    continue  # attached/shared hosts are never ours to kill
-                try:
-                    self.retire(victim, timeout_s=retire_timeout_s, reason="janitor")
-                except RoutingError:
-                    # traffic landed between nomination and drain; the
-                    # endpoint stays draining and a later sweep retries
-                    continue
-                result["retired"].append(victim)
+        for victim in self.warm_pool.sweep(now):
+            with self._lock:
+                owned = victim in self._owned
+            if not owned:
+                continue  # attached/shared hosts are never ours to kill
+            try:
+                self.retire(victim, timeout_s=retire_timeout_s, reason="janitor")
+            except RoutingError:
+                # traffic landed between nomination and drain; the
+                # endpoint stays draining and a later sweep retries
+                continue
+            result["retired"].append(victim)
         for _ in range(self.warm_pool.prewarm_count(now)):
             endpoint = self._prewarm_target()
             if endpoint is None:

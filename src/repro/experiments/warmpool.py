@@ -1,55 +1,56 @@
 """Warm-pool benchmark: cold-start elimination across reuse policies.
 
-Four fleet policies serve the same seeded workloads through the *real*
-:class:`~repro.warmpool.manager.WarmPoolManager` in pure virtual time:
+Four fleet policies serve the same seeded workloads on the paper's
+platform -- :func:`~repro.experiments.common.make_testbed`'s Controller,
+SeSeMI containers (:class:`~repro.core.simbridge.SemirtSimActor`) and
+Figure 13's cluster of eight nodes, each with memory for twelve
+containers -- through the Controller's own
+:class:`~repro.warmpool.manager.WarmPoolManager`:
 
-- **none** -- no keep-alive: every endpoint is torn down the moment its
-  request completes, so every arrival that finds no concurrent sibling
-  pays the full enclave cold start (the serverless default SeSeMI's
-  FnPacker exists to beat);
-- **lcs** -- keep-alive with oldest-idle reuse: every reuse refreshes
-  the endpoint closest to its keep-alive deadline, maximising the warm
-  pool;
-- **mru** -- keep-alive with newest-idle reuse: the idle tail ages out
-  and the janitor retires it, trading warm hits for a smaller fleet;
+- **none** -- no keep-alive: every container is torn down the moment
+  its last request completes, so every arrival that finds no live
+  container pays the full cold start (sandbox init, enclave launch, key
+  retrieval);
+- **lcs** -- keep-alive with least-recently-used reuse: every reuse
+  refreshes the container closest to its keep-alive deadline,
+  maximising the warm pool;
+- **mru** -- keep-alive with most-recently-used reuse (OpenWhisk's): the
+  idle tail ages out and the janitor retires it, trading warm hits for a
+  smaller fleet;
 - **lcs+predictive** -- LCS plus the EWMA pre-warmer launching
-  endpoints ahead of predicted demand, so even fleet growth lands warm.
+  containers ahead of predicted demand.
 
 Two workloads: the Table III/IV FnPacker mix's Poisson streams (two
 2 rps streams to two models) and the Figure 13 MMPP trace (mean rate
-flipping 20 <-> 40 rps), both seeded.  Latencies come from the shared
-:class:`~repro.core.costs.CostModel`: a cold dispatch pays enclave
-init + key retrieval + runtime init, a warm one runtime init only, a
-hot one just the execution -- so the cold/warm/hot split the manager
-reports *is* the latency story.
+flipping 20 <-> 40 rps), both seeded.  Every model is TVM-MBNET; the
+cold / warm / hot split is what the containers measured, and latencies
+are the platform's end to end (controller, placement, queueing).
 
-The simulator is deterministic end to end (event heap ordered by time
-then kind, the manager never reads a clock), so the same seed produces
-a byte-identical warm-pool decision log -- ``decision_log_digest`` in
-the result, pinned by ``tests/warmpool/test_determinism.py`` -- and
-``repro run warmpool`` exits 1 below the >= 3x cold-start-reduction
-floor (CI keeps the result as ``BENCH_warmpool.json``).
+The simulation is deterministic end to end, so the same seed produces a
+byte-identical warm-pool decision log -- ``decision_log_digest`` in the
+result, pinned by ``tests/warmpool/test_determinism.py`` -- and ``repro
+run warmpool`` exits 1 below the >= 3x cold-start-reduction floor (CI
+keeps the result as ``BENCH_warmpool.json``).
 
 A third scenario demonstrates scale-to-zero: a burst grows the fleet,
-traffic stops, and janitor sweeps shrink it to the ``min_warm`` floor
+traffic stops, and the janitor shrinks it to the ``min_warm`` floor
 (the fleet-size timeline is in the result).
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.costs import CostModel
-from repro.experiments.fig13 import mmpp_trace
+from repro.core.simbridge import semirt_factory, servable_map
+from repro.experiments.common import action_budget, make_driver, make_testbed
+from repro.experiments.fig13 import NUM_NODES, mmpp_trace
 from repro.mlrt.zoo import profile
-from repro.serverless.storage import NFS
-from repro.sgx.platform import SGX2
-from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
+from repro.serverless.action import ActionSpec
+from repro.serverless.controller import PlatformConfig
+from repro.warmpool.manager import WarmPoolConfig
 from repro.warmpool.predictor import PredictorPolicy
 from repro.workloads.arrival import Arrival, poisson
 from repro.workloads.mlperf import build_fnpacker_workload
@@ -57,202 +58,56 @@ from repro.workloads.mlperf import build_fnpacker_workload
 POLICIES = ("none", "lcs", "mru", "lcs+predictive")
 WORKLOADS = ("poisson", "mmpp")
 
-#: event-kind priorities: completions free endpoints before the
-#: maintenance tick sees them, and both run before same-time arrivals
-_COMPLETE, _MAINTAIN, _ARRIVAL = 0, 1, 2
-
 #: cold-start reduction ``run()`` gates on (predictive LCS vs none)
 REDUCTION_GATE = 3.0
 
-
-@dataclass
-class _Endpoint:
-    """The simulator's view of one live single-slot endpoint."""
-
-    name: str
-    busy: bool = False
+MODEL, FRAMEWORK = "MBNET", "tvm"
+#: Figure 13's node size, in container budgets: the fleet is bounded by
+#: memory at ``NUM_NODES * NODE_CONTAINERS``
+NODE_CONTAINERS = 12
 
 
-class FleetSim:
-    """A virtual-time fleet driven by one :class:`WarmPoolManager`.
-
-    Endpoints are single-slot (one request at a time); requests that
-    find the fleet saturated at ``max_endpoints`` queue FIFO.  All
-    policy decisions -- which warm endpoint to reuse, when to retire,
-    when to pre-warm -- come from the manager; the simulator only
-    models time.
-    """
-
-    def __init__(
-        self,
-        manager: WarmPoolManager,
-        cost: "LatencyTable",
-        *,
-        teardown_on_complete: bool = False,
-        maintenance_s: float = 1.0,
-    ) -> None:
-        self.manager = manager
-        self.cost = cost
-        self.teardown_on_complete = teardown_on_complete
-        self.maintenance_s = maintenance_s
-        self.endpoints: Dict[str, _Endpoint] = {}
-        self.queue: List[Tuple[str, str, float]] = []  # (model, user, t_arrive)
-        self.latencies: List[float] = []
-        self.temperatures: Dict[str, int] = {"cold": 0, "warm": 0, "hot": 0}
-        self.fleet_timeline: List[Tuple[float, int]] = []
-        self._seq = 0
-        self._launch_seq = 0
-
-    # -- driving -------------------------------------------------------------------
-
-    def run(self, arrivals: List[Arrival], until: float) -> None:
-        """Serve ``arrivals`` with maintenance ticks up to ``until``."""
-        heap: List[Tuple[float, int, int, str, object]] = []
-        for a in arrivals:
-            self._push(heap, a.time, _ARRIVAL, (a.model_id, a.user_id))
-        t = 0.0
-        while t < until:
-            self._push(heap, t, _MAINTAIN, None)
-            t += self.maintenance_s
-        while heap:
-            now, kind, payload = self._pop(heap)
-            if kind == _COMPLETE:
-                self._complete(now, payload, heap)
-            elif kind == _MAINTAIN:
-                self._maintain(now)
-            else:
-                self._arrive(now, payload, heap)
-
-    def _push(self, heap, time_s: float, kind: int, payload) -> None:
-        self._seq += 1
-        heapq.heappush(heap, (time_s, kind, self._seq, payload))
-
-    def _pop(self, heap):
-        time_s, kind, seq, payload = heapq.heappop(heap)
-        return time_s, kind, payload
-
-    # -- event handlers -------------------------------------------------------------
-
-    def _arrive(self, now: float, payload, heap) -> None:
-        model_id, user_id = payload
-        endpoint = self.manager.suggest(model_id, now)
-        if endpoint is not None and not self.endpoints[endpoint].busy:
-            self._dispatch(now, endpoint, model_id, now, launched=False, heap=heap)
-            return
-        if len(self.endpoints) < self.manager.config.max_endpoints:
-            endpoint = self._launch(now, prewarmed=False)
-            self._dispatch(now, endpoint, model_id, now, launched=True, heap=heap)
-            return
-        self.queue.append((model_id, user_id, now))
-
-    def _dispatch(
-        self,
-        now: float,
-        endpoint: str,
-        model_id: str,
-        arrived_at: float,
-        launched: bool,
-        heap,
-    ) -> None:
-        temperature = self.manager.on_dispatch(
-            endpoint, model_id, now, launched=launched
-        )
-        self.temperatures[temperature] += 1
-        service_s = self.cost.service_s(temperature)
-        self.endpoints[endpoint].busy = True
-        done = now + service_s
-        self.latencies.append(done - arrived_at)
-        self._push(heap, done, _COMPLETE, (endpoint, model_id))
-
-    def _complete(self, now: float, payload, heap) -> None:
-        endpoint, model_id = payload
-        self.manager.on_complete(endpoint, model_id, now)
-        self.endpoints[endpoint].busy = False
-        if self.teardown_on_complete:
-            self._retire(now, endpoint, reason="baseline")
-        if self.queue:
-            model_id, _user, arrived_at = self.queue.pop(0)
-            target = self.manager.suggest(model_id, now)
-            if target is None or self.endpoints[target].busy:
-                if len(self.endpoints) < self.manager.config.max_endpoints:
-                    target = self._launch(now, prewarmed=False)
-                    self._dispatch(
-                        now, target, model_id, arrived_at, launched=True, heap=heap
-                    )
-                else:
-                    self.queue.insert(0, (model_id, _user, arrived_at))
-                return
-            self._dispatch(
-                now, target, model_id, arrived_at, launched=False, heap=heap
-            )
-
-    def _maintain(self, now: float) -> None:
-        self.fleet_timeline.append((now, len(self.endpoints)))
-        if self.teardown_on_complete:
-            return
-        if self.manager.sweep_due(now):
-            for victim in self.manager.sweep(now):
-                if not self.endpoints[victim].busy:
-                    self._retire(now, victim, reason="janitor")
-        for _ in range(self.manager.prewarm_count(now)):
-            if len(self.endpoints) >= self.manager.config.max_endpoints:
-                break
-            self._launch(now, prewarmed=True)
-
-    # -- fleet ---------------------------------------------------------------------
-
-    def _launch(self, now: float, prewarmed: bool) -> str:
-        name = f"ep{self._launch_seq}"
-        self._launch_seq += 1
-        self.endpoints[name] = _Endpoint(name=name)
-        self.manager.on_launch(
-            name, now, cold_start_s=self.cost.cold_start_s, prewarmed=prewarmed
-        )
-        return name
-
-    def _retire(self, now: float, endpoint: str, reason: str) -> None:
-        del self.endpoints[endpoint]
-        self.manager.on_retire(endpoint, now, reason=reason)
-
-
-class LatencyTable:
-    """Cold/warm/hot service times anchored in the shared cost model."""
-
-    def __init__(self, model_name: str = "MBNET", framework: str = "tvm") -> None:
-        prof = profile(model_name)
-        cost = CostModel(hardware=SGX2, storage=NFS)
-        self.exec_s = prof.exec_s(framework)
-        self.switch_s = cost.runtime_init_s(prof, framework)
-        self.cold_start_s = cost.enclave_init_s(
-            prof.enclave_bytes(framework)
-        ) + cost.key_retrieval_s()
-
-    def service_s(self, temperature: str) -> float:
-        """End-to-end service time for one dispatch at ``temperature``."""
-        if temperature == "cold":
-            return self.cold_start_s + self.switch_s + self.exec_s
-        if temperature == "warm":
-            return self.switch_s + self.exec_s
-        return self.exec_s
-
-
-def _manager_for(policy: str, *, keep_alive_s: float, min_warm: int,
-                 max_endpoints: int, service_time_s: float) -> WarmPoolManager:
+def _warm_pool(policy: str, keep_alive_s: float, min_warm: int) -> WarmPoolConfig:
+    fleet = NUM_NODES * NODE_CONTAINERS
     if policy == "none":
-        # strategy is irrelevant: endpoints never survive a request
-        return WarmPoolManager(WarmPoolConfig(
-            strategy="lcs", keep_alive_s=0.0, min_warm=0,
-            max_endpoints=max_endpoints,
-        ))
-    strategy = "mru" if policy == "mru" else "lcs"
-    return WarmPoolManager(WarmPoolConfig(
-        strategy=strategy,
+        return WarmPoolConfig(keep_alive_s=0.0, min_warm=0, max_endpoints=fleet)
+    return WarmPoolConfig(
+        strategy="mru" if policy == "mru" else "lcs",
         keep_alive_s=keep_alive_s,
         min_warm=min_warm,
-        max_endpoints=max_endpoints,
+        max_endpoints=fleet,
         predictive=policy == "lcs+predictive",
-        predictor=PredictorPolicy(service_time_s=service_time_s),
-    ))
+        predictor=PredictorPolicy(service_time_s=profile(MODEL).exec_s(FRAMEWORK)),
+    )
+
+
+def _serve(
+    policy: str,
+    arrivals: Sequence[Arrival],
+    *,
+    keep_alive_s: float,
+    min_warm: int,
+    until: float,
+):
+    """Serve ``arrivals`` on Figure 13's cluster under one policy.
+
+    Returns the testbed, the deployment's warm pool and the results.
+    """
+    models = servable_map(
+        [(m, profile(MODEL), FRAMEWORK) for m in sorted({a.model_id for a in arrivals})]
+    )
+    budget = action_budget(next(iter(models.values())))
+    bed = make_testbed(
+        num_nodes=NUM_NODES,
+        node_memory=NODE_CONTAINERS * budget,
+        config=PlatformConfig(warm_pool=_warm_pool(policy, keep_alive_s, min_warm)),
+    )
+    spec = ActionSpec(name="ep", image="semirt-tvm", memory_budget=budget)
+    bed.platform.deploy(spec, semirt_factory(models, bed.cost))
+    driver = make_driver(bed)
+    driver.submit_arrivals(arrivals)
+    report = driver.run(until=until)
+    return bed, bed.controller.deployment("ep").warm_pool, report.results
 
 
 def run_policy(
@@ -261,48 +116,54 @@ def run_policy(
     *,
     keep_alive_s: float = 30.0,
     min_warm: int = 0,
-    max_endpoints: int = 64,
     until: float = 600.0,
 ) -> dict:
     """Serve ``arrivals`` under one warm-pool policy; report the split."""
-    cost = LatencyTable()
-    manager = _manager_for(
-        policy,
-        keep_alive_s=keep_alive_s,
-        min_warm=min_warm,
-        max_endpoints=max_endpoints,
-        service_time_s=cost.exec_s,
+    bed, pool, results = _serve(
+        policy, arrivals, keep_alive_s=keep_alive_s, min_warm=min_warm, until=until
     )
-    sim = FleetSim(manager, cost, teardown_on_complete=policy == "none")
-    sim.run(arrivals, until=until)
-    latencies = np.array(sim.latencies, dtype=float)
-    total = max(1, sum(sim.temperatures.values()))
-    counters = manager.counters()
-    log_text = manager.log_text()
+    latencies = np.array([r.latency for r in results], dtype=float)
+    kinds = [r.kind for r in results]
+    counters = pool.counters()
+    log_text = pool.log_text()
     return {
         "policy": policy,
-        "requests": int(latencies.size),
-        "cold": sim.temperatures["cold"],
-        "warm": sim.temperatures["warm"],
-        "hot": sim.temperatures["hot"],
-        "cold_ratio": sim.temperatures["cold"] / total,
+        "requests": len(results),
+        "cold": kinds.count("cold"),
+        "warm": kinds.count("warm"),
+        "hot": kinds.count("hot"),
+        "cold_ratio": kinds.count("cold") / max(1, len(results)),
         "p50_ms": float(np.percentile(latencies, 50)) * 1e3,
         "p99_ms": float(np.percentile(latencies, 99)) * 1e3,
         "mean_ms": float(latencies.mean()) * 1e3,
         "launches": counters["launches"],
         "prewarm_launches": counters["prewarm_launches"],
         "janitor_retired": counters["janitor_retired"],
-        "peak_fleet": max(n for _, n in sim.fleet_timeline),
-        "decision_log_digest": hashlib.sha256(
-            log_text.encode()
-        ).hexdigest(),
-        "decision_log_lines": len(manager.decision_log()),
+        "peak_fleet": int(_fleet(bed).peak),
+        "decision_log_digest": hashlib.sha256(log_text.encode()).hexdigest(),
+        "decision_log_lines": len(pool.decision_log()),
     }
+
+
+def _fleet(bed):
+    """The Controller's live-container count, one sample per change."""
+    return bed.controller.metrics.time_series("containers.active")
 
 
 def _mmpp_trace(duration_s: float, seed: int) -> List[Arrival]:
     """The Figure 13 trace with a 30 s warm-up, drawn from ``seed``."""
     return mmpp_trace(duration_s, warmup_s=30.0, seed=seed, model_id="m0")
+
+
+def _sampled(samples: Sequence[Tuple[float, float]], times) -> List[Tuple[float, int]]:
+    """The step function ``samples`` read at each of ``times`` (ascending)."""
+    out, level, index = [], 0, 0
+    for t in times:
+        while index < len(samples) and samples[index][0] <= t:
+            level = samples[index][1]
+            index += 1
+        out.append((t, int(level)))
+    return out
 
 
 def run_scale_to_zero(
@@ -316,31 +177,26 @@ def run_scale_to_zero(
 ) -> dict:
     """Janitor demo: a burst grows the fleet, idleness shrinks it.
 
-    Returns the fleet-size timeline; the benchmark gate asserts the
-    fleet ends at exactly ``min_warm``.
+    Returns the fleet-size timeline (every 10 s); the benchmark gate
+    asserts the fleet ends at exactly ``min_warm``.
     """
     rng = np.random.default_rng(seed)
     arrivals = poisson(burst_rps, burst_s, "m0", user_id="u", rng=rng)
-    cost = LatencyTable()
-    manager = _manager_for(
-        "lcs", keep_alive_s=keep_alive_s, min_warm=min_warm,
-        max_endpoints=64, service_time_s=cost.exec_s,
+    until = burst_s + idle_s
+    bed, pool, _ = _serve(
+        "lcs", arrivals, keep_alive_s=keep_alive_s, min_warm=min_warm, until=until
     )
-    sim = FleetSim(manager, cost)
-    sim.run(arrivals, until=burst_s + idle_s)
-    peak = max(n for _, n in sim.fleet_timeline)
-    final = sim.fleet_timeline[-1][1]
+    fleet = _fleet(bed)
+    final = int(fleet.last)
     return {
         "burst_rps": burst_rps,
         "keep_alive_s": keep_alive_s,
         "min_warm": min_warm,
-        "peak_fleet": peak,
+        "peak_fleet": int(fleet.peak),
         "final_fleet": final,
-        "janitor_retired": manager.counters()["janitor_retired"],
+        "janitor_retired": pool.counters()["janitor_retired"],
         "scaled_to_floor": final == min_warm,
-        "timeline": [
-            (t, n) for t, n in sim.fleet_timeline if t == int(t) and int(t) % 10 == 0
-        ],
+        "timeline": _sampled(fleet.samples, [float(t) for t in range(0, int(until), 10)]),
     }
 
 
@@ -399,20 +255,19 @@ def decision_log_for(
     duration_s: float = 120.0,
     seed: int = 2025,
 ) -> str:
-    """The manager's full decision log for one seeded MMPP run.
+    """The warm pool's full decision log for one seeded MMPP run.
 
     Two calls with the same arguments must return byte-identical text
     (``test_seeded_simulation_log_is_byte_identical``).
     """
-    arrivals = _mmpp_trace(duration_s, seed)
-    cost = LatencyTable()
-    manager = _manager_for(
-        policy, keep_alive_s=30.0, min_warm=0, max_endpoints=64,
-        service_time_s=cost.exec_s,
+    _, pool, _ = _serve(
+        policy,
+        _mmpp_trace(duration_s, seed),
+        keep_alive_s=30.0,
+        min_warm=0,
+        until=duration_s + 3600.0,
     )
-    sim = FleetSim(manager, cost, teardown_on_complete=policy == "none")
-    sim.run(arrivals, until=duration_s + 3600.0)
-    return manager.log_text()
+    return pool.log_text()
 
 
 def format_report(result: dict) -> str:
@@ -420,8 +275,9 @@ def format_report(result: dict) -> str:
     from repro.experiments.common import format_gates, format_table
 
     lines = [
-        f"warm-pool policy sweep, keep_alive={result['keep_alive_s']:.0f}s, "
-        f"seed={result['seed']}",
+        f"warm-pool policy sweep on Figure 13's cluster ({NUM_NODES} nodes x "
+        f"{NODE_CONTAINERS} containers, TVM-{MODEL}), "
+        f"keep_alive={result['keep_alive_s']:.0f}s, seed={result['seed']}",
     ]
     for workload_name in WORKLOADS:
         rows = []
@@ -431,21 +287,21 @@ def format_report(result: dict) -> str:
                 policy, row["requests"], row["cold"], row["warm"], row["hot"],
                 f"{100 * row['cold_ratio']:.1f}%",
                 row["p50_ms"], row["p99_ms"],
-                row["launches"], row["janitor_retired"],
+                row["launches"], row["janitor_retired"], row["peak_fleet"],
             ))
         lines += [
             "",
             f"workload: {workload_name}",
             format_table(
                 ["policy", "reqs", "cold", "warm", "hot", "cold%",
-                 "p50 (ms)", "p99 (ms)", "launches", "retired"],
+                 "p50 (ms)", "p99 (ms)", "launches", "retired", "peak"],
                 rows,
             ),
         ]
     demo = result["scale_to_zero"]
     lines += [
         "",
-        f"scale-to-zero: burst peak {demo['peak_fleet']} endpoints -> "
+        f"scale-to-zero: burst peak {demo['peak_fleet']} containers -> "
         f"{demo['final_fleet']} after idling past keep-alive "
         f"(min_warm={demo['min_warm']}, janitor retired "
         f"{demo['janitor_retired']})",
@@ -457,8 +313,6 @@ def format_report(result: dict) -> str:
 
 
 __all__ = [
-    "FleetSim",
-    "LatencyTable",
     "POLICIES",
     "REDUCTION_GATE",
     "WORKLOADS",

@@ -10,7 +10,6 @@ they are scheduled by exactly the same platform logic, as in the paper.
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Generator, Tuple
@@ -20,8 +19,6 @@ from repro.serverless.action import ActionSpec, Request
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serverless.invoker import Invoker
     from repro.sim.core import Simulation
-
-_container_ids = itertools.count(1)
 
 
 @dataclass
@@ -72,23 +69,17 @@ class ActionRuntime(ABC):
 class Container:
     """One sandbox instance bound to an action on a node."""
 
-    def __init__(self, spec: ActionSpec, node: "Invoker", runtime: ActionRuntime,
-                 created_at: float) -> None:
-        self.container_id = f"container-{next(_container_ids)}"
+    def __init__(self, container_id: str, spec: ActionSpec, node: "Invoker",
+                 runtime: ActionRuntime) -> None:
+        self.container_id = container_id
         self.spec = spec
         self.node = node
         self.runtime = runtime
-        self.created_at = created_at
-        self.last_used = created_at
         self.in_flight = 0
         self.destroyed = False
         self.ready = False
         #: event that fires when startup completes
         self.ready_event = None  # set by the controller when startup begins
-
-    @property
-    def has_free_slot(self) -> bool:
-        return (not self.destroyed) and self.in_flight < self.spec.concurrency
 
     @property
     def idle(self) -> bool:

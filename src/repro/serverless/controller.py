@@ -12,12 +12,21 @@ Reproduces the OpenWhisk behaviours the evaluation depends on:
 - idle containers are reclaimed after a keep-alive timeout (3 minutes in
   Table V), releasing their memory.
 
+Which container is reused and when an idle one is reclaimed is not
+decided here: each deployment has a
+:class:`~repro.warmpool.manager.WarmPoolManager` (the live gateway's warm
+pool), configured by ``PlatformConfig.warm_pool`` -- OpenWhisk's is
+most-recently-used reuse and a 180 s keep-alive.  The controller reports
+launches, dispatches, completions and teardowns to it, reuses what it
+suggests, and sweeps at each idle container's exact expiry.
+
 The controller also records a memory-reservation timeline, which is what
 the paper integrates into GB-seconds for the cost results (Figure 14).
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -25,14 +34,15 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracer import Tracer
-    from repro.serverless.telemetry import MetricsRegistry
 
 from repro.errors import PlatformError
 from repro.serverless.action import ActionSpec, InvocationResult, Request
 from repro.serverless.container import ActionRuntime, Container, ContainerContext
 from repro.serverless.invoker import Invoker
+from repro.serverless.telemetry import MetricsRegistry
 from repro.sim.core import Event, Simulation
 from repro.sim.resources import Resource
+from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 
 RuntimeFactory = Callable[[], ActionRuntime]
 
@@ -42,7 +52,11 @@ class PlatformConfig:
     """Tunable platform parameters (paper defaults from Table V)."""
 
     sandbox_init_s: float = 2.5       # pull (cached) + start one SGX sandbox
-    keepalive_s: float = 180.0        # container unused timeout: 3 minutes
+    #: OpenWhisk's keep-alive: reuse the most recently used container,
+    #: reclaim one unused for 3 minutes
+    warm_pool: WarmPoolConfig = WarmPoolConfig(
+        strategy="mru", keep_alive_s=180.0, min_warm=0
+    )
     controller_overhead_s: float = 0.0215  # serial proxy work per request
 
 
@@ -50,7 +64,9 @@ class PlatformConfig:
 class _Deployment:
     spec: ActionSpec
     factory: RuntimeFactory
-    containers: List[Container] = field(default_factory=list)
+    warm_pool: WarmPoolManager
+    #: live containers by id, in launch order
+    containers: Dict[str, Container] = field(default_factory=dict)
     pending: Deque[Tuple[Request, Event]] = field(default_factory=deque)
 
 
@@ -73,13 +89,19 @@ class Controller:
         self.tracer = tracer
         self._deployments: Dict[str, _Deployment] = {}
         self._overhead = Resource(sim, capacity=1, name="controller")
-        #: (time, reserved_bytes) samples; one per reservation change
-        self.memory_timeline: List[Tuple[float, int]] = [(0.0, 0)]
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._memory = self.metrics.time_series("memory.reserved.bytes")
+        self._memory.record(0.0, 0)
         self.cold_starts = 0
         self.completed = 0
-        self.metrics = metrics
         self._active_containers = 0
+        self._container_ids = itertools.count(1)
         self._draining: set = set()
+
+    @property
+    def memory_timeline(self) -> List[Tuple[float, int]]:
+        """``(time, reserved_bytes)`` samples; one per reservation change."""
+        return self._memory.samples
 
     # -- deployment -----------------------------------------------------------
 
@@ -87,7 +109,9 @@ class Controller:
         """Register an action with the platform."""
         if spec.name in self._deployments:
             raise PlatformError(f"action {spec.name!r} already deployed")
-        self._deployments[spec.name] = _Deployment(spec=spec, factory=factory)
+        self._deployments[spec.name] = _Deployment(
+            spec=spec, factory=factory, warm_pool=WarmPoolManager(self.config.warm_pool)
+        )
 
     def deployment(self, name: str) -> _Deployment:
         """Look up a deployed action (raises for unknown names)."""
@@ -133,7 +157,7 @@ class Controller:
     # -- scheduling -----------------------------------------------------------------
 
     def _dispatch(self, deployment: _Deployment, request: Request, done: Event) -> None:
-        container = self._pick_warm(deployment)
+        container = self._reuse(deployment, request.model_id)
         if container is None:
             node = self._place(deployment.spec)
             if node is not None:
@@ -143,12 +167,10 @@ class Controller:
             return
         self._assign(deployment, container, request, done)
 
-    def _pick_warm(self, deployment: _Deployment) -> Optional[Container]:
-        """Most-recently-used warm container with a free slot."""
-        candidates = [c for c in deployment.containers if c.has_free_slot]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda c: c.last_used)
+    def _reuse(self, deployment: _Deployment, model_id: str) -> Optional[Container]:
+        """The live container with a free slot the warm pool picks, if any."""
+        name = deployment.warm_pool.suggest(model_id, self.sim.now)
+        return deployment.containers[name] if name is not None else None
 
     def _place(self, spec: ActionSpec) -> Optional[Invoker]:
         """Home-node-first placement on memory availability.
@@ -168,28 +190,33 @@ class Controller:
 
     def _record_memory(self) -> None:
         reserved = sum(node.memory_used for node in self.nodes)
-        self.memory_timeline.append((self.sim.now, reserved))
-        if self.metrics is not None:
-            self.metrics.time_series("memory.reserved.bytes").record(
-                self.sim.now, reserved
-            )
-            self.metrics.time_series("containers.active").record(
-                self.sim.now, self._active_containers
-            )
+        self._memory.record(self.sim.now, reserved)
+        self.metrics.time_series("containers.active").record(
+            self.sim.now, self._active_containers
+        )
 
-    def _create_container(self, deployment: _Deployment, node: Invoker) -> Container:
+    def _create_container(
+        self, deployment: _Deployment, node: Invoker, prewarmed: bool = False
+    ) -> Container:
         node.reserve_memory(deployment.spec.memory_budget)
         self._active_containers += 1
         self._record_memory()
         self.cold_starts += 1
-        if self.metrics is not None:
-            self.metrics.counter("containers.cold_starts").inc()
-        runtime = deployment.factory()
+        self.metrics.counter("containers.cold_starts").inc()
         container = Container(
-            spec=deployment.spec, node=node, runtime=runtime, created_at=self.sim.now
+            f"container-{next(self._container_ids)}",
+            deployment.spec,
+            node,
+            deployment.factory(),
         )
         container.ready_event = self.sim.event()
-        deployment.containers.append(container)
+        deployment.containers[container.container_id] = container
+        deployment.warm_pool.on_launch(
+            container.container_id,
+            self.sim.now,
+            prewarmed=prewarmed,
+            slots=deployment.spec.concurrency,
+        )
         self.sim.process(
             self._startup(container), name=f"startup:{container.container_id}"
         )
@@ -222,11 +249,8 @@ class Controller:
             root.end()
         container.ready = True
         container.ready_event.succeed()
-        # Arm keep-alive even if the container never serves a request
-        # (e.g. it was over-provisioned during a cold-start burst).
-        self.sim.process(
-            self._reaper(container), name=f"reap0:{container.container_id}"
-        )
+        if container.idle:  # pre-warmed: nothing was waiting for it
+            self._went_idle(self._deployments[container.spec.name], container)
 
     def _assign(
         self,
@@ -236,11 +260,22 @@ class Controller:
         done: Event,
     ) -> None:
         container.in_flight += 1
-        container.last_used = self.sim.now
+        pool = deployment.warm_pool
+        pool.on_dispatch(
+            container.container_id,
+            request.model_id,
+            self.sim.now,
+            launched=not container.ready,
+        )
         self.sim.process(
             self._serve(deployment, container, request, done),
             name=f"serve:{request.request_id}",
         )
+        for _ in range(pool.prewarm_count(self.sim.now)):
+            node = self._place(deployment.spec)
+            if node is None:
+                break
+            self._create_container(deployment, node, prewarmed=True)
 
     def _serve(
         self,
@@ -285,19 +320,20 @@ class Controller:
                 **stages,
             }
         container.in_flight -= 1
-        container.last_used = self.sim.now
+        deployment.warm_pool.on_complete(
+            container.container_id, request.model_id, self.sim.now
+        )
         self.completed += 1
         if serve_span is not None:
             serve_span.set_attribute("flavor", kind)
             serve_span.end()
             request.span.set_attribute("flavor", kind)
             request.span.end()
-        if self.metrics is not None:
-            self.metrics.counter("requests.completed").inc()
-            self.metrics.counter(f"invocations.{kind}").inc()
-            self.metrics.histogram("latency.seconds").observe(
-                self.sim.now - request.submitted_at
-            )
+        self.metrics.counter("requests.completed").inc()
+        self.metrics.counter(f"invocations.{kind}").inc()
+        self.metrics.histogram("latency.seconds").observe(
+            self.sim.now - request.submitted_at
+        )
         done.succeed(
             InvocationResult(
                 request=request,
@@ -312,21 +348,13 @@ class Controller:
             )
         )
         self._drain(deployment)
-        if (
-            container.node.node_id in self._draining
-            and container.idle
-            and not container.destroyed
-        ):
-            self._destroy(container)
-        else:
-            self.sim.process(
-                self._reaper(container), name=f"reap:{container.container_id}"
-            )
+        if container.idle:
+            self._went_idle(deployment, container)
 
     def _drain(self, deployment: _Deployment) -> None:
         """Feed queued requests into any free capacity."""
         while deployment.pending:
-            container = self._pick_warm(deployment)
+            container = self._reuse(deployment, deployment.pending[0][0].model_id)
             if container is None:
                 node = self._place(deployment.spec)
                 if node is None:
@@ -337,17 +365,34 @@ class Controller:
 
     # -- keep-alive ------------------------------------------------------------------
 
-    def _reaper(self, container: Container):
-        yield self.sim.timeout(self.config.keepalive_s)
-        expired = (
-            not container.destroyed
-            and container.idle
-            and self.sim.now - container.last_used >= self.config.keepalive_s
-        )
-        if expired:
-            self._destroy(container)
+    def _went_idle(self, deployment: _Deployment, container: Container) -> None:
+        """``container`` has nothing in flight: reclaim it now, or sweep at
+        the instant its keep-alive expires."""
+        if container.node.node_id in self._draining:
+            self._destroy(container, reason="drain")
+            return
+        expiry = deployment.warm_pool.expiry(container.container_id)
+        if expiry <= self.sim.now:
+            # no keep-alive: the container goes with its last request
+            self._sweep(deployment, reason="teardown")
+        else:
+            self.sim.process(
+                self._sweep_at(deployment, expiry),
+                name=f"sweep:{container.container_id}",
+            )
 
-    def _destroy(self, container: Container) -> None:
+    def _sweep_at(self, deployment: _Deployment, expiry: float):
+        yield self.sim.at(expiry)
+        self._sweep(deployment, reason="janitor")
+
+    def _sweep(self, deployment: _Deployment, reason: str) -> None:
+        """Tear down what the deployment's janitor nominates now."""
+        for name in deployment.warm_pool.sweep(self.sim.now):
+            container = deployment.containers[name]
+            if container.ready:  # a pre-warm still starting is kept
+                self._destroy(container, reason)
+
+    def _destroy(self, container: Container, reason: str) -> None:
         container.destroyed = True
         ctx = ContainerContext(sim=self.sim, node=container.node, container=container)
         container.runtime.shutdown(ctx)
@@ -355,8 +400,10 @@ class Controller:
         self._active_containers -= 1
         self._record_memory()
         deployment = self._deployments[container.spec.name]
-        if container in deployment.containers:
-            deployment.containers.remove(container)
+        del deployment.containers[container.container_id]
+        deployment.warm_pool.on_retire(
+            container.container_id, self.sim.now, reason=reason
+        )
         # Freed memory may unblock queued cold starts of any action.
         for other in self._deployments.values():
             if other.pending:
@@ -368,15 +415,15 @@ class Controller:
         """Take a node out of scheduling (cluster maintenance).
 
         No new containers are placed on it; its idle containers are
-        reclaimed immediately, and busy ones as soon as they finish (the
-        keep-alive reaper does that naturally).  In-flight requests run
-        to completion -- the graceful-drain semantics of real platforms.
+        reclaimed immediately, and busy ones as soon as they finish.
+        In-flight requests run to completion -- the graceful-drain
+        semantics of real platforms.
         """
         self._draining.add(node.node_id)
         for deployment in list(self._deployments.values()):
-            for container in list(deployment.containers):
+            for container in list(deployment.containers.values()):
                 if container.node is node and container.idle and container.ready:
-                    self._destroy(container)
+                    self._destroy(container, reason="drain")
 
     def undrain_node(self, node: Invoker) -> None:
         """Return a drained node to the scheduling pool."""
@@ -392,20 +439,18 @@ class Controller:
     def retire_action(self, name: str) -> None:
         """Reclaim an action's idle containers (endpoint retirement).
 
-        Busy containers finish their in-flight work and are reaped by
-        the keep-alive timer; the deployment record stays so late
-        completions still resolve, but with no router sending traffic
-        it receives no new requests.
+        Busy containers finish their in-flight work and expire through
+        the keep-alive; the deployment record stays so late completions
+        still resolve, but with no router sending traffic it receives no
+        new requests.
         """
         deployment = self.deployment(name)
-        for container in list(deployment.containers):
-            if container.idle and container.ready and not container.destroyed:
-                self._destroy(container)
+        for container in list(deployment.containers.values()):
+            if container.idle and container.ready:
+                self._destroy(container, reason="retire")
 
     # -- introspection ----------------------------------------------------------------
 
     def warm_containers(self, action_name: str) -> int:
         """Count of live (non-destroyed) containers for an action."""
-        return sum(
-            1 for c in self.deployment(action_name).containers if not c.destroyed
-        )
+        return len(self.deployment(action_name).containers)

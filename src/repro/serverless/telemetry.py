@@ -156,18 +156,24 @@ class TimeSeries:
 
     def integral(self, until: float) -> float:
         """Integrate the step function from its first sample to ``until``."""
-        total = 0.0
-        for (t0, level), (t1, _) in zip(self.samples, self.samples[1:]):
-            if t0 >= until:
-                break
-            span = min(t1, until) - t0
-            if span > 0:
-                total += level * span
-        if self.samples:
-            t_last, level = self.samples[-1]
-            if t_last < until:
-                total += level * (until - t_last)
-        return total
+        return step_integral(self.samples, until)
+
+
+def step_integral(samples: Sequence[Tuple[float, float]], until: float) -> float:
+    """Integrate the step function ``samples`` from its first sample to
+    ``until`` (each level holds until the next sample's time)."""
+    total = 0.0
+    for (t0, level), (t1, _) in zip(samples, samples[1:]):
+        if t0 >= until:
+            break
+        span = min(t1, until) - t0
+        if span > 0:
+            total += level * span
+    if samples:
+        t_last, level = samples[-1]
+        if t_last < until:
+            total += level * (until - t_last)
+    return total
 
 
 @dataclass

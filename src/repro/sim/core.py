@@ -142,6 +142,19 @@ class Simulation:
         """An event that fires after ``delay`` seconds of virtual time."""
         return Timeout(self, delay, value)
 
+    def at(self, time: float) -> Event:
+        """An event that fires at virtual time ``time`` exactly.
+
+        ``timeout(time - now)`` can land an ulp off ``time``; a deadline
+        computed elsewhere (a keep-alive expiry) must fire on it.
+        """
+        if time < self._now:
+            raise SimulationError(f"time {time} is in the past")
+        event = Event(self)
+        event.triggered = True
+        heapq.heappush(self._heap, (time, next(self._sequence), event))
+        return event
+
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start ``generator`` as a process."""
         return Process(self, generator, name)

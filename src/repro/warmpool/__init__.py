@@ -6,15 +6,16 @@ instances itself*.  Three cooperating parts, composed by
 :class:`WarmPoolManager`:
 
 - **warm-instance strategies** (:mod:`repro.warmpool.strategy`): which
-  idle warm endpoint a new request should reuse.  ``lcs`` reuses the
-  oldest-idle endpoint so every endpoint's keep-alive stays fresh and
-  the warm pool is maximised; ``mru`` reuses the newest-idle endpoint
-  so the idle tail ages out and the janitor can retire it; ``affinity``
-  layers per-model warm sub-pools over either.
+  warm endpoint with a free slot a new request should reuse.  ``lcs``
+  reuses the least recently used endpoint so every endpoint's
+  keep-alive stays fresh and the warm pool is maximised; ``mru`` reuses
+  the most recently used one (OpenWhisk's pick) so the idle tail ages
+  out and the janitor can retire it; ``affinity`` layers per-model warm
+  sub-pools over either.
 - a **scale-to-zero janitor** (:mod:`repro.warmpool.janitor`): sweeps
-  endpoints idle past ``keep_alive_s``, respecting a ``min_warm`` floor
-  and in-flight/pin protection, retiring through the gateway's existing
-  drain-then-retire lifecycle.
+  endpoints idle past ``keep_alive_s`` (each has an exact expiry),
+  respecting a ``min_warm`` floor and in-flight/pin protection; the
+  caller retires what it nominates.
 - a **predictive pre-warmer** (:mod:`repro.warmpool.predictor`):
   per-model EWMA arrival-rate estimators fed by dispatch events that
   size the warm fleet *ahead* of predicted demand (Little's law over
@@ -29,7 +30,7 @@ Layering rule (enforced by ``scripts/check_layering.py``): this package
 imports only the stdlib, ``repro.errors``, and :mod:`repro.routing`
 types.  It must never import ``repro.core``, ``repro.serverless``, or
 ``repro.faults`` -- the functional gateway adapts it onto live hosts,
-and the warm-pool experiment drives it in pure virtual time.  Every
+and the simulated Controller onto containers in virtual time.  Every
 method takes ``now`` explicitly; the package never reads a clock, so a
 seeded trace replays to a byte-identical decision log (the determinism
 CI gate depends on that).

@@ -15,10 +15,17 @@ retirement, oldest-idle first, while
 - explicitly *pinned* endpoints (attached/shared hosts the gateway
   does not own) are skipped.
 
-The janitor only nominates; the caller retires through the gateway's
-existing drain-then-retire lifecycle
-(:meth:`~repro.core.gateway.InferenceGateway.retire`), so in-flight
-work always finishes and hosts are destroyed exactly once.
+An idle endpoint's **expiry** is exact: ``last_used + keep_alive_s``
+(:meth:`Janitor.expiry`), and a sweep at that instant nominates it.  A
+caller that keeps time itself (the simulated Controller) sweeps at each
+expiry; one on a wall clock (the gateway's ``maintain``) sweeps when it
+likes -- a sweep with nothing expired nominates nothing.
+
+The janitor only nominates; the caller retires through its own
+lifecycle (the gateway's drain-then-retire
+:meth:`~repro.core.gateway.InferenceGateway.retire`, the Controller's
+container teardown), so in-flight work always finishes and hosts are
+destroyed exactly once.
 
 Like everything in :mod:`repro.warmpool`, sweeps take ``now``
 explicitly and are fully deterministic.
@@ -27,7 +34,7 @@ explicitly and are fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.errors import ConfigError
 from repro.warmpool.strategy import WarmEndpoint
@@ -39,22 +46,17 @@ class JanitorPolicy:
 
     ``keep_alive_s`` is how long an endpoint may sit idle before the
     janitor retires it (0 retires on the first sweep after going
-    idle).  ``min_warm`` endpoints always survive.  ``sweep_interval_s``
-    debounces sweeps: :meth:`Janitor.due` is true at most once per
-    interval.
+    idle).  ``min_warm`` endpoints always survive.
     """
 
     keep_alive_s: float = 30.0
     min_warm: int = 1
-    sweep_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.keep_alive_s < 0:
             raise ConfigError("keep_alive_s must be >= 0")
         if self.min_warm < 0:
             raise ConfigError("min_warm must be >= 0")
-        if self.sweep_interval_s <= 0:
-            raise ConfigError("sweep_interval_s must be positive")
 
 
 class Janitor:
@@ -63,13 +65,10 @@ class Janitor:
     def __init__(self, policy: JanitorPolicy) -> None:
         self.policy = policy
         self.sweeps = 0
-        self._last_sweep: Optional[float] = None
 
-    def due(self, now: float) -> bool:
-        """Whether a sweep should run at ``now`` (first call: always)."""
-        if self._last_sweep is None:
-            return True
-        return now - self._last_sweep >= self.policy.sweep_interval_s
+    def expiry(self, endpoint: WarmEndpoint) -> float:
+        """The instant an idle ``endpoint`` becomes retirable."""
+        return endpoint.last_used + self.policy.keep_alive_s
 
     def sweep(
         self,
@@ -85,14 +84,9 @@ class Janitor:
         against -- busy endpoints keep idle ones retirable.
         """
         self.sweeps += 1
-        self._last_sweep = now
         expired = sorted(
-            (
-                ep
-                for ep in idle
-                if now - ep.idle_since >= self.policy.keep_alive_s
-            ),
-            key=lambda ep: (ep.idle_since, ep.name),
+            (ep for ep in idle if self.expiry(ep) <= now),
+            key=lambda ep: (ep.last_used, ep.seq),
         )
         retirable = max(0, fleet_size - self.policy.min_warm)
         return [ep.name for ep in expired[:retirable]]

@@ -5,10 +5,12 @@ fleet lifecycle (``on_launch`` / ``on_retire`` / ``on_down``) and the
 traffic (``on_dispatch`` / ``on_complete`` / ``on_failure``), and from
 those events answers the three questions its host asks:
 
-- :meth:`suggest` -- which idle warm endpoint should this request
-  reuse?  (the configured :class:`~repro.warmpool.strategy.WarmStrategy`)
-- :meth:`sweep` -- which endpoints should be drained and retired now?
-  (the :class:`~repro.warmpool.janitor.Janitor`)
+- :meth:`suggest` -- which warm endpoint with a free slot should this
+  request reuse?  (the configured
+  :class:`~repro.warmpool.strategy.WarmStrategy`)
+- :meth:`sweep` -- which endpoints should be drained and retired now,
+  and :meth:`expiry` -- when will an idle one be?  (the
+  :class:`~repro.warmpool.janitor.Janitor`)
 - :meth:`prewarm_count` -- how many endpoints should be launched ahead
   of predicted demand?  (the
   :class:`~repro.warmpool.predictor.Prewarmer`)
@@ -21,6 +23,12 @@ Every dispatch is classified by temperature:
   model (``last_model`` matches): execution only;
 - **warm** -- the endpoint is alive but must switch models (runtime
   re-init, no enclave launch).
+
+An endpoint offers ``slots`` concurrent requests (``on_launch``): the
+live gateway's endpoints take one, a simulated OpenWhisk container its
+action's concurrency (Figure 14 runs 4-slot enclaves).  Both twins keep
+their warm pools here -- the gateway through ``GatewayConfig.warm_pool``,
+the Controller through ``PlatformConfig.warm_pool``.
 
 Classification counters, per-endpoint idle ages, janitor retire counts,
 and predictor rates surface through :meth:`stats` (the service tier's
@@ -41,6 +49,7 @@ guards all mutable state.  Determinism holds for any single-threaded
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -64,8 +73,8 @@ class WarmPoolConfig:
     """Every warm-pool knob in one place.
 
     ``strategy`` picks the warm-instance reuse policy (``lcs`` /
-    ``mru`` / ``affinity``); ``keep_alive_s`` / ``min_warm`` /
-    ``sweep_interval_s`` drive the janitor; ``max_endpoints`` caps the
+    ``mru`` / ``affinity``); ``keep_alive_s`` / ``min_warm`` drive the
+    janitor; ``max_endpoints`` caps the
     fleet whatever the predictor wants; ``predictive`` arms the
     pre-warmer with ``predictor`` as its policy.
     """
@@ -73,7 +82,6 @@ class WarmPoolConfig:
     strategy: str = "lcs"
     keep_alive_s: float = 30.0
     min_warm: int = 1
-    sweep_interval_s: float = 1.0
     max_endpoints: int = 8
     predictive: bool = False
     predictor: PredictorPolicy = field(default_factory=PredictorPolicy)
@@ -94,11 +102,7 @@ class WarmPoolConfig:
 
     def janitor_policy(self) -> JanitorPolicy:
         """The janitor's slice of this config."""
-        return JanitorPolicy(
-            keep_alive_s=self.keep_alive_s,
-            min_warm=self.min_warm,
-            sweep_interval_s=self.sweep_interval_s,
-        )
+        return JanitorPolicy(keep_alive_s=self.keep_alive_s, min_warm=self.min_warm)
 
 
 @dataclass
@@ -106,15 +110,22 @@ class EndpointRecord:
     """The manager's view of one live endpoint."""
 
     name: str
-    launched_at: float
+    seq: int                      # launch order within this pool
+    last_used: float              # last launch, dispatch or completion
+    slots: int = 1                # concurrent requests it takes
     cold_start_s: float = 0.0
     prewarmed: bool = False
     in_flight: int = 0
     last_model: Optional[str] = None
+    #: start of the last service-time sample (``None`` after a cold
+    #: dispatch: a launch is not service time)
     last_dispatch_at: Optional[float] = None
-    idle_since: float = 0.0       # meaningful only while in_flight == 0
     pinned: bool = False          # attached/shared host: never retire
     dispatches: int = 0
+
+    def view(self) -> WarmEndpoint:
+        """The strategy's and the janitor's snapshot of this endpoint."""
+        return WarmEndpoint(self.name, self.last_used, self.seq, self.last_model)
 
 
 class WarmPoolManager:
@@ -134,6 +145,7 @@ class WarmPoolManager:
             "janitor_retired": 0, "retired": 0,
         }
         self._log: List[str] = []
+        self._seqs = itertools.count(1)  # launch order, for tie-breaks
         self._lock = threading.Lock()
 
     # -- fleet lifecycle ---------------------------------------------------------
@@ -145,15 +157,17 @@ class WarmPoolManager:
         cold_start_s: float = 0.0,
         prewarmed: bool = False,
         pinned: bool = False,
+        slots: int = 1,
     ) -> None:
         """Register a live endpoint (lazy, pre-warm, or relaunch)."""
         with self._lock:
             self._records[endpoint] = EndpointRecord(
                 name=endpoint,
-                launched_at=now,
+                seq=next(self._seqs),
+                last_used=now,
+                slots=slots,
                 cold_start_s=cold_start_s,
                 prewarmed=prewarmed,
-                idle_since=now,
                 pinned=pinned,
             )
             self._counters["launches"] += 1
@@ -209,7 +223,7 @@ class WarmPoolManager:
                 # (e.g. attached before the manager was armed): register
                 # it so the accounting stays consistent.
                 record = EndpointRecord(
-                    name=endpoint, launched_at=now, idle_since=now
+                    name=endpoint, seq=next(self._seqs), last_used=now
                 )
                 self._records[endpoint] = record
             if launched:
@@ -220,7 +234,8 @@ class WarmPoolManager:
                 temperature = "warm"
             record.in_flight += 1
             record.last_model = model_id
-            record.last_dispatch_at = now
+            record.last_used = now
+            record.last_dispatch_at = None if launched else now
             record.dispatches += 1
             self._counters[temperature] += 1
             self._append(
@@ -247,8 +262,8 @@ class WarmPoolManager:
                 return
             if record.in_flight > 0:
                 record.in_flight -= 1
+            record.last_used = now
             if record.in_flight == 0:
-                record.idle_since = now
                 if (
                     feed_service_time
                     and record.last_dispatch_at is not None
@@ -261,26 +276,26 @@ class WarmPoolManager:
     # -- warm-instance selection ---------------------------------------------------
 
     def suggest(self, model_id: str, now: float) -> Optional[str]:
-        """The idle endpoint the strategy would reuse for ``model_id``."""
+        """The endpoint with a free slot the strategy would reuse for ``model_id``."""
         with self._lock:
             candidates = tuple(
-                WarmEndpoint(
-                    name=record.name,
-                    idle_since=record.idle_since,
-                    launched_at=record.launched_at,
-                    last_model=record.last_model,
-                )
+                record.view()
                 for record in self._records.values()
-                if record.in_flight == 0
+                if record.in_flight < record.slots
             )
         choice = self.strategy.select(candidates, model_id, now)
         return choice.name if choice is not None else None
 
     # -- janitor -----------------------------------------------------------------
 
-    def sweep_due(self, now: float) -> bool:
-        """Whether the janitor's debounce interval has elapsed."""
-        return self.janitor.due(now)
+    def expiry(self, endpoint: str) -> Optional[float]:
+        """When the janitor may retire ``endpoint``: ``None`` while it is
+        busy or pinned (or unknown), else ``last_used + keep_alive_s``."""
+        with self._lock:
+            record = self._records.get(endpoint)
+            if record is None or record.in_flight or record.pinned:
+                return None
+            return self.janitor.expiry(record.view())
 
     def sweep(self, now: float) -> List[str]:
         """Endpoints the janitor retires now (oldest-idle first).
@@ -290,12 +305,7 @@ class WarmPoolManager:
         """
         with self._lock:
             idle = [
-                WarmEndpoint(
-                    name=record.name,
-                    idle_since=record.idle_since,
-                    launched_at=record.launched_at,
-                    last_model=record.last_model,
-                )
+                record.view()
                 for record in self._records.values()
                 if record.in_flight == 0 and not record.pinned
             ]
@@ -357,7 +367,7 @@ class WarmPoolManager:
             endpoints = {
                 name: {
                     "idle_s": (
-                        max(0.0, now - record.idle_since)
+                        max(0.0, now - record.last_used)
                         if record.in_flight == 0
                         else 0.0
                     ),

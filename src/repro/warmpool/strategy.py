@@ -1,24 +1,27 @@
-"""Pluggable warm-instance strategies: which idle endpoint to reuse.
+"""Pluggable warm-instance strategies: which endpoint to reuse.
 
-A strategy sees only :class:`WarmEndpoint` snapshots -- the idle
-members of the fleet at one instant -- and picks the one a new request
-should land on.  The choice shapes the pool over time:
+A strategy sees only :class:`WarmEndpoint` snapshots -- the members of
+the fleet with a free slot at one instant (idle ones, and busy ones
+below their concurrency) -- and picks the one a new request should land
+on.  The choice shapes the pool over time:
 
-- :class:`LCSStrategy` reuses the **oldest-idle** endpoint (the LCS
-  paper's LRU-warm-container policy): every reuse refreshes the
+- :class:`LCSStrategy` reuses the **least recently used** endpoint (the
+  LCS paper's LRU-warm-container policy): every reuse refreshes the
   endpoint that was closest to its keep-alive deadline, so the whole
   pool stays warm and total cold-start latency is minimised.
-- :class:`MRUStrategy` reuses the **newest-idle** endpoint: the idle
-  tail is never refreshed, ages past ``keep_alive_s``, and the janitor
-  retires it -- fewer warm endpoints, lower memory cost.
+- :class:`MRUStrategy` reuses the **most recently used** endpoint
+  (OpenWhisk's pick): the idle tail is never refreshed, ages past
+  ``keep_alive_s``, and the janitor retires it -- fewer warm endpoints,
+  lower memory cost.
 - :class:`AffinityStrategy` layers per-model warm sub-pools over a base
   strategy: an endpoint whose runtime is already initialised for the
   requested model (``last_model`` matches) is preferred, so reuse is
   *hot*, not merely warm -- the warm-pool face of the gateway's
   :class:`~repro.routing.BatchAffinity` hint.
 
-Every strategy is deterministic: ties break on the endpoint name, so a
-replayed trace makes identical picks (the determinism CI gate).
+Every strategy is deterministic: a last-use tie goes to the endpoint
+launched first (``seq``), so a replayed trace makes identical picks
+(the determinism CI gate) whatever the endpoints are named.
 """
 
 from __future__ import annotations
@@ -34,16 +37,16 @@ STRATEGIES = ("lcs", "mru", "affinity")
 
 @dataclass(frozen=True)
 class WarmEndpoint:
-    """A strategy's view of one idle warm endpoint at one instant."""
+    """A strategy's view of one warm endpoint with a free slot."""
 
     name: str
-    idle_since: float            # when its in-flight count last hit zero
-    launched_at: float
+    last_used: float             # its last dispatch or completion
+    seq: int                     # launch order within its pool
     last_model: Optional[str] = None  # model its runtime is initialised for
 
 
 class WarmStrategy:
-    """Common interface: pick the idle endpoint a request should reuse."""
+    """Common interface: pick the endpoint a request should reuse."""
 
     name = "?"
 
@@ -58,27 +61,27 @@ class WarmStrategy:
 
 
 class LCSStrategy(WarmStrategy):
-    """Reuse the oldest-idle endpoint; maximises the warm pool."""
+    """Reuse the least recently used endpoint; maximises the warm pool."""
 
     name = "lcs"
 
     def select(self, candidates, model_id, now):
-        """The endpoint idle the longest (ties break on name)."""
+        """The endpoint used longest ago (ties: the first launched)."""
         if not candidates:
             return None
-        return min(candidates, key=lambda c: (c.idle_since, c.name))
+        return min(candidates, key=lambda c: (c.last_used, c.seq))
 
 
 class MRUStrategy(WarmStrategy):
-    """Reuse the newest-idle endpoint; maximises the retirable tail."""
+    """Reuse the most recently used endpoint; maximises the retirable tail."""
 
     name = "mru"
 
     def select(self, candidates, model_id, now):
-        """The endpoint idle the shortest time (ties break on name)."""
+        """The endpoint used last (ties: the first launched)."""
         if not candidates:
             return None
-        return max(candidates, key=lambda c: (c.idle_since, _NameDesc(c.name)))
+        return max(candidates, key=lambda c: (c.last_used, -c.seq))
 
 
 class AffinityStrategy(WarmStrategy):
@@ -86,7 +89,7 @@ class AffinityStrategy(WarmStrategy):
 
     Endpoints already initialised for ``model_id`` form the preferred
     sub-pool; the base strategy orders within it (and within the rest
-    when no affine endpoint is idle).  A fresh pre-warmed endpoint
+    when no affine endpoint has a free slot).  A fresh pre-warmed endpoint
     (``last_model is None``) counts as affine to nothing, so it is only
     used once the per-model sub-pools are exhausted -- keeping it free
     for the model the predictor launched it for.
@@ -108,18 +111,6 @@ class AffinityStrategy(WarmStrategy):
         if used:
             return self.base.select(used, model_id, now)
         return self.base.select(candidates, model_id, now)
-
-
-class _NameDesc:
-    """Inverts string ordering so ``max`` still tie-breaks ascending."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: str) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_NameDesc") -> bool:
-        return self.value > other.value
 
 
 def make_strategy(name: str, base: Optional[str] = None) -> WarmStrategy:

@@ -8,6 +8,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.serverless.action import InvocationResult
+from repro.serverless.telemetry import step_integral
 
 GB = 1024 ** 3
 
@@ -73,17 +74,4 @@ def gb_seconds(
     ``memory_timeline`` is the controller's ``(time, reserved_bytes)``
     step function; the integral runs from time zero to ``until``.
     """
-    if until <= 0:
-        return 0.0
-    total = 0.0
-    for (t0, level), (t1, _) in zip(memory_timeline, memory_timeline[1:]):
-        if t0 >= until:
-            break
-        span = min(t1, until) - t0
-        if span > 0:
-            total += level * span
-    if memory_timeline:
-        last_t, last_level = memory_timeline[-1]
-        if last_t < until:
-            total += last_level * (until - last_t)
-    return total / GB
+    return step_integral(memory_timeline, until) / GB

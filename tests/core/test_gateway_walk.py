@@ -142,7 +142,7 @@ def test_a_gateway_without_tracer_or_clock_still_tells_the_time():
     FnPacker exclusivity never lapsed) on a gateway built without a tracer."""
     gw = make_gateway(
         "fnpacker", {}, num_endpoints=1,
-        warm_pool=WarmPoolConfig(keep_alive_s=0.01, min_warm=0, sweep_interval_s=0.001),
+        warm_pool=WarmPoolConfig(keep_alive_s=0.01, min_warm=0),
     )
     assert gw.tracer is None
     gw.dispatch(b"x", "u", "m0")

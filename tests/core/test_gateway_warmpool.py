@@ -66,7 +66,6 @@ def test_maintain_retires_idle_endpoints_to_the_floor():
     gw = make_warm_gateway(
         keep_alive_s=0.0,
         min_warm=1,
-        sweep_interval_s=0.001,
         plans={"p-ep0": [b"a", QueueFull("full")]},
     )
     gw.dispatch(b"a", "u1", "m0")
@@ -98,7 +97,6 @@ def test_janitor_emptied_fleet_regrows_on_demand():
         num_endpoints=1,
         keep_alive_s=0.0,
         min_warm=0,
-        sweep_interval_s=0.001,
     )
     gw.dispatch(b"x", "u", "m0")
     assert gw.maintain()["retired"] == ["p-ep0"]
@@ -110,7 +108,7 @@ def test_janitor_emptied_fleet_regrows_on_demand():
 
 
 def test_attached_hosts_are_pinned_against_the_janitor():
-    gw = make_warm_gateway(keep_alive_s=0.0, min_warm=0, sweep_interval_s=0.001)
+    gw = make_warm_gateway(keep_alive_s=0.0, min_warm=0)
     shared = _FakeHost("p-ep0")
     gw.attach("p-ep0", shared)
     assert gw.maintain()["retired"] == []

@@ -218,15 +218,15 @@ def test_gate_catches_a_module_only_tests_import(tmp_path):
         "tests/test_orphan.py": "from repro.orphan import x\n",
     })
     violations = checker.check_reachability(root)
-    # the allow-list cannot rot: its two entries do not exist in this tree
+    # the allow-list cannot rot: its entry does not exist in this tree
     stale = [v for v in violations if "drop it from KEPT" in v]
-    assert len(stale) == len(checker.KEPT) == 2
+    assert len(stale) == len(checker.KEPT) == 1
     flagged = [v for v in violations if v not in stale]
     assert len(flagged) == 2
     assert "repro.orphan is imported by nothing reachable" in flagged[0]
     assert "repro.typed is imported by nothing reachable" in flagged[1]
     assert checker.check_reachability() == []
-    assert set(checker.KEPT) == {"serverless.telemetry", "mlrt.zoo_full"}
+    assert set(checker.KEPT) == {"mlrt.zoo_full"}
 
 
 def test_gate_catches_a_runtime_leak_through_a_package_init(tmp_path):

@@ -27,6 +27,27 @@ def test_negative_timeout_rejected(sim):
         sim.timeout(-1.0)
 
 
+def test_at_fires_on_the_instant_a_relative_timeout_misses(sim):
+    start, deadline = 4.283834201475301, 164.32292750093697
+    assert start + (deadline - start) != deadline  # the rounding case
+
+    def proc(sim):
+        yield sim.timeout(start)
+        yield sim.at(deadline)
+        return sim.now
+
+    assert sim.run_process(proc(sim)) == deadline
+
+
+def test_at_rejects_the_past(sim):
+    def proc(sim):
+        yield sim.timeout(2.0)
+        sim.at(1.0)
+
+    with pytest.raises(SimulationError):
+        sim.run_process(proc(sim))
+
+
 def test_events_fire_in_time_order(sim):
     log = []
 

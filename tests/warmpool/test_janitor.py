@@ -1,4 +1,4 @@
-"""The scale-to-zero janitor: expiry, the min_warm floor, debounce."""
+"""The scale-to-zero janitor: exact expiry, the min_warm floor."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.warmpool.janitor import Janitor, JanitorPolicy
 from repro.warmpool.strategy import WarmEndpoint
 
 
-def ep(name, idle_since):
-    return WarmEndpoint(name=name, idle_since=idle_since, launched_at=0.0)
+def ep(name, last_used, seq=0):
+    return WarmEndpoint(name=name, last_used=last_used, seq=seq)
 
 
 def test_policy_validates():
@@ -16,16 +16,6 @@ def test_policy_validates():
         JanitorPolicy(keep_alive_s=-1.0)
     with pytest.raises(ConfigError):
         JanitorPolicy(min_warm=-1)
-    with pytest.raises(ConfigError):
-        JanitorPolicy(sweep_interval_s=0.0)
-
-
-def test_due_debounces_sweeps():
-    janitor = Janitor(JanitorPolicy(sweep_interval_s=5.0))
-    assert janitor.due(0.0)  # first sweep is always due
-    janitor.sweep(0.0, [], fleet_size=0)
-    assert not janitor.due(4.9)
-    assert janitor.due(5.0)
 
 
 def test_sweep_retires_idle_past_keep_alive_oldest_first():

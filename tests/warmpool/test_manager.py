@@ -65,8 +65,51 @@ def test_failure_releases_the_slot_without_a_service_sample():
     )
 
 
+def test_a_cold_dispatch_is_no_service_time_sample():
+    # a launch is not service time: a Little's-law target sized on cold
+    # latencies over-provisions exactly while cold starts happen
+    manager = make_manager(predictive=True)
+    manager.on_launch("ep0", 0.0)
+    manager.on_dispatch("ep0", "m0", 0.0, launched=True)
+    manager.on_complete("ep0", "m0", 4.0)
+    assert manager.prewarmer.service_time_s == (
+        manager.config.predictor.service_time_s
+    )
+    manager.on_dispatch("ep0", "m0", 5.0)
+    manager.on_complete("ep0", "m0", 5.25)
+    assert manager.prewarmer.service_time_s == pytest.approx(0.25)
+
+
+def test_expiry_is_exact_and_only_for_idle_unpinned_endpoints():
+    manager = make_manager(keep_alive_s=30.0, min_warm=0)
+    manager.on_launch("ep0", 0.0)
+    manager.on_launch("attached", 0.0, pinned=True)
+    manager.on_dispatch("ep0", "m0", 1.0)
+    assert manager.expiry("ep0") is None  # busy
+    assert manager.expiry("attached") is None
+    assert manager.expiry("ghost") is None
+    idle_since = 112.5720304108054  # (idle_since + 30) - idle_since < 30
+    manager.on_complete("ep0", "m0", idle_since)
+    expiry = manager.expiry("ep0")
+    assert expiry == idle_since + 30.0
+    assert manager.sweep(expiry) == ["ep0"]
+
+
+def test_a_busy_endpoint_with_a_free_slot_is_a_candidate():
+    manager = make_manager(strategy="mru")
+    manager.on_launch("old", 0.0, slots=4)
+    manager.on_launch("busy", 0.0, slots=4)
+    manager.on_dispatch("old", "m0", 1.0)
+    manager.on_complete("old", "m0", 2.0)
+    manager.on_dispatch("busy", "m0", 3.0)
+    assert manager.suggest("m0", 4.0) == "busy"  # 3 of 4 slots free
+    for t in (4.0, 4.1, 4.2):
+        manager.on_dispatch("busy", "m0", t)
+    assert manager.suggest("m0", 5.0) == "old"  # full now
+
+
 def test_sweep_spares_pinned_and_busy_endpoints():
-    manager = make_manager(keep_alive_s=0.0, min_warm=0, sweep_interval_s=1.0)
+    manager = make_manager(keep_alive_s=0.0, min_warm=0)
     manager.on_launch("idle", 0.0)
     manager.on_launch("busy", 0.0)
     manager.on_launch("attached", 0.0, pinned=True)

@@ -13,9 +13,9 @@ from repro.warmpool.strategy import (
 )
 
 
-def ep(name, idle_since, last_model=None):
+def ep(name, last_used, last_model=None, seq=0):
     return WarmEndpoint(
-        name=name, idle_since=idle_since, launched_at=0.0, last_model=last_model
+        name=name, last_used=last_used, seq=seq, last_model=last_model
     )
 
 
@@ -34,12 +34,16 @@ def test_mru_reuses_the_newest_idle():
     assert MRUStrategy().select(pool, "m0", now=10.0).name == "a"
 
 
-def test_ties_break_on_name_for_both_orders():
-    # same idle_since everywhere: both strategies must pick the
-    # lexicographically first name, so replays are deterministic
-    pool = (ep("z", 2.0), ep("a", 2.0), ep("m", 2.0))
-    assert LCSStrategy().select(pool, "m0", now=10.0).name == "a"
-    assert MRUStrategy().select(pool, "m0", now=10.0).name == "a"
+def test_ties_break_on_launch_order_for_both_orders():
+    # same last use everywhere: both strategies pick the endpoint launched
+    # first, whatever its name sorts as ("container-10" < "container-9")
+    pool = (
+        ep("container-10", 2.0, seq=10),
+        ep("container-9", 2.0, seq=9),
+        ep("container-11", 2.0, seq=11),
+    )
+    assert LCSStrategy().select(pool, "m0", now=10.0).name == "container-9"
+    assert MRUStrategy().select(pool, "m0", now=10.0).name == "container-9"
 
 
 def test_affinity_prefers_the_models_warm_subpool():
