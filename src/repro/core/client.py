@@ -22,6 +22,8 @@ from repro.core.semirt_enclave import (
     RESPONSE_AAD,
     STREAM_AAD,
     FrameRun,
+    stream_body,
+    tensor_body,
 )
 from repro.crypto.gcm import (
     NONCE_SIZE,
@@ -336,11 +338,8 @@ class UserClient(_Principal):
     ) -> bytes:
         """Encrypt an input tensor for ``model_id`` under the request key."""
         with maybe_span(self.tracer, "encrypt_request", model_id=model_id):
-            payload = wire.dumps(
-                {"input": x.astype(np.float32).tobytes()}, codec=wire.BINARY
-            )
             return self._request_cipher(model_id, enclave).seal(
-                payload, aad=REQUEST_AAD + model_id.encode()
+                tensor_body(x), aad=REQUEST_AAD + model_id.encode()
             )
 
     def encrypt_stream_request(
@@ -358,15 +357,9 @@ class UserClient(_Principal):
         ``EC_MODEL_INF`` (and vice versa).
         """
         with maybe_span(self.tracer, "encrypt_stream_request", model_id=model_id):
-            payload = wire.dumps(
-                {
-                    "prompt": np.asarray(prompt, dtype=np.float32).tobytes(),
-                    "max_new_tokens": int(max_new_tokens),
-                },
-                codec=wire.BINARY,
-            )
             return self._request_cipher(model_id, enclave).seal(
-                payload, aad=STREAM_AAD + model_id.encode()
+                stream_body(prompt, int(max_new_tokens)),
+                aad=STREAM_AAD + model_id.encode(),
             )
 
     def decrypt_frame(
@@ -396,16 +389,16 @@ class UserClient(_Principal):
         """Authenticate and decrypt the inference result."""
         with maybe_span(self.tracer, "decrypt_response", model_id=model_id):
             try:
-                payload = wire.loads(
+                return np.frombuffer(
                     self._request_cipher(model_id, enclave).unseal(
                         enc_response, aad=RESPONSE_AAD + model_id.encode()
-                    )
+                    ),
+                    dtype=np.float32,
                 )
             except Exception as exc:
                 raise InvocationError(
                     "response does not authenticate under the request key"
                 ) from exc
-            return np.frombuffer(payload["output"], dtype=np.float32)
 
 
 _FRAME_FORGED = "token frame does not authenticate under the request key"

@@ -280,7 +280,12 @@ class InferenceGateway:
         """Route one encrypted request to an endpoint and serve it.
 
         The blocking composition of :meth:`submit`: the same admission
-        walk, then the wait (inside the ``route`` span).  An endpoint
+        walk, then the wait (inside the ``route`` span).  With no
+        ``timeout_s`` the endpoint is asked through
+        :meth:`~repro.core.semirt.SemirtHost.claim`, so a free TCS slot
+        serves the request on this thread, after the admission
+        bookkeeping and before the settle; a deadline keeps it on the
+        endpoint's queue, which a wait can give up on.  An endpoint
         that dies *mid-serve* is excluded and the request re-admitted,
         up to :data:`MAX_REDISPATCH` times across the whole dispatch.
 
@@ -291,9 +296,10 @@ class InferenceGateway:
         """
         exclude: Set[str] = set()
         decision = RouteDecision(endpoint="")
+        handle_type = _WaitedSubmission if timeout_s is None else GatewaySubmission
         while True:
             handle = self._admit(
-                GatewaySubmission, enc_request, user_id, model_id, exclude, decision
+                handle_type, enc_request, user_id, model_id, exclude, decision
             )
             try:
                 with self._route_span(handle, "dispatch"):
@@ -391,8 +397,8 @@ class InferenceGateway:
 
         For each candidate endpoint (:meth:`_candidate`: the two one-shot
         hints, then the router's picks): open breaker -> skip; no live
-        host -> launch or reroute; enqueue (``handle_type`` selects
-        ``host.submit`` vs ``host.open_stream``) and return the
+        host -> launch or reroute; admit (``handle_type`` selects
+        ``host.submit``, ``host.claim`` or ``host.open_stream``) and return the
         ``handle_type`` over the endpoint's handle.  Every candidate that
         cannot take the request joins ``exclude`` and is never offered
         again, which is what bounds the walk.  ``exclude`` and
@@ -440,6 +446,11 @@ class InferenceGateway:
                 try:
                     if handle_type is GatewayStream:
                         inner = host.open_stream(enc_request, user_id, model_id)
+                    elif handle_type is _WaitedSubmission:
+                        # a host without a caller's-thread path is queued to
+                        inner = getattr(host, "claim", host.submit)(
+                            enc_request, user_id, model_id
+                        )
                     else:
                         inner = host.submit(enc_request, user_id, model_id)
                 except QueueFull as exc:
@@ -835,6 +846,11 @@ class GatewaySubmission(_Routed, DerivedHandle):
     breaker, endpoint-death marking) **exactly once** -- so the async
     surface keeps the same fleet accounting as the blocking one.
     """
+
+
+class _WaitedSubmission(GatewaySubmission):
+    """A :meth:`InferenceGateway.dispatch` with no deadline: admitted through
+    ``host.claim``, so the dispatching thread's wait may serve it."""
 
 
 class GatewayStream(_Routed, DerivedStream):

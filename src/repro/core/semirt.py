@@ -5,15 +5,21 @@ and every plaintext byte -- is :mod:`repro.core.semirt_enclave`; nothing
 here ever sees a key or an input.  :class:`SemirtHost` owns the enclave,
 wires its OCALLs (model download, quote generation, KeyService
 networking over a possibly faulty link) and drives it through a
-**TCS-slot scheduler**: one worker per ``tcs_count`` fed by a bounded
-admission queue.  ``submit()`` / ``open_stream()`` return an
+**TCS-slot scheduler**: ``tcs_count`` workers fed by a bounded
+admission queue, and one count of TCS slots that every thread entering
+the enclave takes a slot from -- a worker for the item it dequeued, a
+stream leader for its whole group, or a caller served on its own
+thread.  ``submit()`` / ``open_stream()`` return an
 :class:`InferenceFuture` / :class:`InferenceStream` at once (or raise
-:class:`~repro.errors.QueueFull` as backpressure); ``infer()`` is the
-blocking composition the serverless action path uses.
+:class:`~repro.errors.QueueFull` as backpressure).  ``claim()`` admits a
+request its caller is about to wait on with no deadline: when a slot is
+free, nothing is queued ahead and no batch policy is armed, the caller's
+own wait serves it -- no hand-off to a worker.  ``infer()`` is
+``claim()`` plus that wait.
 
-**Every ECALL is issued by a slot worker through one driver**
-(:meth:`SemirtHost._ecall`: parent-span attach, the ``ecall:<NAME>``
-span, the call).  A single request is a member list of one served by
+**Every ECALL goes through one call site** (:meth:`SemirtHost._ecall`:
+parent-span attach, the ``ecall:<NAME>`` span, the call), entered by a
+thread holding a slot.  A single request is a member list of one served by
 the same code as a batch (:meth:`SemirtHost._serve_members`, then
 :meth:`SemirtHost._collect` per ticket); stream-open and stream-step use the same driver; and control
 work -- the ``EC_INVALIDATE_KEYS`` revocation push -- travels the
@@ -32,6 +38,7 @@ steps; ``docs/streaming.md``).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 import queue as queue_module
@@ -39,7 +46,8 @@ import threading
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import Callable, List, Optional, Tuple
 
 from repro.core import wire
 from repro.core.batching import BatchPolicy
@@ -125,8 +133,35 @@ class InferenceFuture(_Admitted):
     error surfaces -- a cancelled request never leaks a context slot.
     """
 
+    #: a claimed request's serve on the thread that first waits on it or
+    #: cancels it (set by :meth:`SemirtHost.claim`, cleared as it runs)
+    _here: Optional[Callable[[], None]] = None
+
     def _what(self) -> str:
         return f"request for model {self.model_id!r}"
+
+    def _wait_for(self, ready, timeout_s):
+        self._serve_claim()
+        return super()._wait_for(ready, timeout_s)
+
+    def cancel(self) -> bool:
+        """Request cancellation (see the class docs).
+
+        A claimed request that nobody waited on yet delivers the
+        cancellation here, giving back its TCS slot.
+        """
+        accepted = super().cancel()
+        self._serve_claim()
+        return accepted
+
+    def _serve_claim(self) -> None:
+        """Run a claimed request's ECALL cycle on this thread, once."""
+        if self._here is None:
+            return
+        with self._cv:
+            here, self._here = self._here, None
+        if here is not None:
+            here()
 
 
 class InferenceStream(StreamCell, _Admitted):
@@ -256,12 +291,19 @@ class SemirtHost:
         self.enclave.register_ocall("OC_FREE_LOADED", self._oc_free_loaded)
         self.enclave.register_ocall("OC_KS_HANDSHAKE", self._oc_ks_handshake)
         self.enclave.register_ocall("OC_KS_REQUEST", self._oc_ks_request)
-        # the TCS-slot scheduler: workers start lazily on first submit
+        # the TCS-slot scheduler: workers start lazily on first admission
         self._queue: "queue_module.Queue" = queue_module.Queue(
             maxsize=self.scheduler.queue_depth
         )
         self._workers: List[threading.Thread] = []
         self._workers_lock = threading.Lock()
+        #: the one count of TCS slots in use, as the free slots (a heap,
+        #: lowest first); whichever thread enters the enclave holds one
+        self._slot_cv = threading.Condition()
+        self._free_slots = list(range(self.enclave.config.tcs_count))
+        #: queued items whose worker does not hold a slot yet: a caller
+        #: is served on its own thread only when this is zero
+        self._backlog = 0
         # the hot-path batch accumulator (armed by SchedulerConfig.batch)
         self._isolation = isolation
         if self.scheduler.batch is not None and isolation.sequential:
@@ -293,6 +335,12 @@ class SemirtHost:
     @property
     def measurement(self) -> EnclaveMeasurement:
         return self.enclave.measurement
+
+    @property
+    def slots_in_use(self) -> int:
+        """TCS slots held right now, by workers, stream leaders and callers."""
+        with self._slot_cv:
+            return self.enclave.config.tcs_count - len(self._free_slots)
 
     @property
     def batch_policy(self) -> Optional[BatchPolicy]:
@@ -335,41 +383,68 @@ class SemirtHost:
         with self._workers_lock:
             if self._workers:
                 return
-            for slot in range(self.enclave.config.tcs_count):
+            for index in range(self.enclave.config.tcs_count):
                 worker = threading.Thread(
                     target=self._worker_loop,
-                    args=(slot,),
-                    name=f"semirt-{self.enclave.enclave_id}-tcs{slot}",
+                    name=f"semirt-{self.enclave.enclave_id}-worker{index}",
                     daemon=True,
                 )
                 worker.start()
                 self._workers.append(worker)
 
-    def _worker_loop(self, slot: int) -> None:
-        """One scheduler worker, bound to TCS slot ``slot`` for its lifetime."""
+    def _worker_loop(self) -> None:
+        """One scheduler worker: dequeue an item, take a slot for it, handle it."""
         while True:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
-            item.tcs_slot = slot
-            item.queue_wait = time.monotonic() - item.created_at
-            if item.cancel_requested():
-                # never reached the enclave: no context to clear
-                item.set_cancelled()
-            elif isinstance(item, InferenceStream):
-                self._handle_stream(item, slot)
-            elif isinstance(item, _KeyInvalidation):
-                try:
-                    item.set_result(
-                        self._ecall(
-                            "EC_INVALIDATE_KEYS", item.uid, item.model_id,
-                            under=item._parent, tcs_slot=slot,
-                        )
+            try:
+                slot = self._take_slot()
+            except EnclaveError as exc:  # destroyed while it waited for a slot
+                item.set_error(exc)
+                continue
+            self._serve_held(item, slot)
+
+    def _take_slot(self) -> int:
+        """Block until a slot is free for the queued item this worker holds."""
+        with self._slot_cv:
+            while not self._free_slots and self.enclave.alive:
+                self._slot_cv.wait()
+            self._backlog -= 1
+            if not self._free_slots:
+                raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
+            return heapq.heappop(self._free_slots)
+
+    def _serve_held(self, item: "_Admitted", slot: int) -> None:
+        """Handle one item on this thread, which holds ``slot``; then give it back."""
+        try:
+            self._handle(item, slot)
+        finally:
+            with self._slot_cv:
+                heapq.heappush(self._free_slots, slot)
+                self._slot_cv.notify()
+
+    def _handle(self, item: "_Admitted", slot: int) -> None:
+        """Serve one admitted item of any kind on TCS slot ``slot``."""
+        item.tcs_slot = slot
+        item.queue_wait = time.monotonic() - item.created_at
+        if item.cancel_requested():
+            # never reached the enclave: no context to clear
+            item.set_cancelled()
+        elif isinstance(item, InferenceStream):
+            self._handle_stream(item, slot)
+        elif isinstance(item, _KeyInvalidation):
+            try:
+                item.set_result(
+                    self._ecall(
+                        "EC_INVALIDATE_KEYS", item.uid, item.model_id,
+                        under=item._parent, tcs_slot=slot,
                     )
-                except BaseException as exc:  # noqa: BLE001 - relayed to the waiter
-                    item.set_error(exc)
-            elif self._batch_policy is None or not self._maybe_batch(item, slot):
-                self._serve_one(item, slot)
+                )
+            except BaseException as exc:  # noqa: BLE001 - relayed to the waiter
+                item.set_error(exc)
+        elif self._batch_policy is None or not self._maybe_batch(item, slot):
+            self._serve_one(item, slot)
 
     def _serve_one(self, future: InferenceFuture, slot: int) -> None:
         """Serve one request as a member list of one, resolving its future."""
@@ -487,17 +562,15 @@ class SemirtHost:
     # -- the ECALL cycle: one driver, one serve, one collect -------------------------
 
     def _ecall(self, name: str, *args, under=None, **attributes):
-        """Issue one ECALL from this slot worker: the only way into the enclave.
+        """Issue one ECALL from a thread holding a slot: the only way in.
 
-        Re-parents under ``under`` (the span ambient at admission -- the
-        ambient stack is per thread), opens the ``ecall:<name>`` span
-        with ``attributes`` and makes the call inside it.
+        Re-parents under ``under`` (the span ambient at admission, or
+        none -- the ambient stack is per thread, and a caller served on
+        its own thread has its gateway's ``route`` span open), opens the
+        ``ecall:<name>`` span with ``attributes`` and makes the call
+        inside it.
         """
-        attach = (
-            self.tracer.attach(under)
-            if self.tracer is not None and under is not None
-            else nullcontext()
-        )
+        attach = self.tracer.attach(under) if self.tracer is not None else nullcontext()
         with attach, maybe_span(self.tracer, f"ecall:{name}", **attributes):
             return self.enclave.ecall(name, *args)
 
@@ -772,6 +845,19 @@ class SemirtHost:
         """
         return self._enqueue(InferenceFuture(enc_request, uid, model_id))
 
+    def claim(self, enc_request: bytes, uid: str, model_id: str) -> InferenceFuture:
+        """Admit one request its caller is about to wait on, with no deadline.
+
+        When a TCS slot is free, nothing is queued ahead and no batch
+        policy is armed, the request takes the slot now and is served --
+        its whole ECALL cycle -- by the first ``result()`` (or
+        ``cancel()``) on the returned future, on that caller's thread:
+        no worker hand-off.  Otherwise it is queued exactly like
+        :meth:`submit`.  Either way the caller must resolve the future:
+        a claimed slot is only given back when it is served.
+        """
+        return self._enqueue(InferenceFuture(enc_request, uid, model_id), here=True)
+
     def open_stream(
         self, enc_request: bytes, uid: str, model_id: str
     ) -> InferenceStream:
@@ -787,12 +873,14 @@ class SemirtHost:
         """
         return self._enqueue(InferenceStream(enc_request, uid, model_id))
 
-    def _enqueue(self, item, wait_s: float = 0.0):
+    def _enqueue(self, item, wait_s: float = 0.0, here: bool = False):
         """The one admission path: stamp the item, hand it to a worker.
 
         ``wait_s`` is how long a full queue is waited out before
         :class:`~repro.errors.QueueFull`: requests are shed at once
-        (backpressure), control items are not.
+        (backpressure), control items are not.  ``here`` (:meth:`claim`)
+        keeps the item for its caller's thread when a slot is free and
+        nothing is queued ahead.
         """
         if self._injector is not None and self._injector.crash_enclave("semirt"):
             # the instance dies mid-ECALL: all warm/hot state (model,
@@ -806,9 +894,17 @@ class SemirtHost:
         item.ticket = next(self._ticket_ids)
         if self.tracer is not None:
             item._parent = self.tracer.current_span()
+        here = here and self._batch_policy is None
+        with self._slot_cv:
+            if here and not self._backlog and self._free_slots:
+                item._here = partial(self._serve_held, item, heapq.heappop(self._free_slots))
+                return item
+            self._backlog += 1
         try:
             self._queue.put(item, timeout=wait_s)
         except queue_module.Full:
+            with self._slot_cv:
+                self._backlog -= 1
             raise QueueFull(
                 f"admission queue full ({self.scheduler.queue_depth} waiting); "
                 "drain results or raise SchedulerConfig.queue_depth"
@@ -816,8 +912,8 @@ class SemirtHost:
         return item
 
     def infer(self, enc_request: bytes, uid: str, model_id: str) -> bytes:
-        """Serve one request synchronously: submit + result."""
-        return self.submit(enc_request, uid, model_id).result()
+        """Serve one request synchronously: claim + result."""
+        return self.claim(enc_request, uid, model_id).result()
 
     def invalidate_keys(
         self, uid: Optional[str] = None, model_id: Optional[str] = None
@@ -856,6 +952,8 @@ class SemirtHost:
             # wake any batch leader in its window wait and any worker
             # blocked on a context reservation; both re-check liveness
             self._batch_cv.notify_all()
+        with self._slot_cv:
+            self._slot_cv.notify_all()  # so do workers waiting for a slot
         with self._workers_lock:
             workers, self._workers = self._workers, []
         # fail whatever is still queued *before* posting the shutdown
@@ -871,6 +969,8 @@ class SemirtHost:
             if item is _SHUTDOWN:
                 sentinels += 1
             else:
+                with self._slot_cv:
+                    self._backlog -= 1
                 item.set_error(
                     EnclaveError(f"{self.enclave.enclave_id} is destroyed")
                 )

@@ -35,8 +35,11 @@ drives the cold/warm/hot invocation paths:
   re-attestation path (restart, ``EC_RESTORE_STATE``, shard failover)
   flushes the whole cache.  ``EC_INVALIDATE_KEYS`` is the push-side
   hook revocation/re-grant uses;
-- the **model runtime** is per-thread (thread-local storage, one per
-  TCS -- the host binds one scheduler worker per TCS slot);
+- the **model runtime** is per TCS (the TCS's thread-local storage,
+  :attr:`~repro.sgx.enclave.Enclave.tls`): whichever untrusted thread
+  enters on a slot -- a scheduler worker or a caller served on its own
+  thread -- finds that slot's runtime, so there are never more than
+  ``tcs_count`` of them;
 - per-request **execution contexts** (the sealed outputs) live in a
   bounded ticket table, at most one per TCS; **stream contexts** (a
   decoder and its KV cache per live stream) live in a second table
@@ -103,6 +106,30 @@ FRAME_AAD = b"sesemi-frame"
 #: heap and a TCS in one prefill, and keeps a frame index inside the low
 #: bits its nonce rule XORs it into
 MAX_STREAM_TOKENS = 1024
+
+# The sealed bodies (docs/protocol.md §3).  A one-shot request's body is its
+# input tensor's raw float32 bytes and a response's its output's; a stream
+# request's is STREAM_HEAD (max_new_tokens, int32) followed by the prompt's
+# token ids as float32.  The length of a body is checked against the model
+# before anything reads it, so no framing rides inside the AEAD.
+STREAM_HEAD = struct.Struct("<i")
+
+
+def tensor_body(x) -> bytes:
+    """A sealed tensor body: ``x``'s values as raw float32 bytes."""
+    return np.asarray(x, dtype=np.float32).tobytes()
+
+
+def stream_body(prompt, max_new_tokens: int) -> bytes:
+    """A sealed stream request body: the header, then the prompt's token ids."""
+    try:
+        head = STREAM_HEAD.pack(max_new_tokens)
+    except struct.error as exc:  # not even an int32: no enclave takes it either
+        raise InvocationError(
+            f"max_new_tokens must be between 1 and {MAX_STREAM_TOKENS}"
+        ) from exc
+    return head + tensor_body(prompt)
+
 
 #: a token frame's sealed body: token id (int32), frame index (uint32),
 #: done marker (bool) -- 9 bytes, so a sealed frame is 12 + 9 + 16 = 37
@@ -352,8 +379,6 @@ class SemirtEnclaveCode(EnclaveCode):
         self._contexts: Dict[int, bytes] = {}
         self._context_lock = threading.Lock()
         self._tickets = itertools.count(1)
-        # thread-local (TCS) state: the model runtime buffers
-        self._tls = threading.local()
         #: observability for tests/benchmarks: the last plan taken
         self.last_plan: Optional[InvocationPlan] = None
         #: observability for tests/benchmarks: one (uid, model_id, size)
@@ -377,7 +402,8 @@ class SemirtEnclaveCode(EnclaveCode):
 
     def on_destroy(self) -> None:
         """Release the enclave heap: model, key memo, KeyService session,
-        execution and stream contexts, per-TCS runtimes."""
+        execution and stream contexts (the per-TCS runtimes go with the
+        enclave's TCS-local storage)."""
         with self._model_lock:
             self._model = self._model_id = None
         with self._kc_lock:
@@ -387,7 +413,6 @@ class SemirtEnclaveCode(EnclaveCode):
             self._contexts.clear()
         with self._stream_lock:
             self._streams.clear()
-        self._tls = threading.local()
 
     @property
     def pending_outputs(self) -> int:
@@ -452,8 +477,8 @@ class SemirtEnclaveCode(EnclaveCode):
         with self._context_lock:
             self._contexts.pop(ticket, None)
         if self._isolation.clear_context:
-            self._tls.runtime = None
-            self._tls.runtime_model = None
+            tls = self.enclave.tls
+            tls.runtime = tls.runtime_model = None
 
     @ecall(SEALED, ID, ID)
     def EC_MODEL_INF_STREAM(
@@ -660,7 +685,7 @@ class SemirtEnclaveCode(EnclaveCode):
         self._plan(uid, model_id)
 
         def run(entry: _KeyCacheEntry, model: Model):
-            runtime = self._thread_runtime(model, model_id)
+            runtime = self._tcs_runtime(model, model_id)
             return runtime, [
                 self._serve_payload(runtime, model, entry.cipher, enc, model_id)
                 for enc in enc_requests
@@ -678,8 +703,8 @@ class SemirtEnclaveCode(EnclaveCode):
             self.batch_log.append((uid, model_id, size))
         if self._isolation.clear_context:
             runtime.clear()
-            self._tls.runtime = None
-            self._tls.runtime_model = None
+            tls = self.enclave.tls
+            tls.runtime = tls.runtime_model = None
         return tickets
 
     def _guarded(self, uid: str, model_id: str, fn):
@@ -717,25 +742,24 @@ class SemirtEnclaveCode(EnclaveCode):
         nonce = random_bytes(NONCE_SIZE)
         with self._stage_span(Stage.REQUEST_DECRYPT, model_id=model_id):
             try:
-                plaintext, run = entry.cipher.unseal_drawing(
+                body, run = entry.cipher.unseal_drawing(
                     enc_request, STREAM_AAD + model_id.encode(), nonce,
                     FIRST_RUN_FRAMES, FRAME.size,
                 )
-                payload = wire.loads(plaintext)
             except Exception as exc:
                 raise InvocationError(
                     "stream request does not authenticate under the user's request key"
                 ) from exc
-        if len(payload["prompt"]) % 4:
+        if len(body) < STREAM_HEAD.size or (len(body) - STREAM_HEAD.size) % 4:
             raise InvocationError("prompt is not a whole number of float32 token ids")
-        prompt = np.frombuffer(payload["prompt"], dtype=np.float32)
+        (max_new,) = STREAM_HEAD.unpack_from(body)
+        prompt = np.frombuffer(body, dtype=np.float32, offset=STREAM_HEAD.size)
         if not 1 <= prompt.size <= MAX_STREAM_TOKENS:
             raise InvocationError(
                 f"a prompt must hold between 1 and {MAX_STREAM_TOKENS} tokens"
             )
         if not np.isfinite(prompt).all():
             raise InvocationError("prompt token ids must be finite")
-        max_new = int(payload["max_new_tokens"])
         if not 1 <= max_new <= MAX_STREAM_TOKENS:
             raise InvocationError(
                 f"max_new_tokens must be between 1 and {MAX_STREAM_TOKENS}"
@@ -756,10 +780,10 @@ class SemirtEnclaveCode(EnclaveCode):
     @staticmethod
     def _authenticate(
         cipher: SessionCipher, sealed: bytes, kind: bytes, model_id: str, what: str
-    ) -> dict:
-        """Open a sealed payload of AAD ``kind``; anything else is refused."""
+    ) -> bytes:
+        """Open a sealed body of AAD ``kind``; anything else is refused."""
         try:
-            return wire.loads(cipher.unseal(sealed, aad=kind + model_id.encode()))
+            return cipher.unseal(sealed, aad=kind + model_id.encode())
         except Exception as exc:
             raise InvocationError(
                 f"{what} does not authenticate under the user's request key"
@@ -807,10 +831,11 @@ class SemirtEnclaveCode(EnclaveCode):
             raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
         return model
 
-    def _thread_runtime(self, model: Model, model_id: str):
-        """Lines 14-15: this TCS thread's model runtime."""
-        runtime = getattr(self._tls, "runtime", None)
-        runtime_model = getattr(self._tls, "runtime_model", None)
+    def _tcs_runtime(self, model: Model, model_id: str):
+        """Lines 14-15: the model runtime of the TCS this ECALL entered on."""
+        tls = self.enclave.tls
+        runtime = getattr(tls, "runtime", None)
+        runtime_model = getattr(tls, "runtime_model", None)
         if (
             runtime is None
             or runtime_model != model_id
@@ -820,8 +845,7 @@ class SemirtEnclaveCode(EnclaveCode):
                 Stage.RUNTIME_INIT, model_id=model_id, component="mlrt"
             ):
                 runtime = self._framework.create_runtime(model)
-            self._tls.runtime = runtime
-            self._tls.runtime_model = model_id
+            tls.runtime, tls.runtime_model = runtime, model_id
         return runtime
 
     def _serve_payload(
@@ -834,30 +858,25 @@ class SemirtEnclaveCode(EnclaveCode):
     ) -> bytes:
         """Lines 16-19: decrypt one input, execute, seal the output."""
         with self._stage_span(Stage.REQUEST_DECRYPT, model_id=model_id):
-            payload = self._authenticate(
+            body = self._authenticate(
                 request_cipher, enc_request, REQUEST_AAD, model_id, "request"
             )
             shape = model.input_spec.shape
-            if len(payload["input"]) != 4 * model.input_spec.num_elements:
+            if len(body) != 4 * model.input_spec.num_elements:
                 # the user's mistake, not the enclave's: a bad request,
                 # refused before the runtime sees it
                 raise InvocationError(
-                    f"input of {len(payload['input'])} bytes is not a "
+                    f"input of {len(body)} bytes is not a "
                     f"float32 tensor of the model's shape {shape}"
                 )
-            x = np.frombuffer(payload["input"], dtype=np.float32).reshape(shape)
+            x = np.frombuffer(body, dtype=np.float32).reshape(shape)
         with self._stage_span(
             Stage.MODEL_INFERENCE, model_id=model_id, component="mlrt"
         ):
             runtime.execute(x)
-            result = runtime.prepare_output()
+            result = runtime.prepare_output()  # the output's float32 bytes: the body
         with self._stage_span(Stage.RESULT_ENCRYPT, model_id=model_id):
-            # the hot-path payload rides the binary framing: the result
-            # tensor travels as a raw segment, never hex-doubled
-            return request_cipher.seal(
-                wire.dumps({"output": result}, codec=wire.BINARY),
-                aad=RESPONSE_AAD + model_id.encode(),
-            )
+            return request_cipher.seal(result, aad=RESPONSE_AAD + model_id.encode())
 
     def _stage_span(self, stage: Stage, **attributes):
         """A Figure-4 stage span (no-op context when tracing is off)."""
@@ -885,7 +904,7 @@ class SemirtEnclaveCode(EnclaveCode):
             enclave_ready=True,  # code running => enclave exists
             loaded_model=self._model_id,
             key_cache=key_cache,
-            runtime_for=getattr(self._tls, "runtime_model", None),
+            runtime_for=getattr(self.enclave.tls, "runtime_model", None),
         )
         self.last_plan = plan_invocation(
             state,

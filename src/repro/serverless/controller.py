@@ -214,6 +214,7 @@ class Controller:
         deployment.warm_pool.on_launch(
             container.container_id,
             self.sim.now,
+            cold_start_s=None,  # still starting: _startup reports it
             prewarmed=prewarmed,
             slots=deployment.spec.concurrency,
         )
@@ -223,6 +224,7 @@ class Controller:
         return container
 
     def _startup(self, container: Container):
+        launched_at = self.sim.now
         root = None
         if self.tracer is not None:
             root = self.tracer.start_span(
@@ -248,9 +250,13 @@ class Controller:
         if root is not None:
             root.end()
         container.ready = True
+        deployment = self._deployments[container.spec.name]
+        deployment.warm_pool.on_ready(
+            container.container_id, self.sim.now, self.sim.now - launched_at
+        )
         container.ready_event.succeed()
         if container.idle:  # pre-warmed: nothing was waiting for it
-            self._went_idle(self._deployments[container.spec.name], container)
+            self._went_idle(deployment, container)
 
     def _assign(
         self,

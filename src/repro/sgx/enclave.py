@@ -12,7 +12,10 @@ follows SGX:
   enclave checks both before any trusted code reads the value;
 - each concurrent ECALL occupies a Thread Control Structure (TCS); an
   enclave built with ``tcs_count=n`` admits at most *n* simultaneous
-  ECALLs and raises :class:`TcsExhausted` beyond that;
+  ECALLs and raises :class:`TcsExhausted` beyond that.  Thread-local
+  storage belongs to the TCS, not to the untrusted thread: an ECALL
+  reads its slot's :attr:`Enclave.tls`, so however many threads call
+  in, there are at most *n* of it;
 - enclave code reaches back into the untrusted world only through
   registered OCALL handlers;
 - the enclave identity (MRENCLAVE) covers the code and build config, and
@@ -21,9 +24,11 @@ follows SGX:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import threading
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Any, Callable, Dict, Optional
 
 from repro.errors import EnclaveError, TcsExhausted
@@ -176,32 +181,32 @@ class EnclaveCode:
 
 
 class _TcsPool:
-    """Counting pool of TCS slots; non-blocking acquire, thread-safe."""
+    """The enclave's TCS slots: a non-blocking take of the lowest free one."""
 
     def __init__(self, count: int) -> None:
         self._lock = threading.Lock()
-        self._free = count
+        self._free = list(range(count))  # a heap: the lowest free slot first
         self.capacity = count
 
-    def acquire(self) -> None:
+    def acquire(self) -> int:
         with self._lock:
-            if self._free == 0:
+            if not self._free:
                 raise TcsExhausted(
                     f"all {self.capacity} TCS slots are busy; "
                     "increase tcs_count or serialise requests"
                 )
-            self._free -= 1
+            return heapq.heappop(self._free)
 
-    def release(self) -> None:
+    def release(self, slot: int) -> None:
         with self._lock:
-            if self._free >= self.capacity:
-                raise EnclaveError("TCS released more times than acquired")
-            self._free += 1
+            if slot in self._free:
+                raise EnclaveError(f"TCS {slot} released but not held")
+            heapq.heappush(self._free, slot)
 
     @property
     def in_use(self) -> int:
         with self._lock:
-            return self.capacity - self._free
+            return self.capacity - len(self._free)
 
 
 class Enclave:
@@ -224,6 +229,12 @@ class Enclave:
         self._dynamic_bytes = 0
         self._destroyed = False
         self._tcs = _TcsPool(config.tcs_count)
+        #: one thread-local storage area per TCS, as SGX lays it out: an
+        #: ECALL reads the area of the TCS it entered on (:attr:`tls`),
+        #: whichever untrusted thread made the call
+        self._tls = [SimpleNamespace() for _ in range(config.tcs_count)]
+        #: the TCS this thread is inside, per thread
+        self._entered = threading.local()
         self._ocall_handlers: Dict[str, Callable] = {}
         #: ECALL name -> its row of ``(label, kind)`` pairs
         exports = {name: getattr(type(code), name) for name in dir(type(code))}
@@ -248,11 +259,13 @@ class Enclave:
         code releases its heap and the OCALL table (bound methods of the
         host, the other half of a host <-> enclave reference cycle) is
         emptied, so an ECALL still in flight fails on its next OCALL.
+        Every TCS's thread-local storage goes with the heap.
         """
         if self._destroyed:
             return
         self._destroyed = True
         self.code.on_destroy()
+        self._tls = [SimpleNamespace() for _ in self._tls]
         self._ocall_handlers.clear()
         if self._on_destroy is not None:
             self._on_destroy(self)
@@ -305,11 +318,23 @@ class Enclave:
             raise EnclaveError(f"{name!r} is not an exported ECALL of {len(args)} argument(s)")
         for value, (label, kind) in zip(args, row):
             kind.check(value, label)
-        self._tcs.acquire()
+        slot = self._tcs.acquire()
+        entered = self._entered
+        outer = getattr(entered, "tcs", None)  # a nested ECALL's caller
+        entered.tcs = slot
         try:
             return getattr(self.code, name)(*args)
         finally:
-            self._tcs.release()
+            entered.tcs = outer
+            self._tcs.release(slot)
+
+    @property
+    def tls(self) -> SimpleNamespace:
+        """The thread-local storage of the TCS the calling ECALL runs on."""
+        slot = getattr(self._entered, "tcs", None)
+        if slot is None:
+            raise EnclaveError("TCS-local storage exists only inside an ECALL")
+        return self._tls[slot]
 
     def register_ocall(self, name: str, handler: Callable) -> None:
         """Register the untrusted handler for OCALL ``name``."""

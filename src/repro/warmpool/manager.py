@@ -113,7 +113,8 @@ class EndpointRecord:
     seq: int                      # launch order within this pool
     last_used: float              # last launch, dispatch or completion
     slots: int = 1                # concurrent requests it takes
-    cold_start_s: float = 0.0
+    cold_start_s: float = 0.0     # measured startup (0.0 until ready)
+    ready: bool = True            # False while its sandbox/enclave starts
     prewarmed: bool = False
     in_flight: int = 0
     last_model: Optional[str] = None
@@ -154,19 +155,26 @@ class WarmPoolManager:
         self,
         endpoint: str,
         now: float,
-        cold_start_s: float = 0.0,
+        cold_start_s: Optional[float] = 0.0,
         prewarmed: bool = False,
         pinned: bool = False,
         slots: int = 1,
     ) -> None:
-        """Register a live endpoint (lazy, pre-warm, or relaunch)."""
+        """Register a live endpoint (lazy, pre-warm, or relaunch).
+
+        ``cold_start_s`` is the measured startup of an endpoint that is
+        ready now, or ``None`` for one still starting, whose host reports
+        it through :meth:`on_ready` once it is.
+        """
+        ready = cold_start_s is not None
         with self._lock:
             self._records[endpoint] = EndpointRecord(
                 name=endpoint,
                 seq=next(self._seqs),
                 last_used=now,
                 slots=slots,
-                cold_start_s=cold_start_s,
+                cold_start_s=cold_start_s if ready else 0.0,
+                ready=ready,
                 prewarmed=prewarmed,
                 pinned=pinned,
             )
@@ -175,8 +183,19 @@ class WarmPoolManager:
                 self._counters["prewarm_launches"] += 1
             self._append(
                 f"launch ep={endpoint} t={now:.6f} "
-                f"cold_start_s={cold_start_s:.6f} "
+                f"cold_start_s={f'{cold_start_s:.6f}' if ready else 'pending'} "
                 f"kind={'prewarm' if prewarmed else 'demand'}"
+            )
+
+    def on_ready(self, endpoint: str, now: float, cold_start_s: float) -> None:
+        """A starting endpoint is ready, ``cold_start_s`` after its launch."""
+        with self._lock:
+            record = self._records.get(endpoint)
+            if record is None:
+                return
+            record.ready, record.cold_start_s = True, cold_start_s
+            self._append(
+                f"ready ep={endpoint} t={now:.6f} cold_start_s={cold_start_s:.6f}"
             )
 
     def on_retire(self, endpoint: str, now: float, reason: str = "janitor") -> None:
@@ -276,12 +295,19 @@ class WarmPoolManager:
     # -- warm-instance selection ---------------------------------------------------
 
     def suggest(self, model_id: str, now: float) -> Optional[str]:
-        """The endpoint with a free slot the strategy would reuse for ``model_id``."""
+        """The endpoint with a free slot the strategy would reuse for ``model_id``.
+
+        A pre-warmed endpoint is offered only once it is ready: its last
+        use is its launch, so an age-ordered strategy would otherwise
+        prefer it over ready idle ones, and a request sent there waits
+        out the rest of the startup.
+        """
         with self._lock:
             candidates = tuple(
                 record.view()
                 for record in self._records.values()
                 if record.in_flight < record.slots
+                and (record.ready or not record.prewarmed)
             )
         choice = self.strategy.select(candidates, model_id, now)
         return choice.name if choice is not None else None

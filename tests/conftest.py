@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
+from repro.core.semirt import SemirtHost
 from repro.core.semirt_enclave import SemirtEnclaveCode
 from repro.mlrt.zoo import build_mobilenet
 from repro.service.httpd import THREAD_PREFIX
@@ -123,26 +124,53 @@ def _scheduler_workers() -> set:
     }
 
 
+def _held_by(host: SemirtHost) -> Tuple[int, int, int]:
+    """What ``host`` still holds: scheduler slots, enclave TCSs, reserved contexts."""
+    return host.slots_in_use, host.enclave.tcs_in_use, host._contexts_in_flight
+
+
 @pytest.fixture(scope="module", autouse=True)
 def no_leaked_scheduler_workers():
     """Fail a module that leaves a SeMIRT scheduler worker or a service
-    thread running.
+    thread running, or a SeMIRT host holding a slot.
 
     Autouse at module scope, so it is set up before and torn down after
     every other fixture of the module: whatever hosts the tests and
     their fixtures launched must be ``destroy()``-ed, and every service
     ``close()``-d, by then.  A retired worker exits on its shutdown
     sentinel, so the leftovers get one bounded join before they count
-    as leaked.
+    as leaked.  Every :class:`SemirtHost` launched in the module, alive
+    or destroyed, must by then hold no TCS slot in its scheduler's count,
+    no enclave TCS and no reserved execution context -- a slot claimed
+    for a caller's thread and never served would show here -- after the
+    same bound for a serve still finishing.
     """
     before = _scheduler_workers()
-    yield
+    hosts: List[SemirtHost] = []
+    launch = SemirtHost.__init__
+
+    @functools.wraps(launch)
+    def tracked(host, *args, **kwargs):
+        launch(host, *args, **kwargs)
+        hosts.append(host)
+
+    SemirtHost.__init__ = tracked
+    try:
+        yield
+    finally:
+        SemirtHost.__init__ = launch
     leaked = _scheduler_workers() - before
     deadline = time.monotonic() + 10
     for worker in leaked:
         worker.join(timeout=max(0.0, deadline - time.monotonic()))
     alive = sorted(worker.name for worker in leaked if worker.is_alive())
     assert not alive, f"{len(alive)} worker thread(s) outlived the module: {alive}"
+    while any(map(any, map(_held_by, hosts))) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    held = {
+        host.enclave.enclave_id: _held_by(host) for host in hosts if any(_held_by(host))
+    }
+    assert not held, f"hosts holding (slots, TCSs, contexts) after the module: {held}"
 
 
 @pytest.fixture()

@@ -38,7 +38,7 @@ def span_tree(spans, collapse=False, skip=()):
     once -- for the scenario whose *number* of decode steps depends on
     thread timing while its shape does not.  ``skip`` drops spans by
     name: whether a batch pays ``stage:runtime_init`` depends on which
-    idle worker happened to wake as leader (runtimes are per thread).
+    TCS its leader happened to enter on (runtimes are per TCS slot).
     """
     children = {}
     for span in spans:

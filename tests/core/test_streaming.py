@@ -385,20 +385,29 @@ def test_token_budget_is_bounded():
     host.destroy()
 
 
+def test_a_budget_the_stream_header_cannot_carry_is_refused_typed():
+    """``max_new_tokens`` crosses as an int32 header; a value outside it is
+    the same bad request the enclave's bound check makes of 0 or 1025,
+    not a raw ``struct.error`` from the client."""
+    model = build_tinylm(seed=7)
+    env, host = _launch(model, policy=None)
+    user = env.user("user")
+    for bad in (-(2**31) - 1, 2**31):
+        with pytest.raises(InvocationError, match="max_new_tokens"):
+            user.encrypt_stream_request(MODEL_ID, host.measurement, [1, 2], bad)
+    host.destroy()
+
+
 def test_a_malformed_prompt_is_a_bad_request_not_a_raw_numpy_error():
     """An authenticated user's prompt that is not a whole number of float32
     ids, or holds a non-finite one, is refused as ``InvocationError``
     before a decoder exists -- it used to leave the ECALL as ``ValueError``."""
-    from repro.core import wire
-    from repro.core.semirt_enclave import STREAM_AAD
+    from repro.core.semirt_enclave import STREAM_AAD, STREAM_HEAD
 
     model = build_tinylm(seed=7)
     env, host = _launch(model, policy=None)
     cipher = env.user("user")._request_cipher(MODEL_ID, host.measurement)
-    torn = cipher.seal(
-        wire.dumps({"prompt": bytes(5), "max_new_tokens": 4}, codec=wire.BINARY),
-        aad=STREAM_AAD + MODEL_ID.encode(),
-    )
+    torn = cipher.seal(STREAM_HEAD.pack(4) + bytes(5), aad=STREAM_AAD + MODEL_ID.encode())
     for sealed, message in [
         (torn, "whole number of float32"),
         (_seal(env, host, "user", [1.0, float("nan")], 4), "finite"),
@@ -639,11 +648,12 @@ def test_a_warm_stream_runs_one_aes_batch_per_party(monkeypatch):
         tokens = session.stream([2, 7, 1], 12).result(timeout_s=30)
         monkeypatch.undo()
     assert tokens == DecoderSession(model).generate([2, 7, 1], 12)
-    # the enclave's open of the 7-block request plus its fixed first run of
-    # FIRST_RUN_FRAMES = 16 frames x 2 blocks; the client's run of 12 frames
-    # plus the 7-block slot its next request seal takes (this request's
-    # seal drew the last one)
-    assert batches == [7 + 32, 24 + 7], batches
+    # the enclave's open of the 2-block request (a 16-byte body: the header
+    # and three ids, one CTR block plus the tag mask) plus its fixed first
+    # run of FIRST_RUN_FRAMES = 16 frames x 2 blocks; the client's run of
+    # 12 frames plus the 2-block slot its next request seal takes (this
+    # request's seal drew the last one)
+    assert batches == [2 + 32, 24 + 2], batches
     host.destroy()
 
 
@@ -671,8 +681,8 @@ def test_a_long_stream_draws_a_bounded_run_before_its_first_token(monkeypatch):
     assert len(tokens) == MAX_STREAM_TOKENS
     # per party: 16 frames first (with the request open / the reservoir
     # refill), then seven runs of 128 frames and one of the last 112
-    assert batches[0] == 7 + 32
-    assert sorted(batches) == sorted([7 + 32, 32 + 7] + [256] * 14 + [224] * 2), batches
+    assert batches[0] == 2 + 32
+    assert sorted(batches) == sorted([2 + 32, 32 + 2] + [256] * 14 + [224] * 2), batches
     host.destroy()
 
 

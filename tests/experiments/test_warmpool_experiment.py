@@ -89,3 +89,22 @@ def test_sweep_rows_are_run_policy_over_each_trace():
             "lcs", arrivals, keep_alive_s=20.0, until=40.0 + 3600.0
         )
         assert result["workloads"][name]["none"]["requests"] == len(arrivals)
+
+
+def test_the_decision_log_carries_each_container_startup():
+    """A Controller container is launched still starting, and reported ready
+    with its measured startup -- the sandbox plus the enclave launch --
+    where its launch line used to read ``cold_start_s=0.000000``."""
+    from repro.serverless.controller import PlatformConfig
+
+    lines = warmpool.decision_log_for(duration_s=20.0, seed=11).splitlines()
+    launched = [i for i, line in enumerate(lines) if line.startswith("launch ")]
+    ready = {
+        line.split()[1]: (i, float(line.rsplit("=", 1)[1]))
+        for i, line in enumerate(lines) if line.startswith("ready ")
+    }
+    assert launched and len(ready) == len(launched)
+    for i in launched:
+        assert "cold_start_s=pending" in lines[i]
+        at, startup = ready[lines[i].split()[1]]
+        assert at > i and startup > PlatformConfig().sandbox_init_s
