@@ -1,18 +1,27 @@
 """Capture the golden span trees from the checkout on the path.
 
-``tests/core/data/semirt_span_trees.json`` was written by this script
-running against commit b7c0bf4 (``core/semirt.py`` as one 1,894-line
-module with four hand-copied ECALL cycles)::
+Two goldens, one per twin:
 
-    PYTHONPATH=<checkout of b7c0bf4>/src python scripts/make_span_goldens.py
+- ``tests/core/data/semirt_span_trees.json`` (the live serving core) was
+  written by this script running against commit b7c0bf4
+  (``core/semirt.py`` as one 1,894-line module with four hand-copied
+  ECALL cycles), so ``tests/core/test_semirt_span_trees.py`` pins every
+  later serving core to that one's span names, parentage, statuses and
+  attribute keys;
+- ``tests/core/data/sim_span_trees.json`` (the simulation actors) was
+  first written against commit 842e36c, where every sim actor charged
+  its Figure-4 stages by hand, and pins ``tests/core/test_sim_span_trees.py``.
 
-so ``tests/core/test_semirt_span_trees.py`` pins every later serving
-core to that one's span names, parentage, statuses and attribute keys.
-Re-running it against a newer checkout only re-derives the file from the
-code under test; do that deliberately, never to make a test pass.
+Run it as::
 
-The scenarios live in the test module (this script loads it by path), so
-the capture and the assertion can never drift apart.
+    PYTHONPATH=<checkout>/src python scripts/make_span_goldens.py [live|sim]
+
+(no argument writes both).  Re-running it against a newer checkout only
+re-derives the files from the code under test; do that deliberately,
+never to make a test pass.
+
+The scenarios live in the test modules (this script loads them by path),
+so the capture and the assertion can never drift apart.
 """
 
 from __future__ import annotations
@@ -23,12 +32,15 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TEST_MODULE = ROOT / "tests/core/test_semirt_span_trees.py"
+TEST_MODULES = {
+    "live": ROOT / "tests/core/test_semirt_span_trees.py",
+    "sim": ROOT / "tests/core/test_sim_span_trees.py",
+}
 
 
-def main() -> None:
-    sys.path.insert(0, str(ROOT))  # the scenarios import tests.conftest
-    spec = importlib.util.spec_from_file_location("span_tree_scenarios", TEST_MODULE)
+def write_golden(path: pathlib.Path) -> None:
+    """Run one test module's scenarios and write its ``GOLDEN`` file."""
+    spec = importlib.util.spec_from_file_location(f"span_trees_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     document = {
@@ -40,5 +52,18 @@ def main() -> None:
     print(f"wrote {len(document['trees'])} trees to {module.GOLDEN}")
 
 
+def main(argv) -> int:
+    sys.path.insert(0, str(ROOT))  # the scenarios import tests.conftest
+    names = argv or sorted(TEST_MODULES)
+    unknown = [name for name in names if name not in TEST_MODULES]
+    if unknown:
+        print(f"unknown golden {unknown[0]!r}; choose from "
+              f"{', '.join(sorted(TEST_MODULES))}", file=sys.stderr)
+        return 2
+    for name in names:
+        write_golden(TEST_MODULES[name])
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))
