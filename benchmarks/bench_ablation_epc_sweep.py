@@ -6,7 +6,9 @@ generations makes the crossover visible: below a few hundred MB, TFLM's
 small buffers win; above, TVM's faster kernels win.
 """
 
-from repro.core.simbridge import semirt_factory, servable_map
+from functools import partial
+
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import action_budget, make_driver, make_testbed
 from repro.mlrt.zoo import profile
 from repro.serverless.action import ActionSpec
@@ -27,7 +29,7 @@ def run_point(epc_bytes: int, framework: str) -> float:
         name="ep", image="semirt",
         memory_budget=action_budget(models["m"], tcs_count=4), concurrency=4,
     )
-    bed.platform.deploy(spec, semirt_factory(models, bed.cost, tcs_count=4))
+    bed.platform.deploy(spec, partial(SemirtSimActor, models, bed.cost, tcs_count=4))
     driver = make_driver(bed)
     ramp = fixed_rate(2.0, 40.0, "m", "u")
     steady = [

@@ -6,7 +6,9 @@ much of the overhead is the per-request key re-fetch vs. the runtime
 re-initialisation -- a decomposition the paper does not report.
 """
 
-from repro.core.simbridge import servable_map, semirt_factory
+from functools import partial
+
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import action_budget, make_driver, make_testbed
 from repro.mlrt.zoo import profile
 from repro.serverless.action import ActionSpec
@@ -27,7 +29,7 @@ def steady_seconds(model_name: str, **flags) -> float:
         name="ep", image="semirt",
         memory_budget=action_budget(models["m"]), concurrency=1,
     )
-    bed.platform.deploy(spec, semirt_factory(models, bed.cost, **flags))
+    bed.platform.deploy(spec, partial(SemirtSimActor, models, bed.cost, **flags))
     driver = make_driver(bed)
     driver.submit_arrivals(
         [Arrival(time=20.0 * i, model_id="m", user_id="u") for i in range(4)]

@@ -6,7 +6,9 @@ batches amortises framework overhead and raises sustainable throughput
 security rule.
 """
 
-from repro.core.batching import BatchPolicy, batching_semirt_factory
+from functools import partial
+
+from repro.core.batching import BatchingSemirtActor, BatchPolicy
 from repro.core.simbridge import servable_map
 from repro.experiments.common import action_budget, make_driver, make_testbed
 from repro.mlrt.zoo import profile
@@ -26,8 +28,8 @@ def completion_rate(window_s: float) -> float:
     )
     bed.platform.deploy(
         spec,
-        batching_semirt_factory(
-            models, bed.cost, tcs_count=CONCURRENCY,
+        partial(
+            BatchingSemirtActor, models, bed.cost, tcs_count=CONCURRENCY,
             policy=BatchPolicy(batch_window_s=window_s, max_batch=8),
         ),
     )

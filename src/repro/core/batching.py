@@ -24,11 +24,11 @@ one batched call pays once.  See ``docs/batching.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.costs import CostModel
 from repro.core.simbridge import SemirtSimActor, ServableModel
-from repro.core.stages import InvocationKind, Stage, plan_invocation
+from repro.core.stages import InvocationKind, Stage
 from repro.errors import ConfigError
 from repro.serverless.action import Request
 from repro.serverless.container import ContainerContext
@@ -108,12 +108,11 @@ class BatchPolicy:
 class _Batch:
     """One in-flight batch: the leader plus any followers that joined."""
 
-    model_id: str
-    user_id: str
+    pair: Tuple[str, str]
+    #: fires with per-request exec seconds once the leader has executed
+    done_event: Event
     size: int = 1
     closed: bool = False
-    #: fires with per-request exec seconds once the leader has executed
-    done_event: Optional[Event] = None
 
 
 class BatchingSemirtActor(SemirtSimActor):
@@ -133,15 +132,9 @@ class BatchingSemirtActor(SemirtSimActor):
     ) -> None:
         super().__init__(models, cost, tcs_count=tcs_count)
         self.policy = (policy or BatchPolicy()).clamped(tcs_count)
-        assert self.policy.max_batch <= tcs_count
         self._open_batch: Optional[_Batch] = None
         self.batches_executed = 0
         self.batched_requests = 0
-
-    # flat read-only views over the policy
-    @property
-    def batch_window_s(self) -> float:
-        return self.policy.batch_window_s
 
     @property
     def max_batch(self) -> int:
@@ -157,77 +150,39 @@ class BatchingSemirtActor(SemirtSimActor):
 
     def handle(self, ctx: ContainerContext, request: Request):
         """Serve one request, riding or leading a hot-path batch when possible."""
-        plan = plan_invocation(
-            self.state, request.model_id, request.user_id,
-            key_cache_enabled=self.key_cache, reuse_runtime=self.reuse_runtime,
-        )
         # Only hot-path requests are batchable; anything that must touch
         # keys, the model, or the runtime takes the ordinary path.
-        if plan.kind != InvocationKind.HOT:
-            result = yield from super().handle(ctx, request)
-            return result
+        if self._plan(request).kind != InvocationKind.HOT:
+            return (yield from super().handle(ctx, request))
         servable = self._servable(request.model_id)
         stages: Dict[str, float] = {}
-        stages[Stage.REQUEST_DECRYPT.value] = yield from self._stage_fixed(
-            ctx, self.cost.request_decrypt_s
-        )
+        yield from self._charge(ctx, stages, servable, Stage.REQUEST_DECRYPT)
+        pair = (request.model_id, request.user_id)
         batch = self._open_batch
-        joinable = (
-            batch is not None
-            and not batch.closed
-            and batch.model_id == request.model_id
-            and batch.user_id == request.user_id
-            and batch.size < self.max_batch
-        )
-        if joinable:
+        self.batched_requests += 1
+        if (batch is not None and not batch.closed and batch.pair == pair
+                and batch.size < self.max_batch):
             batch.size += 1
-            self.batched_requests += 1
-            per_request = yield batch.done_event
-            stages[Stage.MODEL_INFERENCE.value] = per_request
+            seconds = yield batch.done_event
         else:
-            batch = _Batch(
-                model_id=request.model_id,
-                user_id=request.user_id,
-                done_event=ctx.sim.event(),
-            )
-            self._open_batch = batch
-            self.batched_requests += 1
-            if self.batch_window_s > 0 and self.max_batch > 1:
-                yield ctx.sim.timeout(self.batch_window_s)
+            batch = self._open_batch = _Batch(pair, ctx.sim.event())
+            if self.policy.batch_window_s > 0 and self.max_batch > 1:
+                yield ctx.sim.timeout(self.policy.batch_window_s)
             batch.closed = True
             if self._open_batch is batch:
                 self._open_batch = None
-            start = ctx.sim.now
-            claim = ctx.node.cores.request()
-            yield claim
-            try:
-                slowdown = ctx.node.sgx.epc.access_slowdown()
-                yield ctx.sim.timeout(
-                    self.batched_exec_s(servable, batch.size, slowdown)
-                )
-            finally:
-                ctx.node.cores.release(claim)
+            seconds = yield from self._hold(
+                ctx, ctx.node.cores,
+                lambda: self.batched_exec_s(
+                    servable, batch.size, ctx.node.sgx.epc.access_slowdown()
+                ),
+            )
             self.batches_executed += 1
-            elapsed = ctx.sim.now - start
-            stages[Stage.MODEL_INFERENCE.value] = elapsed
-            batch.done_event.succeed(elapsed)
-        stages[Stage.RESULT_ENCRYPT.value] = yield from self._stage_fixed(
-            ctx, self.cost.result_encrypt_s
-        )
+            batch.done_event.succeed(seconds)
+        # The batch's execution is every member's charge, so it has no
+        # span: a follower's wait is longer than the seconds it is charged.
+        stages[Stage.MODEL_INFERENCE.value] = seconds
+        yield from self._charge(ctx, stages, servable, Stage.RESULT_ENCRYPT)
         self.state.note_served(request.model_id, request.user_id)
-        return (
-            {"model": request.model_id, "batched": True},
-            InvocationKind.HOT.value,
-            stages,
-        )
-
-
-def batching_semirt_factory(
-    models: Dict[str, ServableModel],
-    cost: CostModel,
-    tcs_count: int = 8,
-    policy: Optional[BatchPolicy] = None,
-):
-    """Factory for deploying :class:`BatchingSemirtActor` containers."""
-    resolved = policy or BatchPolicy()
-    return lambda: BatchingSemirtActor(models, cost, tcs_count, resolved)
+        response = {"model": request.model_id, "batched": True}
+        return response, InvocationKind.HOT.value, stages

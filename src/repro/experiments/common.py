@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costs import CostModel
 from repro.errors import RoutingError
 from repro.routing import Router
 from repro.core.simbridge import (
+    IsoReuseSimActor,
+    NativeSimActor,
+    SemirtSimActor,
     ServableModel,
-    iso_reuse_factory,
-    native_factory,
-    semirt_factory,
+    UntrustedSimActor,
     servable_map,
-    untrusted_factory,
 )
 from repro.mlrt.zoo import profile
 from repro.obs.span import SimClock
@@ -99,16 +100,17 @@ def system_factory(
     cost: CostModel,
     tcs_count: int = 1,
 ):
-    """Runtime factory for one of the paper's three systems."""
+    """Runtime factory for one of the paper's systems (SeSeMI alone takes TCS)."""
     if system == "SeSeMI":
-        return semirt_factory(models, cost, tcs_count=tcs_count)
-    if system == "Iso-reuse":
-        return iso_reuse_factory(models, cost)
-    if system == "Native":
-        return native_factory(models, cost)
-    if system == "Untrusted":
-        return untrusted_factory(models, cost)
-    raise ValueError(f"unknown system {system!r}")
+        return partial(SemirtSimActor, models, cost, tcs_count=tcs_count)
+    baselines = {
+        "Iso-reuse": IsoReuseSimActor,
+        "Native": NativeSimActor,
+        "Untrusted": UntrustedSimActor,
+    }
+    if system not in baselines:
+        raise ValueError(f"unknown system {system!r}")
+    return partial(baselines[system], models, cost)
 
 
 def action_budget(servable: ServableModel, tcs_count: int = 1) -> int:

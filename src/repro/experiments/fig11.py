@@ -14,9 +14,10 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
-from repro.core.simbridge import servable_map, semirt_factory
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import (
     action_budget,
     format_table,
@@ -63,7 +64,7 @@ def run_cpu_bound(
             concurrency=n,
         )
         bed.platform.deploy(
-            spec, semirt_factory(models, bed.cost, tcs_count=n)
+            spec, partial(SemirtSimActor, models, bed.cost, tcs_count=n)
         )
         rows.append((n, _burst_latency(bed, "ep", n)))
     return rows
@@ -89,7 +90,7 @@ def run_epc_bound(
                     concurrency=threads,
                 )
                 bed.platform.deploy(
-                    spec, semirt_factory(models, bed.cost, tcs_count=threads)
+                    spec, partial(SemirtSimActor, models, bed.cost, tcs_count=threads)
                 )
                 rows.append((n, _burst_latency(bed, "ep", n)))
             series[label] = rows

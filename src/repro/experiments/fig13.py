@@ -18,11 +18,12 @@ and integrates reserved container memory over time into GB-seconds
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List
 
 import numpy as np
 
-from repro.core.simbridge import servable_map, semirt_factory
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import (
     action_budget,
     deploy_single_model,
@@ -131,7 +132,9 @@ def run_memory_cost(
         spec = ActionSpec(
             name="ep", image="semirt", memory_budget=budget, concurrency=threads
         )
-        bed.platform.deploy(spec, semirt_factory(models, bed.cost, tcs_count=threads))
+        bed.platform.deploy(
+            spec, partial(SemirtSimActor, models, bed.cost, tcs_count=threads)
+        )
         driver = make_driver(bed)
         driver.submit_arrivals(arrivals)
         report = driver.run(until=WARMUP_S + duration_s + 3000.0)

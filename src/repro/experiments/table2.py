@@ -11,9 +11,10 @@ the restrictions.  Paper: 65.79 -> 268.36 ms (MBNET), 982.96 -> 1265.00
 
 from __future__ import annotations
 
+from functools import partial
 from typing import List
 
-from repro.core.simbridge import servable_map, semirt_factory
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import (
     action_budget,
     format_table,
@@ -34,7 +35,8 @@ PAPER_MS = {
 def _steady_state_seconds(model_name: str, strong_isolation: bool) -> float:
     bed = make_testbed(num_nodes=1)
     models = servable_map([("m", profile(model_name), "tvm")])
-    factory = semirt_factory(
+    factory = partial(
+        SemirtSimActor,
         models,
         bed.cost,
         tcs_count=1,

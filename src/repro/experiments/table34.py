@@ -20,7 +20,9 @@ the per-model latency inside each session.
 
 from __future__ import annotations
 
-from repro.core.simbridge import semirt_factory, servable_map
+from functools import partial
+
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.errors import ConfigError
 from repro.experiments.common import (
     action_budget,
@@ -67,7 +69,7 @@ def run_strategy(strategy: str, duration_s: float = 480.0, seed: int = 2025,
             memory_budget=action_budget(next(iter(subset.values()))),
             concurrency=1,
         )
-        bed.platform.deploy(action, semirt_factory(subset, bed.cost))
+        bed.platform.deploy(action, partial(SemirtSimActor, subset, bed.cost))
     mix = build_fnpacker_workload(duration_s=duration_s, seed=seed)
     driver = make_driver(bed, router)
     driver.submit_arrivals(mix.arrivals)

@@ -40,11 +40,12 @@ traffic stops, and the janitor shrinks it to the ``min_warm`` floor
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.simbridge import semirt_factory, servable_map
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import action_budget, make_driver, make_testbed
 from repro.experiments.fig13 import NUM_NODES, mmpp_trace
 from repro.mlrt.zoo import profile
@@ -103,7 +104,7 @@ def _serve(
         config=PlatformConfig(warm_pool=_warm_pool(policy, keep_alive_s, min_warm)),
     )
     spec = ActionSpec(name="ep", image="semirt-tvm", memory_budget=budget)
-    bed.platform.deploy(spec, semirt_factory(models, bed.cost))
+    bed.platform.deploy(spec, partial(SemirtSimActor, models, bed.cost))
     driver = make_driver(bed)
     driver.submit_arrivals(arrivals)
     report = driver.run(until=until)

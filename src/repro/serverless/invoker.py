@@ -60,8 +60,6 @@ class Invoker:
         #: the appendix anchor (16 concurrent 256 MB launches averaging
         #: ~4 s each on SGX2).
         self.launch_slots = Resource(sim, capacity=2, name=f"{self.node_id}.launch")
-        #: enclaves currently in their init phase (introspection)
-        self.enclaves_launching = 0
 
     # -- memory pool -------------------------------------------------------------
 

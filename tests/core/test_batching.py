@@ -1,8 +1,10 @@
 """Hot-path request batching (extension)."""
 
+from functools import partial
+
 import pytest
 
-from repro.core.batching import BatchPolicy, BatchingSemirtActor, batching_semirt_factory
+from repro.core.batching import BatchPolicy, BatchingSemirtActor
 from repro.core.simbridge import servable_map
 from repro.errors import ConfigError
 from repro.experiments.common import action_budget, make_driver, make_testbed
@@ -22,8 +24,8 @@ def deploy(batch_window_s=0.05, max_batch=8, concurrency=8, single_container=Fal
     spec = ActionSpec(
         name="ep", image="semirt", memory_budget=budget, concurrency=concurrency,
     )
-    factory = batching_semirt_factory(
-        models, bed.cost, tcs_count=concurrency,
+    factory = partial(
+        BatchingSemirtActor, models, bed.cost, tcs_count=concurrency,
         policy=BatchPolicy(batch_window_s=batch_window_s, max_batch=max_batch),
     )
     actor_holder = []

@@ -10,10 +10,12 @@ of the schedule taken:
 - the memory timeline is a well-formed non-negative step function.
 """
 
+from functools import partial
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.simbridge import servable_map, semirt_factory
+from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import action_budget, make_driver, make_testbed
 from repro.mlrt.zoo import profile
 from repro.serverless.action import ActionSpec
@@ -38,7 +40,9 @@ def test_conservation_under_random_workloads(
     spec = ActionSpec(
         name="ep", image="semirt", memory_budget=budget, concurrency=concurrency
     )
-    bed.platform.deploy(spec, semirt_factory(models, bed.cost, tcs_count=concurrency))
+    bed.platform.deploy(
+        spec, partial(SemirtSimActor, models, bed.cost, tcs_count=concurrency)
+    )
     driver = make_driver(bed)
     names = ["a", "b"]
     arrivals = [
