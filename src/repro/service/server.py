@@ -188,14 +188,15 @@ class InferenceService:
         return address
 
     def close(self) -> None:
-        """Stop serving and join every service thread (gateway teardown
-        stays the owner's)."""
+        """Stop serving, join every service thread and expire every result
+        still held (gateway teardown stays the owner's)."""
         self._closing.set()
         # a connection thread held in a long-poll ends at the poll's cap
         self._httpd.close(timeout_s=self.config.poll_wait_cap_s + 5.0)
         if self._sweeper is not None:
             self._sweeper.join(timeout=10)
             self._sweeper = None
+        self._expire(lambda entry: True)
 
     def __enter__(self) -> "InferenceService":
         return self
@@ -520,22 +521,29 @@ class InferenceService:
             if pool is not None:
                 self.gateway.maintain()
             cutoff = time.monotonic() - self.config.result_ttl_s
-            with self._lock:
-                expired = [
-                    self._entries.pop(req_id)
-                    for req_id, entry in list(self._entries.items())
-                    if entry.created < cutoff
-                ]
-                for entry in expired:
-                    submission = entry.submission
-                    if not submission.cancel():
-                        # sealed but never fetched: a refused cancel settles
-                        # nothing, consuming the outcome releases the request
-                        try:
-                            submission.result(timeout_s=0)
-                        except Exception:  # noqa: BLE001 - nobody is left to tell
-                            pass
-                    entry.release()
+            self._expire(lambda entry: entry.created < cutoff)
+
+    def _expire(self, due: Callable[[_Entry], bool]) -> None:
+        """Drop every entry ``due`` picks and settle what it still holds.
+
+        An entry nobody fetched holds the gateway's in-flight count, the
+        router's pending count (which pins its model to the endpoint and
+        keeps the endpoint from retiring) and an admission slot.  It is
+        cancelled, or -- sealed but never fetched, so a refused cancel
+        settles nothing -- its outcome is consumed; then its slot is
+        released.
+        """
+        with self._lock:
+            for req_id, entry in list(self._entries.items()):
+                if not due(entry):
+                    continue
+                del self._entries[req_id]
+                if not entry.submission.cancel():
+                    try:
+                        entry.submission.result(timeout_s=0)
+                    except Exception:  # noqa: BLE001 - nobody is left to tell
+                        pass
+                entry.release()
 
     # -- helpers ------------------------------------------------------------------
 

@@ -7,16 +7,18 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
+from repro.core.gateway import InferenceGateway
 from repro.core.semirt import SemirtHost
 from repro.core.semirt_enclave import SemirtEnclaveCode
 from repro.mlrt.zoo import build_mobilenet
 from repro.service.httpd import THREAD_PREFIX
+from repro.service.server import InferenceService
 from repro.sgx.attestation import AttestationService
 from repro.sgx.platform import SGX2, SgxPlatform
 from repro.sim.core import Simulation
@@ -129,10 +131,39 @@ def _held_by(host: SemirtHost) -> Tuple[int, int, int]:
     return host.slots_in_use, host.enclave.tcs_in_use, host._contexts_in_flight
 
 
+def _owed_by(built) -> Dict[str, int]:
+    """The in-flight counts a gateway or a service still holds (non-zero only)."""
+    if isinstance(built, InferenceService):
+        owed = {"admission": built.admission.inflight_total}
+    else:
+        states = [built.router.state(name) for name, _ in built.router.endpoints()]
+        owed = {
+            "gateway.in_flight": built.in_flight,
+            "router.pending": sum(state.pending for state in states if state is not None),
+        }
+        if built.warm_pool is not None:
+            endpoints = built.warm_pool.stats(0.0)["endpoints"].values()
+            owed["warm_pool.in_flight"] = sum(record["in_flight"] for record in endpoints)
+    return {name: count for name, count in owed.items() if count}
+
+
+def _recording(cls, built: list) -> None:
+    """Make ``cls.__init__`` append every instance it builds to ``built``."""
+    init = cls.__init__
+
+    @functools.wraps(init)
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    cls.__init__ = tracked
+
+
 @pytest.fixture(scope="module", autouse=True)
 def no_leaked_scheduler_workers():
     """Fail a module that leaves a SeMIRT scheduler worker or a service
-    thread running, or a SeMIRT host holding a slot.
+    thread running, a SeMIRT host holding a slot, or a request counted in
+    flight by a gateway or a service.
 
     Autouse at module scope, so it is set up before and torn down after
     every other fixture of the module: whatever hosts the tests and
@@ -142,35 +173,41 @@ def no_leaked_scheduler_workers():
     as leaked.  Every :class:`SemirtHost` launched in the module, alive
     or destroyed, must by then hold no TCS slot in its scheduler's count,
     no enclave TCS and no reserved execution context -- a slot claimed
-    for a caller's thread and never served would show here -- after the
-    same bound for a serve still finishing.
+    for a caller's thread and never served would show here.  Every
+    :class:`InferenceGateway` built in the module must count nothing in
+    flight (its own count, its router's pending responses, its warm
+    pool's) and every :class:`InferenceService` no admission slot: a
+    handle nobody settled holds all of them.  Both get the same bound
+    for a serve still finishing.
     """
     before = _scheduler_workers()
-    hosts: List[SemirtHost] = []
-    launch = SemirtHost.__init__
-
-    @functools.wraps(launch)
-    def tracked(host, *args, **kwargs):
-        launch(host, *args, **kwargs)
-        hosts.append(host)
-
-    SemirtHost.__init__ = tracked
+    built = {SemirtHost: [], InferenceGateway: [], InferenceService: []}
+    inits = {cls: cls.__init__ for cls in built}
+    for cls, instances in built.items():
+        _recording(cls, instances)
     try:
         yield
     finally:
-        SemirtHost.__init__ = launch
+        for cls, init in inits.items():
+            cls.__init__ = init
     leaked = _scheduler_workers() - before
     deadline = time.monotonic() + 10
     for worker in leaked:
         worker.join(timeout=max(0.0, deadline - time.monotonic()))
     alive = sorted(worker.name for worker in leaked if worker.is_alive())
     assert not alive, f"{len(alive)} worker thread(s) outlived the module: {alive}"
-    while any(map(any, map(_held_by, hosts))) and time.monotonic() < deadline:
+    hosts = built[SemirtHost]
+    fleets = built[InferenceGateway] + built[InferenceService]
+    while (
+        any(map(any, map(_held_by, hosts))) or any(map(_owed_by, fleets))
+    ) and time.monotonic() < deadline:
         time.sleep(0.01)
     held = {
         host.enclave.enclave_id: _held_by(host) for host in hosts if any(_held_by(host))
     }
     assert not held, f"hosts holding (slots, TCSs, contexts) after the module: {held}"
+    owed = [(type(fleet).__name__, _owed_by(fleet)) for fleet in fleets if _owed_by(fleet)]
+    assert not owed, f"gateways / services counting requests in flight after the module: {owed}"
 
 
 @pytest.fixture()

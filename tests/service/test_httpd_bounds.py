@@ -184,3 +184,29 @@ def test_close_returns_in_its_bound_and_leaves_no_thread():
         slow_decode.set()
         world.close()
     assert _service_threads() == []
+
+
+def test_close_settles_the_results_it_still_holds():
+    """A ``/v1/submit`` result that was served but never fetched holds the
+    gateway's in-flight count, the router's pending count (FnPacker's
+    Rule-1 pin, which also keeps ``retire`` off the endpoint) and an
+    admission slot; ``close()`` expires it as the sweeper's TTL would."""
+    world = launch_world()
+    try:
+        world.session.infer(world.x)  # warm
+        client = world.remote.client
+        status, reply, _ = client.request("POST", "/v1/submit", world.payload())
+        assert status == 202, reply
+        peek = f"/v1/results/{reply['req_id']}"
+        _until(lambda: client.request("GET", peek, query={"peek": "1"})[1]["done"])
+        gateway = world.service.gateway
+        world.service.close()
+        held = (
+            gateway.in_flight,
+            gateway.router.state(reply["endpoint"]).pending,
+            world.service.admission.inflight_total,
+        )
+        assert held == (0, 0, 0), "(gateway in flight, router pending, admission)"
+    finally:
+        world.close()
+    assert _service_threads() == []

@@ -126,14 +126,17 @@ def test_a_prompt_past_the_bound_is_a_typed_refusal(world):
 
 class _CutShort:
     """The untrusted tier as adversary: relays the first ``keep`` sealed
-    frames of a gateway stream, then ends the chunked body *cleanly*."""
+    frames of a gateway stream, then ends the chunked body *cleanly* --
+    and cancels the gateway stream it cut, so the fleet counts nothing."""
 
     def __init__(self, handle, keep):
         self._handle = handle
         self._keep = keep
 
     def __iter__(self):
-        return itertools.islice(iter(self._handle), self._keep)
+        yield from itertools.islice(iter(self._handle), self._keep)
+        if not self._handle.cancel():  # sealed already: consuming it settles it
+            self._handle.result(timeout_s=0)
 
     def __getattr__(self, name):
         return getattr(self._handle, name)
