@@ -57,10 +57,10 @@ from __future__ import annotations
 import itertools
 import struct
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,6 +152,11 @@ FIRST_RUN_FRAMES = RUN_FRAMES // 8
 #: resize enclave state.  Whether keys are cached at all is the measured
 #: ``IsolationSettings.key_cache`` bit.
 KEY_MEMO_ENTRIES = 32
+
+#: how many rows ``batch_log`` and ``stream_log`` keep (the newest): the
+#: logs live in the enclave heap, and a long-lived streaming host adds
+#: one row per decode step
+LOG_ROWS = 1024
 
 # The words of SeMIRT's declared boundary (docs/protocol.md §7).  Uids, model
 # ids and ciphertexts come from users, so a refusal is a bad request
@@ -382,8 +387,8 @@ class SemirtEnclaveCode(EnclaveCode):
         #: observability for tests/benchmarks: the last plan taken
         self.last_plan: Optional[InvocationPlan] = None
         #: observability for tests/benchmarks: one (uid, model_id, size)
-        #: row per EC_MODEL_INF_BATCH served
-        self.batch_log: List[Tuple[str, str, int]] = []
+        #: row per EC_MODEL_INF_BATCH served, the last LOG_ROWS kept
+        self.batch_log: Deque[Tuple[str, str, int]] = deque(maxlen=LOG_ROWS)
         # per-ticket stream contexts (the streaming sibling of
         # _contexts): each holds a decoder whose KV caches live in the
         # enclave heap until the stream drains or is closed.  Bounded by
@@ -391,8 +396,8 @@ class SemirtEnclaveCode(EnclaveCode):
         self._streams: Dict[int, _StreamContext] = {}
         self._stream_lock = threading.Lock()
         #: observability for tests/benchmarks: one (uid, model_id, size)
-        #: row per EC_STREAM_STEP served
-        self.stream_log: List[Tuple[str, str, int]] = []
+        #: row per EC_STREAM_STEP served, the last LOG_ROWS kept
+        self.stream_log: Deque[Tuple[str, str, int]] = deque(maxlen=LOG_ROWS)
 
     def settings(self) -> dict:
         """Build settings covered by MRENCLAVE (framework, E_K, isolation)."""

@@ -92,7 +92,7 @@ def test_a_full_window_is_one_batch_ecall_with_the_singles_outputs(
     outputs = [
         _decrypt(env, host, "user", future.result(timeout_s=10)) for future in futures
     ]
-    assert host.code.batch_log == [(uid, MODEL_ID, k)]
+    assert list(host.code.batch_log) == [(uid, MODEL_ID, k)]
     assert all(plain.tobytes() == single.tobytes() for plain in outputs)
     host.destroy()
 
@@ -147,7 +147,7 @@ def test_enclave_refuses_foreign_ciphertext_in_a_batch(tiny_model, tiny_input):
     with pytest.raises(InvocationError, match="does not authenticate"):
         host.enclave.ecall("EC_MODEL_INF_BATCH", [enc_a, enc_b], uid_a, MODEL_ID)
     assert host.code.pending_outputs == 0  # all-or-nothing: nothing committed
-    assert host.code.batch_log == []
+    assert list(host.code.batch_log) == []
     with pytest.raises(InvocationError, match="enc_requests': length 0 is below 1"):
         host.enclave.ecall("EC_MODEL_INF_BATCH", [], uid_a, MODEL_ID)
     host.destroy()
@@ -270,7 +270,7 @@ def test_batch_of_one_takes_the_single_request_path(tiny_model, tiny_input):
     names = [span.name for span in env.tracer.finished_spans()]
     assert "ecall:EC_MODEL_INF" in names
     assert "ecall:EC_MODEL_INF_BATCH" not in names
-    assert host.code.batch_log == []
+    assert list(host.code.batch_log) == []
     assert plain.tobytes() == single.tobytes()
     expected = tiny_model.run_reference(tiny_input).ravel()
     assert np.allclose(plain, expected, atol=1e-5)

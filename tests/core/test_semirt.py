@@ -263,10 +263,10 @@ def test_batch_log_rows_are_for_real_batches_only(tiny_model):
     host.enclave.ecall("EC_CLEAR_EXEC_CTX", single)
     for ticket in host.enclave.ecall("EC_MODEL_INF_BATCH", [seal()], uid, "eq"):
         host.enclave.ecall("EC_CLEAR_EXEC_CTX", ticket)
-    assert host.code.batch_log == []
+    assert list(host.code.batch_log) == []
     for ticket in host.enclave.ecall("EC_MODEL_INF_BATCH", [seal(), seal()], uid, "eq"):
         host.enclave.ecall("EC_CLEAR_EXEC_CTX", ticket)
-    assert host.code.batch_log == [(uid, "eq", 2)]
+    assert list(host.code.batch_log) == [(uid, "eq", 2)]
     host.destroy()
 
 
