@@ -296,10 +296,10 @@ class InferenceGateway:
         """
         exclude: Set[str] = set()
         decision = RouteDecision(endpoint="")
-        handle_type = _WaitedSubmission if timeout_s is None else GatewaySubmission
+        entry = "claim" if timeout_s is None else "submit"
         while True:
             handle = self._admit(
-                handle_type, enc_request, user_id, model_id, exclude, decision
+                GatewaySubmission, entry, enc_request, user_id, model_id, exclude, decision
             )
             try:
                 with self._route_span(handle, "dispatch"):
@@ -337,7 +337,9 @@ class InferenceGateway:
         Raises :class:`QueueFull` when the whole fleet is saturated,
         exactly like :meth:`dispatch`.
         """
-        return self._admit_async(GatewaySubmission, "admit", enc_request, user_id, model_id)
+        return self._admit_async(
+            GatewaySubmission, "submit", "admit", enc_request, user_id, model_id
+        )
 
     def open_stream(
         self, enc_request: bytes, user_id: str, model_id: str
@@ -353,11 +355,15 @@ class InferenceGateway:
         admission-time only; once decoding starts, a mid-stream endpoint
         death surfaces through the stream's iterator.
         """
-        return self._admit_async(GatewayStream, "stream", enc_request, user_id, model_id)
+        return self._admit_async(
+            GatewayStream, "open_stream", "stream", enc_request, user_id, model_id
+        )
 
-    def _admit_async(self, handle_type, phase: str, enc_request, user_id, model_id):
+    def _admit_async(self, handle_type, entry: str, phase: str, enc_request, user_id,
+                     model_id):
         handle = self._admit(
-            handle_type, enc_request, user_id, model_id, set(), RouteDecision(endpoint="")
+            handle_type, entry, enc_request, user_id, model_id, set(),
+            RouteDecision(endpoint=""),
         )
         with self._route_span(handle, phase):
             pass  # admission-time decision span; serving runs async
@@ -387,6 +393,7 @@ class InferenceGateway:
     def _admit(
         self,
         handle_type,
+        entry: str,
         enc_request: bytes,
         user_id: str,
         model_id: str,
@@ -397,9 +404,9 @@ class InferenceGateway:
 
         For each candidate endpoint (:meth:`_candidate`: the two one-shot
         hints, then the router's picks): open breaker -> skip; no live
-        host -> launch or reroute; admit (``handle_type`` selects
-        ``host.submit``, ``host.claim`` or ``host.open_stream``) and return the
-        ``handle_type`` over the endpoint's handle.  Every candidate that
+        host -> launch or reroute; admit through the host's ``entry``
+        point (``"submit"``, ``"claim"`` or ``"open_stream"``) and return
+        the ``handle_type`` over the endpoint's handle.  Every candidate that
         cannot take the request joins ``exclude`` and is never offered
         again, which is what bounds the walk.  ``exclude`` and
         ``decision`` are the caller's: :meth:`dispatch` shares them across
@@ -444,15 +451,7 @@ class InferenceGateway:
                 host, decision.cold, decision.cold_start_s = launched
                 decision.endpoint = endpoint
                 try:
-                    if handle_type is GatewayStream:
-                        inner = host.open_stream(enc_request, user_id, model_id)
-                    elif handle_type is _WaitedSubmission:
-                        # a host without a caller's-thread path is queued to
-                        inner = getattr(host, "claim", host.submit)(
-                            enc_request, user_id, model_id
-                        )
-                    else:
-                        inner = host.submit(enc_request, user_id, model_id)
+                    inner = getattr(host, entry)(enc_request, user_id, model_id)
                 except QueueFull as exc:
                     refused = exc
                 except (EnclaveError, TransportError):
@@ -478,7 +477,7 @@ class InferenceGateway:
             self._in_flight += 1
         state = self.router.state(endpoint)
         decision.exclusive = state is not None and state.exclusive_for == model_id
-        if getattr(host, "batch_policy", None) is not None:
+        if host.batch_policy is not None:
             # only accumulator-armed endpoints benefit from keeping
             # the pair's traffic together.  Remember at *admission*:
             # followers submitted while this request is still queued
@@ -846,11 +845,6 @@ class GatewaySubmission(_Routed, DerivedHandle):
     breaker, endpoint-death marking) **exactly once** -- so the async
     surface keeps the same fleet accounting as the blocking one.
     """
-
-
-class _WaitedSubmission(GatewaySubmission):
-    """A :meth:`InferenceGateway.dispatch` with no deadline: admitted through
-    ``host.claim``, so the dispatching thread's wait may serve it."""
 
 
 class GatewayStream(_Routed, DerivedStream):

@@ -56,11 +56,18 @@ class _FakeHost:
     plan runs out the host echoes the request.
     """
 
+    #: no batch accumulator, like a host launched without a BatchPolicy
+    batch_policy = None
+
     def __init__(self, name, plan=None):
         self.name = name
         self.enclave = _FakeEnclave()
         self.plan = list(plan or [])
         self.submits = 0
+
+    def claim(self, enc_request, uid, model_id):
+        """The blocking dispatch's entry point: the same script as ``submit``."""
+        return self.submit(enc_request, uid, model_id)
 
     def submit(self, enc_request, uid, model_id):
         self.submits += 1
