@@ -22,9 +22,11 @@ instances itself*.  Three cooperating parts, composed by
   the estimated rate and service time), so flash crowds land warm.
 
 Reactive growth under queue pressure
-(:class:`~repro.routing.ScaleOutPolicy`) becomes one fleet-shape
-strategy among several: the manager can own the pressure tracker so
-reactive and predictive decisions share one decision log.
+(:class:`~repro.routing.ScaleOutPolicy`) is not decided here: the
+gateway observes ``QueueFull`` and owns the one
+:class:`~repro.routing.PressureTracker` (``GatewayConfig.scale_out``);
+an endpoint it spawns reaches the decision log like any other, as the
+``launch ... kind=demand`` line its first request writes.
 
 Layering rule (enforced by ``scripts/check_layering.py``): this package
 imports only the stdlib, ``repro.errors``, and :mod:`repro.routing`

@@ -12,6 +12,14 @@ sequence on a traced one-node testbed and keeps two things:
   these names, parents and attributes);
 - per result, in submission order, ``[kind, stage_seconds keys]`` -- the
   key order is the order a report lists a request's stages in.
+
+The file was regenerated once on purpose since, for two consistency
+fixes the driver made and nothing else: the batching hot path's request
+decryption and result encryption became ``stage:`` spans like every
+other design's (its batched execution stays span-less: a follower's
+wait is longer than the seconds it is charged), and the Iso-reuse and
+Native key-retrieval spans gained the ``session_reused`` attribute
+SeSeMI's always had.  Every ``results`` row is unchanged.
 """
 
 import json
