@@ -359,8 +359,7 @@ class InferenceGateway:
             GatewayStream, "open_stream", "stream", enc_request, user_id, model_id
         )
 
-    def _admit_async(self, handle_type, entry: str, phase: str, enc_request, user_id,
-                     model_id):
+    def _admit_async(self, handle_type, entry: str, phase: str, enc_request, user_id, model_id):
         handle = self._admit(
             handle_type, entry, enc_request, user_id, model_id, set(),
             RouteDecision(endpoint=""),
