@@ -296,7 +296,10 @@ class InferenceGateway:
         """
         exclude: Set[str] = set()
         decision = RouteDecision(endpoint="")
-        entry = "claim" if timeout_s is None else "submit"
+
+        def entry(host):
+            return host.claim if timeout_s is None else host.submit
+
         while True:
             handle = self._admit(
                 GatewaySubmission, entry, enc_request, user_id, model_id, exclude, decision
@@ -338,7 +341,8 @@ class InferenceGateway:
         exactly like :meth:`dispatch`.
         """
         return self._admit_async(
-            GatewaySubmission, "submit", "admit", enc_request, user_id, model_id
+            GatewaySubmission, lambda host: host.submit, "admit",
+            enc_request, user_id, model_id,
         )
 
     def open_stream(
@@ -356,10 +360,13 @@ class InferenceGateway:
         death surfaces through the stream's iterator.
         """
         return self._admit_async(
-            GatewayStream, "open_stream", "stream", enc_request, user_id, model_id
+            GatewayStream, lambda host: host.open_stream, "stream",
+            enc_request, user_id, model_id,
         )
 
-    def _admit_async(self, handle_type, entry: str, phase: str, enc_request, user_id, model_id):
+    def _admit_async(
+        self, handle_type, entry: Callable, phase: str, enc_request, user_id, model_id
+    ):
         handle = self._admit(
             handle_type, entry, enc_request, user_id, model_id, set(),
             RouteDecision(endpoint=""),
@@ -392,7 +399,7 @@ class InferenceGateway:
     def _admit(
         self,
         handle_type,
-        entry: str,
+        entry: Callable,
         enc_request: bytes,
         user_id: str,
         model_id: str,
@@ -403,8 +410,9 @@ class InferenceGateway:
 
         For each candidate endpoint (:meth:`_candidate`: the two one-shot
         hints, then the router's picks): open breaker -> skip; no live
-        host -> launch or reroute; admit through the host's ``entry``
-        point (``"submit"``, ``"claim"`` or ``"open_stream"``) and return
+        host -> launch or reroute; admit through the entry point that
+        ``entry(host)`` names (``host.submit``, ``host.claim`` or
+        ``host.open_stream``) and return
         the ``handle_type`` over the endpoint's handle.  Every candidate that
         cannot take the request joins ``exclude`` and is never offered
         again, which is what bounds the walk.  ``exclude`` and
@@ -450,7 +458,7 @@ class InferenceGateway:
                 host, decision.cold, decision.cold_start_s = launched
                 decision.endpoint = endpoint
                 try:
-                    inner = getattr(host, entry)(enc_request, user_id, model_id)
+                    inner = entry(host)(enc_request, user_id, model_id)
                 except QueueFull as exc:
                     refused = exc
                 except (EnclaveError, TransportError):
