@@ -78,8 +78,7 @@ class _SgxActorBase(ActionRuntime):
     :attr:`stage_costs`, runs that cost generator under its ``stage:``
     span and records its virtual-time seconds.  A container that holds
     one enclave for its life (``container_enclave``) launches it at
-    startup, reports it as its memory and frees its EPC pages when it is
-    reclaimed.
+    startup and frees its EPC pages when it is reclaimed.
     """
 
     #: the container launches one enclave at startup and keeps it
@@ -122,10 +121,6 @@ class _SgxActorBase(ActionRuntime):
             ) from None
 
     # -- container life ----------------------------------------------------------
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.enclave_total_bytes() if self.container_enclave else 0
 
     def startup(self, ctx: ContainerContext):
         """Sandbox started by the platform; a container enclave launches here."""

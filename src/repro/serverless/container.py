@@ -60,11 +60,6 @@ class ActionRuntime(ABC):
     def shutdown(self, ctx: ContainerContext) -> None:
         """Release resources when the container is reclaimed."""
 
-    @property
-    def memory_bytes(self) -> int:
-        """Current memory footprint attributed to this runtime."""
-        return 0
-
 
 class Container:
     """One sandbox instance bound to an action on a node."""
