@@ -14,9 +14,9 @@ Two goldens, one per twin:
 
 Run it as::
 
-    PYTHONPATH=<checkout>/src python scripts/make_span_goldens.py [live|sim]
+    PYTHONPATH=<checkout>/src python scripts/make_span_goldens.py
 
-(no argument writes both).  Re-running it against a newer checkout only
+which writes both.  Re-running it against a newer checkout only
 re-derives the files from the code under test; do that deliberately,
 never to make a test pass.
 
@@ -32,10 +32,10 @@ import pathlib
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-TEST_MODULES = {
-    "live": ROOT / "tests/core/test_semirt_span_trees.py",
-    "sim": ROOT / "tests/core/test_sim_span_trees.py",
-}
+TEST_MODULES = (
+    ROOT / "tests/core/test_semirt_span_trees.py",
+    ROOT / "tests/core/test_sim_span_trees.py",
+)
 
 
 def write_golden(path: pathlib.Path) -> None:
@@ -52,18 +52,11 @@ def write_golden(path: pathlib.Path) -> None:
     print(f"wrote {len(document['trees'])} trees to {module.GOLDEN}")
 
 
-def main(argv) -> int:
+def main() -> None:
     sys.path.insert(0, str(ROOT))  # the scenarios import tests.conftest
-    names = argv or sorted(TEST_MODULES)
-    unknown = [name for name in names if name not in TEST_MODULES]
-    if unknown:
-        print(f"unknown golden {unknown[0]!r}; choose from "
-              f"{', '.join(sorted(TEST_MODULES))}", file=sys.stderr)
-        return 2
-    for name in names:
-        write_golden(TEST_MODULES[name])
-    return 0
+    for path in TEST_MODULES:
+        write_golden(path)
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()
