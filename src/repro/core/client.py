@@ -29,7 +29,6 @@ from repro.crypto.gcm import (
     NONCE_SIZE,
     TAG_SIZE,
     AESGCM,
-    SessionCipher,
     evict_session,
     frame_nonce,
 )
@@ -275,7 +274,7 @@ class UserClient(_Principal):
         self._request_keys: Dict[Tuple[str, str], SymmetricKey] = {}
         #: per-(model, enclave) derived request ciphers -- the client half
         #: of the session key cache (shared by UserSession/RemoteSession)
-        self._request_ciphers: Dict[Tuple[str, str], SessionCipher] = {}
+        self._request_ciphers: Dict[Tuple[str, str], AESGCM] = {}
 
     def request_key(self, model_id: str, enclave: EnclaveMeasurement) -> SymmetricKey:
         """The request key for ``(model, enclave)``; generated on first use."""
@@ -304,7 +303,7 @@ class UserClient(_Principal):
 
     def _request_cipher(
         self, model_id: str, enclave: EnclaveMeasurement
-    ) -> SessionCipher:
+    ) -> AESGCM:
         """The cached session cipher for ``(model, enclave)``.
 
         Derived once per request key and reused across the hot session;

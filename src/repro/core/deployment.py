@@ -249,7 +249,7 @@ class UserSession:
         ``env.tracer``; the first call additionally traces the sandbox
         and enclave start it triggers.
 
-        When the environment carries an enabled
+        When the environment carries a
         :class:`~repro.faults.resilience.ResiliencePolicy`, transport
         failures are retried with backoff under a per-request budget
         (``timeout_s`` overrides the policy default -- the repo-wide
@@ -268,7 +268,7 @@ class UserSession:
             user_id=self.user.principal_id,
             node_id=self.node_id,
         ) as root:
-            if policy is None or not policy.enabled:
+            if policy is None:
                 result = self._attempt(x, root)
             else:
                 caller = self._resilient_caller()

@@ -21,12 +21,7 @@ The gateway owns the endpoint fleet for one :class:`FnPool`:
   gateway relaunches the endpoint cold -- which is exactly the
   single-endpoint degenerate case :class:`~repro.core.deployment.UserSession`
   is built on;
-- sustained queue pressure can **scale out** the fleet
-  (:class:`~repro.routing.ScaleOutPolicy`), and endpoints can be
-  drained then retired;
-- optional per-endpoint :class:`~repro.faults.resilience.CircuitBreaker`
-  guards convert a persistently failing endpoint into a routing
-  exclusion instead of an error storm.
+- endpoints can be drained then retired.
 
 Every dispatched request emits a ``route`` span on the tracer with the
 decision attributes (``endpoint``, ``exclusive``, ``reroutes``), so
@@ -70,17 +65,9 @@ from repro.errors import (
     SeSeMIError,
     TransportError,
 )
-from repro.faults.resilience import BreakerPolicy, CircuitBreaker
 from repro.obs.span import WallClock
 from repro.obs.tracer import Tracer, maybe_span
-from repro.routing import (
-    BatchAffinity,
-    FnPackerRouter,
-    FnPool,
-    PressureTracker,
-    Router,
-    ScaleOutPolicy,
-)
+from repro.routing import BatchAffinity, FnPackerRouter, FnPool, Router
 from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
 
 #: a host launcher: endpoint name -> live SemirtHost
@@ -98,10 +85,7 @@ class GatewayConfig:
     ``redispatch_on_crash`` controls whether an endpoint failure is
     absorbed by rerouting (the fleet case) or surfaced to the caller
     (the degenerate single-endpoint session, where the caller's own
-    resilience layer owns the retry decision).  ``breaker`` arms one
-    :class:`CircuitBreaker` per endpoint; ``scale_out`` arms fleet
-    growth under sustained backpressure -- the gateway is where
-    ``QueueFull`` is observed, so it owns the one pressure tracker.
+    resilience layer owns the retry decision).
 
     ``warm_pool`` arms a :class:`~repro.warmpool.manager.WarmPoolManager`: warm
     endpoint reuse becomes strategy-driven and idle endpoints are retired
@@ -111,8 +95,6 @@ class GatewayConfig:
     gateway (default :class:`~repro.routing.FnPackerRouter`).
     """
 
-    scale_out: Optional[ScaleOutPolicy] = None
-    breaker: Optional[BreakerPolicy] = None
     redispatch_on_crash: bool = True
     warm_pool: Optional[WarmPoolConfig] = None
 
@@ -158,18 +140,12 @@ class InferenceGateway:
         self.config = config if config is not None else GatewayConfig()
         self.router = router if router is not None else FnPackerRouter(pool)
         self.tracer = tracer
-        # exclusivity lapse, keep-alive and breaker cool-down all read
-        # this clock, so it must always tell a time
+        # exclusivity lapse and keep-alive both read this clock, so it
+        # must always tell a time
         self._clock = clock or (tracer.clock if tracer is not None else WallClock())
         self._launcher = launcher
         self._hosts: Dict[str, SemirtHost] = {}
         self._owned: Set[str] = set()
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        self._pressure = (
-            PressureTracker(self.config.scale_out)
-            if self.config.scale_out is not None
-            else None
-        )
         self.warm_pool: Optional[WarmPoolManager] = (
             WarmPoolManager(self.config.warm_pool)
             if self.config.warm_pool is not None
@@ -227,21 +203,6 @@ class InferenceGateway:
 
     def _now(self) -> float:
         return self._clock.now()
-
-    def _breaker(self, endpoint: str) -> Optional[CircuitBreaker]:
-        if self.config.breaker is None:
-            return None
-        breaker = self._breakers.get(endpoint)
-        if breaker is None:
-            breaker = CircuitBreaker(self.config.breaker, clock=self._clock)
-            self._breakers[endpoint] = breaker
-        return breaker
-
-    def _sustained_pressure(self, saw_pressure: bool) -> bool:
-        """One backpressure observation; ``True`` means grow the fleet."""
-        return self._pressure is not None and self._pressure.observe(
-            saw_pressure, self.endpoint_count
-        )
 
     def _hint_usable(
         self, endpoint: Optional[str], model_id: str, exclude: Set[str], idle: bool
@@ -328,7 +289,7 @@ class InferenceGateway:
         """Admit one encrypted request and return a polling handle.
 
         The async face of :meth:`dispatch`: the admission-time routing
-        walk (affinity hint, breaker exclusion, ``QueueFull`` reroute,
+        walk (affinity hint, ``QueueFull`` reroute,
         crash redispatch) runs here, but instead of blocking for the
         output the gateway returns a :class:`GatewaySubmission` over the
         endpoint's :class:`InferenceFuture`.  Rerouting is
@@ -409,51 +370,37 @@ class InferenceGateway:
         """The one admission-time routing walk.
 
         For each candidate endpoint (:meth:`_candidate`: the two one-shot
-        hints, then the router's picks): open breaker -> skip; no live
-        host -> launch or reroute; admit through the entry point that
-        ``entry(host)`` names (``host.submit``, ``host.claim`` or
-        ``host.open_stream``) and return
-        the ``handle_type`` over the endpoint's handle.  Every candidate that
+        hints, then the router's picks): no live host -> launch or
+        reroute; admit through the entry point that ``entry(host)`` names
+        (``host.submit``, ``host.claim`` or ``host.open_stream``) and
+        return the ``handle_type`` over the endpoint's handle.  Every candidate that
         cannot take the request joins ``exclude`` and is never offered
         again, which is what bounds the walk.  ``exclude`` and
         ``decision`` are the caller's: :meth:`dispatch` shares them across
         re-admissions so a crashed endpoint stays excluded and the
         redispatch budget is global.
 
-        Backpressure is observed **once per admission** -- ``True`` when
-        any endpoint's queue was full on the way, ``False`` otherwise --
-        so sustained pressure scales the fleet out and an idle admission
-        resets the count.  Raises :class:`QueueFull` when every endpoint
-        that could be offered the request refused it.
+        Raises :class:`QueueFull` when every endpoint that could be
+        offered the request refused it.
         """
         hints = self._hints(user_id, model_id)
         refused: Optional[QueueFull] = None  # backpressure met on the way
-        observed = False  # ... and already reported to the pressure tracker
         while True:
             try:
                 endpoint = self._candidate(hints, model_id, exclude, decision)
             except RoutingError:
                 # The candidates ran out.  A saturated fleet surfaces the
-                # remembered QueueFull unless *sustained* pressure spawns
-                # an endpoint; a janitor-emptied one (scale-to-zero)
+                # remembered QueueFull; a janitor-emptied one (scale-to-zero:
+                # nothing refused, nothing excluded, nothing there at all)
                 # regrows on demand -- the cold start is the request's price.
-                if refused is not None:
-                    grow = not observed and self._sustained_pressure(True)
-                    observed = True
-                else:  # nothing refused, nothing excluded: nothing there at all
-                    emptied = self.warm_pool is not None and not exclude
-                    grow = emptied and model_id in self.pool.models
-                if grow and self._grow_fleet():
-                    refused = None
-                    continue
+                # The grown endpoint is hostless, so the next candidate is it.
                 if refused is not None:
                     raise refused
+                emptied = self.warm_pool is not None and not exclude
+                if emptied and model_id in self.pool.models and self._grow_fleet():
+                    continue
                 raise
-            breaker = self._breaker(endpoint)
-            if breaker is not None and breaker.state == "open":
-                launched = None  # an open breaker is a routing exclusion
-            else:
-                launched = self._ensure_host(endpoint, model_id, exclude)
+            launched = self._ensure_host(endpoint, model_id, exclude)
             if launched is not None:
                 host, decision.cold, decision.cold_start_s = launched
                 decision.endpoint = endpoint
@@ -463,9 +410,8 @@ class InferenceGateway:
                     refused = exc
                 except (EnclaveError, TransportError):
                     # the endpoint died at admission (e.g. an injected
-                    # crash): nothing was enqueued, so only health and
-                    # breaker state change.
-                    self._note_endpoint_death(endpoint, breaker)
+                    # crash): nothing was enqueued, so only health changes.
+                    self._note_endpoint_death(endpoint)
                     if not self._may_redispatch(decision):
                         raise
                     exclude.add(endpoint)
@@ -492,8 +438,6 @@ class InferenceGateway:
             # -- and for streams, the ones its continuous batcher
             # can absorb mid-decode
             self._affinity.remember(user_id, model_id, endpoint)
-        if not observed and self._sustained_pressure(refused is not None):
-            self._grow_fleet()
         return handle_type(self, inner, endpoint, model_id, decision, host)
 
     def _hints(
@@ -547,10 +491,8 @@ class InferenceGateway:
 
         The settle hook of every gateway handle: releases the in-flight
         slot, tells the router (and warm pool) how the dispatch ended,
-        and charges the endpoint's breaker -- or marks the endpoint dead
-        when its enclave did not survive.  A cancel is not an endpoint
-        failure: the router sees a completion and the breaker is left
-        untouched.
+        and marks the endpoint dead when its enclave did not survive.  A
+        cancel is not an endpoint failure: the router sees a completion.
         """
         ok = cancelled or error is None
         now = self._now()
@@ -561,16 +503,8 @@ class InferenceGateway:
         with self._lock:
             self._in_flight -= 1
             self._idle.notify_all()
-        if cancelled:
-            return
-        breaker = self._breaker(handle.endpoint)
-        if ok:
-            if breaker is not None:
-                breaker.on_success()
-        elif not handle.host.enclave.alive:
-            self._note_endpoint_death(handle.endpoint, breaker)
-        elif breaker is not None:
-            breaker.on_failure()
+        if not ok and not handle.host.enclave.alive:
+            self._note_endpoint_death(handle.endpoint)
 
     # -- endpoint hosts ----------------------------------------------------------
 
@@ -605,7 +539,7 @@ class InferenceGateway:
             name != endpoint and (peer is None or peer.enclave.alive)
             for name, peer in self._fleet(exclude, model_id)
         ):
-            self._note_endpoint_death(endpoint, self._breaker(endpoint))
+            self._note_endpoint_death(endpoint)
             return None
         return self._launch(endpoint)
 
@@ -653,17 +587,13 @@ class InferenceGateway:
             if host is None or not host.enclave.alive:
                 yield name
 
-    def _note_endpoint_death(
-        self, endpoint: str, breaker: Optional[CircuitBreaker]
-    ) -> None:
+    def _note_endpoint_death(self, endpoint: str) -> None:
         self.router.mark_endpoint_down(endpoint)
         self._affinity.forget_endpoint(endpoint)
         if self.warm_pool is not None:
             self.warm_pool.on_down(endpoint, self._now())
-        if breaker is not None:
-            breaker.on_failure()
 
-    # -- scale-out ----------------------------------------------------------------
+    # -- fleet growth ---------------------------------------------------------------
 
     def _add_endpoint(self) -> Optional[str]:
         try:
@@ -672,7 +602,7 @@ class InferenceGateway:
             return None  # baseline routers have a fixed layout
 
     def _grow_fleet(self) -> bool:
-        """Reactive growth: one more endpoint, marked by a ``scale_out`` span."""
+        """Regrow an emptied fleet: one more endpoint, marked by a ``scale_out`` span."""
         endpoint = self._add_endpoint()
         if endpoint is not None:
             with maybe_span(self.tracer, "scale_out", endpoint=endpoint):
@@ -849,7 +779,7 @@ class GatewaySubmission(_Routed, DerivedHandle):
     routing outcome (``endpoint``, ``decision``, ``host``); whichever of
     :meth:`result` / :meth:`cancel` first observes the outcome settles
     the gateway's routing state (in-flight count, router completion,
-    breaker, endpoint-death marking) **exactly once** -- so the async
+    endpoint-death marking) **exactly once** -- so the async
     surface keeps the same fleet accounting as the blocking one.
     """
 

@@ -29,7 +29,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Set, Tuple
 
 from repro.core import wire
-from repro.crypto.gcm import AESGCM, SessionCipher
+from repro.crypto.gcm import AESGCM
 from repro.crypto.hashes import sha256
 from repro.errors import (
     AccessDenied,
@@ -123,7 +123,7 @@ class KeyServiceEnclaveCode(EnclaveCode):
         # rebuilding the key schedule + GHASH tables per op.  Built
         # directly (not via the process-wide AESGCM.derive cache) so
         # enclave-held key material never leaves the enclave object.
-        self._identity_ciphers: Dict[str, SessionCipher] = {}
+        self._identity_ciphers: Dict[str, AESGCM] = {}
 
     # -- ECALL surface ------------------------------------------------------------
 
@@ -222,18 +222,18 @@ class KeyServiceEnclaveCode(EnclaveCode):
         except (AccessDenied, UnknownIdentity) as exc:
             return {"ok": False, "error": str(exc)}
 
-    def _identity_cipher(self, principal_id: str) -> SessionCipher:
+    def _identity_cipher(self, principal_id: str) -> AESGCM:
         key = self._ks_i.get(principal_id)
         if key is None:
             raise UnknownIdentity(f"principal {principal_id[:12]}... is not registered")
         cipher = self._identity_ciphers.get(principal_id)
         if cipher is None:
-            cipher = SessionCipher(AESGCM(key))
+            cipher = AESGCM(key)
             self._identity_ciphers[principal_id] = cipher
         return cipher
 
     @staticmethod
-    def _open_authenticated(cipher: SessionCipher, blob: bytes, op: str) -> dict:
+    def _open_authenticated(cipher: AESGCM, blob: bytes, op: str) -> dict:
         """Open a payload sealed under a principal's long-term key.
 
         The AAD pins the operation name, so a recorded ``add_req_key``

@@ -70,7 +70,6 @@ from repro.crypto.gcm import (
     NONCE_SIZE,
     RESERVOIR_BLOCKS,
     AESGCM,
-    SessionCipher,
     frame_nonce,
 )
 from repro.crypto.keys import random_bytes
@@ -261,7 +260,7 @@ class _KeyCacheEntry:
     def __post_init__(self) -> None:
         # derived in-enclave, deliberately NOT through the process-wide
         # AESGCM.derive cache: enclave key state never leaves the enclave
-        self.cipher = SessionCipher(AESGCM(self.request_key))
+        self.cipher = AESGCM(self.request_key)
 
 
 class FrameRun:
@@ -284,7 +283,7 @@ class FrameRun:
 
     def __init__(
         self,
-        cipher: SessionCipher,
+        cipher: AESGCM,
         nonce: bytes,
         frames: int,
         run: Optional[np.ndarray] = None,
@@ -784,7 +783,7 @@ class SemirtEnclaveCode(EnclaveCode):
 
     @staticmethod
     def _authenticate(
-        cipher: SessionCipher, sealed: bytes, kind: bytes, model_id: str, what: str
+        cipher: AESGCM, sealed: bytes, kind: bytes, model_id: str, what: str
     ) -> bytes:
         """Open a sealed body of AAD ``kind``; anything else is refused."""
         try:
@@ -857,7 +856,7 @@ class SemirtEnclaveCode(EnclaveCode):
         self,
         runtime,
         model: Model,
-        request_cipher: SessionCipher,
+        request_cipher: AESGCM,
         enc_request: bytes,
         model_id: str,
     ) -> bytes:
@@ -925,7 +924,7 @@ class SemirtEnclaveCode(EnclaveCode):
             encrypted = self.ocall("OC_LOAD_MODEL", model_id)
         with self._stage_span(Stage.MODEL_DECRYPT, model_id=model_id):
             try:
-                plaintext = AESGCM(model_key).open(encrypted, aad=model_id.encode())
+                plaintext = AESGCM(model_key).unseal(encrypted, aad=model_id.encode())
             except Exception as exc:
                 raise InvocationError(
                     f"model {model_id!r} failed authentication (tampered or wrong key)"

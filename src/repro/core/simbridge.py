@@ -411,10 +411,9 @@ class UntrustedSimActor(_SgxActorBase):
         ))
 
     def _plain_exec(self, ctx: ContainerContext, servable: ServableModel):
-        """Execution holds one core; the charge is the run time alone."""
+        """Execution holds one core; the charge includes the wait for it."""
         seconds = self.cost.untrusted_exec_s(servable.profile, servable.framework)
-        yield from self._hold(ctx, ctx.node.cores, lambda: seconds)
-        return seconds
+        return (yield from self._hold(ctx, ctx.node.cores, lambda: seconds))
 
     stage_costs = {
         **_SgxActorBase.stage_costs,

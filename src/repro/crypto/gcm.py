@@ -160,16 +160,15 @@ class AESGCM:
     derives ``H``.  The GHASH tables (64 KiB per power of ``H``, at most
     :data:`GHASH_TABLE_CAP_BYTES`, each grown from the one before) are
     built the first time a message is long enough to need them and then
-    kept, so on the hot path prefer
-    :meth:`AESGCM.derive`: it returns a cached :class:`SessionCipher`
-    wrapping that state, and repeat requests under the same key skip the
-    rebuild; per-call construction is deprecated there (cold-path and
-    one-shot uses are fine).
+    kept, so on the hot path prefer :meth:`AESGCM.derive`: it returns a
+    cached cipher for the key, and repeat requests under the same key
+    skip the rebuild; per-call construction is deprecated there
+    (cold-path and one-shot uses are fine).
 
     The random-nonce :meth:`seal` takes its nonce and keystream from a
     reservoir of pre-drawn slots, at most :data:`RESERVOIR_BLOCKS` blocks
     (4 KiB), filled inside AES batches the cipher runs anyway: an
-    :meth:`open` finding the reservoir empty adds one slot the length of
+    :meth:`unseal` finding the reservoir empty adds one slot the length of
     the last seal to its own batch, and a seal finding no slot long enough
     computes spare slots beside its own keystream (1, 2, 4 ... 32 per
     miss).  So a warm request/reply exchange runs one AES batch per party.
@@ -418,23 +417,23 @@ class AESGCM:
         nonce, keystream = self._draw(_blocks(len(plaintext)))
         return nonce + self._encrypt(keystream, plaintext, aad)
 
-    def open(self, blob: bytes, aad: bytes = b"") -> bytes:
-        """Inverse of :meth:`seal`.
+    def unseal(self, blob: bytes, aad: bytes = b"") -> bytes:
+        """Inverse of :meth:`seal`; raises :class:`InvalidTag`.
 
         When the reservoir is empty and this cipher has sealed a message
-        that fits it, the open's batch also fills one slot the length of
+        that fits it, the unseal's batch also fills one slot the length of
         that last seal.
         """
-        return self._open(blob, aad, None)[0]
+        return self._unseal(blob, aad, None)[0]
 
-    def open_drawing(
+    def unseal_drawing(
         self, blob: bytes, aad: bytes, nonce: bytes, count: int, length: int
     ) -> tuple[bytes, np.ndarray]:
-        """:meth:`open`, plus ``keystream_run(nonce, 0, count, length)``
+        """:meth:`unseal`, plus ``keystream_run(nonce, 0, count, length)``
         drawn inside the same AES batch."""
-        return self._open(blob, aad, (nonce, 0, count, _blocks(length)))
+        return self._unseal(blob, aad, (nonce, 0, count, _blocks(length)))
 
-    def _open(self, blob: bytes, aad: bytes, frames) -> tuple[bytes, np.ndarray | None]:
+    def _unseal(self, blob: bytes, aad: bytes, frames) -> tuple[bytes, np.ndarray | None]:
         if len(blob) < NONCE_SIZE + TAG_SIZE:
             raise InvalidTag("sealed blob too short")
         ciphertext = blob[NONCE_SIZE:]
@@ -465,7 +464,7 @@ class AESGCM:
         (tag mask, then CTR) for a ``length``-byte message, byte-equal to
         the one :meth:`encrypt` computes for it.  Like a reservoir slot it
         is key-equivalent state, and each row may seal exactly one message.
-        The batch refills an empty reservoir the way :meth:`open`'s does.
+        The batch refills an empty reservoir the way :meth:`unseal`'s does.
         """
         return self._refilling([], (nonce, first, count, _blocks(length)))[-1]
 
@@ -488,14 +487,14 @@ class AESGCM:
     # -- session contexts ------------------------------------------------------
 
     @classmethod
-    def derive(cls, key) -> "SessionCipher":
-        """A cached :class:`SessionCipher` for ``key``.
+    def derive(cls, key) -> "AESGCM":
+        """A cached :class:`AESGCM` for ``key``.
 
         The first derivation per key pays the key schedule, and the first
         messages under it the GHASH table builds; later calls return the
         same context from a bounded process-wide LRU.  Sharing is sound
         because the only state an :class:`AESGCM` changes is guarded:
-        every ``seal``/``open`` works in its own scratch arrays, the table
+        every ``seal``/``unseal`` works in its own scratch arrays, the table
         tuple only ever grows under a lock, and each reservoir slot (a
         pre-drawn nonce and its keystream) is taken out under a lock
         before use and never put back, so no two threads, sessions or
@@ -523,7 +522,7 @@ class AESGCM:
                 _SESSION_CACHE.move_to_end(material)
                 return cached
         # build outside the lock: the key schedule is the slow part
-        cipher = SessionCipher(cls(material))
+        cipher = cls(material)
         with _SESSION_LOCK:
             existing = _SESSION_CACHE.get(material)
             if existing is not None:
@@ -534,65 +533,9 @@ class AESGCM:
         return cipher
 
 
-class SessionCipher:
-    """A reusable sealed-context handle over one derived :class:`AESGCM`.
-
-    Obtained from :meth:`AESGCM.derive`; carries the expanded key
-    schedule and GHASH tables across a hot session so only the first
-    requests under a key pay their construction.  Thread-safe: the only
-    state that ever changes is the table tuple, which grows under a lock,
-    and the keystream reservoir, whose slots are taken out under a lock
-    and never put back.  ``seal``/``unseal`` are the random-nonce blob API
-    the hot path uses (an ``unseal`` pre-draws the keystream for the next
-    ``seal``); ``encrypt``/``decrypt`` expose the explicit-nonce
-    primitives for callers that manage nonces themselves.
-    """
-
-    __slots__ = ("_gcm",)
-
-    def __init__(self, gcm: AESGCM) -> None:
-        self._gcm = gcm
-
-    def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt with a fresh random nonce; returns ``nonce || ct || tag``."""
-        return self._gcm.seal(plaintext, aad)
-
-    def unseal(self, blob: bytes, aad: bytes = b"") -> bytes:
-        """Inverse of :meth:`seal`; raises :class:`InvalidTag`."""
-        return self._gcm.open(blob, aad)
-
-    def unseal_drawing(
-        self, blob: bytes, aad: bytes, nonce: bytes, count: int, length: int
-    ) -> tuple[bytes, np.ndarray]:
-        """:meth:`unseal` plus a stream's first keystream run, one AES batch."""
-        return self._gcm.open_drawing(blob, aad, nonce, count, length)
-
-    def keystream_run(self, nonce: bytes, first: int, count: int, length: int) -> np.ndarray:
-        """:meth:`AESGCM.keystream_run` on the derived state."""
-        return self._gcm.keystream_run(nonce, first, count, length)
-
-    def seal_with(
-        self, nonce: bytes, keystream: np.ndarray, plaintext: bytes, aad: bytes = b""
-    ) -> bytes:
-        """:meth:`AESGCM.seal_with` on the derived state."""
-        return self._gcm.seal_with(nonce, keystream, plaintext, aad)
-
-    def open_with(self, keystream: np.ndarray, blob: bytes, aad: bytes = b"") -> bytes:
-        """:meth:`AESGCM.open_with` on the derived state."""
-        return self._gcm.open_with(keystream, blob, aad)
-
-    def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Explicit-nonce :meth:`AESGCM.encrypt` on the derived state."""
-        return self._gcm.encrypt(nonce, plaintext, aad)
-
-    def decrypt(self, nonce: bytes, ciphertext: bytes, aad: bytes = b"") -> bytes:
-        """Explicit-nonce :meth:`AESGCM.decrypt` on the derived state."""
-        return self._gcm.decrypt(nonce, ciphertext, aad)
-
-
-#: process-wide derived-context LRU; key material -> SessionCipher
+#: process-wide derived-context LRU; key material -> AESGCM
 SESSION_CACHE_CAPACITY = 128
-_SESSION_CACHE: "OrderedDict[bytes, SessionCipher]" = OrderedDict()
+_SESSION_CACHE: "OrderedDict[bytes, AESGCM]" = OrderedDict()
 _SESSION_LOCK = threading.Lock()
 
 

@@ -75,18 +75,16 @@ class BreakerPolicy:
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Everything the serving path needs to survive partial failure."""
+    """Everything the serving path needs to survive partial failure.
 
-    enabled: bool = True
+    The paper's baseline -- no deadlines, no retries, no breakers -- is no
+    policy at all: ``resilience=None``.
+    """
+
     deadline_s: Optional[float] = 30.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     seed: int = 2025
-
-    @classmethod
-    def disabled(cls) -> "ResiliencePolicy":
-        """The paper's baseline: no deadlines, no retries, no breakers."""
-        return cls(enabled=False)
 
 
 class Deadline:

@@ -2,7 +2,7 @@
 
 ``repro.routing`` holds every piece of routing *policy* -- the
 :class:`FnPool` declaration, per-endpoint state, the FnPacker /
-One-to-one / All-in-one routers, and the scale-out lifecycle -- with no
+One-to-one / All-in-one routers, and the batch-affinity hint -- with no
 knowledge of what an endpoint actually is.  The simulated twin adapts
 it onto the discrete-event ``Controller`` (``repro.workloads.driver``),
 the functional twin onto live ``SemirtHost`` enclaves
@@ -17,7 +17,6 @@ is a docstring): ``bench/`` imports ``FnPool`` from here.
 """
 
 from repro.routing.affinity import BatchAffinity
-from repro.routing.lifecycle import PressureTracker, ScaleOutPolicy
 from repro.routing.policy import (
     AllInOneRouter,
     FnPackerRouter,
@@ -33,7 +32,5 @@ __all__ = [
     "FnPackerRouter",
     "FnPool",
     "OneToOneRouter",
-    "PressureTracker",
     "Router",
-    "ScaleOutPolicy",
 ]

@@ -258,7 +258,7 @@ class FnPackerRouter(Router):
     # -- endpoint lifecycle (scale-out / drain / retire) -------------------------
 
     def add_endpoint(self, name: Optional[str] = None) -> Tuple[str, Tuple[str, ...]]:
-        """Grow the pool by one endpoint (scale-out under pressure)."""
+        """Grow the pool by one endpoint (pre-warming, regrowth from zero)."""
         if name is None:
             name = f"{self.pool.name}-ep{self._endpoint_seq}"
         if name in self._endpoints:

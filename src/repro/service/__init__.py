@@ -5,7 +5,7 @@ inference through a network boundary.  This package puts a threaded
 HTTP/1.1 service (stdlib only, one thread per connection) in front of
 :class:`~repro.core.gateway.InferenceGateway`:
 
-- :class:`ServiceConfig` -- admission, rate-limit, and deadline knobs;
+- :class:`ServiceConfig` -- admission and deadline knobs;
 - :mod:`repro.service.protocol` -- what both sides agree on (media
   types, ``/v1/stream`` record framing), defined once;
 - :class:`InferenceService` / :func:`serve` -- the server: sync
@@ -28,7 +28,7 @@ config from here.  Importing any module below therefore loads the server;
 import lines only until those ``bench/`` imports name the modules.
 """
 
-from repro.service.admission import AdmissionController, TokenBucket
+from repro.service.admission import AdmissionController
 from repro.service.client import (
     RemoteEnvironment,
     RemoteFuture,
@@ -48,6 +48,5 @@ __all__ = [
     "RemoteSession",
     "ServiceClient",
     "ServiceConfig",
-    "TokenBucket",
     "serve",
 ]

@@ -1,4 +1,4 @@
-"""Admission control: bounded inflight plus per-tenant token buckets.
+"""Admission control: bounded inflight, per tenant and overall.
 
 The service boundary -- not the enclave queue -- is where sustained
 saturation must turn into *fast* rejections (S3ML and Privado both put
@@ -13,62 +13,18 @@ arrive from every connection thread and from the TTL sweeper.
 from __future__ import annotations
 
 import threading
-import time
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.errors import QueueFull
 from repro.service.config import ServiceConfig
 
 
-class TokenBucket:
-    """A classic token bucket: ``rate`` tokens/s up to ``burst``.
-
-    Starts full.  :meth:`try_take` is O(1) and never sleeps -- a miss
-    is a shed, not a wait (the service converts it to 429 so the
-    *client* paces itself).
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: int,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
-        self._clock = clock
-        self._tokens = self.burst
-        self._stamp = clock()
-
-    def try_take(self, n: float = 1.0) -> bool:
-        """Take ``n`` tokens if available; ``False`` sheds the request."""
-        now = self._clock()
-        self._tokens = min(
-            self.burst, self._tokens + (now - self._stamp) * self.rate
-        )
-        self._stamp = now
-        if self._tokens < n:
-            return False
-        self._tokens -= n
-        return True
-
-    @property
-    def tokens(self) -> float:
-        """Tokens available right now (refreshes the bucket)."""
-        now = self._clock()
-        self._tokens = min(
-            self.burst, self._tokens + (now - self._stamp) * self.rate
-        )
-        self._stamp = now
-        return self._tokens
-
-
 class AdmissionController:
     """Decide, in O(1), whether one tenant request may enter the tier.
 
-    Enforces (in order): the per-tenant token bucket, the per-tenant
-    inflight bound, and the total inflight bound.  All three shed with
-    :class:`~repro.errors.QueueFull` -> 429 on the wire -- the same
+    Enforces (in order): the per-tenant inflight bound and the total
+    inflight bound.  Both shed with :class:`~repro.errors.QueueFull` ->
+    429 on the wire -- the same
     backpressure type the enclave admission queue raises, so a client
     treats "service shed" and "fleet saturated" identically.
 
@@ -78,20 +34,13 @@ class AdmissionController:
     idempotent per handle.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        self._clock = clock
         self._lock = threading.Lock()
         self._inflight_total = 0
         self._inflight: Dict[str, int] = {}
-        self._buckets: Dict[str, TokenBucket] = {}
         # shed/admit counters for /v1/stats and the benchmark gates
         self.admitted = 0
-        self.shed_rate = 0
         self.shed_tenant = 0
         self.shed_total = 0
         self.released = 0
@@ -99,20 +48,6 @@ class AdmissionController:
     def admit(self, tenant: str) -> Callable[[], None]:
         """Admit one request for ``tenant`` or raise :class:`QueueFull`."""
         with self._lock:
-            if self.config.rate_rps is not None:
-                bucket = self._buckets.get(tenant)
-                if bucket is None:
-                    bucket = TokenBucket(
-                        self.config.rate_rps, self.config.rate_burst,
-                        clock=self._clock,
-                    )
-                    self._buckets[tenant] = bucket
-                if not bucket.try_take():
-                    self.shed_rate += 1
-                    raise QueueFull(
-                        f"tenant {tenant!r} exceeded "
-                        f"{self.config.rate_rps:g} req/s"
-                    )
             tenant_inflight = self._inflight.get(tenant, 0)
             if tenant_inflight >= self.config.max_inflight_per_tenant:
                 self.shed_tenant += 1
@@ -160,11 +95,10 @@ class AdmissionController:
                 "inflight_by_tenant": dict(self._inflight),
                 "admitted": self.admitted,
                 "released": self.released,
-                "shed_rate": self.shed_rate,
                 "shed_tenant": self.shed_tenant,
                 "shed_total": self.shed_total,
-                "shed": self.shed_rate + self.shed_tenant + self.shed_total,
+                "shed": self.shed_tenant + self.shed_total,
             }
 
 
-__all__ = ["AdmissionController", "TokenBucket"]
+__all__ = ["AdmissionController"]

@@ -12,7 +12,6 @@ and the service sweeper reads its cadence from the gateway's pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -27,9 +26,6 @@ class ServiceConfig:
         Bounded concurrent admitted requests, overall and per user id.
         A request beyond either bound is shed with a fast 429 -- the
         decision runs on the connection's thread, before any enclave work.
-    ``rate_rps`` / ``rate_burst``
-        Optional per-tenant token bucket: sustained requests per second
-        plus a burst allowance.  ``None`` disables rate limiting.
     ``default_deadline_s``
         Server-side cap on how long a sync ``/v1/infer`` may wait for
         the gateway; exceeded -> 504 (``DeadlineExceeded``).
@@ -45,8 +41,6 @@ class ServiceConfig:
     port: int = 0  # 0: bind an ephemeral port (tests, benchmarks)
     max_inflight_total: int = 64
     max_inflight_per_tenant: int = 16
-    rate_rps: Optional[float] = None
-    rate_burst: int = 8
     default_deadline_s: float = 30.0
     poll_wait_cap_s: float = 10.0
     result_ttl_s: float = 120.0
@@ -57,10 +51,6 @@ class ServiceConfig:
             raise ConfigError("max_inflight_total must be >= 1")
         if self.max_inflight_per_tenant < 1:
             raise ConfigError("max_inflight_per_tenant must be >= 1")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ConfigError("rate_rps must be positive (or None)")
-        if self.rate_burst < 1:
-            raise ConfigError("rate_burst must be >= 1")
         if self.default_deadline_s <= 0:
             raise ConfigError("default_deadline_s must be positive")
         if self.poll_wait_cap_s <= 0:

@@ -38,7 +38,7 @@ class SealingService:
         identity = enclave.measurement.value
         cipher = self._cipher_for(identity)
         try:
-            return cipher.open(blob, aad=identity.encode())
+            return cipher.unseal(blob, aad=identity.encode())
         except Exception as exc:
             raise SealingError(
                 "sealed blob does not belong to this enclave identity"

@@ -21,13 +21,6 @@ instances itself*.  Three cooperating parts, composed by
   size the warm fleet *ahead* of predicted demand (Little's law over
   the estimated rate and service time), so flash crowds land warm.
 
-Reactive growth under queue pressure
-(:class:`~repro.routing.ScaleOutPolicy`) is not decided here: the
-gateway observes ``QueueFull`` and owns the one
-:class:`~repro.routing.PressureTracker` (``GatewayConfig.scale_out``);
-an endpoint it spawns reaches the decision log like any other, as the
-``launch ... kind=demand`` line its first request writes.
-
 Layering rule (enforced by ``scripts/check_layering.py``): this package
 imports only the stdlib, ``repro.errors``, and :mod:`repro.routing`
 types.  It must never import ``repro.core``, ``repro.serverless``, or

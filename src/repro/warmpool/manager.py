@@ -36,12 +36,6 @@ and predictor rates surface through :meth:`stats` (the service tier's
 **decision log** of plain strings -- a seeded trace replayed against a
 fresh manager produces a byte-identical log, which CI gates on.
 
-Reactive scale-out is not decided here: the gateway observes
-``QueueFull`` and owns the one :class:`~repro.routing.PressureTracker`
-(``GatewayConfig.scale_out``).  An endpoint it spawns reaches the
-decision log like any other, as the ``launch ... kind=demand`` line its
-first request writes.
-
 Thread-safe: the live gateway dispatches from many threads; one lock
 guards all mutable state.  Determinism holds for any single-threaded
 (or externally serialised) event sequence.

@@ -508,9 +508,7 @@ def test_destroy_frees_the_model_the_memo_and_the_keyservice_channel_at_once(
         heap = {
             "model": weakref.ref(code._model),
             "memo entry": weakref.ref(entry),
-            # SessionCipher is one slot; the key schedule and GHASH tables
-            # are its AESGCM's
-            "memo cipher": weakref.ref(entry.cipher._gcm),
+            "memo cipher": weakref.ref(entry.cipher),
             "keyservice channel": weakref.ref(code._ks_session[1]),
             # the per-TCS runtime lives in a worker thread's local storage
             "runtime": weakref.ref(

@@ -6,6 +6,8 @@ sweeps + pre-warm launches, and scale-from-zero regrowth after the
 janitor empties the fleet.
 """
 
+import pytest
+
 from repro.core.gateway import GatewayConfig, InferenceGateway
 from repro.errors import QueueFull
 from repro.obs.span import LogicalClock
@@ -105,6 +107,19 @@ def test_janitor_emptied_fleet_regrows_on_demand():
     assert reply.output == b"y"
     assert reply.decision.cold and reply.decision.temperature == "cold"
     assert gw.warm_pool.fleet_size == 1
+
+
+def test_a_full_warm_fleet_sheds_instead_of_growing():
+    """Regrowth is for an emptied fleet only: a saturated one surfaces
+    the ``QueueFull`` and keeps its size."""
+    gw = make_warm_gateway(
+        plans={"p-ep0": [QueueFull("full")], "p-ep1": [QueueFull("full")]},
+    )
+    with pytest.raises(QueueFull):
+        gw.dispatch(b"x", "u", "m0")
+    assert gw.endpoint_count == 2
+    assert gw.launched == ["p-ep0", "p-ep1"]
+    assert gw.in_flight == 0
 
 
 def test_attached_hosts_are_pinned_against_the_janitor():

@@ -30,7 +30,6 @@ from repro.core.stages import Stage
 from repro.crypto.aes import AES
 from repro.crypto.gcm import (
     AESGCM,
-    SessionCipher,
     clear_session_cache,
     evict_session,
     session_cache_size,
@@ -58,7 +57,7 @@ def infer_on(user, host, model_id, x):
 def test_derive_returns_cached_context():
     key = SymmetricKey.generate()
     first = AESGCM.derive(key)
-    assert isinstance(first, SessionCipher)
+    assert isinstance(first, AESGCM)
     assert AESGCM.derive(key) is first
     assert AESGCM.derive(bytes(key)) is first  # keyed on material
 
@@ -67,7 +66,7 @@ def test_derived_cipher_interoperates_with_fresh_aesgcm():
     key = SymmetricKey.generate()
     cipher = AESGCM.derive(key)
     blob = cipher.seal(b"payload", aad=b"ctx")
-    assert AESGCM(bytes(key)).open(blob, aad=b"ctx") == b"payload"
+    assert AESGCM(bytes(key)).unseal(blob, aad=b"ctx") == b"payload"
     assert cipher.unseal(AESGCM(bytes(key)).seal(b"x", aad=b"a"), aad=b"a") == b"x"
 
 
@@ -238,14 +237,14 @@ def test_pre_drawn_keystream_goes_with_its_cipher(world, tiny_model, monkeypatch
 
     def memo_cipher():
         (entry,) = semirt.code._kc.values()
-        assert entry.cipher._gcm._reservoir  # the first seal's spare slot
-        return weakref.ref(entry.cipher._gcm)
+        assert entry.cipher._reservoir  # the first seal's spare slot
+        return weakref.ref(entry.cipher)
 
     key = SymmetricKey.generate()
     derived = AESGCM.derive(key)
     derived.unseal(derived.seal(b"x" * 64))
-    assert derived._gcm._reservoir
-    ref = weakref.ref(derived._gcm)
+    assert derived._reservoir
+    ref = weakref.ref(derived)
     del derived
     assert evict_session(key) and gone(ref)
 

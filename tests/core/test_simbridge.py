@@ -109,6 +109,26 @@ def test_untrusted_has_no_sgx_stages():
     assert Stage.MODEL_LOADING.value not in results[1].stage_seconds  # cached
 
 
+def test_untrusted_inference_charge_includes_the_wait_for_a_core():
+    """On a one-core node simultaneous requests queue for the core; each
+    request's ``model_inference`` charge is its span, wait included."""
+    bed = make_testbed(num_nodes=1, cores_per_node=1, traced=True)
+    models = models_for("MBNET")
+    spec = ActionSpec(name="ep", image="t", concurrency=4,
+                      memory_budget=action_budget(models["mbnet"], 4))
+    bed.platform.deploy(spec, lambda: UntrustedSimActor(models, bed.cost))
+    driver = make_driver(bed)
+    driver.submit_arrivals([Arrival(time=0.0, model_id="mbnet", user_id="u")] * 4)
+    report = driver.run(until=2000)
+    stage = Stage.MODEL_INFERENCE.value
+    charged = sorted(r.stage_seconds[stage] for r in report.results)
+    spans = sorted(
+        s.duration for s in bed.tracer.finished_spans() if s.name == f"stage:{stage}"
+    )
+    assert len(charged) == 4 and charged[-1] > charged[0]  # someone waited
+    assert charged == pytest.approx(spans)
+
+
 def test_latency_ordering_between_systems():
     """Steady-state latency: SeSeMI < Iso-reuse < Native."""
     def steady(factory):

@@ -20,7 +20,6 @@ from repro.crypto.gcm import (
     SESSION_CACHE_CAPACITY,
     TAG_SIZE,
     _gf_mult,
-    SessionCipher,
     _multiply,
     evict_session,
     frame_nonce,
@@ -140,19 +139,19 @@ def test_non_default_nonce_length_supported():
 def test_seal_open_roundtrip():
     cipher = AESGCM(b"k" * 16)
     blob = cipher.seal(b"secret model", aad=b"ctx")
-    assert cipher.open(blob, aad=b"ctx") == b"secret model"
+    assert cipher.unseal(blob, aad=b"ctx") == b"secret model"
     assert len(blob) == NONCE_SIZE + len(b"secret model") + TAG_SIZE
 
 
 def test_open_rejects_short_blob():
     with pytest.raises(InvalidTag):
-        AESGCM(b"k" * 16).open(b"tiny")
+        AESGCM(b"k" * 16).unseal(b"tiny")
 
 
 def test_accepts_symmetric_key_objects():
     key = SymmetricKey.generate()
     cipher = AESGCM(key)
-    assert cipher.open(cipher.seal(b"data")) == b"data"
+    assert cipher.unseal(cipher.seal(b"data")) == b"data"
 
 
 @settings(max_examples=25, deadline=None)
@@ -184,7 +183,7 @@ def test_any_bitflip_detected_property(plaintext, flip):
 def test_large_payload_roundtrip():
     cipher = AESGCM(b"k" * 16)
     payload = bytes(range(256)) * 2048  # 512 KiB
-    assert cipher.open(cipher.seal(payload)) == payload
+    assert cipher.unseal(cipher.seal(payload)) == payload
 
 
 # -- the keystream reservoir behind seal() --------------------------------------
@@ -216,7 +215,7 @@ def test_seal_is_the_explicit_nonce_path(length):
         drawn += blob[:NONCE_SIZE] in pending
         assert blob[NONCE_SIZE:] == oracle.encrypt(blob[:NONCE_SIZE], plaintext, aad)
         reservoir_nonces(cipher)
-        assert cipher.open(blob, aad) == plaintext
+        assert cipher.unseal(blob, aad) == plaintext
         reservoir_nonces(cipher)
     # the first seal misses; every later one takes the slot the miss or an open left
     assert drawn == (5 if 1 + -(-length // 16) <= RESERVOIR_BLOCKS else 0)
@@ -248,10 +247,10 @@ def test_a_message_over_the_cap_never_touches_the_reservoir():
         blob = cipher.seal(bytes(length))
         assert blob[:NONCE_SIZE] not in held
         assert reservoir_nonces(cipher) == held  # neither drawn nor dropped
-        assert cipher.open(blob) == bytes(length)
+        assert cipher.unseal(blob) == bytes(length)
         assert reservoir_nonces(cipher) == held
     fresh = AESGCM(b"k" * 16)
-    assert fresh.open(fresh.seal(bytes(4096))) == bytes(4096)
+    assert fresh.unseal(fresh.seal(bytes(4096))) == bytes(4096)
     assert reservoir_nonces(fresh) == []  # an open sizes no slot by an over-cap seal
 
 
@@ -260,14 +259,14 @@ def test_open_adds_one_slot_the_size_of_the_last_seal():
     not pre-draw 197 blocks for an 89 B reply."""
     cipher, peer = AESGCM(b"k" * 16), AESGCM(b"k" * 16)
     request = peer.seal(bytes(3120))
-    cipher.open(request)
+    cipher.unseal(request)
     assert reservoir_nonces(cipher) == []  # never sealed: nothing to size a slot by
     cipher.seal(bytes(89))  # a miss and one spare slot ...
     cipher.seal(bytes(89))  # ... which this seal takes
     assert reservoir_nonces(cipher) == []
-    cipher.open(request)
+    cipher.unseal(request)
     assert [len(keystream) for _, keystream in cipher._reservoir] == [1 + 6]
-    cipher.open(request)  # not empty: no second slot
+    cipher.unseal(request)  # not empty: no second slot
     assert len(reservoir_nonces(cipher)) == 1
 
 
@@ -364,13 +363,13 @@ def test_open_drawing_is_open_plus_a_run_in_one_batch(monkeypatch):
     monkeypatch.setattr(
         AES, "encrypt_blocks", lambda self, b: (batches.append(len(b)), real(self, b))[1]
     )
-    plaintext, run = cipher.open_drawing(blob, b"a", nonce, 5, 9)
+    plaintext, run = cipher.unseal_drawing(blob, b"a", nonce, 5, 9)
     assert batches == [1 + 7 + 5 * 2]
     monkeypatch.undo()
     assert plaintext == bytes(100)
     assert np.array_equal(run, cipher.keystream_run(nonce, 0, 5, 9))
     with pytest.raises(InvalidTag):
-        cipher.open_drawing(blob, b"b", nonce, 5, 9)
+        cipher.unseal_drawing(blob, b"b", nonce, 5, 9)
 
 
 def test_open_with_refuses_a_blob_longer_than_its_keystream():
@@ -534,12 +533,12 @@ def test_power_tables_first_use_from_eight_threads():
 def test_table_memory_is_capped_whatever_the_message_size():
     cipher = AESGCM(b"k" * 16)
     assert cipher.table_bytes == 0  # nothing is built until a message needs it
-    cipher.open(cipher.seal(b"x" * 64, aad=b"frame"), aad=b"frame")
+    cipher.unseal(cipher.seal(b"x" * 64, aad=b"frame"), aad=b"frame")
     small = cipher.table_bytes
     assert 0 < small < GHASH_TABLE_CAP_BYTES
-    cipher.open(cipher.seal(bytes(1 << 20)))
+    cipher.unseal(cipher.seal(bytes(1 << 20)))
     assert cipher.table_bytes == GHASH_TABLE_CAP_BYTES == 9 * 64 * 1024
-    cipher.open(cipher.seal(bytes((1 << 20) + 4096 + 5)))
+    cipher.unseal(cipher.seal(bytes((1 << 20) + 4096 + 5)))
     cipher.seal(b"x" * 64)
     assert cipher.table_bytes == GHASH_TABLE_CAP_BYTES
 
@@ -562,7 +561,7 @@ def test_shared_session_cipher_is_thread_safe():
     """Mixed-size seal/open through one fresh context: its tables grow and
     its keystream reservoir is drawn from and refilled under the race, and
     no nonce is ever sealed twice."""
-    session = SessionCipher(AESGCM(b"shared-key-16byt"))
+    session = AESGCM(b"shared-key-16byt")
     sizes = (64, 89, 100, 3072, 4096, 5000, 65536, 64, 89)
     workers, rounds = 8, 9
     errors, nonces = [], []
@@ -597,8 +596,8 @@ def test_shared_session_cipher_is_thread_safe():
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert len(nonces) == workers * rounds == len(set(nonces))
-    reservoir_nonces(session._gcm)
+    reservoir_nonces(session)
     # every thread's ciphertext opens under an independently built cipher
-    assert session._gcm.table_bytes == GHASH_TABLE_CAP_BYTES
+    assert session.table_bytes == GHASH_TABLE_CAP_BYTES
     check = AESGCM(b"shared-key-16byt")
-    assert check.open(session.seal(b"after the race", b"aad"), b"aad") == b"after the race"
+    assert check.unseal(session.seal(b"after the race", b"aad"), b"aad") == b"after the race"

@@ -139,7 +139,3 @@ def test_caller_trips_shared_breaker():
         )
     with pytest.raises(CircuitOpen):
         caller.call("op", lambda a: "never reached")
-
-
-def test_disabled_policy_classmethod():
-    assert ResiliencePolicy.disabled().enabled is False

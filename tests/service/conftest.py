@@ -78,7 +78,6 @@ def launch_world(
     policy: Optional[BatchPolicy] = None,
     max_inflight: int = 8,
     queue_depth: int = 16,
-    rate_rps: Optional[float] = None,
     result_ttl_s: float = 120.0,
     poll_wait_cap_s: float = 10.0,
     share_tracer: bool = False,
@@ -112,7 +111,6 @@ def launch_world(
         config=ServiceConfig(
             max_inflight_total=max_inflight,
             max_inflight_per_tenant=max_inflight,
-            rate_rps=rate_rps,
             result_ttl_s=result_ttl_s,
             poll_wait_cap_s=poll_wait_cap_s,
         ),

@@ -1,4 +1,4 @@
-"""Unit tests for the admission controller and its token buckets."""
+"""Unit tests for the admission controller."""
 
 from __future__ import annotations
 
@@ -7,41 +7,13 @@ import threading
 import pytest
 
 from repro.errors import QueueFull
-from repro.service import AdmissionController, ServiceConfig, TokenBucket, admission
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-def test_token_bucket_starts_full_and_refills():
-    clock = FakeClock()
-    bucket = TokenBucket(rate=2.0, burst=3, clock=clock)
-    assert bucket.try_take() and bucket.try_take() and bucket.try_take()
-    assert not bucket.try_take()  # empty; no time has passed
-    clock.advance(0.5)  # 2 tokens/s * 0.5s = 1 token back
-    assert bucket.try_take()
-    assert not bucket.try_take()
-
-
-def test_token_bucket_caps_at_burst():
-    clock = FakeClock()
-    bucket = TokenBucket(rate=10.0, burst=2, clock=clock)
-    clock.advance(100.0)
-    assert bucket.tokens == pytest.approx(2.0)
+from repro.service import AdmissionController, ServiceConfig, admission
 
 
 def _controller(**overrides) -> AdmissionController:
     defaults = dict(max_inflight_total=4, max_inflight_per_tenant=2)
     defaults.update(overrides)
-    return AdmissionController(ServiceConfig(**defaults), clock=FakeClock())
+    return AdmissionController(ServiceConfig(**defaults))
 
 
 def test_per_tenant_bound_sheds_the_third_request():
@@ -111,22 +83,6 @@ def test_racing_releases_of_one_handle_count_once(monkeypatch):
     assert stats["inflight_by_tenant"] == {"a": 1}
     keep()
     assert controller.inflight_total == 0
-
-
-def test_rate_limit_sheds_before_inflight_accounting():
-    clock = FakeClock()
-    config = ServiceConfig(rate_rps=1.0, rate_burst=2)
-    controller = AdmissionController(config, clock=clock)
-    controller.admit("a")()
-    controller.admit("a")()
-    with pytest.raises(QueueFull, match="req/s"):
-        controller.admit("a")
-    clock.advance(1.0)
-    controller.admit("a")()
-    stats = controller.stats()
-    assert stats["shed_rate"] == 1
-    assert stats["admitted"] == 3
-    assert stats["inflight_total"] == 0
 
 
 def test_stats_snapshot_counts_by_tenant():

@@ -33,7 +33,7 @@ def test_gate_rejects_a_core_import_from_warmpool(tmp_path):
     bad.parent.mkdir()
     bad.write_text(
         "from repro.core.gateway import InferenceGateway\n"
-        "from repro.routing import ScaleOutPolicy\n"
+        "from repro.routing import FnPool\n"
     )
     checker = _load_checker()
     violations = checker.check(
@@ -49,7 +49,7 @@ def test_gate_allows_routing_types_in_warmpool(tmp_path):
     good.write_text(
         "import threading\n"
         "from repro.errors import ConfigError\n"
-        "from repro.routing import PressureTracker\n"
+        "from repro.routing import BatchAffinity\n"
         "from repro.warmpool.strategy import WarmEndpoint\n"
         "from . import janitor\n"
     )
