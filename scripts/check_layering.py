@@ -40,6 +40,11 @@ which loads the server.
   ``repro.crypto``, ``repro.mlrt``, ``repro.sgx``, ``repro.obs``; never
   the host, the gateway, the fault injector or either twin's platform.
   Its runtime closure is the manifest of an enclave child process.
+- ``repro.core.client``: the one session class, which the HTTP client
+  imports -- principals, sealing, the session and its handles, over
+  ``repro.faults`` / ``repro.obs`` / ``repro.sim`` at most; never the
+  gateway, the SeMIRT host, the deployment, ``repro.routing`` or
+  ``repro.service``.
 - ``repro.service.protocol`` / ``repro.service.client``: what both HTTP
   sides agree on owes neither; the client stays a client (no server,
   deployment, gateway or SeMIRT).
@@ -132,6 +137,21 @@ MODULES = {
         "repro.mlrt",
         "repro.sgx",
         "repro.obs",
+    ),
+    # the one session both transports hand out: the HTTP client imports
+    # it, so it reaches no gateway, host, deployment, router or service
+    "core.client": (
+        "repro.errors",
+        "repro.core.wire",
+        "repro.core.futures",
+        "repro.core.semirt_enclave",
+        "repro.core.stages",
+        "repro.crypto",
+        "repro.faults",
+        "repro.mlrt",
+        "repro.obs",
+        "repro.sgx",
+        "repro.sim",
     ),
     # what server and client agree on: importable by both, owes neither
     "service.protocol": ("repro.errors", "repro.core.wire"),

@@ -104,6 +104,18 @@ class BatchPolicy:
         return max(tcs_count, 2 * self.clamped(tcs_count).max_batch)
 
 
+def submit_window(policy: Optional[BatchPolicy], tcs_count: int) -> int:
+    """In-flight requests a pipelining session keeps against one host.
+
+    The policy's :meth:`~BatchPolicy.feed_window` when the host's batch
+    accumulator is armed, else one request per TCS.  The one rule
+    behind both doors' ``infer_many`` window: the gateway reads it for
+    the host that admitted the first request, and the service tier
+    advertises it as ``/v1/meta``'s ``feed_window``.
+    """
+    return policy.feed_window(tcs_count) if policy is not None else tcs_count
+
+
 @dataclass
 class _Batch:
     """One in-flight batch: the leader plus any followers that joined."""

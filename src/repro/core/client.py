@@ -1,20 +1,29 @@
-"""Model-owner and model-user clients.
+"""Model-owner and model-user clients, and the one serving session.
 
 Clients hold long-term identity keys, attest KeyService before trusting
 it (checking ``E_K`` they derived independently), and perform the
 workflow of Section III: register, upload encrypted models, grant
 access, release request keys, and finally encrypt requests / decrypt
 responses end to end.
+
+:class:`UserSession` is the user's side of Algorithm 2, written once:
+it seals every request, hands the ciphertext to a *gateway* -- the
+in-process :class:`~repro.core.gateway.InferenceGateway`, or the
+service tier over HTTP (:class:`~repro.service.client.HttpGateway`) --
+and opens every reply itself.  The platform in between only moves
+ciphertext.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import wire
-from repro.core.futures import DerivedStream
+import repro.core.wire as wire
+from repro.core.futures import DerivedHandle, DerivedStream, gather_windowed
 from repro.core.semirt_enclave import (
     FRAME,
     FRAME_AAD,
@@ -35,6 +44,7 @@ from repro.crypto.gcm import (
 from repro.crypto.keys import SymmetricKey
 from repro.errors import AccessDenied, EnclaveError, InvalidTag, InvocationError, SeSeMIError
 from repro.faults.injector import maybe_wire
+from repro.faults.resilience import Deadline, ResilientCaller
 from repro.mlrt.model import Model
 from repro.obs.tracer import maybe_span
 from repro.sgx.attestation import AttestationService, QuotePolicy
@@ -273,7 +283,7 @@ class UserClient(_Principal):
         super().__init__(name, tracer=tracer, identity_key=identity_key)
         self._request_keys: Dict[Tuple[str, str], SymmetricKey] = {}
         #: per-(model, enclave) derived request ciphers -- the client half
-        #: of the session key cache (shared by UserSession/RemoteSession)
+        #: of the session key cache (shared by every UserSession)
         self._request_ciphers: Dict[Tuple[str, str], AESGCM] = {}
 
     def request_key(self, model_id: str, enclave: EnclaveMeasurement) -> SymmetricKey:
@@ -474,3 +484,327 @@ class TokenStream(DerivedStream):
             raise InvocationError(
                 "stream truncated: it ended before the frame sealed as the last"
             )
+
+
+class UserSession:
+    """One user's serving session against one deployed model.
+
+    The session seals every input under the user's request key for the
+    enclave identity ``measurement``, hands the ciphertext to its
+    ``gateway`` and opens what comes back.  A gateway is any object with
+    the three entry points of :class:`~repro.core.gateway.InferenceGateway`
+    over sealed bytes -- ``dispatch(enc, uid, model_id, timeout_s)``
+    (a reply with the sealed ``output`` and the ``flavor`` it was served
+    with, ``None`` when unknown), ``submit(...)`` (a
+    :class:`~repro.core.futures.Future` of the sealed output),
+    ``open_stream(...)`` (a stream of sealed frames) -- plus
+    ``feed_window(admitted)``, the in-flight window :meth:`infer_many`
+    keeps behind the first admitted request.  Two exist: the in-process
+    gateway (:meth:`SeSeMIEnvironment.session
+    <repro.core.deployment.SeSeMIEnvironment.session>`) and the service
+    tier over HTTP (:class:`~repro.service.client.HttpGateway`,
+    ``RemoteEnvironment.session``).
+
+    ``node_id`` names an in-process session's invoker node (a root-span
+    attribute and the retry label); ``caller`` puts :meth:`infer` under
+    deadline, retry and breaker handling; ``injector`` threads the
+    ``user->semirt`` / ``semirt->user`` wire fault sites.  A session
+    with no ``tracer`` opens no span.  :meth:`close` closes the gateway
+    only when the session ``owns_gateway``.
+    """
+
+    def __init__(
+        self,
+        gateway,
+        user: UserClient,
+        model_id: str,
+        measurement: EnclaveMeasurement,
+        *,
+        node_id: Optional[str] = None,
+        tracer=None,
+        injector=None,
+        caller: Optional[ResilientCaller] = None,
+        owns_gateway: bool = False,
+    ) -> None:
+        if user.principal_id is None:
+            raise SeSeMIError("user must be registered first")
+        self._gateway = gateway
+        self.user = user
+        self.model_id = model_id
+        #: the enclave identity requests are sealed for
+        self.measurement = measurement
+        self.node_id = node_id
+        self._tracer = tracer
+        self._injector = injector
+        self._caller = caller
+        self._owns_gateway = owns_gateway
+        #: the attributes every root span of the session opens with
+        self._attributes = {"model_id": model_id, "user_id": user.principal_id}
+        if node_id is not None:
+            self._attributes["node_id"] = node_id
+
+    @property
+    def gateway(self):
+        """The gateway this session dispatches through."""
+        return self._gateway
+
+    @property
+    def semirt(self):
+        """An in-process session's live SeMIRT host, ``None`` before the
+        first request (on a shared fleet: its first live host)."""
+        return self._gateway.primary_host()
+
+    def infer(self, x: np.ndarray, timeout_s: Optional[float] = None) -> np.ndarray:
+        """Seal ``x``, dispatch it, open the result.
+
+        The round trip runs under one ``request`` root span; an
+        in-process cold call also traces the sandbox and enclave start it
+        triggers.  ``timeout_s`` (the repo-wide wait keyword, seconds;
+        docs/service.md) reaches the gateway's ``dispatch``, so a
+        request that is still serving when it expires raises
+        :class:`~repro.errors.DeadlineExceeded`; ``None`` waits as long
+        as serving takes.
+
+        With a ``caller``, transport failures are retried with backoff
+        under a per-request budget (``timeout_s``, else the policy
+        default), guarded by the ``(model, node)`` circuit breaker; a
+        crashed SeMIRT enclave is relaunched cold on the next attempt.
+        Retries appear as ``retry`` events on the root span.
+        """
+        with maybe_span(self._tracer, "request", **self._attributes) as root:
+            caller = self._caller
+            if caller is None:
+                return self._attempt(x, root, timeout_s)
+
+            def record_retry(attempt, exc, delay):
+                if root is not None:
+                    root.add_event(
+                        "retry", attempt=attempt, error=type(exc).__name__, backoff_s=delay
+                    )
+
+            return caller.call(
+                f"infer:{self.model_id}@{self.node_id}",
+                lambda attempt: self._attempt(x, root, timeout_s),
+                deadline=Deadline(
+                    caller.clock,
+                    caller.policy.deadline_s if timeout_s is None else timeout_s,
+                ),
+                on_retry=record_retry,
+            )
+
+    def _attempt(self, x: np.ndarray, root, timeout_s: Optional[float]) -> np.ndarray:
+        """One serving attempt: seal, dispatch, open."""
+        reply = self._gateway.dispatch(
+            self._seal(x), self.user.principal_id, self.model_id, timeout_s=timeout_s
+        )
+        result = self._open(reply.output)
+        if root is not None and reply.flavor is not None:
+            root.set_attributes(flavor=reply.flavor, enclave_id=self.measurement.value)
+        return result
+
+    def _seal(self, x: np.ndarray) -> bytes:
+        """``x`` sealed for the enclave, across the ``user->semirt`` wire."""
+        return maybe_wire(
+            self._injector,
+            "user->semirt",
+            self.user.encrypt_request(self.model_id, self.measurement, x),
+        )
+
+    def _open(self, enc_response: bytes) -> np.ndarray:
+        """A sealed output, across the ``semirt->user`` wire, opened."""
+        return self.user.decrypt_response(
+            self.model_id,
+            self.measurement,
+            maybe_wire(self._injector, "semirt->user", enc_response),
+        )
+
+    def submit(self, x: np.ndarray) -> "SessionFuture":
+        """Seal ``x`` and admit it asynchronously; poll the future.
+
+        The async face of :meth:`infer`: the gateway admits the request
+        and the call returns a :class:`SessionFuture` whose ``result()``
+        blocks for the *opened* output.  Raises
+        :class:`~repro.errors.QueueFull` synchronously when the gateway
+        sheds -- admission is where backpressure surfaces.  The async
+        path does not run under ``caller``: cancellation and retries
+        belong to the caller.  With no span ambient, the request gets
+        its own ``request`` root span (:meth:`_rooted`).
+        """
+        return self._rooted(
+            "request",
+            lambda: self._gateway.submit(
+                self._seal(x), self.user.principal_id, self.model_id
+            ),
+            SessionFuture,
+        )
+
+    def stream(self, prompt: Sequence[int], max_new_tokens: int) -> "SessionStream":
+        """Open an autoregressive stream; iterate decrypted token ids.
+
+        The streaming face of :meth:`submit`: the prompt is sealed with
+        the stream AAD and admitted through the gateway's stream entry
+        (in process, stream-affinity routing keeps one user's streams
+        on one continuous batch), and the returned :class:`SessionStream`
+        authenticates, index-checks and opens the frames as they
+        arrive.  ``result()`` blocks for the whole sequence.  Like
+        :meth:`submit`, streams do not run under ``caller``; a
+        mid-decode failure raises from the iterator.  With no span
+        ambient, the stream gets its own ``stream`` root span.
+        """
+
+        def admit():
+            enc_request = maybe_wire(
+                self._injector,
+                "user->semirt",
+                self.user.encrypt_stream_request(
+                    self.model_id, self.measurement, prompt, max_new_tokens
+                ),
+            )
+            return self._gateway.open_stream(
+                enc_request, self.user.principal_id, self.model_id
+            )
+
+        return self._rooted(
+            "stream", admit, partial(SessionStream, max_new_tokens=max_new_tokens)
+        )
+
+    def _rooted(self, name: str, admit, handle_type):
+        """``handle_type`` over ``admit()``, run under one root span.
+
+        A caller's ambient span (``infer_many``'s ``request_batch``, or
+        the caller's own) is root enough, and no tracer means no span.
+        Otherwise a fresh ``name`` root is the ambient span while the
+        request is sealed and admitted -- an in-process endpoint
+        scheduler captures it then, so the worker's ECALL spans parent
+        under it; over HTTP it is the request's ``x-client-span`` -- and
+        the handle's decrypt spans attach it.  The root ends when the
+        handle settles.
+        """
+        tracer = self._tracer
+        if tracer is None or tracer.current_span() is not None:
+            return handle_type(self, admit())
+        root = tracer.start_span(name, **self._attributes)
+        try:
+            with tracer.attach(root):
+                inner = admit()
+        except BaseException:
+            root.end(status="error")
+            raise
+        return handle_type(self, inner, root)
+
+    def infer_many(
+        self, xs: Sequence[np.ndarray], window: Optional[int] = None
+    ) -> List[np.ndarray]:
+        """Serve a batch, keeping up to ``window`` requests in flight.
+
+        A sliding window over :meth:`submit`
+        (:func:`~repro.core.futures.gather_windowed`); outputs come back
+        in input order.  The default window is the gateway's
+        ``feed_window`` for the first admitted request
+        (:func:`~repro.core.batching.submit_window`): the admitting
+        host's ``tcs_count``, widened to two full batches when its batch
+        accumulator is armed -- the session *feeds* the batch window
+        instead of racing it.  On :class:`~repro.errors.QueueFull` the
+        oldest in-flight future is drained and the submit retried, so
+        the batch absorbs its own backpressure.
+
+        The batch runs under one ``request_batch`` root span; the
+        per-request ECALL spans parent under it.  Like :meth:`submit`,
+        the batch path does not run under ``caller`` -- a mid-batch
+        failure re-raises from the failing :meth:`SessionFuture.result`.
+        """
+        with maybe_span(
+            self._tracer, "request_batch", **self._attributes, count=len(xs)
+        ) as root:
+
+            def window_for(first: SessionFuture) -> int:
+                width = max(
+                    1, self._gateway.feed_window(first.inner) if window is None else window
+                )
+                if root is not None:
+                    root.set_attributes(enclave_id=self.measurement.value, window=width)
+                return width
+
+            return gather_windowed(self.submit, xs, window_for)
+
+    def close(self) -> None:
+        """Close the gateway if the session owns it (in process: the
+        one-endpoint gateway ``env.session`` built, sandbox reclaim).
+
+        Shared gateways, attached hosts and the HTTP gateway are left
+        running -- they belong to whoever made them.
+        """
+        if self._owns_gateway:
+            self._gateway.close()
+
+    def __enter__(self) -> "UserSession":
+        """Context-manager entry: the session itself."""
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        """Context-manager exit: :meth:`close`."""
+        self.close()
+
+
+class _Rooted:
+    """A session handle's root span (``None`` when the caller had one).
+
+    The client-side decrypt spans run attached to it, and it ends when
+    the handle settles -- with status ``error`` on a failure or an
+    accepted cancel.
+    """
+
+    def _under_root(self):
+        if self._root is None:
+            return nullcontext()
+        return self._session._tracer.attach(self._root)
+
+    def _on_settle(self, error: Optional[BaseException], cancelled: bool) -> None:
+        if self._root is not None:
+            self._root.end(status="error" if error is not None or cancelled else "ok")
+
+
+class SessionFuture(_Rooted, DerivedHandle):
+    """An async session request: resolves to the **opened** output.
+
+    Returned by :meth:`UserSession.submit`.  A
+    :class:`~repro.core.futures.DerivedHandle` over the gateway's future
+    of the sealed output (``inner``: a
+    :class:`~repro.core.gateway.GatewaySubmission` in process, a
+    :class:`~repro.service.client.HttpSubmission` over HTTP) whose map
+    is the session's open -- so ``future.result()`` hands back the same
+    plaintext array :meth:`UserSession.infer` would.
+    """
+
+    def __init__(self, session: UserSession, inner, root=None) -> None:
+        super().__init__(inner)
+        self._session = session
+        self._root = root
+
+    def _map(self, enc_response: bytes) -> np.ndarray:
+        with self._under_root():
+            return self._session._open(enc_response)
+
+
+class SessionStream(_Rooted, TokenStream):
+    """An async session stream: yields the **decrypted** token sequence.
+
+    Returned by :meth:`UserSession.stream`: the client half of the
+    streaming protocol (:class:`TokenStream` -- AEAD frame
+    authentication, index and end-of-stream checks) over the gateway's
+    stream of sealed frames (a
+    :class:`~repro.core.gateway.GatewayStream` in process, a
+    :class:`~repro.service.client.HttpStream` over HTTP), with the
+    session's per-frame ``semirt->user`` wire fault site in front.
+    """
+
+    def __init__(
+        self, session: UserSession, inner, root=None, *, max_new_tokens: int
+    ) -> None:
+        super().__init__(session, inner, max_new_tokens)
+        self._root = root
+
+    def _map_item(self, frame: bytes, index: int) -> dict:
+        frame = maybe_wire(self._session._injector, "semirt->user", frame)
+        with self._under_root():
+            return super()._map_item(frame, index)

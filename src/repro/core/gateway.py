@@ -19,8 +19,8 @@ The gateway owns the endpoint fleet for one :class:`FnPool`:
 - a crashed endpoint is marked down and the request **reroutes** to a
   healthy peer (``redispatch_on_crash``); when no peer is left the
   gateway relaunches the endpoint cold -- which is exactly the
-  single-endpoint degenerate case :class:`~repro.core.deployment.UserSession`
-  is built on;
+  single-endpoint degenerate case a plain
+  :meth:`~repro.core.deployment.SeSeMIEnvironment.session` is built on;
 - endpoints can be drained then retired.
 
 Every dispatched request emits a ``route`` span on the tracer with the
@@ -55,6 +55,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
+from repro.core.batching import submit_window
 from repro.core.futures import DerivedHandle, DerivedStream
 from repro.core.semirt import SemirtHost
 from repro.errors import (
@@ -121,6 +122,14 @@ class GatewayReply:
     output: bytes
     decision: RouteDecision
     host: SemirtHost = field(repr=False, default=None)
+
+    @property
+    def flavor(self) -> str:
+        """How the request was served: ``cold``, else the host's plan kind."""
+        if self.decision.cold:
+            return "cold"
+        plan = self.host.code.last_plan
+        return plan.kind.value if plan else "warm"
 
 
 class InferenceGateway:
@@ -324,6 +333,16 @@ class InferenceGateway:
             GatewayStream, lambda host: host.open_stream, "stream",
             enc_request, user_id, model_id,
         )
+
+    def feed_window(self, admitted: "GatewaySubmission") -> int:
+        """In-flight requests a pipelining session keeps behind ``admitted``.
+
+        Read off the host that admitted it
+        (:func:`~repro.core.batching.submit_window`): its ``tcs_count``,
+        widened to two full batches when its batch accumulator is armed.
+        """
+        host = admitted.host
+        return submit_window(host.batch_policy, host.enclave.config.tcs_count)
 
     def _admit_async(
         self, handle_type, entry: Callable, phase: str, enc_request, user_id, model_id

@@ -12,10 +12,11 @@ HTTP/1.1 service (stdlib only, one thread per connection) in front of
   ``POST /v1/infer``, async ``POST /v1/submit`` + polled
   ``GET /v1/results/{req_id}``, KeyService proxying, grants, health,
   and stats, with admission control and fast load shedding;
-- :class:`RemoteEnvironment` / :class:`RemoteSession` -- the client,
-  speaking the same session surface as
-  :class:`~repro.core.deployment.UserSession` so examples and load
-  drivers run unchanged against either transport.
+- :class:`RemoteEnvironment` -- the client: its sessions are the one
+  :class:`~repro.core.client.UserSession` class, dispatching through
+  :class:`~repro.service.client.HttpGateway` instead of the in-process
+  gateway, so examples and load drivers run unchanged against either
+  transport.
 
 Requests stay encrypted end to end: the client performs RA-TLS and key
 release against KeyService *through* the service (``/v1/ks/*``), and
@@ -30,10 +31,9 @@ import lines only until those ``bench/`` imports name the modules.
 
 from repro.service.admission import AdmissionController
 from repro.service.client import (
+    HttpGateway,
     RemoteEnvironment,
-    RemoteFuture,
     RemoteModelHandle,
-    RemoteSession,
     ServiceClient,
 )
 from repro.service.config import ServiceConfig
@@ -41,11 +41,10 @@ from repro.service.server import InferenceService, serve
 
 __all__ = [
     "AdmissionController",
+    "HttpGateway",
     "InferenceService",
     "RemoteEnvironment",
-    "RemoteFuture",
     "RemoteModelHandle",
-    "RemoteSession",
     "ServiceClient",
     "ServiceConfig",
     "serve",

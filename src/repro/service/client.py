@@ -1,10 +1,12 @@
-"""The HTTP client: the session API consolidated over the service tier.
+"""The HTTP client: the service tier as a session's gateway.
 
-:class:`RemoteEnvironment` / :class:`RemoteSession` speak the same
-surface as :class:`~repro.core.deployment.SeSeMIEnvironment` /
-:class:`~repro.core.deployment.UserSession` (``connect_user``,
-``grant``, ``infer``, ``infer_many``, ``submit``), so examples and
-load drivers run unchanged against either transport.
+:class:`RemoteEnvironment` hands out the very session class
+:class:`~repro.core.deployment.SeSeMIEnvironment` does
+(:class:`~repro.core.client.UserSession`), dispatching through
+:class:`HttpGateway` -- the in-process gateway's three entry points over
+sealed bytes, spoken over HTTP -- so examples and load drivers run
+unchanged against either transport, and sealing, opening and the
+deadline are written once, in the session.
 
 Security is unchanged too: the real :class:`~repro.core.client.UserClient`
 runs locally.  It performs RA-TLS **through** the service
@@ -26,14 +28,12 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
-import numpy as np
-
 import repro.core.wire as wire
-from repro.core.client import TokenStream, UserClient
-from repro.core.futures import OutcomeCell, StreamCell, gather_windowed
+from repro.core.client import UserClient, UserSession
+from repro.core.futures import OutcomeCell, StreamCell
 from repro.errors import (
     DeadlineExceeded,
     ReproError,
@@ -41,7 +41,7 @@ from repro.errors import (
     TransportError,
     from_wire,
 )
-from repro.obs.tracer import Tracer, maybe_span
+from repro.obs.tracer import Tracer
 from repro.service.protocol import (
     BINARY_CONTENT_TYPE,
     MAX_HEAD,
@@ -392,6 +392,9 @@ class RemoteEnvironment:
     """A client-side view of one running service (the remote twin of
     :class:`~repro.core.deployment.SeSeMIEnvironment`).
 
+    Its sessions are the in-process :class:`~repro.core.client.UserSession`
+    over :attr:`gateway`; what lives here is HTTP-only: the KeyService
+    proxy, ``meta``, ``healthz`` / ``stats`` and grants.
     ``attestation`` is the verification service the client trusts
     out-of-band (the paper's IAS); KeyService's expected measurement is
     read from ``/v1/meta`` here for convenience -- a production client
@@ -411,6 +414,8 @@ class RemoteEnvironment:
         self.tracer = tracer
         self.keyservice = RemoteKeyService(self.client)
         self.meta = self.client.call("GET", "/v1/meta")
+        #: what every session of this environment dispatches through
+        self.gateway = HttpGateway(self.client, self.meta, tracer)
         self._users: Dict[str, UserClient] = {}
 
     def connect_user(self, name: str = "user") -> UserClient:
@@ -440,9 +445,7 @@ class RemoteEnvironment:
             raise SeSeMIError(f"service does not serve model {model_id!r}")
         return RemoteModelHandle(self, model_id, info)
 
-    def session(
-        self, user: Union[UserClient, str], model_id: str
-    ) -> "RemoteSession":
+    def session(self, user: Union[UserClient, str], model_id: str) -> UserSession:
         """A serving session for ``user`` against ``model_id``."""
         return self.model(model_id).session(user)
 
@@ -469,8 +472,6 @@ class RemoteModelHandle:
         self.model_id = model_id
         self.framework = info["framework"]
         self.measurement = EnclaveMeasurement(info["measurement"])
-        self.tcs_count = int(info["tcs_count"])
-        self.feed_window = int(info["feed_window"])
 
     def grant(self, user: Union[UserClient, str]) -> "RemoteModelHandle":
         """Grant ``user`` access: owner half server-side, key release here.
@@ -491,135 +492,93 @@ class RemoteModelHandle:
         client.add_request_key(self.model_id, self.measurement)
         return self
 
-    def session(self, user: Union[UserClient, str]) -> "RemoteSession":
-        """A serving session for ``user`` against this model."""
-        return RemoteSession(self._env, self._env.user(user), self)
+    def session(self, user: Union[UserClient, str]) -> UserSession:
+        """A serving session for ``user`` against this model, over HTTP.
+
+        No resilience policy and no fault injector: the service tier
+        clamps the deadline and sheds, and the caller retries.
+        """
+        env = self._env
+        return UserSession(
+            env.gateway, env.user(user), self.model_id, self.measurement,
+            tracer=env.tracer,
+        )
 
 
-class RemoteSession:
-    """One user's serving session over HTTP -- the same surface as
-    :class:`~repro.core.deployment.UserSession`.
+class HttpReply(NamedTuple):
+    """A ``POST /v1/infer`` reply: the sealed output.  How the request was
+    served stays on the server's side of the wire (``flavor`` is ``None``)."""
 
-    ``infer`` is the sync endpoint (server waits under a deadline);
-    ``submit`` returns a :class:`RemoteFuture` polled over
-    ``/v1/results/{id}``; ``infer_many`` pipelines submits with the
-    ``feed_window`` the service derived from its live
-    :class:`~repro.core.batching.BatchPolicy` -- the satellite-6 fix
-    made that window policy-derived on both transports.
+    output: bytes
+    flavor: Optional[str] = None
+
+
+class HttpGateway:
+    """The service tier as a session's gateway: sealed bytes over HTTP.
+
+    The in-process :class:`~repro.core.gateway.InferenceGateway`'s entry
+    points, one route each: :meth:`dispatch` is ``POST /v1/infer`` (the
+    server waits, clamping ``timeout_s`` to its own maximum --
+    docs/service.md); :meth:`submit` is ``POST /v1/submit`` and an
+    :class:`HttpSubmission` long-polled over ``/v1/results/{id}``;
+    :meth:`open_stream` is ``POST /v1/stream`` read as an
+    :class:`HttpStream`; :meth:`feed_window` is the window ``/v1/meta``
+    advertises.  Each request carries the caller's ambient span as
+    ``x-client-span`` and marks it ``transport="http"``, and the span
+    records the ``server_trace_id`` the reply names, so the client's and
+    the server's span trees join.
     """
 
-    def __init__(
-        self,
-        env: RemoteEnvironment,
-        user: UserClient,
-        handle: RemoteModelHandle,
-    ) -> None:
-        if user.principal_id is None:
-            raise SeSeMIError("user must be registered first")
-        self._env = env
-        self._client = env.client
-        self.user = user
-        self.handle = handle
-        self.model_id = handle.model_id
-        self.measurement = handle.measurement
-
-    def infer(
-        self,
-        x: np.ndarray,
-        timeout_s: Optional[float] = None,
-    ) -> np.ndarray:
-        """Encrypt ``x``, POST it, decrypt the reply (one client span).
-
-        ``timeout_s`` is the repo-wide wait keyword (seconds; the
-        server clamps it to its configured maximum -- docs/service.md).
-        """
-        extra = {} if timeout_s is None else {"timeout_s": float(timeout_s)}
-        return self._post("request", "/v1/infer", x, self._decrypt, **extra)
-
-    def submit(self, x: np.ndarray) -> "RemoteFuture":
-        """Admit ``x`` asynchronously; sheds raise ``QueueFull`` here."""
-        return self._post(
-            "submit", "/v1/submit", x,
-            lambda reply: RemoteFuture(self, reply["req_id"]),
-        )
-
-    def _span(self, name: str):
-        """The one client span a request runs under (no-op when untraced)."""
-        return maybe_span(
-            self._env.tracer, name, model_id=self.model_id,
-            user_id=self.user.principal_id, transport="http",
-        )
-
-    def _body(self, enc_request: bytes, **extra) -> dict:
-        return {
-            "model_id": self.model_id,
-            "uid": self.user.principal_id,
-            "enc_request": enc_request,
-            **extra,
+    def __init__(self, client: ServiceClient, meta: dict, tracer: Optional[Tracer] = None) -> None:
+        self._client = client
+        self._tracer = tracer
+        self._windows = {
+            model_id: int(info["feed_window"]) for model_id, info in meta["models"].items()
         }
 
-    def _post(self, span_name: str, path: str, x: np.ndarray, finish, **extra):
-        """Seal ``x`` and POST it under one client span; ``finish`` the reply."""
-        with self._span(span_name) as root:
-            enc_request = self.user.encrypt_request(
-                self.model_id, self.measurement, x
-            )
-            return finish(self._client.call(
-                "POST", path, self._body(enc_request, **extra),
-                span=root, codec=wire.BINARY,
-            ))
+    def dispatch(
+        self,
+        enc_request: bytes,
+        user_id: str,
+        model_id: str,
+        timeout_s: Optional[float] = None,
+    ) -> HttpReply:
+        """Serve one sealed request: ``POST /v1/infer``."""
+        extra = {} if timeout_s is None else {"timeout_s": float(timeout_s)}
+        reply = self._post("/v1/infer", enc_request, user_id, model_id, **extra)
+        return HttpReply(reply["enc_response"])
 
-    def _decrypt(self, reply: dict) -> np.ndarray:
-        return self.user.decrypt_response(
-            self.model_id, self.measurement, reply["enc_response"]
+    def submit(self, enc_request: bytes, user_id: str, model_id: str) -> "HttpSubmission":
+        """Admit one sealed request: ``POST /v1/submit``; sheds raise ``QueueFull``."""
+        reply = self._post("/v1/submit", enc_request, user_id, model_id)
+        return HttpSubmission(self._client, reply["req_id"], model_id)
+
+    def open_stream(self, enc_request: bytes, user_id: str, model_id: str) -> "HttpStream":
+        """Open one sealed stream: ``POST /v1/stream``, frames as they decode."""
+        return self._client.open_stream(
+            "/v1/stream", self._body(enc_request, user_id, model_id), span=self._span()
         )
 
-    def stream(
-        self, prompt: Sequence[int], max_new_tokens: int
-    ) -> "RemoteStream":
-        """Open an autoregressive stream; iterate decrypted token ids.
+    def feed_window(self, admitted: "HttpSubmission") -> int:
+        """The in-flight window the service advertises for the model."""
+        return self._windows[admitted.model_id]
 
-        The remote twin of :meth:`UserSession.stream
-        <repro.core.deployment.UserSession.stream>`: the prompt is
-        sealed locally with the stream AAD, POSTed to ``/v1/stream``,
-        and the sealed token frames arrive as chunked records
-        (:class:`HttpStream`) which the returned :class:`RemoteStream`
-        authenticates, index-checks and decrypts one by one -- the
-        service tier relays ciphertext only.
-        """
-        with self._span("stream") as root:
-            enc_request = self.user.encrypt_stream_request(
-                self.model_id, self.measurement, prompt, max_new_tokens
-            )
-            return RemoteStream(self, self._client.open_stream(
-                "/v1/stream", self._body(enc_request), span=root
-            ), max_new_tokens)
+    def _post(self, path: str, enc_request: bytes, user_id: str, model_id: str, **extra) -> dict:
+        return self._client.call(
+            "POST", path, self._body(enc_request, user_id, model_id, **extra),
+            span=self._span(), codec=wire.BINARY,
+        )
 
-    def infer_many(
-        self, xs: Sequence[np.ndarray], window: Optional[int] = None
-    ) -> List[np.ndarray]:
-        """Pipelined batch serving over HTTP, outputs in input order.
+    def _span(self):
+        """The caller's ambient span, marked as carried over HTTP."""
+        span = None if self._tracer is None else self._tracer.current_span()
+        if span is not None:
+            span.set_attribute("transport", "http")
+        return span
 
-        The default window is the service's advertised ``feed_window``
-        (two full batches when the accumulator is armed), so the remote
-        session feeds the batch window exactly like the in-process one.
-        ``QueueFull`` (service shed *or* fleet saturation) drains the
-        oldest in-flight future and retries -- the batch absorbs its
-        own backpressure
-        (:func:`~repro.core.futures.gather_windowed`).
-        """
-        if window is None:
-            window = self.handle.feed_window
-        return gather_windowed(self.submit, xs, lambda _first: window)
-
-    def close(self) -> None:
-        """Sessions hold no server-side state; nothing to tear down."""
-
-    def __enter__(self) -> "RemoteSession":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+    @staticmethod
+    def _body(enc_request: bytes, user_id: str, model_id: str, **extra) -> dict:
+        return {"model_id": model_id, "uid": user_id, "enc_request": enc_request, **extra}
 
 
 class _ConsumerFed(OutcomeCell):
@@ -662,26 +621,28 @@ class _ConsumerFed(OutcomeCell):
         return ready()
 
 
-class RemoteFuture(_ConsumerFed):
-    """A submitted request's client handle: the outcome cell, fed over HTTP.
+class HttpSubmission(_ConsumerFed):
+    """A submitted request's sealed output: the outcome cell, fed over HTTP.
 
-    The same :class:`~repro.core.futures.Future` contract as
-    :class:`~repro.core.deployment.SessionFuture` because it *is* the
-    cell, fed by its consumers: a wait long-polls ``GET
+    The HTTP twin of :class:`~repro.core.gateway.GatewaySubmission` --
+    the same :class:`~repro.core.futures.Future` contract, because it
+    *is* the cell, fed by its consumers: a wait long-polls ``GET
     /v1/results/{id}`` -- one poller at a time, the server hands the
-    output out once (sticky 410 after) -- and seals the decrypted output
-    (200) or the server's error (4xx/5xx); :meth:`cancel` seals the
-    cancellation an accepted ``DELETE`` promises (the enclave execution
-    context is released server-side).  Once sealed, ``result()`` is
-    repeatable and nothing costs a round trip.
+    output out once (sticky 410 after) -- and seals the sealed
+    ``enc_response`` (200) or the server's error (4xx/5xx); opening it
+    is the session's job.  :meth:`cancel` seals the cancellation an
+    accepted ``DELETE`` promises (the enclave execution context is
+    released server-side).  Once sealed, ``result()`` is repeatable and
+    nothing costs a round trip.
     """
 
     _FEED_CAP_S = 5.0
 
-    def __init__(self, session: RemoteSession, req_id: str) -> None:
+    def __init__(self, client: ServiceClient, req_id: str, model_id: str) -> None:
         super().__init__()
-        self._session = session
+        self._client = client
         self.req_id = req_id
+        self.model_id = model_id
         self._path = f"/v1/results/{req_id}"
 
     def _what(self) -> str:
@@ -694,7 +655,7 @@ class RemoteFuture(_ConsumerFed):
     def cancel(self) -> bool:
         """DELETE the request; ``True`` when the server cancelled it."""
         if not self._done:
-            reply = self._session._client.call("DELETE", self._path)
+            reply = self._client.call("DELETE", self._path)
             if reply.get("cancelled"):
                 super().cancel()
                 self.set_cancelled()
@@ -702,7 +663,7 @@ class RemoteFuture(_ConsumerFed):
 
     def _feed(self, chunk_s: float) -> None:
         """One ``GET``; seals the cell unless the server answers 202."""
-        status, reply, _ = self._session._client.request(
+        status, reply, _ = self._client.request(
             "GET", self._path, query={"timeout_s": f"{chunk_s:.3f}"},
             codec=wire.BINARY,
         )
@@ -711,7 +672,7 @@ class RemoteFuture(_ConsumerFed):
         try:
             if status >= 400:
                 raise from_wire(reply, status)
-            self.set_result(self._session._decrypt(reply))
+            self.set_result(reply["enc_response"])
         except ReproError as exc:
             self.set_error(exc)
 
@@ -771,25 +732,13 @@ class HttpStream(_ConsumerFed, StreamCell):
         self._conn.close()
 
 
-class RemoteStream(TokenStream):
-    """A live autoregressive stream consumed over HTTP.
-
-    Returned by :meth:`RemoteSession.stream`: the client half of the
-    streaming protocol (:class:`~repro.core.client.TokenStream`, the
-    very class behind :class:`~repro.core.deployment.SessionStream`)
-    over an :class:`HttpStream` -- see its transport caveat: a
-    ``result(timeout_s=...)`` expiry or a ``cancel()`` closes the
-    socket, so the stream cannot be resumed afterwards.
-    """
-
-
 __all__ = [
+    "HttpGateway",
+    "HttpReply",
     "HttpStream",
+    "HttpSubmission",
     "RemoteEnvironment",
-    "RemoteFuture",
-    "RemoteModelHandle",
-    "RemoteSession",
-    "RemoteStream",
-    "ServiceClient",
     "RemoteKeyService",
+    "RemoteModelHandle",
+    "ServiceClient",
 ]

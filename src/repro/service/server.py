@@ -59,6 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.core import wire
+from repro.core.batching import submit_window
 from repro.core.deployment import ModelHandle, SeSeMIEnvironment
 from repro.core.gateway import GatewaySubmission, InferenceGateway
 from repro.core.semirt import SchedulerConfig
@@ -293,9 +294,7 @@ class InferenceService:
                 "framework": handle.framework,
                 "measurement": handle.measurement.value,
                 "tcs_count": tcs,
-                "feed_window": (
-                    batch.feed_window(tcs) if batch is not None else tcs
-                ),
+                "feed_window": submit_window(batch, tcs),
             }
         return self._json(200, {
             "service": self.tracer.service,

@@ -5,9 +5,11 @@ through zero, one or two :class:`DerivedHandle` layers: the TCS
 scheduler (:class:`InferenceFuture`, :class:`InferenceStream`), the
 gateway (:class:`GatewaySubmission`, :class:`GatewayStream`) and the
 session tier (:class:`SessionFuture`, :class:`SessionStream`).  One
-parametrised contract runs against all six -- and against the service
-tier's :class:`RemoteFuture` and :class:`RemoteStream`, the same cell
-fed by an HTTP long-poll and off a chunked response body -- and the
+parametrised contract runs against all six -- and against the session's
+two handles over the HTTP gateway, whose inner handles
+(:class:`~repro.service.client.HttpSubmission`, :class:`HttpStream`)
+are the same cell fed by an HTTP long-poll and off a chunked response
+body -- and the
 deadline and cancellation cases then walk every local tier on a solo
 host whose first ECALL of each request is held, where "still in flight"
 is deterministic
@@ -23,7 +25,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.deployment import SeSeMIEnvironment, SessionFuture, SessionStream
+from repro.core.client import SessionFuture, SessionStream
+from repro.core.deployment import SeSeMIEnvironment
 from repro.core.futures import DerivedHandle, Future, OutcomeCell
 from repro.core.gateway import GatewayStream, GatewaySubmission
 from repro.core.semirt import InferenceFuture, InferenceStream, SchedulerConfig
@@ -31,7 +34,7 @@ from repro.core.semirt_enclave import default_semirt_config
 from repro.errors import DeadlineExceeded, RequestCancelled
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
-from repro.service.client import HttpStream, RemoteFuture, RemoteStream
+from repro.service.client import HttpStream
 from repro.service.protocol import frame_record
 from tests.conftest import held_ecalls
 from tests.service.conftest import launch_world
@@ -107,13 +110,18 @@ def remote_world():
 
 
 @pytest.mark.parametrize(
-    "cls", HANDLES + (RemoteFuture, RemoteStream), ids=lambda cls: cls.__name__
+    "cls, door",
+    [pytest.param(cls, "local", id=cls.__name__) for cls in HANDLES]
+    + [
+        pytest.param(cls, "http", id=f"{cls.__name__}-http")
+        for cls in (SessionFuture, SessionStream)
+    ],
 )
-def test_every_handle_satisfies_the_protocol(request, cls):
-    if cls in (RemoteFuture, RemoteStream):
+def test_every_handle_satisfies_the_protocol(request, cls, door):
+    if door == "http":
         remote = request.getfixturevalue("remote_world")
         gateway = remote.service.gateway
-        if cls is RemoteFuture:
+        if cls is SessionFuture:
             handle = remote.session.submit(remote.x)
         else:
             handle = remote.session.stream(PROMPT, 4)

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.deployment import ModelHandle, SeSeMIEnvironment, UserSession
+from repro.core.client import UserSession
+from repro.core.deployment import ModelHandle, SeSeMIEnvironment
 from repro.core.stages import InvocationKind, Stage
 from repro.errors import AccessDenied, SeSeMIError
 from repro.mlrt.zoo import build_tinylm
@@ -84,7 +85,7 @@ def test_session_requires_registered_user(fresh_env):
     from repro.core.client import UserClient
 
     with pytest.raises(SeSeMIError):
-        UserSession(fresh_env, UserClient("ghost"), "sess-model")
+        UserSession(None, UserClient("ghost"), "sess-model", fresh_env.expected_semirt("tvm"))
 
 
 def test_cold_trace_covers_all_nine_stages(tiny_model, tiny_input):

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from repro.core.batching import BatchPolicy
-from repro.core.deployment import SeSeMIEnvironment, SessionStream
+from repro.core.client import SessionStream
+from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt import SchedulerConfig
 from repro.core.semirt_enclave import (
     MAX_STREAM_TOKENS,
@@ -34,7 +35,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
-from repro.service.client import HttpStream, RemoteStream
+from repro.service.client import HttpStream
 from repro.service.protocol import frame_record
 from tests.conftest import held_ecalls
 
@@ -501,8 +502,9 @@ class _Relay:
 def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
     """Frames authenticate individually, so only what is sealed *into*
     them can catch a relay that reorders, replays, drops or truncates:
-    the index, and the ``done`` marker of the last frame -- and both
-    consumers run the one :class:`~repro.core.client.TokenStream` check.
+    the index, and the ``done`` marker of the last frame -- and the
+    in-process frames and an :class:`HttpStream`'s both run through the
+    one :class:`~repro.core.client.SessionStream` check.
     A frame too short to hold a nonce and tag is a forgery, not a raw
     parsing error."""
     model = build_tinylm(seed=7)
@@ -526,9 +528,8 @@ def test_every_consumer_detects_a_tampered_frame_sequence(consumer, tamper):
 
     def consume():
         relay = _Relay(tampered)
-        if consumer == "session":
-            return SessionStream(session, relay, max_new_tokens=4)
-        return RemoteStream(session, HttpStream(relay, relay), 4)
+        inner = relay if consumer == "session" else HttpStream(relay, relay)
+        return SessionStream(session, inner, max_new_tokens=4)
 
     delivered = []
     with pytest.raises(InvocationError, match=match):
@@ -546,10 +547,8 @@ def _consume(env, host, consumer, frames, max_new):
     and the error that stopped it (``None`` if none did)."""
     session = env.session("user", MODEL_ID, semirt=host, config=host.enclave.config)
     relay = _Relay(frames)
-    stream = (
-        SessionStream(session, relay, max_new_tokens=max_new) if consumer == "session"
-        else RemoteStream(session, HttpStream(relay, relay), max_new)
-    )
+    inner = relay if consumer == "session" else HttpStream(relay, relay)
+    stream = SessionStream(session, inner, max_new_tokens=max_new)
     delivered = []
     try:
         for token in stream:

@@ -126,6 +126,41 @@ def test_remote_client_and_protocol_module_are_pinned(tmp_path):
         assert checker.check_module(real, dotted, checker.MODULES[dotted]) == []
 
 
+def test_the_one_session_module_is_pinned_below_every_gateway(tmp_path):
+    """``core.client`` holds the session both transports hand out, and the
+    HTTP client imports it: it may reach the crypto, fault and trace
+    layers, never the gateway, the SeMIRT host, the deployment, the
+    router or the service tier."""
+    checker = _load_checker()
+    allowed = checker.MODULES["core.client"]
+    assert set(allowed) == {
+        "repro.errors", "repro.core.wire", "repro.core.futures",
+        "repro.core.semirt_enclave", "repro.core.stages", "repro.crypto",
+        "repro.faults", "repro.mlrt", "repro.obs", "repro.sgx", "repro.sim",
+    }
+    assert "repro.core.client" in checker.MODULES["service.client"]
+    bad = tmp_path / "client.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "import repro.core.wire as wire\n"
+        "from repro.core.futures import gather_windowed\n"
+        "from repro.faults.resilience import Deadline\n"
+        "from repro.core.gateway import InferenceGateway\n"
+        "from repro.routing import FnPool\n"
+        "def f():\n    from repro.core.deployment import SeSeMIEnvironment\n"
+        "    import repro.core.semirt\n"
+        "    from repro.service.client import HttpGateway\n"
+    )
+    violations = checker.check_module(bad, "core.client", allowed)
+    assert [v.split("imports ")[1].split(" ")[0] for v in violations] == [
+        "'repro.core.gateway'", "'repro.routing'", "'repro.core.deployment'",
+        "'repro.core.semirt'", "'repro.service.client'",
+    ]
+    real = checker.SRC_REPRO / "core" / "client.py"
+    assert checker.check_module(real, "core.client", allowed) == []
+    assert checker.check_runtime("core.client", allowed) == []
+
+
 def test_public_key_modules_are_pinned_to_plain_integers(tmp_path):
     """``crypto.group`` is the standard library only; ``dh`` and ``signature``
     add ``repro.crypto`` + ``repro.errors``; none of them may reach numpy,

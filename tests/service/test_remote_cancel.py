@@ -96,7 +96,7 @@ def test_cancel_after_consume_is_refused(cancel_world):
 
 # -- the server's own sticky replies, on the raw wire ------------------------------
 #
-# ``RemoteFuture`` answers from its sealed cell after the first poll, so
+# ``HttpSubmission`` answers from its sealed cell after the first poll, so
 # these go through ``client.request``: every reply below is the server's.
 
 
@@ -323,7 +323,7 @@ def test_ttl_sweeper_expires_abandoned_results():
         world.session.infer(world.x)  # warm
         with held_ecalls("EC_MODEL_INF"):  # still serving when the TTL passes
             future = world.session.submit(world.x)
-            path = f"/v1/results/{future.req_id}"
+            path = f"/v1/results/{future.inner.req_id}"
             deadline = time.monotonic() + 10
             status = None
             while time.monotonic() < deadline:
@@ -335,7 +335,7 @@ def test_ttl_sweeper_expires_abandoned_results():
                 time.sleep(0.25)
         assert status == 404, "the sweeper never expired the entry"
         with pytest.raises(StorageError):
-            world.remote.client.call("GET", f"/v1/results/{future.req_id}")
+            world.remote.client.call("GET", f"/v1/results/{future.inner.req_id}")
         stats = world.remote.stats()
         assert stats["admission"]["inflight_total"] == 0
         assert stats["service"]["results_retained"] == 0

@@ -62,7 +62,7 @@ def test_submit_then_poll_consumes_exactly_once(world):
     assert future.done()
     # the server handed the output out once: a raw poll replays a sticky 410
     with pytest.raises(ReproError, match="already fetched"):
-        world.remote.client.call("GET", f"/v1/results/{future.req_id}")
+        world.remote.client.call("GET", f"/v1/results/{future.inner.req_id}")
     # ... while the handle sealed the outcome and keeps answering from it
     assert np.array_equal(future.result(timeout_s=5), y)
     assert future.cancel() is False

@@ -1,7 +1,8 @@
 """Streaming over HTTP: chunked token frames, cancel, errors, timeouts.
 
 Drives ``POST /v1/stream`` end to end: a remote user opens a stream
-through :meth:`RemoteSession.stream`, sealed frames arrive as chunked
+through ``remote.session(...).stream`` (the one session class over
+:class:`~repro.service.client.HttpGateway`), sealed frames arrive as chunked
 records, and the client authenticates/orders them locally.  The server
 side must release enclave stream contexts on every exit path -- clean
 drain, client cancel, deadline expiry -- because an abandoned KV cache
