@@ -569,7 +569,9 @@ class UserSession:
         under a per-request budget (``timeout_s``, else the policy
         default), guarded by the ``(model, node)`` circuit breaker; a
         crashed SeMIRT enclave is relaunched cold on the next attempt.
-        Retries appear as ``retry`` events on the root span.
+        An explicit ``timeout_s`` is one budget for the whole call: each
+        attempt is dispatched with what is left of it.  Retries appear
+        as ``retry`` events on the root span.
         """
         with maybe_span(self._tracer, "request", **self._attributes) as root:
             caller = self._caller
@@ -582,13 +584,15 @@ class UserSession:
                         "retry", attempt=attempt, error=type(exc).__name__, backoff_s=delay
                     )
 
+            deadline = Deadline(
+                caller.clock, caller.policy.deadline_s if timeout_s is None else timeout_s
+            )
             return caller.call(
                 f"infer:{self.model_id}@{self.node_id}",
-                lambda attempt: self._attempt(x, root, timeout_s),
-                deadline=Deadline(
-                    caller.clock,
-                    caller.policy.deadline_s if timeout_s is None else timeout_s,
+                lambda attempt: self._attempt(
+                    x, root, None if timeout_s is None else deadline.remaining()
                 ),
+                deadline=deadline,
                 on_retry=record_retry,
             )
 

@@ -99,6 +99,12 @@ class Deadline:
         """True once the budget is spent (never, for a None budget)."""
         return self._expires is not None and self._clock.now() >= self._expires
 
+    def remaining(self) -> Optional[float]:
+        """Seconds of the budget left (``0.0`` once spent; ``None`` for no budget)."""
+        if self._expires is None:
+            return None
+        return max(0.0, self._expires - self._clock.now())
+
     def check(self, operation: str) -> None:
         """Raise :class:`DeadlineExceeded` when the budget is spent."""
         if self.expired():

@@ -3,10 +3,10 @@
 A :class:`DecoderSession` binds the same op table the batch runtimes
 execute, once per stream, at one time position: position-wise ops are
 the table's own steps over an ``(1, 1, D)`` activation; the two stateful
-ops are bound here -- ``embedding`` takes the running position (the
-position-independent half of the sinusoid is computed once per width)
-and every ``attention`` node keeps a key/value cache that gains one
-row per step, written in place into buffers that double when full.
+ops are bound here -- ``embedding`` adds the running position's row of
+the sinusoid (each row computed once per position and width) and every
+``attention`` node keeps a key/value cache that gains one row per step,
+written in place into buffers that double when full.
 Because the positional encodings are a pure function of absolute
 position and the causal mask is implicit in the cache, a chain of
 :meth:`step` calls reproduces full-context
@@ -44,15 +44,14 @@ _STEP_SHAPE = (1, 1)
 #: rows a stream's KV buffers start with: a prompt and a short answer fit
 #: without regrowing, and a longer stream doubles from there
 _KV_FIRST_ROWS = 16
-
-
-def _unstreamable(model: Model) -> List[str]:
-    return sorted({node.op for node, op, *_ in model.plan().nodes if not op.streamable})
+#: positions whose sinusoid row stays memoised (of every width together):
+#: a prompt and an answer of ``MAX_STREAM_TOKENS`` (1,024) each
+_POSITION_ROWS = 2048
 
 
 def streamable(model: Model) -> bool:
     """Whether every op in ``model`` supports incremental decoding."""
-    return not _unstreamable(model)
+    return not model.plan().unstreamable
 
 
 def greedy(logits: np.ndarray) -> int:
@@ -60,16 +59,14 @@ def greedy(logits: np.ndarray) -> int:
     return int(np.argmax(logits))
 
 
-@lru_cache(maxsize=8)
-def _sinusoid(dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The position-independent half of :func:`layers.positional_encoding`:
-    each dimension's divisor and which dimensions take the sine."""
-    dims = np.arange(dim, dtype=np.float32)[None, :]
-    divisors = np.power(10000.0, (2 * (dims // 2)) / dim)
-    sines = dims % 2 == 0
-    divisors.setflags(write=False)
-    sines.setflags(write=False)
-    return divisors, sines
+@lru_cache(maxsize=_POSITION_ROWS)
+def _position(position: int, dim: int) -> np.ndarray:
+    """Row ``position`` of the sinusoid at width ``dim``, read-only: it is
+    :func:`layers.positional_encoding`'s own row, so a step adds the bits
+    a full-context embedding adds."""
+    row = layers.positional_encoding(1, dim, offset=position)
+    row.setflags(write=False)
+    return row
 
 
 # The two stateful ops.  Same binder signature as the op table's, with
@@ -80,18 +77,12 @@ def _sinusoid(dim: int) -> Tuple[np.ndarray, np.ndarray]:
 def _bind_embedding(clock: List[int], inputs, out, weights, attrs, workspace):
     """``layers.embedding(offset=clock[0])`` for one token."""
     (x,), (weight,) = inputs, weights
-    gather = layers.bind_gather(x, weight, out, workspace)
-    divisors, sines = _sinusoid(weight.shape[1])
-    # two private rows: they only ever hold the sinusoid of a position
-    encoding, sine = np.zeros((2,) + divisors.shape, dtype=np.float32)
+    lookup = layers.bind_one_hot(x, weight, out, workspace)
+    dim = weight.shape[1]
 
     def step() -> None:
-        gather()
-        np.true_divide(np.float32(clock[0]), divisors, out=sine)
-        np.cos(sine, out=encoding)
-        np.sin(sine, out=sine)
-        np.copyto(encoding, sine, where=sines)
-        np.add(out, encoding, out=out)
+        lookup()
+        np.add(out, _position(clock[0], dim), out=out)
 
     return step
 
@@ -108,17 +99,16 @@ def _bind_attention(
     of ``n`` tokens copies its rows ``log2 n`` times, not twice per step.
     """
     (x,), (wq, wk, wv, wo), heads = inputs, weights, attrs["heads"]
-    qb, kb, vb, _, red, context, _ = workspace
-    q, k_new, v_new = (layers._split_heads(b, heads) for b in (qb, kb, vb))
+    qkv, _, red, context, _ = workspace
+    wqkv = layers.qkv_weight(wq, wk, wv)
+    q, k_new, v_new = layers.split_qkv(qkv, heads)
     scale = np.sqrt(np.float32(x.shape[2] // heads))
     merged = context.reshape(x.shape)  # one position: a view, not a copy
     kv: List[np.ndarray] = []
     caches.append(kv)
 
     def step() -> None:
-        np.matmul(x, wq, out=qb)
-        np.matmul(x, wk, out=kb)
-        np.matmul(x, wv, out=vb)
+        np.matmul(x, wqkv, out=qkv)
         rows = clock[0]
         if not kv or rows == kv[0].shape[2]:  # full: twice the capacity
             shape = (1, heads, max(2 * rows, _KV_FIRST_ROWS), k_new.shape[3])
@@ -178,7 +168,7 @@ def _bind_prompt_attention(
     """The table's own causal attention over a whole prompt, handing over
     its key/value projections, ``(1, heads, T, D / heads)`` views of its
     workspace: once the pass has run, they are the stream's first rows."""
-    projected.append([layers._split_heads(b, attrs["heads"]) for b in workspace[1:3]])
+    projected.append(layers.split_qkv(workspace[0], attrs["heads"])[1:])
     return layers._bind_attention(inputs, out, weights, attrs, workspace)
 
 
@@ -214,7 +204,7 @@ class DecoderSession:
     _bound: Optional[tuple] = None  # so __del__ is safe after a refused __init__
 
     def __init__(self, model: Model) -> None:
-        unsupported = _unstreamable(model)
+        unsupported = model.plan().unstreamable  # decided once, with the plan
         if unsupported:
             raise ModelError(
                 f"model {model.name!r} is not streamable: "

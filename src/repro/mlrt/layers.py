@@ -13,7 +13,7 @@ Layout is NHWC, matching both TFLM and the paper's TVM builds.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -157,11 +157,30 @@ def embedding(x: np.ndarray, weight: np.ndarray, *, offset: int = 0) -> np.ndarr
     return out.astype(np.float32)
 
 
+@lru_cache(maxsize=8)
+def _centring(dim: int) -> Tuple[np.ndarray, np.float32]:
+    """``(I - 1/D) / sqrt(D)`` as float32, and ``sqrt(D)``.
+
+    A row times the matrix is its deviation from its own mean, over
+    ``sqrt(D)``: the dot product of that with itself is the variance.
+    """
+    root = np.sqrt(dim)
+    centring = ((np.eye(dim) - 1.0 / dim) / root).astype(np.float32)
+    centring.setflags(write=False)
+    return centring, np.float32(root)
+
+
 def layer_norm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Layer normalisation over the last axis with learned scale/shift."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return ((x - mean) / np.sqrt(var + 1e-5) * scale + shift).astype(np.float32)
+    """Layer normalisation over the last axis with learned scale/shift.
+
+    Two matrix products instead of a mean and a variance: the centring
+    product gives ``(x - mean) / sqrt(D)``, and each row's dot product
+    with itself its variance; ``sqrt(D)`` goes back in with the scale.
+    """
+    centring, root = _centring(x.shape[-1])
+    dev = x @ centring
+    var = (dev[..., None, :] @ dev[..., :, None])[..., 0]
+    return (dev / np.sqrt(var + 1e-5) * (scale * root) + shift).astype(np.float32)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
@@ -185,6 +204,17 @@ def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     return x.reshape(n, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
+def qkv_weight(wq: np.ndarray, wk: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """``[wq | wk | wv]``: the three projections as one (D, 3D) product."""
+    return np.concatenate((wq, wk, wv), axis=1)
+
+
+def split_qkv(qkv: np.ndarray, heads: int) -> List[np.ndarray]:
+    """(N, T, 3D) -> q, k and v, each an (N, heads, T, D/heads) view."""
+    d = qkv.shape[-1] // 3
+    return [_split_heads(qkv[..., i * d : (i + 1) * d], heads) for i in range(3)]
+
+
 def attention(
     x: np.ndarray,
     wq: np.ndarray,
@@ -194,12 +224,13 @@ def attention(
     *,
     heads: int,
 ) -> np.ndarray:
-    """Causal multi-head self-attention; each weight is (D, D)."""
+    """Causal multi-head self-attention; each weight is (D, D).
+
+    The three projections are one product with ``[wq | wk | wv]``.
+    """
     n, t, d = x.shape
     dh = d // heads
-    q = _split_heads(x @ wq, heads)
-    k = _split_heads(x @ wk, heads)
-    v = _split_heads(x @ wv, heads)
+    q, k, v = split_qkv(x @ qkv_weight(wq, wk, wv), heads)
     scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(np.float32(dh))
     mask = np.triu(np.full((t, t), -np.inf, dtype=np.float32), k=1)
     probs = softmax(scores + mask)
@@ -225,13 +256,11 @@ def attention_step(
     cached position -- the causal mask is implicit because the caches
     only ever hold the past.  Returns ``(output, k_cache, v_cache)``;
     the caches are what the enclave keeps in its heap between decode
-    steps.
+    steps.  The three projections are one product, as in :func:`attention`.
     """
     n, t, d = x.shape
     dh = d // heads
-    q = _split_heads(x @ wq, heads)
-    k_new = _split_heads(x @ wk, heads)
-    v_new = _split_heads(x @ wv, heads)
+    q, k_new, v_new = split_qkv(x @ qkv_weight(wq, wk, wv), heads)
     k = k_new if k_cache is None else np.concatenate([k_cache, k_new], axis=2)
     v = v_new if v_cache is None else np.concatenate([v_cache, v_new], axis=2)
     scores = (q @ k.transpose(0, 1, 3, 2)) / np.sqrt(np.float32(dh))
@@ -285,8 +314,10 @@ def _global_pool_shapes(ins, attrs, w):
 
 
 def _embedding_shapes(ins, attrs, w):
-    # workspace: the token ids as int64, two float32 slots each
-    return [tuple(ins[0]) + (w["weight"][1],), tuple(ins[0][:-1]) + (2 * ins[0][-1],)]
+    # workspace: the token ids as int64, two float32 slots each; their one-hot rows
+    vocab, dim = w["weight"]
+    ids = tuple(ins[0])
+    return [ids + (dim,), ids[:-1] + (2 * ids[-1],), ids + (vocab,)]
 
 
 def _like_input(*workspace: Callable):
@@ -313,9 +344,11 @@ def _attention_shapes(ins, attrs, w):
             f"attention dim {first[-1]} is not divisible by {heads} heads"
         )
     n, t, d = first
-    # workspace: q, k, v projections; scores and their row reduction;
-    # per-head context; heads merged back to (N, T, D)
-    return [first] * 4 + [(n, heads, t, t), (n, heads, t, 1), (n, heads, t, d // heads), first]
+    # workspace: the q, k, v projections side by side; scores and their
+    # row reduction; per-head context; heads merged back to (N, T, D)
+    return [
+        first, (n, t, 3 * d), (n, heads, t, t), (n, heads, t, 1), (n, heads, t, d // heads), first,
+    ]
 
 
 def _take_last_shapes(ins, attrs, w):
@@ -344,8 +377,9 @@ def _concat_shapes(ins, attrs, w):
 # order on the same shapes and strides -- which is what makes its output
 # bit-identical -- but writes every result with ``out=`` into buffers
 # that exist before the first request.  Which buffers a step touches is
-# fixed at bind time; nothing it does depends on the values in them
-# (the one exception is named in :func:`bind_gather`).
+# fixed at bind time; nothing it does depends on the values in them --
+# not even the embedding, whose row lookup is a one-hot product
+# (:func:`bind_one_hot`).
 # ---------------------------------------------------------------------------
 
 
@@ -493,22 +527,20 @@ def softmax_into(x: np.ndarray, out: np.ndarray, red: np.ndarray) -> None:
 
 
 def _bind_layer_norm(inputs, out, weights, attrs, workspace):
-    (x,), (scale, shift), (red, squares) = inputs, weights, workspace
-    count = x.shape[-1]
+    (x,), (scale, shift), (red,) = inputs, weights, workspace
+    centring, root = _centring(x.shape[-1])
+    gain = scale * root
+    # each row of ``out`` against itself: one dot product per row
+    rows, columns, var = out[..., None, :], out[..., :, None], red[..., None]
 
     def step() -> None:
-        # mean, then var's own steps (deviation, square, mean again);
         # the deviation is the numerator too, so it lands in ``out``
-        np.add.reduce(x, axis=-1, keepdims=True, out=red)
-        np.true_divide(red, count, out=red)
-        np.subtract(x, red, out=out)
-        np.multiply(out, out, out=squares)
-        np.add.reduce(squares, axis=-1, keepdims=True, out=red)
-        np.true_divide(red, count, out=red)
+        np.matmul(x, centring, out=out)
+        np.matmul(rows, columns, out=var)
         np.add(red, 1e-5, out=red)
         np.sqrt(red, out=red)
         np.true_divide(out, red, out=out)
-        np.multiply(out, scale, out=out)
+        np.multiply(out, gain, out=out)
         np.add(out, shift, out=out)
 
     return step
@@ -531,29 +563,38 @@ def _bind_gelu(inputs, out, weights, attrs, workspace):
     return step
 
 
-def bind_gather(x: np.ndarray, weight: np.ndarray, out: np.ndarray, workspace):
-    """The embedding row gather, ``out = weight[clip(int64(x))]``.
+def bind_one_hot(x: np.ndarray, weight: np.ndarray, out: np.ndarray, workspace):
+    """The embedding row lookup, ``out = weight[clip(int64(x))]``, as a product.
 
-    The one data-dependent memory access in the op table: which rows of
-    ``weight`` are read follows the token ids.  The workspace buffer
-    holds the ids as int64, two float32 slots each.
+    Every id becomes a one-hot row and the rows times ``weight`` are the
+    selected rows, bit for bit: each sum has one term that is not zero
+    (a finite table is assumed; a zero times an infinity is a NaN).
+    Unlike a gather, it reads all of ``weight`` whatever the ids, so no
+    memory access follows the tokens.  The workspace holds the ids as
+    int64, two float32 slots each, then the one-hot rows.
     """
-    ids = workspace[0].view(np.int64)
+    ids, one_hot = workspace[0].view(np.int64), workspace[1]
+    vocab = np.arange(weight.shape[0])
+    column, last = ids[..., None], weight.shape[0] - 1
 
-    def gather() -> None:
+    def lookup() -> None:
         np.copyto(ids, x, casting="unsafe")
-        np.take(weight, ids, axis=0, out=out, mode="clip")
+        # clipped into the vocabulary: two ufuncs cost a fifth of np.clip
+        np.maximum(ids, 0, out=ids)
+        np.minimum(ids, last, out=ids)
+        np.equal(column, vocab, out=one_hot)
+        np.matmul(one_hot, weight, out=out)
 
-    return gather
+    return lookup
 
 
 def _bind_embedding(inputs, out, weights, attrs, workspace):
     (x,), (weight,) = inputs, weights
-    gather = bind_gather(x, weight, out, workspace)
+    lookup = bind_one_hot(x, weight, out, workspace)
     encoding = positional_encoding(x.shape[1], weight.shape[1])
 
     def step() -> None:
-        gather()
+        lookup()
         np.add(out, encoding, out=out)
 
     return step
@@ -561,16 +602,16 @@ def _bind_embedding(inputs, out, weights, attrs, workspace):
 
 def _bind_attention(inputs, out, weights, attrs, workspace):
     (x,), (wq, wk, wv, wo), heads = inputs, weights, attrs["heads"]
-    qb, kb, vb, scores, red, context, merged = workspace
-    q, k, v, merged_heads = (_split_heads(b, heads) for b in (qb, kb, vb, merged))
+    qkv, scores, red, context, merged = workspace
+    wqkv = qkv_weight(wq, wk, wv)
+    q, k, v = split_qkv(qkv, heads)
+    merged_heads = _split_heads(merged, heads)
     k_t = k.transpose(0, 1, 3, 2)
     scale = np.sqrt(np.float32(x.shape[2] // heads))
     mask = np.triu(np.full((x.shape[1],) * 2, -np.inf, dtype=np.float32), k=1)
 
     def step() -> None:
-        np.matmul(x, wq, out=qb)
-        np.matmul(x, wk, out=kb)
-        np.matmul(x, wv, out=vb)
+        np.matmul(x, wqkv, out=qkv)
         np.matmul(q, k_t, out=scores)
         np.true_divide(scores, scale, out=scores)
         np.add(scores, mask, out=scores)
@@ -622,7 +663,7 @@ OPS: Dict[str, Op] = {
     "global_avg_pool": Op((), _global_pool_shapes, global_avg_pool, _bind_global_avg_pool),
     "softmax": Op((), _like_input(_rows), softmax, _bind_softmax, True),
     "embedding": Op(("weight",), _embedding_shapes, embedding, _bind_embedding, True),
-    "layer_norm": Op(_SS, _like_input(_rows, tuple), layer_norm, _bind_layer_norm, True),
+    "layer_norm": Op(_SS, _like_input(_rows), layer_norm, _bind_layer_norm, True),
     "gelu": Op((), _like_input(tuple), gelu, _bind_gelu, True),
     "linear": Op(_WB, _linear_shapes, linear, _bind_affine(flatten=False), True),
     "attention": Op(_QKVO, _attention_shapes, attention, _bind_attention, True),

@@ -46,6 +46,8 @@ class Plan(NamedTuple):
     #: parked, zero-filled, by the decoder stream that used them last
     #: (see :class:`~repro.mlrt.decoder.DecoderSession`)
     idle: list
+    #: the graph's ops that cannot run one time position at a time, sorted
+    unstreamable: List[str]
 
 
 class Model:
@@ -98,7 +100,8 @@ class Model:
                 scratch = tuple([f"{node.name}#{k}" for k in range(len(workspace))])
                 buffers.update(zip(scratch, workspace))
                 planned.append((node, op, keys, scratch))
-            self._plans[input_shape] = Plan(tuple(planned), buffers, [])
+            unstreamable = sorted({node.op for node, op, *_ in planned if not op.streamable})
+            self._plans[input_shape] = Plan(tuple(planned), buffers, [], unstreamable)
         return self._plans[input_shape]
 
     def bind(

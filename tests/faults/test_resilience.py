@@ -37,6 +37,15 @@ def test_none_deadline_never_expires():
     assert not deadline.expired()
 
 
+def test_deadline_remaining_counts_down_to_zero():
+    clock = LogicalClock()
+    deadline = Deadline(clock, budget_s=3.0)
+    left = [deadline.remaining() for _ in range(5)]
+    assert left == sorted(left, reverse=True) and left[0] < 3.0
+    assert left[-1] == 0.0 and deadline.expired()
+    assert Deadline(clock, budget_s=None).remaining() is None
+
+
 def test_retry_policy_backoff_grows_and_caps():
     policy = RetryPolicy(
         backoff_base_s=0.1, backoff_multiplier=2.0, max_delay_s=0.5, jitter=0.0

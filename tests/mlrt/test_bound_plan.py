@@ -486,20 +486,44 @@ def test_the_op_sequence_and_every_buffer_are_input_independent(framework):
             assert _addresses(scratch_arrays(runtime, weights)) == before
 
 
-def test_the_one_data_dependent_access_is_the_embedding_row_gather():
-    """``layers.bind_gather`` reads the rows of the embedding table the
-    token ids name -- the access pattern follows the input there and
-    nowhere else (docs/streaming.md says so too).  Everything else about
-    a decode step is fixed: same steps, same scratch, whatever the ids."""
-    model = build_tinylm(seed=2)
-    session = DecoderSession(model)
+#: numpy functions whose memory access follows the values of an argument
+INDEX_BY_VALUE = (
+    "take", "take_along_axis", "choose", "compress", "extract", "put",
+    "put_along_axis", "place", "nonzero", "argwhere", "flatnonzero",
+    "searchsorted", "digitize",
+)
+
+
+def test_no_bound_step_indexes_memory_by_value(monkeypatch):
+    """No step reads or writes where a value points: every table row's
+    bound step, and a decode step, run with each index-by-value numpy
+    function replaced by one that raises.  The embedding's row lookup is
+    a one-hot product (``layers.bind_one_hot``), so the same steps touch
+    the same scratch whatever the token ids."""
+
+    def refused(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"a bound step called np.{name}")
+
+        return call
+
+    for name in INDEX_BY_VALUE:
+        monkeypatch.setattr(np, name, refused(name))
+    for op in sorted(layers.OPS):
+        entry = layers.OPS[op]
+        rng = np.random.default_rng([0, sorted(layers.OPS).index(op)])
+        in_shapes, weights, attrs = CASES[op](rng)
+        weight_shapes = {name: w.shape for name, w in zip(entry.weights, weights)}
+        out_shape, *workspace_shapes = entry.shapes(in_shapes, attrs, weight_shapes)
+        inputs = [np.ones(shape, np.float32) for shape in in_shapes]
+        workspace = [np.zeros(shape, np.float32) for shape in workspace_shapes]
+        entry.bind(inputs, np.zeros(out_shape, np.float32), weights, attrs, workspace)()
+    session = DecoderSession(build_tinylm(seed=2))
+    session.prefill([3, 1, 4])
     steps, scratch = list(session._steps), _addresses([session._scratch])
     for token in (0, 31, 10**6, -5):
         session.step(token)
         assert session._steps == steps and _addresses([session._scratch]) == scratch
-    text = (SRC / "mlrt" / "layers.py").read_text()
-    assert text.count("np.take(") == 1 and "def bind_gather" in text
-    assert "bind_gather" in (SRC.parents[1] / "docs" / "streaming.md").read_text()
 
 
 # -- the walk cannot come back --------------------------------------------------------

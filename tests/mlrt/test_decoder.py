@@ -20,6 +20,19 @@ def test_non_streamable_model_refused():
         DecoderSession(build_mobilenet())
 
 
+def test_streamability_is_decided_once_per_model_with_its_plan(monkeypatch):
+    """Opening a stream reads the verdict the plan keeps; it walks no node
+    (the first stream binds, and parks its steps for the next ones)."""
+    cnn, lm = build_mobilenet(), build_tinylm()
+    assert cnn.plan().unstreamable == ["conv2d", "dense", "depthwise_conv2d", "global_avg_pool"]
+    assert lm.plan().unstreamable == []
+    DecoderSession(lm).step(1)
+    monkeypatch.setattr(type(lm.plan()), "nodes", property(lambda plan: pytest.fail("walked")))
+    for _ in range(3):
+        DecoderSession(lm).step(1)
+        assert streamable(lm) and not streamable(cnn)
+
+
 def test_prefill_matches_full_context_reference():
     # Feed exactly ctx tokens: the reference runs the whole window at
     # once, and so does prefill -- one pass of the plan bound at (1, ctx).
@@ -158,7 +171,7 @@ def test_logits_over_pinned_prompts_are_the_concatenating_caches():
         for token in np.random.default_rng(seed).integers(0, 32, 40):  # past ctx
             digest.update(session.step(int(token)).tobytes())
     assert digest.hexdigest() == (
-        "d047c6db4ff9e15bdd0c28fa6a80b089a30b53ca413e7877c78c217a9eda42f4"
+        "f79bba842c5a96307fe67598683bcfb49ce66dd936f791bb95282d27a7ce5452"
     )
 
 

@@ -178,3 +178,36 @@ def test_gelu_is_the_all_float32_formula_exactly():
     wide = x.astype(np.float64)
     old = 0.5 * wide * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (wide + 0.044715 * wide ** 3)))
     assert not np.array_equal(got, old.astype(np.float32))
+
+
+def textbook_layer_norm(x, scale, shift):
+    """Mean, then the mean squared deviation, all in float64."""
+    wide = x.astype(np.float64)
+    dev = wide - wide.mean(axis=-1, keepdims=True)
+    var = (dev * dev).mean(axis=-1, keepdims=True)
+    return dev / np.sqrt(var + 1e-5) * scale + shift
+
+
+@pytest.mark.parametrize("dim", [7, 16, 64])
+@pytest.mark.parametrize("mean", [0.0, 1e3, -1e3])
+@pytest.mark.parametrize("std", [1e-2, 1.0, 1e2])
+def test_layer_norm_keeps_float32_precision_on_offset_rows(dim, mean, std):
+    """The two-product LayerNorm against a float64 textbook one, on float32
+    rows whose offset dwarfs their spread.
+
+    Tolerance: ``dim * 2**-23 * (1 + |mean| / std)`` times the largest
+    scale, plus a few units in the last place of the output.  That is what
+    a float32 sum of ``dim`` terms the size of ``|mean|`` can promise
+    about a deviation the size of ``std``, so the subtraction of the mean
+    is allowed the rounding of the row it came from and no more: computing
+    the variance as ``E[x^2] - E[x]^2`` misses it by orders of magnitude.
+    """
+    rng = np.random.default_rng([dim, int(abs(mean)), mean < 0, int(100 * std)])
+    x = (mean + std * rng.standard_normal((32, dim))).astype(np.float32)
+    scale = rng.uniform(0.5, 2.0, dim).astype(np.float32)
+    shift = rng.standard_normal(dim).astype(np.float32)
+    got = layers.layer_norm(x, scale, shift)
+    assert got.dtype == np.float32
+    want = textbook_layer_norm(x, scale, shift)
+    tolerance = dim * 2.0 ** -23 * (1 + abs(mean) / std) * scale.max() + 2.0 ** -20
+    assert np.abs(got - want).max() <= tolerance

@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt_enclave import default_semirt_config
-from repro.errors import DeadlineExceeded
+from repro.errors import DeadlineExceeded, TransportError
+from repro.faults.resilience import ResiliencePolicy
 from repro.mlrt.zoo import build_mobilenet
 from tests.conftest import held_ecalls
 from tests.service.conftest import MODEL_ID, launch_world
@@ -97,3 +98,52 @@ def test_infer_honours_its_timeout_with_no_resilience_policy(door):
     assert _drained(gateway)
     # the session still serves afterwards
     assert np.all(np.isfinite(session.infer(x)))
+
+
+def test_retries_under_a_policy_share_the_one_timeout(monkeypatch):
+    """With a :class:`ResiliencePolicy`, ``infer(x, timeout_s=T)`` is one
+    budget: a first attempt that fails with :class:`TransportError` after
+    most of ``T`` leaves the retry only what is left, so a held second
+    attempt surfaces :class:`DeadlineExceeded` at about ``T``, not one
+    more ``T`` later.  In-process only: a remote session has no policy."""
+    budget, first_s = 1.0, 0.7
+    env = SeSeMIEnvironment(resilience=ResiliencePolicy())
+    config = default_semirt_config(tcs_count=1)
+    model = build_mobilenet(seed=11)
+    env.deploy(model, MODEL_ID, owner="owner", config=config).grant("user")
+    x = np.zeros(model.input_spec.shape, dtype=np.float32)
+    with env.session("user", MODEL_ID, config=config) as session:
+        session.infer(x)  # warm
+        gateway, timeouts, outcome = session.gateway, [], []
+        dispatch = gateway.dispatch
+
+        def first_attempt_lost(enc, uid, model_id, timeout_s=None):
+            timeouts.append(timeout_s)
+            if len(timeouts) == 1:
+                time.sleep(first_s)
+                raise TransportError("reply lost after most of the budget")
+            return dispatch(enc, uid, model_id, timeout_s=timeout_s)
+
+        monkeypatch.setattr(gateway, "dispatch", first_attempt_lost)
+
+        def call():
+            start = time.monotonic()
+            try:
+                session.infer(x, timeout_s=budget)
+            except Exception as exc:  # noqa: BLE001 - the outcome is the assertion
+                outcome.append(exc)
+            outcome.append(time.monotonic() - start)
+
+        with held_ecalls("EC_MODEL_INF") as gate:
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=_BOUND_S)
+            blocked = caller.is_alive()
+            gate.release()
+            caller.join(timeout=30)
+        assert not blocked, f"infer(timeout_s={budget}) still blocked after {_BOUND_S}s"
+        error, elapsed = outcome
+        assert isinstance(error, DeadlineExceeded), outcome
+        assert timeouts[0] <= budget and timeouts[1] <= budget - first_s
+        assert elapsed < budget + 0.35, elapsed
+        assert _drained(gateway)
