@@ -47,6 +47,7 @@ from repro.experiments import (
     table34,
     warmpool,
 )
+from repro.warmpool.manager import STRATEGIES, WarmPoolConfig
 
 #: name -> (description, module exposing ``run``/``format_report``, the
 #: fixed keyword arguments ``repro run`` passes to ``run``)
@@ -77,7 +78,7 @@ EXPERIMENTS: Dict[str, Tuple[str, ModuleType, dict]] = {
         {"quick": True},
     ),
     "warmpool": (
-        "Warm-pool policies: cold-start ratios, scale-to-zero, pre-warming",
+        "Warm-pool policies: cold-start ratios and scale-to-zero",
         warmpool, {},
     ),
 }
@@ -284,19 +285,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot a live service tier in the foreground (``repro serve``)."""
     from repro.service import serve
-    from repro.warmpool.manager import WarmPoolConfig
-    from repro.warmpool.predictor import PredictorPolicy
 
     warm_pool = None
     if args.keep_alive is not None:
-        # the deployment door: four flags -> the gateway's WarmPoolConfig
+        # the deployment door: three flags -> the gateway's WarmPoolConfig
         warm_pool = WarmPoolConfig(
             strategy=args.warm_strategy,
             keep_alive_s=args.keep_alive,
             min_warm=args.min_warm,
-            max_endpoints=max(args.endpoints, 8),
-            predictive=args.prewarm,
-            predictor=PredictorPolicy(slots_per_endpoint=args.tcs),
         )
     _, svc = _service_world(
         tcs_count=args.tcs,
@@ -308,9 +304,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(f"models: {', '.join(sorted(svc.handles))}")
     if svc.gateway.warm_pool is not None:
-        predictive = " +predictive" if args.prewarm else ""
         print(
-            f"warm pool: strategy={args.warm_strategy}{predictive} "
+            f"warm pool: strategy={args.warm_strategy} "
             f"keep_alive={args.keep_alive:.0f}s min_warm={args.min_warm} "
             f"(state under /v1/stats -> warm_pool)"
         )
@@ -394,12 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="endpoints the janitor always keeps alive (0: scale to zero)",
     )
     serve_parser.add_argument(
-        "--warm-strategy", default="lcs", choices=("lcs", "mru", "affinity"),
+        "--warm-strategy", default="lcs", choices=STRATEGIES,
         help="warm-endpoint reuse policy",
-    )
-    serve_parser.add_argument(
-        "--prewarm", action="store_true",
-        help="launch endpoints ahead of predicted demand (EWMA rates)",
     )
     serve_parser.set_defaults(handler=_cmd_serve)
     return parser

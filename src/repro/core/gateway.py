@@ -45,7 +45,7 @@ one-shot hint, same discipline as batch affinity), every dispatch is
 classified cold/warm/hot, measured cold-start latency lands on the
 :class:`RouteDecision` and the ``route`` span, and periodic
 :meth:`InferenceGateway.maintain` calls run the scale-to-zero janitor
-and the predictive pre-warmer (``docs/warmpool.md``).
+(``docs/warmpool.md``).
 """
 
 from __future__ import annotations
@@ -562,9 +562,7 @@ class InferenceGateway:
             return None
         return self._launch(endpoint)
 
-    def _launch(
-        self, endpoint: str, prewarmed: bool = False
-    ) -> Tuple[SemirtHost, bool, float]:
+    def _launch(self, endpoint: str) -> Tuple[SemirtHost, bool, float]:
         with self._launch_lock:
             with self._lock:
                 host = self._hosts.get(endpoint)
@@ -581,12 +579,7 @@ class InferenceGateway:
                 self._owned.add(endpoint)
             self.router.mark_endpoint_up(endpoint)
             if self.warm_pool is not None:
-                self.warm_pool.on_launch(
-                    endpoint,
-                    self._now(),
-                    cold_start_s=launch_s,
-                    prewarmed=prewarmed,
-                )
+                self.warm_pool.on_launch(endpoint, self._now(), cold_start_s=launch_s)
             return host, True, launch_s
 
     def _fleet(
@@ -614,19 +607,15 @@ class InferenceGateway:
 
     # -- fleet growth ---------------------------------------------------------------
 
-    def _add_endpoint(self) -> Optional[str]:
-        try:
-            return self.router.add_endpoint()[0]
-        except RoutingError:
-            return None  # baseline routers have a fixed layout
-
     def _grow_fleet(self) -> bool:
         """Regrow an emptied fleet: one more endpoint, marked by a ``scale_out`` span."""
-        endpoint = self._add_endpoint()
-        if endpoint is not None:
-            with maybe_span(self.tracer, "scale_out", endpoint=endpoint):
-                pass
-        return endpoint is not None
+        try:
+            endpoint = self.router.add_endpoint()[0]
+        except RoutingError:
+            return False  # baseline routers have a fixed layout
+        with maybe_span(self.tracer, "scale_out", endpoint=endpoint):
+            pass
+        return True
 
     # -- drain / retire ------------------------------------------------------------
 
@@ -658,19 +647,20 @@ class InferenceGateway:
 
     def maintain(
         self, now: Optional[float] = None, retire_timeout_s: float = 5.0
-    ) -> Dict[str, List[str]]:
-        """One warm-pool housekeeping pass: janitor sweep + pre-warming.
+    ) -> List[str]:
+        """One warm-pool housekeeping pass: the janitor's sweep.
 
         Call it periodically (the service tier's sweeper does).  The
         janitor's nominations are retired through the ordinary
-        drain-then-retire lifecycle; the pre-warmer launches ahead of
-        predicted demand, growing the fleet up to the warm pool's
-        ``max_endpoints`` when every known endpoint is already live.
-        A no-op unless ``GatewayConfig.warm_pool`` is armed.
+        drain-then-retire lifecycle; returns the endpoints retired.  A
+        nominee that took traffic between its nomination and the drain
+        is refused by the router: its drain ends, so it serves again and
+        a later sweep nominates it once it is idle.  A no-op unless
+        ``GatewayConfig.warm_pool`` is armed.
         """
-        result: Dict[str, List[str]] = {"retired": [], "prewarmed": []}
+        retired: List[str] = []
         if self.warm_pool is None:
-            return result
+            return retired
         if now is None:
             now = self._now()
         for victim in self.warm_pool.sweep(now):
@@ -681,28 +671,12 @@ class InferenceGateway:
             try:
                 self.retire(victim, timeout_s=retire_timeout_s, reason="janitor")
             except RoutingError:
-                # traffic landed between nomination and drain; the
-                # endpoint stays draining and a later sweep retries
+                # a draining endpoint takes no traffic but still counts
+                # toward the min_warm floor: let it serve again
+                self.router.end_drain(victim)
                 continue
-            result["retired"].append(victim)
-        for _ in range(self.warm_pool.prewarm_count(now)):
-            endpoint = self._prewarm_target()
-            if endpoint is None:
-                break
-            self._launch(endpoint, prewarmed=True)
-            result["prewarmed"].append(endpoint)
-        return result
-
-    def _prewarm_target(self) -> Optional[str]:
-        """An endpoint slot a pre-warm launch can fill, if any.
-
-        Prefers re-warming a known endpoint without a live host; grows
-        the fleet only below the warm pool's ``max_endpoints``.
-        """
-        endpoint = next(self._hostless(), None)
-        if endpoint is None and self.endpoint_count < self.warm_pool.config.max_endpoints:
-            endpoint = self._add_endpoint()
-        return endpoint
+            retired.append(victim)
+        return retired
 
     def warm_stats(self) -> Optional[dict]:
         """The warm pool's stats section (``None`` when not armed)."""

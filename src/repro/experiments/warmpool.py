@@ -1,6 +1,6 @@
 """Warm-pool benchmark: cold-start elimination across reuse policies.
 
-Four fleet policies serve the same seeded workloads on the paper's
+Three fleet policies serve the same seeded workloads on the paper's
 platform -- :func:`~repro.experiments.common.make_testbed`'s Controller,
 SeSeMI containers (:class:`~repro.core.simbridge.SemirtSimActor`) and
 Figure 13's cluster of eight nodes, each with memory for twelve
@@ -16,9 +16,7 @@ containers -- through the Controller's own
   maximising the warm pool;
 - **mru** -- keep-alive with most-recently-used reuse (OpenWhisk's): the
   idle tail ages out and the janitor retires it, trading warm hits for a
-  smaller fleet;
-- **lcs+predictive** -- LCS plus the EWMA pre-warmer launching
-  containers ahead of predicted demand.
+  smaller fleet.
 
 Two workloads: the Table III/IV FnPacker mix's Poisson streams (two
 2 rps streams to two models) and the Figure 13 MMPP trace (mean rate
@@ -28,9 +26,9 @@ are the platform's end to end (controller, placement, queueing).
 
 The simulation is deterministic end to end, so the same seed produces a
 byte-identical warm-pool decision log -- ``decision_log_digest`` in the
-result, pinned by ``tests/warmpool/test_determinism.py`` -- and ``repro
-run warmpool`` exits 1 below the >= 3x cold-start-reduction floor (CI
-keeps the result as ``BENCH_warmpool.json``).
+result, pinned by ``tests/experiments/test_warmpool_experiment.py`` --
+and ``repro run warmpool`` exits 1 below the >= 3x cold-start-reduction
+floor (CI keeps the result as ``BENCH_warmpool.json``).
 
 A third scenario demonstrates scale-to-zero: a burst grows the fleet,
 traffic stops, and the janitor shrinks it to the ``min_warm`` floor
@@ -52,14 +50,13 @@ from repro.mlrt.zoo import profile
 from repro.serverless.action import ActionSpec
 from repro.serverless.controller import PlatformConfig
 from repro.warmpool.manager import WarmPoolConfig
-from repro.warmpool.predictor import PredictorPolicy
 from repro.workloads.arrival import Arrival, poisson
 from repro.workloads.mlperf import build_fnpacker_workload
 
-POLICIES = ("none", "lcs", "mru", "lcs+predictive")
+POLICIES = ("none", "lcs", "mru")
 WORKLOADS = ("poisson", "mmpp")
 
-#: cold-start reduction ``run()`` gates on (predictive LCS vs none)
+#: cold-start reduction ``run()`` gates on (LCS vs none)
 REDUCTION_GATE = 3.0
 
 MODEL, FRAMEWORK = "MBNET", "tvm"
@@ -69,17 +66,9 @@ NODE_CONTAINERS = 12
 
 
 def _warm_pool(policy: str, keep_alive_s: float, min_warm: int) -> WarmPoolConfig:
-    fleet = NUM_NODES * NODE_CONTAINERS
     if policy == "none":
-        return WarmPoolConfig(keep_alive_s=0.0, min_warm=0, max_endpoints=fleet)
-    return WarmPoolConfig(
-        strategy="mru" if policy == "mru" else "lcs",
-        keep_alive_s=keep_alive_s,
-        min_warm=min_warm,
-        max_endpoints=fleet,
-        predictive=policy == "lcs+predictive",
-        predictor=PredictorPolicy(service_time_s=profile(MODEL).exec_s(FRAMEWORK)),
-    )
+        return WarmPoolConfig(keep_alive_s=0.0, min_warm=0)
+    return WarmPoolConfig(strategy=policy, keep_alive_s=keep_alive_s, min_warm=min_warm)
 
 
 def _serve(
@@ -138,7 +127,6 @@ def run_policy(
         "p99_ms": float(np.percentile(latencies, 99)) * 1e3,
         "mean_ms": float(latencies.mean()) * 1e3,
         "launches": counters["launches"],
-        "prewarm_launches": counters["prewarm_launches"],
         "janitor_retired": counters["janitor_retired"],
         "peak_fleet": int(_fleet(bed).peak),
         "decision_log_digest": hashlib.sha256(log_text.encode()).hexdigest(),
@@ -206,11 +194,11 @@ def run(
     seed: int = 2025,
     keep_alive_s: float = 30.0,
 ) -> dict:
-    """The full sweep: four policies x two workloads + the janitor demo.
+    """The full sweep: three policies x two workloads + the janitor demo.
 
     The result carries the two gates (``BENCH_warmpool.json`` in CI):
-    ``reduction`` (no-keep-alive cold ratio over predictive-LCS cold
-    ratio on the Poisson workload) >= ``REDUCTION_GATE``, and
+    ``reduction`` (no-keep-alive cold ratio over LCS cold ratio on the
+    Poisson workload) >= ``REDUCTION_GATE``, and
     ``scale_to_zero.scaled_to_floor``.
     """
     until = duration_s + 3600.0
@@ -229,8 +217,8 @@ def run(
         for workload_name, arrivals in traces.items()
     }
     baseline = sweep["poisson"]["none"]["cold_ratio"]
-    predictive = sweep["poisson"]["lcs+predictive"]["cold_ratio"]
-    reduction = baseline / predictive if predictive > 0 else float("inf")
+    lcs = sweep["poisson"]["lcs"]["cold_ratio"]
+    reduction = baseline / lcs if lcs > 0 else float("inf")
     scale_demo = run_scale_to_zero(keep_alive_s=keep_alive_s)
     gates = {
         "cold_start_reduced": reduction >= REDUCTION_GATE,
@@ -243,7 +231,7 @@ def run(
         "workloads": sweep,
         "scale_to_zero": scale_demo,
         "baseline_cold_ratio": baseline,
-        "predictive_cold_ratio": predictive,
+        "lcs_cold_ratio": lcs,
         "reduction": reduction,
         "reduction_gate": REDUCTION_GATE,
         "gates": gates,
@@ -252,7 +240,7 @@ def run(
 
 
 def decision_log_for(
-    policy: str = "lcs+predictive",
+    policy: str = "lcs",
     duration_s: float = 120.0,
     seed: int = 2025,
 ) -> str:
@@ -306,7 +294,7 @@ def format_report(result: dict) -> str:
         f"{demo['final_fleet']} after idling past keep-alive "
         f"(min_warm={demo['min_warm']}, janitor retired "
         f"{demo['janitor_retired']})",
-        f"cold-start reduction (none vs lcs+predictive, poisson): "
+        f"cold-start reduction (none vs lcs, poisson): "
         f"{result['reduction']:.1f}x (gate >= {result['reduction_gate']:.0f}x)",
         format_gates(result),
     ]

@@ -95,6 +95,12 @@ class Router:
         """Stop sending new requests to ``endpoint``; in-flight finishes."""
         raise RoutingError(f"{type(self).__name__} does not support draining")
 
+    def end_drain(self, endpoint: str) -> None:
+        """Route to a draining ``endpoint`` again (a refused retirement).
+
+        A no-op on a router that never drains.
+        """
+
     def retire_endpoint(self, endpoint: str) -> None:
         """Remove a drained endpoint from the pool entirely."""
         raise RoutingError(f"{type(self).__name__} does not support retirement")
@@ -258,7 +264,7 @@ class FnPackerRouter(Router):
     # -- endpoint lifecycle (scale-out / drain / retire) -------------------------
 
     def add_endpoint(self, name: Optional[str] = None) -> Tuple[str, Tuple[str, ...]]:
-        """Grow the pool by one endpoint (pre-warming, regrowth from zero)."""
+        """Grow the pool by one endpoint (regrowth from zero)."""
         if name is None:
             name = f"{self.pool.name}-ep{self._endpoint_seq}"
         if name in self._endpoints:
@@ -272,6 +278,12 @@ class FnPackerRouter(Router):
         ep = self._endpoints[endpoint]
         ep.draining = True
         ep.exclusive_for = None
+
+    def end_drain(self, endpoint: str) -> None:
+        """Route to a draining ``endpoint`` again (a refused retirement)."""
+        ep = self._endpoints.get(endpoint)
+        if ep is not None:
+            ep.draining = False
 
     def retire_endpoint(self, endpoint: str) -> None:
         """Drop a drained endpoint; refuses while work is in flight."""

@@ -195,9 +195,7 @@ class Controller:
             self.sim.now, self._active_containers
         )
 
-    def _create_container(
-        self, deployment: _Deployment, node: Invoker, prewarmed: bool = False
-    ) -> Container:
+    def _create_container(self, deployment: _Deployment, node: Invoker) -> Container:
         node.reserve_memory(deployment.spec.memory_budget)
         self._active_containers += 1
         self._record_memory()
@@ -215,7 +213,6 @@ class Controller:
             container.container_id,
             self.sim.now,
             cold_start_s=None,  # still starting: _startup reports it
-            prewarmed=prewarmed,
             slots=deployment.spec.concurrency,
         )
         self.sim.process(
@@ -255,8 +252,6 @@ class Controller:
             container.container_id, self.sim.now, self.sim.now - launched_at
         )
         container.ready_event.succeed()
-        if container.idle:  # pre-warmed: nothing was waiting for it
-            self._went_idle(deployment, container)
 
     def _assign(
         self,
@@ -266,8 +261,7 @@ class Controller:
         done: Event,
     ) -> None:
         container.in_flight += 1
-        pool = deployment.warm_pool
-        pool.on_dispatch(
+        deployment.warm_pool.on_dispatch(
             container.container_id,
             request.model_id,
             self.sim.now,
@@ -277,11 +271,6 @@ class Controller:
             self._serve(deployment, container, request, done),
             name=f"serve:{request.request_id}",
         )
-        for _ in range(pool.prewarm_count(self.sim.now)):
-            node = self._place(deployment.spec)
-            if node is None:
-                break
-            self._create_container(deployment, node, prewarmed=True)
 
     def _serve(
         self,
@@ -394,9 +383,7 @@ class Controller:
     def _sweep(self, deployment: _Deployment, reason: str) -> None:
         """Tear down what the deployment's janitor nominates now."""
         for name in deployment.warm_pool.sweep(self.sim.now):
-            container = deployment.containers[name]
-            if container.ready:  # a pre-warm still starting is kept
-                self._destroy(container, reason)
+            self._destroy(deployment.containers[name], reason)
 
     def _destroy(self, container: Container, reason: str) -> None:
         container.destroyed = True

@@ -509,8 +509,8 @@ class InferenceService:
         """Expire terminal/abandoned results so slots cannot leak.
 
         The same cadence drives the gateway's warm-pool housekeeping
-        (janitor retirements + predictive pre-warming) when it is
-        armed.  Runs on its own thread until :meth:`close`.
+        (janitor retirements) when it is armed.  Runs on its own thread
+        until :meth:`close`.
         """
         interval = max(0.5, self.config.result_ttl_s / 4)
         pool = self.gateway.warm_pool

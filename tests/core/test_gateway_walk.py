@@ -149,7 +149,7 @@ def test_a_gateway_without_tracer_or_clock_still_tells_the_time():
     first = gw._now()
     time.sleep(0.03)
     assert gw._now() > first > 0.0
-    assert gw.maintain()["retired"] == ["p-ep0"]
+    assert gw.maintain() == ["p-ep0"]
 
 
 def test_env_gateway_derives_slots_from_the_enclave_config():

@@ -2,8 +2,8 @@
 
 Covers the four integration points: temperature/cold-start fields on
 :class:`RouteDecision`, warm-hint reuse, :meth:`maintain`'s janitor
-sweeps + pre-warm launches, and scale-from-zero regrowth after the
-janitor empties the fleet.
+sweeps (and a refused retirement), and scale-from-zero regrowth after
+the janitor empties the fleet.
 """
 
 import pytest
@@ -14,7 +14,6 @@ from repro.obs.span import LogicalClock
 from repro.obs.tracer import Tracer
 from repro.routing import FnPool
 from repro.warmpool.manager import WarmPoolConfig
-from repro.warmpool.predictor import PredictorPolicy
 
 from tests.core.test_gateway import _FakeHost
 
@@ -74,24 +73,43 @@ def test_maintain_retires_idle_endpoints_to_the_floor():
     # ep0 rejects the second request, so it reroutes and ep1 goes live
     assert gw.dispatch(b"b", "u2", "m0").decision.endpoint == "p-ep1"
     assert gw.warm_pool.fleet_size == 2
-    result = gw.maintain()
-    assert len(result["retired"]) == 1
+    assert len(gw.maintain()) == 1
     assert gw.warm_pool.fleet_size == 1
     assert gw.warm_pool.counters()["janitor_retired"] == 1
 
 
-def test_maintain_prewarms_up_to_the_min_warm_floor():
+def test_a_refused_retirement_ends_the_drain(monkeypatch):
+    """A request that lands on a nominee between its nomination and the
+    drain makes the router refuse the retirement.  The nominee used to
+    stay draining: it held the min_warm floor while nothing could reach
+    it, the next sweep retired the healthy peer, and the next request
+    cold-launched a third endpoint."""
     gw = make_warm_gateway(
-        predictive=True, min_warm=2, predictor=PredictorPolicy()
+        keep_alive_s=0.0,
+        min_warm=1,
+        plans={"p-ep0": [b"a", QueueFull("full")]},
     )
-    result = gw.maintain()
-    assert result["prewarmed"] == ["p-ep0", "p-ep1"]
+    gw.dispatch(b"a", "u1", "m0")
+    assert gw.dispatch(b"b", "u2", "m0").decision.endpoint == "p-ep1"
+    sweep = gw.warm_pool.sweep
+    landed = []
+
+    def sweep_then_land(now):
+        victims = sweep(now)
+        landed.append(gw.submit(b"c", "u3", "m0"))
+        return victims
+
+    monkeypatch.setattr(gw.warm_pool, "sweep", sweep_then_land)
+    gw.maintain(retire_timeout_s=0.0)
+    assert landed[0].endpoint == "p-ep0"
+    assert not gw.router.state("p-ep0").draining
+    assert landed[0].result() == b"c"
+    monkeypatch.setattr(gw.warm_pool, "sweep", sweep)
+    # both idle now: the floor keeps one, and p-ep1 is the older idle
+    assert gw.maintain() == ["p-ep1"]
+    decision = gw.dispatch(b"d", "u4", "m0").decision
+    assert decision.endpoint == "p-ep0" and not decision.cold
     assert gw.launched == ["p-ep0", "p-ep1"]
-    stats = gw.warm_stats()
-    assert all(ep["prewarmed"] for ep in stats["endpoints"].values())
-    # a dispatch now lands on a pre-warmed endpoint: no cold start
-    decision = gw.dispatch(b"x", "u", "m0").decision
-    assert not decision.cold and decision.temperature == "warm"
 
 
 def test_janitor_emptied_fleet_regrows_on_demand():
@@ -101,7 +119,7 @@ def test_janitor_emptied_fleet_regrows_on_demand():
         min_warm=0,
     )
     gw.dispatch(b"x", "u", "m0")
-    assert gw.maintain()["retired"] == ["p-ep0"]
+    assert gw.maintain() == ["p-ep0"]
     assert gw.endpoint_count == 0  # true scale-to-zero
     reply = gw.dispatch(b"y", "u", "m0")
     assert reply.output == b"y"
@@ -126,7 +144,7 @@ def test_attached_hosts_are_pinned_against_the_janitor():
     gw = make_warm_gateway(keep_alive_s=0.0, min_warm=0)
     shared = _FakeHost("p-ep0")
     gw.attach("p-ep0", shared)
-    assert gw.maintain()["retired"] == []
+    assert gw.maintain() == []
     assert shared.enclave.alive
     assert gw.warm_stats()["endpoints"]["p-ep0"]["pinned"]
 
@@ -139,4 +157,4 @@ def test_warm_stats_is_none_when_the_pool_is_not_armed():
     )
     assert gw.warm_pool is None
     assert gw.warm_stats() is None
-    assert gw.maintain() == {"retired": [], "prewarmed": []}
+    assert gw.maintain() == []

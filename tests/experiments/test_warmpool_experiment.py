@@ -108,3 +108,41 @@ def test_the_decision_log_carries_each_container_startup():
         assert "cold_start_s=pending" in lines[i]
         at, startup = ready[lines[i].split()[1]]
         assert at > i and startup > PlatformConfig().sandbox_init_s
+
+
+#: ``repro run warmpool``'s rows at its defaults (duration 240 s, seed
+#: 2025, keep-alive 30 s): the decision-log digest and the cold / warm /
+#: hot split of every keep-alive policy.  A change to any keep-alive
+#: decision moves a digest; CI's double run only compares a commit with
+#: itself, so this is where such a change shows.
+PINNED_ROWS = {
+    ("poisson", "none"): (
+        "df717526f0aa2cd03dadec5a7638c4774bc4fc751a424f2dcebec9e20282fd85", 950, 0, 0
+    ),
+    ("poisson", "lcs"): (
+        "e7f1ddc14bf901c4abfbc3893d19f3bc3a4ef035c24e77f5a59a65899635efeb", 14, 479, 457
+    ),
+    ("poisson", "mru"): (
+        "884d297fbcbf4614246d30051eb62b45285c30ab8efbe54b21a0fff8b69750ba", 20, 463, 467
+    ),
+    ("mmpp", "none"): (
+        "d59e12b321a798db619bcf0d0b34c27d51bf1ab4139c02fd967618b799c2937e", 3214, 0, 996
+    ),
+    ("mmpp", "lcs"): (
+        "e8a1f859c9484afdff6ebddcfba471b04caf17020b63f5dfa91f5c0cdce99531", 68, 0, 4142
+    ),
+    ("mmpp", "mru"): (
+        "448f981864fbea544c291c4af182d8af9ffb1f71e9f8c1b8711483497016f428", 68, 0, 4142
+    ),
+}
+
+
+def test_the_default_run_keeps_every_pinned_keep_alive_decision():
+    result = warmpool.run()
+    rows = {
+        (workload, policy): (row["decision_log_digest"], row["cold"], row["warm"], row["hot"])
+        for workload, by_policy in result["workloads"].items()
+        for policy, row in by_policy.items()
+    }
+    assert rows == PINNED_ROWS
+    assert result["reduction"] == 950 / 14  # none vs lcs on Poisson

@@ -303,41 +303,6 @@ def test_the_warm_pool_learns_each_container_startup_once_it_is_ready():
     assert "ready ep=container-1 t=0.500000 cold_start_s=0.500000" in pool.decision_log()
 
 
-def test_a_starting_prewarm_is_not_offered_over_a_ready_idle_container():
-    """LCS prefers the least recently used container, and a pre-warm's last
-    use is its launch: offered while still starting, it took the request
-    from a ready idle container and made it wait out the startup, cold."""
-    from repro.warmpool.predictor import PredictorPolicy
-
-    startups = iter([0.5, 10.0])  # the demand launch, then the pre-warm
-
-    class StartupRuntime(PayloadRuntime):
-        def __init__(self):
-            self.startup_s = next(startups)
-
-        def startup(self, ctx):
-            yield ctx.sim.timeout(self.startup_s)
-
-    config = PlatformConfig(
-        sandbox_init_s=0.0,
-        controller_overhead_s=0.0,
-        warm_pool=WarmPoolConfig(
-            strategy="lcs", keep_alive_s=180.0, min_warm=2, predictive=True,
-            predictor=PredictorPolicy(service_time_s=0.1),
-        ),
-    )
-    sim, platform = build(config=config, runtime_factory=StartupRuntime)
-    # the first request launches container-1 and, to reach min_warm, the
-    # pre-warm container-2, which is still starting at t=1
-    events = submit_at(sim, platform, [(0.0, 0.1), (1.0, 0.1)])
-    sim.run()
-    first, late = (event.value for event in events)
-    assert first.container_id == "container-1" and first.finished_at == 0.6
-    assert late.container_id == "container-1"
-    assert late.kind == "hot" and late.started_at == 1.0
-    assert platform.controller.cold_starts == 2
-
-
 def _pool_matches_fleet(controller, name="f"):
     return controller.deployment(name).warm_pool.fleet_size == (
         controller.warm_containers(name)

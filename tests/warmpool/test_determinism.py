@@ -2,7 +2,6 @@
 
 from repro.experiments import warmpool
 from repro.warmpool.manager import WarmPoolConfig, WarmPoolManager
-from repro.warmpool.predictor import PredictorPolicy
 
 
 def drive(manager):
@@ -12,10 +11,10 @@ def drive(manager):
     manager.on_complete("ep0", "m0", 1.0)
     manager.on_dispatch("ep0", "m0", 2.0)
     manager.on_complete("ep0", "m0", 2.5)
-    manager.on_launch("ep1", 3.0, prewarmed=True)
+    manager.on_launch("ep1", 3.0, cold_start_s=None)
+    manager.on_ready("ep1", 3.2, cold_start_s=0.2)
     manager.on_dispatch("ep1", "m1", 3.5)
     manager.on_failure("ep1", "m1", 4.0)
-    manager.prewarm_count(5.0)
     for victim in manager.sweep(60.0):
         manager.on_retire(victim, 60.0)
     manager.on_down("ep0", 70.0)
@@ -23,10 +22,7 @@ def drive(manager):
 
 
 def test_replayed_trace_produces_an_identical_log():
-    config = WarmPoolConfig(
-        keep_alive_s=10.0, min_warm=0, predictive=True,
-        predictor=PredictorPolicy(service_time_s=0.5),
-    )
+    config = WarmPoolConfig(keep_alive_s=10.0, min_warm=0)
     first = drive(WarmPoolManager(config))
     second = drive(WarmPoolManager(config))
     assert first == second

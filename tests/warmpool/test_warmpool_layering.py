@@ -50,8 +50,8 @@ def test_gate_allows_routing_types_in_warmpool(tmp_path):
         "import threading\n"
         "from repro.errors import ConfigError\n"
         "from repro.routing import BatchAffinity\n"
-        "from repro.warmpool.strategy import WarmEndpoint\n"
-        "from . import janitor\n"
+        "from repro.warmpool.manager import WarmPoolConfig\n"
+        "from . import manager\n"
     )
     checker = _load_checker()
     assert checker.check(tmp_path / "warmpool", checker.PACKAGES["warmpool"]) == []
