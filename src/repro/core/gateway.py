@@ -627,11 +627,18 @@ class InferenceGateway:
         self, endpoint: str, timeout_s: float = 30.0, *, reason: str = "manual"
     ) -> None:
         """Drain ``endpoint``, wait for its work, and tear it down."""
+        self._drain_and_wait(endpoint, timeout_s)
+        self._tear_down(endpoint, reason)
+
+    def _drain_and_wait(self, endpoint: str, timeout_s: float) -> None:
         self.drain(endpoint)
         with self._idle:
             self._idle.wait_for(
                 lambda: self._endpoint_pending(endpoint) == 0, timeout=timeout_s
             )
+
+    def _tear_down(self, endpoint: str, reason: str) -> None:
+        """Retire a drained ``endpoint``: the router refuses while work is in flight."""
         self.router.retire_endpoint(endpoint)
         self._affinity.forget_endpoint(endpoint)
         with self._lock:
@@ -645,37 +652,40 @@ class InferenceGateway:
 
     # -- warm-pool housekeeping ------------------------------------------------------
 
-    def maintain(
-        self, now: Optional[float] = None, retire_timeout_s: float = 5.0
-    ) -> List[str]:
+    def maintain(self, retire_timeout_s: float = 5.0) -> List[str]:
         """One warm-pool housekeeping pass: the janitor's sweep.
 
         Call it periodically (the service tier's sweeper does).  The
         janitor's nominations are retired through the ordinary
         drain-then-retire lifecycle; returns the endpoints retired.  A
-        nominee that took traffic between its nomination and the drain
-        is refused by the router: its drain ends, so it serves again and
-        a later sweep nominates it once it is idle.  A no-op unless
-        ``GatewayConfig.warm_pool`` is armed.
+        nominee that took traffic after its nomination is not idle past
+        its keep-alive any more: once the drain has waited out that
+        work, the nominee's expiry is read again against the clock, and
+        if it has not expired (or the router refuses the retirement) its
+        drain ends, so it serves again and a later sweep nominates it
+        once it is idle.  A no-op unless ``GatewayConfig.warm_pool`` is
+        armed.
         """
         retired: List[str] = []
         if self.warm_pool is None:
             return retired
-        if now is None:
-            now = self._now()
-        for victim in self.warm_pool.sweep(now):
+        for victim in self.warm_pool.sweep(self._now()):
             with self._lock:
                 owned = victim in self._owned
             if not owned:
                 continue  # attached/shared hosts are never ours to kill
+            self._drain_and_wait(victim, retire_timeout_s)
+            expiry = self.warm_pool.expiry(victim)
             try:
-                self.retire(victim, timeout_s=retire_timeout_s, reason="janitor")
+                if expiry is not None and expiry <= self._now():
+                    self._tear_down(victim, reason="janitor")
+                    retired.append(victim)
+                    continue
             except RoutingError:
-                # a draining endpoint takes no traffic but still counts
-                # toward the min_warm floor: let it serve again
-                self.router.end_drain(victim)
-                continue
-            retired.append(victim)
+                pass  # work landed after the expiry was read
+            # a draining endpoint takes no traffic but still counts toward
+            # the min_warm floor: let it serve again
+            self.router.end_drain(victim)
         return retired
 
     def warm_stats(self) -> Optional[dict]:

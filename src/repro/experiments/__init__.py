@@ -5,6 +5,10 @@ The protocol ``python -m repro run NAME`` (:mod:`repro.cli`) drives:
 - ``run(**knobs) -> dict``: every knob is a keyword with the default
   the CLI runs; the result is a JSON-ready dict;
 - ``format_report(result) -> str``: the paper-style rows;
+- a paper module's ``ANCHORS``: each paper number or ordering it is held
+  to, stated once as an :class:`~repro.experiments.common.Anchor`
+  (label, paper value, a function of the result, and a band, order,
+  threshold or report-only magnitude);
 - a *gated* harness adds ``gates`` (name -> bool) and ``pass`` (their
   conjunction) to the result -- the one place its floor is decided;
   ``repro run`` exits 1 on ``pass: False`` and reports render the
@@ -12,8 +16,9 @@ The protocol ``python -m repro run NAME`` (:mod:`repro.cli`) drives:
 - optional ``collect_trace() -> list``: the spans ``repro trace NAME``
   exports.
 
-The benchmark suite under ``benchmarks/`` and the EXPERIMENTS.md
-generator build on the same modules.
+The benchmark suite under ``benchmarks/`` asserts every gated anchor,
+and the EXPERIMENTS.md generator (:mod:`repro.experiments.report`)
+prints every anchor's computed verdict; neither states a paper number.
 
 | paper artifact | module |
 |---|---|

@@ -1,10 +1,11 @@
-"""Shared experiment scaffolding: testbeds, deployment, sweep helpers."""
+"""Shared experiment scaffolding: testbeds, deployment, sweep helpers,
+and the paper anchors every paper module states its claims with."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costs import CostModel
 from repro.errors import RoutingError
@@ -29,9 +30,6 @@ from repro.sgx.platform import SGX1, SGX2, HardwareProfile
 from repro.sim.core import Simulation
 from repro.workloads.driver import WorkloadDriver
 from repro.workloads.metrics import LatencyStats
-
-SYSTEMS = ("Native", "Iso-reuse", "SeSeMI")
-
 
 @dataclass
 class Testbed:
@@ -209,3 +207,58 @@ def format_gates(result: dict) -> str:
         for name, ok in result["gates"].items()
     )
     return f"gates: {verdicts} -> {'PASS' if result['pass'] else 'FAIL'}"
+
+
+# -- paper anchors ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Anchor:
+    """One claim of the paper's evaluation and how a measurement meets it.
+
+    ``measure`` maps the experiment's ``run()`` result to the measured
+    value; ``paper`` is the paper's value (a number, a pair for an
+    order, or a phrase where the paper states no number).  ``kind``:
+
+    - ``"band"``: holds when ``lo <= measured <= hi``;
+    - ``"order"``: ``measured`` is a pair ``(a, b)``; holds when ``a < b``;
+    - ``"threshold"``: holds when ``measured > lo`` and/or
+      ``measured < hi``, whichever is set;
+    - ``"magnitude"``: reported with its factor ``measured / paper``,
+      never gated.
+
+    ``why`` is one sentence of reason the code cannot show.
+    """
+
+    label: str
+    paper: Any
+    measure: Callable[[dict], Any]
+    kind: str
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    unit: str = ""
+    report_only: bool = False
+    why: str = ""
+
+    @property
+    def gated(self) -> bool:
+        """Asserted by ``benchmarks/bench_paper_shape.py``: any kind but a
+        magnitude, unless it is marked report-only."""
+        return self.kind != "magnitude" and not self.report_only
+
+    def evaluate(self, result: dict) -> Tuple[Any, Any, str]:
+        """``(measured, paper, word)``: the word is ``"holds"`` or
+        ``"deviates"``, or for a magnitude its factor (``"7.71x paper"``)."""
+        measured = self.measure(result)
+        if self.kind == "magnitude":
+            return measured, self.paper, f"{measured / self.paper:.2f}x paper"
+        if self.kind == "order":
+            held = measured[0] < measured[1]
+        elif self.kind == "band":
+            held = self.lo <= measured <= self.hi
+        elif self.kind == "threshold":
+            held = ((self.lo is None or measured > self.lo)
+                    and (self.hi is None or measured < self.hi))
+        else:
+            raise ValueError(f"anchor {self.label!r} has no kind {self.kind!r}")
+        return measured, self.paper, "holds" if held else "deviates"

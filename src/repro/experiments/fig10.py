@@ -5,8 +5,8 @@ plus one runtime buffer per thread; serving them from *n* single-thread
 enclaves replicates the whole enclave.  The saving therefore depends on
 λ = runtime-buffer-size / model-size: TFLM (small intermediate-only
 buffers, λ << 1) saves far more than TVM (buffers embed weight copies,
-λ > 1).  Paper headline: 86.2 % peak-memory saving for TFLM-RSNET at 8
-threads.
+λ > 1).  The paper's peak saving, TFLM-RSNET's at 8 threads, is
+:data:`ANCHORS`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.simbridge import ServableModel
-from repro.experiments.common import format_table
+from repro.experiments.common import Anchor, format_table
 from repro.mlrt.zoo import FRAMEWORKS, PROFILES
 
 THREAD_COUNTS = (1, 2, 4, 8)
@@ -43,6 +43,13 @@ def run() -> dict:
     return {"rows": rows, "thread_counts": THREAD_COUNTS, "peak": peak}
 
 
+ANCHORS = (
+    Anchor("peak saving at 8 threads (TFLM-RSNET)", 0.862, lambda r: r["peak"][1], "band",
+           0.782, 0.942, unit="%", why="this model counts the configured enclave sizes, while "
+           "the paper measured peak resident pages, which credits lazily allocated pages as saved"),
+)
+
+
 def format_report(result: dict) -> str:
     """Render the experiment result as a paper-style text table."""
     headers = ["config", "lambda"] + [
@@ -52,8 +59,7 @@ def format_report(result: dict) -> str:
     lines = [
         "Figure 10 -- enclave memory saving vs concurrency",
         "(lambda = runtime buffer size / model size).",
-        f"Peak saving: {label} at {saving:.1%} with 8 threads "
-        "(paper: 86.2% for TFLM-RSNET).",
+        f"Peak saving: {label} at {saving:.1%} with 8 threads.",
         "",
         format_table(headers, result["rows"]),
     ]

@@ -19,6 +19,7 @@ from typing import Dict, List
 
 from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import (
+    Anchor,
     action_budget,
     format_table,
     make_driver,
@@ -102,6 +103,21 @@ def run() -> dict:
     return {"cpu_bound": run_cpu_bound(), "epc_bound": run_epc_bound()}
 
 
+def _slower(low: str, high: str) -> Anchor:
+    """Figure 11b: at the top concurrency ``low`` is faster than ``high``."""
+    return Anchor(f"11b: {low} grows slower than {high}", f"{low} below {high}", lambda r: (
+        r["epc_bound"][low][-1][1], r["epc_bound"][high][-1][1]), "order", unit="s")
+
+
+ANCHORS = (
+    Anchor("11a: knee past the 12 physical cores", "queues past 12", lambda r: (
+        dict(r["cpu_bound"])[12], dict(r["cpu_bound"])[16]), "order", unit="s"),
+    _slower("TVM-4", "TVM-1"),
+    _slower("TFLM-4", "TFLM-1"),
+    _slower("TFLM-4", "TVM-4"),
+)
+
+
 def format_report(result: dict) -> str:
     """Render the experiment result as a paper-style text table."""
     lines = [
@@ -111,7 +127,6 @@ def format_report(result: dict) -> str:
         format_table(["concurrency", "mean latency (s)"], result["cpu_bound"]),
         "",
         "Figure 11b -- latency under EPC pressure (MBNET, SGX1 128MB EPC).",
-        "Paper: TVM hits the EPC limit before TFLM; -4 grows slower than -1.",
         "",
     ]
     for label, rows in result["epc_bound"].items():

@@ -2,9 +2,9 @@
 
 (a)/(b): fixed-rate sweeps of MBNET and RSNET under TVM on SGX2,
 comparing Native / Iso-reuse / SeSeMI.  Expected shape: Native saturates
-below 15 rps (per-request enclave launch + attestation), Iso-reuse and
-SeSeMI coincide for MBNET (~46 rps, the platform ceiling) but diverge
-for RSNET, whose expensive runtime init Iso-reuse repeats per request.
+first (per-request enclave launch + attestation), Iso-reuse and SeSeMI
+coincide for MBNET (~46 rps, the platform ceiling) but diverge for
+RSNET, whose expensive runtime init Iso-reuse repeats per request.
 
 (c)/(d): the same sweep for SeSeMI on EPC-limited SGX1 hardware with
 TVM vs TFLM and 1 vs 4 threads per enclave: TFLM sustains a higher rate
@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.experiments.common import (
+    Anchor,
     deploy_single_model,
     format_table,
     make_driver,
@@ -109,6 +110,27 @@ def run(quick: bool = False) -> dict:
         "rsnet": run_sgx2("RSNET", rates=(1, 2, 3, 5, 8) if quick else (1, 2, 3, 4, 5, 8, 12)),
         "sgx1": run_sgx1(rates=sgx1_rates),
     }
+
+
+def _tput(result: dict, sweep: str, config: str, rate=None) -> float:
+    """Goodput of one sweep point (``rate`` None: the sweep's top rate)."""
+    rows = {(row[0], row[1]): row[2] for row in result[sweep]}
+    return rows[(config, rate or max(r for _, r in rows))]
+
+
+ANCHORS = (
+    Anchor("12a: Native goodput at 40 rps offered", 15.0,
+           lambda r: _tput(r, "mbnet", "Native", 40), "threshold", hi=15.0, unit="rps"),
+    *(Anchor(f"12a: {system} goodput at 40 rps offered", "keeps up",
+             lambda r, s=system: _tput(r, "mbnet", s, 40), "threshold", lo=38.0, unit="rps")
+      for system in ("SeSeMI", "Iso-reuse")),
+    Anchor("12b: RSNET goodput at 8 rps, Iso-reuse < SeSeMI", "Iso-reuse peaks lower",
+           lambda r: (_tput(r, "rsnet", "Iso-reuse", 8), _tput(r, "rsnet", "SeSeMI", 8)),
+           "order", unit="rps"),
+    *(Anchor(f"12c/d: top-rate goodput, {other} < TFLM-4", "TFLM-4 sustains most",
+             lambda r, o=other: (_tput(r, "sgx1", o), _tput(r, "sgx1", "TFLM-4")), "order",
+             unit="rps") for other in ("TVM-4", "TVM-1")),
+)
 
 
 def format_report(result: dict) -> str:

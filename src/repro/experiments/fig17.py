@@ -2,10 +2,10 @@
 
 One cold request per (model, framework) on SGX2 hardware, once through
 SeSeMI (Figure 17) and once through the untrusted runtime (Figure 18).
-The paper's observation: the overhead of TEE protection comes almost
-entirely from enclave initialisation and attestation; the stages the two
-paths share (loading, runtime init, inference) barely differ because the
-64 GB EPC removes memory pressure.
+The paper's observation (:data:`ANCHORS`): the overhead of TEE
+protection comes almost entirely from enclave initialisation and
+attestation; the stages the two paths share (loading, runtime init,
+inference) barely differ because the 64 GB EPC removes memory pressure.
 
 Both breakdowns are read from the request span trees produced by a
 virtual-time :class:`~repro.obs.tracer.Tracer` (see
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.stages import Stage
-from repro.experiments.common import format_table
+from repro.experiments.common import Anchor, format_table
 from repro.experiments.fig8 import traced_cold_request
 from repro.mlrt.zoo import FRAMEWORKS, PROFILES
 from repro.obs import analysis
@@ -60,6 +60,24 @@ def run() -> dict:
     return {"rows": rows, "details": details}
 
 
+def _trust_share(result: dict) -> float:
+    """Enclave init + key retrieval's lowest share of a config's SGX-only overhead."""
+    return min(
+        sum(result["details"][label]["sgx"].get(s.value, 0.0)
+            for s in (Stage.ENCLAVE_INIT, Stage.KEY_RETRIEVAL)) / overhead
+        for label, _, _, overhead in result["rows"]
+    )
+
+
+ANCHORS = (
+    Anchor("shared stages w/ SGX / w/o SGX (config farthest from 1)", 1.0,
+           lambda r: max((row[1] / row[2] for row in r["rows"]), key=lambda x: abs(x - 1)),
+           "band", 0.95, 1.05, unit="x"),
+    Anchor("enclave init + key share of the SGX-only overhead (lowest config)", "almost all",
+           _trust_share, "threshold", lo=0.8, unit="%"),
+)
+
+
 def format_report(result: dict) -> str:
     """Render the experiment result as a paper-style text table."""
     headers = [
@@ -70,8 +88,6 @@ def format_report(result: dict) -> str:
     ]
     lines = [
         "Figures 17/18 -- cold-request breakdown with vs without SGX (SGX2).",
-        "Paper: the three shared stages have minimal differences; the",
-        "overhead is enclave init + attestation (+ small crypto).",
         "",
         format_table(headers, result["rows"]),
     ]

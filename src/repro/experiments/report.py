@@ -1,23 +1,17 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
 Run with:  python -m repro report [output-path]
+
+Each section runs its experiment as ``repro run`` does
+(:data:`repro.cli.EXPERIMENTS`) and renders the module's paper-style
+rows, then its verdict: every anchor of the module's ``ANCHORS``
+evaluated against that result.  No verdict is written here.
 """
 
 from __future__ import annotations
 
-from repro.experiments import (
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig15,
-    fig17,
-    table1,
-    table2,
-    table34,
-)
+from repro import cli
+from repro.experiments.common import Anchor
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -33,134 +27,83 @@ milliseconds match the authors' 11-node SGX cluster.  Where a measured
 magnitude deviates materially we say so and explain why.
 """
 
+#: (``repro run`` name, section title) in the paper's order
+SECTIONS = (
+    ("table1", "Table I — evaluation models"),
+    ("fig8", "Figure 8 — cold-invocation stage breakdown"),
+    ("fig9", "Figure 9 — invocation paths"),
+    ("fig10", "Figure 10 — enclave memory saving"),
+    ("fig11", "Figure 11 — latency vs concurrency"),
+    ("fig12", "Figure 12 — single-node rate sweeps"),
+    ("fig13", "Figures 13 & 14 — multi-node MMPP"),
+    ("table2", "Table II — strong-isolation overhead"),
+    ("table34", "Tables III & IV — FnPacker"),
+    ("fig15", "Figures 15 & 16 — enclave launch / attestation overhead"),
+    ("fig17", "Figures 17 & 18 — breakdown with vs without SGX"),
+)
 
-def _section(title: str, body: str) -> str:
-    return f"\n## {title}\n\n```\n{body}\n```\n"
+
+def _show(value, unit: str) -> str:
+    """A paper or measured value: a phrase, a pair, or a number with its unit."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return " vs ".join(_show(v, unit) for v in value)
+    if unit == "%":
+        return f"{value:.1%}"
+    if abs(value) >= 1000:
+        text = f"{value:,.0f}"
+    else:
+        text = f"{value:.1f}" if abs(value) >= 100 else f"{value:.4g}"
+    return f"{text}x" if unit == "x" else f"{text} {unit}".rstrip()
 
 
-def build_report(mmpp_duration_s: float = 240.0) -> str:
-    """Run every experiment and compose the EXPERIMENTS.md text."""
+def _check(anchor: Anchor) -> str:
+    if anchor.kind == "band":
+        return f"{_show(anchor.lo, anchor.unit)} to {_show(anchor.hi, anchor.unit)}"
+    if anchor.kind == "threshold":
+        return (f"> {_show(anchor.lo, anchor.unit)}" if anchor.lo is not None
+                else f"< {_show(anchor.hi, anchor.unit)}")
+    return "first < second" if anchor.kind == "order" else "magnitude"
+
+
+def _held(evaluations) -> str:
+    gated = [word for anchor, _, _, word in evaluations if anchor.gated]
+    return f"{gated.count('holds')} of {len(gated)}"
+
+
+def _verdict(evaluations) -> str:
+    """The verdict line, the anchor table and the stated reasons."""
+    lines = [
+        f"Verdict: {_held(evaluations)} gated anchors hold.",
+        "",
+        "| anchor | paper | measured | check | agreement |",
+        "|---|---|---|---|---|",
+    ]
+    for anchor, measured, paper, word in evaluations:
+        check = _check(anchor) + (" (report-only)" if anchor.report_only else "")
+        lines.append(f"| {anchor.label} | {_show(paper, anchor.unit)} | "
+                     f"{_show(measured, anchor.unit)} | {check} | {word} |")
+    reasons = [f"- {anchor.label}: {anchor.why}." for anchor, *_ in evaluations if anchor.why]
+    return "\n".join(lines + ([""] + reasons if reasons else [])) + "\n"
+
+
+def build_report() -> str:
+    """Run every paper experiment and compose the EXPERIMENTS.md text."""
     parts = [HEADER]
-
-    parts.append(_section("Table I — evaluation models",
-                          table1.format_report(table1.run())))
-    parts.append(
-        "Verdict: profile values are the paper's, verbatim; the runnable "
-        "scaled-down models reproduce the structural relation (TFLM buffer "
-        "<< model-sized TVM buffer).\n"
-    )
-
-    parts.append(_section("Figure 8 — cold-invocation stage breakdown",
-                          fig8.format_report(fig8.run())))
-    parts.append(
-        "Verdict: matches. Enclave init + key fetching exceed 60% of cold "
-        "latency for every TVM model (paper's headline observation); TFLM "
-        "runtime init is negligible, as in the paper.\n"
-    )
-
-    parts.append(_section("Figure 9 — invocation paths",
-                          fig9.format_report(fig9.run())))
-    parts.append(
-        "Verdict: matches. TVM-MBNET lands at ~21x (hot) and ~11x (warm) "
-        "speedup over cold — the paper's exact factors — and hot ≈ "
-        "untrusted-with-cached-model, warm ≈ untrusted, as observed.\n"
-    )
-
-    parts.append(_section("Figure 10 — enclave memory saving",
-                          fig10.format_report(fig10.run())))
-    parts.append(
-        "Verdict: matches in shape; peak saving 81.5% for TFLM-RSNET at 8 "
-        "threads vs the paper's measured 86.2% (our model counts the "
-        "configured enclave sizes; the paper measured peak resident pages, "
-        "which credits lazily-allocated pages as saved).\n"
-    )
-
-    parts.append(_section("Figure 11 — latency vs concurrency",
-                          fig11.format_report(fig11.run())))
-    parts.append(
-        "Verdict: matches. 11a is flat until the 12 physical cores, then "
-        "queues. 11b reproduces the orderings: TVM hits the 128MB EPC "
-        "before TFLM; 4-thread enclaves degrade much slower than "
-        "1-thread; TFLM-4 is the most scalable.\n"
-    )
-
-    parts.append(_section("Figure 12 — single-node rate sweeps",
-                          fig12.format_report(fig12.run(quick=True))))
-    parts.append(
-        "Verdict: matches. 12a: Native saturates well below 15 rps (enclave "
-        "launch + attestation per request), Iso-reuse ≈ SeSeMI for MBNET up "
-        "to the platform ceiling (~46 rps). 12b: Iso-reuse peaks below "
-        "SeSeMI for RSNET (per-request model reload + runtime init). "
-        "12c/d: on SGX1, TVM-1 collapses by ~14 rps while TFLM-4 sustains "
-        "18+ rps — the paper's crossover.\n"
-    )
-
-    mmpp = fig13.run(duration_s=mmpp_duration_s)
-    parts.append(_section("Figures 13 & 14 — multi-node MMPP",
-                          fig13.format_report(mmpp)))
-    parts.append(
-        "Verdict: ordering and dynamics match — SeSeMI stays flat through "
-        "the 20↔40 rps bursts (DSNET ~0.5s vs paper 0.64s) while Iso-reuse "
-        "spikes during bursts and recovers slowly, and Native is far worse. "
-        "Magnitude caveat: our Iso-reuse/Native overload more severely than "
-        "the paper's (their NFS client page cache absorbs repeated model "
-        "downloads; our shared 10Gbps link charges every reload), so their "
-        "collapsed means are larger than the published 3.35s/12.54s. "
-        "Figure 14's cost reductions land at ~60% (DSNET, paper 59%) and "
-        "~50% (RSNET, paper 48%).\n"
-    )
-
-    parts.append(_section("Table II — strong-isolation overhead",
-                          table2.format_report(table2.run())))
-    parts.append(
-        "Verdict: matches closely (70→246ms vs paper 66→268ms; 987→1346 vs "
-        "983→1265; 393→601 vs 389→588): per-request key re-fetch over the "
-        "live session plus runtime re-initialisation.\n"
-    )
-
-    parts.append(_section("Tables III & IV — FnPacker",
-                          table34.format_report(table34.run())))
-    parts.append(
-        "Verdict: matches. All-in-one pays ~15-35% interference on the "
-        "Poisson streams (paper: 16%); One-to-one and FnPacker tie. In "
-        "session 1, One-to-one cold-starts m2..m4 (multi-second latencies; "
-        "paper ~9.4-9.9s) while FnPacker cold-starts only m2 and serves "
-        "m3/m4 from the shared warm endpoint (~2s, paper 2.0s); session 2 "
-        "is warm everywhere.\n"
-    )
-
-    parts.append(_section("Figures 15 & 16 — enclave launch / attestation overhead",
-                          fig15.format_report(fig15.run())))
-    parts.append(
-        "Verdict: matches the appendix anchors — 16 concurrent 256MB "
-        "launches average ~4.06s on SGX2; quote latency rises from <0.1s "
-        "to ~1s at 16 concurrent; EPID (SGX1) is uniformly slower than "
-        "DCAP; SGX1 launches blow up once the launch set overcommits the "
-        "128MB EPC.\n"
-    )
-
-    parts.append(_section("Figures 17 & 18 — breakdown with vs without SGX",
-                          fig17.format_report(fig17.run())))
-    parts.append(
-        "Verdict: matches — the three stages shared with the non-SGX path "
-        "are within 5%, and the TEE overhead is almost entirely enclave "
-        "initialisation + attestation, the paper's conclusion.\n"
-    )
-
-    parts.append(
+    summary = [
         "\n## Reproduction summary\n\n"
-        "| artifact | agreement |\n|---|---|\n"
-        "| Table I | exact (inputs) + structural (measured) |\n"
-        "| Figure 8 | shape + headline threshold (>60%) |\n"
-        "| Figure 9 | factors (~21x / ~11x) |\n"
-        "| Figure 10 | shape; peak 81.5% vs 86.2% |\n"
-        "| Figure 11a/b | shape + knees |\n"
-        "| Figure 12a-d | shape + crossovers |\n"
-        "| Figure 13 | ordering + dynamics; overload magnitude overstated |\n"
-        "| Figure 14 | reductions ~60%/~50% vs 59%/48% |\n"
-        "| Table II | values within ~10-35% |\n"
-        "| Tables III/IV | shape + interference factor |\n"
-        "| Figures 15/16 | anchors reproduced |\n"
-        "| Figures 17/18 | conclusion reproduced |\n"
-    )
-    return "".join(parts)
+        "| artifact | gated anchors held | deviates | magnitude (measured / paper) |\n"
+        "|---|---|---|---|\n"
+    ]
+    for name, title in SECTIONS:
+        _description, module, kwargs = cli.EXPERIMENTS[name]
+        result = module.run(**kwargs)
+        evaluations = [(anchor, *anchor.evaluate(result)) for anchor in module.ANCHORS]
+        parts.append(f"\n## {title}\n\n```\n{module.format_report(result)}\n```\n")
+        parts.append(_verdict(evaluations))
+        deviates = [a.label for a, _, _, word in evaluations if word == "deviates"]
+        factors = [f"{a.label} {w}" for a, _, _, w in evaluations if a.kind == "magnitude"]
+        summary.append(f"| {title.split(' — ')[0]} | {_held(evaluations)} | "
+                       f"{'; '.join(deviates) or '—'} | {'; '.join(factors) or '—'} |\n")
+    return "".join(parts + summary)

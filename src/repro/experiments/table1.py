@@ -2,13 +2,14 @@
 
 Reproduced two ways: the published profile numbers used by the
 simulator, and the *measured* buffer relationship on the scaled-down
-runnable models (TFLM buffer << TVM buffer because TVM copies weights).
+runnable models (TFLM buffer << TVM buffer because TVM copies weights),
+held to the profile's relations by :data:`ANCHORS`.
 """
 
 from __future__ import annotations
 
 
-from repro.experiments.common import format_table
+from repro.experiments.common import Anchor, format_table
 from repro.mlrt.framework import get_framework
 from repro.mlrt.zoo import MB, PROFILES
 
@@ -38,6 +39,19 @@ def run() -> dict:
             )
         )
     return {"paper_rows": rows, "measured_rows": measured}
+
+
+#: measured rows are (name, weights, TVM buffer, TFLM buffer) bytes
+ANCHORS = (
+    Anchor("TFLM buffer / TVM buffer (largest model)",
+           max(p.tflm_buffer_bytes / p.tvm_buffer_bytes for p in PROFILES.values()),
+           lambda r: max(row[3] / row[2] for row in r["measured_rows"]), "threshold", hi=1.0,
+           unit="x"),
+    Anchor("model / TVM buffer (largest model)",
+           max(p.model_bytes / p.tvm_buffer_bytes for p in PROFILES.values()),
+           lambda r: max(row[1] / row[2] for row in r["measured_rows"]), "threshold", hi=1.0,
+           unit="x"),
+)
 
 
 def format_report(result: dict) -> str:

@@ -5,8 +5,8 @@ sequential processing, runtime buffer cleared per request, Section V)
 cannot take the hot path: every request re-fetches keys over the live
 KeyService session and re-initialises the model runtime.  We measure
 steady-state request latency (SeMIRT-managed stages) with and without
-the restrictions.  Paper: 65.79 -> 268.36 ms (MBNET), 982.96 -> 1265.00
-(RSNET), 388.81 -> 587.79 (DSNET) under TVM.
+the restrictions; the paper's TVM latencies are :data:`PAPER_MS` and
+its slowdowns :data:`ANCHORS`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from typing import List
 
 from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.experiments.common import (
+    Anchor,
     action_budget,
     format_table,
     make_driver,
@@ -78,6 +79,14 @@ def run() -> dict:
             )
         )
     return {"rows": rows}
+
+
+ANCHORS = tuple(
+    Anchor(f"{label} slowdown", with_iso / without,
+           lambda r, label=label: next(row[3] for row in r["rows"] if row[0] == label),
+           "band", max(0.65 * with_iso / without, 1.2), 1.35 * with_iso / without, unit="x")
+    for label, (without, with_iso) in PAPER_MS.items()
+)
 
 
 def format_report(result: dict) -> str:

@@ -15,7 +15,8 @@ ids.  Three deployment strategies are compared:
   cold-starts.
 
 Table III reports the average latency of the Poisson requests; Table IV
-the per-model latency inside each session.
+the per-model latency inside each session.  The paper's values are
+:data:`ANCHORS`.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from functools import partial
 from repro.core.simbridge import SemirtSimActor, servable_map
 from repro.errors import ConfigError
 from repro.experiments.common import (
+    Anchor,
     action_budget,
     format_table,
     latency_metrics,
@@ -95,6 +97,46 @@ def run(duration_s: float = 480.0) -> dict:
     }
 
 
+#: the paper's Table III: average Poisson latency per strategy (ms)
+PAPER_POISSON_MS = {"All-in-one": 1700.50, "One-to-one": 1456.01, "FnPacker": 1465.79}
+
+
+def _over_one_to_one(strategy: str) -> tuple:
+    """(paper, measure) of how much slower ``strategy``'s mean is than One-to-one's."""
+    def measure(result: dict) -> float:
+        means = {name: data["poisson"]["mean_s"] for name, data in result.items()}
+        return means[strategy] / means["One-to-one"] - 1
+    return PAPER_POISSON_MS[strategy] / PAPER_POISSON_MS["One-to-one"] - 1, measure
+
+
+def _sessions(result: dict, session: int, strategies, models) -> tuple:
+    """Latencies (s) of ``models`` in one session, strategy by strategy."""
+    return tuple(result[strategy]["sessions"][f"{session}:{model}"]
+                 for strategy in strategies for model in models)
+
+
+ANCHORS = (
+    Anchor("III: All-in-one over One-to-one", *_over_one_to_one("All-in-one"), "threshold",
+           lo=0.10, unit="%"),
+    Anchor("III: FnPacker over One-to-one", *_over_one_to_one("FnPacker"), "band", -0.15, 0.15,
+           unit="%"),
+    Anchor("IV: session 1, One-to-one m2-m4 colds (fastest)", 9.4,
+           lambda r: min(_sessions(r, 1, ["One-to-one"], ["m2", "m3", "m4"])), "threshold",
+           lo=3.0, unit="s"),
+    Anchor("IV: session 1, FnPacker m2 cold", "cold start",
+           lambda r: r["FnPacker"]["sessions"]["1:m2"], "threshold", lo=3.0, unit="s"),
+    Anchor("IV: session 1, FnPacker m3/m4 on the shared endpoint (slowest)", 2.0,
+           lambda r: max(_sessions(r, 1, ["FnPacker"], ["m3", "m4"])), "threshold", hi=3.0,
+           unit="s"),
+    *(Anchor(f"IV: session 1 {m}, All-in-one < One-to-one", "All-in-one switches warm",
+             lambda r, m=m: _sessions(r, 1, ["All-in-one", "One-to-one"], [m]), "order",
+             unit="s") for m in ("m2", "m3", "m4")),
+    Anchor("IV: session 2, every strategy and model (slowest)", "warm everywhere",
+           lambda r: max(_sessions(r, 2, STRATEGIES, MODEL_IDS)), "threshold", hi=3.0,
+           unit="s"),
+)
+
+
 def format_report(result: dict) -> str:
     """Render Tables III and IV as paper-style text tables."""
     table3_rows = [
@@ -108,15 +150,12 @@ def format_report(result: dict) -> str:
     ]
     lines = [
         "Table III -- average latency of Poisson traffic to m0/m1 (ms).",
-        "Paper: All-in-one 1700.50, One-to-one 1456.01, FnPacker 1465.79.",
         "",
         format_table(
             ["strategy", "avg latency (ms)", "p95 (ms)", "cold starts"], table3_rows
         ),
         "",
         "Table IV -- interactive session latency per model (ms).",
-        "Paper: One-to-one pays ~9.4-9.9s colds for m2-m4 in session 1;",
-        "FnPacker cold-starts only m2; session 2 is warm everywhere.",
         "",
     ]
     for session_index in (1, 2):

@@ -96,7 +96,6 @@ class Controller:
         self.completed = 0
         self._active_containers = 0
         self._container_ids = itertools.count(1)
-        self._draining: set = set()
 
     @property
     def memory_timeline(self) -> List[Tuple[float, int]]:
@@ -182,8 +181,6 @@ class Controller:
         home = zlib.crc32(spec.name.encode()) % len(self.nodes)
         ordering = self.nodes[home:] + self.nodes[:home]
         for node in ordering:
-            if node.node_id in self._draining:
-                continue
             if node.can_fit(spec.memory_budget):
                 return node
         return None
@@ -363,9 +360,6 @@ class Controller:
     def _went_idle(self, deployment: _Deployment, container: Container) -> None:
         """``container`` has nothing in flight: reclaim it now, or sweep at
         the instant its keep-alive expires."""
-        if container.node.node_id in self._draining:
-            self._destroy(container, reason="drain")
-            return
         expiry = deployment.warm_pool.expiry(container.container_id)
         if expiry <= self.sim.now:
             # no keep-alive: the container goes with its last request
@@ -401,46 +395,6 @@ class Controller:
         for other in self._deployments.values():
             if other.pending:
                 self._drain(other)
-
-    # -- maintenance -------------------------------------------------------------------
-
-    def drain_node(self, node: Invoker) -> None:
-        """Take a node out of scheduling (cluster maintenance).
-
-        No new containers are placed on it; its idle containers are
-        reclaimed immediately, and busy ones as soon as they finish.
-        In-flight requests run to completion -- the graceful-drain
-        semantics of real platforms.
-        """
-        self._draining.add(node.node_id)
-        for deployment in list(self._deployments.values()):
-            for container in list(deployment.containers.values()):
-                if container.node is node and container.idle and container.ready:
-                    self._destroy(container, reason="drain")
-
-    def undrain_node(self, node: Invoker) -> None:
-        """Return a drained node to the scheduling pool."""
-        self._draining.discard(node.node_id)
-        for deployment in self._deployments.values():
-            if deployment.pending:
-                self._drain(deployment)
-
-    def is_draining(self, node: Invoker) -> bool:
-        """True while ``node`` is excluded from scheduling."""
-        return node.node_id in self._draining
-
-    def retire_action(self, name: str) -> None:
-        """Reclaim an action's idle containers (endpoint retirement).
-
-        Busy containers finish their in-flight work and expire through
-        the keep-alive; the deployment record stays so late completions
-        still resolve, but with no router sending traffic it receives no
-        new requests.
-        """
-        deployment = self.deployment(name)
-        for container in list(deployment.containers.values()):
-            if container.idle and container.ready:
-                self._destroy(container, reason="retire")
 
     # -- introspection ----------------------------------------------------------------
 

@@ -104,8 +104,8 @@ SGX1 = HardwareProfile(
 
 #: SGX2 (Xeon Gold 5317 in the paper): 64 GB EPC, DCAP/ECDSA attestation.
 #: init calibrated so 16 concurrent 256 MB launches average ~4.06 s each
-#: (Appendix C) while a cold TVM-MBNET invocation lands at ~21x its hot
-#: latency (Section VI-A).
+#: (Appendix C) while a cold TVM-MBNET invocation aims at ~21x its hot
+#: latency (Section VI-A; measured 18.1x, docs/calibration.md).
 SGX2 = HardwareProfile(
     name="sgx2",
     attestation=AttestationKind.DCAP,

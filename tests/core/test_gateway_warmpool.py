@@ -6,6 +6,8 @@ sweeps (and a refused retirement), and scale-from-zero regrowth after
 the janitor empties the fleet.
 """
 
+import threading
+
 import pytest
 
 from repro.core.gateway import GatewayConfig, InferenceGateway
@@ -20,7 +22,7 @@ from tests.core.test_gateway import _FakeHost
 MODELS = ("m0", "m1")
 
 
-def make_warm_gateway(num_endpoints=2, models=MODELS, plans=None, **warm_kwargs):
+def make_warm_gateway(num_endpoints=2, models=MODELS, plans=None, clock=None, **warm_kwargs):
     pool = FnPool(
         name="p", models=models, memory_budget=0, num_endpoints=num_endpoints
     )
@@ -36,9 +38,20 @@ def make_warm_gateway(num_endpoints=2, models=MODELS, plans=None, **warm_kwargs)
         launcher,
         config=GatewayConfig(warm_pool=WarmPoolConfig(**warm_kwargs)),
         tracer=Tracer(service="test", clock=LogicalClock()),
+        clock=clock,
     )
     gw.launched = launched
     return gw
+
+
+class SetClock:
+    """A clock that reads what the test last set."""
+
+    def __init__(self, now=0.0):
+        self.t = now
+
+    def now(self):
+        return self.t
 
 
 def test_decisions_carry_temperature_and_cold_start_latency():
@@ -107,6 +120,41 @@ def test_a_refused_retirement_ends_the_drain(monkeypatch):
     monkeypatch.setattr(gw.warm_pool, "sweep", sweep)
     # both idle now: the floor keeps one, and p-ep1 is the older idle
     assert gw.maintain() == ["p-ep1"]
+    decision = gw.dispatch(b"d", "u4", "m0").decision
+    assert decision.endpoint == "p-ep0" and not decision.cold
+    assert gw.launched == ["p-ep0", "p-ep1"]
+
+
+def test_a_nominee_that_served_after_its_nomination_is_not_retired(monkeypatch):
+    """The sweep nominates both idle endpoints; then a request lands on
+    p-ep0 and completes while the janitor waits out p-ep0's drain.  That
+    use restarts p-ep0's keep-alive, so the janitor must let it serve on
+    instead of retiring an endpoint that is no longer idle past it."""
+    clock = SetClock()
+    gw = make_warm_gateway(
+        keep_alive_s=5.0, min_warm=0, clock=clock,
+        plans={"p-ep0": [b"a", QueueFull("full")]},
+    )
+    gw.dispatch(b"a", "u1", "m0")
+    assert gw.dispatch(b"b", "u2", "m0").decision.endpoint == "p-ep1"
+    clock.t = 100.0  # both idle well past keep_alive_s
+    sweep = gw.warm_pool.sweep
+    outputs, landed = [], []
+
+    def sweep_then_land(now):
+        victims = sweep(now)
+        handle = gw.submit(b"c", "u3", "m0")
+        assert handle.endpoint == "p-ep0"
+        finisher = threading.Timer(0.2, lambda: outputs.append(handle.result()))
+        finisher.start()
+        landed.append(finisher)
+        return victims
+
+    monkeypatch.setattr(gw.warm_pool, "sweep", sweep_then_land)
+    assert gw.maintain(retire_timeout_s=2.0) == ["p-ep1"]
+    landed[0].join(timeout=5.0)
+    assert outputs == [b"c"]
+    assert not gw.router.state("p-ep0").draining
     decision = gw.dispatch(b"d", "u4", "m0").decision
     assert decision.endpoint == "p-ep0" and not decision.cold
     assert gw.launched == ["p-ep0", "p-ep1"]

@@ -197,15 +197,14 @@ class PayloadRuntime(ActionRuntime):
         return None, "hot", {}
 
 
-def exact_platform(keep_alive_s=180.0, concurrency=1, num_nodes=1):
+def exact_platform(keep_alive_s=180.0, concurrency=1):
     """No sandbox init, no admission overhead: times are the runtime's."""
     config = PlatformConfig(
         sandbox_init_s=0.0,
         controller_overhead_s=0.0,
         warm_pool=openwhisk_keep_alive(keep_alive_s),
     )
-    return build(num_nodes=num_nodes, config=config, concurrency=concurrency,
-                 runtime_factory=PayloadRuntime)
+    return build(config=config, concurrency=concurrency, runtime_factory=PayloadRuntime)
 
 
 def submit_at(sim, platform, schedule):
@@ -307,25 +306,6 @@ def _pool_matches_fleet(controller, name="f"):
     return controller.deployment(name).warm_pool.fleet_size == (
         controller.warm_containers(name)
     )
-
-
-def test_the_warm_pool_forgets_drained_and_retired_containers():
-    sim, platform = exact_platform(num_nodes=2)
-    controller = platform.controller
-    # three long requests spread over both nodes, then one finishes
-    events = submit_at(sim, platform, [(0.0, 30.0), (0.0, 30.0), (0.0, 10.0)])
-    sim.run(until=15.0)
-    assert controller.warm_containers("f") == 3 and _pool_matches_fleet(controller)
-    node = next(n for n in platform.nodes if n.node_id == events[2].value.node_id)
-    controller.drain_node(node)  # its idle container goes now, busy ones later
-    assert _pool_matches_fleet(controller)
-    sim.run(until=40.0)
-    assert _pool_matches_fleet(controller)
-    assert all(
-        c.node is not node for c in controller.deployment("f").containers.values()
-    )
-    controller.retire_action("f")
-    assert controller.warm_containers("f") == 0 and _pool_matches_fleet(controller)
 
 
 def test_no_warm_pool_record_outlives_its_container_on_a_fig13_run():

@@ -1,8 +1,8 @@
-"""Failure injection: node draining, storage loss, stale sessions.
+"""Failure injection: storage loss, stale sessions.
 
 The threat model assumes a cloud that controls the software stack, so
-robustness to infrastructure misbehaviour -- maintenance drains, missing
-artifacts, restarted services -- is part of the system's contract.
+robustness to infrastructure misbehaviour -- missing artifacts,
+restarted services -- is part of the system's contract.
 """
 
 import numpy as np
@@ -10,120 +10,8 @@ import pytest
 
 from repro.core.deployment import SeSeMIEnvironment
 from repro.errors import StorageError
-from repro.serverless.action import ActionSpec, Request, round_memory_budget
-from repro.serverless.container import ActionRuntime
-from repro.serverless.platform import ServerlessPlatform
-from repro.sim.core import Simulation
 
 MB = 1024 * 1024
-BUDGET = round_memory_budget(100 * MB)
-
-
-class Quick(ActionRuntime):
-    def startup(self, ctx):
-        yield ctx.sim.timeout(0.1)
-
-    def handle(self, ctx, request):
-        yield ctx.sim.timeout(0.2)
-        return None, "hot", {}
-
-
-def build_two_nodes():
-    sim = Simulation()
-    platform = ServerlessPlatform(sim, num_nodes=2, node_memory=BUDGET)
-    spec = ActionSpec(name="f", image="i", memory_budget=BUDGET, concurrency=1)
-    platform.deploy(spec, Quick)
-    return sim, platform
-
-
-def run_requests(sim, platform, count, gap=1.0):
-    results = []
-
-    def driver(sim):
-        for _ in range(count):
-            done = platform.invoke("f", Request(model_id="m", user_id="u"))
-            result = yield done
-            results.append(result)
-            yield sim.timeout(gap)
-
-    sim.process(driver(sim))
-    sim.run(until=5000)
-    return results
-
-
-def test_drained_node_gets_no_new_containers():
-    sim, platform = build_two_nodes()
-    controller = platform.controller
-    target = platform.nodes[0]
-    controller.drain_node(target)
-    results = run_requests(sim, platform, 3)
-    assert all(r.node_id != target.node_id for r in results)
-    assert controller.is_draining(target)
-
-
-def test_drain_reclaims_idle_containers():
-    sim, platform = build_two_nodes()
-    controller = platform.controller
-    observed = []
-
-    def driver(sim):
-        result = yield platform.invoke("f", Request(model_id="m", user_id="u"))
-        node = next(n for n in platform.nodes if n.node_id == result.node_id)
-        observed.append(node.memory_used)
-        controller.drain_node(node)
-        observed.append(node.memory_used)
-
-    sim.process(driver(sim))
-    sim.run(until=5000)
-    before, after = observed
-    assert before > 0
-    assert after == 0
-
-
-def test_busy_container_drains_after_completion():
-    sim, platform = build_two_nodes()
-    controller = platform.controller
-    collected = []
-
-    def driver(sim):
-        done = platform.invoke("f", Request(model_id="m", user_id="u"))
-        yield sim.timeout(0.15)  # mid-startup/serve
-        served_node = None
-        # Drain whichever node hosts the container (home-node hashing).
-        for candidate in platform.nodes:
-            if candidate.memory_used:
-                controller.drain_node(candidate)
-                served_node = candidate
-        result = yield done
-        collected.append((result, served_node))
-
-    sim.process(driver(sim))
-    sim.run(until=5000)
-    result, node = collected[0]
-    assert result.response is None  # request completed despite the drain
-    assert node.memory_used == 0    # container reclaimed right after
-
-
-def test_undrain_restores_scheduling():
-    sim, platform = build_two_nodes()
-    controller = platform.controller
-    for node in platform.nodes:
-        controller.drain_node(node)
-
-    pending_probe = []
-
-    def driver(sim):
-        done = platform.invoke("f", Request(model_id="m", user_id="u"))
-        yield sim.timeout(5.0)
-        pending_probe.append(done.triggered)  # stuck: fully drained
-        controller.undrain_node(platform.nodes[0])
-        result = yield done
-        pending_probe.append(result.node_id)
-
-    sim.process(driver(sim))
-    sim.run(until=5000)
-    assert pending_probe[0] is False
-    assert pending_probe[1] == platform.nodes[0].node_id
 
 
 def test_missing_model_artifact_fails_loudly(tiny_model, tiny_input):
