@@ -22,6 +22,15 @@ the next power's rows are those rows times the table itself
 rows come from a shift-and-reduce chain.  Correctness is pinned by the
 NIST GCM test vectors, by known-answer vectors captured from the previous
 (block-serial) implementation, and by digests of the table bytes.
+
+A message of at most one block -- a stream's 9-byte frame -- skips numpy
+altogether: its CTR XOR and its tag are Python integers, the tag being a
+memoised ``(aad, length)`` GHASH prefix, XOR ``E_K(J0)``, XOR ``C * H^2``
+from a 4-bit Shoup table of 512 integers (32 nibble positions x 16
+values).  That table is read off the ``H^2`` table in one pass, once per
+cipher and only after its first one-block message: at most 32 KiB of
+integers beside the numpy tables.  It is indexed by ciphertext nibbles,
+which the wire carries in the clear anyway.
 """
 
 from __future__ import annotations
@@ -67,6 +76,10 @@ _LANE = np.dtype("V16")  # one 128-bit field element, moved as an opaque unit
 _POSITION = (np.arange(16, dtype=np.intp) * 256).reshape(16, 1)
 # the table rows holding power * x^i, i = 8j + t: byte j set to bit 7 - t
 _BIT_ROWS = (_POSITION + (0x80 >> np.arange(8, dtype=np.intp))).reshape(128)
+# the rows of a Shoup 8-bit table that make its 4-bit one, 32 per byte
+# position j: (hi << 4 at byte j) * power for hi = 0..15, then (lo at byte j)
+_NIBBLES = np.arange(16, dtype=np.intp)
+_NIBBLE_ROWS = (_POSITION + np.concatenate([_NIBBLES << 4, _NIBBLES])).reshape(512)
 
 
 def _gf_mult(x: int, y: int) -> int:
@@ -182,8 +195,9 @@ class AESGCM:
 
     A stream's frames are sealed from keystream runs instead
     (:meth:`keystream_run`, :meth:`seal_with`, :meth:`open_with`), and a
-    message of at most one block -- a 9-byte frame -- hashes as a
-    memoised per-``(aad, length)`` prefix plus one table multiply.
+    message of at most one block -- a 9-byte frame -- is sealed and opened
+    in Python integers: a memoised per-``(aad, length)`` GHASH prefix plus
+    one 4-bit table multiply, no numpy call past reading its keystream.
     """
 
     def __init__(self, key) -> None:
@@ -200,8 +214,10 @@ class AESGCM:
         self._reservoir_lock = threading.Lock()
         self._spares = 1  # slots the next seal miss adds
         self._last_seal = 0  # keystream blocks of the last seal (0: none yet)
-        # (aad, length) -> GHASH(aad, 0^length), see _short_ghash
-        self._prefixes: dict[tuple[bytes, int], np.ndarray] = {}
+        # (aad, length) -> GHASH(aad, 0^length) as an int, see _short_ghash
+        self._prefixes: dict[tuple[bytes, int], int] = {}
+        # (nibble at position k) * H^2 at 16 * k + nibble, see _h2_nibbles
+        self._nibbles: list[int] | None = None
 
     @property
     def table_bytes(self) -> int:
@@ -366,45 +382,68 @@ class AESGCM:
         return self._decrypt(keystream, ciphertext, aad)
 
     def _encrypt(self, keystream: np.ndarray, plaintext: bytes, aad: bytes) -> bytes:
+        if len(plaintext) <= 16:
+            mask, ciphertext = _one_block(plaintext, keystream)
+            return ciphertext + (mask ^ self._short_ghash(aad, ciphertext)).to_bytes(16, "big")
         ciphertext = _xor_stream(plaintext, keystream)
         return ciphertext + self._tag(keystream, aad, ciphertext)
 
     def _decrypt(self, keystream: np.ndarray, ciphertext: bytes, aad: bytes) -> bytes:
         body, tag = ciphertext[:-TAG_SIZE], ciphertext[-TAG_SIZE:]
-        if not hmac.compare_digest(tag, self._tag(keystream, aad, body)):
+        if len(body) <= 16:
+            mask, plaintext = _one_block(body, keystream)
+            want = (mask ^ self._short_ghash(aad, body)).to_bytes(16, "big")
+        else:
+            plaintext, want = None, self._tag(keystream, aad, body)
+        if not hmac.compare_digest(tag, want):
             raise InvalidTag("AES-GCM tag mismatch")
-        return _xor_stream(body, keystream)
+        return _xor_stream(body, keystream) if plaintext is None else plaintext
 
     def _tag(self, keystream: np.ndarray, aad: bytes, ciphertext: bytes) -> bytes:
-        if len(ciphertext) <= 16:
-            tag = self._short_ghash(aad, ciphertext)
-        else:
-            tag = self._ghash(aad, ciphertext)
+        tag = self._ghash(aad, ciphertext)
         tag ^= keystream[0].view(np.uint64)
         return tag.tobytes()
 
-    def _short_ghash(self, aad: bytes, ciphertext: bytes) -> np.ndarray:
-        """:meth:`_ghash` of a ciphertext of at most one block.
+    def _short_ghash(self, aad: bytes, ciphertext: bytes) -> int:
+        """:meth:`_ghash` of a ciphertext of at most one block, as an int.
 
         GHASH is linear in its blocks, and a lone ciphertext block meets
         ``H^2`` whatever the aad, so the digest is ``GHASH(aad, 0^len) ^
         C * H^2``.  The first term depends only on ``(aad, len)``, which a
         stream's frames share; it is memoised (at most
-        :data:`_MAX_PREFIXES` entries), leaving one table multiply.
+        :data:`_MAX_PREFIXES` entries).  The second is one lookup per
+        nibble of ``C`` in :meth:`_h2_nibbles`, XORed together.
         """
         key = (aad, len(ciphertext))
         prefix = self._prefixes.get(key)
         if prefix is None:
-            prefix = self._ghash(aad, bytes(len(ciphertext)))
+            prefix = int.from_bytes(self._ghash(aad, bytes(len(ciphertext))).tobytes(), "big")
             if len(self._prefixes) >= _MAX_PREFIXES:
                 self._prefixes.clear()
             self._prefixes[key] = prefix
-        if not ciphertext:
-            return prefix.copy()
-        block = np.frombuffer(ciphertext.ljust(16, b"\0"), dtype=np.uint64).reshape(1, 2)
-        digest = _multiply(block, self._power_tables(2)[1])
-        digest ^= prefix
-        return digest
+        if ciphertext:
+            nibbles = self._nibbles or self._h2_nibbles()
+            row = 0
+            for byte in ciphertext:
+                prefix ^= nibbles[row + (byte >> 4)] ^ nibbles[row + 16 + (byte & 15)]
+                row += 32
+        return prefix
+
+    def _h2_nibbles(self) -> list[int]:
+        """The 4-bit Shoup table of ``H^2`` as 512 ints, built once per cipher.
+
+        Entry ``32 * j + hi`` is ``(hi << 4 at byte j) * H^2`` and entry
+        ``32 * j + 16 + lo`` is ``(lo at byte j) * H^2``: rows of the
+        8-bit ``H^2`` table, read out in one gather.
+        """
+        square = self._power_tables(2)[1]
+        with self._grow_lock:
+            if self._nibbles is None:
+                rows = square[_NIBBLE_ROWS].tobytes()
+                self._nibbles = [
+                    int.from_bytes(rows[at : at + 16], "big") for at in range(0, len(rows), 16)
+                ]
+            return self._nibbles
 
     # -- sealed-blob convenience ----------------------------------------------
 
@@ -507,7 +546,10 @@ class AESGCM:
         keystream, so the cache is bounded by ``SESSION_CACHE_CAPACITY``
         x (cap + reservoir) = 128 x (576 + 4) KiB = 72.5 MiB, reached only
         if every cached key has sealed a message over 4 KiB (a context
-        that has only seen 64-byte stream frames holds 192 + 4 KiB).
+        that has only seen 64-byte stream frames holds 192 + 4 KiB).  A
+        context that has sealed or opened a message of at most one block
+        also holds the 512 ints of its ``H^2`` nibble table, at most
+        32 KiB more (512 ints of 128 bits); one that never has holds none.
 
         Invalidation: the cache is keyed on the key *material*, so a
         rotated or re-granted key derives a new context automatically;
@@ -575,6 +617,15 @@ def frame_nonce(nonce: bytes, index: int) -> bytes:
 def _blocks(length: int) -> int:
     """Keystream blocks a ``length``-byte message needs: the tag mask + CTR."""
     return 1 + -(-length // 16)
+
+
+def _one_block(data: bytes, keystream: np.ndarray) -> tuple[int, bytes]:
+    """The tag mask ``E_K(J0)`` as an int and ``data`` (at most one block)
+    XOR its CTR block, from one :meth:`AESGCM._keystreams` run."""
+    rows = keystream[:2].tobytes()
+    length = len(data)
+    masked = int.from_bytes(data, "big") ^ int.from_bytes(rows[16 : 16 + length], "big")
+    return int.from_bytes(rows[:16], "big"), masked.to_bytes(length, "big")
 
 
 def _xor_stream(data: bytes, keystream: np.ndarray) -> bytes:

@@ -77,8 +77,3 @@ class InvocationResult:
     def latency(self) -> float:
         """End-to-end latency the user observes."""
         return self.finished_at - self.submitted_at
-
-    @property
-    def execution_seconds(self) -> float:
-        """Time spent in the container (what the owner is billed for)."""
-        return self.finished_at - self.started_at

@@ -396,8 +396,3 @@ class Controller:
             if other.pending:
                 self._drain(other)
 
-    # -- introspection ----------------------------------------------------------------
-
-    def warm_containers(self, action_name: str) -> int:
-        """Count of live (non-destroyed) containers for an action."""
-        return len(self.deployment(action_name).containers)

@@ -86,7 +86,3 @@ class BlobStore:
     def download_time(self, key: str) -> float:
         """Modelled latency for downloading ``key`` in full."""
         return self.profile.download_time(self.head(key).nbytes)
-
-    def download_time_for_size(self, nbytes: int) -> float:
-        """Latency model for a hypothetical object (simulation-only paths)."""
-        return self.profile.download_time(nbytes)

@@ -95,11 +95,6 @@ class Histogram:
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
 
-    def bucket_counts(self) -> Dict[str, int]:
-        """Counts per bucket, labelled Prometheus-style (le=...)."""
-        labels = [f"le={b}" for b in self.buckets] + ["le=+inf"]
-        return dict(zip(labels, self._counts))
-
     @property
     def min(self) -> float:
         """Smallest observation so far (0.0 when empty)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.costs import CostModel
+from repro.experiments import fig9
 from repro.mlrt.zoo import profile
 from repro.serverless.storage import NFS
 from repro.sgx.platform import SGX1, SGX2
@@ -25,8 +26,13 @@ def test_hot_path_anchor(cost):
     assert hot == pytest.approx(0.06579 + 0.004, rel=0.01)
 
 
+def _anchor(label):
+    """Figure 9's anchor ``label``: its band bounds these cost-model checks."""
+    return next(anchor for anchor in fig9.ANCHORS if anchor.label == label)
+
+
 def test_cold_to_hot_ratio_anchor(cost):
-    """TVM-MBNET cold is ~21x hot (Section VI-A)."""
+    """TVM-MBNET cold over hot is in Figure 9's band (Section VI-A)."""
     prof = profile("MBNET")
     cold = (
         cost.enclave_init_s(prof.tvm_enclave_bytes)
@@ -39,11 +45,12 @@ def test_cold_to_hot_ratio_anchor(cost):
         + cost.result_encrypt_s
     )
     hot = cost.request_decrypt_s + cost.model_exec_s(prof, "tvm") + cost.result_encrypt_s
-    assert cold / hot == pytest.approx(21.0, rel=0.15)
+    anchor = _anchor("TVM-MBNET cold/hot")
+    assert anchor.lo <= cold / hot <= anchor.hi
 
 
 def test_cold_to_warm_ratio_anchor(cost):
-    """TVM-MBNET warm is ~11x faster than cold (Section VI-A)."""
+    """TVM-MBNET cold over warm is in Figure 9's band (Section VI-A)."""
     prof = profile("MBNET")
     cold = (
         cost.enclave_init_s(prof.tvm_enclave_bytes)
@@ -63,7 +70,8 @@ def test_cold_to_warm_ratio_anchor(cost):
         + cost.model_exec_s(prof, "tvm")
         + cost.result_encrypt_s
     )
-    assert cold / warm == pytest.approx(11.0, rel=0.2)
+    anchor = _anchor("TVM-MBNET cold/warm")
+    assert anchor.lo <= cold / warm <= anchor.hi
 
 
 def test_key_refetch_cheaper_than_full_attestation(cost):

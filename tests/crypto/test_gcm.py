@@ -344,7 +344,7 @@ def test_a_one_block_message_hashes_as_a_memoised_prefix_and_one_multiply(aad, c
     want = _bitwise_ghash(cipher._h, aad, ciphertext)
     assert cipher._ghash(aad, ciphertext).tobytes() == want
     for _ in range(2):  # the first call fills the memo, the second reads it
-        assert cipher._short_ghash(aad, ciphertext).tobytes() == want
+        assert cipher._short_ghash(aad, ciphertext).to_bytes(16, "big") == want
     assert (aad, len(ciphertext)) in cipher._prefixes
 
 
@@ -601,3 +601,109 @@ def test_shared_session_cipher_is_thread_safe():
     assert session.table_bytes == GHASH_TABLE_CAP_BYTES
     check = AESGCM(b"shared-key-16byt")
     assert check.unseal(session.seal(b"after the race", b"aad"), b"aad") == b"after the race"
+
+
+# -- one-block messages in Python integers ------------------------------------
+
+
+def _tree_tag(cipher, nonce, aad, ciphertext):
+    """The tag of ``ciphertext`` through the tree GHASH, never the int path."""
+    (keystream,) = cipher._keystreams([(nonce + b"\x00\x00\x00\x01", 1)])
+    return (cipher._ghash(aad, ciphertext) ^ keystream[0].view(np.uint64)).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    plaintext=st.binary(max_size=16),
+    aad=st.binary(max_size=48),
+    nonce=st.binary(min_size=12, max_size=12),
+)
+def test_a_one_block_seal_is_byte_equal_to_the_tree_ghash_tag(plaintext, aad, nonce):
+    cipher = AESGCM(RUN_KEY)
+    sealed = cipher.encrypt(nonce, plaintext, aad)
+    body, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
+    assert tag == _tree_tag(cipher, nonce, aad, body)
+    (keystream,) = cipher.keystream_run(nonce, 0, 1, len(plaintext))
+    # frame 0 of a run is sealed under its base nonce
+    blob = cipher.seal_with(nonce, keystream, plaintext, aad)
+    assert blob == nonce + sealed
+    assert cipher.open_with(keystream, blob, aad) == plaintext
+    assert cipher.decrypt(nonce, sealed, aad) == plaintext
+
+
+@pytest.mark.parametrize("key,iv,pt,aad,ct,tag", NIST_CASES[:2])
+def test_nist_cases_one_and_two_take_the_integer_path(monkeypatch, key, iv, pt, aad, ct, tag):
+    calls = []
+    short = AESGCM._short_ghash
+    monkeypatch.setattr(
+        AESGCM, "_short_ghash", lambda self, a, c: calls.append(len(c)) or short(self, a, c)
+    )
+    monkeypatch.setattr(AESGCM, "_tag", lambda *args: pytest.fail("took the numpy tag"))
+    cipher = AESGCM(bytes.fromhex(key))
+    sealed = cipher.encrypt(bytes.fromhex(iv), bytes.fromhex(pt), bytes.fromhex(aad))
+    assert sealed == bytes.fromhex(ct + tag)
+    assert cipher.decrypt(bytes.fromhex(iv), sealed, bytes.fromhex(aad)) == bytes.fromhex(pt)
+    assert calls == [len(pt) // 2] * 2
+
+
+@pytest.mark.parametrize("where", ["tag", "ciphertext", "aad"])
+@pytest.mark.parametrize("length", [0, 1, 9, 16])
+def test_a_flipped_bit_in_a_one_block_message_is_refused(where, length):
+    cipher = AESGCM(RUN_KEY)
+    nonce, aad = bytes(range(12)), b"sesemi-frame-lm"
+    (keystream,) = cipher.keystream_run(nonce, 0, 1, length)
+    blob = bytearray(cipher.seal_with(nonce, keystream, bytes(range(length)), aad))
+    if where == "aad":
+        aad = aad[:-1] + bytes([aad[-1] ^ 0x01])
+    elif where == "tag" or length == 0:
+        blob[-1] ^= 0x80
+    else:
+        blob[NONCE_SIZE + length - 1] ^= 0x01
+    with pytest.raises(InvalidTag):
+        cipher.open_with(keystream, bytes(blob), aad)
+
+
+def test_the_integer_table_is_built_once_under_the_grow_lock():
+    """Eight threads race a fresh cipher's first one-block seal: the 512
+    ints are read off the H^2 table once, with ``_grow_lock`` held, and
+    every thread seals with the same table."""
+    cipher = AESGCM(RUN_KEY)
+    tables = cipher._power_tables(2)
+    reads = []
+
+    class Counted:
+        def __getitem__(self, rows):
+            if rows is gcm._NIBBLE_ROWS:  # not a GHASH tree multiply
+                reads.append(cipher._grow_lock.locked())
+            return tables[1][rows]
+
+    cipher._tables = (tables[0], Counted())
+    workers = 8
+    start = threading.Barrier(workers)
+    sealed, errors = [], []
+    nonce = bytes(12)
+    (keystream,) = cipher.keystream_run(nonce, 0, 1, 9)
+
+    def work():
+        try:
+            start.wait(timeout=30)
+            sealed.append(cipher.seal_with(nonce, keystream, b"9 bytes!!", b"aad"))
+        except BaseException as exc:  # noqa: BLE001 - reported on the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors
+    assert reads == [True]
+    assert len(cipher._nibbles) == 512 and len(set(sealed)) == 1
+    held = sys.getsizeof(cipher._nibbles) + sum(map(sys.getsizeof, cipher._nibbles))
+    assert held <= 32 * 1024  # the bound AESGCM.derive documents
+    assert sealed[0] == nonce + AESGCM(RUN_KEY).encrypt(nonce, b"9 bytes!!", b"aad")

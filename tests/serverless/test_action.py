@@ -52,4 +52,3 @@ def test_invocation_result_latency():
         finished_at=13.5,
     )
     assert result.latency == pytest.approx(3.5)
-    assert result.execution_seconds == pytest.approx(2.5)

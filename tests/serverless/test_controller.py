@@ -128,7 +128,7 @@ def test_keepalive_reaps_idle_containers():
     sim, platform = build(config=config)
     invoke_n(sim, platform, 1)
     sim.run(until=sim.now + 100.0)
-    assert platform.controller.warm_containers("f") == 0
+    assert len(platform.controller.deployment("f").containers) == 0
     reserved = sum(node.memory_used for node in platform.nodes)
     assert reserved == 0
 
@@ -237,9 +237,9 @@ def test_idle_exactly_keep_alive_is_destroyed_at_that_instant():
     expiry = idle_since + 180.0
     assert expiry - idle_since < 180.0  # the rounding case
     sim.run(until=expiry - 1e-9)
-    assert platform.controller.warm_containers("f") == 1
+    assert len(platform.controller.deployment("f").containers) == 1
     sim.run(until=expiry)
-    assert platform.controller.warm_containers("f") == 0
+    assert len(platform.controller.deployment("f").containers) == 0
     assert sum(node.memory_used for node in platform.nodes) == 0
     assert platform.controller.memory_timeline[-1] == (expiry, 0)
 
@@ -304,7 +304,7 @@ def test_the_warm_pool_learns_each_container_startup_once_it_is_ready():
 
 def _pool_matches_fleet(controller, name="f"):
     return controller.deployment(name).warm_pool.fleet_size == (
-        controller.warm_containers(name)
+        len(controller.deployment(name).containers)
     )
 
 
@@ -319,4 +319,4 @@ def test_no_warm_pool_record_outlives_its_container_on_a_fig13_run():
     for until in (100.0, 200.0, 300.0, 3600.0):
         driver.run(until=until)
         assert _pool_matches_fleet(bed.controller, "ep")
-    assert bed.controller.warm_containers("ep") == 0  # all expired by now
+    assert len(bed.controller.deployment("ep").containers) == 0  # all expired by now

@@ -66,4 +66,3 @@ def test_store_exposes_latency_helpers():
     store = BlobStore(NFS)
     store.put("k", b"x" * 1024)
     assert store.download_time("k") == NFS.download_time(1024)
-    assert store.download_time_for_size(2048) == NFS.download_time(2048)
