@@ -13,10 +13,8 @@ of them are built from the three pieces in this module:
   :class:`~repro.core.semirt.InferenceStream` are this cell plus
   request metadata, with the scheduler as producer
   (:meth:`~OutcomeCell.set_result` / :meth:`~OutcomeCell.set_error` /
-  :meth:`~OutcomeCell.push` / :meth:`~OutcomeCell.cancel_requested`).
-  :class:`ConsumerFed` is the cell with no producer thread, whose
-  waiters produce it: the HTTP client's handles, and a stream decoding
-  on its consumer's thread.
+  :meth:`~OutcomeCell.push` / :meth:`~OutcomeCell.cancel_requested`);
+  the HTTP client's handles are the same cell fed by its consumers.
 - :class:`DerivedHandle` / :class:`DerivedStream` are what every tier
   *above* the scheduler returns: they hold no state machine of their
   own -- they forward to the handle below, map its result (or each of
@@ -226,57 +224,6 @@ class OutcomeCell:
             self._cv.notify_all()
 
 
-class ConsumerFed(OutcomeCell):
-    """A cell with no producer thread: whoever waits on it feeds it.
-
-    One waiter at a time holds ``_feeder`` and runs the subclass's
-    ``_feed(chunk_s)`` -- one round trip, one read off a socket, one
-    decode step: of at most ``chunk_s`` (``None``: no deadline), it
-    pushes, seals, or neither -- while the others sleep on the cell.
-    While ``_feeding()`` is false (a producer thread has taken the cell
-    over) a wait is an ordinary one.
-    """
-
-    #: the longest single feed (``None``: only the caller's deadline)
-    _FEED_CAP_S: Optional[float] = None
-
-    def __init__(self, *args: Any) -> None:
-        super().__init__(*args)
-        self._feeder = threading.Lock()
-
-    def _feeding(self) -> bool:
-        """Do waiters feed the cell now?"""
-        return True
-
-    def _feed(self, chunk_s: Optional[float]) -> None:
-        raise NotImplementedError  # pragma: no cover - every subclass feeds
-
-    def _wait_for(self, ready: Callable[[], bool], timeout_s: Optional[float]) -> bool:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        while not ready():
-            left = None if deadline is None else max(0.0, deadline - time.monotonic())
-            if not self._feeding():
-                return super()._wait_for(ready, left)
-            chunk = self._FEED_CAP_S
-            if left is not None:
-                chunk = left if chunk is None else min(chunk, left)
-            if self._feeder.acquire(blocking=False):
-                try:
-                    if not ready():
-                        self._feed(chunk)
-                finally:
-                    self._feeder.release()
-                    with self._cv:  # a sleeping waiter takes over from here
-                        self._cv.notify_all()
-            else:  # sleep until the feeding thread produced it, or stopped
-                super()._wait_for(
-                    lambda: ready() or not self._feeder.locked(), chunk
-                )
-            if chunk == 0.0:
-                break
-        return ready()
-
-
 class StreamCell(OutcomeCell):
     """The cell used as a stream: pushed items are the payload.
 
@@ -472,7 +419,6 @@ def gather_windowed(
 
 
 __all__ = [
-    "ConsumerFed",
     "DerivedHandle",
     "DerivedStream",
     "Future",

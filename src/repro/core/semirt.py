@@ -8,18 +8,14 @@ networking over a possibly faulty link) and drives it through a
 **TCS-slot scheduler**: ``tcs_count`` workers fed by a bounded
 admission queue, and one count of TCS slots that every thread entering
 the enclave takes a slot from -- a worker for the item it dequeued, a
-stream leader for its whole group, or a consumer served on its own
+stream leader for its whole group, or a caller served on its own
 thread.  ``submit()`` / ``open_stream()`` return an
 :class:`InferenceFuture` / :class:`InferenceStream` at once (or raise
 :class:`~repro.errors.QueueFull` as backpressure).  ``claim()`` admits a
 request its caller is about to wait on with no deadline: when a slot is
 free, nothing is queued ahead and no batch policy is armed, the caller's
 own wait serves it -- no hand-off to a worker.  ``infer()`` is
-``claim()`` plus that wait.  ``open_stream()`` claims by the same rule:
-a claimed stream decodes one frame per deadline-less wait of its
-consumer, and a worker takes the rest of it over when a wait has a
-deadline, an iterator is dropped mid-stream, or a queued item needs the
-slot (see :class:`InferenceStream`).
+``claim()`` plus that wait.
 
 **Every ECALL goes through one call site** (:meth:`SemirtHost._ecall`:
 parent-span attach, the ``ecall:<NAME>`` span, the call), entered by a
@@ -55,7 +51,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.core import wire
 from repro.core.batching import BatchPolicy
-from repro.core.futures import ConsumerFed, OutcomeCell, StreamCell
+from repro.core.futures import OutcomeCell, StreamCell
 from repro.core.semirt_enclave import (
     IsolationSettings,
     SemirtEnclaveCode,
@@ -75,24 +71,8 @@ from repro.sgx.platform import SgxPlatform
 #: turn): long enough that only a wedged enclave reaches it
 _WAIT_BOUND_S = 30.0
 #: gives up the CPU with the GIL released (``time.sleep(0)`` where the OS
-#: has no ``sched_yield``); see :func:`_drive`
+#: has no ``sched_yield``); see :meth:`SemirtHost._deliver_frame`
 _yield_cpu = getattr(os, "sched_yield", lambda: time.sleep(0))
-
-
-def _drive(steps) -> None:
-    """Run a stream decode to its end on a worker, handing the CPU over
-    after every frame it pushes.
-
-    The push only makes a blocked consumer runnable; the worker would go
-    on decoding with the GIL held.  On one core the consumer would then
-    run whenever the OS next preempts the worker -- at once, or up to
-    about a millisecond and several frames later, depending on the
-    kernel's slice accounting rather than on the work -- so
-    time-to-first-token would be bimodal.  Yielding with the GIL
-    released lets the consumer take the frame now.
-    """
-    for _ in steps:
-        _yield_cpu()
 
 
 @dataclass(frozen=True)
@@ -184,7 +164,7 @@ class InferenceFuture(_Admitted):
             here()
 
 
-class InferenceStream(ConsumerFed, StreamCell, _Admitted):
+class InferenceStream(StreamCell, _Admitted):
     """A live autoregressive stream: sealed token frames as they decode.
 
     Returned immediately by :meth:`SemirtHost.open_stream`: the request
@@ -193,92 +173,14 @@ class InferenceStream(ConsumerFed, StreamCell, _Admitted):
     frames as the decode loop pushes them, :meth:`result` blocks for the
     whole sequence, and ``token_count`` is how many have arrived.
 
-    A *claimed* stream (one that took a free slot at admission) is a
-    :class:`~repro.core.futures.ConsumerFed` cell: a wait with no
-    deadline -- iteration, ``result()``, ``wait()`` -- runs its decode
-    one frame further on the waiting thread, under ``_feeder``.  A wait
-    with a deadline, an iterator dropped before the end, or a worker
-    that finds no free slot hands the rest to a worker, which decodes it
-    to its end under the same lock; after that every wait is an
-    ordinary one.
-
-    :meth:`cancel` stops generation between decode steps: the decode
-    closes the enclave stream context (``EC_STREAM_CLOSE`` releases the
-    KV cache) before :class:`~repro.errors.RequestCancelled` surfaces to
-    iterators and waiters -- for a claimed stream on the cancelling
-    thread, at once.
+    :meth:`cancel` stops generation between decode steps: the group
+    leader closes the enclave stream context (``EC_STREAM_CLOSE``
+    releases the KV cache) before :class:`~repro.errors.RequestCancelled`
+    surfaces to iterators and waiters.
     """
-
-    #: a claimed stream's decode, a generator that yields after each
-    #: frame it pushes and gives the slot back at its end (set by
-    #: :meth:`SemirtHost.open_stream`; ``None`` once a thread took it to
-    #: run it to its end)
-    _steps = None
-    #: the host that claimed it (set with ``_steps``)
-    _host: Optional["SemirtHost"] = None
-    #: set once a worker was asked for the rest: waiters stop feeding
-    _handed_off = False
 
     def _what(self) -> str:
         return f"stream for model {self.model_id!r}"
-
-    def _feeding(self) -> bool:
-        return self._steps is not None and not self._handed_off
-
-    def _feed(self, chunk_s: Optional[float]) -> None:
-        """One frame further on this thread; a deadline hands the rest off."""
-        if chunk_s is not None:
-            self._hand_off()
-            return
-        for _ in self._steps or ():
-            if not self._done:
-                return
-        self._steps = None  # ended (its tail, past the last frame, gave the slot back)
-
-    def _hand_off(self) -> None:
-        """Ask a scheduler worker for the rest of the decode (once)."""
-        if not self._handed_off and self._steps is not None:
-            self._handed_off = True
-            self._host._queue.put_past_bound(self._finish)
-
-    def _finish(self, blocking: bool = True) -> bool:
-        """Run the rest of a claimed decode to its end on this thread.
-
-        Whoever runs it now -- a consumer's frame, a worker, a cancel --
-        is waited for (``blocking``), so on ``True`` the stream has ended
-        and its slot is back; ``False`` when that thread holds it and
-        ``blocking`` is false.
-        """
-        if not self._feeder.acquire(blocking):
-            return False
-        try:
-            steps, self._steps = self._steps, None
-            if steps is not None:
-                _drive(steps)
-        finally:
-            self._feeder.release()
-        return True
-
-    def items(self):
-        """:meth:`OutcomeCell.items`; dropping the iterator before the end
-        hands a claimed stream's rest to a worker."""
-        try:
-            yield from super().items()
-        finally:
-            if not self._done:
-                self._hand_off()
-
-    def cancel(self) -> bool:
-        """Request cancellation (see the class docs).
-
-        A claimed stream no worker has taken over is closed here, on the
-        cancelling thread: its enclave stream context and its slot are
-        released on return.  A worker's decode closes it at its next step.
-        """
-        accepted = super().cancel()
-        if self._steps is not None:
-            self._finish()
-        return accepted
 
 
 class _KeyInvalidation(_Admitted):
@@ -329,18 +231,6 @@ class _StreamGroup:
 
 #: queue sentinel telling a scheduler worker to exit
 _SHUTDOWN = object()
-
-
-class _AdmissionQueue(queue_module.Queue):
-    """The bounded admission queue, plus one put its bound does not apply to."""
-
-    def put_past_bound(self, work: Callable[[], None]) -> None:
-        """Queue ``work`` that holds its own slot (a claimed stream's rest):
-        it never waits for a slot, so a full queue must not hold it back."""
-        with self.mutex:
-            self._put(work)
-            self.unfinished_tasks += 1
-            self.not_empty.notify()
 
 
 class SemirtHost:
@@ -402,7 +292,9 @@ class SemirtHost:
         self.enclave.register_ocall("OC_KS_HANDSHAKE", self._oc_ks_handshake)
         self.enclave.register_ocall("OC_KS_REQUEST", self._oc_ks_request)
         # the TCS-slot scheduler: workers start lazily on first admission
-        self._queue = _AdmissionQueue(maxsize=self.scheduler.queue_depth)
+        self._queue: "queue_module.Queue" = queue_module.Queue(
+            maxsize=self.scheduler.queue_depth
+        )
         self._workers: List[threading.Thread] = []
         self._workers_lock = threading.Lock()
         #: the one count of TCS slots in use, as the free slots (a heap,
@@ -412,8 +304,6 @@ class SemirtHost:
         #: queued items whose worker does not hold a slot yet: a caller
         #: is served on its own thread only when this is zero
         self._backlog = 0
-        #: claimed streams still holding their slot (guarded by _slot_cv)
-        self._claimed: set = set()
         # the hot-path batch accumulator (armed by SchedulerConfig.batch)
         self._isolation = isolation
         if self.scheduler.batch is not None and isolation.sequential:
@@ -508,9 +398,6 @@ class SemirtHost:
             item = self._queue.get()
             if item is _SHUTDOWN:
                 return
-            if not isinstance(item, _Admitted):
-                item()  # the rest of a claimed stream: it holds its own slot
-                continue
             try:
                 slot = self._take_slot()
             except EnclaveError as exc:  # destroyed while it waited for a slot
@@ -519,36 +406,23 @@ class SemirtHost:
             self._serve_held(item, slot)
 
     def _take_slot(self) -> int:
-        """Block until a slot is free for the queued item this worker holds.
-
-        While none is and a claimed stream holds one, the worker decodes
-        that stream to its end first (:meth:`InferenceStream._finish`):
-        a consumer that stopped reading -- or reads another stream that
-        is queued behind this item -- can never wedge the host.
-        """
-        while True:
-            with self._slot_cv:
-                while not self._free_slots and self.enclave.alive and not self._claimed:
-                    self._slot_cv.wait()
-                if self._free_slots or not self.enclave.alive:
-                    self._backlog -= 1
-                    if not self._free_slots:
-                        raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
-                    return heapq.heappop(self._free_slots)
-                stream = next(iter(self._claimed))
-            stream._finish()
-
-    def _give_back(self, slot: int) -> None:
+        """Block until a slot is free for the queued item this worker holds."""
         with self._slot_cv:
-            heapq.heappush(self._free_slots, slot)
-            self._slot_cv.notify()
+            while not self._free_slots and self.enclave.alive:
+                self._slot_cv.wait()
+            self._backlog -= 1
+            if not self._free_slots:
+                raise EnclaveError(f"{self.enclave.enclave_id} is destroyed")
+            return heapq.heappop(self._free_slots)
 
     def _serve_held(self, item: "_Admitted", slot: int) -> None:
         """Handle one item on this thread, which holds ``slot``; then give it back."""
         try:
             self._handle(item, slot)
         finally:
-            self._give_back(slot)
+            with self._slot_cv:
+                heapq.heappush(self._free_slots, slot)
+                self._slot_cv.notify()
 
     def _handle(self, item: "_Admitted", slot: int) -> None:
         """Serve one admitted item of any kind on TCS slot ``slot``."""
@@ -558,7 +432,7 @@ class SemirtHost:
             # never reached the enclave: no context to clear
             item.set_cancelled()
         elif isinstance(item, InferenceStream):
-            _drive(self._stream_steps(item, slot))
+            self._handle_stream(item, slot)
         elif isinstance(item, _KeyInvalidation):
             try:
                 item.set_result(
@@ -793,18 +667,16 @@ class SemirtHost:
 
     # -- the continuous-batching stream plane ---------------------------------------
 
-    def _stream_steps(self, stream: InferenceStream, slot: int):
-        """Admit one stream to the continuous-batching plane: its decode.
+    def _handle_stream(self, stream: InferenceStream, slot: int) -> None:
+        """Admit one stream to the continuous-batching plane.
 
-        A generator that yields after every frame it pushes (see
-        :meth:`_lead_stream_group`).  The first stream's thread becomes
-        the decode **leader** and runs the group's step loop until the
-        group is empty; a later stream whose ``<uid, model_id>`` pair
-        matches the running group's is handed over as a *joiner* (no
-        frame here: its worker returns to the pool) and is absorbed
-        between decode steps without stopping anyone.  Without an armed
-        batch policy every stream leads a group of one: the per-request
-        decoding baseline.
+        The first stream's worker becomes the decode **leader** and
+        drives the group's step loop until the group is empty; a later
+        worker whose stream matches the running group's ``<uid,
+        model_id>`` pair hands it over as a *joiner* and returns to the
+        pool -- the member is absorbed between decode steps without
+        stopping anyone.  Without an armed batch policy every stream
+        leads a group of one: the per-request decoding baseline.
         """
         policy = self._batch_policy
         cap = policy.max_batch if policy is not None else 1
@@ -822,30 +694,17 @@ class SemirtHost:
             group = _StreamGroup(stream)
             if cap > 1:
                 self._stream_group = group
-        yield from self._lead_stream_group(group, slot)
+        self._lead_stream_group(group, slot)
 
-    def _claimed_steps(self, stream: InferenceStream, slot: int):
-        """A claimed stream's decode (:meth:`_stream_steps`) on ``slot``,
-        which goes back -- with the claim -- when the decode ends."""
-        try:
-            stream.queue_wait = time.monotonic() - stream.created_at
-            yield from self._stream_steps(stream, slot)
-        finally:
-            with self._slot_cv:
-                self._claimed.discard(stream)
-            self._give_back(slot)
-
-    def _lead_stream_group(self, group: _StreamGroup, slot: int):
+    def _lead_stream_group(self, group: _StreamGroup, slot: int) -> None:
         """Leader side of continuous batching: open joiners, step members.
 
-        A generator that yields after each frame it pushes: a worker runs
-        it to its end (:func:`_drive`), a claimed stream's consumer one
-        frame per wait.  Each iteration absorbs any waiting joiners first
-        (prefill + first frame immediately -- time-to-first-token never
-        waits on a window), drops cancelled members (``EC_STREAM_CLOSE``
-        releases the enclave KV context before ``RequestCancelled``
-        surfaces), then advances every live stream one token through a
-        single ``EC_STREAM_STEP``.
+        Each iteration absorbs any waiting joiners first (prefill + first
+        frame immediately -- time-to-first-token never waits on a
+        window), drops cancelled members (``EC_STREAM_CLOSE`` releases
+        the enclave KV context before ``RequestCancelled`` surfaces),
+        then advances every live stream one token through a single
+        ``EC_STREAM_STEP``.
         A leader crash at the ``semirt:batch`` fault site fails every
         member and joiner -- followers never hang on a dead leader.
         """
@@ -854,7 +713,7 @@ class SemirtHost:
                 with self._batch_cv:
                     joiners, group.joiners = group.joiners, []
                 for stream in joiners:
-                    yield from self._open_stream_member(group, stream, slot)
+                    self._open_stream_member(group, stream, slot)
                 self._drop_cancelled_streams(group, slot)
                 if not group.members:
                     with self._batch_cv:
@@ -868,7 +727,7 @@ class SemirtHost:
                     # the leader dies mid-decode: members must never hang
                     self.destroy()
                     raise FaultInjected("semirt enclave crashed mid-stream step")
-                yield from self._step_stream_group(group, slot)
+                self._step_stream_group(group, slot)
         except BaseException as exc:  # noqa: BLE001 - relayed to members and joiners
             with self._batch_cv:
                 self._close_stream_group(group)
@@ -888,7 +747,9 @@ class SemirtHost:
         if self._stream_group is group:
             self._stream_group = None
 
-    def _open_stream_member(self, group: _StreamGroup, stream: InferenceStream, slot: int):
+    def _open_stream_member(
+        self, group: _StreamGroup, stream: InferenceStream, slot: int
+    ) -> None:
         """Open one stream in-enclave (prefill) and push its first frame."""
         stream.tcs_slot = slot
         if stream.cancel_requested():
@@ -908,14 +769,28 @@ class SemirtHost:
         except BaseException as exc:  # noqa: BLE001 - this stream only
             stream.set_error(exc)
             return
-        stream.push(frame)
+        self._deliver_frame(stream, frame)
         if done:
             stream.set_result()
         else:
             with self._batch_cv:
                 group.members.append((ticket, stream))
         self._note_served(stream.uid, stream.model_id)
-        yield
+
+    @staticmethod
+    def _deliver_frame(stream: InferenceStream, frame: bytes) -> None:
+        """Push one sealed frame, then hand the CPU to its consumer.
+
+        The push only makes a blocked consumer runnable; this worker goes
+        on decoding with the GIL held.  On one core the consumer would
+        then run whenever the OS next preempts the worker -- at once, or
+        up to about a millisecond and several frames later, depending on
+        the kernel's slice accounting rather than on the work -- so
+        time-to-first-token would be bimodal.  Yielding with the GIL
+        released lets the consumer take the frame now.
+        """
+        stream.push(frame)
+        _yield_cpu()
 
     def _drop_cancelled_streams(self, group: _StreamGroup, slot: int) -> None:
         """Release cancelled members' enclave contexts, then drop them."""
@@ -932,7 +807,7 @@ class SemirtHost:
         with self._batch_cv:
             group.members = live
 
-    def _step_stream_group(self, group: _StreamGroup, slot: int):
+    def _step_stream_group(self, group: _StreamGroup, slot: int) -> None:
         """Advance every live member one token via one ``EC_STREAM_STEP``."""
         members = list(group.members)
         size = len(members)
@@ -946,12 +821,11 @@ class SemirtHost:
         )
         live: List[Tuple[int, InferenceStream]] = []
         for (ticket, stream), (frame, done) in zip(members, results):
-            stream.push(frame)
+            self._deliver_frame(stream, frame)
             if done:
                 stream.set_result()
             else:
                 live.append((ticket, stream))
-            yield
         with self._batch_cv:
             group.members = live
         self._note_served(*group.pair)
@@ -994,23 +868,19 @@ class SemirtHost:
         :meth:`~repro.core.client.UserClient.encrypt_stream_request`)
         joins the continuous-batching plane and the returned
         :class:`InferenceStream` yields sealed token frames as they
-        decode.  On a host with no batch policy a stream takes a free
-        slot when nothing is queued ahead -- :meth:`claim`'s rule -- and
-        then decodes on its consumer's thread (see
-        :class:`InferenceStream`).  Backpressure
-        (:class:`~repro.errors.QueueFull`) and the ``semirt`` crash fault
-        site behave exactly as for :meth:`submit`.
+        decode.  Backpressure (:class:`~repro.errors.QueueFull`) and the
+        ``semirt`` crash fault site behave exactly as for :meth:`submit`.
         """
-        return self._enqueue(InferenceStream(enc_request, uid, model_id), here=True)
+        return self._enqueue(InferenceStream(enc_request, uid, model_id))
 
     def _enqueue(self, item, wait_s: float = 0.0, here: bool = False):
         """The one admission path: stamp the item, hand it to a worker.
 
         ``wait_s`` is how long a full queue is waited out before
         :class:`~repro.errors.QueueFull`: requests are shed at once
-        (backpressure), control items are not.  ``here`` (:meth:`claim`,
-        :meth:`open_stream`) keeps the item for its caller's thread when a
-        slot is free, nothing is queued ahead and no batch policy is armed.
+        (backpressure), control items are not.  ``here`` (:meth:`claim`)
+        keeps the item for its caller's thread when a slot is free and
+        nothing is queued ahead.
         """
         if self._injector is not None and self._injector.crash_enclave("semirt"):
             # the instance dies mid-ECALL: all warm/hot state (model,
@@ -1027,12 +897,7 @@ class SemirtHost:
         here = here and self._batch_policy is None
         with self._slot_cv:
             if here and not self._backlog and self._free_slots:
-                slot = heapq.heappop(self._free_slots)
-                if isinstance(item, InferenceStream):
-                    item._host, item._steps = self, self._claimed_steps(item, slot)
-                    self._claimed.add(item)
-                else:
-                    item._here = partial(self._serve_held, item, slot)
+                item._here = partial(self._serve_held, item, heapq.heappop(self._free_slots))
                 return item
             self._backlog += 1
         try:
@@ -1077,10 +942,8 @@ class SemirtHost:
         Queued-but-unserved tickets fail with
         :class:`~repro.errors.EnclaveError`; tickets already inside an
         ECALL run to completion against the dying enclave and fail (or
-        finish) on their own.  An idle claimed stream fails here, giving
-        its slot back; one that another thread is decoding right now is
-        failed by a worker once that frame is done.  Safe to call again,
-        also concurrently (two crashing batch leaders, a crash racing the owner's
+        finish) on their own.  Safe to call again, also concurrently
+        (two crashing batch leaders, a crash racing the owner's
         teardown): only the first caller retires the workers; a later
         one still fails whatever tickets it finds queued.
         """
@@ -1105,17 +968,11 @@ class SemirtHost:
                 break
             if item is _SHUTDOWN:
                 sentinels += 1
-            elif isinstance(item, _Admitted):
+            else:
                 with self._slot_cv:
                     self._backlog -= 1
                 item.set_error(
                     EnclaveError(f"{self.enclave.enclave_id} is destroyed")
                 )
-            # else a claimed stream's rest: the pass below finishes it
-        with self._slot_cv:
-            claimed = list(self._claimed)
-        for stream in claimed:
-            if not stream._finish(blocking=False):
-                self._queue.put_past_bound(stream._finish)
         for _ in range(sentinels):
             self._queue.put(_SHUTDOWN)

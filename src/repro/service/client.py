@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from typing import Callable, Dict, NamedTuple, Optional, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
 import repro.core.wire as wire
 from repro.core.client import UserClient, UserSession
-from repro.core.futures import ConsumerFed, StreamCell
+from repro.core.futures import OutcomeCell, StreamCell
 from repro.errors import (
     DeadlineExceeded,
     ReproError,
@@ -580,7 +581,47 @@ class HttpGateway:
         return {"model_id": model_id, "uid": user_id, "enc_request": enc_request, **extra}
 
 
-class HttpSubmission(ConsumerFed):
+class _ConsumerFed(OutcomeCell):
+    """A cell with no producer thread: whoever waits on it feeds it.
+
+    One waiter at a time holds ``_feeder`` and runs the subclass's
+    ``_feed(chunk_s)`` -- one round trip, or one read off the socket,
+    of at most ``chunk_s``: it pushes, seals, or neither -- while the
+    others sleep on the cell; every other call answers from the cell.
+    """
+
+    #: the longest single feed (``None``: only the caller's deadline)
+    _FEED_CAP_S: Optional[float] = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._feeder = threading.Lock()
+
+    def _wait_for(self, ready: Callable[[], bool], timeout_s: Optional[float]) -> bool:
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        while not ready():
+            chunk = self._FEED_CAP_S
+            if deadline is not None:
+                left = max(0.0, deadline - time.monotonic())
+                chunk = left if chunk is None else min(chunk, left)
+            if self._feeder.acquire(blocking=False):
+                try:
+                    if not ready():
+                        self._feed(chunk)
+                finally:
+                    self._feeder.release()
+                    with self._cv:  # a sleeping waiter takes over from here
+                        self._cv.notify_all()
+            else:  # sleep until the feeding thread produced it, or stopped
+                super()._wait_for(
+                    lambda: ready() or not self._feeder.locked(), chunk
+                )
+            if chunk == 0.0:
+                break
+        return ready()
+
+
+class HttpSubmission(_ConsumerFed):
     """A submitted request's sealed output: the outcome cell, fed over HTTP.
 
     The HTTP twin of :class:`~repro.core.gateway.GatewaySubmission` --
@@ -636,7 +677,7 @@ class HttpSubmission(ConsumerFed):
             self.set_error(exc)
 
 
-class HttpStream(ConsumerFed, StreamCell):
+class HttpStream(_ConsumerFed, StreamCell):
     """The sealed frames of one ``/v1/stream`` reply, fed off the socket.
 
     The HTTP twin of the scheduler's

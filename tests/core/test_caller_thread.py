@@ -22,7 +22,7 @@ from repro.core.batching import BatchPolicy
 from repro.core.deployment import SeSeMIEnvironment
 from repro.core.semirt import SchedulerConfig
 from repro.core.semirt_enclave import SemirtEnclaveCode, default_semirt_config
-from repro.errors import EnclaveError, RequestCancelled
+from repro.errors import RequestCancelled
 from repro.mlrt.decoder import DecoderSession
 from repro.mlrt.zoo import build_tinylm
 from tests.conftest import held_ecalls
@@ -55,19 +55,17 @@ def _inputs(model, count):
     return [rng.integers(1, 32, size=shape).astype(np.float32) for _ in range(count)]
 
 
-def _serving_threads(monkeypatch, *ecalls):
-    """Record the name of the thread that enters each of ``ecalls``
-    (default ``EC_MODEL_INF``)."""
+def _serving_threads(monkeypatch):
+    """Record the name of the thread that enters each ``EC_MODEL_INF``."""
     names = []
-    for name in ecalls or ("EC_MODEL_INF",):
-        original = getattr(SemirtEnclaveCode, name)
+    original = SemirtEnclaveCode.EC_MODEL_INF
 
-        def recorded(code, *args, _original=original):
-            names.append(threading.current_thread().name)
-            return _original(code, *args)
+    def recorded(code, *args):
+        names.append(threading.current_thread().name)
+        return original(code, *args)
 
-        recorded.ecall_row = original.ecall_row
-        monkeypatch.setattr(SemirtEnclaveCode, name, recorded)
+    recorded.ecall_row = original.ecall_row
+    monkeypatch.setattr(SemirtEnclaveCode, "EC_MODEL_INF", recorded)
     return names
 
 
@@ -218,194 +216,4 @@ def test_a_claimed_request_cancelled_before_its_wait_gives_its_slot_back(model):
     with pytest.raises(RequestCancelled):
         claimed.result()
     assert host.code.pending_outputs == 0  # it never reached the enclave
-    host.destroy()
-
-
-# -- streams decode on their consumer's thread -----------------------------------
-
-
-def _run_bounded(target, timeout_s=60.0):
-    """Run ``target`` on a thread: a hang fails the test instead of the run."""
-    outcome = {}
-
-    def run():
-        try:
-            outcome["value"] = target()
-        except BaseException as exc:  # noqa: BLE001 - re-raised below
-            outcome["error"] = exc
-
-    thread = threading.Thread(target=run, name="consumer")
-    thread.start()
-    thread.join(timeout=timeout_s)
-    assert not thread.is_alive(), "the consumer deadlocked"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["value"]
-
-
-def _released(host):
-    _wait_until(lambda: host.slots_in_use == 0)
-    assert host.code.open_streams == 0 and host.enclave.tcs_in_use == 0
-
-
-def test_an_unbatched_stream_decodes_on_its_consumers_thread(model, monkeypatch):
-    """A stream that found a free slot is served by its consumer's waits:
-    every ECALL of it runs on the iterating thread, none on a worker."""
-    env, host, session = _world(model, 1)
-    prompt = [2, 7, 1]
-    session.stream(prompt, 2).result()  # the cold start
-    names = _serving_threads(monkeypatch, "EC_MODEL_INF_STREAM", "EC_STREAM_STEP")
-    tokens = _run_bounded(lambda: list(session.stream(prompt, 6)))
-    assert tokens == DecoderSession(model).generate(prompt, 6)
-    assert names == ["consumer"] * 6
-    _released(host)
-    host.destroy()
-
-
-def test_zip_over_two_streams_on_one_tcs_does_not_deadlock(model):
-    """The first stream holds the only slot and is read one frame at a
-    time; the second queues behind it, so the worker that dequeues it
-    takes the first one over instead of waiting for its slot forever."""
-    env, host, session = _world(model, 1)
-    prompts = [[2, 7, 1], [5, 3]]
-    session.stream(prompts[0], 2).result()  # the cold start
-    streams = [session.stream(prompt, 8) for prompt in prompts]
-    pairs = _run_bounded(lambda: list(zip(*streams)))
-    assert [a for a, _ in pairs] == DecoderSession(model).generate(prompts[0], 8)
-    assert [b for _, b in pairs] == DecoderSession(model).generate(prompts[1], 8)
-    assert streams[1].result() == [b for _, b in pairs]  # zip never ends the second
-    _released(host)
-    host.destroy()
-
-
-def test_a_half_read_stream_then_another_stream_and_a_blocking_infer(model):
-    """A stream read halfway, its iterator kept, holds the only slot; a
-    second stream and a blocking ``session.infer`` still complete, and the
-    first one's remaining frames are all there afterwards."""
-    env, host, session = _world(model, 1)
-    (x,) = _inputs(model, 1)
-    first_prompt, second_prompt = [2, 7, 1], [4, 4]
-    session.stream(first_prompt, 2).result()  # the cold start
-    first = session.stream(first_prompt, 10)
-    frames = iter(first)
-    head = [next(frames), next(frames)]
-
-    def the_rest():
-        second = list(session.stream(second_prompt, 5))
-        output = session.infer(x)
-        return second, output, head + list(frames)
-
-    second, output, tokens = _run_bounded(the_rest)
-    assert second == DecoderSession(model).generate(second_prompt, 5)
-    assert np.allclose(output, model.run_reference(x).ravel(), atol=1e-5)
-    assert tokens == DecoderSession(model).generate(first_prompt, 10)
-    _released(host)
-    host.destroy()
-
-
-def test_destroy_fails_an_idle_claimed_stream_and_frees_its_slot(model):
-    env, host, session = _world(model, 1)
-    session.stream([2, 7, 1], 2).result()  # the cold start
-    stream = session.stream([2, 7, 1], 12)
-    frames = iter(stream)
-    next(frames)
-    assert host.slots_in_use == 1 and host.code.open_streams == 1
-    host.destroy()
-    assert host.slots_in_use == 0 and host.code.open_streams == 0
-    with pytest.raises(EnclaveError):
-        list(frames)
-    assert stream.done() and not stream.cancelled()
-
-
-def test_a_cancel_from_another_thread_waits_out_the_frame_being_decoded(model):
-    """The consumer is inside a decode step (held in the enclave) when
-    another thread cancels: the cancel waits for that frame, then closes
-    the stream on its own thread; no further step runs."""
-    env, host, session = _world(model, 1)
-    session.stream([2, 7, 1], 2).result()  # the cold start
-    host.code.stream_log.clear()
-    stream = session.stream([2, 7, 1], 64)
-    frames, errors, accepted = [], [], []
-
-    def consume():
-        try:
-            for token in stream:
-                frames.append(token)
-        except RequestCancelled as exc:
-            errors.append(exc)
-
-    with held_ecalls("EC_STREAM_STEP") as gate:
-        consumer = threading.Thread(target=consume)
-        consumer.start()
-        gate.wait_entered(1)  # the consumer's first step, parked inside
-        canceller = threading.Thread(target=lambda: accepted.append(stream.cancel()))
-        canceller.start()
-        _wait_until(stream.cancelled)
-        assert canceller.is_alive()  # waiting for the consumer's frame
-        gate.release()
-        canceller.join(timeout=30)
-        consumer.join(timeout=30)
-    assert not canceller.is_alive() and not consumer.is_alive()
-    assert accepted == [True] and len(errors) == 1
-    assert stream.done() and stream.cancelled()
-    assert len(frames) <= 2 and len(host.code.stream_log) == 1
-    _released(host)
-    host.destroy()
-
-
-def test_a_worker_takes_over_a_stream_its_consumer_is_reading(model):
-    """Race: the consumer reads a claimed stream while a queued request
-    needs its slot, so the worker takes the decode over mid-stream.
-    Whoever decodes each frame, the tokens are the reference's and the
-    request is served."""
-    env, host, session = _world(model, 1)
-    (x,) = _inputs(model, 1)
-    reference = model.run_reference(x).ravel()
-    prompt = [2, 7, 1]
-    want = DecoderSession(model).generate(prompt, 12)
-    session.stream(prompt, 2).result()  # the cold start
-    session.infer(x)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for after in range(0, 12, 3):
-            stream = session.stream(prompt, 12)
-            tokens, outputs = [], []
-            submitter = threading.Thread(target=lambda: outputs.append(session.submit(x).result()))
-            for token in stream:
-                tokens.append(token)
-                if len(tokens) == after + 1:
-                    submitter.start()
-            submitter.join(timeout=30)
-            assert tokens == want
-            assert len(outputs) == 1 and np.allclose(outputs[0], reference, atol=1e-5)
-    finally:
-        sys.setswitchinterval(switch)
-    _released(host)
-    host.destroy()
-
-
-def test_a_cancel_racing_a_consumers_drive_always_releases_the_stream(model):
-    """Race: a cancel lands at any point of a consumer's decode; the stream
-    ends cancelled (or complete, when it won), and nothing stays held."""
-    env, host, session = _world(model, 1)
-    prompt = [2, 7, 1]
-    session.stream(prompt, 2).result()  # the cold start
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for delay in (0.0, 0.0002, 0.0005, 0.001, 0.002):
-            stream = session.stream(prompt, 24)
-            canceller = threading.Timer(delay, stream.cancel)
-            canceller.start()
-            try:
-                tokens = list(stream)
-            except RequestCancelled:
-                assert stream.cancelled()
-            else:
-                assert tokens == DecoderSession(model).generate(prompt, 24)
-            canceller.join(timeout=30)
-            _released(host)
-    finally:
-        sys.setswitchinterval(switch)
     host.destroy()

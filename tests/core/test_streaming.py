@@ -112,9 +112,7 @@ def test_the_worker_yields_the_cpu_after_every_pushed_frame(monkeypatch):
     """A consumer blocked on a frame must not wait for the OS to preempt
     a worker that keeps decoding with the GIL held: the worker yields
     once per frame, right after pushing it (time-to-first-token was
-    bimodal on one core without this).  The stream is worker-led: the
-    wait below has a deadline, so the claimed stream is handed off before
-    its first frame."""
+    bimodal on one core without this)."""
     from repro.core import semirt
 
     model = build_tinylm(seed=7)
@@ -132,58 +130,6 @@ def test_the_worker_yields_the_cpu_after_every_pushed_frame(monkeypatch):
     assert len(stream.result(timeout_s=30)) == 12
     assert events == ["push", "yield"] * 12
     host.destroy()
-
-
-@pytest.mark.parametrize("how", ["closed", "dropped"])
-def test_an_iterator_left_mid_stream_hands_the_rest_to_a_worker(how):
-    """A consumer that stops iterating a claimed stream (closes its
-    iterator, or drops it) leaves nobody to decode it: a worker runs the
-    rest, so the slot and the enclave stream context come back without
-    any other request needing them, and the stream still completes."""
-    model = build_tinylm(seed=7)
-    env, host = _launch(model, policy=None, tcs_count=1)
-    stream = host.open_stream(
-        _seal(env, host, "user", [3, 1, 4], 12), _uid(env, "user"), MODEL_ID
-    )
-    frames = iter(stream)
-    first = next(frames)
-    assert host.slots_in_use == 1 and host.code.open_streams == 1
-    if how == "closed":
-        frames.close()
-    else:
-        del frames
-    assert _wait_for(lambda: host.slots_in_use == 0 and host.code.open_streams == 0)
-    assert stream.done()
-    got = _tokens(env, host, "user", stream.result(timeout_s=30))
-    assert got == DecoderSession(model).generate([3, 1, 4], 12)
-    assert stream.result()[0] == first
-    host.destroy()
-
-
-def test_an_http_client_that_disconnects_mid_stream_releases_the_claimed_stream():
-    """Over ``/v1/stream`` on an unbatched host the connection thread
-    decodes the claimed stream as it writes the records; a client that
-    hangs up mid-stream makes a write fail, and the stream is closed on
-    that thread: slot, enclave context and admission slot all come back."""
-    from tests.service.conftest import launch_world
-
-    world = launch_world(tcs_count=1, model_builder=lambda: build_tinylm(seed=7))
-    try:
-        world.session.stream([1, 2, 3], 2).result(timeout_s=30)  # the cold start
-        host = world.host
-        host.code.stream_log.clear()
-        stream = world.session.stream([1, 2, 3], MAX_STREAM_TOKENS)
-        frames = iter(stream)
-        next(frames)
-        next(frames)
-        assert stream.cancel() is True  # closes the socket: the hang-up
-        assert _wait_for(lambda: host.slots_in_use == 0 and host.code.open_streams == 0)
-        assert _wait_for(lambda: world.service.admission.inflight_total == 0)
-        assert len(host.code.stream_log) < MAX_STREAM_TOKENS - 1, (
-            "the server decoded the whole stream for a client that hung up"
-        )
-    finally:
-        world.close()
 
 
 def test_concurrent_streams_share_step_ecalls_and_stay_correct():
@@ -623,8 +569,6 @@ def test_a_frame_spliced_in_from_another_live_stream_is_refused(consumer):
     with held_ecalls("EC_STREAM_STEP") as gate:
         a = host.open_stream(_seal(env, host, "user", [2, 7, 1], 4), _uid(env, "user"), MODEL_ID)
         b = host.open_stream(_seal(env, host, "user", [30, 4, 2], 4), _uid(env, "user"), MODEL_ID)
-        for stream in (a, b):  # a wait with a deadline: a worker decodes each
-            assert not stream.wait(timeout_s=0)
         gate.wait_entered(2)  # both contexts are open in the enclave at once
         gate.release()
     a, b = a.result(timeout_s=30), b.result(timeout_s=30)
