@@ -5,7 +5,7 @@ Run from the repository root (CI does, next to the test suite)::
 
     python scripts/check_layering.py
 
-Exits non-zero naming every offender.  Six kinds of rule:
+Exits non-zero naming every offender.  Seven kinds of rule:
 
 **1. A package ``__init__.py`` is a docstring.**  Importing
 ``repro.a.b`` runs ``repro/__init__.py`` and ``repro/a/__init__.py``
@@ -81,6 +81,12 @@ row (``@ecall(...)``), and each ``self.ocall("OC_...")`` literal names a
 key of that class's ``OCALLS`` -- so an ECALL someone forgot to export,
 or an OCALL that only a failure path reaches, fails here rather than at
 run time.
+
+**7. One wire format.**  Every protocol message is a
+:mod:`repro.core.wire` frame, so no second message codec may come back
+beside it: only the modules in :data:`JSON_USERS`, each with its reason,
+may import ``json`` under ``src/repro`` -- and an entry that no longer
+imports it is reported too.
 """
 
 from __future__ import annotations
@@ -109,6 +115,15 @@ KEPT = {
         "fixture of the seven-model bit-identity oracle in "
         "tests/mlrt/test_bound_plan.py; moving it under tests/ removes nothing"
     ),
+}
+
+#: module (relative to repro) that may import json -> why
+JSON_USERS = {
+    "core.wire": "the frame's field table is canonical JSON",
+    "sgx.measurement": "MRENCLAVE folds in the enclave config as canonical JSON",
+    "mlrt.model": "the model blob's header is JSON",
+    "obs.export": "span dumps and chrome://tracing files are JSON",
+    "cli": "`repro run --json` and `repro trace` print JSON",
 }
 
 #: modules (relative to repro) the reachability walk starts from, with bench/*.py
@@ -445,6 +460,30 @@ def check_enclave_boundary(src_repro: Path = SRC_REPRO):
     return violations
 
 
+# -- rule 7: one wire format --------------------------------------------------------
+
+
+def check_one_wire_format(src_repro: Path = SRC_REPRO):
+    """Every ``json`` import outside :data:`JSON_USERS`, and every stale entry."""
+    violations, users = [], set()
+    for name, path in _module_files(src_repro).items():
+        dotted = name[len("repro."):]
+        for lineno, module in _imported_modules(ast.parse(path.read_text(), filename=str(path))):
+            if not _under(module, "json"):
+                continue
+            users.add(dotted)
+            if dotted not in JSON_USERS:
+                violations.append(
+                    f"{_shown(path)}:{lineno}: imports {module!r} -- messages are "
+                    f"repro.core.wire frames, and only JSON_USERS may import json"
+                )
+    violations += [
+        f"repro.{dotted} imports no json (or is gone): drop it from JSON_USERS"
+        for dotted in sorted(set(JSON_USERS) - users)
+    ]
+    return violations
+
+
 def main() -> int:
     """CLI entry point; returns a process exit code."""
     pins = [(name, allowed, SRC_REPRO / name) for name, allowed in PACKAGES.items()]
@@ -465,6 +504,7 @@ def main() -> int:
     checks.append(("private getattr", check_private_getattr()))
     checks.append(("one HTTP implementation", check_one_http()))
     checks.append(("declared enclave boundary", check_enclave_boundary()))
+    checks.append(("one wire format", check_one_wire_format()))
     for title, violations in checks:
         for violation in violations:
             print(violation, file=sys.stderr)

@@ -182,9 +182,9 @@ class _Principal:
 
     def _sealed(self, op: str, payload: dict) -> bytes:
         """Seal an operation payload under our long-term key (AAD = op)."""
-        # control-plane ops stay on canonical JSON (debuggable, and the
-        # sealed bytes feed deterministic harnesses); the cipher context
-        # is derived once per identity key, not rebuilt per call
+        # a wire frame is canonical, so the sealed bytes feed
+        # deterministic harnesses; the cipher context is derived once
+        # per identity key, not rebuilt per call
         return AESGCM.derive(self.identity_key).seal(
             wire.dumps(payload), aad=op.encode()
         )

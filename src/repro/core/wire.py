@@ -1,28 +1,18 @@
-"""Versioned wire codecs for protocol messages.
+"""The wire frame: the one format of every protocol message.
 
 Protocol payloads travel as byte strings: KeyService operations and
-SeMIRT key-provisioning requests over RA-TLS channels, encrypted
-request/response payloads between clients and enclaves, and the HTTP
-bodies of the service tier.  Two codecs share one frame namespace,
-selected by the **first byte** of every frame:
+SeMIRT key-provisioning requests over RA-TLS channels, the RA-TLS
+handshake offer, sealed KeyService checkpoints, and the HTTP bodies of
+the service tier.  Each is one frame of :class:`BinaryWireCodec`
+(``version byte || field table || raw bytes segments``): the message
+skeleton is a canonical-JSON *field table* whose bytes leaves are
+replaced by segment references, and the raw bytes travel verbatim after
+it, so ciphertext is never hex-doubled and decoding slices it straight
+out of the frame.
 
-- :class:`JsonWireCodec` -- the original canonical JSON format.  Bytes
-  values are hex-tagged (``{"__bytes_hex__": "..."}``), keys are
-  sorted, NaN/Infinity are refused.  Every JSON frame starts with
-  ``{`` (0x7B), which doubles as its version byte.  Debuggable and
-  deterministic; still used for KeyService/RA-TLS control messages and
-  sealed state.
-- :class:`BinaryWireCodec` -- version byte 0x01.  A length-prefixed
-  binary framing (``version byte || field table || raw bytes
-  segments``): the message skeleton is a canonical-JSON *field table*
-  whose bytes leaves are replaced by segment references, and the raw
-  bytes travel verbatim after it.  Large ciphertext payloads are no
-  longer hex-doubled; decoding slices them straight out of the frame.
-
-:func:`loads` dispatches on the version byte, so old JSON frames keep
-decoding unchanged and receivers never need to know what the sender
-chose.  :func:`dumps` defaults to JSON; hot-path callers opt into
-``codec=BINARY``.
+The encoding is canonical -- one message has exactly one frame -- and
+:func:`loads` is the only reader: a frame that :func:`dumps` would not
+write is refused with :class:`WireError`, never any other exception.
 
 This module is deliberately stdlib-only (plus ``repro.errors``) so it
 stays importable from every layer; ``scripts/check_layering.py``
@@ -36,22 +26,14 @@ import math
 import struct
 from typing import Any, List, Tuple
 
-try:  # pragma: no cover - typing fallback exercised only on old runtimes
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
 from repro.errors import ReproError
 
-_BYTES_TAG = "__bytes_hex__"
 _SEGMENT_TAG = "__bytes_seg__"
+#: the shortest reference a field table can hold, ``{"__bytes_seg__":0}``
+_MIN_REFERENCE = len(json.dumps({_SEGMENT_TAG: 0}, separators=(",", ":")))
 
-#: version byte of the binary framing; JSON frames open with ``{`` (0x7B)
+#: the version byte every frame opens with
 BINARY_VERSION = 0x01
-_JSON_FIRST_BYTE = 0x7B  # ord("{")
 
 _HEADER_LEN = struct.Struct(">I")
 _SEGMENT_COUNT = struct.Struct(">I")
@@ -62,89 +44,8 @@ class WireError(ReproError):
     """Malformed wire message."""
 
 
-def _encode_value(value: Any) -> Any:
-    if isinstance(value, (bytes, bytearray)):
-        return {_BYTES_TAG: bytes(value).hex()}
-    if isinstance(value, dict):
-        # both tags are reserved: a payload dict carrying one would be
-        # re-decoded as bytes on the other side (a type-confusion hole)
-        for tag in (_BYTES_TAG, _SEGMENT_TAG):
-            if tag in value:
-                raise WireError(
-                    f"key {tag!r} is reserved for the bytes encoding"
-                )
-        return {k: _encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode_value(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        # NaN/Infinity are not valid JSON and NaN breaks canonical
-        # (comparable) encoding; refuse rather than emit extensions
-        raise WireError(f"non-finite float {value!r} cannot go on the wire")
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise WireError(f"cannot encode {type(value).__name__} on the wire")
-
-
-def _decode_value(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value.keys()) == {_BYTES_TAG}:
-            try:
-                return bytes.fromhex(value[_BYTES_TAG])
-            except (TypeError, ValueError) as exc:
-                raise WireError(f"bad hex payload: {exc}") from exc
-        for tag in (_BYTES_TAG, _SEGMENT_TAG):
-            if tag in value:
-                raise WireError(
-                    f"key {tag!r} is reserved for the bytes encoding"
-                )
-        return {k: _decode_value(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_value(v) for v in value]
-    return value
-
-
-@runtime_checkable
-class WireCodec(Protocol):
-    """One frame format: dict in, bytes out, and back."""
-
-    def dumps(self, message: dict) -> bytes:  # pragma: no cover - protocol
-        """Serialise a message dict to one wire frame."""
-        ...
-
-    def loads(self, raw: bytes) -> dict:  # pragma: no cover - protocol
-        """Inverse of :meth:`dumps` for this codec's frames only."""
-        ...
-
-
-class JsonWireCodec:
-    """Canonical JSON frames (sorted keys, hex-tagged bytes, no NaN)."""
-
-    version = _JSON_FIRST_BYTE
-
-    def dumps(self, message: dict) -> bytes:
-        """Serialise ``message`` as one canonical JSON frame."""
-        if not isinstance(message, dict):
-            raise WireError("wire messages must be dicts")
-        try:
-            return json.dumps(
-                _encode_value(message), sort_keys=True, allow_nan=False
-            ).encode()
-        except ValueError as exc:
-            raise WireError(f"unencodable wire message: {exc}") from exc
-
-    def loads(self, raw: bytes) -> dict:
-        """Decode one JSON frame (bytes values arrive hex-tagged)."""
-        try:
-            value = json.loads(bytes(raw).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"malformed wire message: {exc}") from exc
-        if not isinstance(value, dict):
-            raise WireError("wire messages must decode to dicts")
-        return _decode_value(value)
-
-
 class BinaryWireCodec:
-    """Binary frames: ``0x01 || field table || raw bytes segments``.
+    """Frames ``0x01 || field table || raw bytes segments``.
 
     Frame layout (all integers big-endian)::
 
@@ -155,19 +56,15 @@ class BinaryWireCodec:
         u32  segment_count
         segment_count x (u64 len || len raw bytes)
 
-    The field table reuses the JSON codec's canonical rules (sorted
-    keys, no NaN, reserved tags refused), so the two codecs accept and
-    produce exactly the same value domain; only the bytes transport
-    differs.  Decoding slices segments directly out of the frame --
-    ciphertext never round-trips through hex -- and, like :meth:`dumps`,
-    insists that every reference is an integer and that each segment is
-    referenced exactly once: no aliased and no unreferenced bytes.
+    The field table has sorted keys and no NaN, and segments are
+    numbered in the order a sorted-key walk meets them, so one message
+    has exactly one frame.  Decoding insists that every reference is an
+    integer and that each segment is referenced exactly once: no aliased
+    and no unreferenced bytes.
     """
 
-    version = BINARY_VERSION
-
     def dumps(self, message: dict) -> bytes:
-        """Serialise ``message`` as one binary frame (see class docs)."""
+        """Serialise ``message`` as one frame (see class docs)."""
         if not isinstance(message, dict):
             raise WireError("wire messages must be dicts")
         segments: List[bytes] = []
@@ -190,41 +87,53 @@ class BinaryWireCodec:
         return b"".join(parts)
 
     def loads(self, raw: bytes) -> dict:
-        """Decode one binary frame, slicing segments without copies."""
+        """Decode one frame, slicing segments without copies."""
         view = memoryview(raw)
-        if len(view) < 1 + _HEADER_LEN.size or view[0] != BINARY_VERSION:
-            raise WireError("not a binary wire frame")
-        offset = 1
-        (header_len,) = _HEADER_LEN.unpack_from(view, offset)
-        offset += _HEADER_LEN.size
-        if offset + header_len + _SEGMENT_COUNT.size > len(view):
-            raise WireError("truncated binary wire frame")
-        try:
-            skeleton = json.loads(bytes(view[offset : offset + header_len]).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"malformed wire field table: {exc}") from exc
-        if not isinstance(skeleton, dict):
-            raise WireError("wire messages must decode to dicts")
+        if not view:
+            raise WireError("empty wire frame")
+        if view[0] != BINARY_VERSION:
+            raise WireError(f"unknown wire frame version 0x{view[0]:02x}")
+        offset = 1 + _HEADER_LEN.size
+        if offset > len(view):
+            raise WireError("truncated wire frame")
+        (header_len,) = _HEADER_LEN.unpack_from(view, 1)
+        header = view[offset : offset + header_len]
         offset += header_len
+        if offset + _SEGMENT_COUNT.size > len(view):
+            raise WireError("truncated wire frame")
         (count,) = _SEGMENT_COUNT.unpack_from(view, offset)
         offset += _SEGMENT_COUNT.size
+        if count > header_len // _MIN_REFERENCE:
+            # refused before a single segment is read
+            raise WireError(
+                f"{count} segments, more than a {header_len}-byte field "
+                f"table can reference"
+            )
         spans: List[Tuple[int, int]] = []
         for _ in range(count):
             if offset + _SEGMENT_LEN.size > len(view):
-                raise WireError("truncated binary wire frame")
+                raise WireError("truncated wire frame")
             (length,) = _SEGMENT_LEN.unpack_from(view, offset)
             offset += _SEGMENT_LEN.size
             if offset + length > len(view):
-                raise WireError("truncated binary wire frame")
+                raise WireError("truncated wire frame")
             spans.append((offset, offset + length))
             offset += length
         if offset != len(view):
-            raise WireError("trailing bytes after binary wire frame")
+            raise WireError("trailing bytes after wire frame")
         referenced: set = set()
-        message = self._graft_bytes(skeleton, view, spans, referenced)
+        try:
+            skeleton = json.loads(bytes(header).decode())
+            message = self._graft_bytes(skeleton, view, spans, referenced)
+        except ValueError as exc:  # not UTF-8, not JSON, or an over-long int
+            raise WireError(f"malformed wire field table: {exc}") from exc
+        except RecursionError as exc:
+            raise WireError("wire field table nests too deeply") from exc
+        if not isinstance(message, dict):
+            raise WireError("wire messages must decode to dicts")
         if len(referenced) != count:
             # dumps emits exactly one reference per segment
-            raise WireError("unreferenced segment in binary wire frame")
+            raise WireError("unreferenced segment in wire frame")
         return message
 
     # -- skeleton walks --------------------------------------------------------
@@ -234,15 +143,19 @@ class BinaryWireCodec:
             segments.append(bytes(value))
             return {_SEGMENT_TAG: len(segments) - 1}
         if isinstance(value, dict):
-            for tag in (_BYTES_TAG, _SEGMENT_TAG):
-                if tag in value:
-                    raise WireError(
-                        f"key {tag!r} is reserved for the bytes encoding"
-                    )
-            return {k: self._strip_bytes(v, segments) for k, v in value.items()}
+            # the tag is reserved: a payload dict carrying it would be
+            # re-decoded as bytes on the other side (a type-confusion hole)
+            if _SEGMENT_TAG in value:
+                raise WireError(
+                    f"key {_SEGMENT_TAG!r} is reserved for the bytes encoding"
+                )
+            # in the field table's order, so segments number canonically
+            return {k: self._strip_bytes(value[k], segments) for k in sorted(value)}
         if isinstance(value, (list, tuple)):
             return [self._strip_bytes(v, segments) for v in value]
         if isinstance(value, float) and not math.isfinite(value):
+            # NaN/Infinity are not valid JSON and NaN breaks canonical
+            # (comparable) encoding; refuse rather than emit extensions
             raise WireError(
                 f"non-finite float {value!r} cannot go on the wire"
             )
@@ -266,11 +179,10 @@ class BinaryWireCodec:
                 referenced.add(index)
                 start, stop = spans[index]
                 return bytes(view[start:stop])
-            for tag in (_BYTES_TAG, _SEGMENT_TAG):
-                if tag in value:
-                    raise WireError(
-                        f"key {tag!r} is reserved for the bytes encoding"
-                    )
+            if _SEGMENT_TAG in value:
+                raise WireError(
+                    f"key {_SEGMENT_TAG!r} is reserved for the bytes encoding"
+                )
             return {
                 k: self._graft_bytes(v, view, spans, referenced)
                 for k, v in value.items()
@@ -280,38 +192,21 @@ class BinaryWireCodec:
         return value
 
 
-#: shared codec instances (both are stateless and thread-safe)
-JSON = JsonWireCodec()
+#: the one codec (stateless and thread-safe); kept as a name because
+#: bench/ passes ``codec=wire.BINARY``
 BINARY = BinaryWireCodec()
 
-_CODECS_BY_VERSION = {
-    _JSON_FIRST_BYTE: JSON,
-    BINARY_VERSION: BINARY,
-}
 
-
-def dumps(message: dict, codec: "WireCodec" = JSON) -> bytes:
-    """Serialise ``message`` with ``codec`` (canonical JSON by default).
-
-    Hot-path callers pass ``codec=wire.BINARY`` so ciphertext travels
-    as raw segments; control-plane messages keep the JSON default.
-    """
+def dumps(message: dict, codec: BinaryWireCodec = BINARY) -> bytes:
+    """Serialise ``message`` as one frame."""
+    # ``codec`` takes only the one codec; it stays because bench/ passes it
     return codec.dumps(message)
 
 
 def loads(raw: bytes) -> dict:
-    """Decode one frame of *any* known version.
-
-    The first byte selects the codec: ``{`` (0x7B) is a canonical JSON
-    frame, 0x01 is the binary framing.  Anything else is refused, so a
-    frame can never be mis-parsed as the wrong format.
-    """
-    if not raw:
-        raise WireError("empty wire frame")
-    codec = _CODECS_BY_VERSION.get(raw[0])
-    if codec is None:
-        raise WireError(f"unknown wire frame version 0x{raw[0]:02x}")
-    return codec.loads(raw)
+    """Decode one frame; anything :func:`dumps` would not write raises
+    :class:`WireError`."""
+    return BINARY.loads(raw)
 
 
 def corrupt(raw: bytes, bit_index: int = 0) -> bytes:
@@ -320,7 +215,7 @@ def corrupt(raw: bytes, bit_index: int = 0) -> bytes:
     Used by :mod:`repro.faults` to model in-flight corruption.  All
     protocol payloads are AEAD-protected, so a single flipped bit must
     surface as an authentication failure at the receiver, never as a
-    silently different message.  Works on frames of every version.
+    silently different message.
     """
     if not raw:
         return raw
@@ -334,9 +229,6 @@ __all__ = [
     "BINARY",
     "BINARY_VERSION",
     "BinaryWireCodec",
-    "JSON",
-    "JsonWireCodec",
-    "WireCodec",
     "WireError",
     "corrupt",
     "dumps",

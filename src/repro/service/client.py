@@ -47,7 +47,6 @@ from repro.service.protocol import (
     MAX_HEAD,
     MAX_LINE,
     content_length,
-    content_type,
     encode_head,
     parse_head,
     read_record,
@@ -211,15 +210,10 @@ class ServiceClient:
 
     One keep-alive :class:`_Connection` per thread, speaking the subset
     the server speaks (:mod:`repro.service.protocol`): each request is
-    one write of head plus body.  Bodies are :mod:`repro.core.wire`
-    frames.  ``codec`` selects the request framing per call: the
-    inference hot path sends binary frames (and asks for binary replies
-    via ``Accept``), while control-plane routes stay on JSON for
-    debuggability.  Replies decode through the versioned
-    :func:`~repro.core.wire.loads` dispatcher either way.
-    Network-level failures raise :class:`~repro.errors.TransportError`;
-    HTTP error statuses re-raise the server's exception via
-    :func:`~repro.errors.from_wire`.
+    one write of head plus body.  Bodies, both ways, are
+    :mod:`repro.core.wire` frames.  Network-level failures raise
+    :class:`~repro.errors.TransportError`; HTTP error statuses re-raise
+    the server's exception via :func:`~repro.errors.from_wire`.
     """
 
     def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
@@ -250,7 +244,6 @@ class ServiceClient:
         payload: Optional[dict],
         query: Optional[Dict[str, str]],
         span,
-        codec: wire.WireCodec,
     ):
         """Send one request on ``connect()``; ``(connection, status, headers)``.
 
@@ -261,15 +254,13 @@ class ServiceClient:
         connection; a timeout never retries -- the request may be
         running, and no route is idempotent (docs/service.md).
         """
-        body = wire.dumps(payload, codec=codec) if payload is not None else b""
+        body = wire.dumps(payload) if payload is not None else b""
         target = path + ("?" + urlencode(query) if query else "")
         headers = {
             "Host": self._authority,
-            "Content-Type": content_type(codec),
+            "Content-Type": BINARY_CONTENT_TYPE,
             "Content-Length": str(len(body)),
         }
-        if codec is wire.BINARY:
-            headers["Accept"] = BINARY_CONTENT_TYPE
         if span is not None:
             headers["x-client-span"] = span.span_id
         request = encode_head(f"{method} {target} HTTP/1.1", headers) + body
@@ -311,13 +302,11 @@ class ServiceClient:
         payload: Optional[dict] = None,
         query: Optional[Dict[str, str]] = None,
         span=None,
-        codec: wire.WireCodec = wire.JSON,
+        codec: wire.BinaryWireCodec = wire.BINARY,  # the one codec; bench/ passes it
     ):
         """One round trip: ``(status, payload_dict, response_headers)``,
         header names lower-cased."""
-        conn, status, headers = self._send(
-            self._connection, method, path, payload, query, span, codec
-        )
+        conn, status, headers = self._send(self._connection, method, path, payload, query, span)
         return status, self._reply(conn, headers, f"{method} {path}"), headers
 
     def call(
@@ -339,9 +328,7 @@ class ServiceClient:
         the server to stop decoding; the stream owns closing it.  An
         HTTP error status raises the server's exception immediately.
         """
-        conn, status, headers = self._send(
-            self._dial, "POST", path, payload, None, span, wire.BINARY
-        )
+        conn, status, headers = self._send(self._dial, "POST", path, payload, None, span)
         if status >= 400:
             reply = self._reply(conn, headers, f"POST {path}")
             conn.close()
@@ -566,7 +553,7 @@ class HttpGateway:
     def _post(self, path: str, enc_request: bytes, user_id: str, model_id: str, **extra) -> dict:
         return self._client.call(
             "POST", path, self._body(enc_request, user_id, model_id, **extra),
-            span=self._span(), codec=wire.BINARY,
+            span=self._span(),
         )
 
     def _span(self):
@@ -664,8 +651,7 @@ class HttpSubmission(_ConsumerFed):
     def _feed(self, chunk_s: float) -> None:
         """One ``GET``; seals the cell unless the server answers 202."""
         status, reply, _ = self._client.request(
-            "GET", self._path, query={"timeout_s": f"{chunk_s:.3f}"},
-            codec=wire.BINARY,
+            "GET", self._path, query={"timeout_s": f"{chunk_s:.3f}"}
         )
         if status == 202:
             return  # still in flight

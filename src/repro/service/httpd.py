@@ -38,7 +38,9 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import TransportError
-from repro.service.protocol import MAX_HEAD, content_length, encode_head, parse_head
+from repro.service.protocol import (
+    BINARY_CONTENT_TYPE, MAX_HEAD, content_length, encode_head, parse_head,
+)
 
 #: connections served at once; the next one is answered 503 and closed
 MAX_CONNECTIONS = 256
@@ -91,7 +93,7 @@ class HttpResponse:
 
     status: int = 200
     body: bytes = b""
-    content_type: str = "application/json"
+    content_type: str = BINARY_CONTENT_TYPE
     headers: Dict[str, str] = field(default_factory=dict)
 
     def encode(self, keep_alive: bool) -> bytes:
@@ -115,12 +117,11 @@ class StreamingHttpResponse:
         self,
         chunks: Iterable[bytes],
         status: int = 200,
-        content_type: str = "application/octet-stream",
         headers: Optional[Dict[str, str]] = None,
     ) -> None:
         self.status = status
         self.chunks = chunks
-        self.content_type = content_type
+        self.content_type = BINARY_CONTENT_TYPE
         self.headers = dict(headers or {})
 
     def encode_head(self, keep_alive: bool) -> bytes:

@@ -8,10 +8,10 @@ length header.  Lines end in CRLF; a request body is ``Content-Length``
 framed only (no chunked requests); a response body is
 ``Content-Length`` or ``Transfer-Encoding: chunked`` framed.
 
-Bodies are :mod:`repro.core.wire` frames under one of two media types.
-A ``/v1/stream`` reply is a chunked body of **records**, each
-``u32 length || body``: a sealed token frame, or -- with
-:data:`STREAM_ERROR_FLAG` set in the length -- one terminal
+Every body travels under one media type, :data:`BINARY_CONTENT_TYPE`:
+a :mod:`repro.core.wire` frame, or a ``/v1/stream`` reply -- a chunked
+body of **records**, each ``u32 length || body``: a sealed token frame,
+or -- with :data:`STREAM_ERROR_FLAG` set in the length -- one terminal
 wire-encoded error (the status line was sent when the stream began, so
 a mid-decode failure travels in-band).  Both sides import this module;
 neither packs a length prefix itself.
@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import repro.core.wire as wire
 from repro.errors import TransportError, from_wire, to_wire
 
-#: media type of the binary wire framing (version byte 0x01)
+#: the media type of every body: a wire frame, or a stream's records
 BINARY_CONTENT_TYPE = "application/x-sesemi-wire"
 
 #: high bit of a record's length prefix: terminal error, not a frame
@@ -91,11 +91,6 @@ def content_length(headers: Mapping[str, str]) -> Optional[int]:
     return int(value)
 
 
-def content_type(codec: wire.WireCodec) -> str:
-    """The media type a body encoded with ``codec`` travels under."""
-    return BINARY_CONTENT_TYPE if codec is wire.BINARY else "application/json"
-
-
 def frame_record(frame: bytes) -> bytes:
     """One sealed token frame as a stream record."""
     return struct.pack(">I", len(frame)) + frame
@@ -137,6 +132,6 @@ def _rest(read: Callable[[int], bytes], got: bytes, n: int) -> bytes:
 
 __all__ = [
     "BINARY_CONTENT_TYPE", "MAX_HEAD", "MAX_HEADERS", "MAX_LINE",
-    "STREAM_ERROR_FLAG", "content_length", "content_type", "encode_head",
+    "STREAM_ERROR_FLAG", "content_length", "encode_head",
     "error_record", "frame_record", "parse_head", "read_record",
 ]

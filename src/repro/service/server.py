@@ -20,14 +20,9 @@ gateway fleet:
 ``GET  /v1/stats``         admission/shed counters, gateway state
 ========================== ==============================================
 
-Bodies are :mod:`repro.core.wire` frames, decoded through the
-versioned :func:`~repro.core.wire.loads` dispatcher: clients may POST
-canonical JSON or the binary framing, and the response codec is
-negotiated per request -- binary when the request body was binary or
-the ``Accept`` header names ``application/x-sesemi-wire``, JSON
-otherwise (so curl and old SDKs keep JSON).  KeyService proxy routes
-are normally JSON end to end.  Exceptions map to the canonical
-taxonomy in :mod:`repro.errors` (``to_wire``/``from_wire``), so a
+Every body, both ways, is one :mod:`repro.core.wire` frame under the
+one media type ``application/x-sesemi-wire``.  Exceptions map to the
+canonical taxonomy in :mod:`repro.errors` (``to_wire``/``from_wire``), so a
 :class:`~repro.errors.QueueFull` shed here and one raised by a
 saturated enclave queue look identical to the client.
 
@@ -50,7 +45,6 @@ reply and consuming the entry is one step under the service's lock
 
 from __future__ import annotations
 
-import contextvars
 import itertools
 import math
 import threading
@@ -79,12 +73,7 @@ from repro.service.httpd import (
     HttpServer,
     StreamingHttpResponse,
 )
-from repro.service.protocol import (
-    BINARY_CONTENT_TYPE,
-    content_type,
-    error_record,
-    frame_record,
-)
+from repro.service.protocol import error_record, frame_record
 from repro.sgx.enclave import Kind
 
 _RESULTS_PREFIX = "/v1/results/"
@@ -97,14 +86,6 @@ _GRANT = Kind(dict, error=InvocationError, fields=dict(model_id=ID, uid=ID))
 _KS_HANDSHAKE = Kind(dict, error=InvocationError, fields=dict(offer=Kind(dict)))
 _KS_CALL = Kind(dict, error=InvocationError, fields=dict(
     channel_id=Kind(int, least=1), ciphertext=Kind(bytes)))
-
-#: per-request response codec, set by content negotiation in ``_handle``:
-#: binary when the client POSTed a binary frame or sent an ``Accept``
-#: naming the binary media type, canonical JSON otherwise -- so JSON
-#: clients (curl, old SDKs) keep JSON replies on every route.
-_RESPONSE_CODEC: "contextvars.ContextVar[wire.WireCodec]" = (
-    contextvars.ContextVar("sesemi_response_codec", default=wire.JSON)
-)
 
 
 @dataclass
@@ -208,7 +189,6 @@ class InferenceService:
     # -- routing ------------------------------------------------------------------
 
     def _handle(self, request: HttpRequest) -> HttpResponse:
-        _RESPONSE_CODEC.set(self._negotiate_codec(request))
         method, path = request.method, request.path
         if path == "/v1/healthz" and method == "GET":
             return self._healthz()
@@ -234,19 +214,11 @@ class InferenceService:
                 return self._results(req_id, request.query)
             if method == "DELETE":
                 return self._cancel(req_id)
-        return self._json(*to_wire(StorageError(f"no route {method} {path}")))
-
-    def _negotiate_codec(self, request: HttpRequest) -> wire.WireCodec:
-        """Pick the response codec for one request (see module notes)."""
-        if BINARY_CONTENT_TYPE in request.headers.get("accept", ""):
-            return wire.BINARY
-        if request.body[:1] == bytes([wire.BINARY.version]):
-            return wire.BINARY
-        return wire.JSON
+        return self._reply(*to_wire(StorageError(f"no route {method} {path}")))
 
     def _map_error(self, exc: BaseException) -> HttpResponse:
         """Last-resort mapper the HTTP layer calls for unhandled errors."""
-        return self._json(*to_wire(exc))
+        return self._reply(*to_wire(exc))
 
     def _count(self, route: str) -> None:
         with self._lock:
@@ -255,7 +227,7 @@ class InferenceService:
     # -- plain endpoints ----------------------------------------------------------
 
     def _healthz(self) -> HttpResponse:
-        return self._json(200, {
+        return self._reply(200, {
             "ok": True,
             "inflight": self.admission.inflight_total,
             "endpoints": self.gateway.endpoint_count,
@@ -283,7 +255,7 @@ class InferenceService:
         warm = self.gateway.warm_stats()
         if warm is not None:
             payload["warm_pool"] = warm
-        return self._json(200, payload)
+        return self._reply(200, payload)
 
     def _meta(self) -> HttpResponse:
         models = {}
@@ -296,7 +268,7 @@ class InferenceService:
                 "tcs_count": tcs,
                 "feed_window": submit_window(batch, tcs),
             }
-        return self._json(200, {
+        return self._reply(200, {
             "service": self.tracer.service,
             "models": models,
             "keyservice_measurement": self.env.keyservice.measurement.value,
@@ -307,13 +279,13 @@ class InferenceService:
     def _ks_handshake(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_handshake")
         msg = self._decode(request, _KS_HANDSHAKE)
-        return self._json(200, self.env.keyservice.handshake(msg["offer"]))
+        return self._reply(200, self.env.keyservice.handshake(msg["offer"]))
 
     def _ks_call(self, request: HttpRequest) -> HttpResponse:
         self._count("ks_call")
         msg = self._decode(request, _KS_CALL)
         reply = self.env.keyservice.request(msg["channel_id"], msg["ciphertext"])
-        return self._json(200, {"reply": reply})
+        return self._reply(200, {"reply": reply})
 
     def _grants(self, request: HttpRequest) -> HttpResponse:
         """Owner-side half of a grant: GRANT_ACCESS for ``uid``.
@@ -325,7 +297,7 @@ class InferenceService:
         msg = self._decode(request, _GRANT)
         handle = self._handle_for(msg["model_id"])
         handle.owner.grant_access(handle.model_id, handle.measurement, msg["uid"])
-        return self._json(200, {
+        return self._reply(200, {
             "ok": True, "measurement": handle.measurement.value,
         })
 
@@ -365,7 +337,7 @@ class InferenceService:
         except Exception as exc:
             release()
             self._end_span(span, error=exc)
-            return self._json(*to_wire(exc), span=span)
+            return self._reply(*to_wire(exc), span=span)
         return finish(outcome, release, span)
 
     def _infer(self, request: HttpRequest) -> HttpResponse:
@@ -381,7 +353,7 @@ class InferenceService:
         def served(reply, release, span) -> HttpResponse:
             release()
             self._end_span(span, endpoint=reply.decision.endpoint)
-            return self._json(200, {
+            return self._reply(200, {
                 "enc_response": reply.output,
                 "endpoint": reply.decision.endpoint,
             }, span=span)
@@ -398,7 +370,7 @@ class InferenceService:
                 req_id = f"r-{next(self._req_ids)}"
                 self._entries[req_id] = entry
             self._end_span(span, endpoint=submission.endpoint, req_id=req_id)
-            return self._json(202, {
+            return self._reply(202, {
                 "req_id": req_id, "endpoint": submission.endpoint,
             }, span=span)
 
@@ -444,11 +416,7 @@ class InferenceService:
 
             chunks = records()
             next(chunks)
-            return StreamingHttpResponse(
-                chunks,
-                content_type=BINARY_CONTENT_TYPE,
-                headers={"x-trace-id": span.trace_id},
-            )
+            return StreamingHttpResponse(chunks, headers={"x-trace-id": span.trace_id})
 
         return self._admitted("stream", request, open_stream, opened)
 
@@ -467,26 +435,26 @@ class InferenceService:
             # decide the reply and consume the entry in one step: racing
             # polls and DELETEs see one outcome, handed out at most once
             if entry.consumed:
-                return self._json(410, {
+                return self._reply(410, {
                     "error": "ResultConsumed",
                     "message": "result already fetched",
                 })
             if submission.cancelled():  # sticky, and true before the worker knows
-                return self._json(*to_wire(
+                return self._reply(*to_wire(
                     RequestCancelled("request was cancelled; result discarded")
                 ))
             if peek:
-                return self._json(200, {"done": submission.done()})
+                return self._reply(200, {"done": submission.done()})
             if not submission.done():
-                return self._json(202, {"done": False})
+                return self._reply(202, {"done": False})
             try:
                 output = submission.result(timeout_s=0)
             except Exception as exc:  # noqa: BLE001 - re-raised on every poll
                 entry.release()
-                return self._json(*to_wire(exc), span=entry.span)
+                return self._reply(*to_wire(exc), span=entry.span)
             entry.consumed = True
         entry.release()
-        return self._json(
+        return self._reply(
             200, {"enc_response": output, "done": True}, span=entry.span
         )
 
@@ -496,7 +464,7 @@ class InferenceService:
         with self._lock:  # atomic with a poll's decide-and-consume
             if entry.submission.cancel():
                 entry.release()
-        return self._json(200, {"cancelled": entry.submission.cancelled()})
+        return self._reply(200, {"cancelled": entry.submission.cancelled()})
 
     def _entry(self, req_id: str) -> _Entry:
         with self._lock:
@@ -573,13 +541,8 @@ class InferenceService:
             span.set_attributes(**attrs)
         span.end(status="error" if error is not None else "ok")
 
-    def _json(self, status: int, payload: dict, span=None) -> HttpResponse:
-        codec = _RESPONSE_CODEC.get()
-        response = HttpResponse(
-            status=status,
-            body=wire.dumps(payload, codec=codec),
-            content_type=content_type(codec),
-        )
+    def _reply(self, status: int, payload: dict, span=None) -> HttpResponse:
+        response = HttpResponse(status=status, body=wire.dumps(payload))
         if span is not None:
             # lets the client join its span to the server-side trace
             response.headers["x-trace-id"] = span.trace_id

@@ -7,11 +7,12 @@ KeyService and SeMIRT ECALL surfaces and require that every outcome is a
 corruption, and definitely no secrets.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.errors
@@ -20,6 +21,7 @@ from repro.core.deployment import SeSeMIEnvironment
 from repro.core.wire import WireError, dumps, loads
 from repro.errors import InvocationError, ReproError
 from repro.mlrt.zoo import build_mobilenet
+from tests.core.test_wire import frame_of
 
 #: the only exception family a hostile caller may trigger: every refusal
 #: is a typed repro error, never a raw ValueError / KeyError / TypeError
@@ -108,26 +110,60 @@ def test_semirt_rejects_garbage_requests(world, blob, uid, model_id):
         st.text(max_size=8), st.one_of(st.integers(), st.text(max_size=8)),
         max_size=3,
     ),
-    hex_value=st.text(alphabet="0123456789abcdef", max_size=16),
+    reference=st.one_of(st.integers(0, 3), st.text(max_size=8)),
 )
-def test_wire_rejects_reserved_bytes_tag_key(payload, hex_value):
-    """A payload dict carrying ``__bytes_hex__`` must not encode.
+def test_wire_rejects_reserved_bytes_tag_key(payload, reference):
+    """A payload dict carrying ``__bytes_seg__`` must not encode.
 
     Without the guard such a dict round-trips into *bytes* on the other
     side (type confusion an adversary controls); with it, encoding is a
-    clean :class:`WireError` -- and a forged raw message carrying the
-    tag alongside other keys fails to decode the same way.
+    clean :class:`WireError` -- and a forged frame carrying the tag
+    alongside other keys fails to decode the same way.
     """
     hostile = dict(payload)
-    hostile["__bytes_hex__"] = hex_value
+    hostile["__bytes_seg__"] = reference
     with pytest.raises(WireError):
         dumps({"field": hostile})
     if payload:  # tag mixed with other keys never decodes either
-        forged = dumps({"field": dict(payload)}).replace(
-            b"{", b'{"__bytes_hex__": "00", ', 1
-        )
-        with pytest.raises(WireError):
-            loads(forged)
+        header = json.dumps({"field": dict(payload, __bytes_seg__=0)}).encode()
+        with pytest.raises(WireError, match="reserved"):
+            loads(frame_of(header, [b"x"]))
+
+
+#: any JSON value, segment references among them -- well formed or not
+_TABLE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.builds(
+        lambda index: {"__bytes_seg__": index},
+        st.one_of(st.integers(-1, 4), st.booleans(), st.text(max_size=2), st.none()),
+    ),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_TABLES = st.one_of(
+    st.binary(max_size=48),
+    _TABLE_VALUES.map(lambda value: json.dumps(value).encode()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.one_of(
+    st.binary(max_size=200),
+    st.builds(frame_of, _TABLES, st.lists(st.binary(max_size=8), max_size=6)),
+))
+@example(raw=frame_of(b'{"a": ' + b"[" * 5000 + b"]" * 5000 + b"}", []))
+@example(raw=frame_of(b"{}", [b""] * 4096))
+@example(raw=frame_of(b'{"n": ' + b"1" * 5000 + b"}", []))
+def test_wire_loads_raises_only_wire_errors(raw):
+    """Whatever the host hands an enclave, :func:`loads` returns a dict
+    or raises :class:`WireError` -- never a RecursionError, a ValueError
+    or another type outside the repro taxonomy."""
+    try:
+        message = loads(raw)
+    except WireError:
+        return
+    assert isinstance(message, dict)
 
 
 @settings(max_examples=25, deadline=None)

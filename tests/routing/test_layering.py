@@ -437,3 +437,34 @@ def test_gate_catches_an_undeclared_ecall_or_ocall(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(checker, "check_enclave_boundary", lambda: violations)
     assert checker.main() == 1
     assert "declared enclave boundary: 3 layering violation(s)" in capsys.readouterr().err
+
+
+def test_gate_catches_a_second_message_codec_under_src(tmp_path, monkeypatch, capsys):
+    """Every message is a ``repro.core.wire`` frame: a ``json`` import in
+    any spelling outside ``JSON_USERS`` is reported, and so is an entry
+    of the table that no longer imports it; either fails the script."""
+    checker = _load_checker()
+    assert set(checker.JSON_USERS) == {
+        "core.wire", "sgx.measurement", "mlrt.model", "obs.export", "cli",
+    }
+    src_repro = _tree(tmp_path, {
+        "src/repro/core/wire.py": "import json\n",
+        "src/repro/sgx/measurement.py": "from json import dumps\n",
+        "src/repro/mlrt/model.py": "import json.decoder\n",
+        "src/repro/obs/export.py": "import json\n",
+        "src/repro/cli.py": "import argparse\n",
+        "src/repro/service/server.py": (
+            "import threading\n"
+            "def reply():\n    import json\n"
+            "from json import loads as decode\n"
+        ),
+    }) / "src" / "repro"
+    violations = checker.check_one_wire_format(src_repro)
+    assert {v.split(": ")[0] for v in violations} == {
+        f"{src_repro}/service/server.py:3", f"{src_repro}/service/server.py:4",
+        "repro.cli imports no json (or is gone)",
+    }
+    assert checker.check_one_wire_format() == []
+    monkeypatch.setattr(checker, "check_one_wire_format", lambda: violations)
+    assert checker.main() == 1
+    assert "one wire format: 3 layering violation(s)" in capsys.readouterr().err

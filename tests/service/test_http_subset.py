@@ -101,7 +101,7 @@ def test_a_head_outside_the_subset_is_a_400_and_a_close(request_bytes, thread_er
 
 def test_stopping_with_an_idle_keep_alive_connection_logs_nothing(thread_errors):
     def handler(request):
-        return HttpResponse(body=b'{"ok": true}')
+        return HttpResponse(body=wire.dumps({"ok": True}))
 
     with _serving(handler) as (address, stop):
         client = ServiceClient("http://%s:%d" % address)
@@ -173,20 +173,18 @@ def dialled(monkeypatch):
 
 
 def _echo(request):
-    """The request body's wire frame, echoed back as a JSON reply."""
+    """The request body's wire frame, echoed back inside the reply frame."""
     time.sleep(random.random() * 1e-3)
     return HttpResponse(body=wire.dumps({"echo": wire.loads(request.body)}))
 
 
 def test_a_post_is_one_write_of_head_and_body(dialled):
     payload = {"enc_request": bytes(range(256)) * 12, "uid": "u-1"}  # a hot-path size
-    body = wire.dumps(payload, codec=wire.BINARY)
+    body = wire.dumps(payload)
     with _serving(_echo) as (address, stop):
         client = ServiceClient("http://%s:%d" % address)
         for _ in range(2):
-            status, reply, _ = client.request(
-                "POST", "/v1/echo", payload, codec=wire.BINARY
-            )
+            status, reply, _ = client.request("POST", "/v1/echo", payload)
             assert (status, reply) == (200, {"echo": payload})
         client.close()
         stop()
@@ -244,11 +242,11 @@ class _Scripted(threading.Thread):
         assert not self.is_alive()
 
 
+REPLY_BODY = wire.dumps({"ok": True, "n": 42})
 REPLY_HEAD = (
-    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-    b"Content-Length: 21\r\nx-trace-id: t-7\r\n\r\n"
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/x-sesemi-wire\r\n"
+    b"Content-Length: %d\r\nx-trace-id: t-7\r\n\r\n" % len(REPLY_BODY)
 )
-REPLY_BODY = b'{"ok": true, "n": 42}'
 
 
 def _byte_per_write(sock):

@@ -11,13 +11,16 @@ inside their ECALL (``tests/conftest.py``'s ``held_ecalls``).
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
 
+import repro.core.wire as wire
 from repro.core.client import KeyServiceConnection
 from repro.errors import QueueFull, ReproError, StorageError, TransportError
 from repro.service import ServiceClient
@@ -139,6 +142,25 @@ def test_malformed_body_is_a_400_invocation_error(world):
     assert status == 400
     assert payload["error"] == "InvocationError"
     assert "missing field" in payload["message"]
+
+
+@pytest.mark.parametrize("path", ["/v1/infer", "/v1/ks/handshake", "/v1/ks/call"])
+def test_a_deeply_nested_body_is_a_400_not_a_500(world, path):
+    """A 10 KB body whose field table nests 5,000 arrays is a refusal
+    at the door, not a RecursionError out of the decode."""
+    table = b'{"a": ' + b"[" * 5000 + b"]" * 5000 + b"}"
+    body = b"\x01" + struct.pack(">I", len(table)) + table + struct.pack(">I", 0)
+    client = world.remote.client
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+    try:
+        conn.request("POST", path, body=body)
+        response = conn.getresponse()
+        status, reply = response.status, wire.loads(response.read())
+    finally:
+        conn.close()
+    assert (status, reply["error"]) == (400, "InvocationError"), reply
+    assert "nests too deeply" in reply["message"]
+    assert client.call("GET", "/v1/healthz")["ok"] is True
 
 
 def test_a_wrong_sized_input_is_a_400_not_a_500(world):
